@@ -64,7 +64,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "hash-iter",
         severity: Severity::Error,
         summary: "no iteration over HashMap/HashSet in fingerprint-bearing crates",
-        explain: "Fingerprints (Summary::fingerprint and the pipelined/sharded/resume \
+        explain: "Fingerprints (Summary::fingerprint and the streaming/sharded/resume \
 parity batteries) require every drain of engine state to visit items in a \
 deterministic order. std's HashMap/HashSet use RandomState, so keys()/values()/\
 iter()/drain()/into_iter() visit in a per-process random order. In the crates \
@@ -82,8 +82,9 @@ or pure membership bookkeeping) — with an `audit:allow` and a reason.",
         summary: "no Instant::now/SystemTime outside allowlisted timing seams",
         explain: "Wall-clock reads in simulation or embedding logic make runs \
 non-reproducible. Instant::now and SystemTime are only allowed in the bench \
-binaries (crates/bench/src/bin/) and at the explicit timing seams that feed \
-EngineState::set_online_secs or the serve tick loop — each such seam carries an \
+binaries (crates/bench/src/bin/) and at the explicit timing seams that stamp \
+StreamStats::online_secs (the engine loop, ShardCoordinator::run, callers of \
+EngineState::set_online_secs) or pace the serve tick loop — each such seam carries an \
 `audit:allow(D2, ...)` naming itself. Everywhere else, thread timing state \
 through those seams instead of reading the clock.",
     },
@@ -94,7 +95,7 @@ through those seams instead of reading the clock.",
         summary: "no bare `f64 +=` accumulation in metrics/observe/summary code",
         explain: "Floating-point addition is not associative; naive `acc += x` \
 loops make metric values depend on accumulation order, which breaks \
-cross-mode parity (batch vs pipelined vs sharded). Files whose name contains \
+cross-mode parity (batch vs streaming vs sharded). Files whose name contains \
 `metrics`, `observe` or `summary` must route running sums through NeumaierSum \
 (compensated summation). Plain `+= 1.0` counters are exempt (counting is \
 exact), as is integer arithmetic. The two fields inside NeumaierSum itself are \

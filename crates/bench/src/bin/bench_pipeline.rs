@@ -1,24 +1,17 @@
-//! Execution-pipeline macro-harness: measures what the parallel slot
-//! pipeline PR actually buys on this host, and writes the rows to
-//! `BENCH_pipeline.json` — a machine-readable snapshot tracking the
+//! Sweep-execution macro-harness: measures what sharing one
+//! [`SweepContext`] across a sweep buys on this host, and writes the row
+//! to `BENCH_pipeline.json` — a machine-readable snapshot tracking the
 //! perf trajectory across commits (diff with `jq`, like
 //! `BENCH_plan.json`).
 //!
-//! Two measurements:
-//!
-//! 1. **The 30k-slot long-horizon sweep** — six OLIVE cells (three
-//!    ablation variants × two seeds) whose plans fold a 30 000-slot
-//!    history each. The baseline derives every cell's artifacts
-//!    independently (one `run_seeds_in` per variant — the pre-PR
-//!    shape); the pipelined path shares one [`SweepContext`], so the
-//!    two *distinct* plans are derived once and reused across all six
-//!    cells. This is a genuine work reduction, so the speedup holds on
-//!    any core count. Summaries are asserted byte-identical.
-//! 2. **The 30k-slot engine run** — one long online phase through the
-//!    serial vs the three-stage pipelined engine. The overlap
-//!    (tracegen ∥ algorithm ∥ observers) pays in proportion to the
-//!    free cores; on a single-core host it is roughly neutral (which is
-//!    why the scenario dispatch bypasses the pipeline there).
+//! **The 30k-slot long-horizon sweep** — six OLIVE cells (three
+//! ablation variants × two seeds) whose plans fold a 30 000-slot
+//! history each. The baseline derives every variant's artifacts
+//! independently (a fresh [`SweepContext`] per variant); the shared
+//! path passes one context to all of them, so the two *distinct* plans
+//! are derived once and reused across all six cells. This is a genuine
+//! work reduction, so the speedup holds on any core count. Summaries
+//! are asserted byte-identical.
 //!
 //! Run with: `cargo run --release --bin bench_pipeline [-- --quick]`
 
@@ -26,19 +19,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use vne_model::app::{shapes, AppSet, AppShape};
-use vne_model::cost::RejectionPenalty;
-use vne_model::policy::PlacementPolicy;
-use vne_model::substrate::{SubstrateNetwork, Tier};
-use vne_olive::olive::{Olive, OliveConfig};
-use vne_sim::engine::{run_stream, run_stream_pipelined, PipelineConfig};
+use vne_model::substrate::SubstrateNetwork;
+use vne_olive::olive::OliveConfig;
 use vne_sim::metrics::Summary;
-use vne_sim::observe::WindowSummary;
 use vne_sim::registry::AlgorithmRegistry;
-use vne_sim::runner::{default_apps, run_seeds_in, run_seeds_with, SweepContext};
+use vne_sim::runner::{default_apps, run_seeds_with, SweepContext};
 use vne_sim::scenario::{Algorithm, ScenarioConfig};
-use vne_workload::rng::SeededRng;
-use vne_workload::tracegen::{self, ArrivalKind, TraceConfig};
 
 const SEEDS: [u64; 2] = [1, 2];
 
@@ -75,11 +61,12 @@ fn olive_variants() -> Vec<(&'static str, OliveConfig)> {
     ]
 }
 
-/// Runs the variant sweep; `ctx` shares artifacts across variants when
-/// given. Returns per-variant summaries (seed order inside).
+/// Runs the variant sweep; `shared` shares artifacts across variants
+/// when given, otherwise every variant gets a fresh context. Returns
+/// per-variant summaries (seed order inside).
 fn run_sweep(
     substrate: &SubstrateNetwork,
-    ctx: Option<&Arc<SweepContext>>,
+    shared: Option<&Arc<SweepContext>>,
     history_slots: u32,
     test_slots: u32,
 ) -> Vec<Summary> {
@@ -92,96 +79,34 @@ fn run_sweep(
             c.olive = olive;
             c
         };
-        let (summaries, _) = match ctx {
-            Some(ctx) => run_seeds_with(
-                ctx,
-                &registry,
-                substrate,
-                &Algorithm::Olive.into(),
-                &SEEDS,
-                default_apps,
-                per_variant,
-            ),
-            None => run_seeds_in(
-                &registry,
-                substrate,
-                &Algorithm::Olive.into(),
-                &SEEDS,
-                default_apps,
-                per_variant,
-            ),
-        };
+        let ctx = shared
+            .cloned()
+            .unwrap_or_else(|| Arc::new(SweepContext::new()));
+        let (summaries, _) = run_seeds_with(
+            &ctx,
+            &registry,
+            substrate,
+            &Algorithm::Olive.into(),
+            &SEEDS,
+            default_apps,
+            per_variant,
+        );
         all.extend(summaries);
     }
     all
 }
 
-/// The long-horizon engine world (the `long_horizon` test's): ample
-/// capacity, low rate, so the 30k-slot stream cycles a small active set.
-fn engine_world() -> (SubstrateNetwork, AppSet, TraceConfig) {
-    let mut s = SubstrateNetwork::new("long");
-    let e = s.add_node("e0", Tier::Edge, 10_000.0, 50.0).unwrap();
-    let c = s.add_node("c0", Tier::Core, 50_000.0, 1.0).unwrap();
-    s.add_link(e, c, 100_000.0, 1.0).unwrap();
-    let mut apps = AppSet::new();
-    for (name, len) in [("chain2", 2), ("chain3", 3), ("chain4", 4)] {
-        apps.push(
-            name,
-            AppShape::Chain,
-            shapes::uniform_chain(len, 10.0, 1.0).unwrap(),
-        )
-        .unwrap();
-    }
-    let config = TraceConfig {
-        slots: 0, // set by the caller
-        mean_rate_per_node: 2.0,
-        demand_mean: 1.0,
-        demand_std: 0.2,
-        duration_mean: 5.0,
-        arrivals: ArrivalKind::Poisson,
-        ..TraceConfig::default()
-    };
-    (s, apps, config)
-}
-
-fn engine_run(slots: u32, pipelined: bool) -> (f64, u64) {
-    let (s, apps, mut tc) = engine_world();
-    tc.slots = slots;
-    let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
-    let mut window = WindowSummary::new(
-        (slots / 10, slots - slots / 10),
-        RejectionPenalty::uniform(&apps, 1.0),
-    );
-    let events = tracegen::stream(&s, &apps, &tc, SeededRng::new(42));
-    let started = Instant::now();
-    let stats = if pipelined {
-        run_stream_pipelined(
-            &mut alg,
-            &s,
-            events,
-            &mut window,
-            &PipelineConfig::default(),
-        )
-    } else {
-        run_stream(&mut alg, &s, events, &mut window)
-    };
-    (
-        started.elapsed().as_secs_f64(),
-        window.finish(&stats).fingerprint(),
-    )
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (history_slots, test_slots, engine_slots) = if quick {
-        (3_000u32, 500u32, 3_000u32)
+    let (history_slots, test_slots) = if quick {
+        (3_000u32, 500u32)
     } else {
-        (30_000, 3_000, 30_000)
+        (30_000, 3_000)
     };
     let substrate = vne_topology::zoo::citta_studi().expect("citta studi");
     let variants = olive_variants().len();
 
-    // --- 1. The long-horizon sweep: independent vs shared artifacts.
+    // The long-horizon sweep: independent vs shared artifacts.
     let started = Instant::now();
     let baseline = run_sweep(&substrate, None, history_slots, test_slots);
     let baseline_secs = started.elapsed().as_secs_f64();
@@ -208,16 +133,6 @@ fn main() {
         ctx.plans_cached(),
     );
 
-    // --- 2. The long-horizon engine run: serial vs pipelined.
-    let (serial_secs, serial_fp) = engine_run(engine_slots, false);
-    let (pipelined_secs, pipelined_fp) = engine_run(engine_slots, true);
-    assert_eq!(serial_fp, pipelined_fp, "pipelined engine drifted");
-    let engine_speedup = serial_secs / pipelined_secs;
-    println!(
-        "engine   {engine_slots}-slot stream: serial {serial_secs:.2}s, \
-         pipelined {pipelined_secs:.2}s  ({engine_speedup:.2}×)"
-    );
-
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -242,14 +157,6 @@ fn main() {
          \"fingerprints_match\": {fingerprints_match}",
         variants * SEEDS.len(),
         ctx.plans_cached()
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"engine\": {{");
-    let _ = writeln!(
-        json,
-        "    \"slots\": {engine_slots}, \"serial_secs\": {serial_secs:.3}, \
-         \"pipelined_secs\": {pipelined_secs:.3}, \"speedup\": {engine_speedup:.3}, \
-         \"identical\": true"
     );
     let _ = writeln!(json, "  }}\n}}");
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");

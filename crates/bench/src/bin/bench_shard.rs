@@ -5,15 +5,12 @@
 //! the sharding PR's perf trajectory across commits (diff with `jq`,
 //! like `BENCH_pipeline.json`).
 //!
-//! Three legs:
+//! Four legs:
 //!
-//! 1. **The unsharded reference** — the plain serial engine over the
-//!    full substrate. The `k = 1` coordinator row must reproduce its
+//! 1. **The unsharded reference** — the plain engine over the full
+//!    substrate. The `k = 1` coordinator row must reproduce its
 //!    window-summary fingerprint *byte-identically* (asserted in-bin:
 //!    the single-shard path is a pass-through, not an approximation).
-//!    The reference also replays through the pipelined engine with a
-//!    [`PipelineConfig::autosized`] geometry derived from the `k = 1`
-//!    coordinator's measured per-slot cost, asserting parity again.
 //! 2. **The scaling sweep** — per `k`: greedy edge-cut partition
 //!    (cut-link count and partition wall time recorded), QUICKG per
 //!    shard, full trace replay, spanning counters, wall time.
@@ -40,7 +37,7 @@
 //! [`Checkpointer`]: vne_sim::observe::Checkpointer
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::cost::RejectionPenalty;
@@ -53,7 +50,7 @@ use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::colgen::PlanVneConfig;
 use vne_olive::olive::Olive;
 use vne_shard::{shard_demands, shard_plans, ShardCoordinator};
-use vne_sim::engine::{run_stream, run_stream_pipelined, EngineCheckpoint, PipelineConfig};
+use vne_sim::engine::{run_stream, EngineCheckpoint};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_topology::partition::{large_synthetic, GreedyEdgeCut, Partitioner};
 use vne_workload::estimator::{AggregationConfig, ExactEstimator};
@@ -113,7 +110,7 @@ fn run_sharded(
     events: &[SlotEvents],
     window_bounds: (u32, u32),
     k: usize,
-) -> (ScalingRow, Option<f64>) {
+) -> ScalingRow {
     let started = Instant::now();
     let assignment = GreedyEdgeCut { seed: WORLD_SEED }
         .partition(s, k)
@@ -132,15 +129,14 @@ fn run_sharded(
     let started = Instant::now();
     let stats = coordinator.run(events.iter().cloned(), &mut window);
     let run_secs = started.elapsed().as_secs_f64();
-    let mean_step = coordinator.mean_step_secs();
     let summary = window.finish(&stats);
     let span = coordinator.spanning_stats();
-    let row = ScalingRow {
+    ScalingRow {
         k,
         cut_links: coordinator.sharded().cut_count(),
         partition_secs,
         run_secs,
-        mean_step_us: mean_step.unwrap_or(0.0) * 1e6,
+        mean_step_us: run_secs / events.len().max(1) as f64 * 1e6,
         fingerprint: summary.fingerprint(),
         arrivals: summary.arrivals,
         rejected: summary.rejected,
@@ -148,8 +144,7 @@ fn run_sharded(
         span_candidates: span.candidates,
         span_granted: span.granted,
         span_denied: span.denied,
-    };
-    (row, mean_step)
+    }
 }
 
 struct CheckpointLeg {
@@ -363,22 +358,20 @@ fn main() {
         s.link_count()
     );
 
-    // --- 1. The unsharded serial reference.
+    // --- 1. The unsharded reference.
     let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
     let mut window = WindowSummary::new(window_bounds, RejectionPenalty::uniform(&apps, 1.0));
     let started = Instant::now();
     let stats = run_stream(&mut alg, &s, events.iter().cloned(), &mut window);
     let reference_secs = started.elapsed().as_secs_f64();
     let reference_fp = window.finish(&stats).fingerprint();
-    println!("unsharded serial reference: {reference_secs:.2}s, fingerprint {reference_fp:#018x}");
+    println!("unsharded reference: {reference_secs:.2}s, fingerprint {reference_fp:#018x}");
 
     // --- 2. The scaling sweep.
     let mut rows = Vec::new();
-    let mut k1_step_secs = None;
     for &k in ks {
-        let (row, mean_step) = run_sharded(&s, &apps, &events, window_bounds, k);
+        let row = run_sharded(&s, &apps, &events, window_bounds, k);
         if k == 1 {
-            k1_step_secs = mean_step;
             assert_eq!(
                 row.fingerprint, reference_fp,
                 "k=1 sharded run drifted from the unsharded engine"
@@ -423,29 +416,7 @@ fn main() {
         leg
     });
 
-    // --- 4. The autosized pipelined reference, geometry from the k=1
-    // coordinator's measured per-slot cost (the sizing probe).
-    let per_slot = Duration::from_secs_f64(k1_step_secs.expect("k=1 ran").max(1e-9));
-    let idle = std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1))
-        .unwrap_or(1);
-    let pipe = PipelineConfig::autosized(per_slot, idle);
-    let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
-    let mut window = WindowSummary::new(window_bounds, RejectionPenalty::uniform(&apps, 1.0));
-    let started = Instant::now();
-    let stats = run_stream_pipelined(&mut alg, &s, events.iter().cloned(), &mut window, &pipe);
-    let pipelined_secs = started.elapsed().as_secs_f64();
-    let pipelined_fp = window.finish(&stats).fingerprint();
-    assert_eq!(
-        pipelined_fp, reference_fp,
-        "autosized pipelined engine drifted from the serial reference"
-    );
-    println!(
-        "autosized pipeline (buffer {}, batch {}): {pipelined_secs:.2}s, identical",
-        pipe.buffer, pipe.batch
-    );
-
-    // --- 5. The planning demo.
+    // --- 4. The planning demo.
     let plan_json = plan_leg(tiny);
 
     let mut json = String::from("{\n  \"bench\": \"shard\",\n");
@@ -459,9 +430,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"reference\": {{ \"serial_secs\": {reference_secs:.3}, \
-         \"autosized_secs\": {pipelined_secs:.3}, \"buffer\": {}, \"batch\": {}, \
-         \"fingerprint\": \"{reference_fp:#018x}\", \"identical\": true }},",
-        pipe.buffer, pipe.batch
+         \"fingerprint\": \"{reference_fp:#018x}\" }},"
     );
     let _ = writeln!(json, "  \"scaling\": [");
     for (i, r) in rows.iter().enumerate() {

@@ -266,7 +266,12 @@ impl BenchOpts {
         }
     }
 
-    /// The topologies to run on, honoring `--topo`.
+    /// The topologies to run on, honoring `--topo` (a name prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the known names when `--topo` matches none of them —
+    /// an empty sweep would otherwise exit 0 with no output.
     pub fn topologies(&self) -> Vec<SubstrateNetwork> {
         let all = [
             ("iris", vne_topology::zoo::iris().expect("iris")),
@@ -277,14 +282,21 @@ impl BenchOpts {
                 vne_topology::random::hundred_n_150e().expect("random"),
             ),
         ];
-        match &self.topo {
-            None => all.into_iter().map(|(_, s)| s).collect(),
-            Some(pick) => all
-                .into_iter()
-                .filter(|(name, _)| name.starts_with(pick.as_str()))
-                .map(|(_, s)| s)
-                .collect(),
-        }
+        let Some(pick) = &self.topo else {
+            return all.into_iter().map(|(_, s)| s).collect();
+        };
+        let known = all.iter().map(|(name, _)| *name).collect::<Vec<_>>();
+        let picked: Vec<SubstrateNetwork> = all
+            .into_iter()
+            .filter(|(name, _)| name.starts_with(pick.as_str()))
+            .map(|(_, s)| s)
+            .collect();
+        assert!(
+            !picked.is_empty(),
+            "unknown topology {pick:?}; --topo takes a prefix of: {}",
+            known.join(", ")
+        );
+        picked
     }
 }
 
@@ -314,6 +326,17 @@ mod tests {
         assert_eq!(opts.utils.len(), 5);
         assert_eq!(opts.seed_list(), vec![1, 2, 3]);
         assert_eq!(opts.topologies().len(), 4);
+        let citta = BenchOpts::parse_from(&args(&["--topo", "citta"]));
+        assert_eq!(citta.topologies().len(), 1);
+        // An unknown name is a usage error naming the choices, not an
+        // empty sweep that exits 0.
+        let unknown = BenchOpts::parse_from(&args(&["--topo", "nosuch"]));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unknown.topologies()))
+            .expect_err("must panic");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        for name in ["nosuch", "iris", "citta", "5gen", "100n150e"] {
+            assert!(message.contains(name), "{message}");
+        }
         assert_eq!(
             opts.algs,
             vec![

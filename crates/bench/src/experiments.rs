@@ -145,7 +145,7 @@ where
         return rows;
     }
 
-    // The pipelined sweep pool: every (utilization, algorithm, seed)
+    // The shared sweep pool: every (utilization, algorithm, seed)
     // cell feeds one worker pool, so workers stay busy across cell
     // boundaries and memoized plans become available to later cells as
     // the first cell needing them derives them.

@@ -40,8 +40,8 @@ impl SlotOutcome {
 /// `Box<dyn OnlineAlgorithm>`, which is what lets third-party
 /// algorithms be registered by name without touching the simulator
 /// (see `vne-sim`'s algorithm registry). `Send` is a supertrait so the
-/// engine's pipelined mode can run the algorithm stage on a worker
-/// thread; algorithms are plain owned state, so this costs nothing.
+/// shard coordinator's worker pool and the `vne-serve` actor thread can
+/// own algorithms; they are plain owned state, so this costs nothing.
 pub trait OnlineAlgorithm: Send {
     /// A short display name (e.g. `"OLIVE"`).
     fn name(&self) -> &str;

@@ -154,12 +154,6 @@ pub struct ShardCoordinator {
     /// Name + an all-zero ledger handed to `on_slot_end` for `k > 1`
     /// (per-shard ledgers cannot be merged through the trait).
     stub: StubAlgorithm,
-    /// Cumulative wall-clock spent in [`ShardCoordinator::step`] and
-    /// the number of steps — the measured per-slot cost probe that
-    /// sizes the pipeline when the shard pool leaves cores idle.
-    /// Not checkpointed: a resumed run re-probes from scratch.
-    step_secs: f64,
-    steps: u32,
 }
 
 impl ShardCoordinator {
@@ -211,8 +205,6 @@ impl ShardCoordinator {
             node_factor: BTreeMap::new(),
             incident_cuts,
             stub,
-            step_secs: 0.0,
-            steps: 0,
         }
     }
 
@@ -265,12 +257,6 @@ impl ShardCoordinator {
             .unwrap_or(0)
     }
 
-    /// Measured mean wall-clock per coordinated slot (the pipeline
-    /// sizing probe), or `None` before the first step.
-    pub fn mean_step_secs(&self) -> Option<f64> {
-        (self.steps > 0).then(|| self.step_secs / f64::from(self.steps))
-    }
-
     /// Runs the coordinator over a whole event stream, honoring early
     /// stops, and returns the merged stats. Wall-clock is folded into
     /// [`StreamStats::online_secs`] like the unsharded engine loop.
@@ -282,11 +268,14 @@ impl ShardCoordinator {
     where
         O: SimObserver + ?Sized,
     {
+        // Online seconds accumulate across resumed segments and
+        // repeated `run` calls.
+        let base_secs = self.stats.online_secs;
         // audit:allow(D2, "set_online_secs feeder: measures the run to stamp stats.online_secs")
         let start = Instant::now();
         for event in events {
             let control = self.step(event, observer);
-            self.stats.online_secs = start.elapsed().as_secs_f64();
+            self.stats.online_secs = base_secs + start.elapsed().as_secs_f64();
             if control == SimControl::Stop {
                 self.stats.stopped_early = true;
                 break;
@@ -306,15 +295,11 @@ impl ShardCoordinator {
     where
         O: SimObserver + ?Sized,
     {
-        // audit:allow(D2, "per-slot cost probe sizing the pipeline; never feeds results")
-        let started = Instant::now();
         let control = if self.engines.len() == 1 {
             self.step_single(event, observer)
         } else {
             self.step_sharded(event, observer)
         };
-        self.step_secs += started.elapsed().as_secs_f64();
-        self.steps += 1;
 
         #[cfg(feature = "strict-invariants")]
         vne_model::invariant::enforce("shard coordinator step", &self.audit());
@@ -941,8 +926,7 @@ impl ShardCoordinator {
 /// real algorithms are per-shard and their ledgers cannot be merged
 /// through the trait, so observers get the shared name and an all-zero
 /// ledger over the *source* substrate. Observers needing drill-down
-/// ([`OnlineAlgorithm::as_any`]) see `None`, same as the pipelined
-/// engine's detached stub.
+/// ([`OnlineAlgorithm::as_any`]) see `None`.
 struct StubAlgorithm {
     name: String,
     loads: LoadLedger,

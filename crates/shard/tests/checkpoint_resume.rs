@@ -2,7 +2,9 @@
 //! deterministically: a single-shard coordinator and the monolithic
 //! engine produce and accept each other's checkpoints, while a
 //! multi-shard checkpoint is refused by both with a typed error (and
-//! round-trips through the typed [`ShardCheckpoint`] instead).
+//! round-trips through the typed [`ShardCheckpoint`] instead). Also
+//! pins that a resumed coordinator keeps the checkpointed
+//! `online_secs` instead of restarting the clock.
 //!
 //! [`ShardCheckpoint`]: vne_model::state::ShardCheckpoint
 
@@ -12,10 +14,11 @@ use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{PartitionAssignment, ShardedSubstrate};
+use vne_model::state::{Snapshot, StateBlob, StateReader};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::fullg::FullG;
 use vne_shard::{engine_checkpoint, shard_checkpoint, ShardCoordinator};
-use vne_sim::engine::{run_stream, run_stream_from};
+use vne_sim::engine::{run_stream, run_stream_from, EngineState};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 
 const HORIZON: Slot = 10;
@@ -96,6 +99,7 @@ fn window(s: &SubstrateNetwork) -> WindowSummary {
 fn sharded_k(s: &SubstrateNetwork, k: usize) -> ShardedSubstrate {
     let assignment = match k {
         1 => PartitionAssignment::single(s.node_count()).unwrap(),
+        4 => PartitionAssignment::new(vec![0, 1, 2, 3]).unwrap(),
         _ => PartitionAssignment::new(vec![0, 0, 1, 1]).unwrap(),
     };
     ShardedSubstrate::new(s, &assignment).unwrap()
@@ -268,4 +272,73 @@ fn multi_shard_checkpoint_is_refused_outside_its_shape() {
         &mut w,
     );
     assert_eq!(w.finish(&stats).fingerprint(), reference);
+}
+
+/// The regression: `ShardCoordinator::run` used to stamp
+/// `online_secs = elapsed`, dropping the seconds a checkpoint (or an
+/// earlier `run` call) had already accumulated. Rewrite the stored
+/// seconds to a constant no test run can reach, resume, finish the
+/// tail: the total must not fall below the constant.
+#[test]
+fn resumed_runs_keep_the_checkpointed_online_secs() {
+    const STORED_SECS: f64 = 1.0e6;
+    let (s, nodes) = world();
+    let ev = events(&nodes);
+    for k in [1usize, 4] {
+        let mut checkpoint = sharded_checkpoint(&s, &ev, k);
+        if k == 1 {
+            // k = 1 checkpoints carry plain engine state.
+            let mut state = EngineState::fresh();
+            state.restore(&checkpoint.engine).unwrap();
+            state.set_online_secs(STORED_SECS);
+            checkpoint.engine = state.snapshot();
+        } else {
+            // k > 1: the merged counters lead the coordinator cursors —
+            // slots_run (u32), arrivals and peak_active (u64 each), then
+            // online_secs at byte 20.
+            let mut typed = shard_checkpoint(&checkpoint).unwrap();
+            let mut bytes = typed.coordinator.into_bytes();
+            bytes[20..28].copy_from_slice(&STORED_SECS.to_bits().to_le_bytes());
+            typed.coordinator = StateBlob::from_bytes(bytes);
+            let mut r = StateReader::new(&typed.coordinator);
+            r.read_u32().unwrap();
+            r.read_usize().unwrap();
+            r.read_usize().unwrap();
+            assert_eq!(
+                r.read_f64().unwrap(),
+                STORED_SECS,
+                "patched the wrong field"
+            );
+            checkpoint = engine_checkpoint(&typed);
+        }
+
+        let apps = apps();
+        let mut w = window(&s);
+        let mut resumed = ShardCoordinator::resume_from(
+            sharded_k(&s, k),
+            move |_, local| {
+                Box::new(FullG::new(
+                    local.clone(),
+                    apps.clone(),
+                    PlacementPolicy::default(),
+                ))
+            },
+            &checkpoint,
+            &mut w,
+        )
+        .unwrap();
+        assert_eq!(resumed.stats().online_secs, STORED_SECS, "k = {k}: restore");
+        let stats = resumed.run(
+            ev.iter()
+                .filter(|e| u64::from(e.slot) > u64::from(CHECKPOINT_SLOT))
+                .cloned(),
+            &mut w,
+        );
+        assert_eq!(stats.slots_run, HORIZON, "k = {k}: the tail ran");
+        assert!(
+            stats.online_secs >= STORED_SECS,
+            "k = {k}: resumed online_secs {} dropped the checkpointed {STORED_SECS}",
+            stats.online_secs
+        );
+    }
 }

@@ -374,23 +374,6 @@ impl<O: SimObserver + ?Sized> SimObserver for &mut O {
     }
 }
 
-/// Marker: this observer is safe to run on the pipelined engine's
-/// observer stage ([`run_stream_pipelined`]).
-///
-/// The contract: the observer's [`SimObserver::on_slot_end`] does not
-/// inspect the `algorithm` argument beyond [`OnlineAlgorithm::name`]
-/// (the pipelined stage hands it a detached stub — the live algorithm
-/// is already processing a later slot on another thread), and its
-/// [`SimObserver::on_slot_committed`] uses the [`EngineView`] only
-/// through [`EngineView::checkpoint`] / the owned accessors (the live
-/// borrows return `None` there). All recording observers in
-/// [`crate::observe`] qualify; [`crate::observe::Inspect`] — whose whole
-/// point is the live algorithm — does not, and the compiler enforces
-/// that it never reaches the pipelined entry points.
-pub trait PipelineSafe: SimObserver {}
-
-impl<O: PipelineSafe + ?Sized> PipelineSafe for &mut O {}
-
 /// The engine's mutable state between slots: the `O(active)` working
 /// set ([`run_stream`] keeps nothing else). Factored out of the run
 /// loop so checkpoints can serialize it and [`run_stream_from`] can
@@ -633,38 +616,28 @@ impl Snapshot for EngineState {
     }
 }
 
-/// The engine+algorithm state captured at one slot boundary — what an
-/// [`EngineView`] wraps when it cannot borrow a live engine.
-///
-/// Two producers exist: the pipelined algorithm stage captures one per
-/// [`PipelineConfig::capture_every`] cadence slot, and external
-/// multi-engine drivers (the shard coordinator) assemble one on demand
-/// inside [`EngineView::deferred`] — there the blobs are a composite
-/// over every shard's state rather than a single engine snapshot.
+/// The engine+algorithm state an external multi-engine driver (the
+/// shard coordinator) assembles on demand inside
+/// [`EngineView::deferred`] — what an [`EngineView`] checkpoints when it
+/// cannot borrow one live engine. The blobs are a composite over every
+/// shard's state rather than a single engine snapshot.
 #[derive(Debug, Clone)]
 pub struct EngineCapture {
-    /// The engine-state snapshot (or a driver-defined composite of
-    /// several).
+    /// The driver-defined composite of its engines' state snapshots.
     pub engine: StateBlob,
-    /// `None` when the algorithm does not support snapshots — the
-    /// observer-stage [`EngineView::checkpoint`] then reports the same
-    /// [`StateError::Unsupported`] the serial path would.
+    /// `None` when the algorithm does not support snapshots —
+    /// [`EngineView::checkpoint`] then reports the same
+    /// [`StateError::Unsupported`] the live path would.
     pub algorithm_state: Option<StateBlob>,
 }
 
 /// Where an [`EngineView`] gets its state from: a live borrow of the
-/// serial engine loop, an owned capture shipped across the pipeline's
-/// record channel (the observer stage runs while the algorithm stage is
-/// already slots ahead, so it cannot borrow the live state), or a
-/// deferred capture produced only if a checkpoint is actually taken.
+/// engine loop, or a deferred capture produced only if a checkpoint is
+/// actually taken.
 enum ViewSource<'a> {
     Live {
         state: &'a EngineState,
         algorithm: &'a dyn OnlineAlgorithm,
-    },
-    Captured {
-        algorithm_name: &'a str,
-        capture: Option<&'a EngineCapture>,
     },
     Deferred {
         algorithm_name: &'a str,
@@ -675,10 +648,10 @@ enum ViewSource<'a> {
 /// A checkpointable view of the engine handed to
 /// [`SimObserver::on_slot_committed`] after every slot.
 ///
-/// On the serial path it borrows the live engine and algorithm; on the
-/// pipelined path it wraps the owned state capture taken by the
-/// algorithm stage at this slot (if one was configured). Either way,
-/// [`EngineView::checkpoint`] produces the slot's [`EngineCheckpoint`].
+/// The engine loop hands out a borrow of the live engine and algorithm;
+/// the shard coordinator hands out a deferred composite capture
+/// ([`EngineView::deferred`]). Either way, [`EngineView::checkpoint`]
+/// produces the slot's [`EngineCheckpoint`].
 pub struct EngineView<'a> {
     slot: Slot,
     stats: StreamStats,
@@ -743,26 +716,7 @@ impl<'a> EngineView<'a> {
     pub fn algorithm_name(&self) -> &'a str {
         match self.source {
             ViewSource::Live { algorithm, .. } => algorithm.name(),
-            ViewSource::Captured { algorithm_name, .. }
-            | ViewSource::Deferred { algorithm_name, .. } => algorithm_name,
-        }
-    }
-
-    /// The live engine state — `None` on the pipelined observer stage,
-    /// where the engine has already moved past this slot.
-    pub fn live_state(&self) -> Option<&'a EngineState> {
-        match self.source {
-            ViewSource::Live { state, .. } => Some(state),
-            ViewSource::Captured { .. } | ViewSource::Deferred { .. } => None,
-        }
-    }
-
-    /// The live algorithm (drill-down via [`OnlineAlgorithm::as_any`]) —
-    /// `None` on the pipelined observer stage.
-    pub fn live_algorithm(&self) -> Option<&'a dyn OnlineAlgorithm> {
-        match self.source {
-            ViewSource::Live { algorithm, .. } => Some(algorithm),
-            ViewSource::Captured { .. } | ViewSource::Deferred { .. } => None,
+            ViewSource::Deferred { algorithm_name, .. } => algorithm_name,
         }
     }
 
@@ -774,10 +728,8 @@ impl<'a> EngineView<'a> {
     /// # Errors
     ///
     /// Returns [`StateError::Unsupported`] when the running algorithm
-    /// does not implement [`OnlineAlgorithm::snapshot_state`], or when
-    /// this is a pipelined view of a slot the algorithm stage captured
-    /// no state for (set [`PipelineConfig::capture_every`] to the
-    /// checkpoint cadence).
+    /// does not implement [`OnlineAlgorithm::snapshot_state`], or the
+    /// error a deferred view's capture producer reports.
     pub fn checkpoint(&self, observer_state: StateBlob) -> Result<EngineCheckpoint, StateError> {
         match self.source {
             ViewSource::Live { state, algorithm } => {
@@ -788,28 +740,6 @@ impl<'a> EngineView<'a> {
                     slot: self.slot,
                     algorithm: algorithm.name().to_string(),
                     engine: state.snapshot(),
-                    algorithm_state,
-                    observer_state,
-                })
-            }
-            ViewSource::Captured {
-                algorithm_name,
-                capture,
-            } => {
-                let capture = capture.ok_or_else(|| {
-                    StateError::Unsupported(format!(
-                        "no engine capture at slot {}; pipelined runs capture state only at \
-                         the PipelineConfig::capture_every cadence",
-                        self.slot
-                    ))
-                })?;
-                let algorithm_state = capture.algorithm_state.clone().ok_or_else(|| {
-                    StateError::Unsupported(format!("algorithm {algorithm_name}"))
-                })?;
-                Ok(EngineCheckpoint {
-                    slot: self.slot,
-                    algorithm: algorithm_name.to_string(),
-                    engine: capture.engine.clone(),
                     algorithm_state,
                     observer_state,
                 })
@@ -1079,10 +1009,9 @@ where
 
 /// Everything one slot produces for the observer side: the decided
 /// arrival outcomes (in processing order), the preemption outcomes (in
-/// the algorithm's eviction order) and the slot metrics. Shared by the
-/// serial and pipelined drivers so both compute bit-identical values,
-/// and returned by [`EngineState::step`] so external drivers (the
-/// `vne-serve` actor) can route per-request decisions without a private
+/// the algorithm's eviction order) and the slot metrics. Returned by
+/// [`EngineState::step`] so external drivers (the `vne-serve` actor, the
+/// shard coordinator) can route per-request decisions without a private
 /// copy of the slot loop.
 #[derive(Debug, Clone)]
 pub struct SlotStep {
@@ -1452,8 +1381,7 @@ pub fn audit_engine(
     out
 }
 
-/// The shared serial engine loop behind [`run_stream`] and
-/// [`run_stream_from`].
+/// The one engine loop, behind all four `run_stream*` entry points.
 fn drive<E, O>(
     state: &mut EngineState,
     algorithm: &mut dyn OnlineAlgorithm,
@@ -1484,407 +1412,6 @@ where
     }
     state.stats.online_secs = base_secs + started.elapsed().as_secs_f64();
     state.stats
-}
-
-/// Configuration of the pipelined engine ([`run_stream_pipelined`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineConfig {
-    /// Bounded capacity of each inter-stage channel, in batches. Small
-    /// values keep the stages tightly coupled (less run-ahead after an
-    /// early stop); large values smooth out bursty slots.
-    pub buffer: usize,
-    /// Slots shipped per channel message. Batching amortizes the
-    /// per-message synchronization cost (a 30k-slot stream at batch 16
-    /// crosses each channel ~2k times instead of 30k); the maximum
-    /// run-ahead after an early stop is `2 × buffer × batch` slots.
-    pub batch: usize,
-    /// Capture the engine+algorithm state every N slots (the slots
-    /// `N-1, 2N-1, …` of a dense stream — the same cadence as
-    /// [`crate::observe::Checkpointer::every`]), so the observer stage
-    /// can serialize checkpoints there. `None` captures nothing;
-    /// a [`EngineView::checkpoint`] call on an uncaptured slot errors.
-    pub capture_every: Option<Slot>,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            buffer: 4,
-            batch: 16,
-            capture_every: None,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// A config capturing state every `every` slots (checkpointed runs).
-    pub fn capturing(every: Slot) -> Self {
-        Self {
-            capture_every: Some(every),
-            ..Self::default()
-        }
-    }
-
-    /// Sizes the stage-1 batch and buffer from a *measured* per-slot
-    /// cost instead of the default constants — used when another worker
-    /// pool (e.g. the shard pool) leaves `idle_cores` cores to the
-    /// pipeline. The batch targets ~1 ms of algorithm work per channel
-    /// message (cheap slots batch up to 256, expensive slots ship one
-    /// by one); the buffer grants one in-flight batch per idle core,
-    /// capped at 8. Batching affects only scheduling granularity, never
-    /// results — any sizing replays the same stream byte-identically
-    /// (pinned by the pipeline parity suite).
-    pub fn autosized(per_slot: std::time::Duration, idle_cores: usize) -> Self {
-        const TARGET_BATCH_SECS: f64 = 1e-3;
-        let per = per_slot.as_secs_f64().max(1e-9);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let batch = ((TARGET_BATCH_SECS / per).round() as usize).clamp(1, 256);
-        Self {
-            buffer: idle_cores.clamp(1, 8),
-            batch,
-            capture_every: None,
-        }
-    }
-}
-
-/// Whether the scenario-level runners should use the pipelined engine.
-///
-/// Resolution order: the `VNE_PIPELINE` environment variable (`0`,
-/// `off`, `false`, `serial`, `no` disable; anything else enables), then
-/// an adaptive default — pipelining pays only when at least one extra
-/// core is free, so it is on iff `available_parallelism() >= 2`. Both
-/// modes produce byte-identical summaries (pinned by the
-/// `pipeline_parity` suite); only wall-clock differs. Read once and
-/// cached for the process lifetime.
-pub fn pipeline_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("VNE_PIPELINE") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "serial" | "no"
-        ),
-        Err(_) => std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
-    })
-}
-
-/// One slot's worth of observer work, shipped from the algorithm stage
-/// to the observer stage over the bounded record channel.
-struct SlotRecord {
-    slot: Slot,
-    step: SlotStep,
-    /// The engine counters *after* this slot — what the serial path
-    /// would report had it stopped here (`online_secs` is the algorithm
-    /// stage's wall-clock; the pipelined run overwrites it with its own
-    /// at the end).
-    stats_after: StreamStats,
-    active: usize,
-    capture: Option<EngineCapture>,
-}
-
-/// The stand-in algorithm handed to [`SimObserver::on_slot_end`] on the
-/// pipelined observer stage: carries the real name and an empty load
-/// ledger, never processes a slot. [`PipelineSafe`] observers must not
-/// look further — the live algorithm is slots ahead on another thread.
-struct Detached {
-    name: String,
-    loads: vne_model::load::LoadLedger,
-}
-
-impl OnlineAlgorithm for Detached {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process_slot(
-        &mut self,
-        _t: Slot,
-        _departures: &[Request],
-        _arrivals: &[Request],
-    ) -> vne_olive::algorithm::SlotOutcome {
-        unreachable!("the detached observer-stage stub never processes slots")
-    }
-
-    fn loads(&self) -> &vne_model::load::LoadLedger {
-        &self.loads
-    }
-}
-
-/// [`run_stream`], pipelined across three stages on scoped threads:
-/// event production (the lazy trace generator), the algorithm step plus
-/// metric fold, and — on the calling thread — the observer fan-out.
-/// Slot `t+1`'s algorithm step proceeds while slot `t`'s observer work
-/// drains from a bounded channel; observers still see every event in
-/// slot order, and every value they see is computed by the same code as
-/// the serial path, so summaries are **byte-identical** to
-/// [`run_stream`] (pinned by the `pipeline_parity` proptest battery).
-///
-/// Early stop: when the observer returns [`SimControl::Stop`] the
-/// returned [`StreamStats`] are exactly the serial run's (the stop
-/// slot's counters), even though the algorithm stage may have run up to
-/// `2 × buffer` slots ahead before the channels unwind — the algorithm
-/// object's post-run state is therefore *not* meaningful after an early
-/// stop (checkpoint captures, taken at their slots, are).
-///
-/// Checkpointing: set [`PipelineConfig::capture_every`] to the
-/// [`crate::observe::Checkpointer`] cadence so the algorithm stage
-/// captures state on exactly the slots the checkpointer serializes.
-///
-/// # Panics
-///
-/// Panics like [`run_stream`] on non-increasing slots (the panic
-/// surfaces on the calling thread).
-pub fn run_stream_pipelined<E, O>(
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    config: &PipelineConfig,
-) -> StreamStats
-where
-    E: IntoIterator<Item = SlotEvents>,
-    E::IntoIter: Send,
-    O: PipelineSafe + ?Sized,
-{
-    run_stream_pipelined_with(
-        algorithm,
-        substrate,
-        events,
-        observer,
-        config,
-        &mut ReembedAll,
-    )
-}
-
-/// [`run_stream_pipelined`] with an explicit [`ReembedPolicy`] for
-/// streams that carry churn events.
-pub fn run_stream_pipelined_with<E, O>(
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    config: &PipelineConfig,
-    policy: &mut dyn ReembedPolicy,
-) -> StreamStats
-where
-    E: IntoIterator<Item = SlotEvents>,
-    E::IntoIter: Send,
-    O: PipelineSafe + ?Sized,
-{
-    let mut state = EngineState::fresh();
-    drive_pipelined(
-        &mut state, algorithm, substrate, events, observer, config, policy,
-    )
-}
-
-/// [`run_stream_from`], pipelined: restores the checkpoint like the
-/// serial resume, then finishes the run through the three-stage
-/// pipeline. Byte-identical to both the serial resume and the
-/// uninterrupted run.
-///
-/// # Errors
-///
-/// Returns a [`StateError`] when the algorithm's name does not match
-/// the checkpoint or any blob fails to restore.
-pub fn run_stream_from_pipelined<E, O>(
-    checkpoint: &EngineCheckpoint,
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    config: &PipelineConfig,
-) -> Result<StreamStats, StateError>
-where
-    E: IntoIterator<Item = SlotEvents>,
-    E::IntoIter: Send,
-    O: PipelineSafe + Snapshot + ?Sized,
-{
-    run_stream_from_pipelined_with(
-        checkpoint,
-        algorithm,
-        substrate,
-        events,
-        observer,
-        config,
-        &mut ReembedAll,
-    )
-}
-
-/// [`run_stream_from_pipelined`] with an explicit [`ReembedPolicy`] for
-/// streams that carry churn events.
-///
-/// # Errors
-///
-/// Returns a [`StateError`] when the algorithm's name does not match
-/// the checkpoint or any blob fails to restore.
-pub fn run_stream_from_pipelined_with<E, O>(
-    checkpoint: &EngineCheckpoint,
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    config: &PipelineConfig,
-    policy: &mut dyn ReembedPolicy,
-) -> Result<StreamStats, StateError>
-where
-    E: IntoIterator<Item = SlotEvents>,
-    E::IntoIter: Send,
-    O: PipelineSafe + Snapshot + ?Sized,
-{
-    let mut state = restore_engine(checkpoint, algorithm, substrate, observer)?;
-    let consumed = state.next_min_slot;
-    let remaining = events
-        .into_iter()
-        .skip_while(move |ev| u64::from(ev.slot) < consumed);
-    Ok(drive_pipelined(
-        &mut state, algorithm, substrate, remaining, observer, config, policy,
-    ))
-}
-
-/// The pipelined engine loop: stage 0 (worker) pulls slot events from
-/// the lazy source, stage 1 (worker) advances the engine and algorithm
-/// through [`advance_slot`] — the exact code the serial loop runs — and
-/// stage 2 (the calling thread) replays the observer fan-out in slot
-/// order from owned [`SlotRecord`]s. Bounded channels couple the
-/// stages; dropping a receiver unwinds the upstream stages, which is how
-/// an observer's early stop propagates back.
-fn drive_pipelined<E, O>(
-    state: &mut EngineState,
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    config: &PipelineConfig,
-    policy: &mut dyn ReembedPolicy,
-) -> StreamStats
-where
-    E: IntoIterator<Item = SlotEvents>,
-    E::IntoIter: Send,
-    O: SimObserver + ?Sized,
-{
-    use std::sync::mpsc::sync_channel;
-
-    let base_secs = state.stats.online_secs;
-    // audit:allow(D2, "set_online_secs feeder: pipelined run stamps stats.online_secs")
-    let started = Instant::now();
-    let buffer = config.buffer.max(1);
-    let batch = config.batch.max(1);
-    let capture_every = config.capture_every;
-    let name = algorithm.name().to_string();
-    let stub = Detached {
-        name: name.clone(),
-        loads: vne_model::load::LoadLedger::new(substrate),
-    };
-    // If no slot is ever committed, the serial path would report the
-    // restored counters unchanged.
-    let mut final_stats = state.stats;
-    let events = events.into_iter();
-
-    std::thread::scope(|scope| {
-        let (event_tx, event_rx) = sync_channel::<Vec<SlotEvents>>(buffer);
-        let (record_tx, record_rx) = sync_channel::<Vec<SlotRecord>>(buffer);
-
-        // Stage 0: event production (the RNG-heavy trace generator).
-        let producer = scope.spawn(move || {
-            let mut chunk = Vec::with_capacity(batch);
-            for event in events {
-                chunk.push(event);
-                if chunk.len() == batch
-                    && event_tx
-                        .send(std::mem::replace(&mut chunk, Vec::with_capacity(batch)))
-                        .is_err()
-                {
-                    return; // downstream stopped early
-                }
-            }
-            if !chunk.is_empty() {
-                let _ = event_tx.send(chunk);
-            }
-        });
-
-        // Stage 1: algorithm step + metric fold + state captures.
-        let state = &mut *state;
-        let algorithm = &mut *algorithm;
-        let policy = &mut *policy;
-        let stepper = scope.spawn(move || {
-            let stage_base = base_secs;
-            // audit:allow(D2, "set_online_secs feeder: stage-local online-seconds stamp")
-            let stage_started = Instant::now();
-            'stepping: for chunk in event_rx {
-                let mut records = Vec::with_capacity(chunk.len());
-                for event in chunk {
-                    let slot = event.slot;
-                    let step = advance_slot(state, algorithm, substrate, event, policy);
-                    state.stats.online_secs = stage_base + stage_started.elapsed().as_secs_f64();
-                    let capture = match capture_every {
-                        Some(every) if (u64::from(slot) + 1) % u64::from(every) == 0 => {
-                            Some(EngineCapture {
-                                engine: state.snapshot(),
-                                algorithm_state: algorithm.snapshot_state(),
-                            })
-                        }
-                        _ => None,
-                    };
-                    records.push(SlotRecord {
-                        slot,
-                        step,
-                        stats_after: state.stats,
-                        active: state.active_count(),
-                        capture,
-                    });
-                }
-                if record_tx.send(records).is_err() {
-                    break 'stepping; // observer stopped early
-                }
-            }
-        });
-
-        // Stage 2 (this thread): observer fan-out, in slot order.
-        'observing: for chunk in record_rx {
-            for record in &chunk {
-                observer.on_slot_start(record.slot);
-                if !record.step.churn.is_empty() {
-                    observer.on_churn(record.slot, &record.step.churn);
-                }
-                for outcome in &record.step.arrivals {
-                    observer.on_arrival(outcome);
-                }
-                for outcome in &record.step.preemptions {
-                    observer.on_preemption(outcome);
-                }
-                let control = observer.on_slot_end(record.slot, &record.step.metrics, &stub);
-                final_stats = record.stats_after;
-                observer.on_slot_committed(&EngineView {
-                    slot: record.slot,
-                    stats: record.stats_after,
-                    active: record.active,
-                    source: ViewSource::Captured {
-                        algorithm_name: &name,
-                        capture: record.capture.as_ref(),
-                    },
-                });
-                if control == SimControl::Stop {
-                    final_stats.stopped_early = true;
-                    break 'observing;
-                }
-            }
-        }
-        // The record receiver is dropped with the loop above, so stage
-        // 1's next send fails; stage 1 then drops the event receiver,
-        // unwinding stage 0. Join both explicitly so a worker panic
-        // (e.g. the strictly-increasing-slots assertion) re-raises its
-        // *original* payload on the calling thread instead of the
-        // scope's generic "a scoped thread panicked".
-        let stepper_result = stepper.join();
-        let producer_result = producer.join();
-        if let Err(payload) = stepper_result {
-            std::panic::resume_unwind(payload);
-        }
-        if let Err(payload) = producer_result {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    final_stats.online_secs = base_secs + started.elapsed().as_secs_f64();
-    final_stats
 }
 
 /// Adapts a pre-collected trace into the slot-event stream [`run_stream`]
@@ -2071,8 +1598,6 @@ mod tests {
     }
 
     struct StopAt(Slot);
-    // StopAt never looks at the algorithm: pipeline-safe by contract.
-    impl crate::engine::PipelineSafe for StopAt {}
     impl SimObserver for StopAt {
         fn on_slot_end(
             &mut self,
@@ -2138,127 +1663,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_stream_matches_serial_bit_for_bit() {
-        let (s, apps) = world();
-        let trace = vec![req(0, 0, 3, 10.0), req(1, 1, 3, 10.0), req(2, 5, 2, 10.0)];
-        let run = |pipelined: bool| {
-            let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
-            let mut rec = crate::observe::Recorder::new();
-            let stats = if pipelined {
-                run_stream_pipelined(
-                    &mut alg,
-                    &s,
-                    slot_events(&trace, 10),
-                    &mut rec,
-                    &PipelineConfig::default(),
-                )
-            } else {
-                run_stream(&mut alg, &s, slot_events(&trace, 10), &mut rec)
-            };
-            (rec.finish("QUICKG", &stats), stats)
-        };
-        let (serial, serial_stats) = run(false);
-        let (piped, piped_stats) = run(true);
-        assert_eq!(serial.requests, piped.requests);
-        assert_eq!(serial.slots, piped.slots);
-        assert_eq!(serial_stats.slots_run, piped_stats.slots_run);
-        assert_eq!(serial_stats.arrivals, piped_stats.arrivals);
-        assert_eq!(serial_stats.peak_active, piped_stats.peak_active);
-        assert_eq!(serial_stats.stopped_early, piped_stats.stopped_early);
-    }
-
-    #[test]
-    fn pipelined_early_stop_reports_the_stop_slot_counters() {
-        let (s, apps) = world();
-        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let mut observer = StopAt(3);
-        let stats = run_stream_pipelined(
-            &mut alg,
-            &s,
-            slot_events(&[], 100),
-            &mut observer,
-            &PipelineConfig::default(),
-        );
-        assert!(stats.stopped_early);
-        // The algorithm stage ran ahead, but the reported counters are
-        // the stop slot's — identical to the serial run.
-        assert_eq!(stats.slots_run, 4);
-    }
-
-    #[test]
-    fn pipelined_empty_stream_yields_default_stats() {
-        let (s, apps) = world();
-        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let stats = run_stream_pipelined(
-            &mut alg,
-            &s,
-            std::iter::empty(),
-            &mut crate::observe::NullObserver,
-            &PipelineConfig::default(),
-        );
-        assert_eq!(stats.slots_run, 0);
-        assert_eq!(stats.arrivals, 0);
-        assert!(!stats.stopped_early);
-    }
-
-    #[test]
-    fn pipelined_checkpoint_requires_a_matching_capture_cadence() {
-        use crate::observe::{Checkpointer, WindowSummary};
-        let (s, apps) = world();
-        let penalty = vne_model::cost::RejectionPenalty::uniform(&apps, 1.0);
-        // Cadence configured: the capture is there and the checkpoint
-        // round-trips.
-        let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
-        let mut window = WindowSummary::new((0, 10), penalty.clone());
-        let mut checkpointer = Checkpointer::every(4, &mut window);
-        let trace = vec![req(0, 0, 3, 10.0)];
-        run_stream_pipelined(
-            &mut alg,
-            &s,
-            slot_events(&trace, 10),
-            &mut checkpointer,
-            &PipelineConfig::capturing(4),
-        );
-        assert!(checkpointer.last_error().is_none());
-        assert_eq!(checkpointer.checkpoints_taken(), 2); // slots 3 and 7
-        assert_eq!(checkpointer.latest().unwrap().slot, 7);
-
-        // Cadence missing: the checkpointer records a loud error
-        // instead of silently skipping the capture.
-        let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
-        let mut window = WindowSummary::new((0, 10), penalty);
-        let mut checkpointer = Checkpointer::every(4, &mut window);
-        run_stream_pipelined(
-            &mut alg,
-            &s,
-            slot_events(&trace, 10),
-            &mut checkpointer,
-            &PipelineConfig::default(),
-        );
-        match checkpointer.last_error() {
-            Some(StateError::Unsupported(what)) => {
-                assert!(what.contains("capture"), "{what}");
-            }
-            other => panic!("expected an unsupported-capture error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn pipelined_out_of_order_slots_panic_on_the_caller() {
-        let (s, apps) = world();
-        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let events = vec![SlotEvents::empty(5), SlotEvents::empty(5)];
-        let _ = run_stream_pipelined(
-            &mut alg,
-            &s,
-            events,
-            &mut crate::observe::NullObserver,
-            &PipelineConfig::default(),
-        );
-    }
-
-    #[test]
     fn dyn_algorithm_runs_through_the_engine() {
         // The registry hands out Box<dyn OnlineAlgorithm>; the engine
         // must drive it without knowing the concrete type.
@@ -2316,21 +1720,5 @@ mod tests {
         let (step, _) = state.step(&mut alg, &s, ev, &mut obs, &mut ReembedAll);
         assert!(step.arrivals.is_empty());
         assert_eq!(state.active_count(), 0);
-    }
-
-    #[test]
-    fn autosized_pipeline_stays_within_bounds() {
-        use std::time::Duration;
-        // Cheap slots batch up to the cap; buffer follows idle cores.
-        let cheap = PipelineConfig::autosized(Duration::from_micros(1), 4);
-        assert_eq!((cheap.batch, cheap.buffer), (256, 4));
-        // Expensive slots ship one at a time; zero idle cores still get
-        // one in-flight batch.
-        let costly = PipelineConfig::autosized(Duration::from_millis(50), 0);
-        assert_eq!((costly.batch, costly.buffer), (1, 1));
-        // ~250 µs slots target ~1 ms per message; buffer caps at 8.
-        let mid = PipelineConfig::autosized(Duration::from_micros(250), 64);
-        assert_eq!((mid.batch, mid.buffer), (4, 8));
-        assert!(mid.capture_every.is_none());
     }
 }

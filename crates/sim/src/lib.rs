@@ -61,7 +61,7 @@ pub use metrics::{aggregate, summarize, AggregatedSummary, Summary};
 pub use observe::{Checkpointer, NullObserver, Recorder, WindowSummary};
 pub use persist::{read_checkpoint_file, write_bytes_atomic, write_checkpoint_file, PersistError};
 pub use registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, BuiltAlgorithm};
-pub use runner::{default_apps, run_seeds, run_seeds_in, Utilization};
+pub use runner::{default_apps, run_seeds, Utilization};
 pub use scenario::{
     Algorithm, Fork, Outcome, ResumeError, Scenario, ScenarioBuilder, ScenarioConfig,
 };

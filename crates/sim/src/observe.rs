@@ -30,8 +30,8 @@ use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter
 use vne_olive::algorithm::OnlineAlgorithm;
 
 use crate::engine::{
-    ChurnStats, EngineCheckpoint, EngineView, PipelineSafe, RequestOutcome, RunResult, SimControl,
-    SimObserver, SlotMetrics, StreamStats,
+    ChurnStats, EngineCheckpoint, EngineView, RequestOutcome, RunResult, SimControl, SimObserver,
+    SlotMetrics, StreamStats,
 };
 use crate::metrics::{balance_from_counts, NeumaierSum, Summary};
 
@@ -43,8 +43,6 @@ type CheckpointSinkFn = Box<dyn FnMut(&EngineCheckpoint) + Send>;
 pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
-
-impl PipelineSafe for NullObserver {}
 
 impl Snapshot for NullObserver {
     fn snapshot(&self) -> StateBlob {
@@ -120,10 +118,6 @@ impl SimObserver for Recorder {
         SimControl::Continue
     }
 }
-
-/// The recorder never looks at the algorithm: safe on the pipelined
-/// observer stage.
-impl PipelineSafe for Recorder {}
 
 /// Checkpointing: the outcome log and the per-slot series (the id
 /// index is rebuilt from the log). `O(trace)` blobs by nature — pair a
@@ -310,10 +304,6 @@ impl SimObserver for WindowSummary {
     }
 }
 
-/// The summary folds only outcome values and metrics: safe on the
-/// pipelined observer stage.
-impl PipelineSafe for WindowSummary {}
-
 /// Checkpointing: all counters, both compensated cost accumulators
 /// (sum + compensation, bit-exact), the per-slot preemption buffer and
 /// the balance tallies. The measurement window is validated so a blob
@@ -441,10 +431,6 @@ impl SimObserver for StopAfter {
     }
 }
 
-/// The budget counts slots, nothing more: safe on the pipelined
-/// observer stage.
-impl PipelineSafe for StopAfter {}
-
 /// Checkpointing: both the budget and the progress counter, so a
 /// resumed budgeted run keeps (and re-hits) its original budget. Give
 /// the resumed run a *fresh* [`StopAfter`] outside the checkpointed
@@ -534,9 +520,6 @@ impl<A: SimObserver, B: SimObserver> SimObserver for Tee<A, B> {
         self.1.on_slot_committed(view);
     }
 }
-
-/// A `Tee` of pipeline-safe observers is pipeline-safe.
-impl<A: SimObserver + PipelineSafe, B: SimObserver + PipelineSafe> PipelineSafe for Tee<A, B> {}
 
 /// Checkpointing: both sides' blobs, nested. A `Tee` of snapshot-capable
 /// observers is itself snapshot-capable, so composed observer stacks
@@ -708,12 +691,6 @@ impl<O: SimObserver + Snapshot> SimObserver for Checkpointer<O> {
         }
     }
 }
-
-/// The checkpointer only uses [`EngineView::checkpoint`], which works
-/// from the pipelined stage's owned captures — safe there, provided the
-/// run's [`crate::engine::PipelineConfig::capture_every`] matches the
-/// checkpoint cadence (the scenario runners wire this up).
-impl<O: SimObserver + Snapshot + PipelineSafe> PipelineSafe for Checkpointer<O> {}
 
 #[cfg(test)]
 mod tests {

@@ -6,9 +6,9 @@
 //! worker threads (std scoped threads) and aggregates the summaries.
 //! Each per-seed run streams the online phase through the engine's
 //! incremental window-summary observer, so a whole sweep never
-//! materializes a trace or an outcome log. [`run_seeds_in`] is the same
-//! loop with an explicit [`AlgorithmRegistry`], which is how custom
-//! (non-builtin) algorithms join multi-seed sweeps.
+//! materializes a trace or an outcome log. [`run_seeds_with`] is the
+//! same loop with an explicit [`AlgorithmRegistry`] and [`SweepContext`],
+//! which is how custom (non-builtin) algorithms join multi-seed sweeps.
 //!
 //! Two pieces make whole *sweeps* (many cells of algorithm ×
 //! utilization × seed) cheap:
@@ -127,10 +127,11 @@ pub fn default_apps(seed: u64) -> AppSet {
 /// Runs `algorithm` across `seeds` in parallel and returns the per-seed
 /// summaries (in seed order) plus their aggregate.
 ///
-/// The algorithm is resolved by name in [`AlgorithmRegistry::builtins`];
-/// use [`run_seeds_in`] to sweep custom algorithms. `make_apps` draws
-/// the application set for a seed (usually [`default_apps`]);
-/// `configure` builds the scenario config for a seed.
+/// The algorithm is resolved by name in [`AlgorithmRegistry::builtins`]
+/// and the call gets a fresh [`SweepContext`]; use [`run_seeds_with`] to
+/// sweep custom algorithms or to share a context across calls.
+/// `make_apps` draws the application set for a seed (usually
+/// [`default_apps`]); `configure` builds the scenario config for a seed.
 pub fn run_seeds<FA, FC>(
     substrate: &SubstrateNetwork,
     algorithm: impl Into<AlgorithmSpec>,
@@ -142,7 +143,8 @@ where
     FA: Fn(u64) -> AppSet + Sync,
     FC: Fn(u64) -> ScenarioConfig + Sync,
 {
-    run_seeds_in(
+    run_seeds_with(
+        &Arc::new(SweepContext::new()),
         &AlgorithmRegistry::builtins(),
         substrate,
         &algorithm.into(),
@@ -152,42 +154,13 @@ where
     )
 }
 
-/// [`run_seeds`] with an explicit algorithm registry — the entry point
-/// for sweeping algorithms registered outside `vne-sim`. Creates a
-/// fresh [`SweepContext`] for the call; use [`run_seeds_with`] to share
-/// one across calls (ablation variants, multi-figure sweeps).
-///
-/// # Panics
-///
-/// Panics when `spec` does not resolve in `registry`.
-pub fn run_seeds_in<FA, FC>(
-    registry: &AlgorithmRegistry,
-    substrate: &SubstrateNetwork,
-    spec: &AlgorithmSpec,
-    seeds: &[u64],
-    make_apps: FA,
-    configure: FC,
-) -> (Vec<Summary>, AggregatedSummary)
-where
-    FA: Fn(u64) -> AppSet + Sync,
-    FC: Fn(u64) -> ScenarioConfig + Sync,
-{
-    run_seeds_with(
-        &Arc::new(SweepContext::new()),
-        registry,
-        substrate,
-        spec,
-        seeds,
-        make_apps,
-        configure,
-    )
-}
-
-/// [`run_seeds_in`] sharing an explicit [`SweepContext`]: per-seed
-/// application draws and offline plans memoized in `ctx` are reused
-/// instead of re-derived — across the seeds of this call *and* across
-/// any other call sharing the same context (the vne-bench sweep drivers
-/// share one per sweep). Byte-identical to [`run_seeds_in`].
+/// [`run_seeds`] with an explicit algorithm registry (the entry point
+/// for sweeping algorithms registered outside `vne-sim`) and an explicit
+/// [`SweepContext`]: per-seed application draws and offline plans
+/// memoized in `ctx` are reused instead of re-derived — across the seeds
+/// of this call *and* across any other call sharing the same context
+/// (the vne-bench sweep drivers share one per sweep: ablation variants,
+/// multi-figure sweeps). Byte-identical to a call with a fresh context.
 ///
 /// # Panics
 ///
@@ -324,21 +297,9 @@ impl std::fmt::Debug for SweepContext {
     }
 }
 
-thread_local! {
-    /// Set inside [`cell_map`] worker threads so nested engine runs
-    /// know the pool is already saturated (see
-    /// `Scenario::use_pipeline`).
-    static IN_PARALLEL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Whether the current thread is a [`cell_map`] / [`seed_map`] worker.
-pub(crate) fn in_parallel_worker() -> bool {
-    IN_PARALLEL_WORKER.with(std::cell::Cell::get)
-}
-
 /// Maps `f` over `seeds` on a worker pool and returns the results **in
 /// seed order** — the seed-list form of [`cell_map`], kept for
-/// [`run_seeds_in`] and the checkpointing sweeps in `vne-bench`.
+/// [`run_seeds_with`] and the checkpointing sweeps in `vne-bench`.
 ///
 /// # Panics
 ///
@@ -354,8 +315,8 @@ where
 
 /// Maps `f` over arbitrary sweep cells on a worker pool (one task per
 /// cell, up to `available_parallelism` threads) and returns the results
-/// **in cell order**. This is the pipelined sweep pool: *all* cells of
-/// a sweep feed one pool, so workers pull the next cell the moment they
+/// **in cell order**. This is the shared sweep pool: *all* cells of a
+/// sweep feed one pool, so workers pull the next cell the moment they
 /// finish one — no idle tail between cell groups — and shared artifacts
 /// ([`SweepContext`] plans) become available to later cells as earlier
 /// ones derive them.
@@ -380,7 +341,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    IN_PARALLEL_WORKER.with(|flag| flag.set(true));
                     let mut local = Vec::new();
                     loop {
                         let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -506,13 +466,6 @@ mod tests {
         assert_eq!(doubled, cells.iter().map(|c| c * 2).collect::<Vec<_>>());
         let empty: Vec<u32> = cell_map(&[] as &[u32], |&c| c);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn workers_report_parallel_context() {
-        assert!(!in_parallel_worker(), "test thread is not a worker");
-        let flags = seed_map(&[1u64, 2], |_| in_parallel_worker());
-        assert_eq!(flags, vec![true, true]);
     }
 
     #[test]

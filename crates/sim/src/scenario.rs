@@ -38,9 +38,7 @@ use vne_workload::rng::SeededRng;
 use vne_workload::tracegen::{self, TraceConfig};
 
 use crate::engine::{
-    pipeline_enabled, run_stream_from_pipelined_with, run_stream_from_with,
-    run_stream_pipelined_with, run_stream_with, EngineCheckpoint, PipelineConfig, PipelineSafe,
-    ReembedKind, RunResult, SimObserver,
+    run_stream_from_with, run_stream_with, EngineCheckpoint, ReembedKind, RunResult, SimObserver,
 };
 use crate::metrics::{summarize, Summary};
 use crate::observe::{
@@ -361,7 +359,8 @@ impl Scenario {
     /// [`Scenario::run`] feeds the engine. Yields exactly
     /// `config.test_slots` events; memory is `O(edge nodes)` /
     /// `O(sources)`, independent of the horizon. The stream is `Send`
-    /// so the pipelined engine can produce events on a worker thread.
+    /// so a driver on another thread (the shard pool, the serve actor)
+    /// can own it.
     ///
     /// The configured [`ScenarioConfig::adversary`] profile (if any)
     /// replaces or modulates the benign generator, and the configured
@@ -728,59 +727,10 @@ impl Scenario {
         })
     }
 
-    /// Whether this run should go through the pipelined engine: the
-    /// process-wide toggle ([`pipeline_enabled`]), unless the run is
-    /// already inside a [`crate::runner`] worker thread — a saturated
-    /// seed pool gains nothing from two more threads per run.
-    fn use_pipeline(&self) -> bool {
-        pipeline_enabled() && !crate::runner::in_parallel_worker()
-    }
-
-    /// Dispatches one engine run to the serial or pipelined loop (both
-    /// byte-identical; see the `pipeline_parity` suite), with the
-    /// configured [`ScenarioConfig::reembed`] policy deciding the fate
-    /// of churn-stranded requests.
-    fn dispatch_stream<O>(
-        &self,
-        algorithm: &mut dyn OnlineAlgorithm,
-        events: Box<dyn Iterator<Item = SlotEvents> + Send + '_>,
-        observer: &mut O,
-        capture_every: Option<Slot>,
-    ) -> crate::engine::StreamStats
-    where
-        O: PipelineSafe + ?Sized,
-    {
-        let mut policy = self.config.reembed.policy();
-        if self.use_pipeline() {
-            let config = PipelineConfig {
-                capture_every,
-                ..PipelineConfig::default()
-            };
-            run_stream_pipelined_with(
-                algorithm,
-                &self.substrate,
-                events,
-                observer,
-                &config,
-                policy.as_mut(),
-            )
-        } else {
-            run_stream_with(
-                algorithm,
-                &self.substrate,
-                events,
-                observer,
-                policy.as_mut(),
-            )
-        }
-    }
-
     /// Runs one algorithm and returns only the window [`Summary`],
     /// computed incrementally by [`WindowSummary`] — `O(classes)`
     /// memory instead of a full outcome log, the pairing for multi-seed
-    /// sweeps and long horizons. Uses the pipelined engine when enabled
-    /// (see [`pipeline_enabled`]); results are byte-identical either
-    /// way.
+    /// sweeps and long horizons.
     ///
     /// # Errors
     ///
@@ -792,11 +742,12 @@ impl Scenario {
         let spec = algorithm.into();
         let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
         let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
-        let stats = self.dispatch_stream(
+        let stats = run_stream_with(
             built.algorithm.as_mut(),
+            &self.substrate,
             self.online_events(),
             &mut window,
-            None,
+            self.config.reembed.policy().as_mut(),
         );
         Ok(window.finish(&stats))
     }
@@ -835,11 +786,12 @@ impl Scenario {
         if let Some(sink) = sink {
             checkpointer = checkpointer.with_sink(sink);
         }
-        let stats = self.dispatch_stream(
+        let stats = run_stream_with(
             built.algorithm.as_mut(),
+            &self.substrate,
             self.online_events(),
             &mut checkpointer,
-            Some(every),
+            self.config.reembed.policy().as_mut(),
         );
         if let Some(error) = checkpointer.last_error() {
             return Err(ResumeError::State(error.clone()));
@@ -882,11 +834,12 @@ impl Scenario {
         let mut stop = StopAfter::new(at + 1);
         {
             let mut observer = Tee(&mut checkpointer, &mut stop);
-            self.dispatch_stream(
+            run_stream_with(
                 built.algorithm.as_mut(),
+                &self.substrate,
                 self.online_events(),
                 &mut observer,
-                Some(at + 1),
+                self.config.reembed.policy().as_mut(),
             );
         }
         if let Some(error) = checkpointer.last_error() {
@@ -920,27 +873,14 @@ impl Scenario {
         let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
         let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
         let events = self.online_events_from(checkpoint.slot + 1);
-        let mut policy = self.config.reembed.policy();
-        let stats = if self.use_pipeline() {
-            run_stream_from_pipelined_with(
-                checkpoint,
-                built.algorithm.as_mut(),
-                &self.substrate,
-                events,
-                &mut window,
-                &PipelineConfig::default(),
-                policy.as_mut(),
-            )?
-        } else {
-            run_stream_from_with(
-                checkpoint,
-                built.algorithm.as_mut(),
-                &self.substrate,
-                events,
-                &mut window,
-                policy.as_mut(),
-            )?
-        };
+        let stats = run_stream_from_with(
+            checkpoint,
+            built.algorithm.as_mut(),
+            &self.substrate,
+            events,
+            &mut window,
+            self.config.reembed.policy().as_mut(),
+        )?;
         Ok(window.finish(&stats))
     }
 

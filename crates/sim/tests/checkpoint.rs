@@ -6,9 +6,15 @@
 //! round-trip (blob-equality) property for every [`Snapshot`] impl the
 //! checkpoint path composes.
 //!
+//! Also pins that [`Scenario::run_summary`] equals an explicit engine
+//! run, and the [`SweepContext`] memo: cached application draws and
+//! offline plans must equal fresh derivations exactly.
+//!
 //! The property blocks read `PROPTEST_CASES` (the scheduled CI property
 //! job runs them at 1024 cases; the local default stays small because a
 //! single case drives full simulations).
+
+use std::sync::Arc;
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::cost::RejectionPenalty;
@@ -19,6 +25,7 @@ use vne_sim::engine::{run_stream, run_stream_from, EngineCheckpoint, EngineState
 use vne_sim::metrics::Summary;
 use vne_sim::observe::{Checkpointer, NullObserver, Recorder, StopAfter, Tee, WindowSummary};
 use vne_sim::registry::{AlgorithmRegistry, BuildContext, BuiltAlgorithm};
+use vne_sim::runner::{default_apps, run_seeds_with, SweepContext};
 use vne_sim::scenario::{Algorithm, ResumeError, Scenario, ScenarioConfig};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile, ChurnSchedule};
 use vne_workload::caida::CaidaConfig;
@@ -214,8 +221,7 @@ proptest! {
     /// state, the algorithm's effective capacities and any stranded
     /// bookkeeping are all live — and the resumed [`Summary`] (churn
     /// counters included) must stay byte-identical for every builtin
-    /// algorithm under both re-embed policies. The pipelined twin of
-    /// this property lives in the `pipeline_parity` suite.
+    /// algorithm under both re-embed policies.
     #[test]
     fn churn_window_checkpoints_resume_byte_identically(
         seed in 1u64..500,
@@ -415,7 +421,7 @@ fn checkpointer_records_error_for_snapshotless_algorithms() {
 
 #[test]
 fn run_summary_checkpointed_streams_periodic_checkpoints() {
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
     let scenario = tiny_scenario(1.0, 7);
     let seen: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_seen = Arc::clone(&seen);
@@ -577,4 +583,128 @@ fn engine_resume_matches_midstream_state() {
         ),
         Err(StateError::Mismatch { .. })
     ));
+}
+
+#[test]
+fn run_summary_matches_an_explicit_engine_run() {
+    // `Scenario::run_summary` is nothing but the engine loop over the
+    // scenario's own event stream and a window summary.
+    let scenario = tiny_scenario(1.2, 11);
+    let summary = scenario.run_summary(Algorithm::Olive).unwrap();
+    let registry = AlgorithmRegistry::builtins();
+    let mut built = registry
+        .build(&Algorithm::Olive.into(), &BuildContext::new(&scenario))
+        .unwrap();
+    let mut window = WindowSummary::new(scenario.config.measure_window, scenario.penalty());
+    let stats = run_stream(
+        built.algorithm.as_mut(),
+        &scenario.substrate,
+        scenario.online_events(),
+        &mut window,
+    );
+    assert_bitwise_equal("OLIVE", &window.finish(&stats), &summary);
+}
+
+#[test]
+fn sweep_context_caches_equal_fresh_derivations() {
+    // Cached application draws are the exact draw, cached plans the
+    // exact plan — and a context-backed multi-seed run is byte-identical
+    // to the context-free path.
+    let ctx = Arc::new(SweepContext::new());
+    let fresh_apps = default_apps(7);
+    let first = ctx.apps(7, default_apps);
+    let cached = ctx.apps(7, default_apps);
+    assert_eq!(format!("{first:?}"), format!("{fresh_apps:?}"));
+    assert_eq!(format!("{cached:?}"), format!("{fresh_apps:?}"));
+    assert_eq!(ctx.apps_cached(), 1, "second call must hit the memo");
+    // Sharing one context across *different* generators is a contract
+    // violation; debug builds trip on the mismatched draw (the check is
+    // compiled out in release, where the cache simply serves the memo).
+    if cfg!(debug_assertions) {
+        let misuse = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.apps(7, |seed| default_apps(seed + 1))
+        }));
+        assert!(
+            misuse.is_err(),
+            "mixed-generator sharing must panic in debug builds"
+        );
+    }
+
+    let scenario = tiny_scenario(1.0, 9);
+    let (fresh_plan, _) = scenario.build_plan();
+    let key = scenario
+        .plan_cache_key()
+        .expect("exact estimator has a key");
+    let (first_plan, _) = ctx.plan_for(key, || scenario.build_plan());
+    let (cached_plan, _) = ctx.plan_for(key, || panic!("must hit the cache"));
+    assert_eq!(first_plan, fresh_plan);
+    assert_eq!(cached_plan, fresh_plan);
+    assert_eq!(ctx.plans_cached(), 1);
+
+    // Different plan inputs get different keys (no false sharing).
+    let mut distorted = tiny_scenario(1.0, 9);
+    distorted.config.plan_utilization = Some(0.6);
+    assert_ne!(distorted.plan_cache_key(), Some(key));
+    let mut other_seed = tiny_scenario(1.0, 10);
+    other_seed.config = other_seed.config.with_seed(10);
+    assert_ne!(other_seed.plan_cache_key(), Some(key));
+    // OLIVE ablation switches do NOT change the plan inputs: variants
+    // share one derivation.
+    let mut ablated = tiny_scenario(1.0, 9);
+    ablated.config.olive.borrowing = false;
+    assert_eq!(ablated.plan_cache_key(), Some(key));
+    // Custom estimators cannot be fingerprinted and bypass the cache.
+    let mut custom = tiny_scenario(1.0, 9);
+    custom.config.estimator = EstimatorKind::custom(|slots, config| {
+        Box::new(vne_workload::estimator::ExactEstimator::new(slots, *config))
+    });
+    assert_eq!(custom.plan_cache_key(), None);
+
+    // End to end: a shared-context sweep equals the context-free sweep.
+    let substrate = scenario.substrate.clone();
+    let configure = |seed: u64| {
+        let mut c = ScenarioConfig::small(1.2).with_seed(seed);
+        c.history_slots = 60;
+        c.test_slots = 25;
+        c.measure_window = (2, 22);
+        c.aggregation.bootstrap_replicates = 10;
+        c
+    };
+    let registry = AlgorithmRegistry::builtins();
+    let seeds = [1u64, 2];
+    let (plain, _) = run_seeds_with(
+        &Arc::new(SweepContext::new()),
+        &registry,
+        &substrate,
+        &Algorithm::Olive.into(),
+        &seeds,
+        default_apps,
+        configure,
+    );
+    let shared = Arc::new(SweepContext::new());
+    let (with_ctx, _) = run_seeds_with(
+        &shared,
+        &registry,
+        &substrate,
+        &Algorithm::Olive.into(),
+        &seeds,
+        default_apps,
+        configure,
+    );
+    // Second pass over the same context: everything is a cache hit.
+    let (second_pass, _) = run_seeds_with(
+        &shared,
+        &registry,
+        &substrate,
+        &Algorithm::Olive.into(),
+        &seeds,
+        default_apps,
+        configure,
+    );
+    assert_eq!(shared.plans_cached(), seeds.len());
+    assert_eq!(shared.apps_cached(), seeds.len());
+    for ((a, b), c) in plain.iter().zip(&with_ctx).zip(&second_pass) {
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint(), c.fingerprint());
+    }
 }
