@@ -1,78 +1,16 @@
 //! Minimal argument parsing shared by the figure binaries.
 //!
-//! Algorithm selection is *registry-driven*: `--algs` names are
-//! resolved against an [`AlgorithmRegistry`] chosen by the
-//! `--registry` flag / `VNE_REGISTRY` environment variable from a
-//! process-global provider table ([`register_registry_provider`]).
-//! A downstream binary can therefore register a provider that builds a
-//! registry with custom algorithms and reuse every sweep driver in
-//! this crate — no recompilation of `vne-bench` needed.
+//! `--algs` names are resolved against [`BenchOpts::registry`], which
+//! parsing leaves at [`AlgorithmRegistry::builtins`]. A downstream
+//! binary that adds custom algorithms assigns the field after parsing
+//! and reuses every sweep driver in this crate.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use vne_model::request::Slot;
 use vne_model::substrate::SubstrateNetwork;
 use vne_sim::registry::{AlgorithmRegistry, AlgorithmSpec};
 use vne_sim::scenario::{Algorithm, ScenarioConfig};
-
-/// Builds the algorithm registry a sweep resolves `--algs` against.
-pub type RegistryProvider = Arc<dyn Fn() -> AlgorithmRegistry + Send + Sync>;
-
-/// The provider table: name → registry constructor.
-fn providers() -> &'static Mutex<BTreeMap<String, RegistryProvider>> {
-    static PROVIDERS: OnceLock<Mutex<BTreeMap<String, RegistryProvider>>> = OnceLock::new();
-    PROVIDERS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Registers (or replaces) a named registry provider. Call this before
-/// [`BenchOpts::parse`] in a custom binary, then select it with
-/// `--registry NAME` or `VNE_REGISTRY=NAME`.
-pub fn register_registry_provider(
-    name: &str,
-    provider: impl Fn() -> AlgorithmRegistry + Send + Sync + 'static,
-) {
-    providers()
-        .lock()
-        .expect("registry provider table poisoned")
-        .insert(name.to_ascii_lowercase(), Arc::new(provider));
-}
-
-/// Resolves a provider by name. Registered providers win; `"builtins"`
-/// (or the empty string) falls back to [`AlgorithmRegistry::builtins`]
-/// unless a provider overrode that name.
-///
-/// Returns `None` for unknown names.
-pub fn registry_named(name: &str) -> Option<AlgorithmRegistry> {
-    let normalized = name.trim().to_ascii_lowercase();
-    if let Some(provider) = providers()
-        .lock()
-        .expect("registry provider table poisoned")
-        .get(&normalized)
-    {
-        return Some(provider());
-    }
-    if normalized.is_empty() || normalized == "builtins" {
-        return Some(AlgorithmRegistry::builtins());
-    }
-    None
-}
-
-/// The provider names selectable right now (always includes
-/// `builtins`), sorted and unique.
-pub fn registry_names() -> Vec<String> {
-    let mut names: Vec<String> = providers()
-        .lock()
-        .expect("registry provider table poisoned")
-        .keys()
-        .cloned()
-        .collect();
-    names.push("builtins".to_string());
-    names.sort();
-    names.dedup();
-    names
-}
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -88,7 +26,7 @@ pub struct BenchOpts {
     /// figures use (FULLG is opted into per binary).
     pub algs: Vec<AlgorithmSpec>,
     /// The registry `--algs` names resolve in and sweeps run with
-    /// (selected by `--registry` / `VNE_REGISTRY`; builtins otherwise).
+    /// (the builtins unless a custom binary assigns another).
     pub registry: AlgorithmRegistry,
     /// Topology restriction (`None` = all four).
     pub topo: Option<String>,
@@ -130,35 +68,25 @@ impl Default for BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses `std::env::args()`, honoring `VNE_REGISTRY`.
+    /// Parses `std::env::args()`.
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed arguments, unknown
-    /// registry providers, or `--algs` names the selected registry does
-    /// not know.
+    /// Panics with a usage message on malformed arguments or `--algs`
+    /// names the builtin registry does not know.
     pub fn parse() -> Self {
         Self::parse_from(&std::env::args().skip(1).collect::<Vec<_>>())
     }
 
     /// Parses an explicit argument list (exposed for tests and custom
-    /// binaries; [`BenchOpts::parse`] wraps the process arguments),
-    /// reading `VNE_REGISTRY` from the process environment.
+    /// binaries; [`BenchOpts::parse`] wraps the process arguments).
     ///
     /// # Panics
     ///
     /// See [`BenchOpts::parse`].
     pub fn parse_from(args: &[String]) -> Self {
-        Self::parse_with_env(args, std::env::var("VNE_REGISTRY").ok())
-    }
-
-    /// The full parser with the `VNE_REGISTRY` value passed explicitly
-    /// — the flag wins over the variable when both are given. Split out
-    /// so the precedence is testable without mutating the (process-wide,
-    /// test-shared) environment.
-    fn parse_with_env(args: &[String], env_registry: Option<String>) -> Self {
         const USAGE: &str = "supported: --seeds N --paper --utils 60,100 \
-                             --algs olive,quickg --registry NAME --topo iris \
+                             --algs olive,quickg --topo iris \
                              --checkpoint-every N --checkpoint-dir DIR --resume-from FILE";
         fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
             *i += 1;
@@ -167,8 +95,6 @@ impl BenchOpts {
         }
 
         let mut opts = Self::default();
-        let mut registry_pick: Option<String> = env_registry;
-        let mut explicit_algs: Option<Vec<AlgorithmSpec>> = None;
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
@@ -176,6 +102,7 @@ impl BenchOpts {
                     opts.seeds = value(args, &mut i, "--seeds")
                         .parse()
                         .expect("--seeds takes an integer");
+                    assert!(opts.seeds > 0, "--seeds must be positive; {USAGE}");
                 }
                 "--paper" | "--full" => opts.paper_scale = true,
                 "--utils" => {
@@ -185,15 +112,18 @@ impl BenchOpts {
                         .collect();
                 }
                 "--algs" => {
-                    explicit_algs = Some(
-                        value(args, &mut i, "--algs")
-                            .split(',')
-                            .map(AlgorithmSpec::new)
-                            .collect(),
-                    );
-                }
-                "--registry" => {
-                    registry_pick = Some(value(args, &mut i, "--registry").to_string());
+                    opts.algs = value(args, &mut i, "--algs")
+                        .split(',')
+                        .map(AlgorithmSpec::new)
+                        .collect();
+                    for spec in &opts.algs {
+                        assert!(
+                            opts.registry.contains(spec),
+                            "unknown algorithm {:?}; registered: {}",
+                            spec.name(),
+                            opts.registry.names().join(", ")
+                        );
+                    }
                 }
                 "--topo" => {
                     opts.topo = Some(value(args, &mut i, "--topo").to_lowercase());
@@ -214,40 +144,6 @@ impl BenchOpts {
                 other => panic!("unknown argument {other}; {USAGE}"),
             }
             i += 1;
-        }
-        if let Some(name) = registry_pick {
-            opts.registry = registry_named(&name).unwrap_or_else(|| {
-                panic!(
-                    "unknown registry provider {name:?}; available: {}",
-                    registry_names().join(", ")
-                )
-            });
-        }
-        match explicit_algs {
-            Some(algs) => {
-                // Explicitly requested names must all resolve.
-                for spec in &algs {
-                    assert!(
-                        opts.registry.contains(spec),
-                        "unknown algorithm {:?}; registered: {}",
-                        spec.name(),
-                        opts.registry.names().join(", ")
-                    );
-                }
-                opts.algs = algs;
-            }
-            None => {
-                // The default trio, restricted to what the selected
-                // registry actually knows (a builtin-free registry must
-                // not fail on names the user never asked for).
-                opts.algs.retain(|spec| opts.registry.contains(spec));
-                assert!(
-                    !opts.algs.is_empty(),
-                    "the selected registry has none of the default algorithms; \
-                     pass --algs (registered: {})",
-                    opts.registry.names().join(", ")
-                );
-            }
         }
         opts
     }
@@ -314,7 +210,6 @@ pub fn medium_config(utilization: f64) -> ScenarioConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vne_sim::registry::BuiltAlgorithm;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -368,78 +263,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown registry provider")]
-    fn unknown_registry_provider_is_rejected() {
-        let _ = BenchOpts::parse_from(&args(&["--registry", "no-such-provider"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown registry provider")]
-    fn unknown_registry_from_env_is_rejected() {
-        // The env-var selection path validates names like the flag does.
-        let _ = BenchOpts::parse_with_env(&args(&[]), Some("no-such-env-provider".to_string()));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown algorithm")]
-    fn unknown_algorithm_in_a_known_registry_is_rejected() {
-        // The registry resolves ("builtins"), the algorithm does not.
-        register_registry_provider("known-registry", AlgorithmRegistry::builtins);
-        let _ = BenchOpts::parse_from(&args(&[
-            "--registry",
-            "known-registry",
-            "--algs",
-            "olive,notanalg",
-        ]));
-    }
-
-    #[test]
-    fn registry_flag_wins_over_env_var() {
-        register_registry_provider("precedence-flag", || {
-            let mut registry = AlgorithmRegistry::empty();
-            registry.register("FLAGALG", |ctx| {
-                BuiltAlgorithm::plain(vne_olive::olive::Olive::quickg(
-                    ctx.substrate().clone(),
-                    ctx.apps().clone(),
-                    ctx.policy().clone(),
-                ))
-            });
-            registry
-        });
-        register_registry_provider("precedence-env", || {
-            let mut registry = AlgorithmRegistry::empty();
-            registry.register("ENVALG", |ctx| {
-                BuiltAlgorithm::plain(vne_olive::olive::Olive::quickg(
-                    ctx.substrate().clone(),
-                    ctx.apps().clone(),
-                    ctx.policy().clone(),
-                ))
-            });
-            registry
-        });
-        // Flag present: the env var loses.
-        let opts = BenchOpts::parse_with_env(
-            &args(&["--registry", "precedence-flag", "--algs", "flagalg"]),
-            Some("precedence-env".to_string()),
-        );
-        assert_eq!(opts.registry.names(), vec!["FLAGALG"]);
-        // No flag: the env var selects.
-        let opts = BenchOpts::parse_with_env(
-            &args(&["--algs", "envalg"]),
-            Some("precedence-env".to_string()),
-        );
-        assert_eq!(opts.registry.names(), vec!["ENVALG"]);
-        // The env-selected registry still validates --algs strictly.
-        let err = std::panic::catch_unwind(|| {
-            BenchOpts::parse_with_env(
-                &args(&["--algs", "flagalg"]),
-                Some("precedence-env".to_string()),
-            )
-        });
-        assert!(err.is_err(), "env registry must reject foreign algs");
-    }
-
-    #[test]
     fn checkpoint_flags_parse() {
         let opts = BenchOpts::parse_from(&args(&[
             "--checkpoint-every",
@@ -464,60 +287,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_provider_extends_the_alg_namespace() {
-        // A provider adding a fifth algorithm on top of the builtins:
-        // the plugin path figure bins use without recompiling.
-        register_registry_provider("extended-test", || {
-            let mut registry = AlgorithmRegistry::builtins();
-            registry.register("MYALG", |ctx| {
-                BuiltAlgorithm::plain(vne_olive::olive::Olive::quickg(
-                    ctx.substrate().clone(),
-                    ctx.apps().clone(),
-                    ctx.policy().clone(),
-                ))
-            });
-            registry
-        });
-        assert!(registry_names().contains(&"extended-test".to_string()));
-        // "myalg" resolves only through the custom provider.
-        let opts = BenchOpts::parse_from(&args(&[
-            "--registry",
-            "extended-test",
-            "--algs",
-            "myalg,olive",
-        ]));
-        assert!(opts.registry.contains(&AlgorithmSpec::new("myalg")));
-        assert_eq!(opts.algs.len(), 2);
-        assert!(registry_named("builtins")
-            .unwrap()
-            .names()
-            .iter()
-            .all(|n| *n != "MYALG"));
-    }
-
-    #[test]
-    fn builtin_free_registry_filters_the_default_algs() {
-        // A registry without the builtin names must not panic on the
-        // *default* algs the user never asked for — it keeps whatever
-        // defaults it does know (here: only QUICKG).
-        register_registry_provider("quickg-only", || {
-            let mut registry = AlgorithmRegistry::empty();
-            registry.register("QUICKG", |ctx| {
-                BuiltAlgorithm::plain(vne_olive::olive::Olive::quickg(
-                    ctx.substrate().clone(),
-                    ctx.apps().clone(),
-                    ctx.policy().clone(),
-                ))
-            });
-            registry
-        });
-        let opts = BenchOpts::parse_from(&args(&["--registry", "quickg-only"]));
-        assert_eq!(opts.algs, vec![AlgorithmSpec::new("QUICKG")]);
-        // Explicit names still fail loudly against that registry.
-        let err = std::panic::catch_unwind(|| {
-            BenchOpts::parse_from(&args(&["--registry", "quickg-only", "--algs", "olive"]))
-        });
-        assert!(err.is_err());
+    #[should_panic(expected = "--seeds")]
+    fn zero_seeds_are_rejected() {
+        let _ = BenchOpts::parse_from(&args(&["--seeds", "0"]));
     }
 
     #[test]

@@ -59,12 +59,11 @@ pub struct SweepRow {
 /// Runs `algorithms × opts.utils` on one topology and returns rows.
 ///
 /// Algorithms are anything resolvable by the options' registry
-/// ([`BenchOpts::registry`], selected via `--registry` /
-/// `VNE_REGISTRY`) — [`vne_sim::scenario::Algorithm`] values, names,
-/// or custom algorithms a registry provider added; use [`sweep_in`] to
-/// bypass the options and pass a registry directly. `tweak` customizes
-/// the scenario config after the scale defaults are applied (e.g.
-/// Fig. 13's `plan_utilization`).
+/// ([`BenchOpts::registry`]) — [`vne_sim::scenario::Algorithm`]
+/// values, names, or custom algorithms a downstream binary registered
+/// in that field; use [`sweep_in`] to bypass the options and pass a
+/// registry directly. `tweak` customizes the scenario config after the
+/// scale defaults are applied (e.g. Fig. 13's `plan_utilization`).
 pub fn sweep<S, F>(
     substrate: &SubstrateNetwork,
     algorithms: &[S],
@@ -1062,28 +1061,25 @@ mod tests {
 
     #[test]
     fn sweep_resolves_custom_algorithms_through_the_opts_registry() {
-        // The plugin path end to end: a provider-extended registry in
+        // The plugin path end to end: an extended registry assigned to
         // BenchOpts lets `sweep` run an algorithm vne-bench knows
         // nothing about.
-        crate::cli::register_registry_provider("sweep-test", || {
-            let mut registry = vne_sim::registry::AlgorithmRegistry::builtins();
-            registry.register("PLUGGED", |ctx| {
-                vne_sim::registry::BuiltAlgorithm::plain(vne_olive::olive::Olive::quickg(
-                    ctx.substrate().clone(),
-                    ctx.apps().clone(),
-                    ctx.policy().clone(),
-                ))
-            });
-            registry
+        let mut registry = AlgorithmRegistry::builtins();
+        registry.register("PLUGGED", |ctx| {
+            vne_sim::registry::BuiltAlgorithm::plain(vne_olive::olive::Olive::quickg(
+                ctx.substrate().clone(),
+                ctx.apps().clone(),
+                ctx.policy().clone(),
+            ))
         });
         let substrate = vne_topology::zoo::citta_studi().unwrap();
-        let mut opts = BenchOpts {
+        let opts = BenchOpts {
             seeds: 1,
             utils: vec![1.0],
+            algs: vec![AlgorithmSpec::new("plugged")],
+            registry,
             ..BenchOpts::default()
         };
-        opts.registry = crate::cli::registry_named("sweep-test").unwrap();
-        opts.algs = vec![AlgorithmSpec::new("plugged")];
         let rows = sweep(&substrate, &opts.algs, &opts, |c| {
             c.history_slots = 100;
             c.test_slots = 60;

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # vne-bench — the benchmark harness regenerating every table & figure
+//! # vne-bench — figure and table binaries for the paper's evaluation
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation section (see `DESIGN.md` §7 for the index and
@@ -11,8 +11,10 @@
 //! * `--utils 60,100,140` — utilization sweep override;
 //! * `--topo iris|citta|5gen|100n150e` — restrict to one topology.
 //!
-//! Criterion benches (`benches/`) cover the runtime claims: LP solve
-//! times, plan construction, online throughput and mechanism ablations.
+//! Nothing here records or compares a timing (Fig. 16 and `probe`
+//! print run times as figure content): the runtime claims are measured
+//! by the standalone crate under `benchmark/` (see
+//! `benchmark/README.md`).
 
 pub mod adversarial;
 pub mod cli;

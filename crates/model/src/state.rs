@@ -579,16 +579,12 @@ impl<K: StateDecode + Ord, V: StateDecode> StateDecode for BTreeMap<K, V> {
 /// churn factors — opaque here, typed in the coordinator crate), and
 /// the resumable observer state.
 ///
-/// Two serialized forms exist, both produced losslessly from this
-/// struct:
-///
-/// * the **standalone file format** ([`ShardCheckpoint::to_bytes`] /
-///   [`ShardCheckpoint::from_bytes`], magic `VNESHRD1`), and
-/// * the **engine-checkpoint embedding** ([`ShardCheckpoint::pack`] /
-///   [`ShardCheckpoint::unpack`]): the per-shard state packed into the
-///   two blobs of a monolithic engine checkpoint, so a `Checkpointer`
-///   observing a sharded coordinator serializes sharded state through
-///   the unmodified single-engine checkpoint path.
+/// It is serialized by **embedding it in an engine checkpoint**
+/// ([`ShardCheckpoint::pack`] / [`ShardCheckpoint::unpack`]): the
+/// per-shard state packed into the two blobs of a monolithic engine
+/// checkpoint, so a `Checkpointer` observing a sharded coordinator
+/// serializes sharded state through the unmodified single-engine
+/// checkpoint path.
 ///
 /// This module only defines the container and its wire codec; the
 /// semantics (what the coordinator blob means, how shards restore) live
@@ -620,52 +616,9 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    /// Magic + version prefix of the standalone serialized form.
-    pub const MAGIC: [u8; 8] = *b"VNESHRD1";
-
     /// Tag prefixed to the packed engine blob so a resume can tell a
     /// sharded composite from a monolithic engine snapshot.
     const ENGINE_TAG: &'static str = "SHRDENG1";
-
-    /// Serializes the standalone file format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        for b in Self::MAGIC {
-            w.write_u8(b);
-        }
-        w.write_u32(self.slot);
-        w.write_str(&self.algorithm);
-        let (engine, algorithm_state) = self.pack();
-        w.write_blob(&engine);
-        w.write_blob(&algorithm_state);
-        w.write_blob(&self.observer_state);
-        w.finish().into_bytes()
-    }
-
-    /// Parses a checkpoint serialized by [`ShardCheckpoint::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StateError`] on bad magic or malformed content.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::from_bytes(bytes);
-        let mut magic = [0u8; 8];
-        for b in &mut magic {
-            *b = r.read_u8()?;
-        }
-        if magic != Self::MAGIC {
-            return Err(StateError::Corrupt(format!(
-                "bad shard checkpoint magic {magic:02x?}"
-            )));
-        }
-        let slot = r.read_u32()?;
-        let algorithm = r.read_str()?;
-        let engine = r.read_blob()?;
-        let algorithm_state = r.read_blob()?;
-        let observer_state = r.read_blob()?;
-        r.finish()?;
-        Self::unpack(slot, &algorithm, &engine, &algorithm_state, observer_state)
-    }
 
     /// Packs the per-shard state into the `(engine, algorithm_state)`
     /// blob pair of a monolithic engine checkpoint. The engine blob is
@@ -900,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_checkpoint_roundtrips_both_forms() {
+    fn shard_checkpoint_pack_roundtrips() {
         let blob_of = |x: u64| {
             let mut w = StateWriter::new();
             w.write_u64(x);
@@ -916,10 +869,6 @@ mod tests {
             observer_state: blob_of(6),
         };
         assert_eq!(ckpt.shard_count(), 2);
-        // Standalone file format.
-        let bytes = ckpt.to_bytes();
-        assert_eq!(ShardCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
-        // Engine-checkpoint embedding.
         let (engine, algorithm_state) = ckpt.pack();
         assert!(ShardCheckpoint::is_packed(&engine));
         assert!(!ShardCheckpoint::is_packed(&blob_of(9)));

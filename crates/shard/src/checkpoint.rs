@@ -1,5 +1,5 @@
 //! Sharded checkpoint semantics: the typed coordinator cursors and the
-//! conversions between the two serialized forms.
+//! conversions between the typed container and its serialized form.
 //!
 //! The wire container ([`ShardCheckpoint`]) lives in `vne_model::state`
 //! next to the codec it is built from; this module owns what the blobs
@@ -10,8 +10,7 @@
 //! ([`ShardCheckpoint::pack`]), so checkpoint files, sinks and tooling
 //! built for monolithic runs carry sharded state unchanged. The
 //! conversions here move losslessly between that envelope and the typed
-//! [`ShardCheckpoint`] (which also has a standalone file format of its
-//! own, magic `VNESHRD1`).
+//! [`ShardCheckpoint`].
 //!
 //! [`Checkpointer`]: vne_sim::observe::Checkpointer
 //! [`EngineView`]: vne_sim::engine::EngineView

@@ -3,7 +3,8 @@
 //! engine produce and accept each other's checkpoints, while a
 //! multi-shard checkpoint is refused by both with a typed error (and
 //! round-trips through the typed [`ShardCheckpoint`] instead). Also
-//! pins that a resumed coordinator keeps the checkpointed
+//! pins that a `k = 4` checkpoint survives the atomic checkpoint-file
+//! path, and that a resumed coordinator keeps the checkpointed
 //! `online_secs` instead of restarting the clock.
 //!
 //! [`ShardCheckpoint`]: vne_model::state::ShardCheckpoint
@@ -13,13 +14,15 @@ use vne_model::churn::ChurnEvent;
 use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot, SlotEvents};
-use vne_model::shard::{PartitionAssignment, ShardedSubstrate};
+use vne_model::shard::{PartitionAssignment, ShardId, ShardedSubstrate};
 use vne_model::state::{Snapshot, StateBlob, StateReader};
 use vne_model::substrate::{SubstrateNetwork, Tier};
+use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::fullg::FullG;
 use vne_shard::{engine_checkpoint, shard_checkpoint, ShardCoordinator};
 use vne_sim::engine::{run_stream, run_stream_from, EngineState};
 use vne_sim::observe::{Checkpointer, WindowSummary};
+use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file};
 
 const HORIZON: Slot = 10;
 const CHECKPOINT_SLOT: Slot = 4;
@@ -110,6 +113,26 @@ fn monolithic_reference(s: &SubstrateNetwork, ev: &[SlotEvents]) -> u64 {
     let mut algorithm = fullg(s);
     let mut w = window(s);
     let stats = run_stream(&mut algorithm, s, ev.iter().cloned(), &mut w);
+    w.finish(&stats).fingerprint()
+}
+
+/// The per-shard algorithm builder: one FULLG per local substrate.
+fn shard_fullg() -> impl FnMut(ShardId, &SubstrateNetwork) -> Box<dyn OnlineAlgorithm> {
+    let apps = apps();
+    move |_, local| {
+        Box::new(FullG::new(
+            local.clone(),
+            apps.clone(),
+            PlacementPolicy::default(),
+        ))
+    }
+}
+
+/// The fingerprint of an uninterrupted `k`-shard run of the scenario.
+fn sharded_reference(s: &SubstrateNetwork, ev: &[SlotEvents], k: usize) -> u64 {
+    let mut coordinator = ShardCoordinator::new(sharded_k(s, k), shard_fullg());
+    let mut w = window(s);
+    let stats = coordinator.run(ev.iter().cloned(), &mut w);
     w.finish(&stats).fingerprint()
 }
 
@@ -248,23 +271,11 @@ fn multi_shard_checkpoint_is_refused_outside_its_shape() {
     assert_eq!(typed.slot, CHECKPOINT_SLOT);
     let envelope = engine_checkpoint(&typed);
 
-    let sharded = sharded_k(&s, 2);
-    let shared_apps = apps();
-    let build = move |_: vne_model::shard::ShardId, local: &SubstrateNetwork| {
-        Box::new(FullG::new(
-            local.clone(),
-            shared_apps.clone(),
-            PlacementPolicy::default(),
-        )) as Box<dyn vne_olive::algorithm::OnlineAlgorithm>
-    };
-    // Uninterrupted sharded reference.
-    let mut coordinator = ShardCoordinator::new(sharded.clone(), build.clone());
-    let mut w = window(&s);
-    let stats = coordinator.run(ev.iter().cloned(), &mut w);
-    let reference = w.finish(&stats).fingerprint();
+    let reference = sharded_reference(&s, &ev, 2);
 
     let mut w = window(&s);
-    let mut resumed = ShardCoordinator::resume_from(sharded, build, &envelope, &mut w).unwrap();
+    let mut resumed =
+        ShardCoordinator::resume_from(sharded_k(&s, 2), shard_fullg(), &envelope, &mut w).unwrap();
     let stats = resumed.run(
         ev.iter()
             .filter(|e| u64::from(e.slot) > u64::from(CHECKPOINT_SLOT))
@@ -272,6 +283,42 @@ fn multi_shard_checkpoint_is_refused_outside_its_shape() {
         &mut w,
     );
     assert_eq!(w.finish(&stats).fingerprint(), reference);
+}
+
+/// The packed sharded envelope through the file path a daemon or a
+/// second process would use: written atomically mid-run, read back,
+/// resumed at `k = 4`, finished byte-identically.
+#[test]
+fn multi_shard_checkpoint_resumes_from_a_checkpoint_file() {
+    let (s, nodes) = world();
+    let ev = events(&nodes);
+    let reference = sharded_reference(&s, &ev, 4);
+
+    let checkpoint = sharded_checkpoint(&s, &ev, 4);
+    let dir = std::env::temp_dir().join(format!("vne-shard-it-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("k4.ckpt");
+    write_checkpoint_file(&path, &checkpoint).unwrap();
+    let loaded = read_checkpoint_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(loaded, checkpoint);
+    assert_eq!(shard_checkpoint(&loaded).unwrap().shard_count(), 4);
+
+    let mut w = window(&s);
+    let mut resumed =
+        ShardCoordinator::resume_from(sharded_k(&s, 4), shard_fullg(), &loaded, &mut w).unwrap();
+    assert_eq!(resumed.next_slot(), u64::from(CHECKPOINT_SLOT) + 1);
+    let stats = resumed.run(
+        ev.iter()
+            .filter(|e| u64::from(e.slot) > u64::from(CHECKPOINT_SLOT))
+            .cloned(),
+        &mut w,
+    );
+    assert_eq!(
+        w.finish(&stats).fingerprint(),
+        reference,
+        "a k = 4 checkpoint read back from disk must finish byte-identically"
+    );
 }
 
 /// The regression: `ShardCoordinator::run` used to stamp
