@@ -41,21 +41,16 @@ fn main() {
         ("OLIVE(100%)", Some(1.0)),
         ("OLIVE(140%)", None),
     ] {
-        let rows = sweep_shared(
-            &ctx,
-            &at_140.registry,
-            &substrate,
-            &[Algorithm::Olive],
-            &at_140,
-            |c| c.plan_utilization = plan_util,
-        );
+        let rows = sweep_shared(&ctx, &substrate, &[Algorithm::Olive], &at_140, |c| {
+            c.plan_utilization = plan_util
+        });
         println!(
             "{:>14} {:>12.4} {:>10.4}",
             label, rows[0].summary.rejection_rate.0, rows[0].summary.rejection_rate.1
         );
     }
     for alg in [Algorithm::Quickg, Algorithm::SlotOff] {
-        let rows = sweep_shared(&ctx, &at_140.registry, &substrate, &[alg], &at_140, |_| {});
+        let rows = sweep_shared(&ctx, &substrate, &[alg], &at_140, |_| {});
         println!(
             "{:>14} {:>12.4} {:>10.4}",
             alg.label(),

@@ -27,20 +27,12 @@ fn main() {
     let ctx = Arc::new(SweepContext::new());
 
     // OLIVE with shifted plan input.
-    let shifted = sweep_shared(
-        &ctx,
-        &opts.registry,
-        &substrate,
-        &[Algorithm::Olive],
-        &opts,
-        |c| {
-            c.shift_plan_ingress = true;
-        },
-    );
+    let shifted = sweep_shared(&ctx, &substrate, &[Algorithm::Olive], &opts, |c| {
+        c.shift_plan_ingress = true;
+    });
     // References: unshifted OLIVE and QUICKG.
     let reference = sweep_shared(
         &ctx,
-        &opts.registry,
         &substrate,
         &[Algorithm::Olive, Algorithm::Quickg],
         &opts,

@@ -9,7 +9,6 @@
 //!
 //! ```text
 //! fig_adversarial                       # full suite → BENCH_adversarial.json
-//! fig_adversarial --tiny                # CI-sized horizon, same matrix
 //! fig_adversarial --seed 7 --out X.json
 //! ```
 //!
@@ -23,7 +22,6 @@ use vne_topology::zoo::golden_diamond;
 fn main() {
     let mut seed = 11u64;
     let mut out = String::from("BENCH_adversarial.json");
-    let mut tiny = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -34,8 +32,7 @@ fn main() {
                     .expect("--seed N (u64)");
             }
             "--out" => out = args.next().expect("--out PATH"),
-            "--tiny" => tiny = true,
-            other => panic!("unknown flag {other:?}; known: --seed N, --out PATH, --tiny"),
+            other => panic!("unknown flag {other:?}; known: --seed N, --out PATH"),
         }
     }
 
@@ -43,19 +40,13 @@ fn main() {
     let mut base = ScenarioConfig::small(1.0).with_seed(seed);
     base.aggregation.bootstrap_replicates = 10;
     base.trace.mean_rate_per_node = 2.0;
-    if tiny {
-        // Long enough that the lifetime-cliff boundary (slot 40) and
-        // every churn period fall inside the measurement window —
-        // shorter horizons can starve one algorithm's window revenue
-        // to zero, which the (0, 1] assertion below rightly rejects.
-        base.history_slots = 60;
-        base.test_slots = 45;
-        base.measure_window = (2, 42);
-    } else {
-        base.history_slots = 120;
-        base.test_slots = 60;
-        base.measure_window = (5, 55);
-    }
+    // Long enough that the lifetime-cliff boundary (slot 40) and every
+    // churn period fall inside the measurement window — shorter horizons
+    // can starve one algorithm's window revenue to zero, which the
+    // (0, 1] assertion below rightly rejects.
+    base.history_slots = 120;
+    base.test_slots = 60;
+    base.measure_window = (5, 55);
 
     let mut reports = Vec::new();
     println!(

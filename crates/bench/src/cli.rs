@@ -108,7 +108,14 @@ impl BenchOpts {
                 "--utils" => {
                     opts.utils = value(args, &mut i, "--utils")
                         .split(',')
-                        .map(|p| p.parse::<f64>().expect("--utils takes percents") / 100.0)
+                        .map(|p| {
+                            let percent: f64 = p.parse().expect("--utils takes percents");
+                            assert!(
+                                percent.is_finite() && percent > 0.0,
+                                "--utils takes positive finite percents, got {p:?}; {USAGE}"
+                            );
+                            percent / 100.0
+                        })
                         .collect();
                 }
                 "--algs" => {
@@ -290,6 +297,21 @@ mod tests {
     #[should_panic(expected = "--seeds")]
     fn zero_seeds_are_rejected() {
         let _ = BenchOpts::parse_from(&args(&["--seeds", "0"]));
+    }
+
+    #[test]
+    fn nonpositive_or_nonfinite_utils_are_rejected() {
+        for bad in ["0", "-60", "nan", "inf", "100,0"] {
+            let panic =
+                std::panic::catch_unwind(|| BenchOpts::parse_from(&args(&["--utils", bad])))
+                    .expect_err(bad);
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains("--utils"), "{bad}: {message}");
+        }
+        assert_eq!(
+            BenchOpts::parse_from(&args(&["--utils", "60,140"])).utils,
+            vec![0.6, 1.4]
+        );
     }
 
     #[test]

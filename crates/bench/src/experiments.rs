@@ -34,8 +34,8 @@ use vne_sim::engine::EngineCheckpoint;
 use vne_sim::engine::ReembedKind;
 use vne_sim::metrics::{aggregate, AggregatedSummary, Summary};
 use vne_sim::registry::{AlgorithmRegistry, AlgorithmSpec};
-use vne_sim::runner::{cell_map, default_apps, seed_map, SweepContext};
-use vne_sim::scenario::{Scenario, ScenarioConfig};
+use vne_sim::runner::{cell_map, default_apps, SweepContext};
+use vne_sim::scenario::{CheckpointSink, Scenario, ScenarioConfig};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile};
 use vne_workload::caida::CaidaConfig;
 use vne_workload::estimator::EstimatorKind;
@@ -61,27 +61,11 @@ pub struct SweepRow {
 /// Algorithms are anything resolvable by the options' registry
 /// ([`BenchOpts::registry`]) — [`vne_sim::scenario::Algorithm`]
 /// values, names, or custom algorithms a downstream binary registered
-/// in that field; use [`sweep_in`] to bypass the options and pass a
-/// registry directly. `tweak` customizes the scenario config after the
+/// in that field. `tweak` customizes the scenario config after the
 /// scale defaults are applied (e.g. Fig. 13's `plan_utilization`).
+/// Creates a fresh [`SweepContext`] for the call; use [`sweep_shared`]
+/// to share artifacts across several sweeps.
 pub fn sweep<S, F>(
-    substrate: &SubstrateNetwork,
-    algorithms: &[S],
-    opts: &BenchOpts,
-    tweak: F,
-) -> Vec<SweepRow>
-where
-    S: Clone + Into<AlgorithmSpec>,
-    F: Fn(&mut ScenarioConfig) + Sync,
-{
-    sweep_in(&opts.registry, substrate, algorithms, opts, tweak)
-}
-
-/// [`sweep`] with an explicit algorithm registry (custom algorithms in
-/// figure-style sweeps). Creates a fresh [`SweepContext`] for the call;
-/// use [`sweep_shared`] to share artifacts across several sweeps.
-pub fn sweep_in<S, F>(
-    registry: &AlgorithmRegistry,
     substrate: &SubstrateNetwork,
     algorithms: &[S],
     opts: &BenchOpts,
@@ -93,7 +77,6 @@ where
 {
     sweep_shared(
         &Arc::new(SweepContext::new()),
-        registry,
         substrate,
         algorithms,
         opts,
@@ -101,14 +84,28 @@ where
     )
 }
 
-/// [`sweep_in`] sharing an explicit [`SweepContext`] — consecutive
-/// sweeps over the same substrate and seeds (e.g. ablation variants)
-/// then reuse each other's application draws and offline plans instead
-/// of re-deriving them per cell. Results are byte-identical to
-/// independent sweeps.
+/// [`sweep`] sharing an explicit [`SweepContext`] — consecutive sweeps
+/// over the same substrate and seeds (e.g. ablation variants) then
+/// reuse each other's application draws and offline plans instead of
+/// re-deriving them per cell. Results are byte-identical to independent
+/// sweeps.
+///
+/// Under `--checkpoint-every` every cell runs with a
+/// [`vne_sim::observe::Checkpointer`] that writes each capture to
+/// `<checkpoint_dir>/ckpt-<topo>-<alg>-u<pct>-c<config>-s<seed>.bin`
+/// (latest capture overwrites — the file is always the newest resume
+/// point). Each cell owns its file, so the writes never contend. The
+/// sweep's config tweak is serialized into every file (the full
+/// [`ScenarioConfig`]), so Fig. 13/14-style tweaked cells resume
+/// faithfully.
+///
+/// # Panics
+///
+/// Panics when checkpointing a tweaked config that uses a custom
+/// estimator — the one tweak a checkpoint file cannot represent (see
+/// [`uncheckpointable_config`]).
 pub fn sweep_shared<S, F>(
     ctx: &Arc<SweepContext>,
-    registry: &AlgorithmRegistry,
     substrate: &SubstrateNetwork,
     algorithms: &[S],
     opts: &BenchOpts,
@@ -126,22 +123,8 @@ where
         "--resume-from is not supported by this binary's sweep; \
          use a binary that handles it (e.g. fig06, fig07, fig13, fig14)"
     );
-    let specs: Vec<AlgorithmSpec> = algorithms.iter().cloned().map(Into::into).collect();
-    if let Some(every) = opts.checkpoint_every {
-        let mut rows = Vec::new();
-        for &u in &opts.utils {
-            for spec in &specs {
-                rows.push(SweepRow {
-                    topology: substrate.name().to_string(),
-                    utilization: u,
-                    algorithm: spec.name().to_string(),
-                    summary: checkpointed_cell(
-                        ctx, registry, substrate, spec, opts, u, every, &tweak,
-                    ),
-                });
-            }
-        }
-        return rows;
+    if opts.checkpoint_every.is_some() {
+        std::fs::create_dir_all(&opts.checkpoint_dir).expect("create checkpoint directory");
     }
 
     // The shared sweep pool: every (utilization, algorithm, seed)
@@ -149,6 +132,7 @@ where
     // boundaries and memoized plans become available to later cells as
     // the first cell needing them derives them.
     let seeds = opts.seed_list();
+    let specs: Vec<AlgorithmSpec> = algorithms.iter().cloned().map(Into::into).collect();
     let mut cells: Vec<(f64, AlgorithmSpec, ScenarioConfig)> = Vec::new();
     for &u in &opts.utils {
         for spec in &specs {
@@ -159,12 +143,21 @@ where
             }
         }
     }
-    let summaries: Vec<Summary> = cell_map(&cells, |(_, spec, config)| {
+    let summaries: Vec<Summary> = cell_map(&cells, |(u, spec, config)| {
         let apps = ctx.apps(config.seed, default_apps);
         let scenario = Scenario::new(substrate.clone(), apps, config.clone())
-            .with_registry(registry.clone())
+            .with_registry(opts.registry.clone())
             .with_sweep_context(Arc::clone(ctx));
-        scenario.run_summary(spec).unwrap_or_else(|e| panic!("{e}"))
+        match opts.checkpoint_every {
+            None => scenario.run_summary(spec).unwrap_or_else(|e| panic!("{e}")),
+            Some(every) => {
+                let sink = checkpoint_file_sink(opts, substrate.name(), *u, spec, config);
+                let (summary, _) = scenario
+                    .run_summary_checkpointed(spec, every, Some(sink))
+                    .unwrap_or_else(|e| panic!("{e}"));
+                summary
+            }
+        }
     });
     summaries
         .chunks(seeds.len())
@@ -181,83 +174,45 @@ where
         .collect()
 }
 
-/// One checkpointing sweep cell: runs every seed with a
-/// [`vne_sim::observe::Checkpointer`] that writes each capture to
-/// `<checkpoint_dir>/ckpt-<topo>-<alg>-u<pct>-s<seed>.bin` (latest
-/// capture overwrites — the file is always the newest resume point).
-/// Seeds fan out through [`seed_map`] like the plain path; each seed
-/// owns its file, so the writes never contend. The sweep's config
-/// tweak is serialized into every file (the full [`ScenarioConfig`]),
-/// so Fig. 13/14-style tweaked cells resume faithfully.
-///
-/// # Panics
-///
-/// Panics when the tweaked config uses a custom estimator — the one
-/// tweak a checkpoint file cannot represent (see
-/// [`uncheckpointable_config`]).
-#[allow(clippy::too_many_arguments)]
-fn checkpointed_cell<F>(
-    ctx: &Arc<SweepContext>,
-    registry: &AlgorithmRegistry,
-    substrate: &SubstrateNetwork,
-    spec: &AlgorithmSpec,
+/// The `--checkpoint-every` sink of one sweep cell: every capture
+/// replaces the cell's [`BenchCheckpoint`] file.
+fn checkpoint_file_sink(
     opts: &BenchOpts,
+    topology: &str,
     utilization: f64,
-    every: u32,
-    tweak: &F,
-) -> AggregatedSummary
-where
-    F: Fn(&mut ScenarioConfig) + Sync,
-{
-    std::fs::create_dir_all(&opts.checkpoint_dir).expect("create checkpoint directory");
-    let summaries = seed_map(&opts.seed_list(), |seed| {
-        let mut config = opts.config(utilization).with_seed(seed);
-        tweak(&mut config);
-        if let Some(what) = uncheckpointable_config(&config) {
-            panic!(
-                "--checkpoint-every is not supported by this binary's sweep: its config \
-                 uses {what}, which a checkpoint file cannot record, so resuming it \
-                 would rebuild the wrong scenario"
-            );
-        }
-        let scenario = Scenario::new(
-            substrate.clone(),
-            ctx.apps(seed, default_apps),
-            config.clone(),
-        )
-        .with_registry(registry.clone())
-        .with_sweep_context(Arc::clone(ctx));
-        // A fingerprint of the *complete* config joins the filename, so
-        // variant sweeps over the same (topology, algorithm,
-        // utilization, seed) cell — fig13's plan-utilization variants,
-        // ablation switches, changed horizons — never overwrite each
-        // other's resume points in a shared checkpoint directory.
-        let path = opts.checkpoint_dir.join(format!(
-            "ckpt-{}-{}-u{:.0}-c{:08x}-s{seed}.bin",
-            substrate.name(),
-            spec.name(),
-            utilization * 100.0,
-            config_fingerprint(&config) as u32,
-        ));
-        let topology = substrate.name().to_string();
-        let (summary, _) = scenario
-            .run_summary_checkpointed(
-                spec,
-                every,
-                Some(Box::new(move |cp: &EngineCheckpoint| {
-                    let full = BenchCheckpoint {
-                        topology: topology.clone(),
-                        config: config.clone(),
-                        checkpoint: cp.clone(),
-                    };
-                    vne_sim::persist::write_bytes_atomic(&path, &full.to_bytes())
-                        .expect("write checkpoint file");
-                })),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        summary
-    });
-    aggregate(&summaries)
+    spec: &AlgorithmSpec,
+    config: &ScenarioConfig,
+) -> CheckpointSink {
+    if let Some(what) = uncheckpointable_config(config) {
+        panic!(
+            "--checkpoint-every is not supported by this binary's sweep: its config \
+             uses {what}, which a checkpoint file cannot record, so resuming it \
+             would rebuild the wrong scenario"
+        );
+    }
+    // A fingerprint of the *complete* config joins the filename, so
+    // variant sweeps over the same (topology, algorithm, utilization,
+    // seed) cell — fig13's plan-utilization variants, ablation
+    // switches, changed horizons — never overwrite each other's resume
+    // points in a shared checkpoint directory.
+    let path = opts.checkpoint_dir.join(format!(
+        "ckpt-{topology}-{}-u{:.0}-c{:08x}-s{}.bin",
+        spec.name(),
+        utilization * 100.0,
+        config_fingerprint(config) as u32,
+        config.seed,
+    ));
+    let topology = topology.to_string();
+    let config = config.clone();
+    Box::new(move |cp: &EngineCheckpoint| {
+        let full = BenchCheckpoint {
+            topology: topology.clone(),
+            config: config.clone(),
+            checkpoint: cp.clone(),
+        };
+        vne_sim::persist::write_bytes_atomic(&path, &full.to_bytes())
+            .expect("write checkpoint file");
+    })
 }
 
 /// FNV-1a fingerprint of a serialized [`ScenarioConfig`] — the

@@ -8,19 +8,16 @@
 //!
 //! Aggregation is a *fold*: [`AggregateDemand::from_stream`] consumes a
 //! slot-event stream through any
-//! [`DemandEstimator`], so
-//! the planning phase never materializes the history;
-//! [`AggregateDemand::from_history`] is the batch wrapper over a
-//! collected trace.
+//! [`DemandEstimator`], so the planning phase never materializes the
+//! history.
 
 use std::collections::BTreeMap;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use vne_model::ids::ClassId;
-use vne_model::request::{Request, Slot, SlotEvents};
+use vne_model::request::SlotEvents;
 use vne_workload::estimator::DemandEstimator;
-use vne_workload::history::ClassDemandSeries;
 
 pub use vne_workload::estimator::AggregationConfig;
 
@@ -40,28 +37,14 @@ pub struct AggregateDemand {
 }
 
 impl AggregateDemand {
-    /// Aggregates a request history over `slots` time slots (Eq. 5–6).
+    /// Aggregates a history *stream* through a [`DemandEstimator`]
+    /// (Eq. 5–6) — the planning input is folded one slot at a time, so
+    /// nothing on this path materializes the trace; with a sketch
+    /// estimator memory is `O(classes)` regardless of the horizon.
     ///
     /// Classes whose expected demand rounds to zero are dropped — they
     /// carry no plan and their requests fall through to the non-planned
     /// mechanisms online.
-    pub fn from_history<R: Rng + ?Sized>(
-        history: &[Request],
-        slots: Slot,
-        config: &AggregationConfig,
-        rng: &mut R,
-    ) -> Self {
-        let series = ClassDemandSeries::from_requests(history, slots);
-        let demands = series.expected_demands(config.alpha, config.bootstrap_replicates, rng);
-        Self::from_demands(&demands)
-    }
-
-    /// Aggregates a history *stream* through a [`DemandEstimator`] —
-    /// the planning input is folded one slot at a time, so nothing on
-    /// this path materializes the trace. With the exact estimator the
-    /// result is bit-identical to [`AggregateDemand::from_history`]
-    /// over the collected stream; with a sketch estimator memory is
-    /// `O(classes)` regardless of the horizon.
     pub fn from_stream<I>(
         events: I,
         estimator: &mut dyn DemandEstimator,
@@ -135,6 +118,8 @@ impl AggregateDemand {
 mod tests {
     use super::*;
     use vne_model::ids::{AppId, NodeId, RequestId};
+    use vne_model::request::{slot_events, Request, Slot};
+    use vne_workload::estimator::{ExactEstimator, SketchEstimator};
     use vne_workload::rng::SeededRng;
 
     fn req(id: u64, arrival: Slot, duration: Slot, node: u32, app: u32, demand: f64) -> Request {
@@ -148,13 +133,20 @@ mod tests {
         }
     }
 
+    /// The exact (dense + bootstrap) aggregate of a hand-written history.
+    fn exact(history: &[Request], slots: Slot, seed: u64) -> AggregateDemand {
+        AggregateDemand::from_stream(
+            slot_events(history, slots),
+            &mut ExactEstimator::new(slots, AggregationConfig::default()),
+            &mut SeededRng::new(seed),
+        )
+    }
+
     #[test]
     fn constant_demand_aggregates_exactly() {
         // One class with constant concurrent demand 8 over all slots.
         let history = vec![req(0, 0, 100, 1, 0, 8.0)];
-        let mut rng = SeededRng::new(1);
-        let agg =
-            AggregateDemand::from_history(&history, 100, &AggregationConfig::default(), &mut rng);
+        let agg = exact(&history, 100, 1);
         assert_eq!(agg.len(), 1);
         let c = ClassId::new(AppId(0), NodeId(1));
         assert!((agg.demand(c) - 8.0).abs() < 1e-9);
@@ -168,9 +160,7 @@ mod tests {
         for i in 0..80 {
             history.push(req(i, i as Slot, 1, 1, 0, 10.0));
         }
-        let mut rng = SeededRng::new(2);
-        let agg =
-            AggregateDemand::from_history(&history, 100, &AggregationConfig::default(), &mut rng);
+        let agg = exact(&history, 100, 2);
         let d = agg.demand(ClassId::new(AppId(0), NodeId(1)));
         // P80 of a series that is 10 in 80 slots and 0 in 20: around the
         // jump point; bootstrap smooths it into (0, 10].
@@ -184,9 +174,7 @@ mod tests {
             req(1, 0, 10, 1, 1, 4.0),
             req(2, 0, 10, 2, 0, 5.0),
         ];
-        let mut rng = SeededRng::new(3);
-        let agg =
-            AggregateDemand::from_history(&history, 10, &AggregationConfig::default(), &mut rng);
+        let agg = exact(&history, 10, 3);
         assert_eq!(agg.len(), 3);
         assert!((agg.demand(ClassId::new(AppId(1), NodeId(1))) - 4.0).abs() < 1e-9);
     }
@@ -211,40 +199,21 @@ mod tests {
     }
 
     #[test]
-    fn from_stream_with_exact_estimator_matches_from_history() {
-        use vne_model::request::SlotEvents;
-        use vne_workload::estimator::{EstimatorKind, SketchEstimator};
+    fn sketch_estimator_lands_near_the_exact_one() {
         let history = vec![
             req(0, 0, 10, 1, 0, 3.0),
             req(1, 2, 5, 1, 1, 4.0),
             req(2, 0, 10, 2, 0, 5.0),
         ];
-        let events: Vec<SlotEvents> = (0..10)
-            .map(|t| SlotEvents {
-                slot: t,
-                arrivals: history.iter().filter(|r| r.arrival == t).cloned().collect(),
-                churn: Vec::new(),
-            })
-            .collect();
-        let config = AggregationConfig::default();
-        let batch = AggregateDemand::from_history(&history, 10, &config, &mut SeededRng::new(7));
-        let mut exact = EstimatorKind::Exact.build(10, &config);
-        let streamed = AggregateDemand::from_stream(
-            events.iter().cloned(),
-            exact.as_mut(),
+        let exact = exact(&history, 10, 7);
+        let mut sketch = SketchEstimator::new(AggregationConfig::default().alpha);
+        let approx = AggregateDemand::from_stream(
+            slot_events(&history, 10),
+            &mut sketch,
             &mut SeededRng::new(7),
         );
-        assert_eq!(batch.len(), streamed.len());
-        for (b, s) in batch.requests().iter().zip(streamed.requests()) {
-            assert_eq!(b.class, s.class);
-            assert_eq!(b.demand.to_bits(), s.demand.to_bits());
-        }
-        // The sketch path lands near the exact estimates on these
-        // constant-demand classes.
-        let mut sketch = SketchEstimator::new(config.alpha);
-        let approx = AggregateDemand::from_stream(events, &mut sketch, &mut SeededRng::new(7));
         for s in approx.requests() {
-            let exact_demand = batch.demand(s.class);
+            let exact_demand = exact.demand(s.class);
             assert!(
                 (s.demand - exact_demand).abs() < 1.0,
                 "class {:?}: sketch {} vs exact {exact_demand}",
@@ -256,8 +225,7 @@ mod tests {
 
     #[test]
     fn empty_history_gives_empty_plan_input() {
-        let mut rng = SeededRng::new(4);
-        let agg = AggregateDemand::from_history(&[], 10, &AggregationConfig::default(), &mut rng);
+        let agg = exact(&[], 10, 4);
         assert!(agg.is_empty());
         assert_eq!(agg.total_demand(), 0.0);
     }

@@ -16,7 +16,6 @@ use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot};
 use vne_model::substrate::SubstrateNetwork;
 use vne_workload::estimator::{DemandEstimator, ExactEstimator};
-use vne_workload::history::ClassDemandSeries;
 
 use crate::aggregate::{AggregateDemand, AggregationConfig};
 use crate::algorithm::{OnlineAlgorithm, SlotOutcome};
@@ -67,40 +66,12 @@ impl TimeVaryingPlan {
         &self.plans[self.period_at(t)]
     }
 
-    /// Builds a schedule from a history trace by slicing the history into
-    /// phase-aligned periods and solving PLAN-VNE per phase: slot `t` of
-    /// the history contributes to phase `(t / period_length) % periods`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_history<R: Rng + ?Sized>(
-        substrate: &SubstrateNetwork,
-        apps: &AppSet,
-        policy: &PlacementPolicy,
-        history: &[Request],
-        history_slots: Slot,
-        period_length: Slot,
-        periods: usize,
-        plan_config: &PlanVneConfig,
-        aggregation: &AggregationConfig,
-        rng: &mut R,
-    ) -> Self {
-        let series = ClassDemandSeries::from_requests(history, history_slots);
-        Self::from_series(
-            substrate,
-            apps,
-            policy,
-            &series,
-            period_length,
-            periods,
-            plan_config,
-            aggregation,
-            rng,
-        )
-    }
-
-    /// Builds a schedule from a history *stream*, folding the slot
-    /// events through an [`ExactEstimator`] — the same estimator that
-    /// drives single-plan construction — before phase slicing. Nothing
-    /// on this path pre-collects the trace.
+    /// Builds a schedule from a history *stream*: the slot events are
+    /// folded through an [`ExactEstimator`] — the same estimator that
+    /// drives single-plan construction — the demand series is sliced
+    /// into phase-aligned periods (slot `t` of the history contributes
+    /// to phase `(t / period_length) % periods`), and PLAN-VNE is solved
+    /// per phase. Nothing on this path pre-collects the trace.
     #[allow(clippy::too_many_arguments)]
     pub fn from_stream<I, R>(
         substrate: &SubstrateNetwork,
@@ -118,42 +89,16 @@ impl TimeVaryingPlan {
         I: IntoIterator<Item = vne_model::request::SlotEvents>,
         R: Rng + ?Sized,
     {
+        assert!(periods >= 1, "need at least one period");
         let mut estimator = ExactEstimator::new(history_slots, *aggregation);
         for ev in events {
             estimator.observe_slot(&ev);
         }
-        Self::from_series(
-            substrate,
-            apps,
-            policy,
-            estimator.series(),
-            period_length,
-            periods,
-            plan_config,
-            aggregation,
-            rng,
-        )
-    }
-
-    /// The shared core of the history constructors: slice the demand
-    /// series into phases, aggregate each phase's sub-series, solve
-    /// PLAN-VNE per phase.
-    #[allow(clippy::too_many_arguments)]
-    fn from_series<R: Rng + ?Sized>(
-        substrate: &SubstrateNetwork,
-        apps: &AppSet,
-        policy: &PlacementPolicy,
-        series: &ClassDemandSeries,
-        period_length: Slot,
-        periods: usize,
-        plan_config: &PlanVneConfig,
-        aggregation: &AggregationConfig,
-        rng: &mut R,
-    ) -> Self {
-        assert!(periods >= 1, "need at least one period");
         let mut plans = Vec::with_capacity(periods);
         for phase in 0..periods {
-            let phase_series = series.phase_slice(period_length, periods, phase);
+            let phase_series = estimator
+                .series()
+                .phase_slice(period_length, periods, phase);
             let aggregate = if phase_series.slots() == 0 {
                 AggregateDemand::default()
             } else {
@@ -324,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn from_history_builds_phase_specific_plans() {
+    fn from_stream_builds_phase_specific_plans() {
         // Demand alternates between e0 (even periods) and e1 (odd):
         // the schedule should guarantee e0's class in phase 0 and e1's
         // in phase 1.
@@ -340,11 +285,11 @@ mod tests {
             }
         }
         let mut rng = vne_workload::rng::SeededRng::new(1);
-        let tv = TimeVaryingPlan::from_history(
+        let tv = TimeVaryingPlan::from_stream(
             &s,
             &apps,
             &PlacementPolicy::default(),
-            &history,
+            vne_model::request::slot_events(&history, 200),
             200,
             10,
             2,
@@ -380,68 +325,6 @@ mod tests {
             g0_phase1 < g0_phase0 / 2.0,
             "cross-phase: {g0_phase1} vs {g0_phase0}"
         );
-    }
-
-    #[test]
-    fn from_stream_matches_from_history() {
-        let (s, apps) = world();
-        let mut history = Vec::new();
-        for (id, t) in (0..100u32).enumerate() {
-            let node = if (t / 10) % 2 == 0 { 0 } else { 1 };
-            history.push(req(id as u64, t, node, 6.0));
-        }
-        let events: Vec<vne_model::request::SlotEvents> = (0..100)
-            .map(|t| vne_model::request::SlotEvents {
-                slot: t,
-                arrivals: history.iter().filter(|r| r.arrival == t).cloned().collect(),
-                churn: Vec::new(),
-            })
-            .collect();
-        let aggregation = AggregationConfig {
-            alpha: 80.0,
-            bootstrap_replicates: 15,
-        };
-        let batch = TimeVaryingPlan::from_history(
-            &s,
-            &apps,
-            &PlacementPolicy::default(),
-            &history,
-            100,
-            10,
-            2,
-            &PlanVneConfig::new(1e4),
-            &aggregation,
-            &mut vne_workload::rng::SeededRng::new(4),
-        );
-        let streamed = TimeVaryingPlan::from_stream(
-            &s,
-            &apps,
-            &PlacementPolicy::default(),
-            events,
-            100,
-            10,
-            2,
-            &PlanVneConfig::new(1e4),
-            &aggregation,
-            &mut vne_workload::rng::SeededRng::new(4),
-        );
-        assert_eq!(batch.periods(), streamed.periods());
-        for t in [0, 10] {
-            for node in [0u32, 1] {
-                let c = ClassId::new(AppId(0), NodeId(node));
-                let demand = |tv: &TimeVaryingPlan| {
-                    tv.plan_at(t)
-                        .class(c)
-                        .map(|p| p.guaranteed_demand())
-                        .unwrap_or(0.0)
-                };
-                assert_eq!(
-                    demand(&batch).to_bits(),
-                    demand(&streamed).to_bits(),
-                    "slot {t}, node {node}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -66,6 +66,34 @@ impl SlotEvents {
     }
 }
 
+/// Adapts a pre-collected trace into a slot-event stream: arrivals
+/// bucketed per slot (sorted by id within a slot, the ON-VNE order),
+/// one event per slot in `0..slots`, arrivals at or past the horizon
+/// dropped.
+///
+/// This is `O(trace)` memory by construction — it is the bridge from a
+/// hand-written `&[Request]` to the stream format; lazy trace
+/// generators yield [`SlotEvents`] directly.
+pub fn slot_events(trace: &[Request], slots: Slot) -> impl Iterator<Item = SlotEvents> {
+    let mut arrivals_at: Vec<Vec<Request>> = vec![Vec::new(); slots as usize];
+    for r in trace {
+        if r.arrival < slots {
+            arrivals_at[r.arrival as usize].push(r.clone());
+        }
+    }
+    for bucket in &mut arrivals_at {
+        bucket.sort_by_key(|r| r.id);
+    }
+    arrivals_at
+        .into_iter()
+        .enumerate()
+        .map(|(t, arrivals)| SlotEvents {
+            slot: t as Slot,
+            arrivals,
+            churn: Vec::new(),
+        })
+}
+
 impl StateEncode for SlotEvents {
     fn encode(&self, w: &mut StateWriter) {
         w.write_u32(self.slot);

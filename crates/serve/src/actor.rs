@@ -3,7 +3,7 @@
 //! One dedicated thread owns the streaming engine — an
 //! [`EngineState`], the `Box<dyn OnlineAlgorithm>` and the observer
 //! stack — and is the *only* writer of that state, exactly like the
-//! serial `run_stream` loop it replaces. Everything else talks to it
+//! serial `run_stream_with` loop it replaces. Everything else talks to it
 //! through a cloneable [`ServeHandle`] over an mpsc command queue;
 //! every command carries a bounded oneshot (`sync_channel(1)`) for the
 //! reply, so callers block only for their own answer and the actor
@@ -172,7 +172,7 @@ pub struct ServeStats {
     pub checkpoints: u64,
     /// [`Summary::fingerprint`] of the measurement-window summary so
     /// far — the determinism handle the parity tests compare against a
-    /// `run_stream` replay.
+    /// `run_stream_with` replay.
     pub fingerprint: u64,
 }
 

@@ -25,7 +25,7 @@
 //! restores a checkpoint byte-identically before serving. The `STATS`
 //! fingerprint is the same [`vne_sim::metrics::Summary::fingerprint`]
 //! batch runs report, so a served request sequence can be replayed
-//! through `run_stream` and compared exactly — the daemon is an online
+//! through `run_stream_with` and compared exactly — the daemon is an online
 //! *view* of the engine, not a fork of it.
 
 pub mod actor;

@@ -1,5 +1,5 @@
 //! End-to-end daemon coverage: concurrent TCP clients with a
-//! `run_stream` replay parity check, load shedding at the watermark,
+//! `run_stream_with` replay parity check, load shedding at the watermark,
 //! graceful shutdown with a byte-identical final-checkpoint resume, and
 //! SIGKILL-crash recovery from the last durable checkpoint.
 
@@ -19,7 +19,7 @@ use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_serve::actor::{ServeConfig, ServeHandle, TickMode};
 use vne_serve::protocol::{parse_reply, Command, Reply};
 use vne_serve::{spawn, Server, SubmitReply, SubmitSpec};
-use vne_sim::engine::{run_stream, EngineState};
+use vne_sim::engine::{run_stream_with, EngineState, ReembedAll};
 use vne_sim::observe::WindowSummary;
 use vne_sim::persist::read_checkpoint_file;
 use vne_sim::registry::{AlgorithmSpec, BuildContext};
@@ -153,7 +153,7 @@ struct Record {
 
 /// Eight concurrent TCP clients submit against a live daemon; every one
 /// receives a decision, and replaying the served sequence through
-/// `run_stream` yields the exact fingerprint the daemon reports.
+/// `run_stream_with` yields the exact fingerprint the daemon reports.
 #[test]
 fn eight_concurrent_tcp_clients_match_run_stream_replay() {
     const CLIENTS: usize = 8;
@@ -274,17 +274,18 @@ fn eight_concurrent_tcp_clients_match_run_stream_replay() {
     }
     let mut replay_alg = build_algorithm(&scenario, Algorithm::Fullg);
     let mut replay_summary = WindowSummary::new(window, penalty);
-    let replay_stats = run_stream(
+    let replay_stats = run_stream_with(
         &mut *replay_alg,
         &scenario.substrate,
         events,
         &mut replay_summary,
+        &mut ReembedAll,
     );
     let replay = replay_summary.finish(&replay_stats);
     assert_eq!(
         replay.fingerprint(),
         served_fingerprint,
-        "served run and run_stream replay disagree"
+        "served run and run_stream_with replay disagree"
     );
     assert_eq!(replay_stats.slots_run, slots_total as Slot);
     assert_eq!(replay_stats.arrivals, CLIENTS * ROUNDS);

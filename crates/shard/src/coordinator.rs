@@ -44,7 +44,7 @@
 //! With `k = 1` the coordinator collapses to a pass-through of the
 //! unsharded engine — same state transitions, same observer dispatch,
 //! same (monolithic) checkpoint bytes — so a single-shard run is
-//! fingerprint-identical to [`run_stream`] (pinned by the golden parity
+//! fingerprint-identical to [`run_stream_with`] (pinned by the golden parity
 //! suite) and its checkpoints are interchangeable with monolithic
 //! [`EngineCheckpoint`] resumes.
 //!
@@ -71,7 +71,7 @@
 //! ([`ShardCoordinator::with_reembed`]; re-embed-all by default, like
 //! the unsharded engine).
 //!
-//! [`run_stream`]: vne_sim::engine::run_stream
+//! [`run_stream_with`]: vne_sim::engine::run_stream_with
 //! [`cell_map`]: vne_sim::runner::cell_map
 //! [`Checkpointer`]: vne_sim::observe::Checkpointer
 //! [`ChurnEvent::NodeDrain`]: vne_model::churn::ChurnEvent::NodeDrain
@@ -423,7 +423,7 @@ impl ShardCoordinator {
     /// [`Checkpointer`] produced over this coordinator: for `k > 1` its
     /// blobs carry a packed [`ShardCheckpoint`]; for `k = 1` they carry
     /// plain monolithic engine state, so single-shard coordinators and
-    /// [`run_stream_from`] accept each other's checkpoints
+    /// [`run_stream_from_with`] accept each other's checkpoints
     /// interchangeably. Use [`crate::checkpoint::engine_checkpoint`] to
     /// resume from a typed [`ShardCheckpoint`].
     ///
@@ -434,7 +434,7 @@ impl ShardCoordinator {
     /// name, cut count) or any blob fails to restore.
     ///
     /// [`Checkpointer`]: vne_sim::observe::Checkpointer
-    /// [`run_stream_from`]: vne_sim::engine::run_stream_from
+    /// [`run_stream_from_with`]: vne_sim::engine::run_stream_from_with
     pub fn resume_from<O>(
         sharded: ShardedSubstrate,
         build: impl FnMut(ShardId, &SubstrateNetwork) -> Box<dyn OnlineAlgorithm>,

@@ -20,7 +20,7 @@ use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::fullg::FullG;
 use vne_shard::{engine_checkpoint, shard_checkpoint, ShardCoordinator};
-use vne_sim::engine::{run_stream, run_stream_from, EngineState};
+use vne_sim::engine::{run_stream_from_with, run_stream_with, EngineState, ReembedAll};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file};
 
@@ -112,7 +112,13 @@ fn sharded_k(s: &SubstrateNetwork, k: usize) -> ShardedSubstrate {
 fn monolithic_reference(s: &SubstrateNetwork, ev: &[SlotEvents]) -> u64 {
     let mut algorithm = fullg(s);
     let mut w = window(s);
-    let stats = run_stream(&mut algorithm, s, ev.iter().cloned(), &mut w);
+    let stats = run_stream_with(
+        &mut algorithm,
+        s,
+        ev.iter().cloned(),
+        &mut w,
+        &mut ReembedAll,
+    );
     w.finish(&stats).fingerprint()
 }
 
@@ -143,11 +149,12 @@ fn monolithic_checkpoint(
 ) -> vne_sim::engine::EngineCheckpoint {
     let mut algorithm = fullg(s);
     let mut cp = Checkpointer::every(CHECKPOINT_SLOT + 1, window(s));
-    run_stream(
+    run_stream_with(
         &mut algorithm,
         s,
         ev.iter().take(CHECKPOINT_SLOT as usize + 1).cloned(),
         &mut cp,
+        &mut ReembedAll,
     );
     assert_eq!(cp.checkpoints_taken(), 1, "{:?}", cp.last_error());
     cp.into_latest().unwrap()
@@ -222,8 +229,15 @@ fn single_shard_checkpoint_resumes_into_the_monolithic_engine() {
 
     let mut algorithm = fullg(&s);
     let mut w = window(&s);
-    let stats =
-        run_stream_from(&checkpoint, &mut algorithm, &s, ev.iter().cloned(), &mut w).unwrap();
+    let stats = run_stream_from_with(
+        &checkpoint,
+        &mut algorithm,
+        &s,
+        ev.iter().cloned(),
+        &mut w,
+        &mut ReembedAll,
+    )
+    .unwrap();
     assert_eq!(
         w.finish(&stats).fingerprint(),
         reference,
@@ -241,7 +255,15 @@ fn multi_shard_checkpoint_is_refused_outside_its_shape() {
     let mut algorithm = fullg(&s);
     let mut w = window(&s);
     assert!(
-        run_stream_from(&checkpoint, &mut algorithm, &s, ev.iter().cloned(), &mut w).is_err(),
+        run_stream_from_with(
+            &checkpoint,
+            &mut algorithm,
+            &s,
+            ev.iter().cloned(),
+            &mut w,
+            &mut ReembedAll
+        )
+        .is_err(),
         "a packed multi-shard checkpoint must not restore into one engine"
     );
 

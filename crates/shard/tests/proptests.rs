@@ -24,7 +24,7 @@ use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::churn::ChurnEvent;
 use vne_model::ids::{AppId, LinkId, NodeId, RequestId};
 use vne_model::policy::PlacementPolicy;
-use vne_model::request::{Request, Slot, SlotEvents};
+use vne_model::request::{slot_events, Request, Slot, SlotEvents};
 use vne_model::shard::{PartitionAssignment, ShardId, ShardedSubstrate};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
@@ -48,21 +48,6 @@ fn apps() -> AppSet {
     )
     .unwrap();
     apps
-}
-
-/// Groups a request list into contiguous slot events over `horizon`.
-fn events_of(requests: &[Request], horizon: Slot) -> Vec<SlotEvents> {
-    (0..horizon)
-        .map(|t| SlotEvents {
-            slot: t,
-            arrivals: requests
-                .iter()
-                .filter(|r| r.arrival == t)
-                .cloned()
-                .collect(),
-            churn: vec![],
-        })
-        .collect()
 }
 
 /// Builds a fresh coordinator over `sharded` running FULLG per shard.
@@ -116,7 +101,7 @@ fn churned_events(
     s: &SubstrateNetwork,
     seed: u64,
 ) -> Vec<SlotEvents> {
-    let mut events = events_of(requests, horizon);
+    let mut events: Vec<SlotEvents> = slot_events(requests, horizon).collect();
     let link = LinkId((seed % s.link_count() as u64) as u32);
     let node = NodeId(((seed >> 8) % s.node_count() as u64) as u32);
     events[horizon as usize / 3]
@@ -185,7 +170,7 @@ proptest! {
         requests.sort_by_key(|r| (r.arrival, r.id));
         let assignment = GreedyEdgeCut { seed }.partition(&s, k).unwrap();
         let sharded = ShardedSubstrate::new(&s, &assignment).unwrap();
-        let events = events_of(&requests, 12);
+        let events: Vec<SlotEvents> = slot_events(&requests, 12).collect();
 
         let mut prints = Vec::new();
         let mut spans: Vec<SpanningStats> = Vec::new();
@@ -207,7 +192,7 @@ proptest! {
         let sharded = ShardedSubstrate::new(&s, &assignment).unwrap();
         let mut coordinator = fullg_coordinator(&sharded);
         let mut count = DecisionCount::default();
-        let stats = coordinator.run(events_of(&requests, 12), &mut count);
+        let stats = coordinator.run(slot_events(&requests, 12), &mut count);
         prop_assert_eq!(count.accepted + count.rejected, requests.len());
         prop_assert_eq!(stats.arrivals, requests.len());
         let span = coordinator.spanning_stats();
@@ -308,7 +293,7 @@ fn overflowing_request_spans_to_the_neighbor_shard() {
         demand: 5.0,
     };
     let mut probe = SpanProbe::default();
-    coordinator.run(events_of(&[request], 2), &mut probe);
+    coordinator.run(slot_events(&[request], 2), &mut probe);
 
     let span = coordinator.spanning_stats();
     assert_eq!(span.candidates, 1, "home shard must reject in reserve");

@@ -1,6 +1,6 @@
 //! The streaming, event-driven simulation engine.
 //!
-//! [`run_stream`] drives an [`OnlineAlgorithm`] over a lazy stream of
+//! [`run_stream_with`] drives an [`OnlineAlgorithm`] over a lazy stream of
 //! [`SlotEvents`] (one item per slot): departures are released first,
 //! then the slot's arrivals are processed in order (ON-VNE semantics).
 //! Instead of materializing the whole trace and a per-request outcome
@@ -17,10 +17,9 @@
 //!   the simulation early.
 //!
 //! Ready-made observers live in [`crate::observe`]: a [`Recorder`]
-//! collecting the classic [`RunResult`], an `O(classes)` incremental
-//! window summary, closure-based inspection, and a tee combinator.
-//! [`run`] is the batch convenience wrapper (slice in, [`RunResult`]
-//! out) used by tests and small experiments.
+//! collecting the per-request [`RunResult`] log, an `O(classes)`
+//! incremental window summary, closure-based inspection, and a tee
+//! combinator.
 //!
 //! [`Recorder`]: crate::observe::Recorder
 
@@ -38,8 +37,6 @@ use vne_model::state::{
 };
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::algorithm::OnlineAlgorithm;
-
-use crate::observe::{Inspect, Recorder, Tee};
 
 /// Final status of a request after the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +181,7 @@ pub struct RunResult {
     pub online_secs: f64,
 }
 
-/// Engine-level counters returned by [`run_stream`].
+/// Engine-level counters returned by [`run_stream_with`].
 ///
 /// `peak_active` is the engine's memory high-water mark in requests:
 /// the streaming engine holds state only for active accepted requests,
@@ -301,7 +298,7 @@ pub enum SimControl {
     Stop,
 }
 
-/// Per-slot callbacks invoked by [`run_stream`].
+/// Per-slot callbacks invoked by [`run_stream_with`].
 ///
 /// All methods have no-op defaults, so an observer implements only what
 /// it needs. Observers compose with [`crate::observe::Tee`].
@@ -375,8 +372,8 @@ impl<O: SimObserver + ?Sized> SimObserver for &mut O {
 }
 
 /// The engine's mutable state between slots: the `O(active)` working
-/// set ([`run_stream`] keeps nothing else). Factored out of the run
-/// loop so checkpoints can serialize it and [`run_stream_from`] can
+/// set ([`run_stream_with`] keeps nothing else). Factored out of the run
+/// loop so checkpoints can serialize it and [`run_stream_from_with`] can
 /// rebuild it.
 #[derive(Debug, Clone, Default)]
 pub struct EngineState {
@@ -480,11 +477,11 @@ impl EngineState {
     /// Advances the engine through exactly one slot — the public
     /// single-slot seam used by external drivers such as the
     /// `vne-serve` actor. This is the *identical* per-slot code path
-    /// [`run_stream`] executes (slot assertion, departures, churn,
+    /// [`run_stream_with`] executes (slot assertion, departures, churn,
     /// algorithm step, counter fold, observer fan-out up to
     /// [`SimObserver::on_slot_end`]); `N` calls over the same slot
     /// events produce byte-identical observer state and stats to one
-    /// `run_stream` over those events (pinned by the `actor_seam`
+    /// `run_stream_with` over those events (pinned by the `actor_seam`
     /// parity test).
     ///
     /// What the caller still owns, mirroring the tail of the engine
@@ -496,7 +493,7 @@ impl EngineState {
     ///
     /// # Panics
     ///
-    /// Panics like [`run_stream`] if `event.slot` is not strictly
+    /// Panics like [`run_stream_with`] if `event.slot` is not strictly
     /// greater than every slot stepped before.
     pub fn step<O>(
         &mut self,
@@ -564,7 +561,7 @@ impl EngineState {
     }
 }
 
-/// Checkpointing: everything [`run_stream`] keeps between slots. The
+/// Checkpointing: everything [`run_stream_with`] keeps between slots. The
 /// `alive` map is ordered by request id (its natural `BTreeMap`
 /// order); the departure calendar's per-slot vectors keep their order
 /// (it is the release order, and release order feeds the algorithm's
@@ -765,7 +762,7 @@ impl<'a> EngineView<'a> {
 }
 
 /// A complete, serializable snapshot of a streaming run after one slot:
-/// enough to finish the run later ([`run_stream_from`]) or to branch a
+/// enough to finish the run later ([`run_stream_from_with`]) or to branch a
 /// what-if fork from the middle of a stream
 /// ([`crate::scenario::Scenario::fork_at`]), with results byte-identical
 /// to the uninterrupted run.
@@ -843,37 +840,24 @@ impl EngineCheckpoint {
     }
 }
 
-/// Runs `algorithm` over a lazy stream of slot events.
+/// Runs `algorithm` over a lazy stream of slot events; `policy` decides
+/// the fate of requests stranded by substrate churn (churn-free streams
+/// never consult it).
 ///
 /// Slots must be yielded in strictly increasing order (enforced by an
 /// assertion); quiet slots may be skipped — departures falling into a
 /// gap are released at the next yielded slot, and only yielded slots
-/// get a [`SimObserver::on_slot_end`] call. Use [`slot_events`] to
-/// adapt a pre-collected trace. Engine state is bounded by the number
-/// of simultaneously active requests: departures of accepted requests
-/// are scheduled in a calendar keyed by departure slot, and the
-/// requested-demand curve is maintained incrementally.
+/// get a [`SimObserver::on_slot_end`] call. Use
+/// [`vne_model::request::slot_events`] to adapt a pre-collected trace.
+/// Engine state is bounded by the number of simultaneously active
+/// requests: departures of accepted requests are scheduled in a
+/// calendar keyed by departure slot, and the requested-demand curve is
+/// maintained incrementally.
 ///
 /// # Panics
 ///
 /// Panics if the stream yields a slot that is not strictly greater
 /// than its predecessor.
-pub fn run_stream<E, O>(
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-) -> StreamStats
-where
-    E: IntoIterator<Item = SlotEvents>,
-    O: SimObserver + ?Sized,
-{
-    run_stream_with(algorithm, substrate, events, observer, &mut ReembedAll)
-}
-
-/// [`run_stream`] with an explicit [`ReembedPolicy`] deciding the fate
-/// of requests stranded by substrate churn. [`run_stream`] defaults to
-/// [`ReembedAll`]; churn-free streams never consult the policy.
 pub fn run_stream_with<E, O>(
     algorithm: &mut dyn OnlineAlgorithm,
     substrate: &SubstrateNetwork,
@@ -896,8 +880,9 @@ where
 ///
 /// `algorithm` and `observer` must be freshly constructed with the same
 /// configuration as the checkpointed run (the deterministic scenario
-/// pipeline does this per seed); their mutable state is replaced from
-/// the checkpoint. The finished run is **byte-identical** to the
+/// pipeline does this per seed), and `policy` must be the policy of the
+/// checkpointed run; their mutable state is replaced from the
+/// checkpoint. The finished run is **byte-identical** to the
 /// uninterrupted one — the guarantee pinned by the resume-determinism
 /// test battery.
 ///
@@ -908,32 +893,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics like [`run_stream`] if the remaining stream yields
+/// Panics like [`run_stream_with`] if the remaining stream yields
 /// non-increasing slots.
-pub fn run_stream_from<E, O>(
-    checkpoint: &EngineCheckpoint,
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-) -> Result<StreamStats, StateError>
-where
-    E: IntoIterator<Item = SlotEvents>,
-    O: SimObserver + Snapshot + ?Sized,
-{
-    run_stream_from_with(
-        checkpoint,
-        algorithm,
-        substrate,
-        events,
-        observer,
-        &mut ReembedAll,
-    )
-}
-
-/// [`run_stream_from`] with an explicit [`ReembedPolicy`] (the resumed
-/// segment must use the same policy as the checkpointed run to stay
-/// byte-identical).
 pub fn run_stream_from_with<E, O>(
     checkpoint: &EngineCheckpoint,
     algorithm: &mut dyn OnlineAlgorithm,
@@ -957,7 +918,7 @@ where
 }
 
 /// Restores a checkpoint into a live [`EngineState`] without driving
-/// any events — the shared first half of [`run_stream_from`] and the
+/// any events — the shared first half of [`run_stream_from_with`] and the
 /// entry point for external drivers (the `vne-serve` daemon) that step
 /// the engine themselves via [`EngineState::step`].
 ///
@@ -1381,7 +1342,7 @@ pub fn audit_engine(
     out
 }
 
-/// The one engine loop, behind all four `run_stream*` entry points.
+/// The one engine loop, behind both `run_stream*` entry points.
 fn drive<E, O>(
     state: &mut EngineState,
     algorithm: &mut dyn OnlineAlgorithm,
@@ -1396,7 +1357,7 @@ where
 {
     // Online seconds accumulate across resumed segments.
     let base_secs = state.stats.online_secs;
-    // audit:allow(D2, "set_online_secs feeder: run_stream stamps stats.online_secs")
+    // audit:allow(D2, "set_online_secs feeder: run_stream_with stamps stats.online_secs")
     let started = Instant::now();
     for event in events {
         let (_step, control) = state.step(algorithm, substrate, event, observer, policy);
@@ -1414,75 +1375,15 @@ where
     state.stats
 }
 
-/// Adapts a pre-collected trace into the slot-event stream [`run_stream`]
-/// expects: arrivals bucketed per slot (sorted by id within a slot, the
-/// ON-VNE order), one event per slot in `0..slots`, arrivals at or past
-/// the horizon dropped.
-///
-/// This is `O(trace)` memory by construction — it exists for tests and
-/// pre-materialized traces; lazy sources ([`vne_workload::tracegen::stream`],
-/// [`vne_workload::caida::stream`]) feed the engine directly.
-pub fn slot_events(trace: &[Request], slots: Slot) -> impl Iterator<Item = SlotEvents> {
-    let mut arrivals_at: Vec<Vec<Request>> = vec![Vec::new(); slots as usize];
-    for r in trace {
-        if r.arrival < slots {
-            arrivals_at[r.arrival as usize].push(r.clone());
-        }
-    }
-    for bucket in &mut arrivals_at {
-        bucket.sort_by_key(|r| r.id);
-    }
-    arrivals_at
-        .into_iter()
-        .enumerate()
-        .map(|(t, arrivals)| SlotEvents {
-            slot: t as Slot,
-            arrivals,
-            churn: Vec::new(),
-        })
-}
-
-/// Runs `algorithm` over a pre-collected `trace` for `slots` time slots
-/// and records the full [`RunResult`] (batch convenience over
-/// [`run_stream`]).
-///
-/// `inspect` is called after each slot with the slot index and the
-/// algorithm (used by per-node drill-down figures); pass
-/// [`no_inspection`] when not needed.
-pub fn run<F>(
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    trace: &[Request],
-    slots: Slot,
-    mut inspect: F,
-) -> RunResult
-where
-    F: FnMut(Slot, &dyn OnlineAlgorithm),
-{
-    let mut recorder = Recorder::new();
-    let mut observer = Tee(
-        &mut recorder,
-        Inspect(|t: Slot, _m: &SlotMetrics, alg: &dyn OnlineAlgorithm| inspect(t, alg)),
-    );
-    let stats = run_stream(
-        algorithm,
-        substrate,
-        slot_events(trace, slots),
-        &mut observer,
-    );
-    recorder.finish(algorithm.name(), &stats)
-}
-
-/// A no-op inspection hook for [`run`].
-pub fn no_inspection(_t: Slot, _a: &dyn OnlineAlgorithm) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{Inspect, NullObserver, Recorder};
     use vne_model::app::{shapes, AppSet, AppShape};
     use vne_model::ids::AppId;
     use vne_model::ids::NodeId;
     use vne_model::policy::PlacementPolicy;
+    use vne_model::request::slot_events;
     use vne_model::substrate::Tier;
     use vne_olive::olive::Olive;
 
@@ -1512,13 +1413,31 @@ mod tests {
         }
     }
 
+    /// Runs `trace` for `slots` slots and records the full outcome log.
+    fn record(
+        algorithm: &mut dyn OnlineAlgorithm,
+        s: &SubstrateNetwork,
+        trace: &[Request],
+        slots: Slot,
+    ) -> RunResult {
+        let mut recorder = Recorder::new();
+        let stats = run_stream_with(
+            algorithm,
+            s,
+            slot_events(trace, slots),
+            &mut recorder,
+            &mut ReembedAll,
+        );
+        recorder.finish(algorithm.name(), &stats)
+    }
+
     #[test]
     fn accepts_and_departs() {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         // Capacity 300 total; β 10: demand 10 → 100 CU.
         let trace = vec![req(0, 0, 3, 10.0), req(1, 1, 3, 10.0), req(2, 5, 2, 10.0)];
-        let result = run(&mut alg, &s, &trace, 10, no_inspection);
+        let result = record(&mut alg, &s, &trace, 10);
         assert_eq!(result.requests.len(), 3);
         assert!(result
             .requests
@@ -1543,7 +1462,7 @@ mod tests {
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         // 300 CU total ⇒ 3 × demand-10 requests fit; the 4th is rejected.
         let trace: Vec<Request> = (0..4).map(|i| req(i, 0, 5, 10.0)).collect();
-        let result = run(&mut alg, &s, &trace, 6, no_inspection);
+        let result = record(&mut alg, &s, &trace, 6);
         let denied = result
             .requests
             .iter()
@@ -1559,7 +1478,7 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let trace = vec![req(0, 0, 2, 10.0)];
-        let result = run(&mut alg, &s, &trace, 4, no_inspection);
+        let result = record(&mut alg, &s, &trace, 4);
         // 100 CU on the core node (cost 1/CU) + link 10 CU (cost 1).
         assert!(result.slots[0].resource_cost > 0.0);
         assert_eq!(result.slots[2].resource_cost, 0.0);
@@ -1570,7 +1489,14 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let mut calls = 0;
-        let _ = run(&mut alg, &s, &[], 7, |_, _| calls += 1);
+        let mut inspect = Inspect(|_: Slot, _: &SlotMetrics, _: &dyn OnlineAlgorithm| calls += 1);
+        run_stream_with(
+            &mut alg,
+            &s,
+            slot_events(&[], 7),
+            &mut inspect,
+            &mut ReembedAll,
+        );
         assert_eq!(calls, 7);
     }
 
@@ -1579,7 +1505,7 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let trace = vec![req(0, 50, 3, 10.0)];
-        let result = run(&mut alg, &s, &trace, 10, no_inspection);
+        let result = record(&mut alg, &s, &trace, 10);
         assert!(result.requests.is_empty());
     }
 
@@ -1588,8 +1514,13 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let trace = vec![req(0, 0, 3, 10.0), req(1, 1, 3, 10.0), req(2, 5, 2, 10.0)];
-        let mut observer = crate::observe::NullObserver;
-        let stats = run_stream(&mut alg, &s, slot_events(&trace, 10), &mut observer);
+        let stats = run_stream_with(
+            &mut alg,
+            &s,
+            slot_events(&trace, 10),
+            &mut NullObserver,
+            &mut ReembedAll,
+        );
         assert_eq!(stats.slots_run, 10);
         assert_eq!(stats.arrivals, 3);
         // Requests 0 and 1 overlap at slots 1-2.
@@ -1618,7 +1549,13 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let mut observer = StopAt(3);
-        let stats = run_stream(&mut alg, &s, slot_events(&[], 100), &mut observer);
+        let stats = run_stream_with(
+            &mut alg,
+            &s,
+            slot_events(&[], 100),
+            &mut observer,
+            &mut ReembedAll,
+        );
         assert!(stats.stopped_early);
         assert_eq!(stats.slots_run, 4);
     }
@@ -1642,8 +1579,8 @@ mod tests {
                 churn: Vec::new(),
             },
         ];
-        let mut recorder = crate::observe::Recorder::new();
-        let stats = run_stream(&mut alg, &s, events, &mut recorder);
+        let mut recorder = Recorder::new();
+        let stats = run_stream_with(&mut alg, &s, events, &mut recorder, &mut ReembedAll);
         assert_eq!(stats.arrivals, 2);
         assert_eq!(stats.peak_active, 1, "request 0 must depart in the gap");
         let result = recorder.finish("QUICKG", &stats);
@@ -1659,7 +1596,7 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let events = vec![SlotEvents::empty(5), SlotEvents::empty(5)];
-        let _ = run_stream(&mut alg, &s, events, &mut crate::observe::NullObserver);
+        let _ = run_stream_with(&mut alg, &s, events, &mut NullObserver, &mut ReembedAll);
     }
 
     #[test]
@@ -1670,7 +1607,7 @@ mod tests {
         let mut boxed: Box<dyn OnlineAlgorithm> =
             Box::new(Olive::quickg(s.clone(), apps, PlacementPolicy::default()));
         let trace = vec![req(0, 0, 3, 10.0)];
-        let result = run(boxed.as_mut(), &s, &trace, 5, no_inspection);
+        let result = record(boxed.as_mut(), &s, &trace, 5);
         assert_eq!(result.requests.len(), 1);
         assert_eq!(result.algorithm, "QUICKG");
     }
@@ -1680,7 +1617,7 @@ mod tests {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         let mut state = EngineState::fresh();
-        let mut obs = crate::observe::NullObserver;
+        let mut obs = NullObserver;
         // Slot 0: three demand-10 requests fill the 300 CU substrate.
         let ev = SlotEvents {
             slot: 0,

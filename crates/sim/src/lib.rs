@@ -7,18 +7,19 @@
 //!   against any [`vne_olive::algorithm::OnlineAlgorithm`], keeping
 //!   only `O(active requests)` of state and reporting per-request and
 //!   per-slot facts to a [`engine::SimObserver`];
-//! * [`observe`] has the ready-made observers: a full-result
-//!   [`observe::Recorder`], an `O(classes)` incremental
-//!   [`observe::WindowSummary`], a periodic [`observe::Checkpointer`]
-//!   (checkpoint/resume for long-horizon runs), closure inspection and
-//!   a tee;
+//! * [`observe`] has the ready-made observers: the `O(classes)`
+//!   incremental [`observe::WindowSummary`] (the one summary fold), a
+//!   full-log [`observe::Recorder`], a periodic
+//!   [`observe::Checkpointer`] (checkpoint/resume for long-horizon
+//!   runs), closure inspection and a tee;
 //! * [`persist`] writes checkpoint files crash-safely (temp file +
 //!   fsync + atomic rename) and refuses truncated blobs on read;
 //! * the [`registry`] constructs algorithms by name
 //!   (`Box<dyn OnlineAlgorithm>`): the paper's four are built in and
 //!   third-party algorithms register without touching this crate;
-//! * [`metrics`] computes rejection rates, costs (Eqs. 3–4) and the
-//!   rejection balance index (Eq. 20);
+//! * [`metrics`] defines the window [`metrics::Summary`] — rejection
+//!   rate, costs (Eqs. 3–4), rejection balance index (Eq. 20) — and its
+//!   cross-seed aggregation;
 //! * [`scenario`] wires the full history → plan → online pipeline with
 //!   all the evaluation's variations ([`scenario::ScenarioBuilder`] for
 //!   custom policies/algorithms);
@@ -57,7 +58,7 @@ pub use engine::{
     restore_engine, EngineCheckpoint, EngineState, RequestStatus, RunResult, SimControl,
     SimObserver, SlotStep, StreamStats,
 };
-pub use metrics::{aggregate, summarize, AggregatedSummary, Summary};
+pub use metrics::{aggregate, AggregatedSummary, Summary};
 pub use observe::{Checkpointer, NullObserver, Recorder, WindowSummary};
 pub use persist::{read_checkpoint_file, write_bytes_atomic, write_checkpoint_file, PersistError};
 pub use registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, BuiltAlgorithm};

@@ -5,28 +5,26 @@
 //! the 600-slot online phase. Preempted requests count as denied (they
 //! incur the rejection cost like rejected ones).
 //!
-//! The rejection cost is accumulated with a *pinned summation order* so
-//! the batch path here and the incremental
-//! [`crate::observe::WindowSummary`] are byte-identical even when
-//! preemptions occur: rejected-on-arrival costs fold in arrival order,
-//! preemption costs fold in `(eviction slot, request id)` order, each
-//! through a compensated [`NeumaierSum`], and the two partial sums are
-//! combined last.
+//! [`Summary`] is produced by the incremental
+//! [`crate::observe::WindowSummary`] fold. Its rejection cost is
+//! accumulated with a *pinned summation order*, independent of the order
+//! observers hear about preemptions within a slot: rejected-on-arrival
+//! costs fold in arrival order, preemption costs fold in `(eviction
+//! slot, request id)` order, each through a compensated
+//! [`NeumaierSum`], and the two partial sums are combined last.
 
 use std::collections::BTreeMap;
 
-use vne_model::cost::RejectionPenalty;
 use vne_model::ids::{AppId, NodeId};
-use vne_model::request::Slot;
 
-use crate::engine::{ChurnStats, RequestStatus, RunResult};
+use crate::engine::ChurnStats;
 
 /// Kahan–Neumaier compensated summation.
 ///
-/// Both summary paths accumulate the rejection cost through this (in
-/// the same pinned order), so streaming and batch summaries agree bit
-/// for bit; the compensation also keeps long-horizon cost sums accurate
-/// to the last ulp.
+/// The summary fold accumulates the rejection cost through this (in a
+/// pinned order), so a checkpointed-and-resumed fold agrees with the
+/// straight one bit for bit; the compensation also keeps long-horizon
+/// cost sums accurate to the last ulp.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NeumaierSum {
     sum: f64,
@@ -92,10 +90,8 @@ pub struct Summary {
     pub balance_index: f64,
     /// Online-loop wall-clock seconds (whole run, not only the window).
     pub online_secs: f64,
-    /// Substrate-churn tallies over window slots. Always default for
-    /// the batch [`summarize`] path: the [`crate::observe::Recorder`]
-    /// sees per-request outcomes, not churn events — churn scenarios
-    /// pair the engine with [`crate::observe::WindowSummary`].
+    /// Substrate-churn tallies over window slots (all zero on a static
+    /// substrate).
     pub churn: ChurnStats,
 }
 
@@ -135,98 +131,14 @@ impl Summary {
     }
 }
 
-/// Computes the window summary of a run.
-pub fn summarize(result: &RunResult, penalty: &RejectionPenalty, window: (Slot, Slot)) -> Summary {
-    let (from, to) = window;
-    let mut arrivals = 0usize;
-    let mut rejected = 0usize;
-    let mut preempted = 0usize;
-    let mut rejected_cost = NeumaierSum::new();
-    let mut preemptions: Vec<(Slot, vne_model::ids::RequestId, f64)> = Vec::new();
-    for r in &result.requests {
-        if r.arrival < from || r.arrival >= to {
-            continue;
-        }
-        arrivals += 1;
-        match r.status {
-            RequestStatus::Accepted => {}
-            RequestStatus::Rejected => {
-                rejected += 1;
-                rejected_cost.add(penalty.psi(r.class.app) * r.demand * f64::from(r.duration));
-            }
-            RequestStatus::Preempted(at) => {
-                preempted += 1;
-                preemptions.push((
-                    at,
-                    r.id,
-                    penalty.psi(r.class.app) * r.demand * f64::from(r.duration),
-                ));
-            }
-        }
-    }
-    // Pinned order: preemption costs fold by (eviction slot, id) — the
-    // order the incremental observer sees them in.
-    preemptions.sort_by_key(|&(slot, id, _)| (slot, id));
-    let mut preempted_cost = NeumaierSum::new();
-    for (_, _, cost) in preemptions {
-        preempted_cost.add(cost);
-    }
-    let rejection_cost = rejected_cost.value() + preempted_cost.value();
-    let resource_cost: f64 = result
-        .slots
-        .iter()
-        .enumerate()
-        .filter(|(t, _)| (*t as Slot) >= from && (*t as Slot) < to)
-        .map(|(_, s)| s.resource_cost)
-        .sum();
-    let denied = rejected + preempted;
-    Summary {
-        arrivals,
-        rejected,
-        preempted,
-        rejection_rate: if arrivals == 0 {
-            0.0
-        } else {
-            denied as f64 / arrivals as f64
-        },
-        resource_cost,
-        rejection_cost,
-        total_cost: resource_cost + rejection_cost,
-        balance_index: balance_index(result, window),
-        online_secs: result.online_secs,
-        churn: ChurnStats::default(),
-    }
-}
-
-/// The rejection balance index (Eq. 20): a weighted Jain fairness index
-/// of per-application rejections at each ingress node; 1 is perfectly
-/// balanced. Nodes without any rejection are excluded (Jain's index is
-/// undefined on an all-zero vector, and including them as "perfect"
-/// saturates the index at high acceptance); if no node rejects at all
-/// the index is 1.
-pub fn balance_index(result: &RunResult, window: (Slot, Slot)) -> f64 {
-    let (from, to) = window;
-    // n(v) and x_{v,a}.
-    let mut n_v: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut x_va: BTreeMap<(NodeId, AppId), f64> = BTreeMap::new();
-    let mut apps: std::collections::BTreeSet<AppId> = std::collections::BTreeSet::new();
-    for r in &result.requests {
-        if r.arrival < from || r.arrival >= to {
-            continue;
-        }
-        apps.insert(r.class.app);
-        *n_v.entry(r.class.ingress).or_insert(0.0) += 1.0;
-        if r.status.is_denied() {
-            *x_va.entry((r.class.ingress, r.class.app)).or_insert(0.0) += 1.0;
-        }
-    }
-    balance_from_counts(&n_v, &x_va, &apps)
-}
-
-/// The balance index computed from pre-aggregated counts: `n_v` window
-/// arrivals per node, `x_va` denials per `(node, app)`, `apps` the apps
-/// seen in the window. This is the shared core of [`balance_index`] and
-/// the incremental [`crate::observe::WindowSummary`] observer.
+/// The rejection balance index (Eq. 20) from pre-aggregated counts:
+/// `n_v` window arrivals per node, `x_va` denials per `(node, app)`,
+/// `apps` the apps seen in the window. It is a weighted Jain fairness
+/// index of per-application rejections at each ingress node; 1 is
+/// perfectly balanced. Nodes without any rejection are excluded (Jain's
+/// index is undefined on an all-zero vector, and including them as
+/// "perfect" saturates the index at high acceptance); if no node rejects
+/// at all the index is 1.
 pub fn balance_from_counts(
     n_v: &BTreeMap<NodeId, f64>,
     x_va: &BTreeMap<(NodeId, AppId), f64>,
@@ -302,9 +214,15 @@ pub fn aggregate(summaries: &[Summary]) -> AggregatedSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{RequestOutcome, SlotMetrics};
+    use crate::engine::{RequestOutcome, RequestStatus, SimObserver, SlotMetrics, StreamStats};
+    use crate::observe::WindowSummary;
     use vne_model::app::{shapes, AppSet, AppShape};
+    use vne_model::cost::RejectionPenalty;
     use vne_model::ids::{ClassId, RequestId};
+    use vne_model::policy::PlacementPolicy;
+    use vne_model::request::Slot;
+    use vne_model::substrate::{SubstrateNetwork, Tier};
+    use vne_olive::olive::Olive;
 
     fn outcome(
         id: u64,
@@ -323,7 +241,7 @@ mod tests {
         }
     }
 
-    fn penalty() -> RejectionPenalty {
+    fn apps() -> AppSet {
         let mut apps = AppSet::new();
         for name in ["a", "b"] {
             apps.push(
@@ -333,52 +251,74 @@ mod tests {
             )
             .unwrap();
         }
-        RejectionPenalty::uniform(&apps, 3.0)
+        apps
     }
 
-    fn result(requests: Vec<RequestOutcome>, slots: usize) -> RunResult {
-        RunResult {
-            algorithm: "test".into(),
-            requests,
-            slots: vec![
-                SlotMetrics {
-                    requested_demand: 0.0,
-                    allocated_demand: 0.0,
-                    resource_cost: 5.0,
+    /// Replays a finished outcome log through the [`WindowSummary`]
+    /// hooks the way the engine reports it — every request announced on
+    /// arrival (a later-preempted one as accepted), its preemption at
+    /// the eviction slot, a resource cost of 5 per slot — and finishes
+    /// the fold.
+    fn fold(requests: &[RequestOutcome], slots: Slot, window: (Slot, Slot)) -> Summary {
+        // `on_slot_end` wants an algorithm to show observers; any will do.
+        let mut s = SubstrateNetwork::new("t");
+        let e = s.add_node("e", Tier::Edge, 1.0, 1.0).unwrap();
+        let c = s.add_node("c", Tier::Core, 1.0, 1.0).unwrap();
+        s.add_link(e, c, 1.0, 1.0).unwrap();
+        let algorithm = Olive::quickg(s, apps(), PlacementPolicy::default());
+        let metrics = SlotMetrics {
+            requested_demand: 0.0,
+            allocated_demand: 0.0,
+            resource_cost: 5.0,
+        };
+        let mut window = WindowSummary::new(window, RejectionPenalty::uniform(&apps(), 3.0));
+        for t in 0..slots {
+            for r in requests.iter().filter(|r| r.arrival == t) {
+                let status = match r.status {
+                    RequestStatus::Preempted(_) => RequestStatus::Accepted,
+                    decided => decided,
                 };
-                slots
-            ],
-            online_secs: 0.1,
+                window.on_arrival(&RequestOutcome {
+                    status,
+                    ..r.clone()
+                });
+            }
+            for r in requests {
+                if r.status == RequestStatus::Preempted(t) {
+                    window.on_preemption(r);
+                }
+            }
+            window.on_slot_end(t, &metrics, &algorithm);
         }
+        window.finish(&StreamStats {
+            online_secs: 0.1,
+            ..StreamStats::default()
+        })
     }
 
     #[test]
     fn summary_counts_and_costs() {
-        let r = result(
-            vec![
-                outcome(0, 1, 0, 0, RequestStatus::Accepted),
-                outcome(1, 2, 0, 0, RequestStatus::Rejected),
-                outcome(2, 3, 0, 1, RequestStatus::Preempted(5)),
-                outcome(3, 99, 0, 0, RequestStatus::Rejected), // outside window
-            ],
-            10,
-        );
-        let s = summarize(&r, &penalty(), (0, 10));
+        let r = [
+            outcome(0, 1, 0, 0, RequestStatus::Accepted),
+            outcome(1, 2, 0, 0, RequestStatus::Rejected),
+            outcome(2, 3, 0, 1, RequestStatus::Preempted(5)),
+            outcome(3, 99, 0, 0, RequestStatus::Rejected), // outside window
+        ];
+        let s = fold(&r, 100, (0, 10));
         assert_eq!(s.arrivals, 3);
         assert_eq!(s.rejected, 1);
         assert_eq!(s.preempted, 1);
         assert!((s.rejection_rate - 2.0 / 3.0).abs() < 1e-12);
         // Rejection cost: 2 denied × ψ3 × d2 × T10 = 120.
         assert_eq!(s.rejection_cost, 120.0);
-        // Resource cost: 10 slots × 5.
+        // Resource cost: 10 window slots × 5.
         assert_eq!(s.resource_cost, 50.0);
         assert_eq!(s.total_cost, 170.0);
     }
 
     #[test]
     fn empty_window() {
-        let r = result(vec![], 5);
-        let s = summarize(&r, &penalty(), (0, 5));
+        let s = fold(&[], 5, (0, 5));
         assert_eq!(s.arrivals, 0);
         assert_eq!(s.rejection_rate, 0.0);
         assert_eq!(s.balance_index, 1.0);
@@ -387,55 +327,45 @@ mod tests {
     #[test]
     fn balance_index_perfect_when_rejections_even() {
         // Node 0: one rejection of each app → Jain = 1.
-        let r = result(
-            vec![
-                outcome(0, 1, 0, 0, RequestStatus::Rejected),
-                outcome(1, 1, 0, 1, RequestStatus::Rejected),
-            ],
-            5,
-        );
-        assert!((balance_index(&r, (0, 5)) - 1.0).abs() < 1e-12);
+        let r = [
+            outcome(0, 1, 0, 0, RequestStatus::Rejected),
+            outcome(1, 1, 0, 1, RequestStatus::Rejected),
+        ];
+        assert!((fold(&r, 5, (0, 5)).balance_index - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn balance_index_halves_when_one_sided() {
         // All rejections on one app of two → Jain = 1/2.
-        let r = result(
-            vec![
-                outcome(0, 1, 0, 0, RequestStatus::Rejected),
-                outcome(1, 1, 0, 0, RequestStatus::Rejected),
-                outcome(2, 1, 0, 1, RequestStatus::Accepted),
-            ],
-            5,
-        );
-        assert!((balance_index(&r, (0, 5)) - 0.5).abs() < 1e-12);
+        let r = [
+            outcome(0, 1, 0, 0, RequestStatus::Rejected),
+            outcome(1, 1, 0, 0, RequestStatus::Rejected),
+            outcome(2, 1, 0, 1, RequestStatus::Accepted),
+        ];
+        assert!((fold(&r, 5, (0, 5)).balance_index - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn balance_index_weights_by_node_arrivals() {
         // Node 0 (3 requests): one-sided rejections (Jain 0.5); node 1
-        // (1 request, no rejections): excluded. Node 2 (1 request):
+        // (1 request, no rejections): excluded. Node 2 (2 requests):
         // balanced rejections across both apps (Jain 1.0).
-        // Weighted over rejecting nodes: (3·0.5 + 1·1)/4 = 0.625.
-        let r = result(
-            vec![
-                outcome(0, 1, 0, 0, RequestStatus::Rejected),
-                outcome(1, 1, 0, 0, RequestStatus::Rejected),
-                outcome(2, 1, 0, 1, RequestStatus::Accepted),
-                outcome(3, 1, 1, 1, RequestStatus::Accepted),
-                outcome(4, 1, 2, 0, RequestStatus::Rejected),
-                outcome(5, 1, 2, 1, RequestStatus::Rejected),
-            ],
-            5,
-        );
+        let r = [
+            outcome(0, 1, 0, 0, RequestStatus::Rejected),
+            outcome(1, 1, 0, 0, RequestStatus::Rejected),
+            outcome(2, 1, 0, 1, RequestStatus::Accepted),
+            outcome(3, 1, 1, 1, RequestStatus::Accepted),
+            outcome(4, 1, 2, 0, RequestStatus::Rejected),
+            outcome(5, 1, 2, 1, RequestStatus::Rejected),
+        ];
         // n(0)=3 (Jain 0.5), n(2)=2 (Jain 1.0) → (3·0.5+2·1)/5 = 0.7.
-        assert!((balance_index(&r, (0, 5)) - 0.7).abs() < 1e-12);
+        assert!((fold(&r, 5, (0, 5)).balance_index - 0.7).abs() < 1e-12);
     }
 
     #[test]
     fn balance_index_is_one_without_rejections() {
-        let r = result(vec![outcome(0, 1, 0, 0, RequestStatus::Accepted)], 5);
-        assert_eq!(balance_index(&r, (0, 5)), 1.0);
+        let r = [outcome(0, 1, 0, 0, RequestStatus::Accepted)];
+        assert_eq!(fold(&r, 5, (0, 5)).balance_index, 1.0);
     }
 
     #[test]
@@ -452,30 +382,25 @@ mod tests {
     }
 
     #[test]
-    fn summarize_pins_preemption_order_by_slot_then_id() {
-        // Preemptions recorded in arrival order but evicted in a
-        // different slot order: summarize must fold them by
-        // (eviction slot, id) — the order the streaming observer sees.
+    fn summary_pins_preemption_order_by_slot_then_id() {
+        // Preemptions logged in arrival order but evicted in a
+        // different slot order: the cost folds by (eviction slot, id),
+        // whatever order the log lists them in.
         let mk = |id: u64, at: Slot| RequestOutcome {
             demand: 2.0 + id as f64,
             ..outcome(id, 1, 0, 0, RequestStatus::Preempted(at))
         };
         // Arrival order: 0 (evicted late), 1 (evicted early).
-        let r1 = result(vec![mk(0, 9), mk(1, 3)], 10);
+        let s1 = fold(&[mk(0, 9), mk(1, 3)], 10, (0, 10));
         // Same multiset, arrival order flipped.
-        let r2 = result(vec![mk(1, 3), mk(0, 9)], 10);
-        let p = penalty();
-        let s1 = summarize(&r1, &p, (0, 10));
-        let s2 = summarize(&r2, &p, (0, 10));
+        let s2 = fold(&[mk(1, 3), mk(0, 9)], 10, (0, 10));
         assert_eq!(s1.rejection_cost.to_bits(), s2.rejection_cost.to_bits());
         assert_eq!(s1.preempted, 2);
     }
 
     #[test]
     fn fingerprint_ignores_wall_clock_only() {
-        let r = result(vec![outcome(0, 1, 0, 0, RequestStatus::Rejected)], 5);
-        let p = penalty();
-        let a = summarize(&r, &p, (0, 5));
+        let a = fold(&[outcome(0, 1, 0, 0, RequestStatus::Rejected)], 5, (0, 5));
         let mut b = a;
         b.online_secs = a.online_secs + 123.0;
         assert_eq!(a.fingerprint(), b.fingerprint());
@@ -503,10 +428,10 @@ mod tests {
 
     #[test]
     fn aggregation_produces_cis() {
-        let r1 = result(vec![outcome(0, 1, 0, 0, RequestStatus::Rejected)], 5);
-        let r2 = result(vec![outcome(0, 1, 0, 0, RequestStatus::Accepted)], 5);
-        let p = penalty();
-        let summaries = vec![summarize(&r1, &p, (0, 5)), summarize(&r2, &p, (0, 5))];
+        let summaries = vec![
+            fold(&[outcome(0, 1, 0, 0, RequestStatus::Rejected)], 5, (0, 5)),
+            fold(&[outcome(0, 1, 0, 0, RequestStatus::Accepted)], 5, (0, 5)),
+        ];
         let agg = aggregate(&summaries);
         assert_eq!(agg.seeds, 2);
         assert!((agg.rejection_rate.0 - 0.5).abs() < 1e-12);

@@ -1,12 +1,12 @@
 //! Ready-made [`SimObserver`]s for the streaming engine.
 //!
 //! * [`NullObserver`] — ignores everything (pure throughput runs);
-//! * [`Recorder`] — collects the classic [`RunResult`] (per-request
-//!   outcome log + per-slot series), `O(trace)` memory by design;
-//! * [`WindowSummary`] — computes the measurement-window [`Summary`]
-//!   incrementally in `O(classes + nodes)` memory, the pairing for
-//!   long-horizon streams where a full outcome log would defeat the
-//!   engine's `O(active)` bound;
+//! * [`Recorder`] — collects a [`RunResult`] (per-request outcome log +
+//!   per-slot series), `O(trace)` memory by design;
+//! * [`WindowSummary`] — the one summary fold: computes the
+//!   measurement-window [`Summary`] incrementally in `O(classes +
+//!   nodes)` memory, so long-horizon streams keep the engine's
+//!   `O(active)` bound;
 //! * [`Inspect`] — adapts a per-slot closure (drill-down figures);
 //! * [`StopAfter`] — ends the run after a fixed slot budget (the
 //!   simplest user of [`SimControl::Stop`]);
@@ -66,12 +66,11 @@ impl Snapshot for NullObserver {
 /// [`WindowSummary`] when only the window summary is needed.
 ///
 /// The recorded [`RunResult::slots`] vector is indexed by position, so
-/// consumers like [`crate::metrics::summarize`] equate index and slot
-/// number: feed the recorder a *dense* stream (one event per slot from
-/// 0, as produced by [`crate::engine::slot_events`] and the scenario
-/// trace streams). With a sparse stream the per-slot series would be
-/// compacted and window filters would look at the wrong entries; use
-/// [`WindowSummary`] (which reads the real slot number) there instead.
+/// consumers equating index and slot number (the drill-down figures)
+/// must feed the recorder a *dense* stream (one event per slot from 0,
+/// as produced by [`vne_model::request::slot_events`] and the scenario
+/// trace streams). With a sparse stream the per-slot series is
+/// compacted; [`WindowSummary`] reads the real slot number instead.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     requests: Vec<RequestOutcome>,
@@ -151,12 +150,12 @@ impl Snapshot for Recorder {
 /// State is `O(request classes + nodes)` — counts, running costs and
 /// the per-`(node, app)` rejection tallies for the balance index — so
 /// a multi-seed sweep over arbitrarily long streams never materializes
-/// an outcome log. Every field matches [`crate::metrics::summarize`]
-/// bit for bit, *including* the rejection cost under preemption: both
-/// paths fold rejected-on-arrival costs in arrival order and preemption
-/// costs in `(eviction slot, request id)` order through a compensated
+/// an outcome log. The rejection cost is folded in a pinned order —
+/// rejected-on-arrival costs in arrival order, preemption costs in
+/// `(eviction slot, request id)` order, each through a compensated
 /// [`NeumaierSum`] (the per-slot preemption buffer below pins the
-/// within-slot order to request ids).
+/// within-slot order to request ids) — which an independent batch
+/// reference reproduces bit for bit (`tests/streaming_parity.rs`).
 #[derive(Debug, Clone)]
 pub struct WindowSummary {
     window: (Slot, Slot),
@@ -206,9 +205,9 @@ impl WindowSummary {
     }
 
     /// The preempted-cost sum with this slot's still-buffered costs
-    /// folded in request-id order (the pinned within-slot order shared
-    /// with the batch path). Non-destructive — [`WindowSummary::finish`]
-    /// uses it mid-slot; the per-slot flush sorts the buffer in place.
+    /// folded in request-id order (the pinned within-slot order).
+    /// Non-destructive — [`WindowSummary::finish`] uses it mid-slot; the
+    /// per-slot flush sorts the buffer in place.
     fn flushed_preempted_cost(&self) -> NeumaierSum {
         let mut pending = self.pending_preemptions.clone();
         pending.sort_by_key(|&(id, _)| id);
@@ -297,7 +296,7 @@ impl SimObserver for WindowSummary {
             self.pending_preemptions.clear();
         }
         if self.in_window(t) {
-            // audit:allow(D3, "pinned parity with the batch Summary fold; NeumaierSum would re-pin goldens")
+            // audit:allow(D3, "plain fold pinned by the golden fingerprints; NeumaierSum would re-pin them")
             self.resource_cost += metrics.resource_cost;
         }
         SimControl::Continue
@@ -753,8 +752,7 @@ mod tests {
     #[test]
     fn window_summary_pins_preemption_cost_order() {
         // Two preemptions in one slot, reported in reverse id order:
-        // the pinned (slot, id) fold must match the batch path, which
-        // sorts by id within the slot.
+        // the pinned (slot, id) fold sorts by id within the slot.
         let mut a = WindowSummary::new((0, 10), penalty());
         let mut b = WindowSummary::new((0, 10), penalty());
         let first = outcome(1, 2, RequestStatus::Preempted(5));
@@ -801,11 +799,12 @@ mod tests {
         let mut stop = StopAfter::new(7);
         let mut summary = WindowSummary::new((0, 100), RejectionPenalty::uniform(&apps, 1.0));
         let mut observer = Tee(&mut summary, &mut stop);
-        let stats = crate::engine::run_stream(
+        let stats = crate::engine::run_stream_with(
             &mut alg,
             &s,
-            crate::engine::slot_events(&[], 100),
+            vne_model::request::slot_events(&[], 100),
             &mut observer,
+            &mut crate::engine::ReembedAll,
         );
         assert!(stats.stopped_early, "the budget must stop the run");
         assert_eq!(stats.slots_run, 7);

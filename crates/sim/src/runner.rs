@@ -19,11 +19,10 @@
 //!   variants, repeated plan-based algorithms) derive the plan once;
 //!   the cached value is the identical `Plan`, so summaries stay
 //!   byte-identical to fresh derivations.
-//! * [`cell_map`] — the generalized worker pool behind [`seed_map`]:
-//!   *all* cells of a sweep feed one pool (instead of a fresh pool per
-//!   cell group), so workers stay busy across cell boundaries and plans
-//!   materialize in the shared context as the first cell needing them
-//!   runs.
+//! * [`cell_map`] — the one worker pool: *all* cells of a sweep feed
+//!   it (instead of a fresh pool per cell group), so workers stay busy
+//!   across cell boundaries and plans materialize in the shared context
+//!   as the first cell needing them runs.
 //!
 //! Workers collect into per-worker buffers (no shared result mutex); a
 //! panicking cell propagates its original panic payload after the
@@ -178,7 +177,7 @@ where
     FA: Fn(u64) -> AppSet + Sync,
     FC: Fn(u64) -> ScenarioConfig + Sync,
 {
-    let summaries = seed_map(seeds, |seed| {
+    let summaries = cell_map(seeds, |&seed| {
         let apps = ctx.apps(seed, &make_apps);
         let config = configure(seed);
         let scenario = Scenario::new(substrate.clone(), apps, config)
@@ -295,22 +294,6 @@ impl std::fmt::Debug for SweepContext {
             .field("plans_cached", &self.plans_cached())
             .finish()
     }
-}
-
-/// Maps `f` over `seeds` on a worker pool and returns the results **in
-/// seed order** — the seed-list form of [`cell_map`], kept for
-/// [`run_seeds_with`] and the checkpointing sweeps in `vne-bench`.
-///
-/// # Panics
-///
-/// Propagates the original panic of a panicking `f` after the surviving
-/// workers finish their cells.
-pub fn seed_map<R, F>(seeds: &[u64], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    cell_map(seeds, |&seed| f(seed))
 }
 
 /// Maps `f` over arbitrary sweep cells on a worker pool (one task per
@@ -434,13 +417,13 @@ mod tests {
     }
 
     #[test]
-    fn seed_map_propagates_the_real_panic_message() {
+    fn cell_map_propagates_the_real_panic_message() {
         // The regression: a panicking worker used to poison the shared
         // results mutex, so the surviving workers died on a secondary
         // "runner mutex poisoned" panic that masked the original one.
         // With per-worker buffers the original payload must surface.
         let result = std::panic::catch_unwind(|| {
-            seed_map(&[1u64, 2, 3, 4, 5], |seed| {
+            cell_map(&[1u64, 2, 3, 4, 5], |&seed| {
                 if seed == 3 {
                     panic!("seed 3 exploded with code 42");
                 }

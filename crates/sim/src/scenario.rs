@@ -20,7 +20,7 @@ use vne_model::app::AppSet;
 use vne_model::cost::RejectionPenalty;
 use vne_model::ids::RequestId;
 use vne_model::policy::PlacementPolicy;
-use vne_model::request::{Request, Slot, SlotEvents};
+use vne_model::request::{Slot, SlotEvents};
 use vne_model::state::StateError;
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::aggregate::{AggregateDemand, AggregationConfig};
@@ -40,7 +40,7 @@ use vne_workload::tracegen::{self, TraceConfig};
 use crate::engine::{
     run_stream_from_with, run_stream_with, EngineCheckpoint, ReembedKind, RunResult, SimObserver,
 };
-use crate::metrics::{summarize, Summary};
+use crate::metrics::Summary;
 use crate::observe::{
     Checkpointer, Inspect, NullObserver, Recorder, StopAfter, Tee, WindowSummary,
 };
@@ -218,7 +218,8 @@ impl ScenarioConfig {
 /// Everything produced by one scenario run.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// Window summary.
+    /// Window summary — the [`WindowSummary`] fold, equal to what
+    /// [`Scenario::run_summary`] returns for the same cell.
     pub summary: Summary,
     /// Full per-request / per-slot result.
     pub result: RunResult,
@@ -345,13 +346,6 @@ impl Scenario {
                 cc.population_seed = self.config.seed.wrapping_mul(0x517c_c1b7).wrapping_add(3);
                 PhaseTrace::Caida(cc)
             }
-        }
-    }
-
-    fn trace_at(&self, utilization: f64, slots: Slot, rng: &mut SeededRng) -> Vec<Request> {
-        match self.phase_trace(utilization, slots) {
-            PhaseTrace::Synthetic(tc) => tracegen::generate(&self.substrate, &self.apps, &tc, rng),
-            PhaseTrace::Caida(cc) => caida::generate(&self.substrate, &self.apps, &cc, rng),
         }
     }
 
@@ -489,44 +483,15 @@ impl Scenario {
         }
     }
 
-    /// Generates the *benign* online-phase trace eagerly (conformance
-    /// checks and offline analysis; the engine streams
-    /// [`Scenario::online_events`] instead). Adversary and churn
-    /// configuration affect only the streamed events, not this batch
-    /// view.
-    pub fn online_trace(&self) -> Vec<Request> {
-        let mut rng = self.rng(2);
-        self.trace_at(self.config.utilization, self.config.test_slots, &mut rng)
-    }
-
-    /// Generates the history (planning) trace, honoring the Fig. 13/14
-    /// distortions. The Fig. 14 ingress shift draws from its own
-    /// derived RNG stream (independent of the trace RNG), which is what
-    /// lets [`Scenario::history_events`] apply it lazily.
-    pub fn history_trace(&self) -> Vec<Request> {
-        let mut rng = self.rng(1);
-        let u = self
-            .config
-            .plan_utilization
-            .unwrap_or(self.config.utilization);
-        let mut history = self.trace_at(u, self.config.history_slots, &mut rng);
-        if self.config.shift_plan_ingress {
-            let mut shift_rng = self.rng(5);
-            history = tracegen::shift_ingress(&history, &self.substrate, &mut shift_rng);
-        }
-        history
-    }
-
     /// The history (planning) phase as a lazy slot-event stream — what
     /// [`Scenario::build_plan`] folds through the demand estimator.
     /// Yields exactly `config.history_slots` events with memory
-    /// `O(edge nodes)` / `O(sources)`, independent of the horizon, and
-    /// flattens to exactly [`Scenario::history_trace`].
-    ///
-    /// That includes the Fig. 14 `shift_plan_ingress` distortion: the
-    /// shift draws from a dedicated derived RNG stream in request
-    /// order, so the lazy [`tracegen::shift_stream`] wrapper reproduces
-    /// the batch shift bit for bit without collecting the history.
+    /// `O(edge nodes)` / `O(sources)`, independent of the horizon,
+    /// honoring the Fig. 13/14 distortions: the Fig. 14
+    /// `shift_plan_ingress` shift draws from a dedicated derived RNG
+    /// stream (independent of the trace RNG) in request order, so the
+    /// lazy [`tracegen::shift_stream`] wrapper applies it without
+    /// collecting the history.
     pub fn history_events(&self) -> Box<dyn Iterator<Item = SlotEvents> + Send + '_> {
         let u = self
             .config
@@ -657,80 +622,56 @@ impl Scenario {
         Some(h)
     }
 
-    /// Runs one algorithm through the online phase.
+    /// Runs one algorithm through the online phase and keeps the full
+    /// per-request / per-slot [`RunResult`] next to the window summary.
     ///
     /// # Panics
     ///
     /// Panics when the name does not resolve in this scenario's
-    /// registry; use [`Scenario::try_run`] to handle that gracefully.
+    /// registry; [`Scenario::run_summary`] is the fallible form.
     pub fn run(&self, algorithm: impl Into<AlgorithmSpec>) -> Outcome {
-        self.try_run(algorithm).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs one algorithm through the online phase, resolving the name
-    /// in this scenario's registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAlgorithm`] when the name is not registered.
-    pub fn try_run(
-        &self,
-        algorithm: impl Into<AlgorithmSpec>,
-    ) -> Result<Outcome, UnknownAlgorithm> {
-        self.try_run_observed(algorithm, &mut NullObserver)
+        self.run_observed(algorithm, &mut NullObserver)
     }
 
     /// Like [`Scenario::run`], with an extra [`SimObserver`] attached to
-    /// the engine (per-slot metrics, drill-down inspection, early stop).
+    /// the engine (per-slot metrics, drill-down inspection, early stop):
+    /// the online phase streams through a [`WindowSummary`], a
+    /// [`Recorder`] and the caller's observer side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Scenario::run`] on an unregistered name.
     pub fn run_observed<O: SimObserver + ?Sized>(
         &self,
         algorithm: impl Into<AlgorithmSpec>,
         observer: &mut O,
     ) -> Outcome {
-        self.try_run_observed(algorithm, observer)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The fallible core of [`Scenario::run_observed`]: resolve the
-    /// algorithm, stream the online phase through the engine with a
-    /// [`Recorder`] plus the caller's observer, summarize the window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownAlgorithm`] when the name is not registered.
-    pub fn try_run_observed<O: SimObserver + ?Sized>(
-        &self,
-        algorithm: impl Into<AlgorithmSpec>,
-        observer: &mut O,
-    ) -> Result<Outcome, UnknownAlgorithm> {
         let spec = algorithm.into();
-        let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
+        let mut built = self
+            .registry
+            .build(&spec, &BuildContext::new(self))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
         let mut recorder = Recorder::new();
-        let mut policy = self.config.reembed.policy();
-        let stats = {
-            let mut tee = Tee(&mut recorder, observer);
-            run_stream_with(
-                built.algorithm.as_mut(),
-                &self.substrate,
-                self.online_events(),
-                &mut tee,
-                policy.as_mut(),
-            )
-        };
-        let result = recorder.finish(built.algorithm.name(), &stats);
-        let summary = summarize(&result, &self.penalty(), self.config.measure_window);
-        Ok(Outcome {
-            summary,
-            result,
+        let stats = run_stream_with(
+            built.algorithm.as_mut(),
+            &self.substrate,
+            self.online_events(),
+            &mut Tee(Tee(&mut window, &mut recorder), observer),
+            self.config.reembed.policy().as_mut(),
+        );
+        Outcome {
+            summary: window.finish(&stats),
+            result: recorder.finish(built.algorithm.name(), &stats),
             plan: built.plan,
             plan_secs: built.plan_secs,
-        })
+        }
     }
 
-    /// Runs one algorithm and returns only the window [`Summary`],
-    /// computed incrementally by [`WindowSummary`] — `O(classes)`
-    /// memory instead of a full outcome log, the pairing for multi-seed
-    /// sweeps and long horizons.
+    /// Runs one algorithm and returns only the window [`Summary`] —
+    /// the same [`WindowSummary`] fold as [`Scenario::run`] without the
+    /// outcome log, so memory is `O(classes)`: the pairing for
+    /// multi-seed sweeps and long horizons.
     ///
     /// # Errors
     ///
@@ -1160,6 +1101,7 @@ impl ScenarioBuilder {
 mod tests {
     use super::*;
     use crate::registry::BuiltAlgorithm;
+    use vne_model::request::Request;
     use vne_topology::zoo::citta_studi;
     use vne_workload::appgen::{paper_mix, AppGenConfig};
 
@@ -1246,44 +1188,47 @@ mod tests {
             by_name.summary.rejection_rate
         );
         assert_eq!(by_enum.summary.total_cost, by_name.summary.total_cost);
-        assert!(sc.try_run("NOSUCH").is_err());
+        assert!(sc.run_summary("NOSUCH").is_err());
     }
 
     #[test]
-    fn run_summary_matches_full_run() {
-        let sc = scenario(1.2, 8);
-        let full = sc.run(Algorithm::Quickg).summary;
-        let streaming = sc.run_summary(Algorithm::Quickg).unwrap();
-        assert_eq!(full.arrivals, streaming.arrivals);
-        assert_eq!(full.rejected, streaming.rejected);
-        assert_eq!(full.preempted, streaming.preempted);
-        assert_eq!(full.rejection_rate, streaming.rejection_rate);
-        assert_eq!(full.resource_cost, streaming.resource_cost);
-        assert_eq!(full.rejection_cost, streaming.rejection_cost);
-        assert_eq!(full.balance_index, streaming.balance_index);
-    }
-
-    #[test]
-    fn run_summary_is_byte_identical_under_preemption() {
-        // OLIVE at 140% preempts (pinned by the streaming-parity
-        // suite); the incremental and batch summaries must still agree
-        // bit for bit — the rejection-cost fold order is pinned on both
-        // paths.
-        let sc = scenario(1.4, 11);
-        let full = sc.run(Algorithm::Olive).summary;
-        let streaming = sc.run_summary(Algorithm::Olive).unwrap();
-        assert!(full.preempted > 0, "seed must exercise preemption");
-        assert_eq!(full.arrivals, streaming.arrivals);
-        assert_eq!(full.preempted, streaming.preempted);
-        assert_eq!(
-            full.rejection_cost.to_bits(),
-            streaming.rejection_cost.to_bits()
-        );
-        assert_eq!(full.total_cost.to_bits(), streaming.total_cost.to_bits());
-        assert_eq!(
-            full.balance_index.to_bits(),
-            streaming.balance_index.to_bits()
-        );
+    fn run_and_run_summary_are_one_fold() {
+        // `Outcome::summary` and `run_summary` must agree on bit
+        // patterns (all but the wall-clock `online_secs`), churn tallies
+        // included — under churn and under preemption (OLIVE at 140%
+        // preempts, pinned by the streaming-parity suite).
+        let bits = |s: &Summary| {
+            (
+                (s.arrivals, s.rejected, s.preempted, s.churn),
+                [
+                    s.rejection_rate.to_bits(),
+                    s.resource_cost.to_bits(),
+                    s.rejection_cost.to_bits(),
+                    s.total_cost.to_bits(),
+                    s.balance_index.to_bits(),
+                ],
+            )
+        };
+        let preempting = scenario(1.4, 11);
+        let mut churned = scenario(1.4, 11);
+        churned.config.churn = Some(ChurnProfile::CapacityDrain {
+            period: 30,
+            len: 5,
+            factor: 0.2,
+        });
+        for alg in [Algorithm::Olive, Algorithm::Quickg] {
+            for sc in [&preempting, &churned] {
+                let full = sc.run(alg).summary;
+                let streaming = sc.run_summary(alg).unwrap();
+                assert_eq!(bits(&full), bits(&streaming), "{alg}");
+                assert_eq!(full.fingerprint(), streaming.fingerprint(), "{alg}");
+                if sc.config.churn.is_some() {
+                    assert!(full.churn.events > 0, "{alg}: no churn in the window");
+                } else if alg == Algorithm::Olive {
+                    assert!(full.preempted > 0, "seed must exercise preemption");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1353,24 +1298,16 @@ mod tests {
     }
 
     #[test]
-    fn history_events_match_history_trace() {
+    fn phase_streams_yield_one_event_per_slot() {
         for shift in [false, true] {
             let mut sc = scenario(1.0, 31);
             sc.config.shift_plan_ingress = shift;
-            let streamed: Vec<Request> = sc.history_events().flat_map(|ev| ev.arrivals).collect();
-            assert_eq!(streamed, sc.history_trace(), "shift={shift}");
             assert_eq!(
                 sc.history_events().count(),
                 sc.config.history_slots as usize
             );
         }
-    }
-
-    #[test]
-    fn online_events_match_online_trace() {
         let sc = scenario(1.0, 17);
-        let streamed: Vec<Request> = sc.online_events().flat_map(|ev| ev.arrivals).collect();
-        assert_eq!(streamed, sc.online_trace());
         assert_eq!(sc.online_events().count(), sc.config.test_slots as usize);
     }
 

@@ -1,17 +1,17 @@
 //! Parity for the public single-slot seam ([`EngineState::step`]):
 //! driving the engine slot by slot from outside — the way the
 //! `vne-serve` actor does — must be byte-identical to one
-//! [`run_stream`] over the same events, for every builtin algorithm.
+//! [`run_stream_with`] over the same events, for every builtin algorithm.
 //! Also pins the [`EngineState::view`] commit hook: a
 //! [`Checkpointer`] fed through the external driver captures the same
-//! checkpoint bytes as one riding inside `run_stream`.
+//! checkpoint bytes as one riding inside `run_stream_with`.
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::request::SlotEvents;
 use vne_model::state::Snapshot;
 use vne_model::state::StateBlob;
 use vne_model::substrate::{SubstrateNetwork, Tier};
-use vne_sim::engine::{run_stream, EngineState, ReembedAll, SimControl, SimObserver};
+use vne_sim::engine::{run_stream_with, EngineState, ReembedAll, SimControl, SimObserver};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_sim::registry::{AlgorithmSpec, BuildContext};
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
@@ -54,14 +54,15 @@ fn check_step_parity(scenario: &Scenario, alg: Algorithm) {
     let penalty = scenario.penalty();
     let window = scenario.config.measure_window;
 
-    // Reference: one run_stream over the whole stream.
+    // Reference: one run_stream_with over the whole stream.
     let mut reference_alg = scenario.registry().build(&spec, &ctx).unwrap().algorithm;
     let mut reference_summary = WindowSummary::new(window, penalty.clone());
-    let reference_stats = run_stream(
+    let reference_stats = run_stream_with(
         &mut *reference_alg,
         &scenario.substrate,
         events.clone(),
         &mut reference_summary,
+        &mut ReembedAll,
     );
 
     // Actor-style: N external step() calls over the same slots, with
@@ -118,7 +119,7 @@ fn external_steps_match_run_stream_for_all_algorithms() {
 }
 
 /// A Checkpointer driven through the external seam (step + view commit)
-/// captures the same checkpoint bytes as one riding inside run_stream.
+/// captures the same checkpoint bytes as one riding inside run_stream_with.
 #[test]
 fn external_commit_hook_feeds_checkpointer_identically() {
     let scenario = tiny_scenario(1.0, 5);
@@ -130,11 +131,12 @@ fn external_commit_hook_feeds_checkpointer_identically() {
 
     let mut reference_alg = scenario.registry().build(&spec, &ctx).unwrap().algorithm;
     let mut reference_ckpt = Checkpointer::every(10, WindowSummary::new(window, penalty.clone()));
-    run_stream(
+    run_stream_with(
         &mut *reference_alg,
         &scenario.substrate,
         events.clone(),
         &mut reference_ckpt,
+        &mut ReembedAll,
     );
 
     let mut actor_alg = scenario.registry().build(&spec, &ctx).unwrap().algorithm;

@@ -21,7 +21,9 @@ use vne_model::cost::RejectionPenalty;
 use vne_model::request::Slot;
 use vne_model::state::{Snapshot, StateError};
 use vne_model::substrate::{SubstrateNetwork, Tier};
-use vne_sim::engine::{run_stream, run_stream_from, EngineCheckpoint, EngineState, ReembedKind};
+use vne_sim::engine::{
+    run_stream_from_with, run_stream_with, EngineCheckpoint, EngineState, ReembedAll, ReembedKind,
+};
 use vne_sim::metrics::Summary;
 use vne_sim::observe::{Checkpointer, NullObserver, Recorder, StopAfter, Tee, WindowSummary};
 use vne_sim::registry::{AlgorithmRegistry, BuildContext, BuiltAlgorithm};
@@ -292,11 +294,12 @@ fn stop_after_on_checkpoint_slot_leaves_restorable_checkpoint() {
     let mut stop = StopAfter::new(10);
     let stats = {
         let mut observer = Tee(&mut checkpointer, &mut stop);
-        run_stream(
+        run_stream_with(
             built.algorithm.as_mut(),
             &scenario.substrate,
             scenario.online_events(),
             &mut observer,
+            &mut ReembedAll,
         )
     };
     assert!(stats.stopped_early, "the budget must stop the run");
@@ -491,11 +494,12 @@ fn simple_observer_snapshots_roundtrip() {
         .build(&Algorithm::Quickg.into(), &BuildContext::new(&scenario))
         .unwrap();
     let mut recorder = Recorder::new();
-    let stats = run_stream(
+    let stats = run_stream_with(
         built.algorithm.as_mut(),
         &scenario.substrate,
         scenario.online_events(),
         &mut recorder,
+        &mut ReembedAll,
     );
     let rec_blob = recorder.snapshot();
     let mut recorder2 = Recorder::new();
@@ -517,7 +521,7 @@ fn simple_observer_snapshots_roundtrip() {
 #[test]
 fn engine_resume_matches_midstream_state() {
     // Drive the engine manually, checkpoint mid-stream via the observer
-    // API, and resume through run_stream_from with a NullObserver — the
+    // API, and resume through run_stream_from_with with a NullObserver — the
     // low-level API without the Scenario conveniences.
     let scenario = tiny_scenario(1.0, 21);
     let registry = AlgorithmRegistry::builtins();
@@ -530,11 +534,12 @@ fn engine_resume_matches_midstream_state() {
     let mut straight_alg = mk();
     let mut straight_window =
         WindowSummary::new(scenario.config.measure_window, scenario.penalty());
-    let straight_stats = run_stream(
+    let straight_stats = run_stream_with(
         straight_alg.algorithm.as_mut(),
         &scenario.substrate,
         scenario.online_events(),
         &mut straight_window,
+        &mut ReembedAll,
     );
     let straight = straight_window.finish(&straight_stats);
 
@@ -544,23 +549,25 @@ fn engine_resume_matches_midstream_state() {
     let mut stop = StopAfter::new(6);
     {
         let mut observer = Tee(&mut checkpointer, &mut stop);
-        run_stream(
+        run_stream_with(
             prefix_alg.algorithm.as_mut(),
             &scenario.substrate,
             scenario.online_events(),
             &mut observer,
+            &mut ReembedAll,
         );
     }
     let checkpoint = checkpointer.into_latest().unwrap();
 
     let mut resume_alg = mk();
     let mut resume_window = WindowSummary::new(scenario.config.measure_window, scenario.penalty());
-    let stats = run_stream_from(
+    let stats = run_stream_from_with(
         &checkpoint,
         resume_alg.algorithm.as_mut(),
         &scenario.substrate,
         scenario.online_events(),
         &mut resume_window,
+        &mut ReembedAll,
     )
     .unwrap();
     assert_eq!(stats.slots_run, straight_stats.slots_run);
@@ -574,12 +581,13 @@ fn engine_resume_matches_midstream_state() {
         WindowSummary::new((0, 1), RejectionPenalty::uniform(&scenario.apps, 1.0));
     let mut wrong_alg = mk();
     assert!(matches!(
-        run_stream_from(
+        run_stream_from_with(
             &checkpoint,
             wrong_alg.algorithm.as_mut(),
             &scenario.substrate,
             scenario.online_events(),
             &mut wrong_window,
+            &mut ReembedAll,
         ),
         Err(StateError::Mismatch { .. })
     ));
@@ -596,11 +604,12 @@ fn run_summary_matches_an_explicit_engine_run() {
         .build(&Algorithm::Olive.into(), &BuildContext::new(&scenario))
         .unwrap();
     let mut window = WindowSummary::new(scenario.config.measure_window, scenario.penalty());
-    let stats = run_stream(
+    let stats = run_stream_with(
         built.algorithm.as_mut(),
         &scenario.substrate,
         scenario.online_events(),
         &mut window,
+        &mut ReembedAll,
     );
     assert_bitwise_equal("OLIVE", &window.finish(&stats), &summary);
 }

@@ -15,7 +15,7 @@ use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::policy::PlacementPolicy;
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::olive::Olive;
-use vne_sim::engine::run_stream;
+use vne_sim::engine::{run_stream_with, ReembedAll};
 use vne_sim::observe::WindowSummary;
 use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
@@ -73,7 +73,7 @@ fn peak_engine_state_is_independent_of_horizon() {
         (0, slots),
         vne_model::cost::RejectionPenalty::uniform(&apps, 1.0),
     );
-    let stats = run_stream(&mut alg, &s, events, &mut observer);
+    let stats = run_stream_with(&mut alg, &s, events, &mut observer, &mut ReembedAll);
     let summary = observer.finish(&stats);
 
     assert_eq!(stats.slots_run, slots);

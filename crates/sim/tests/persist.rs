@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::substrate::{SubstrateNetwork, Tier};
-use vne_sim::engine::run_stream;
+use vne_sim::engine::{run_stream_with, ReembedAll};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file, PersistError};
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
@@ -44,11 +44,12 @@ fn real_checkpoint() -> vne_sim::engine::EngineCheckpoint {
         4,
         WindowSummary::new(scenario.config.measure_window, scenario.penalty()),
     );
-    run_stream(
+    run_stream_with(
         &mut *alg,
         &scenario.substrate,
         scenario.online_events(),
         &mut ckpt,
+        &mut ReembedAll,
     );
     ckpt.into_latest().expect("checkpoint captured")
 }

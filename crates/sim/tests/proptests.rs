@@ -5,12 +5,13 @@ use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::cost::RejectionPenalty;
 use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::policy::PlacementPolicy;
-use vne_model::request::Request;
+use vne_model::request::{slot_events, Request, Slot};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::olive::Olive;
-use vne_sim::engine::{no_inspection, run, RequestStatus};
-use vne_sim::metrics::{balance_index, summarize};
+use vne_sim::engine::{run_stream_with, ReembedAll, RequestStatus, RunResult, SimObserver};
+use vne_sim::metrics::Summary;
+use vne_sim::observe::{Recorder, Tee, WindowSummary};
 
 fn world() -> (SubstrateNetwork, AppSet) {
     let mut s = SubstrateNetwork::new("w");
@@ -35,6 +36,38 @@ fn world() -> (SubstrateNetwork, AppSet) {
     )
     .unwrap();
     (s, apps)
+}
+
+/// Streams `trace` for `slots` slots through `observer`.
+fn stream(
+    alg: &mut Olive,
+    s: &SubstrateNetwork,
+    trace: &[Request],
+    slots: Slot,
+    observer: &mut impl SimObserver,
+) {
+    run_stream_with(alg, s, slot_events(trace, slots), observer, &mut ReembedAll);
+}
+
+/// The full outcome log of `trace` over `slots` slots.
+fn record(alg: &mut Olive, s: &SubstrateNetwork, trace: &[Request], slots: Slot) -> RunResult {
+    let mut recorder = Recorder::new();
+    stream(alg, s, trace, slots, &mut recorder);
+    recorder.finish(alg.name(), &Default::default())
+}
+
+/// The summaries of `trace` over the windows `(10, 30)` and `(0, 50)`.
+fn summaries(trace: &[Request]) -> (Summary, Summary) {
+    let (s, apps) = world();
+    let penalty = RejectionPenalty::uniform(&apps, 100.0);
+    let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
+    let mut small = WindowSummary::new((10, 30), penalty.clone());
+    let mut large = WindowSummary::new((0, 50), penalty);
+    stream(&mut alg, &s, trace, 50, &mut Tee(&mut small, &mut large));
+    (
+        small.finish(&Default::default()),
+        large.finish(&Default::default()),
+    )
 }
 
 fn arb_trace() -> impl Strategy<Value = Vec<Request>> {
@@ -69,7 +102,7 @@ proptest! {
     fn engine_conservation_laws(trace in arb_trace()) {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let result = run(&mut alg, &s, &trace, 50, no_inspection);
+        let result = record(&mut alg, &s, &trace, 50);
         prop_assert_eq!(result.requests.len(), trace.len());
         let mut ids: Vec<_> = result.requests.iter().map(|r| r.id).collect();
         ids.sort();
@@ -85,10 +118,7 @@ proptest! {
     /// The balance index is always within (0, 1].
     #[test]
     fn balance_index_bounds(trace in arb_trace()) {
-        let (s, apps) = world();
-        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let result = run(&mut alg, &s, &trace, 50, no_inspection);
-        let idx = balance_index(&result, (0, 50));
+        let idx = summaries(&trace).1.balance_index;
         prop_assert!(idx > 0.0 && idx <= 1.0 + 1e-12, "index {idx}");
     }
 
@@ -96,12 +126,7 @@ proptest! {
     /// and costs are non-negative and additive.
     #[test]
     fn summary_window_monotonicity(trace in arb_trace()) {
-        let (s, apps) = world();
-        let penalty = RejectionPenalty::uniform(&apps, 100.0);
-        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let result = run(&mut alg, &s, &trace, 50, no_inspection);
-        let small = summarize(&result, &penalty, (10, 30));
-        let large = summarize(&result, &penalty, (0, 50));
+        let (small, large) = summaries(&trace);
         prop_assert!(large.arrivals >= small.arrivals);
         prop_assert!(large.resource_cost >= small.resource_cost - 1e-9);
         prop_assert!(small.total_cost >= 0.0);
@@ -118,8 +143,7 @@ proptest! {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
         // Horizon beyond every departure (max arrival 40 + max duration 10).
-        let result = run(&mut alg, &s, &trace, 60, no_inspection);
-        let _ = result;
+        stream(&mut alg, &s, &trace, 60, &mut vne_sim::observe::NullObserver);
         for n in s.node_ids() {
             prop_assert!(alg.loads().node_load(n).abs() < 1e-6);
         }
@@ -134,7 +158,7 @@ proptest! {
     fn quickg_never_preempts(trace in arb_trace()) {
         let (s, apps) = world();
         let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
-        let result = run(&mut alg, &s, &trace, 50, no_inspection);
+        let result = record(&mut alg, &s, &trace, 50);
         for r in &result.requests {
             prop_assert!(!matches!(r.status, RequestStatus::Preempted(_)));
         }

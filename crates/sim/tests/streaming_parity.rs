@@ -3,21 +3,25 @@
 //!
 //! `batch_run` below is a faithful copy of the pre-streaming engine
 //! (pre-bucketed arrivals, precomputed requested series, in-place
-//! outcome updates) kept as the oracle. The property: for any seed and
+//! outcome updates) and `summarize` / `balance_index` are the batch
+//! summary it fed, kept as the oracle. The property: for any seed and
 //! utilization, each of the four paper algorithms produces the same
-//! per-request statuses and a byte-identical window [`Summary`]
-//! (modulo the wall-clock `online_secs` field) on both paths.
+//! per-request statuses, and the library's one summary fold
+//! ([`vne_sim::observe::WindowSummary`]) a byte-identical window
+//! [`Summary`] (modulo the wall-clock `online_secs` field), on both
+//! paths.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use proptest::prelude::*;
 use vne_model::app::{shapes, AppSet, AppShape};
-use vne_model::ids::RequestId;
+use vne_model::cost::RejectionPenalty;
+use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::request::{Request, Slot};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
-use vne_sim::engine::{RequestOutcome, RequestStatus, RunResult, SlotMetrics};
-use vne_sim::metrics::{summarize, Summary};
+use vne_sim::engine::{ChurnStats, RequestOutcome, RequestStatus, RunResult, SlotMetrics};
+use vne_sim::metrics::{balance_from_counts, NeumaierSum, Summary};
 use vne_sim::registry::{AlgorithmRegistry, BuildContext};
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
 
@@ -114,6 +118,96 @@ fn batch_run(
     }
 }
 
+/// The pre-streaming batch summary, verbatim: computes the window
+/// summary of a finished run from its outcome log (no churn tallies —
+/// the log has per-request outcomes, not churn events).
+fn summarize(result: &RunResult, penalty: &RejectionPenalty, window: (Slot, Slot)) -> Summary {
+    let (from, to) = window;
+    let mut arrivals = 0usize;
+    let mut rejected = 0usize;
+    let mut preempted = 0usize;
+    let mut rejected_cost = NeumaierSum::new();
+    let mut preemptions: Vec<(Slot, RequestId, f64)> = Vec::new();
+    for r in &result.requests {
+        if r.arrival < from || r.arrival >= to {
+            continue;
+        }
+        arrivals += 1;
+        match r.status {
+            RequestStatus::Accepted => {}
+            RequestStatus::Rejected => {
+                rejected += 1;
+                rejected_cost.add(penalty.psi(r.class.app) * r.demand * f64::from(r.duration));
+            }
+            RequestStatus::Preempted(at) => {
+                preempted += 1;
+                preemptions.push((
+                    at,
+                    r.id,
+                    penalty.psi(r.class.app) * r.demand * f64::from(r.duration),
+                ));
+            }
+        }
+    }
+    // Pinned order: preemption costs fold by (eviction slot, id) — the
+    // order the incremental observer sees them in.
+    preemptions.sort_by_key(|&(slot, id, _)| (slot, id));
+    let mut preempted_cost = NeumaierSum::new();
+    for (_, _, cost) in preemptions {
+        preempted_cost.add(cost);
+    }
+    let rejection_cost = rejected_cost.value() + preempted_cost.value();
+    let resource_cost: f64 = result
+        .slots
+        .iter()
+        .enumerate()
+        .filter(|(t, _)| (*t as Slot) >= from && (*t as Slot) < to)
+        .map(|(_, s)| s.resource_cost)
+        .sum();
+    let denied = rejected + preempted;
+    Summary {
+        arrivals,
+        rejected,
+        preempted,
+        rejection_rate: if arrivals == 0 {
+            0.0
+        } else {
+            denied as f64 / arrivals as f64
+        },
+        resource_cost,
+        rejection_cost,
+        total_cost: resource_cost + rejection_cost,
+        balance_index: balance_index(result, window),
+        online_secs: result.online_secs,
+        churn: ChurnStats::default(),
+    }
+}
+
+/// The rejection balance index (Eq. 20): a weighted Jain fairness index
+/// of per-application rejections at each ingress node; 1 is perfectly
+/// balanced. Nodes without any rejection are excluded (Jain's index is
+/// undefined on an all-zero vector, and including them as "perfect"
+/// saturates the index at high acceptance); if no node rejects at all
+/// the index is 1.
+fn balance_index(result: &RunResult, window: (Slot, Slot)) -> f64 {
+    let (from, to) = window;
+    // n(v) and x_{v,a}.
+    let mut n_v: BTreeMap<NodeId, f64> = BTreeMap::new();
+    let mut x_va: BTreeMap<(NodeId, AppId), f64> = BTreeMap::new();
+    let mut apps: BTreeSet<AppId> = BTreeSet::new();
+    for r in &result.requests {
+        if r.arrival < from || r.arrival >= to {
+            continue;
+        }
+        apps.insert(r.class.app);
+        *n_v.entry(r.class.ingress).or_insert(0.0) += 1.0;
+        if r.status.is_denied() {
+            *x_va.entry((r.class.ingress, r.class.app)).or_insert(0.0) += 1.0;
+        }
+    }
+    balance_from_counts(&n_v, &x_va, &apps)
+}
+
 /// A deliberately tiny 4-node world (like `tests/algorithms.rs`) so the
 /// exact baselines (FULLG's per-request ILPs, SLOTOFF's per-slot
 /// re-plans) stay fast in debug builds.
@@ -190,10 +284,14 @@ fn check_parity(utilization: f64, seed: u64) {
         let mut built = registry
             .build(&alg.into(), &BuildContext::new(&scenario))
             .unwrap();
+        let trace: Vec<Request> = scenario
+            .online_events()
+            .flat_map(|ev| ev.arrivals)
+            .collect();
         let batch = batch_run(
             built.algorithm.as_mut(),
             &scenario.substrate,
-            &scenario.online_trace(),
+            &trace,
             scenario.config.test_slots,
         );
         let batch_summary = summarize(&batch, &scenario.penalty(), scenario.config.measure_window);

@@ -65,8 +65,7 @@ impl Default for CaidaConfig {
 /// A lazy, slot-by-slot CAIDA-like trace: an `Iterator<Item = SlotEvents>`.
 ///
 /// Memory is `O(sources)` — the source population is fixed up front,
-/// arrivals are sampled per slot on demand. Construct with [`stream`];
-/// [`generate`] is the eager collecting wrapper.
+/// arrivals are sampled per slot on demand. Construct with [`stream`].
 pub struct CaidaStream<R: Rng> {
     slots: Slot,
     next_slot: Slot,
@@ -184,18 +183,6 @@ pub fn stream<R: Rng>(
     }
 }
 
-/// Generates the CAIDA-like trace eagerly by draining [`stream`].
-pub fn generate<R: Rng + ?Sized>(
-    substrate: &SubstrateNetwork,
-    apps: &AppSet,
-    config: &CaidaConfig,
-    rng: &mut R,
-) -> Vec<Request> {
-    stream(substrate, apps, config, rng)
-        .flat_map(|ev| ev.arrivals)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,12 +199,23 @@ mod tests {
         }
     }
 
+    fn requests<R: Rng>(
+        s: &SubstrateNetwork,
+        apps: &AppSet,
+        config: &CaidaConfig,
+        rng: R,
+    ) -> Vec<Request> {
+        stream(s, apps, config, rng)
+            .flat_map(|ev| ev.arrivals)
+            .collect()
+    }
+
     #[test]
     fn trace_has_expected_rate() {
         let s = citta_studi().unwrap();
         let mut rng = SeededRng::new(1);
         let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small(), &mut rng);
+        let trace = requests(&s, &apps, &small(), &mut rng);
         let mean = trace.len() as f64 / 300.0;
         assert!((mean - 50.0).abs() < 3.0, "rate {mean}");
     }
@@ -227,7 +225,7 @@ mod tests {
         let s = citta_studi().unwrap();
         let mut rng = SeededRng::new(2);
         let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small(), &mut rng);
+        let trace = requests(&s, &apps, &small(), &mut rng);
         let mut demands: Vec<f64> = trace.iter().map(|r| r.demand).collect();
         demands.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = demands[demands.len() / 2];
@@ -242,7 +240,7 @@ mod tests {
         let s = citta_studi().unwrap();
         let mut rng = SeededRng::new(3);
         let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small(), &mut rng);
+        let trace = requests(&s, &apps, &small(), &mut rng);
         let edge: std::collections::HashSet<_> = s.edge_nodes().into_iter().collect();
         assert!(trace.iter().all(|r| edge.contains(&r.ingress)));
     }
@@ -251,8 +249,8 @@ mod tests {
     fn generation_is_deterministic() {
         let s = citta_studi().unwrap();
         let apps = paper_mix(&AppGenConfig::default(), &mut SeededRng::new(4));
-        let a = generate(&s, &apps, &small(), &mut SeededRng::new(5));
-        let b = generate(&s, &apps, &small(), &mut SeededRng::new(5));
+        let a = requests(&s, &apps, &small(), &mut SeededRng::new(5));
+        let b = requests(&s, &apps, &small(), &mut SeededRng::new(5));
         assert_eq!(a, b);
     }
 
@@ -267,17 +265,5 @@ mod tests {
         let tail: Vec<_> = skipped.collect();
         assert_eq!(tail.len(), 200);
         assert_eq!(tail.as_slice(), &full[100..]);
-    }
-
-    #[test]
-    fn stream_matches_generate() {
-        let s = citta_studi().unwrap();
-        let apps = paper_mix(&AppGenConfig::default(), &mut SeededRng::new(4));
-        let config = small();
-        let eager = generate(&s, &apps, &config, &mut SeededRng::new(6));
-        let events: Vec<_> = stream(&s, &apps, &config, SeededRng::new(6)).collect();
-        assert_eq!(events.len(), config.slots as usize);
-        let streamed: Vec<Request> = events.into_iter().flat_map(|ev| ev.arrivals).collect();
-        assert_eq!(eager, streamed);
     }
 }

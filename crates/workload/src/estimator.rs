@@ -497,7 +497,7 @@ mod tests {
     use super::*;
     use crate::rng::SeededRng;
     use vne_model::ids::{AppId, NodeId, RequestId};
-    use vne_model::request::Request;
+    use vne_model::request::{slot_events, Request};
 
     fn req(id: u64, arrival: Slot, duration: Slot, node: u32, app: u32, demand: f64) -> Request {
         Request {
@@ -510,20 +510,6 @@ mod tests {
         }
     }
 
-    fn events_of(requests: &[Request], slots: Slot) -> Vec<SlotEvents> {
-        (0..slots)
-            .map(|t| SlotEvents {
-                slot: t,
-                arrivals: requests
-                    .iter()
-                    .filter(|r| r.arrival == t)
-                    .cloned()
-                    .collect(),
-                churn: Vec::new(),
-            })
-            .collect()
-    }
-
     #[test]
     fn exact_fold_matches_batch_series() {
         let requests = vec![
@@ -533,7 +519,7 @@ mod tests {
             req(3, 2, 100, 1, 1, 1.5), // clipped at the window edge
         ];
         let mut est = ExactEstimator::new(4, AggregationConfig::default());
-        est.observe_all(events_of(&requests, 4));
+        est.observe_all(slot_events(&requests, 4));
         assert_eq!(est.slots_observed(), 4);
         let batch = ClassDemandSeries::from_requests(&requests, 4);
         assert_eq!(est.series(), &batch);
@@ -551,7 +537,7 @@ mod tests {
         // slot ⇒ every percentile is exactly 6.
         let requests = vec![req(0, 0, 100, 1, 0, 6.0)];
         let mut est = SketchEstimator::new(80.0);
-        est.observe_all(events_of(&requests, 100));
+        est.observe_all(slot_events(&requests, 100));
         let demands = est.finalize(&mut SeededRng::new(1));
         let c = ClassId::new(AppId(0), NodeId(1));
         assert_eq!(demands[&c], 6.0);
@@ -564,7 +550,7 @@ mod tests {
         // the zero mass.
         let requests = vec![req(0, 0, 10, 1, 0, 4.0)];
         let mut est = SketchEstimator::new(80.0);
-        est.observe_all(events_of(&requests, 100));
+        est.observe_all(slot_events(&requests, 100));
         let demands = est.finalize(&mut SeededRng::new(1));
         let c = ClassId::new(AppId(0), NodeId(1));
         assert_eq!(demands[&c], 0.0);
@@ -576,7 +562,7 @@ mod tests {
         // is 10.
         let requests: Vec<Request> = (0..90).map(|i| req(i, i as Slot, 1, 1, 0, 10.0)).collect();
         let mut est = SketchEstimator::new(80.0);
-        est.observe_all(events_of(&requests, 100));
+        est.observe_all(slot_events(&requests, 100));
         let demands = est.finalize(&mut SeededRng::new(1));
         let c = ClassId::new(AppId(0), NodeId(1));
         assert!((demands[&c] - 10.0).abs() < 1e-9, "got {}", demands[&c]);
@@ -589,7 +575,7 @@ mod tests {
         // arrival sizes.
         let requests = vec![req(0, 0, 60, 1, 0, 2.0), req(1, 20, 60, 1, 0, 5.0)];
         let mut est = SketchEstimator::new(80.0);
-        est.observe_all(events_of(&requests, 80));
+        est.observe_all(slot_events(&requests, 80));
         let demands = est.finalize(&mut SeededRng::new(1));
         let c = ClassId::new(AppId(0), NodeId(1));
         // Series: 20 slots at 2, 40 slots at 7, 20 slots at 5.
@@ -603,7 +589,7 @@ mod tests {
         // zeros afterwards (no float residue keeps feeding the sketch).
         let requests = vec![req(0, 0, 5, 1, 0, 0.1), req(1, 2, 3, 1, 0, 0.2)];
         let mut est = SketchEstimator::new(80.0);
-        est.observe_all(events_of(&requests, 50));
+        est.observe_all(slot_events(&requests, 50));
         let c = ClassId::new(AppId(0), NodeId(1));
         // 5 active slots out of 50 ⇒ P80 in the zero mass.
         let demands = est.finalize(&mut SeededRng::new(1));
@@ -619,12 +605,9 @@ mod tests {
         // and still sample the surviving active demand.
         let requests = vec![req(0, 0, 10, 1, 0, 4.0), req(1, 30, 20, 1, 0, 9.0)];
         let mut dense = SketchEstimator::new(80.0);
-        dense.observe_all(events_of(&requests, 60));
+        dense.observe_all(slot_events(&requests, 60));
         let mut sparse = SketchEstimator::new(80.0);
-        for ev in events_of(&requests, 60)
-            .into_iter()
-            .filter(|ev| !ev.arrivals.is_empty() || ev.slot == 59)
-        {
+        for ev in slot_events(&requests, 60).filter(|ev| !ev.arrivals.is_empty() || ev.slot == 59) {
             sparse.observe_slot(&ev);
         }
         assert_eq!(dense.slots_observed(), 60);
@@ -640,8 +623,8 @@ mod tests {
     fn empty_history_finalizes_empty() {
         let mut exact = ExactEstimator::new(10, AggregationConfig::default());
         let mut sketch = SketchEstimator::new(80.0);
-        exact.observe_all(events_of(&[], 10));
-        sketch.observe_all(events_of(&[], 10));
+        exact.observe_all(slot_events(&[], 10));
+        sketch.observe_all(slot_events(&[], 10));
         assert!(exact.finalize(&mut SeededRng::new(1)).is_empty());
         assert!(sketch.finalize(&mut SeededRng::new(1)).is_empty());
     }
@@ -657,7 +640,7 @@ mod tests {
             req(2, 12, 40, 2, 1, 1.25),
             req(3, 33, 5, 1, 0, 7.0),
         ];
-        let events = events_of(&requests, 60);
+        let events: Vec<SlotEvents> = slot_events(&requests, 60).collect();
         let make = |kind: &EstimatorKind| kind.build(60, &AggregationConfig::default());
         for kind in [EstimatorKind::Exact, EstimatorKind::Sketch] {
             let mut original = make(&kind);

@@ -33,9 +33,10 @@
 //! let mut rng = SeededRng::new(7);
 //! let apps = paper_mix(&AppGenConfig::default(), &mut rng);
 //! let config = TraceConfig { slots: 100, ..TraceConfig::default() };
-//! let trace = generate(&substrate, &apps, &config, &mut rng);
-//! let history = ClassDemandSeries::from_requests(&trace, 100);
-//! let demands = history.expected_demands(80.0, 50, &mut rng);
+//! let history = vne_workload::tracegen::stream(&substrate, &apps, &config, &mut rng);
+//! let mut estimator = ExactEstimator::new(100, AggregationConfig::default());
+//! estimator.observe_all(history);
+//! let demands = estimator.finalize(&mut rng);
 //! assert!(!demands.is_empty());
 //! # Ok(())
 //! # }
@@ -66,5 +67,5 @@ pub mod prelude {
     pub use crate::rng::SeededRng;
     pub use crate::sketch::P2Quantile;
     pub use crate::stats::{bootstrap_percentile, mean_and_ci, Ecdf};
-    pub use crate::tracegen::{generate, shift_ingress, split_trace, ArrivalKind, TraceConfig};
+    pub use crate::tracegen::{ArrivalKind, TraceConfig};
 }

@@ -127,9 +127,7 @@ impl NodeProcess {
 /// Holds only the per-node arrival processes and the sampling
 /// distributions — memory is `O(edge nodes)`, independent of the number
 /// of slots or requests, which is what lets the streaming engine replay
-/// arbitrarily long horizons. Construct with [`stream`]; [`generate`]
-/// is the eager collecting wrapper (the two produce identical requests
-/// for the same RNG by construction).
+/// arbitrarily long horizons. Construct with [`stream`].
 pub struct TraceStream<R: Rng> {
     slots: Slot,
     next_slot: Slot,
@@ -249,49 +247,12 @@ pub fn stream<R: Rng>(
     }
 }
 
-/// Generates a request trace eagerly by draining [`stream`]. Kept for
-/// offline analysis (conformance checks, history aggregation) — the
-/// simulation engine consumes the stream directly.
-pub fn generate<R: Rng + ?Sized>(
-    substrate: &SubstrateNetwork,
-    apps: &AppSet,
-    config: &TraceConfig,
-    rng: &mut R,
-) -> Vec<Request> {
-    stream(substrate, apps, config, rng)
-        .flat_map(|ev| ev.arrivals)
-        .collect()
-}
-
-/// Remaps every request's ingress to a uniformly random edge node
-/// (the Fig. 14 "spatial distribution change": the *plan* is built from
-/// shifted history while the online demand keeps the original locations).
-pub fn shift_ingress<R: Rng + ?Sized>(
-    requests: &[Request],
-    substrate: &SubstrateNetwork,
-    rng: &mut R,
-) -> Vec<Request> {
-    let edge_nodes = substrate.edge_nodes();
-    requests
-        .iter()
-        .map(|r| {
-            let mut shifted = r.clone();
-            shifted.ingress = edge_nodes[rng.gen_range(0..edge_nodes.len())];
-            shifted
-        })
-        .collect()
-}
-
 /// A lazy ingress-shifting adapter over a slot-event stream: every
 /// arrival's ingress is remapped to a uniformly random edge node, drawn
-/// in request order from a *dedicated* shift RNG.
-///
-/// This is the streaming form of [`shift_ingress`]: because requests
-/// flow through in arrival order, wrapping a stream with `shift_stream`
-/// produces bit-identical requests to collecting the stream and calling
-/// [`shift_ingress`] on it with the same RNG — which is what lets the
-/// Fig. 14 planning path stay `O(edge nodes)` instead of collecting the
-/// whole history.
+/// in request order from a *dedicated* shift RNG (the Fig. 14 "spatial
+/// distribution change": the *plan* is built from shifted history while
+/// the online demand keeps the original locations), so the planning
+/// path stays `O(edge nodes)` instead of collecting the whole history.
 pub struct ShiftedStream<I, R: Rng> {
     inner: I,
     edge_nodes: Vec<NodeId>,
@@ -336,23 +297,6 @@ where
     }
 }
 
-/// Splits a trace into history (`arrival < split`) and online
-/// (`arrival ≥ split`, shifted so the online part starts at slot 0).
-pub fn split_trace(requests: &[Request], split: Slot) -> (Vec<Request>, Vec<Request>) {
-    let mut history = Vec::new();
-    let mut online = Vec::new();
-    for r in requests {
-        if r.arrival < split {
-            history.push(r.clone());
-        } else {
-            let mut shifted = r.clone();
-            shifted.arrival -= split;
-            online.push(shifted);
-        }
-    }
-    (history, online)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,12 +311,23 @@ mod tests {
         }
     }
 
+    fn requests<R: Rng>(
+        s: &SubstrateNetwork,
+        apps: &AppSet,
+        config: &TraceConfig,
+        rng: R,
+    ) -> Vec<Request> {
+        stream(s, apps, config, rng)
+            .flat_map(|ev| ev.arrivals)
+            .collect()
+    }
+
     #[test]
     fn trace_respects_structure() {
         let s = citta_studi().unwrap();
         let mut rng = SeededRng::new(1);
         let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small_config(), &mut rng);
+        let trace = requests(&s, &apps, &small_config(), &mut rng);
         assert!(!trace.is_empty());
         let edge: std::collections::HashSet<_> = s.edge_nodes().into_iter().collect();
         for r in &trace {
@@ -397,7 +352,7 @@ mod tests {
             arrivals: ArrivalKind::Poisson,
             ..TraceConfig::default()
         };
-        let trace = generate(&s, &apps, &config, &mut rng);
+        let trace = requests(&s, &apps, &config, &mut rng);
         let expected = 10.0 * s.edge_nodes().len() as f64 * 500.0;
         let actual = trace.len() as f64;
         assert!(
@@ -411,7 +366,7 @@ mod tests {
         let s = citta_studi().unwrap();
         let mut rng = SeededRng::new(3);
         let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small_config(), &mut rng);
+        let trace = requests(&s, &apps, &small_config(), &mut rng);
         let mut counts = std::collections::BTreeMap::new();
         for r in &trace {
             *counts.entry(r.ingress).or_insert(0usize) += 1;
@@ -440,68 +395,57 @@ mod tests {
         let cfg = TraceConfig::default().at_utilization(1.4, &s, &apps);
         assert!((cfg.demand_mean - 14.0).abs() < 1e-9);
         assert!((cfg.demand_std - 2.8).abs() < 1e-9);
-        let _ = generate(&s, &apps, &small_config(), &mut rng);
+        let _ = requests(&s, &apps, &small_config(), &mut rng);
     }
 
     #[test]
-    fn shift_ingress_keeps_everything_else() {
+    fn shift_stream_keeps_everything_else() {
         let s = citta_studi().unwrap();
-        let mut rng = SeededRng::new(5);
-        let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small_config(), &mut rng);
-        let shifted = shift_ingress(&trace, &s, &mut rng);
-        assert_eq!(trace.len(), shifted.len());
+        let apps = paper_mix(&AppGenConfig::default(), &mut SeededRng::new(5));
+        let config = small_config();
+        let plain: Vec<_> = stream(&s, &apps, &config, SeededRng::new(9)).collect();
+        let shifted = || -> Vec<_> {
+            shift_stream(
+                stream(&s, &apps, &config, SeededRng::new(9)),
+                &s,
+                SeededRng::new(77),
+            )
+            .collect()
+        };
+        let events = shifted();
+        // Slot structure is preserved; only the ingress changes, and it
+        // lands on an edge node.
+        assert_eq!(events.len(), config.slots as usize);
         let edge: std::collections::HashSet<_> = s.edge_nodes().into_iter().collect();
-        let mut moved = 0;
-        for (a, b) in trace.iter().zip(&shifted) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.demand, b.demand);
-            assert_eq!(a.arrival, b.arrival);
-            assert!(edge.contains(&b.ingress));
-            if a.ingress != b.ingress {
-                moved += 1;
+        let (mut total, mut moved) = (0, 0);
+        for (before, after) in plain.iter().zip(&events) {
+            assert_eq!(before.slot, after.slot);
+            assert_eq!(before.arrivals.len(), after.arrivals.len());
+            for (a, b) in before.arrivals.iter().zip(&after.arrivals) {
+                assert_eq!(
+                    Request {
+                        ingress: a.ingress,
+                        ..b.clone()
+                    },
+                    *a
+                );
+                assert!(edge.contains(&b.ingress));
+                total += 1;
+                if a.ingress != b.ingress {
+                    moved += 1;
+                }
             }
         }
-        assert!(moved > trace.len() / 2);
+        assert!(moved > total / 2);
+        // Same shift seed ⇒ same output.
+        assert_eq!(events, shifted());
     }
 
     #[test]
-    fn shift_stream_matches_batch_shift_with_the_same_rng() {
-        // The lazy Fig. 14 path: wrapping the stream must reproduce the
-        // collect-then-shift result bit for bit when both use the same
-        // dedicated shift RNG.
+    fn stream_is_slot_complete() {
         let s = citta_studi().unwrap();
         let apps = paper_mix(&AppGenConfig::default(), &mut SeededRng::new(8));
         let config = small_config();
-        let trace = generate(&s, &apps, &config, &mut SeededRng::new(9));
-        let batch = shift_ingress(&trace, &s, &mut SeededRng::new(77));
-        let streamed: Vec<Request> = shift_stream(
-            stream(&s, &apps, &config, SeededRng::new(9)),
-            &s,
-            SeededRng::new(77),
-        )
-        .flat_map(|ev| ev.arrivals)
-        .collect();
-        assert_eq!(streamed, batch);
-        // Slot structure is preserved.
-        let events: Vec<_> = shift_stream(
-            stream(&s, &apps, &config, SeededRng::new(9)),
-            &s,
-            SeededRng::new(77),
-        )
-        .collect();
-        assert_eq!(events.len(), config.slots as usize);
-        for (t, ev) in events.iter().enumerate() {
-            assert_eq!(ev.slot, t as Slot);
-        }
-    }
-
-    #[test]
-    fn stream_matches_generate_and_is_slot_complete() {
-        let s = citta_studi().unwrap();
-        let apps = paper_mix(&AppGenConfig::default(), &mut SeededRng::new(8));
-        let config = small_config();
-        let eager = generate(&s, &apps, &config, &mut SeededRng::new(9));
         let events: Vec<_> = stream(&s, &apps, &config, SeededRng::new(9)).collect();
         // One SlotEvents per slot, in order, including quiet slots.
         assert_eq!(events.len(), config.slots as usize);
@@ -509,8 +453,6 @@ mod tests {
             assert_eq!(ev.slot, t as Slot);
             assert!(ev.arrivals.iter().all(|r| r.arrival == ev.slot));
         }
-        let streamed: Vec<Request> = events.into_iter().flat_map(|ev| ev.arrivals).collect();
-        assert_eq!(eager, streamed);
     }
 
     #[test]
@@ -538,18 +480,5 @@ mod tests {
         assert_eq!(st.len(), 200);
         st.next();
         assert_eq!(st.len(), 199);
-    }
-
-    #[test]
-    fn split_trace_partitions() {
-        let s = citta_studi().unwrap();
-        let mut rng = SeededRng::new(6);
-        let apps = paper_mix(&AppGenConfig::default(), &mut rng);
-        let trace = generate(&s, &apps, &small_config(), &mut rng);
-        let (hist, online) = split_trace(&trace, 150);
-        assert_eq!(hist.len() + online.len(), trace.len());
-        assert!(hist.iter().all(|r| r.arrival < 150));
-        // Online arrivals re-based at zero.
-        assert!(online.iter().all(|r| r.arrival < 50));
     }
 }

@@ -23,10 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.measure_window = (20, 100);
     let scenario = Scenario::new(substrate.clone(), apps, config);
 
-    // Find the busiest edge node from the online trace.
-    let online = scenario.online_trace();
+    // Find the busiest edge node from the online stream.
     let mut per_node = std::collections::HashMap::new();
-    for r in &online {
+    for r in scenario.online_events().flat_map(|ev| ev.arrivals) {
         *per_node.entry(r.ingress).or_insert(0usize) += 1;
     }
     let (&hot, &count) = per_node.iter().max_by_key(|(_, &c)| c).expect("non-empty");

@@ -10,9 +10,11 @@
 
 use vne::prelude::*;
 use vne_model::ids::RequestId;
-use vne_model::request::Request;
+use vne_model::request::{slot_events, Request};
 use vne_olive::timeplan::{TimeVaryingPlan, TimedOlive};
+use vne_sim::engine::{run_stream_with, ReembedAll};
 use vne_workload::dist::{Exponential, Normal, Poisson};
+use vne_workload::estimator::ExactEstimator;
 
 use rand::Rng;
 
@@ -84,16 +86,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Static plan: one aggregate over the whole history.
     let mut agg_rng = SeededRng::new(18);
-    let aggregate =
-        AggregateDemand::from_history(&history, HISTORY_SLOTS, &aggregation, &mut agg_rng);
+    let aggregate = AggregateDemand::from_stream(
+        slot_events(&history, HISTORY_SLOTS),
+        &mut ExactEstimator::new(HISTORY_SLOTS, aggregation),
+        &mut agg_rng,
+    );
     let (static_plan, _) = solve_plan(&substrate, &apps, &policy, &aggregate, &plan_config);
 
     // Time-varying plan: one PLAN-VNE solution per phase.
-    let schedule = TimeVaryingPlan::from_history(
+    let schedule = TimeVaryingPlan::from_stream(
         &substrate,
         &apps,
         &policy,
-        &history,
+        slot_events(&history, HISTORY_SLOTS),
         HISTORY_SLOTS,
         PERIOD,
         2,
@@ -117,22 +122,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         OliveConfig::default(),
     );
 
-    let static_result = vne::sim::engine::run(
-        &mut static_olive,
-        &substrate,
-        &online,
-        TEST_SLOTS,
-        |_, _| {},
-    );
-    let timed_result =
-        vne::sim::engine::run(&mut timed_olive, &substrate, &online, TEST_SLOTS, |_, _| {});
-
     println!("\n{:<10} {:>10} {:>14}", "plan", "rejection", "total cost");
-    for result in [&static_result, &timed_result] {
-        let summary = vne::sim::metrics::summarize(result, &penalty, (20, TEST_SLOTS - 20));
+    let algorithms: [&mut dyn OnlineAlgorithm; 2] = [&mut static_olive, &mut timed_olive];
+    for algorithm in algorithms {
+        let mut window = WindowSummary::new((20, TEST_SLOTS - 20), penalty.clone());
+        let stats = run_stream_with(
+            algorithm,
+            &substrate,
+            slot_events(&online, TEST_SLOTS),
+            &mut window,
+            &mut ReembedAll,
+        );
+        let summary = window.finish(&stats);
         println!(
             "{:<10} {:>9.2}% {:>14.3e}",
-            result.algorithm,
+            algorithm.name(),
             summary.rejection_rate * 100.0,
             summary.total_cost
         );

@@ -11,7 +11,7 @@
 
 use vne::prelude::*;
 use vne_olive::planvne::solve_arc_lp;
-use vne_workload::history::ClassDemandSeries;
+use vne_workload::estimator::{DemandEstimator, ExactEstimator};
 use vne_workload::tracegen;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,15 +22,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // History at 140% utilization → aggregated expected demand (P̂80).
     let mut tc = TraceConfig::default().at_utilization(1.4, &substrate, &apps);
     tc.slots = 600;
-    let history = tracegen::generate(&substrate, &apps, &tc, &mut rng);
-    let series = ClassDemandSeries::from_requests(&history, 600);
-    println!(
-        "history: {} requests, {} classes",
-        history.len(),
-        series.class_count()
+    let mut requests = 0;
+    let mut estimator = ExactEstimator::new(600, AggregationConfig::default());
+    estimator.observe_all(
+        tracegen::stream(&substrate, &apps, &tc, &mut rng)
+            .inspect(|ev| requests += ev.arrivals.len()),
     );
-    let aggregate =
-        AggregateDemand::from_history(&history, 600, &AggregationConfig::default(), &mut rng);
+    println!(
+        "history: {requests} requests, {} classes",
+        estimator.series().class_count()
+    );
+    let aggregate = AggregateDemand::from_demands(&estimator.finalize(&mut rng));
 
     // PLAN-VNE via column generation.
     let penalty = RejectionPenalty::conservative(&apps, &substrate);

@@ -113,11 +113,20 @@ fn loads_never_exceed_capacity_throughout_a_run() {
         plan,
         OliveConfig::default(),
     );
-    let trace = scenario.online_trace();
-    let result = vne::sim::engine::run(&mut olive, &substrate, &trace, 80, |_, alg| {
-        assert!(alg.loads().check_invariants());
-    });
-    assert!(!result.requests.is_empty());
+    let mut check = vne::sim::observe::Inspect(
+        |_, _: &vne::sim::engine::SlotMetrics, alg: &dyn OnlineAlgorithm| {
+            assert!(alg.loads().check_invariants());
+        },
+    );
+    let stats = vne::sim::engine::run_stream_with(
+        &mut olive,
+        &substrate,
+        scenario.online_events(),
+        &mut check,
+        &mut vne::sim::engine::ReembedAll,
+    );
+    assert_eq!(stats.slots_run, 80);
+    assert!(stats.arrivals > 0);
 }
 
 #[test]
