@@ -5,26 +5,22 @@
 //! The full OLIVE row and the "no plan" row bracket the design space:
 //! "no plan" with the greedy fallback only *is* QUICKG.
 //!
-//! All five OLIVE variants share one [`SweepContext`]: the ablation
-//! switches do not change the plan inputs, so the offline plan for each
-//! (utilization, seed) cell is derived **once** and reused across the
+//! The whole study is one sweep call: the ablation switches do not
+//! change the plan inputs, so the offline plan for each (utilization,
+//! seed) cell is derived **once** and reused across the five OLIVE
 //! variants — the sweep costs one planning pass instead of five.
-
-use std::sync::Arc;
+//! Supports `--checkpoint-every N` / `--resume` like fig06.
 
 use vne_olive::olive::OliveConfig;
-use vne_sim::metrics::aggregate;
-use vne_sim::registry::AlgorithmRegistry;
-use vne_sim::runner::{default_apps, run_seeds_with, SweepContext};
+use vne_sim::runner::default_apps;
 use vne_sim::scenario::Algorithm;
 
+use vne_bench::experiments::sweep_groups;
 use vne_bench::BenchOpts;
 
 fn main() {
     let opts = BenchOpts::parse();
     let substrate = vne_topology::zoo::iris().expect("iris");
-    let ctx = Arc::new(SweepContext::new());
-    let registry = AlgorithmRegistry::builtins();
 
     let variants: Vec<(&str, OliveConfig)> = vec![
         ("full", OliveConfig::default()),
@@ -60,54 +56,34 @@ fn main() {
         ),
     ];
 
+    // Per utilization: the five variants, then the QUICKG reference.
+    let mut labels = Vec::new();
+    let mut groups = Vec::new();
+    for util in [1.0, 1.4] {
+        for (label, olive) in &variants {
+            let mut config = opts.config(util);
+            config.olive = *olive;
+            labels.push(*label);
+            groups.push((Algorithm::Olive.into(), config));
+        }
+        labels.push("QUICKG");
+        groups.push((Algorithm::Quickg.into(), opts.config(util)));
+    }
+    let rows = sweep_groups(&substrate, default_apps, &opts, &groups);
+
     println!("# Ablation — Iris: OLIVE mechanism contributions");
     println!(
         "{:>5} {:>14} {:>12} {:>10} {:>14}",
         "util", "variant", "rejection", "±95ci", "total-cost"
     );
-    for util in [1.0, 1.4] {
-        for (label, config) in &variants {
-            let (summaries, _) = run_seeds_with(
-                &ctx,
-                &registry,
-                &substrate,
-                &Algorithm::Olive.into(),
-                &opts.seed_list(),
-                default_apps,
-                |seed| {
-                    let mut c = opts.config(util).with_seed(seed);
-                    c.olive = *config;
-                    c
-                },
-            );
-            let agg = aggregate(&summaries);
-            println!(
-                "{:>4.0}% {:>14} {:>12.4} {:>10.4} {:>14.4e}",
-                util * 100.0,
-                label,
-                agg.rejection_rate.0,
-                agg.rejection_rate.1,
-                agg.total_cost.0
-            );
-        }
-        // QUICKG reference.
-        let (summaries, _) = run_seeds_with(
-            &ctx,
-            &registry,
-            &substrate,
-            &Algorithm::Quickg.into(),
-            &opts.seed_list(),
-            default_apps,
-            |seed| opts.config(util).with_seed(seed),
-        );
-        let agg = aggregate(&summaries);
+    for (label, row) in labels.iter().zip(&rows) {
         println!(
             "{:>4.0}% {:>14} {:>12.4} {:>10.4} {:>14.4e}",
-            util * 100.0,
-            "QUICKG",
-            agg.rejection_rate.0,
-            agg.rejection_rate.1,
-            agg.total_cost.0
+            row.utilization * 100.0,
+            label,
+            row.summary.rejection_rate.0,
+            row.summary.rejection_rate.1,
+            row.summary.total_cost.0
         );
     }
 }

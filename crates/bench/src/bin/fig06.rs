@@ -4,29 +4,23 @@
 //! Expected shape (paper): rejection grows with utilization everywhere;
 //! OLIVE tracks SLOTOFF within a few points and stays far below QUICKG.
 //!
-//! Long sweeps are interruptible: `--checkpoint-every N` serializes
-//! every per-seed run's state to `--checkpoint-dir` (default
-//! `checkpoints/`) every N online slots, and `--resume-from FILE`
-//! finishes one such run — byte-identical to never having stopped —
-//! instead of sweeping:
+//! Long sweeps are interruptible, like every sweeping binary's:
+//! `--checkpoint-every N` keeps every cell's latest state in
+//! `--checkpoint-dir` (default `checkpoints/`), and the same command
+//! line with `--resume` finishes the sweep from those files — cells
+//! whose file exists continue from it, the others run fresh — printing
+//! the table the uninterrupted sweep would have:
 //!
 //! ```text
 //! fig06 --topo citta --seeds 3 --checkpoint-every 100
-//! fig06 --resume-from checkpoints/ckpt-CittaStudi-OLIVE-u140-c<fp>-s2.bin
+//! fig06 --topo citta --seeds 3 --resume
 //! ```
-//!
-//! (`<fp>` is the cell's config fingerprint — the filename component
-//! that keeps differently-configured sweeps from overwriting each
-//! other's resume points; `ls checkpoints/` to pick the file.)
 
-use vne_bench::experiments::{print_rows, resume_from, sweep};
+use vne_bench::experiments::{print_rows, sweep};
 use vne_bench::BenchOpts;
 
 fn main() {
     let opts = BenchOpts::parse();
-    if resume_from(&opts) {
-        return;
-    }
     for substrate in opts.topologies() {
         let rows = sweep(&substrate, &opts.algs, &opts, |_| {});
         print_rows(

@@ -4,17 +4,14 @@
 //! Expected shape (paper): OLIVE's cost is close to SLOTOFF's and below
 //! QUICKG's at every utilization.
 //!
-//! Supports `--checkpoint-every N` / `--resume-from FILE` like fig06
+//! Supports `--checkpoint-every N` / `--resume` like fig06
 //! (interruptible sweeps; see that binary's docs).
 
-use vne_bench::experiments::{print_rows, resume_from, sweep};
+use vne_bench::experiments::{print_rows, sweep};
 use vne_bench::BenchOpts;
 
 fn main() {
     let opts = BenchOpts::parse();
-    if resume_from(&opts) {
-        return;
-    }
     for substrate in opts.topologies() {
         let rows = sweep(&substrate, &opts.algs, &opts, |_| {});
         print_rows(

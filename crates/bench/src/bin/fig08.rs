@@ -10,7 +10,7 @@ use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
 
 fn main() {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_single_run();
     // This figure needs slots 200–230 of the online phase: run the full
     // 600-slot paper phase regardless of scale flags (single seed).
     let seed = opts.seed_list()[0];

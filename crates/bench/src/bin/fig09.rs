@@ -8,12 +8,11 @@
 //! close to SLOTOFF; the accelerator lowers rejection ('Acc'/'Mix').
 
 use vne_model::app::AppShape;
-use vne_sim::metrics::aggregate;
-use vne_sim::runner::run_seeds;
 use vne_sim::scenario::Algorithm;
 use vne_workload::appgen::{paper_mix, uniform_shape_set, AppGenConfig};
 use vne_workload::rng::SeededRng;
 
+use vne_bench::experiments::sweep_groups;
 use vne_bench::BenchOpts;
 
 fn main() {
@@ -37,29 +36,28 @@ fn main() {
         "{:>6} {:>9} {:>12} {:>10} {:>14}",
         "apps", "alg", "rejection", "±95ci", "runtime[s]"
     );
+    // One sweep call per application set (a call has one application
+    // generator); its four algorithms share one pool.
+    let groups: Vec<_> = algorithms
+        .iter()
+        .map(|&alg| (alg.into(), opts.config(1.0)))
+        .collect();
     for (label, shape) in &app_sets {
-        for &alg in &algorithms {
-            let (summaries, _) = run_seeds(
-                &substrate,
-                alg,
-                &opts.seed_list(),
-                |seed| {
-                    let mut rng = SeededRng::new(seed).derive(0xF19);
-                    match shape {
-                        Some(s) => uniform_shape_set(*s, &AppGenConfig::default(), &mut rng),
-                        None => paper_mix(&AppGenConfig::default(), &mut rng),
-                    }
-                },
-                |seed| opts.config(1.0).with_seed(seed),
-            );
-            let agg = aggregate(&summaries);
+        let make_apps = |seed: u64| {
+            let mut rng = SeededRng::new(seed).derive(0xF19);
+            match shape {
+                Some(s) => uniform_shape_set(*s, &AppGenConfig::default(), &mut rng),
+                None => paper_mix(&AppGenConfig::default(), &mut rng),
+            }
+        };
+        for row in sweep_groups(&substrate, make_apps, &opts, &groups) {
             println!(
                 "{:>6} {:>9} {:>12.4} {:>10.4} {:>14.3}",
                 label,
-                alg.label(),
-                agg.rejection_rate.0,
-                agg.rejection_rate.1,
-                agg.online_secs.0,
+                row.algorithm,
+                row.summary.rejection_rate.0,
+                row.summary.rejection_rate.1,
+                row.summary.online_secs.0,
             );
         }
     }

@@ -9,12 +9,11 @@
 //! Expected shape (paper): OLIVE within a couple of points of SLOTOFF and
 //! clearly below FULLG.
 
-use vne_sim::metrics::aggregate;
-use vne_sim::runner::run_seeds;
 use vne_sim::scenario::Algorithm;
 use vne_workload::appgen::{gpu_set, AppGenConfig};
 use vne_workload::rng::SeededRng;
 
+use vne_bench::experiments::sweep_groups;
 use vne_bench::BenchOpts;
 
 fn main() {
@@ -22,25 +21,21 @@ fn main() {
     let base = vne_topology::zoo::iris().expect("iris");
     let substrate = vne_topology::gpu::gpu_variant(&base, 0xF10);
 
+    let groups: Vec<_> = [Algorithm::Fullg, Algorithm::Olive, Algorithm::SlotOff]
+        .iter()
+        .map(|&alg| (alg.into(), opts.config(1.0)))
+        .collect();
+    let make_apps = |seed: u64| {
+        let mut rng = SeededRng::new(seed).derive(0xF10);
+        gpu_set(&AppGenConfig::default(), &mut rng)
+    };
+
     println!("# Fig. 10 — Iris GPU scenario @100%, rejection rate");
     println!("{:>9} {:>12} {:>10}", "alg", "rejection", "±95ci");
-    for alg in [Algorithm::Fullg, Algorithm::Olive, Algorithm::SlotOff] {
-        let (summaries, _) = run_seeds(
-            &substrate,
-            alg,
-            &opts.seed_list(),
-            |seed| {
-                let mut rng = SeededRng::new(seed).derive(0xF10);
-                gpu_set(&AppGenConfig::default(), &mut rng)
-            },
-            |seed| opts.config(1.0).with_seed(seed),
-        );
-        let agg = aggregate(&summaries);
+    for row in sweep_groups(&substrate, make_apps, &opts, &groups) {
         println!(
             "{:>9} {:>12.4} {:>10.4}",
-            alg.label(),
-            agg.rejection_rate.0,
-            agg.rejection_rate.1
+            row.algorithm, row.summary.rejection_rate.0, row.summary.rejection_rate.1
         );
     }
 }

@@ -5,50 +5,32 @@
 //! Expected shape (paper): QUICKG ≈ 0.53; OLIVE rises from ≈ 0.65 (P=1)
 //! to ≈ 0.84 (P=2) and ≈ 0.89 (P=10); P=50 adds nothing over P=10.
 
-use vne_sim::metrics::aggregate;
-use vne_sim::runner::{default_apps, run_seeds};
+use vne_sim::runner::default_apps;
 use vne_sim::scenario::Algorithm;
 
+use vne_bench::experiments::sweep_groups;
 use vne_bench::BenchOpts;
 
 fn main() {
     let opts = BenchOpts::parse();
     let substrate = vne_topology::zoo::iris().expect("iris");
 
+    let mut labels = vec!["QUICKG".to_string()];
+    let mut groups = vec![(Algorithm::Quickg.into(), opts.config(1.4))];
+    for p in [1usize, 2, 10, 50] {
+        let mut config = opts.config(1.4);
+        config.quantiles = p;
+        labels.push(format!("OLIVE P={p}"));
+        groups.push((Algorithm::Olive.into(), config));
+    }
+    let rows = sweep_groups(&substrate, default_apps, &opts, &groups);
+
     println!("# Fig. 11 — Iris @140%, rejection balance index by quantiles");
     println!("{:>12} {:>10} {:>10}", "variant", "balance", "±95ci");
-
-    let (summaries, _) = run_seeds(
-        &substrate,
-        Algorithm::Quickg,
-        &opts.seed_list(),
-        default_apps,
-        |seed| opts.config(1.4).with_seed(seed),
-    );
-    let agg = aggregate(&summaries);
-    println!(
-        "{:>12} {:>10.4} {:>10.4}",
-        "QUICKG", agg.balance_index.0, agg.balance_index.1
-    );
-
-    for p in [1usize, 2, 10, 50] {
-        let (summaries, _) = run_seeds(
-            &substrate,
-            Algorithm::Olive,
-            &opts.seed_list(),
-            default_apps,
-            |seed| {
-                let mut c = opts.config(1.4).with_seed(seed);
-                c.quantiles = p;
-                c
-            },
-        );
-        let agg = aggregate(&summaries);
+    for (label, row) in labels.iter().zip(&rows) {
         println!(
             "{:>12} {:>10.4} {:>10.4}",
-            format!("OLIVE P={p}"),
-            agg.balance_index.0,
-            agg.balance_index.1
+            label, row.summary.balance_index.0, row.summary.balance_index.1
         );
     }
 }

@@ -17,7 +17,7 @@ use vne_sim::scenario::{Algorithm, Scenario};
 use vne_bench::BenchOpts;
 
 fn main() {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_single_run();
     let seed = opts.seed_list()[0];
     let substrate = vne_topology::zoo::iris().expect("iris");
     let franklin = substrate.node_by_name("Franklin").expect("Franklin exists");

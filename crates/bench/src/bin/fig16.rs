@@ -7,11 +7,15 @@
 //!   QUICKG by 1.2–7.8× (the gap shrinking as utilization grows, since a
 //!   depleted residual plan pushes OLIVE into the greedy search while
 //!   QUICKG starts fast-rejecting).
+//!
+//! Unlike the other figures this one submits one sweep call per
+//! (x, algorithm) group: its columns are runtimes, so each group is
+//! measured with only its own seeds running beside it.
 
-use vne_sim::metrics::aggregate;
-use vne_sim::runner::{default_apps, run_seeds};
+use vne_sim::runner::default_apps;
 use vne_sim::scenario::Algorithm;
 
+use vne_bench::experiments::sweep_groups;
 use vne_bench::BenchOpts;
 
 fn main() {
@@ -26,12 +30,11 @@ fn main() {
     );
     for rate in [2.0, 5.0, 10.0, 20.0, 40.0] {
         for alg in [Algorithm::Olive, Algorithm::Quickg] {
-            let (summaries, _) = run_seeds(&iris, alg, &opts.seed_list(), default_apps, |seed| {
-                let mut c = opts.config(1.0).with_seed(seed);
-                c.trace.mean_rate_per_node = rate;
-                c
-            });
-            let agg = aggregate(&summaries);
+            let mut config = opts.config(1.0);
+            config.trace.mean_rate_per_node = rate;
+            let group = [(alg.into(), config)];
+            let row = &sweep_groups(&iris, default_apps, &opts, &group)[0];
+            let (summaries, agg) = (&row.per_seed, &row.summary);
             // Requests processed per wall-clock second (arrivals over the
             // whole online phase / online seconds).
             let mean_arrivals: f64 =
@@ -67,11 +70,9 @@ fn main() {
         for &u in &opts.utils {
             let mut times = Vec::new();
             for alg in [Algorithm::Olive, Algorithm::Quickg] {
-                let (summaries, _) =
-                    run_seeds(&substrate, alg, &opts.seed_list(), default_apps, |seed| {
-                        opts.config(u).with_seed(seed)
-                    });
-                times.push(aggregate(&summaries).online_secs.0);
+                let group = [(alg.into(), opts.config(u))];
+                let rows = sweep_groups(&substrate, default_apps, &opts, &group);
+                times.push(rows[0].summary.online_secs.0);
             }
             println!(
                 "{:>5.0}% {:>12.4} {:>12.4} {:>10.2}",

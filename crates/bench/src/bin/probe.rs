@@ -7,7 +7,7 @@ use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Scenario, ScenarioConfig};
 
 fn main() {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_single_run();
     let substrate = vne_topology::zoo::iris().expect("iris builds");
     let apps = default_apps(1);
     for (label, cfg) in [

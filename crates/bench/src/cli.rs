@@ -30,21 +30,21 @@ pub struct BenchOpts {
     pub registry: AlgorithmRegistry,
     /// Topology restriction (`None` = all four).
     pub topo: Option<String>,
-    /// Serialize a checkpoint every N online slots of every per-seed
-    /// run (`--checkpoint-every N`); files land in `checkpoint_dir`.
-    /// Honored by the sweep-driver binaries
-    /// ([`crate::experiments::sweep`]).
+    /// Serialize a checkpoint every N online slots of every cell's run
+    /// (`--checkpoint-every N`); each cell overwrites its own file in
+    /// `checkpoint_dir`. Honored by every sweeping binary (they all run
+    /// through [`crate::experiments::sweep_groups`]); the single-run
+    /// binaries parse with [`BenchOpts::parse_single_run`], which
+    /// rejects the three checkpoint flags.
     pub checkpoint_every: Option<Slot>,
-    /// Where `--checkpoint-every` writes its files
-    /// (`--checkpoint-dir`, default `checkpoints/`).
+    /// Where `--checkpoint-every` writes and `--resume` looks for the
+    /// cells' files (`--checkpoint-dir`, default `checkpoints/`).
     pub checkpoint_dir: PathBuf,
-    /// Resume a single checkpointed run from a file written by
-    /// `--checkpoint-every` and report its final summary instead of
-    /// sweeping (`--resume-from FILE`). Handled by binaries that call
-    /// [`crate::experiments::resume_from`] (fig06, fig07, fig13,
-    /// fig14); sweep-driver binaries that do not handle it fail loudly
-    /// instead of silently re-sweeping.
-    pub resume_from: Option<PathBuf>,
+    /// Resume an interrupted sweep by re-running its command line with
+    /// `--resume`: every cell whose checkpoint file exists in
+    /// `checkpoint_dir` is finished from it, the others run fresh, and
+    /// the output equals the uninterrupted sweep's.
+    pub resume: bool,
 }
 
 impl Default for BenchOpts {
@@ -62,10 +62,14 @@ impl Default for BenchOpts {
             topo: None,
             checkpoint_every: None,
             checkpoint_dir: PathBuf::from("checkpoints"),
-            resume_from: None,
+            resume: false,
         }
     }
 }
+
+/// The flags every binary takes (sweeping binaries add the three
+/// checkpoint flags).
+const USAGE: &str = "supported: --seeds N --paper --utils 60,100 --algs olive,quickg --topo iris";
 
 impl BenchOpts {
     /// Parses `std::env::args()`.
@@ -85,9 +89,6 @@ impl BenchOpts {
     ///
     /// See [`BenchOpts::parse`].
     pub fn parse_from(args: &[String]) -> Self {
-        const USAGE: &str = "supported: --seeds N --paper --utils 60,100 \
-                             --algs olive,quickg --topo iris \
-                             --checkpoint-every N --checkpoint-dir DIR --resume-from FILE";
         fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
             *i += 1;
             args.get(*i)
@@ -145,14 +146,40 @@ impl BenchOpts {
                 "--checkpoint-dir" => {
                     opts.checkpoint_dir = PathBuf::from(value(args, &mut i, "--checkpoint-dir"));
                 }
-                "--resume-from" => {
-                    opts.resume_from = Some(PathBuf::from(value(args, &mut i, "--resume-from")));
-                }
-                other => panic!("unknown argument {other}; {USAGE}"),
+                "--resume" => opts.resume = true,
+                other => panic!(
+                    "unknown argument {other}; {USAGE}; sweeps also take: \
+                     --checkpoint-every N --checkpoint-dir DIR --resume"
+                ),
             }
             i += 1;
         }
         opts
+    }
+
+    /// Parses `std::env::args()` for a binary that runs single
+    /// scenarios instead of a sweep (fig08, fig12, probe): such a run
+    /// writes and reads no checkpoint files, so the checkpoint flags
+    /// are usage errors here rather than silently ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`BenchOpts::parse`], and on `--checkpoint-every`,
+    /// `--checkpoint-dir` or `--resume`.
+    pub fn parse_single_run() -> Self {
+        Self::single_run_from(&std::env::args().skip(1).collect::<Vec<_>>())
+    }
+
+    fn single_run_from(args: &[String]) -> Self {
+        if let Some(flag) = args.iter().find(|arg| {
+            matches!(
+                arg.as_str(),
+                "--checkpoint-every" | "--checkpoint-dir" | "--resume"
+            )
+        }) {
+            panic!("{flag} applies to sweeps, and this binary runs single scenarios; {USAGE}");
+        }
+        Self::parse_from(args)
     }
 
     /// The seed list `1..=seeds`.
@@ -223,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn defaults_cover_paper_sweep() {
+    fn defaults_cover_the_papers_grid() {
         let opts = BenchOpts::default();
         assert_eq!(opts.utils.len(), 5);
         assert_eq!(opts.seed_list(), vec![1, 2, 3]);
@@ -276,15 +303,34 @@ mod tests {
             "50",
             "--checkpoint-dir",
             "/tmp/ckpts",
-            "--resume-from",
-            "/tmp/ckpts/one.bin",
+            "--resume",
         ]));
         assert_eq!(opts.checkpoint_every, Some(50));
         assert_eq!(opts.checkpoint_dir, PathBuf::from("/tmp/ckpts"));
-        assert_eq!(opts.resume_from, Some(PathBuf::from("/tmp/ckpts/one.bin")));
+        assert!(opts.resume);
         let defaults = BenchOpts::default();
+        assert!(!defaults.resume);
         assert_eq!(defaults.checkpoint_every, None);
         assert_eq!(defaults.checkpoint_dir, PathBuf::from("checkpoints"));
+    }
+
+    #[test]
+    fn single_run_binaries_reject_checkpoint_flags() {
+        for (flag, list) in [
+            ("--checkpoint-every", &["--checkpoint-every", "50"][..]),
+            ("--checkpoint-dir", &["--checkpoint-dir", "/tmp/ckpts"]),
+            ("--resume", &["--seeds", "1", "--resume"]),
+        ] {
+            let panic = std::panic::catch_unwind(|| BenchOpts::single_run_from(&args(list)))
+                .expect_err("a single-run binary must reject checkpoint flags");
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(message.starts_with(flag), "{message}");
+            assert!(message.ends_with(USAGE), "{message}");
+        }
+        // Everything else parses as in a sweeping binary.
+        let opts = BenchOpts::single_run_from(&args(&["--seeds", "2", "--topo", "iris"]));
+        assert_eq!(opts.seeds, 2);
+        assert_eq!(opts.topo.as_deref(), Some("iris"));
     }
 
     #[test]

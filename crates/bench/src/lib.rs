@@ -11,6 +11,11 @@
 //! * `--utils 60,100,140` — utilization sweep override;
 //! * `--topo iris|citta|5gen|100n150e` — restrict to one topology.
 //!
+//! The sweeping binaries (all but `fig08`, `fig12`, `probe` and the
+//! tables) also accept `--checkpoint-every N`, `--checkpoint-dir DIR`
+//! and `--resume`: a sweep is resumed by re-running its command line
+//! with `--resume` (see [`experiments`]).
+//!
 //! Nothing here records or compares a timing (Fig. 16 and `probe`
 //! print run times as figure content): the runtime claims are measured
 //! by the standalone crate under `benchmark/` (see

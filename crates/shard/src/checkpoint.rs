@@ -42,11 +42,7 @@ pub(crate) struct CoordinatorCursors {
 impl CoordinatorCursors {
     pub fn encode(&self) -> StateBlob {
         let mut w = StateWriter::new();
-        w.write_u32(self.stats.slots_run);
-        w.write_usize(self.stats.arrivals);
-        w.write_usize(self.stats.peak_active);
-        w.write_f64(self.stats.online_secs);
-        w.write_bool(self.stats.stopped_early);
+        w.write(&self.stats);
         w.write_usize(self.spanning.candidates);
         w.write_usize(self.spanning.attempts);
         w.write_usize(self.spanning.granted);
@@ -59,13 +55,7 @@ impl CoordinatorCursors {
 
     pub fn decode(blob: &StateBlob) -> Result<Self, StateError> {
         let mut r = StateReader::new(blob);
-        let stats = StreamStats {
-            slots_run: r.read_u32()?,
-            arrivals: r.read_usize()?,
-            peak_active: r.read_usize()?,
-            online_secs: r.read_f64()?,
-            stopped_early: r.read_bool()?,
-        };
+        let stats: StreamStats = r.read()?;
         let spanning = SpanningStats {
             candidates: r.read_usize()?,
             attempts: r.read_usize()?,

@@ -202,6 +202,28 @@ pub struct StreamStats {
     pub stopped_early: bool,
 }
 
+impl vne_model::state::StateEncode for StreamStats {
+    fn encode(&self, w: &mut StateWriter) {
+        w.write_u32(self.slots_run);
+        w.write_usize(self.arrivals);
+        w.write_usize(self.peak_active);
+        w.write_f64(self.online_secs);
+        w.write_bool(self.stopped_early);
+    }
+}
+
+impl vne_model::state::StateDecode for StreamStats {
+    fn decode(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+        Ok(Self {
+            slots_run: r.read_u32()?,
+            arrivals: r.read_usize()?,
+            peak_active: r.read_usize()?,
+            online_secs: r.read_f64()?,
+            stopped_early: r.read_bool()?,
+        })
+    }
+}
+
 /// Per-slot churn counters: how many churn events the slot carried and
 /// what happened to the requests they stranded.
 ///
@@ -574,11 +596,7 @@ impl Snapshot for EngineState {
         w.write(&self.requested_drop);
         w.write_f64(self.requested_active);
         w.write_f64(self.allocated_active);
-        w.write_u32(self.stats.slots_run);
-        w.write_usize(self.stats.arrivals);
-        w.write_usize(self.stats.peak_active);
-        w.write_f64(self.stats.online_secs);
-        w.write_bool(self.stats.stopped_early);
+        w.write(&self.stats);
         w.write_u64(self.next_min_slot);
         w.write(&self.churn);
         w.finish()
@@ -591,13 +609,7 @@ impl Snapshot for EngineState {
         let requested_drop: BTreeMap<Slot, f64> = r.read()?;
         let requested_active = r.read_f64()?;
         let allocated_active = r.read_f64()?;
-        let stats = StreamStats {
-            slots_run: r.read_u32()?,
-            arrivals: r.read_usize()?,
-            peak_active: r.read_usize()?,
-            online_secs: r.read_f64()?,
-            stopped_early: r.read_bool()?,
-        };
+        let stats: StreamStats = r.read()?;
         let next_min_slot = r.read_u64()?;
         let churn: Option<ChurnState> = r.read()?;
         r.finish()?;

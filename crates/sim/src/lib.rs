@@ -23,8 +23,8 @@
 //! * [`scenario`] wires the full history → plan → online pipeline with
 //!   all the evaluation's variations ([`scenario::ScenarioBuilder`] for
 //!   custom policies/algorithms);
-//! * [`runner`] replays scenarios across seeds in parallel with
-//!   confidence intervals.
+//! * [`runner`] runs all cells of a sweep (algorithm × configuration ×
+//!   seed) on one worker pool, sharing per-seed draws and plans.
 //!
 //! ## Example
 //!
@@ -60,9 +60,9 @@ pub use engine::{
 };
 pub use metrics::{aggregate, AggregatedSummary, Summary};
 pub use observe::{Checkpointer, NullObserver, Recorder, WindowSummary};
-pub use persist::{read_checkpoint_file, write_bytes_atomic, write_checkpoint_file, PersistError};
+pub use persist::{read_checkpoint_file, write_checkpoint_file, PersistError};
 pub use registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, BuiltAlgorithm};
-pub use runner::{default_apps, run_seeds, Utilization};
+pub use runner::{default_apps, run_cells};
 pub use scenario::{
     Algorithm, Fork, Outcome, ResumeError, Scenario, ScenarioBuilder, ScenarioConfig,
 };

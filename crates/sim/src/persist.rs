@@ -94,7 +94,7 @@ fn staging_path(path: &Path) -> PathBuf {
 /// Returns [`PersistError::Io`] if any filesystem step fails; the
 /// destination file is untouched in that case (a failed stage leaves at
 /// most a stale `.tmp` behind, which the next write overwrites).
-pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let tmp = staging_path(path);
     let stage = (|| {
         let mut file = fs::File::create(&tmp)?;
@@ -110,8 +110,8 @@ pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError>
     })
 }
 
-/// Serializes `checkpoint` and writes it to `path` via
-/// [`write_bytes_atomic`].
+/// Serializes `checkpoint` and writes it to `path` atomically (stage,
+/// `sync_all`, rename — see the module docs).
 ///
 /// # Errors
 ///

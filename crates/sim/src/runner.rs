@@ -1,24 +1,26 @@
-//! Multi-seed experiment runner with parallel execution and shared
-//! per-sweep artifacts.
+//! Sweep runner: the one parallel driver for multi-cell experiments and
+//! its shared per-sweep artifacts.
 //!
 //! The paper executes every experiment 30 times and reports means with
-//! confidence intervals. [`run_seeds`] replays a scenario across seeds on
-//! worker threads (std scoped threads) and aggregates the summaries.
-//! Each per-seed run streams the online phase through the engine's
-//! incremental window-summary observer, so a whole sweep never
-//! materializes a trace or an outcome log. [`run_seeds_with`] is the
-//! same loop with an explicit [`AlgorithmRegistry`] and [`SweepContext`],
-//! which is how custom (non-builtin) algorithms join multi-seed sweeps.
+//! confidence intervals, and every figure is a sweep — utilization ×
+//! algorithm × topology × seed. [`run_cells`] is the one primitive that
+//! runs such a sweep: it builds the [`Scenario`] of every
+//! `(algorithm, config)` cell (with the caller's [`AlgorithmRegistry`],
+//! which is how custom algorithms join sweeps) and maps the caller's
+//! `run` over all of them on one worker pool. Each cell streams the
+//! online phase through the engine's incremental window-summary
+//! observer, so a whole sweep never materializes a trace or an outcome
+//! log.
 //!
-//! Two pieces make whole *sweeps* (many cells of algorithm ×
-//! utilization × seed) cheap:
+//! Two pieces make whole sweeps cheap:
 //!
 //! * [`SweepContext`] — a shared memo of per-seed application draws and
 //!   offline [`vne_olive::plan::Plan`]s, keyed by the scenario's
 //!   plan-input fingerprint. Cells with identical plan inputs (ablation
 //!   variants, repeated plan-based algorithms) derive the plan once;
 //!   the cached value is the identical `Plan`, so summaries stay
-//!   byte-identical to fresh derivations.
+//!   byte-identical to fresh derivations. [`run_cells`] owns one per
+//!   call.
 //! * [`cell_map`] — the one worker pool: *all* cells of a sweep feed
 //!   it (instead of a fresh pool per cell group), so workers stay busy
 //!   across cell boundaries and plans materialize in the shared context
@@ -37,84 +39,8 @@ use vne_olive::plan::Plan;
 use vne_workload::appgen::{paper_mix, AppGenConfig};
 use vne_workload::rng::SeededRng;
 
-use crate::metrics::{aggregate, AggregatedSummary, Summary};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec};
 use crate::scenario::{Scenario, ScenarioConfig};
-
-/// An edge-utilization level (the x-axis of Figs. 6/7/15/16).
-///
-/// Total-ordered and hashable (`Ord` via IEEE `total_cmp`, `Hash` over
-/// the bit pattern) so sweeps can key result maps by utilization.
-/// Constructors reject non-finite values and normalize `-0.0` to `0.0`,
-/// which keeps `Eq`/`Ord`/`Hash` mutually consistent.
-#[derive(Debug, Clone, Copy)]
-pub struct Utilization(f64);
-
-impl Utilization {
-    /// From a percentage (e.g. `Utilization::percent(140)`).
-    pub fn percent(p: u32) -> Self {
-        Self(f64::from(p) / 100.0)
-    }
-
-    /// From a fraction (e.g. `Utilization::fraction_of(1.4)` = 140%).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is NaN, infinite, or negative.
-    pub fn fraction_of(f: f64) -> Self {
-        assert!(
-            f.is_finite() && f >= 0.0,
-            "utilization must be finite and ≥ 0, got {f}"
-        );
-        // `-0.0 + 0.0 == +0.0`: one canonical zero for Eq/Ord/Hash.
-        Self(f + 0.0)
-    }
-
-    /// As a fraction (1.0 = 100%).
-    pub fn fraction(self) -> f64 {
-        self.0
-    }
-
-    /// The paper's sweep: 60% to 140% in 20-point steps.
-    pub fn paper_sweep() -> Vec<Utilization> {
-        [60, 80, 100, 120, 140]
-            .into_iter()
-            .map(Utilization::percent)
-            .collect()
-    }
-}
-
-impl PartialEq for Utilization {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for Utilization {}
-
-impl PartialOrd for Utilization {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Utilization {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl std::hash::Hash for Utilization {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.to_bits());
-    }
-}
-
-impl std::fmt::Display for Utilization {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.0}%", self.0 * 100.0)
-    }
-}
 
 /// Generates the per-seed application set the way the paper does: a
 /// fresh draw of the standard mix per execution.
@@ -123,70 +49,37 @@ pub fn default_apps(seed: u64) -> AppSet {
     paper_mix(&AppGenConfig::default(), &mut rng)
 }
 
-/// Runs `algorithm` across `seeds` in parallel and returns the per-seed
-/// summaries (in seed order) plus their aggregate.
+/// Runs every `(algorithm, config)` cell of a sweep on one worker pool
+/// and returns `run`'s results **in cell order**.
 ///
-/// The algorithm is resolved by name in [`AlgorithmRegistry::builtins`]
-/// and the call gets a fresh [`SweepContext`]; use [`run_seeds_with`] to
-/// sweep custom algorithms or to share a context across calls.
-/// `make_apps` draws the application set for a seed (usually
-/// [`default_apps`]); `configure` builds the scenario config for a seed.
-pub fn run_seeds<FA, FC>(
-    substrate: &SubstrateNetwork,
-    algorithm: impl Into<AlgorithmSpec>,
-    seeds: &[u64],
-    make_apps: FA,
-    configure: FC,
-) -> (Vec<Summary>, AggregatedSummary)
-where
-    FA: Fn(u64) -> AppSet + Sync,
-    FC: Fn(u64) -> ScenarioConfig + Sync,
-{
-    run_seeds_with(
-        &Arc::new(SweepContext::new()),
-        &AlgorithmRegistry::builtins(),
-        substrate,
-        &algorithm.into(),
-        seeds,
-        make_apps,
-        configure,
-    )
-}
-
-/// [`run_seeds`] with an explicit algorithm registry (the entry point
-/// for sweeping algorithms registered outside `vne-sim`) and an explicit
-/// [`SweepContext`]: per-seed application draws and offline plans
-/// memoized in `ctx` are reused instead of re-derived — across the seeds
-/// of this call *and* across any other call sharing the same context
-/// (the vne-bench sweep drivers share one per sweep: ablation variants,
-/// multi-figure sweeps). Byte-identical to a call with a fresh context.
-///
-/// # Panics
-///
-/// Panics when `spec` does not resolve in `registry`.
-pub fn run_seeds_with<FA, FC>(
-    ctx: &Arc<SweepContext>,
+/// This is the one place a sweep cell's [`Scenario`] is built: on
+/// `substrate`, with the application set `make_apps` draws for the
+/// cell's seed (usually [`default_apps`]), resolving algorithms in
+/// `registry`, and attached to a [`SweepContext`] that lives for this
+/// call — so all cells share application draws and offline plans
+/// wherever their plan inputs coincide, byte-identically to building
+/// each scenario alone. `run` decides what a cell does with its
+/// scenario ([`Scenario::run_summary`], a checkpointed run, a resume).
+pub fn run_cells<FA, FR, R>(
     registry: &AlgorithmRegistry,
     substrate: &SubstrateNetwork,
-    spec: &AlgorithmSpec,
-    seeds: &[u64],
     make_apps: FA,
-    configure: FC,
-) -> (Vec<Summary>, AggregatedSummary)
+    cells: &[(AlgorithmSpec, ScenarioConfig)],
+    run: FR,
+) -> Vec<R>
 where
     FA: Fn(u64) -> AppSet + Sync,
-    FC: Fn(u64) -> ScenarioConfig + Sync,
+    FR: Fn(&Scenario, &AlgorithmSpec) -> R + Sync,
+    R: Send,
 {
-    let summaries = cell_map(seeds, |&seed| {
-        let apps = ctx.apps(seed, &make_apps);
-        let config = configure(seed);
-        let scenario = Scenario::new(substrate.clone(), apps, config)
+    let ctx = Arc::new(SweepContext::new());
+    cell_map(cells, |(spec, config)| {
+        let apps = ctx.apps(config.seed, &make_apps);
+        let scenario = Scenario::new(substrate.clone(), apps, config.clone())
             .with_registry(registry.clone())
-            .with_sweep_context(Arc::clone(ctx));
-        scenario.run_summary(spec).unwrap_or_else(|e| panic!("{e}"))
-    });
-    let agg = aggregate(&summaries);
-    (summaries, agg)
+            .with_sweep_context(Arc::clone(&ctx));
+        run(&scenario, spec)
+    })
 }
 
 /// Shared artifacts of one sweep: per-seed application draws and
@@ -199,8 +92,8 @@ where
 /// `OnceLock`; concurrent workers needing the same plan block on the
 /// first builder instead of duplicating the work). Application draws
 /// are keyed by seed and assume one app generator per context — which
-/// holds by construction, since a context lives inside a single sweep
-/// call with a fixed `make_apps`.
+/// holds by construction inside [`run_cells`], where a context lives
+/// for one call with a fixed `make_apps`.
 pub struct SweepContext {
     apps: Mutex<HashMap<u64, AppSet>>,
     plans: Mutex<HashMap<u64, PlanSlot>>,
@@ -361,60 +254,7 @@ where
 mod tests {
     use super::*;
     use crate::scenario::Algorithm;
-    use std::collections::{BTreeMap, HashMap};
     use vne_topology::zoo::citta_studi;
-
-    #[test]
-    fn utilization_helpers() {
-        let u = Utilization::percent(140);
-        assert!((u.fraction() - 1.4).abs() < 1e-12);
-        assert_eq!(u.to_string(), "140%");
-        assert_eq!(Utilization::paper_sweep().len(), 5);
-    }
-
-    #[test]
-    fn utilization_is_totally_ordered() {
-        let mut sweep = Utilization::paper_sweep();
-        sweep.reverse();
-        sweep.sort();
-        let fractions: Vec<f64> = sweep.iter().map(|u| u.fraction()).collect();
-        assert_eq!(fractions, vec![0.6, 0.8, 1.0, 1.2, 1.4]);
-        assert!(Utilization::percent(60) < Utilization::percent(140));
-        assert_eq!(Utilization::percent(100), Utilization::fraction_of(1.0));
-    }
-
-    #[test]
-    fn utilization_works_as_map_key() {
-        // The satellite motivation: keying a sweep's results per level.
-        let mut btree: BTreeMap<Utilization, usize> = BTreeMap::new();
-        let mut hash: HashMap<Utilization, usize> = HashMap::new();
-        for (i, u) in Utilization::paper_sweep().into_iter().enumerate() {
-            btree.insert(u, i);
-            hash.insert(u, i);
-        }
-        assert_eq!(btree.len(), 5);
-        assert_eq!(hash.len(), 5);
-        // Lookup through an independently-constructed key.
-        assert_eq!(btree[&Utilization::fraction_of(1.2)], 3);
-        assert_eq!(hash[&Utilization::percent(120)], 3);
-        // BTreeMap iterates in utilization order.
-        let keys: Vec<f64> = btree.keys().map(|u| u.fraction()).collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn utilization_zero_is_canonical() {
-        assert_eq!(Utilization::fraction_of(0.0), Utilization::percent(0));
-        let neg_zero = Utilization::fraction_of(-0.0);
-        assert_eq!(neg_zero, Utilization::percent(0));
-        assert_eq!(neg_zero.fraction().to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn utilization_rejects_nan() {
-        let _ = Utilization::fraction_of(f64::NAN);
-    }
 
     #[test]
     fn cell_map_propagates_the_real_panic_message() {
@@ -451,39 +291,55 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    #[test]
-    fn parallel_seeds_are_deterministic_and_ordered() {
-        let substrate = citta_studi().unwrap();
-        let seeds = [1u64, 2, 3];
-        let run = || {
-            run_seeds(
-                &substrate,
-                Algorithm::Quickg,
-                &seeds,
-                default_apps,
-                |seed| ScenarioConfig::small(1.2).with_seed(seed),
-            )
-        };
-        let (a, agg_a) = run();
-        let (b, _) = run();
-        assert_eq!(a.len(), 3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.rejection_rate, y.rejection_rate);
-        }
-        assert_eq!(agg_a.seeds, 3);
-        assert!(agg_a.rejection_rate.0 >= 0.0);
+    /// One QUICKG cell per seed at the small scale.
+    fn quickg_cells(utilization: f64, seeds: &[u64]) -> Vec<(AlgorithmSpec, ScenarioConfig)> {
+        seeds
+            .iter()
+            .map(|&seed| {
+                (
+                    Algorithm::Quickg.into(),
+                    ScenarioConfig::small(utilization).with_seed(seed),
+                )
+            })
+            .collect()
     }
 
     #[test]
-    fn run_seeds_matches_scenario_runs() {
+    fn parallel_seeds_are_deterministic_and_ordered() {
+        let substrate = citta_studi().unwrap();
+        let cells = quickg_cells(1.2, &[1, 2, 3]);
+        let run = || {
+            run_cells(
+                &AlgorithmRegistry::builtins(),
+                &substrate,
+                default_apps,
+                &cells,
+                |scenario, spec| (scenario.config.seed, scenario.run_summary(spec).unwrap()),
+            )
+        };
+        let a = run();
+        let b = run();
+        let seeds: Vec<u64> = a.iter().map(|(seed, _)| *seed).collect();
+        assert_eq!(seeds, vec![1, 2, 3], "results come back in cell order");
+        for ((_, x), (_, y)) in a.iter().zip(&b) {
+            assert_eq!(x.fingerprint(), y.fingerprint());
+        }
+        let summaries: Vec<_> = a.into_iter().map(|(_, s)| s).collect();
+        let agg = crate::metrics::aggregate(&summaries);
+        assert_eq!(agg.seeds, 3);
+        assert!(agg.rejection_rate.0 >= 0.0);
+    }
+
+    #[test]
+    fn run_cells_matches_scenario_runs() {
         let substrate = citta_studi().unwrap();
         let seeds = [4u64, 5];
-        let (summaries, _) = run_seeds(
+        let summaries = run_cells(
+            &AlgorithmRegistry::builtins(),
             &substrate,
-            Algorithm::Quickg,
-            &seeds,
             default_apps,
-            |seed| ScenarioConfig::small(1.0).with_seed(seed),
+            &quickg_cells(1.0, &seeds),
+            |scenario, spec| scenario.run_summary(spec).unwrap(),
         );
         for (i, &seed) in seeds.iter().enumerate() {
             let scenario = Scenario::new(

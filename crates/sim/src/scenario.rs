@@ -594,10 +594,8 @@ impl Scenario {
             EstimatorKind::Sketch => "sketch",
             EstimatorKind::Custom(_) => return None,
         };
-        // Debug formatting is deterministic within a process and covers
-        // every field, including future additions to the structs.
         let inputs = format!(
-            "{:?};{:?};{:?};{};{};{:?};{:?};{};{:?};{:?};{:?};{}",
+            "{:?};{:?};{:?};{};{};{:?};{:?};{};{:?};{:?};{:?};{};{:?}",
             self.substrate,
             self.apps,
             self.policy,
@@ -610,16 +608,28 @@ impl Scenario {
             self.config.aggregation,
             self.config.trace,
             estimator_tag,
+            self.config.caida,
         );
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in inputs
-            .bytes()
-            .chain(format!("{:?}", self.config.caida).bytes())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+        Some(fnv1a(&inputs))
+    }
+
+    /// A fingerprint of this scenario's **whole world** — substrate,
+    /// application catalogue, placement policy and the complete
+    /// [`ScenarioConfig`] (seed, online phase, OLIVE switches, adversary
+    /// and churn included): two scenarios with equal keys run
+    /// identically under any one algorithm. It is stable across
+    /// processes of one build, which makes it the identity of a sweep
+    /// cell's checkpoint file — a re-run finds the file its own cell
+    /// wrote and no other. Returns `None` for
+    /// [`EstimatorKind::Custom`], as [`Scenario::plan_cache_key`] does.
+    pub fn world_key(&self) -> Option<u64> {
+        if matches!(self.config.estimator, EstimatorKind::Custom(_)) {
+            return None;
         }
-        Some(h)
+        Some(fnv1a(&format!(
+            "{:?};{:?};{:?};{:?}",
+            self.substrate, self.apps, self.policy, self.config
+        )))
     }
 
     /// Runs one algorithm through the online phase and keeps the full
@@ -846,6 +856,19 @@ impl Scenario {
         );
         self.run_observed(algorithm, &mut observer)
     }
+}
+
+/// FNV-1a over the `Debug` rendering a scenario key is made of. Debug
+/// formatting covers every field of the rendered structs, including
+/// future additions, and is deterministic across processes (none of
+/// them holds a hash-ordered container).
+fn fnv1a(rendered: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in rendered.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// A callback receiving every checkpoint a

@@ -27,7 +27,7 @@ use vne_sim::engine::{
 use vne_sim::metrics::Summary;
 use vne_sim::observe::{Checkpointer, NullObserver, Recorder, StopAfter, Tee, WindowSummary};
 use vne_sim::registry::{AlgorithmRegistry, BuildContext, BuiltAlgorithm};
-use vne_sim::runner::{default_apps, run_seeds_with, SweepContext};
+use vne_sim::runner::{default_apps, run_cells, SweepContext};
 use vne_sim::scenario::{Algorithm, ResumeError, Scenario, ScenarioConfig};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile, ChurnSchedule};
 use vne_workload::caida::CaidaConfig;
@@ -669,7 +669,10 @@ fn sweep_context_caches_equal_fresh_derivations() {
     });
     assert_eq!(custom.plan_cache_key(), None);
 
-    // End to end: a shared-context sweep equals the context-free sweep.
+    // End to end on the sweep primitive: cells run through
+    // `run_cells` — which attaches its own context to every cell —
+    // equal context-free scenario runs, and a second pass over the
+    // same cells inside that context is served from the memo.
     let substrate = scenario.substrate.clone();
     let configure = |seed: u64| {
         let mut c = ScenarioConfig::small(1.2).with_seed(seed);
@@ -679,41 +682,41 @@ fn sweep_context_caches_equal_fresh_derivations() {
         c.aggregation.bootstrap_replicates = 10;
         c
     };
-    let registry = AlgorithmRegistry::builtins();
     let seeds = [1u64, 2];
-    let (plain, _) = run_seeds_with(
-        &Arc::new(SweepContext::new()),
-        &registry,
+    let plain: Vec<_> = seeds
+        .iter()
+        .map(|&seed| Scenario::new(substrate.clone(), default_apps(seed), configure(seed)))
+        .map(|scenario| scenario.run(Algorithm::Olive))
+        .collect();
+    let two_passes: Vec<_> = seeds
+        .iter()
+        .chain(&seeds)
+        .map(|&seed| (Algorithm::Olive.into(), configure(seed)))
+        .collect();
+    let shared = run_cells(
+        &AlgorithmRegistry::builtins(),
         &substrate,
-        &Algorithm::Olive.into(),
-        &seeds,
         default_apps,
-        configure,
+        &two_passes,
+        |scenario, spec| (scenario.apps.clone(), scenario.run(spec)),
     );
-    let shared = Arc::new(SweepContext::new());
-    let (with_ctx, _) = run_seeds_with(
-        &shared,
-        &registry,
-        &substrate,
-        &Algorithm::Olive.into(),
-        &seeds,
-        default_apps,
-        configure,
-    );
-    // Second pass over the same context: everything is a cache hit.
-    let (second_pass, _) = run_seeds_with(
-        &shared,
-        &registry,
-        &substrate,
-        &Algorithm::Olive.into(),
-        &seeds,
-        default_apps,
-        configure,
-    );
-    assert_eq!(shared.plans_cached(), seeds.len());
-    assert_eq!(shared.apps_cached(), seeds.len());
-    for ((a, b), c) in plain.iter().zip(&with_ctx).zip(&second_pass) {
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), c.fingerprint());
+    let (first_pass, second_pass) = shared.split_at(seeds.len());
+    for (i, &seed) in seeds.iter().enumerate() {
+        let (apps, with_ctx) = &first_pass[i];
+        let (apps_again, again) = &second_pass[i];
+        // One application draw per seed, equal to the fresh draw.
+        assert_eq!(apps, &default_apps(seed));
+        assert_eq!(apps_again, apps);
+        // One plan per seed: the second pass gets the identical plan
+        // *and* the first derivation's wall-clock — the mark of a memo
+        // hit (a re-derivation would report its own).
+        assert_eq!(with_ctx.plan, plain[i].plan);
+        assert_eq!(again.plan, plain[i].plan);
+        assert_eq!(again.plan_secs.to_bits(), with_ctx.plan_secs.to_bits());
+        assert_eq!(
+            with_ctx.summary.fingerprint(),
+            plain[i].summary.fingerprint()
+        );
+        assert_eq!(again.summary.fingerprint(), plain[i].summary.fingerprint());
     }
 }

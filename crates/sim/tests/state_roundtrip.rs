@@ -1,10 +1,10 @@
 //! Snapshot codec round-trip battery for the simulator's encodable
 //! types — the `vne-audit` D5 (`snapshot-pairing`) coverage for
-//! `RequestStatus`, `RequestOutcome` and `SlotMetrics`.
+//! `RequestStatus`, `RequestOutcome`, `SlotMetrics` and `StreamStats`.
 
 use vne_model::ids::{AppId, ClassId, NodeId, RequestId};
 use vne_model::state::{StateDecode, StateEncode, StateReader, StateWriter};
-use vne_sim::engine::{RequestOutcome, RequestStatus, SlotMetrics};
+use vne_sim::engine::{RequestOutcome, RequestStatus, SlotMetrics, StreamStats};
 
 fn roundtrip<T>(value: &T)
 where
@@ -52,6 +52,19 @@ fn slot_metrics_roundtrip() {
     };
     roundtrip(&metrics);
     roundtrip(&SlotMetrics::default());
+}
+
+#[test]
+fn stream_stats_roundtrip() {
+    let stats = StreamStats {
+        slots_run: 9,
+        arrivals: 40,
+        peak_active: 7,
+        online_secs: 1.25,
+        stopped_early: true,
+    };
+    roundtrip(&stats);
+    roundtrip(&StreamStats::default());
 }
 
 #[test]
