@@ -10,7 +10,11 @@
 use std::collections::BTreeMap;
 
 use vne_model::ids::ClassId;
-use vne_sim::engine::RequestStatus;
+use vne_model::request::Slot;
+use vne_olive::algorithm::OnlineAlgorithm;
+use vne_olive::olive::Olive;
+use vne_sim::engine::{RequestStatus, SlotMetrics};
+use vne_sim::observe::Inspect;
 use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Algorithm, Scenario};
 
@@ -28,13 +32,16 @@ fn main() {
 
     // Record per-slot (planned, borrowed) active demand per app at Franklin.
     let mut series: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
-    let outcome = scenario.run_with_inspector(Algorithm::Olive, |t, olive| {
+    let mut inspect = Inspect(|t: Slot, _: &SlotMetrics, alg: &dyn OnlineAlgorithm| {
+        let olive = alg.as_any().and_then(|a| a.downcast_ref::<Olive>());
+        let olive = olive.expect("the OLIVE spec builds an Olive");
         let row: Vec<(f64, f64)> = app_ids
             .iter()
             .map(|&a| olive.active_demand_by_class(ClassId::new(a, franklin)))
             .collect();
         series.insert(t, row);
     });
+    let outcome = scenario.run_observed(Algorithm::Olive, &mut inspect);
     let plan = outcome.plan.as_ref().expect("OLIVE produces a plan");
 
     println!("# Fig. 12 — Franklin node (Iris, MMPP), OLIVE guaranteed vs actual");

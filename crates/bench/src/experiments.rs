@@ -22,20 +22,22 @@
 //! tweaks (Fig. 13's `plan_utilization`, Fig. 14's `shift_plan_ingress`,
 //! ablation switches), custom application generators, custom substrates
 //! and plugged algorithms resume faithfully by construction. A cell
-//! whose file exists is finished from it; the others run fresh. The one
-//! world without a key is a [`vne_workload::estimator::EstimatorKind::Custom`]
-//! factory (an opaque closure); a cell of such a sweep fails before it
-//! runs a slot.
+//! whose file exists is finished from it — by the cell's own
+//! [`AlgorithmSpec`], a file written by another algorithm is an error —
+//! and the others run fresh. Fresh or resumed, a cell keeps
+//! checkpointing under `--checkpoint-every`, so a resumed sweep can be
+//! interrupted again without losing ground.
 
 use std::path::PathBuf;
 
 use vne_model::app::AppSet;
 use vne_model::substrate::SubstrateNetwork;
 use vne_sim::metrics::{aggregate, AggregatedSummary, Summary};
+use vne_sim::observe::NullObserver;
 use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file};
 use vne_sim::registry::AlgorithmSpec;
 use vne_sim::runner::{default_apps, run_cells};
-use vne_sim::scenario::{Scenario, ScenarioConfig};
+use vne_sim::scenario::{CheckpointSink, Scenario, ScenarioConfig};
 
 use crate::cli::BenchOpts;
 
@@ -99,11 +101,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics when an algorithm does not resolve in `opts.registry`, when
-/// checkpointing or resuming a group whose config uses a custom
-/// estimator, and when a checkpoint file `--resume` finds is unreadable,
-/// truncated or not a checkpoint of its cell — never a silent fresh
-/// run.
+/// Panics when an algorithm does not resolve in `opts.registry`, and
+/// when a checkpoint file `--resume` finds is unreadable, truncated or
+/// not a checkpoint of its cell — never a silent fresh run.
 pub fn sweep_groups<FA>(
     substrate: &SubstrateNetwork,
     make_apps: FA,
@@ -147,37 +147,31 @@ where
 }
 
 /// One sweep cell: finished from its checkpoint file under `--resume`
-/// when the file exists, otherwise run from slot 0 — with every capture
-/// replacing the cell's file under `--checkpoint-every`.
+/// when the file exists, otherwise run from slot 0 — either way with
+/// every capture replacing the cell's file under `--checkpoint-every`.
 fn run_cell(opts: &BenchOpts, scenario: &Scenario, spec: &AlgorithmSpec) -> Summary {
-    if opts.resume {
-        let path = checkpoint_path(opts, scenario, spec);
-        if path.exists() {
-            let checkpoint = read_checkpoint_file(&path).unwrap_or_else(|e| panic!("{e}"));
-            eprintln!(
-                "# resuming {}: {} of {} slots done",
-                path.display(),
-                checkpoint.slot + 1,
-                scenario.config.test_slots,
-            );
-            return scenario
-                .resume_summary(&checkpoint)
-                .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", path.display()));
-        }
-    }
-    match opts.checkpoint_every {
-        None => scenario.run_summary(spec).unwrap_or_else(|e| panic!("{e}")),
-        Some(every) => {
-            let path = checkpoint_path(opts, scenario, spec);
-            let sink = Box::new(move |checkpoint: &_| {
-                write_checkpoint_file(&path, checkpoint).unwrap_or_else(|e| panic!("{e}"));
-            });
-            let (summary, _) = scenario
-                .run_summary_checkpointed(spec, every, Some(sink))
-                .unwrap_or_else(|e| panic!("{e}"));
-            summary
-        }
-    }
+    let path = checkpoint_path(opts, scenario, spec);
+    let from = (opts.resume && path.exists()).then(|| {
+        let checkpoint = read_checkpoint_file(&path).unwrap_or_else(|e| panic!("{e}"));
+        eprintln!(
+            "# resuming {}: {} of {} slots done",
+            path.display(),
+            checkpoint.slot + 1,
+            scenario.config.test_slots,
+        );
+        checkpoint
+    });
+    let checkpoints = opts.checkpoint_every.map(|every| {
+        let path = path.clone();
+        let sink: CheckpointSink = Box::new(move |checkpoint| {
+            write_checkpoint_file(&path, checkpoint).unwrap_or_else(|e| panic!("{e}"));
+        });
+        (every, Some(sink))
+    });
+    scenario
+        .drive(spec, from.as_ref(), checkpoints, &mut NullObserver)
+        .unwrap_or_else(|e| panic!("cell {}: {e}", path.display()))
+        .summary
 }
 
 /// The checkpoint file of one sweep cell. The world key in the name
@@ -186,18 +180,12 @@ fn run_cell(opts: &BenchOpts, scenario: &Scenario, spec: &AlgorithmSpec) -> Summ
 /// on distinct files in a shared directory, and is what lets a re-run
 /// find exactly the file its own cell wrote.
 fn checkpoint_path(opts: &BenchOpts, scenario: &Scenario, spec: &AlgorithmSpec) -> PathBuf {
-    let key = scenario.world_key().unwrap_or_else(|| {
-        panic!(
-            "--checkpoint-every / --resume are not supported by this sweep: its config uses \
-             a custom estimator factory, which has no world key, so a re-run could not tell \
-             which checkpoint file belongs to which cell"
-        )
-    });
     opts.checkpoint_dir.join(format!(
-        "ckpt-{}-{}-u{:.0}-c{key:016x}-s{}.bin",
+        "ckpt-{}-{}-u{:.0}-c{:016x}-s{}.bin",
         scenario.substrate.name(),
         spec.name(),
         scenario.config.utilization * 100.0,
+        scenario.world_key(),
         scenario.config.seed,
     ))
 }
@@ -233,7 +221,6 @@ mod tests {
     use vne_sim::registry::AlgorithmRegistry;
     use vne_sim::scenario::Algorithm;
     use vne_workload::appgen::{uniform_shape_set, AppGenConfig};
-    use vne_workload::estimator::EstimatorKind;
     use vne_workload::rng::SeededRng;
 
     #[test]
@@ -388,6 +375,22 @@ mod tests {
                 ..base.clone()
             };
             assert_eq!(fingerprints(&run(&resuming)), uninterrupted, "{name}");
+            // A resumed cell keeps checkpointing: re-run with `resume`
+            // *and* `checkpoint_every`, and every file moves on from the
+            // slot it was resumed at to the run's last slot (10 divides
+            // both horizons) — a second interruption loses nothing.
+            let resuming_checkpointing = BenchOpts {
+                resume: true,
+                checkpoint_every: Some(10),
+                ..base.clone()
+            };
+            let rerun = fingerprints(&run(&resuming_checkpointing));
+            assert_eq!(rerun, uninterrupted, "{name}");
+            let last_slot = if *name == "untweaked" { 299 } else { 29 };
+            for path in &written {
+                let checkpoint = read_checkpoint_file(path).unwrap();
+                assert_eq!(checkpoint.slot, last_slot, "{name}");
+            }
         }
 
         // The file name is predictable from the cell's scenario.
@@ -398,7 +401,7 @@ mod tests {
         );
         let path = dir.join(format!(
             "ckpt-CittaStudi-QUICKG-u120-c{:016x}-s1.bin",
-            seed_one.world_key().unwrap()
+            seed_one.world_key()
         ));
         let good = std::fs::read(&path).expect("the untweaked sweep's seed-1 file");
 
@@ -420,46 +423,6 @@ mod tests {
             let message = panic.downcast_ref::<String>().expect("formatted message");
             assert!(message.contains(path.to_str().unwrap()), "{message}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointed_sweep_rejects_custom_estimators() {
-        // The one tweak a checkpoint file cannot record: an opaque
-        // estimator factory. It must fail loudly instead of writing
-        // files that would resume into the wrong scenario.
-        let substrate = vne_topology::zoo::citta_studi().unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "vne-ckpt-custom-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let opts = BenchOpts {
-            seeds: 1,
-            utils: vec![1.0],
-            checkpoint_every: Some(50),
-            checkpoint_dir: dir.clone(),
-            ..BenchOpts::default()
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sweep(
-                &substrate,
-                &[vne_sim::scenario::Algorithm::Quickg],
-                &opts,
-                |c| {
-                    c.estimator = EstimatorKind::custom(|slots, aggregation| {
-                        Box::new(vne_workload::estimator::ExactEstimator::new(
-                            slots,
-                            *aggregation,
-                        ))
-                    });
-                },
-            )
-        }));
-        assert!(
-            result.is_err(),
-            "custom-estimator checkpointing sweep must panic"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

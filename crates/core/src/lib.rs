@@ -21,6 +21,11 @@
 //! * [`slotoff`] — per-slot offline re-optimization (PRANOS-style);
 //! * [`algorithm`] — the slot-driven interface all algorithms implement.
 //!
+//! A run has one plan, handed to [`olive::Olive::new`]; an algorithm that
+//! re-plans while it runs would be a separate [`OnlineAlgorithm`] built
+//! by a registry factory, so that it is driven, churned and checkpointed
+//! like every other.
+//!
 //! ## Example: plan and serve
 //!
 //! ```
@@ -71,7 +76,6 @@ pub mod plan;
 pub mod planvne;
 pub mod pricing;
 pub mod slotoff;
-pub mod timeplan;
 
 pub use algorithm::{OnlineAlgorithm, SlotOutcome};
 pub use olive::{Olive, OliveConfig};

@@ -167,20 +167,6 @@ impl Olive {
         self.active.get(&id).map(|a| a.planned).unwrap_or(false)
     }
 
-    /// Replaces the plan with a fresh one (used by time-varying plans,
-    /// the paper's §VI extension). Active allocations are kept but
-    /// demoted to non-planned: the new plan's guarantees start from full
-    /// budgets, and carried-over requests become preemptible borrowers
-    /// of the new plan's capacity.
-    pub fn adopt_plan(&mut self, plan: Plan) {
-        self.plan_ledger = PlanLedger::new(&plan);
-        self.plan = plan;
-        for alloc in self.active.values_mut() {
-            alloc.planned = false;
-            alloc.plan_column = None;
-        }
-    }
-
     /// Active demand of a class split into `(planned, non-planned)` —
     /// the green/blue split of the paper's Fig. 12.
     pub fn active_demand_by_class(&self, class: ClassId) -> (f64, f64) {

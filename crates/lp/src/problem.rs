@@ -188,21 +188,6 @@ impl Problem {
         (self.lb[var.0], self.ub[var.0])
     }
 
-    /// Overrides the bounds of `var` (used by branch-and-bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lb > ub` or a bound is NaN.
-    pub fn set_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
-        assert!(
-            !lb.is_nan() && !ub.is_nan(),
-            "variable bounds must not be NaN"
-        );
-        assert!(lb <= ub, "variable lower bound exceeds upper bound");
-        self.lb[var.0] = lb;
-        self.ub[var.0] = ub;
-    }
-
     /// The name of `var`.
     pub fn var_name(&self, var: VarId) -> &str {
         &self.var_names[var.0]

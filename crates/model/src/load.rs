@@ -210,15 +210,6 @@ impl LoadLedger {
         self.node_load.iter().sum::<f64>() / cap
     }
 
-    /// Fraction of total link capacity currently loaded.
-    pub fn link_utilization(&self) -> f64 {
-        let cap: f64 = self.link_capacity.iter().sum();
-        if cap == 0.0 {
-            return 0.0;
-        }
-        self.link_load.iter().sum::<f64>() / cap
-    }
-
     /// Asserts internal invariants (loads within `[0, cap]` up to
     /// tolerance). Intended for tests and debug checks.
     pub fn check_invariants(&self) -> bool {

@@ -41,7 +41,7 @@ struct Options {
     tick: TickMode,
     watermark: usize,
     checkpoint: Option<std::path::PathBuf>,
-    checkpoint_every: u32,
+    checkpoint_every: Option<u32>,
     resume_from: Option<std::path::PathBuf>,
 }
 
@@ -56,25 +56,33 @@ impl Default for Options {
             tick: TickMode::Manual,
             watermark: 1024,
             checkpoint: None,
-            checkpoint_every: 8,
+            checkpoint_every: None,
             resume_from: None,
         }
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| args.next().ok_or_else(|| format!("{what} needs a value"));
+        let mut value = |what: &str| {
+            args.next()
+                .cloned()
+                .ok_or_else(|| format!("{what} needs a value"))
+        };
         match flag.as_str() {
             "--addr" => opts.addr = value("--addr")?,
             "--alg" => opts.alg = value("--alg")?,
             "--topology" => opts.topology = value("--topology")?,
             "--utilization" => {
-                opts.utilization = value("--utilization")?
-                    .parse()
-                    .map_err(|e| format!("bad --utilization: {e}"))?;
+                let raw = value("--utilization")?;
+                opts.utilization = raw.parse().map_err(|e| format!("bad --utilization: {e}"))?;
+                if !(opts.utilization.is_finite() && opts.utilization > 0.0) {
+                    return Err(format!(
+                        "--utilization takes a positive finite fraction, got {raw:?}"
+                    ));
+                }
             }
             "--seed" => {
                 opts.seed = value("--seed")?
@@ -98,12 +106,13 @@ fn parse_args() -> Result<Options, String> {
             }
             "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")?.into()),
             "--checkpoint-every" => {
-                opts.checkpoint_every = value("--checkpoint-every")?
+                let every: u32 = value("--checkpoint-every")?
                     .parse()
                     .map_err(|e| format!("bad --checkpoint-every: {e}"))?;
-                if opts.checkpoint_every == 0 {
+                if every == 0 {
                     return Err("--checkpoint-every must be at least 1".to_string());
                 }
+                opts.checkpoint_every = Some(every);
             }
             "--resume-from" => opts.resume_from = Some(value("--resume-from")?.into()),
             "--help" | "-h" => {
@@ -118,11 +127,15 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    if opts.checkpoint_every.is_some() && opts.checkpoint.is_none() {
+        return Err("--checkpoint-every needs --checkpoint PATH to write to".to_string());
+    }
     Ok(opts)
 }
 
 fn run() -> Result<(), String> {
-    let opts = parse_args()?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args)?;
     let substrate = match opts.topology.as_str() {
         "citta-studi" | "citta_studi" => {
             vne_topology::zoo::citta_studi().map_err(|e| e.to_string())?
@@ -155,7 +168,7 @@ fn run() -> Result<(), String> {
         watermark: opts.watermark,
         checkpoint: opts.checkpoint.as_ref().map(|path| CheckpointConfig {
             path: path.clone(),
-            every: opts.checkpoint_every,
+            every: opts.checkpoint_every.unwrap_or(8),
         }),
     };
     let runtime = vne_serve::actor::spawn(
@@ -202,5 +215,46 @@ fn main() -> ExitCode {
             eprintln!("vne-serve: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn checkpoint_every_requires_checkpoint() {
+        let err = parse(&["--checkpoint-every", "4"]).err().expect("rejected");
+        assert!(err.contains("--checkpoint PATH"), "{err}");
+        // Either order is fine once both are there; the interval alone
+        // defaults.
+        for args in [
+            &["--checkpoint", "/tmp/c.bin", "--checkpoint-every", "4"][..],
+            &["--checkpoint-every", "4", "--checkpoint", "/tmp/c.bin"][..],
+        ] {
+            let opts = parse(args).unwrap();
+            assert_eq!(opts.checkpoint_every, Some(4));
+            assert!(opts.checkpoint.is_some());
+        }
+        assert_eq!(
+            parse(&["--checkpoint", "/tmp/c.bin"])
+                .unwrap()
+                .checkpoint_every,
+            None
+        );
+    }
+
+    #[test]
+    fn utilization_must_be_positive_and_finite() {
+        for bad in ["nan", "inf", "-inf", "0", "-0.5"] {
+            let err = parse(&["--utilization", bad]).err().expect(bad);
+            assert!(err.contains("positive finite"), "{bad}: {err}");
+        }
+        assert_eq!(parse(&["--utilization", "1.4"]).unwrap().utilization, 1.4);
     }
 }

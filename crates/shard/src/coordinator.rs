@@ -402,13 +402,6 @@ impl ShardCoordinator {
         &mut self.cut_factor
     }
 
-    /// Mutable access to the sharded substrate. Test seam for the
-    /// `strict-invariants` auditor; never called by the coordinator.
-    #[doc(hidden)]
-    pub fn debug_sharded_mut(&mut self) -> &mut ShardedSubstrate {
-        &mut self.sharded
-    }
-
     /// Resumes a checkpointed sharded run: rebuilds the coordinator
     /// from the same deterministic configuration (`sharded`, `build`,
     /// the caller re-applies [`ShardCoordinator::with_reembed`]), then
@@ -423,7 +416,8 @@ impl ShardCoordinator {
     /// [`Checkpointer`] produced over this coordinator: for `k > 1` its
     /// blobs carry a packed [`ShardCheckpoint`]; for `k = 1` they carry
     /// plain monolithic engine state, so single-shard coordinators and
-    /// [`run_stream_from_with`] accept each other's checkpoints
+    /// the monolithic engine ([`restore_engine`], then
+    /// [`EngineState::run`]) accept each other's checkpoints
     /// interchangeably. Use [`crate::checkpoint::engine_checkpoint`] to
     /// resume from a typed [`ShardCheckpoint`].
     ///
@@ -434,7 +428,7 @@ impl ShardCoordinator {
     /// name, cut count) or any blob fails to restore.
     ///
     /// [`Checkpointer`]: vne_sim::observe::Checkpointer
-    /// [`run_stream_from_with`]: vne_sim::engine::run_stream_from_with
+    /// [`EngineState::run`]: vne_sim::engine::EngineState::run
     pub fn resume_from<O>(
         sharded: ShardedSubstrate,
         build: impl FnMut(ShardId, &SubstrateNetwork) -> Box<dyn OnlineAlgorithm>,

@@ -20,7 +20,7 @@ use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::fullg::FullG;
 use vne_shard::{engine_checkpoint, shard_checkpoint, ShardCoordinator};
-use vne_sim::engine::{run_stream_from_with, run_stream_with, EngineState, ReembedAll};
+use vne_sim::engine::{restore_engine, run_stream_with, EngineState, ReembedAll};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file};
 
@@ -229,15 +229,9 @@ fn single_shard_checkpoint_resumes_into_the_monolithic_engine() {
 
     let mut algorithm = fullg(&s);
     let mut w = window(&s);
-    let stats = run_stream_from_with(
-        &checkpoint,
-        &mut algorithm,
-        &s,
-        ev.iter().cloned(),
-        &mut w,
-        &mut ReembedAll,
-    )
-    .unwrap();
+    let mut state = restore_engine(&checkpoint, &mut algorithm, &s, &mut w).unwrap();
+    let remaining = ev[state.next_slot() as usize..].iter().cloned();
+    let stats = state.run(&mut algorithm, &s, remaining, &mut w, &mut ReembedAll);
     assert_eq!(
         w.finish(&stats).fingerprint(),
         reference,
@@ -255,15 +249,7 @@ fn multi_shard_checkpoint_is_refused_outside_its_shape() {
     let mut algorithm = fullg(&s);
     let mut w = window(&s);
     assert!(
-        run_stream_from_with(
-            &checkpoint,
-            &mut algorithm,
-            &s,
-            ev.iter().cloned(),
-            &mut w,
-            &mut ReembedAll
-        )
-        .is_err(),
+        restore_engine(&checkpoint, &mut algorithm, &s, &mut w).is_err(),
         "a packed multi-shard checkpoint must not restore into one engine"
     );
 

@@ -394,9 +394,8 @@ impl<O: SimObserver + ?Sized> SimObserver for &mut O {
 }
 
 /// The engine's mutable state between slots: the `O(active)` working
-/// set ([`run_stream_with`] keeps nothing else). Factored out of the run
-/// loop so checkpoints can serialize it and [`run_stream_from_with`] can
-/// rebuild it.
+/// set (the engine loop, [`EngineState::run`], keeps nothing else) —
+/// what checkpoints serialize and [`restore_engine`] rebuilds.
 #[derive(Debug, Clone, Default)]
 pub struct EngineState {
     /// Active accepted requests (the O(active) working set).
@@ -542,6 +541,59 @@ impl EngineState {
         }
         let control = observer.on_slot_end(t, &step.metrics, algorithm);
         (step, control)
+    }
+
+    /// The one engine loop: steps `events` through [`EngineState::step`]
+    /// from wherever this state stands — a [`EngineState::fresh`] state
+    /// for a run from slot 0 ([`run_stream_with`] is exactly that), a
+    /// [`restore_engine`]d state to finish a checkpointed run. After
+    /// every slot it stamps [`StreamStats::online_secs`] (accumulating
+    /// across resumed segments), emits
+    /// [`SimObserver::on_slot_committed`], and honors an observer's
+    /// [`SimControl::Stop`].
+    ///
+    /// `events` must start at [`EngineState::next_slot`] or later: a
+    /// resume feeds the stream's suffix, never the slots the checkpoint
+    /// already consumed. With `algorithm`, `substrate` and `policy` those
+    /// of the checkpointed run, the finished run is **byte-identical** to
+    /// the uninterrupted one — the guarantee pinned by the
+    /// resume-determinism test battery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream yields a slot below
+    /// [`EngineState::next_slot`] or not strictly greater than its
+    /// predecessor.
+    pub fn run<E, O>(
+        &mut self,
+        algorithm: &mut dyn OnlineAlgorithm,
+        substrate: &SubstrateNetwork,
+        events: E,
+        observer: &mut O,
+        policy: &mut dyn ReembedPolicy,
+    ) -> StreamStats
+    where
+        E: IntoIterator<Item = SlotEvents>,
+        O: SimObserver + ?Sized,
+    {
+        // Online seconds accumulate across resumed segments.
+        let base_secs = self.stats.online_secs;
+        // audit:allow(D2, "set_online_secs feeder: the engine loop stamps stats.online_secs")
+        let started = Instant::now();
+        for event in events {
+            let (_step, control) = self.step(algorithm, substrate, event, observer, policy);
+            // The commit hook fires even when this slot's on_slot_end asked
+            // to stop: a budgeted run must leave a checkpoint at its final
+            // slot (the StopAfter-on-checkpoint-slot regression).
+            self.stats.online_secs = base_secs + started.elapsed().as_secs_f64();
+            observer.on_slot_committed(&self.view(&*algorithm));
+            if control == SimControl::Stop {
+                self.stats.stopped_early = true;
+                break;
+            }
+        }
+        self.stats.online_secs = base_secs + started.elapsed().as_secs_f64();
+        self.stats
     }
 
     /// Re-imposes the folded churn state's effective capacities on
@@ -774,10 +826,10 @@ impl<'a> EngineView<'a> {
 }
 
 /// A complete, serializable snapshot of a streaming run after one slot:
-/// enough to finish the run later ([`run_stream_from_with`]) or to branch a
-/// what-if fork from the middle of a stream
-/// ([`crate::scenario::Scenario::fork_at`]), with results byte-identical
-/// to the uninterrupted run.
+/// enough to finish the run later ([`restore_engine`], then
+/// [`EngineState::run`]) or to branch what-if forks from the middle of a
+/// stream ([`crate::scenario::Scenario::drive`]), with results
+/// byte-identical to the uninterrupted run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineCheckpoint {
     /// The last slot the checkpointed run completed; the resume
@@ -852,9 +904,10 @@ impl EngineCheckpoint {
     }
 }
 
-/// Runs `algorithm` over a lazy stream of slot events; `policy` decides
-/// the fate of requests stranded by substrate churn (churn-free streams
-/// never consult it).
+/// Runs `algorithm` over a lazy stream of slot events from slot 0 —
+/// [`EngineState::run`] on a [`EngineState::fresh`] state; `policy`
+/// decides the fate of requests stranded by substrate churn (churn-free
+/// streams never consult it).
 ///
 /// Slots must be yielded in strictly increasing order (enforced by an
 /// assertion); quiet slots may be skipped — departures falling into a
@@ -881,58 +934,16 @@ where
     E: IntoIterator<Item = SlotEvents>,
     O: SimObserver + ?Sized,
 {
-    let mut state = EngineState::fresh();
-    drive(&mut state, algorithm, substrate, events, observer, policy)
-}
-
-/// Resumes a checkpointed run: restores the algorithm, the observer and
-/// the engine state from `checkpoint`, drops the events the checkpoint
-/// already consumed (slots `<= checkpoint.slot`; lazy sources can
-/// fast-forward cheaper via their `skip_to`), and finishes the run.
-///
-/// `algorithm` and `observer` must be freshly constructed with the same
-/// configuration as the checkpointed run (the deterministic scenario
-/// pipeline does this per seed), and `policy` must be the policy of the
-/// checkpointed run; their mutable state is replaced from the
-/// checkpoint. The finished run is **byte-identical** to the
-/// uninterrupted one — the guarantee pinned by the resume-determinism
-/// test battery.
-///
-/// # Errors
-///
-/// Returns a [`StateError`] when the algorithm's name does not match
-/// the checkpoint or any blob fails to restore.
-///
-/// # Panics
-///
-/// Panics like [`run_stream_with`] if the remaining stream yields
-/// non-increasing slots.
-pub fn run_stream_from_with<E, O>(
-    checkpoint: &EngineCheckpoint,
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    policy: &mut dyn ReembedPolicy,
-) -> Result<StreamStats, StateError>
-where
-    E: IntoIterator<Item = SlotEvents>,
-    O: SimObserver + Snapshot + ?Sized,
-{
-    let mut state = restore_engine(checkpoint, algorithm, substrate, observer)?;
-    let consumed = state.next_min_slot;
-    let remaining = events
-        .into_iter()
-        .skip_while(move |ev| u64::from(ev.slot) < consumed);
-    Ok(drive(
-        &mut state, algorithm, substrate, remaining, observer, policy,
-    ))
+    EngineState::fresh().run(algorithm, substrate, events, observer, policy)
 }
 
 /// Restores a checkpoint into a live [`EngineState`] without driving
-/// any events — the shared first half of [`run_stream_from_with`] and the
-/// entry point for external drivers (the `vne-serve` daemon) that step
-/// the engine themselves via [`EngineState::step`].
+/// any events — the first half of every resume: follow it with
+/// [`EngineState::run`] over the events from [`EngineState::next_slot`]
+/// on, or (external drivers such as the `vne-serve` daemon) step the
+/// engine yourself via [`EngineState::step`]. `observer` is whatever owns
+/// the checkpoint's observer blob; it need not be the observer the
+/// resumed run is driven with.
 ///
 /// Restores, in order: the algorithm's state blob (after checking its
 /// [`OnlineAlgorithm::name`] against the checkpoint), the observer, the
@@ -1352,39 +1363,6 @@ pub fn audit_engine(
         }
     }
     out
-}
-
-/// The one engine loop, behind both `run_stream*` entry points.
-fn drive<E, O>(
-    state: &mut EngineState,
-    algorithm: &mut dyn OnlineAlgorithm,
-    substrate: &SubstrateNetwork,
-    events: E,
-    observer: &mut O,
-    policy: &mut dyn ReembedPolicy,
-) -> StreamStats
-where
-    E: IntoIterator<Item = SlotEvents>,
-    O: SimObserver + ?Sized,
-{
-    // Online seconds accumulate across resumed segments.
-    let base_secs = state.stats.online_secs;
-    // audit:allow(D2, "set_online_secs feeder: run_stream_with stamps stats.online_secs")
-    let started = Instant::now();
-    for event in events {
-        let (_step, control) = state.step(algorithm, substrate, event, observer, policy);
-        // The commit hook fires even when this slot's on_slot_end asked
-        // to stop: a budgeted run must leave a checkpoint at its final
-        // slot (the StopAfter-on-checkpoint-slot regression).
-        state.stats.online_secs = base_secs + started.elapsed().as_secs_f64();
-        observer.on_slot_committed(&state.view(&*algorithm));
-        if control == SimControl::Stop {
-            state.stats.stopped_early = true;
-            break;
-        }
-    }
-    state.stats.online_secs = base_secs + started.elapsed().as_secs_f64();
-    state.stats
 }
 
 #[cfg(test)]

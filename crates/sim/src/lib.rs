@@ -6,7 +6,10 @@
 //! * the [`engine`] streams `SlotEvents` (lazy, one slot at a time)
 //!   against any [`vne_olive::algorithm::OnlineAlgorithm`], keeping
 //!   only `O(active requests)` of state and reporting per-request and
-//!   per-slot facts to a [`engine::SimObserver`];
+//!   per-slot facts to a [`engine::SimObserver`]. There is one loop,
+//!   [`engine::EngineState::run`]: [`engine::run_stream_with`] runs it
+//!   from a fresh state, a resume is [`engine::restore_engine`] followed
+//!   by `run` over the remaining events;
 //! * [`observe`] has the ready-made observers: the `O(classes)`
 //!   incremental [`observe::WindowSummary`] (the one summary fold), a
 //!   full-log [`observe::Recorder`], a periodic
@@ -21,8 +24,11 @@
 //!   rate, costs (Eqs. 3–4), rejection balance index (Eq. 20) — and its
 //!   cross-seed aggregation;
 //! * [`scenario`] wires the full history → plan → online pipeline with
-//!   all the evaluation's variations ([`scenario::ScenarioBuilder`] for
-//!   custom policies/algorithms);
+//!   all the evaluation's variations; [`scenario::Scenario::drive`] is
+//!   the one way from a scenario to a summary (fresh or resumed,
+//!   checkpointing or not), `run` / `run_observed` / `run_summary` are
+//!   sugar over it, and [`scenario::Scenario::with_registry`] plugs in
+//!   third-party algorithms;
 //! * [`runner`] runs all cells of a sweep (algorithm × configuration ×
 //!   seed) on one worker pool, sharing per-seed draws and plans.
 //!
@@ -63,6 +69,4 @@ pub use observe::{Checkpointer, NullObserver, Recorder, WindowSummary};
 pub use persist::{read_checkpoint_file, write_checkpoint_file, PersistError};
 pub use registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, BuiltAlgorithm};
 pub use runner::{default_apps, run_cells};
-pub use scenario::{
-    Algorithm, Fork, Outcome, ResumeError, Scenario, ScenarioBuilder, ScenarioConfig,
-};
+pub use scenario::{Algorithm, Outcome, ResumeError, Run, Scenario, ScenarioConfig};

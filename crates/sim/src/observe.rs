@@ -627,11 +627,6 @@ impl<O> Checkpointer<O> {
     pub fn inner_mut(&mut self) -> &mut O {
         &mut self.inner
     }
-
-    /// Consumes the checkpointer into the wrapped observer.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
 }
 
 impl<O: fmt::Debug> fmt::Debug for Checkpointer<O> {

@@ -5,8 +5,10 @@
 //! online phase through the chosen algorithm and summarize the
 //! measurement window. Algorithms are resolved by name through the
 //! scenario's [`AlgorithmRegistry`] — the paper's four are built in,
-//! and [`ScenarioBuilder::algorithm`] registers new ones without
-//! touching this crate. The online trace is *streamed* (one slot at a
+//! and [`Scenario::with_registry`] swaps in a registry extended with new
+//! ones without touching this crate. Every run — fresh or resumed,
+//! checkpointing or not, observed or not — goes through the one driver
+//! [`Scenario::drive`]. The online trace is *streamed* (one slot at a
 //! time), so a run's memory is bounded by the active requests, not the
 //! horizon. Variations used by the evaluation — plan built for a
 //! different utilization (Fig. 13), spatially shifted plan input
@@ -24,9 +26,8 @@ use vne_model::request::{Slot, SlotEvents};
 use vne_model::state::StateError;
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::aggregate::{AggregateDemand, AggregationConfig};
-use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::colgen::{solve_plan, PlanVneConfig};
-use vne_olive::olive::{Olive, OliveConfig};
+use vne_olive::olive::OliveConfig;
 use vne_olive::plan::Plan;
 use vne_workload::adversary::{
     self, AdversaryProfile, ChurnProfile, ChurnSchedule, LifetimeCliffConfig, Modulation,
@@ -38,12 +39,10 @@ use vne_workload::rng::SeededRng;
 use vne_workload::tracegen::{self, TraceConfig};
 
 use crate::engine::{
-    run_stream_from_with, run_stream_with, EngineCheckpoint, ReembedKind, RunResult, SimObserver,
+    restore_engine, EngineCheckpoint, EngineState, ReembedKind, RunResult, SimObserver, StreamStats,
 };
 use crate::metrics::Summary;
-use crate::observe::{
-    Checkpointer, Inspect, NullObserver, Recorder, StopAfter, Tee, WindowSummary,
-};
+use crate::observe::{Checkpointer, NullObserver, Recorder, Tee, WindowSummary};
 use crate::registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, UnknownAlgorithm};
 
 /// The algorithms of the paper's evaluation — convenience handles whose
@@ -143,8 +142,8 @@ pub struct ScenarioConfig {
     /// History aggregation (percentile α, bootstrap replicates).
     pub aggregation: AggregationConfig,
     /// The demand estimator folding the history stream into per-class
-    /// expected demands: exact (dense + bootstrap, the default),
-    /// `O(classes)` P² sketches, or a custom estimator.
+    /// expected demands: exact (dense + bootstrap, the default) or
+    /// `O(classes)` P² sketches.
     pub estimator: EstimatorKind,
     /// Base synthetic trace parameters.
     pub trace: TraceConfig,
@@ -229,6 +228,25 @@ pub struct Outcome {
     pub plan_secs: f64,
 }
 
+/// Everything one [`Scenario::drive`] call produces.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Window summary (the [`WindowSummary`] fold).
+    pub summary: Summary,
+    /// Engine counters, cumulative across resumed segments.
+    pub stats: StreamStats,
+    /// [`vne_olive::algorithm::OnlineAlgorithm::name`] of the algorithm
+    /// that ran.
+    pub algorithm: String,
+    /// The plan used (plan-based algorithms only).
+    pub plan: Option<Plan>,
+    /// Seconds spent building the plan (aggregation + PLAN-VNE).
+    pub plan_secs: f64,
+    /// The latest checkpoint this call captured (`None` when none was
+    /// asked for or the run ended before the first capture slot).
+    pub checkpoint: Option<EngineCheckpoint>,
+}
+
 /// One phase's trace source (synthetic or CAIDA-like), calibrated for a
 /// target utilization.
 enum PhaseTrace {
@@ -268,12 +286,6 @@ impl Scenario {
         }
     }
 
-    /// Starts a [`ScenarioBuilder`] (custom policy, registry,
-    /// third-party algorithms).
-    pub fn builder(substrate: SubstrateNetwork) -> ScenarioBuilder {
-        ScenarioBuilder::new(substrate)
-    }
-
     /// Replaces the algorithm registry (builder style).
     pub fn with_registry(mut self, registry: AlgorithmRegistry) -> Self {
         self.registry = registry;
@@ -298,17 +310,6 @@ impl Scenario {
     /// The algorithm registry of this scenario.
     pub fn registry(&self) -> &AlgorithmRegistry {
         &self.registry
-    }
-
-    /// Registers an algorithm factory on this scenario (see
-    /// [`AlgorithmRegistry::register`]).
-    pub fn register_algorithm(
-        &mut self,
-        name: &str,
-        factory: impl Fn(&BuildContext<'_>) -> crate::registry::BuiltAlgorithm + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.registry.register(name, factory);
-        self
     }
 
     fn rng(&self, stream: u64) -> SeededRng {
@@ -551,9 +552,9 @@ impl Scenario {
     /// inputs (e.g. OLIVE ablation variants on one seed) reuse the
     /// first derivation — same `Plan` value, original build time.
     pub fn build_plan(&self) -> (Plan, f64) {
-        match (&self.sweep, self.plan_cache_key()) {
-            (Some(sweep), Some(key)) => sweep.plan_for(key, || self.build_plan_uncached()),
-            _ => self.build_plan_uncached(),
+        match &self.sweep {
+            Some(sweep) => sweep.plan_for(self.plan_cache_key(), || self.build_plan_uncached()),
+            None => self.build_plan_uncached(),
         }
     }
 
@@ -585,17 +586,10 @@ impl Scenario {
     /// utilization, Fig. 13/14 distortions, aggregation, estimator
     /// kind, quantiles, trace/CAIDA parameters). Deliberately
     /// *excludes* [`OliveConfig`] and the online phase — two scenarios
-    /// with equal keys derive bit-identical plans. Returns `None` for
-    /// [`EstimatorKind::Custom`] (an opaque factory cannot be
-    /// fingerprinted), which disables memoization for that scenario.
-    pub fn plan_cache_key(&self) -> Option<u64> {
-        let estimator_tag = match self.config.estimator {
-            EstimatorKind::Exact => "exact",
-            EstimatorKind::Sketch => "sketch",
-            EstimatorKind::Custom(_) => return None,
-        };
+    /// with equal keys derive bit-identical plans.
+    pub fn plan_cache_key(&self) -> u64 {
         let inputs = format!(
-            "{:?};{:?};{:?};{};{};{:?};{:?};{};{:?};{:?};{:?};{};{:?}",
+            "{:?};{:?};{:?};{};{};{:?};{:?};{};{:?};{:?};{:?};{:?};{:?}",
             self.substrate,
             self.apps,
             self.policy,
@@ -607,10 +601,10 @@ impl Scenario {
             self.config.quantiles,
             self.config.aggregation,
             self.config.trace,
-            estimator_tag,
+            self.config.estimator,
             self.config.caida,
         );
-        Some(fnv1a(&inputs))
+        fnv1a(&inputs)
     }
 
     /// A fingerprint of this scenario's **whole world** — substrate,
@@ -620,16 +614,111 @@ impl Scenario {
     /// identically under any one algorithm. It is stable across
     /// processes of one build, which makes it the identity of a sweep
     /// cell's checkpoint file — a re-run finds the file its own cell
-    /// wrote and no other. Returns `None` for
-    /// [`EstimatorKind::Custom`], as [`Scenario::plan_cache_key`] does.
-    pub fn world_key(&self) -> Option<u64> {
-        if matches!(self.config.estimator, EstimatorKind::Custom(_)) {
-            return None;
-        }
-        Some(fnv1a(&format!(
+    /// wrote and no other.
+    pub fn world_key(&self) -> u64 {
+        fnv1a(&format!(
             "{:?};{:?};{:?};{:?}",
             self.substrate, self.apps, self.policy, self.config
-        )))
+        ))
+    }
+
+    /// The one way from this world to a [`Summary`]: builds `algorithm`
+    /// from the scenario's registry, restores `from` (or starts fresh),
+    /// streams the rest of the online phase through a [`WindowSummary`]
+    /// and the caller's `observer` side by side, and summarizes the
+    /// measurement window. [`Scenario::run`], [`Scenario::run_observed`]
+    /// and [`Scenario::run_summary`] are sugar over it.
+    ///
+    /// * `from` — finish a checkpointed run instead of starting at slot
+    ///   0: algorithm, engine and window state are restored and the
+    ///   events from the slot after the checkpoint on are streamed. The
+    ///   result is byte-identical (up to the wall-clock `online_secs`) to
+    ///   the uninterrupted run — compare [`Summary::fingerprint`]s — and
+    ///   one checkpoint may be resumed as many times as wanted (what-if
+    ///   branches). `algorithm` must build the algorithm that wrote it.
+    /// * `checkpoints` — `(every, sink)`: capture an
+    ///   [`EngineCheckpoint`] every `every` slots (slots `every-1`,
+    ///   `2·every-1`, …, also on a resumed run), hand each to `sink`, and
+    ///   return the latest in [`Run::checkpoint`]. A fork at slot `at` is
+    ///   `drive(alg, None, Some((at + 1, None)), &mut StopAfter::new(at + 1))`.
+    /// * `observer` — sees every event of this call but lives outside
+    ///   the checkpointed state: on a resume it observes the tail only.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError::UnknownAlgorithm`] when the name is not registered;
+    /// [`ResumeError::State`] when `from` does not restore (another
+    /// algorithm's checkpoint is a [`StateError::Mismatch`]) or a
+    /// checkpoint capture failed — an algorithm without snapshot support
+    /// fails before the first slot, not after the whole simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoints` asks for an interval of 0.
+    pub fn drive<O: SimObserver + ?Sized>(
+        &self,
+        algorithm: impl Into<AlgorithmSpec>,
+        from: Option<&EngineCheckpoint>,
+        checkpoints: Option<(Slot, Option<CheckpointSink>)>,
+        observer: &mut O,
+    ) -> Result<Run, ResumeError> {
+        let mut built = self
+            .registry
+            .build(&algorithm.into(), &BuildContext::new(self))?;
+        let algorithm = built.algorithm.as_mut();
+        if checkpoints.is_some() && algorithm.snapshot_state().is_none() {
+            return Err(ResumeError::State(StateError::Unsupported(format!(
+                "algorithm {}",
+                algorithm.name()
+            ))));
+        }
+        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
+        let mut state = match from {
+            Some(checkpoint) => {
+                restore_engine(checkpoint, algorithm, &self.substrate, &mut window)?
+            }
+            None => EngineState::fresh(),
+        };
+        let events =
+            self.online_events_from(Slot::try_from(state.next_slot()).unwrap_or(Slot::MAX));
+        let mut policy = self.config.reembed.policy();
+        let (stats, checkpoint) = match checkpoints {
+            None => {
+                let stats = state.run(
+                    algorithm,
+                    &self.substrate,
+                    events,
+                    &mut Tee(&mut window, observer),
+                    policy.as_mut(),
+                );
+                (stats, None)
+            }
+            Some((every, sink)) => {
+                let mut checkpointer = Checkpointer::every(every, &mut window);
+                if let Some(sink) = sink {
+                    checkpointer = checkpointer.with_sink(sink);
+                }
+                let stats = state.run(
+                    algorithm,
+                    &self.substrate,
+                    events,
+                    &mut Tee(&mut checkpointer, observer),
+                    policy.as_mut(),
+                );
+                if let Some(error) = checkpointer.last_error() {
+                    return Err(ResumeError::State(error.clone()));
+                }
+                (stats, checkpointer.into_latest())
+            }
+        };
+        Ok(Run {
+            summary: window.finish(&stats),
+            stats,
+            algorithm: built.algorithm.name().to_string(),
+            plan: built.plan,
+            plan_secs: built.plan_secs,
+            checkpoint,
+        })
     }
 
     /// Runs one algorithm through the online phase and keeps the full
@@ -644,9 +733,7 @@ impl Scenario {
     }
 
     /// Like [`Scenario::run`], with an extra [`SimObserver`] attached to
-    /// the engine (per-slot metrics, drill-down inspection, early stop):
-    /// the online phase streams through a [`WindowSummary`], a
-    /// [`Recorder`] and the caller's observer side by side.
+    /// the engine (per-slot metrics, drill-down inspection, early stop).
     ///
     /// # Panics
     ///
@@ -656,31 +743,20 @@ impl Scenario {
         algorithm: impl Into<AlgorithmSpec>,
         observer: &mut O,
     ) -> Outcome {
-        let spec = algorithm.into();
-        let mut built = self
-            .registry
-            .build(&spec, &BuildContext::new(self))
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
         let mut recorder = Recorder::new();
-        let stats = run_stream_with(
-            built.algorithm.as_mut(),
-            &self.substrate,
-            self.online_events(),
-            &mut Tee(Tee(&mut window, &mut recorder), observer),
-            self.config.reembed.policy().as_mut(),
-        );
+        let run = self
+            .drive(algorithm, None, None, &mut Tee(&mut recorder, observer))
+            .unwrap_or_else(|e| panic!("{e}"));
         Outcome {
-            summary: window.finish(&stats),
-            result: recorder.finish(built.algorithm.name(), &stats),
-            plan: built.plan,
-            plan_secs: built.plan_secs,
+            summary: run.summary,
+            result: recorder.finish(&run.algorithm, &run.stats),
+            plan: run.plan,
+            plan_secs: run.plan_secs,
         }
     }
 
     /// Runs one algorithm and returns only the window [`Summary`] —
-    /// the same [`WindowSummary`] fold as [`Scenario::run`] without the
-    /// outcome log, so memory is `O(classes)`: the pairing for
+    /// without an outcome log memory is `O(classes)`: the pairing for
     /// multi-seed sweeps and long horizons.
     ///
     /// # Errors
@@ -690,171 +766,11 @@ impl Scenario {
         &self,
         algorithm: impl Into<AlgorithmSpec>,
     ) -> Result<Summary, UnknownAlgorithm> {
-        let spec = algorithm.into();
-        let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
-        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
-        let stats = run_stream_with(
-            built.algorithm.as_mut(),
-            &self.substrate,
-            self.online_events(),
-            &mut window,
-            self.config.reembed.policy().as_mut(),
-        );
-        Ok(window.finish(&stats))
-    }
-
-    /// Like [`Scenario::run_summary`], with a checkpoint serialized
-    /// every `every` slots: the run survives interruption — feed the
-    /// latest checkpoint back through [`Scenario::resume_summary`] to
-    /// finish it byte-identically. `sink` receives every captured
-    /// checkpoint (pass `None` to only keep the latest in memory).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResumeError::UnknownAlgorithm`] when the name is not
-    /// registered, and [`ResumeError::State`] when a checkpoint capture
-    /// failed (e.g. a third-party algorithm without snapshot support —
-    /// the run completes, but it was never interruptible, which must
-    /// not pass silently).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn run_summary_checkpointed(
-        &self,
-        algorithm: impl Into<AlgorithmSpec>,
-        every: Slot,
-        sink: Option<CheckpointSink>,
-    ) -> Result<(Summary, Option<EngineCheckpoint>), ResumeError> {
-        let spec = algorithm.into();
-        let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
-        // Probe snapshot support up front: a run that can never be
-        // checkpointed must fail in milliseconds, not after the whole
-        // simulation.
-        ensure_snapshot_capable(built.algorithm.as_ref())?;
-        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
-        let mut checkpointer = Checkpointer::every(every, &mut window);
-        if let Some(sink) = sink {
-            checkpointer = checkpointer.with_sink(sink);
+        match self.drive(algorithm, None, None, &mut NullObserver) {
+            Ok(run) => Ok(run.summary),
+            Err(ResumeError::UnknownAlgorithm(e)) => Err(e),
+            Err(ResumeError::State(e)) => unreachable!("nothing restored or captured: {e}"),
         }
-        let stats = run_stream_with(
-            built.algorithm.as_mut(),
-            &self.substrate,
-            self.online_events(),
-            &mut checkpointer,
-            self.config.reembed.policy().as_mut(),
-        );
-        if let Some(error) = checkpointer.last_error() {
-            return Err(ResumeError::State(error.clone()));
-        }
-        let latest = checkpointer.into_latest();
-        Ok((window.finish(&stats), latest))
-    }
-
-    /// Runs `algorithm` up to and *including* slot `at`, checkpoints
-    /// there, and returns a [`Fork`] handle: resume it to finish the
-    /// run ([`Fork::resume`], byte-identical to the uninterrupted
-    /// [`Scenario::run_summary`]), resume it repeatedly for warm-started
-    /// what-if branches, or extract the raw [`EngineCheckpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResumeError`] when the name is not registered, `at` is
-    /// outside the online phase, or the algorithm does not support
-    /// snapshots.
-    pub fn fork_at(
-        &self,
-        algorithm: impl Into<AlgorithmSpec>,
-        at: Slot,
-    ) -> Result<Fork<'_>, ResumeError> {
-        if at >= self.config.test_slots {
-            return Err(ResumeError::State(StateError::Corrupt(format!(
-                "fork slot {at} outside the {}-slot online phase",
-                self.config.test_slots
-            ))));
-        }
-        let spec = algorithm.into();
-        let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
-        ensure_snapshot_capable(built.algorithm.as_ref())?;
-        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
-        // One checkpoint exactly at `at`, with the stop firing on the
-        // same slot — the engine's commit hook runs even on the stop
-        // slot, so the checkpoint is captured (the StopAfter off-by-one
-        // regression lives in the checkpoint test battery).
-        let mut checkpointer = Checkpointer::every(at + 1, &mut window);
-        let mut stop = StopAfter::new(at + 1);
-        {
-            let mut observer = Tee(&mut checkpointer, &mut stop);
-            run_stream_with(
-                built.algorithm.as_mut(),
-                &self.substrate,
-                self.online_events(),
-                &mut observer,
-                self.config.reembed.policy().as_mut(),
-            );
-        }
-        if let Some(error) = checkpointer.last_error() {
-            return Err(ResumeError::State(error.clone()));
-        }
-        let checkpoint = checkpointer.into_latest().ok_or_else(|| {
-            ResumeError::State(StateError::Corrupt(format!(
-                "no checkpoint captured at slot {at}"
-            )))
-        })?;
-        Ok(Fork {
-            scenario: self,
-            checkpoint,
-        })
-    }
-
-    /// Finishes a checkpointed summary run: rebuilds the algorithm the
-    /// checkpoint names (same registry, same deterministic plan),
-    /// restores algorithm + engine + window state, and streams the
-    /// remaining online slots. The result is byte-identical (up to the
-    /// wall-clock `online_secs`) to the uninterrupted
-    /// [`Scenario::run_summary`] — use [`Summary::fingerprint`] to
-    /// compare.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResumeError`] when the checkpoint's algorithm is not
-    /// registered here or any state blob fails to restore.
-    pub fn resume_summary(&self, checkpoint: &EngineCheckpoint) -> Result<Summary, ResumeError> {
-        let spec = AlgorithmSpec::new(&checkpoint.algorithm);
-        let mut built = self.registry.build(&spec, &BuildContext::new(self))?;
-        let mut window = WindowSummary::new(self.config.measure_window, self.penalty());
-        let events = self.online_events_from(checkpoint.slot + 1);
-        let stats = run_stream_from_with(
-            checkpoint,
-            built.algorithm.as_mut(),
-            &self.substrate,
-            events,
-            &mut window,
-            self.config.reembed.policy().as_mut(),
-        )?;
-        Ok(window.finish(&stats))
-    }
-
-    /// Like [`Scenario::run`], but the inspector is called after every
-    /// slot with the concrete OLIVE state when the running algorithm is
-    /// OLIVE-based (Fig. 12 drill-down); for other algorithms the
-    /// inspector is not called.
-    pub fn run_with_inspector<F>(
-        &self,
-        algorithm: impl Into<AlgorithmSpec>,
-        mut inspect: F,
-    ) -> Outcome
-    where
-        F: FnMut(Slot, &Olive),
-    {
-        let mut observer = Inspect(
-            |t: Slot, _m: &crate::engine::SlotMetrics, alg: &dyn OnlineAlgorithm| {
-                if let Some(olive) = alg.as_any().and_then(|a| a.downcast_ref::<Olive>()) {
-                    inspect(t, olive);
-                }
-            },
-        );
-        self.run_observed(algorithm, &mut observer)
     }
 }
 
@@ -871,22 +787,9 @@ fn fnv1a(rendered: &str) -> u64 {
     h
 }
 
-/// A callback receiving every checkpoint a
-/// [`Scenario::run_summary_checkpointed`] run captures (e.g. persist it
-/// to disk).
+/// A callback receiving every checkpoint a checkpointing
+/// [`Scenario::drive`] captures (e.g. persist it to disk).
 pub type CheckpointSink = Box<dyn FnMut(&EngineCheckpoint) + Send>;
-
-/// Errors early when `algorithm` does not implement state snapshots
-/// (probing is cheap: serializing the just-constructed state).
-fn ensure_snapshot_capable(algorithm: &dyn OnlineAlgorithm) -> Result<(), ResumeError> {
-    if algorithm.snapshot_state().is_none() {
-        return Err(ResumeError::State(StateError::Unsupported(format!(
-            "algorithm {}",
-            algorithm.name()
-        ))));
-    }
-    Ok(())
-}
 
 /// Why a checkpointed run could not be created or resumed.
 #[derive(Debug, Clone)]
@@ -917,45 +820,6 @@ impl From<UnknownAlgorithm> for ResumeError {
 impl From<StateError> for ResumeError {
     fn from(e: StateError) -> Self {
         Self::State(e)
-    }
-}
-
-/// A run frozen mid-stream by [`Scenario::fork_at`]: the paper pipeline
-/// up to slot `k`, warm state included. [`Fork::resume`] finishes the
-/// run — repeatedly, if desired: every resume starts from the same
-/// checkpoint, which is what makes mid-stream what-if branches (swap
-/// observers, compare tails) cheap.
-#[derive(Debug, Clone)]
-pub struct Fork<'a> {
-    scenario: &'a Scenario,
-    checkpoint: EngineCheckpoint,
-}
-
-impl Fork<'_> {
-    /// The last slot the fork has completed.
-    pub fn slot(&self) -> Slot {
-        self.checkpoint.slot
-    }
-
-    /// The frozen state.
-    pub fn checkpoint(&self) -> &EngineCheckpoint {
-        &self.checkpoint
-    }
-
-    /// Consumes the fork into its checkpoint (e.g. to serialize it with
-    /// [`EngineCheckpoint::to_bytes`]).
-    pub fn into_checkpoint(self) -> EngineCheckpoint {
-        self.checkpoint
-    }
-
-    /// Finishes the run from the fork point; byte-identical to the
-    /// uninterrupted run (see [`Scenario::resume_summary`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResumeError`] when restore fails.
-    pub fn resume(&self) -> Result<Summary, ResumeError> {
-        self.scenario.resume_summary(&self.checkpoint)
     }
 }
 
@@ -1028,103 +892,14 @@ impl<I: Iterator<Item = SlotEvents>> Iterator for CheckedStream<I> {
     }
 }
 
-/// Builds a [`Scenario`] piece by piece: substrate, applications,
-/// policy, configuration, and — the open part — algorithm registration
-/// by name.
-///
-/// ```no_run
-/// use vne_sim::scenario::{Scenario, ScenarioConfig};
-/// use vne_sim::registry::BuiltAlgorithm;
-/// # let substrate = vne_topology::zoo::iris().unwrap();
-/// # let apps = vne_sim::runner::default_apps(1);
-/// # fn my_algorithm(_: &vne_sim::registry::BuildContext<'_>) -> BuiltAlgorithm { unimplemented!() }
-/// let scenario = Scenario::builder(substrate)
-///     .apps(apps)
-///     .config(ScenarioConfig::small(1.0))
-///     .algorithm("MYALG", my_algorithm)
-///     .build();
-/// let outcome = scenario.run("MYALG");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    substrate: SubstrateNetwork,
-    apps: Option<AppSet>,
-    policy: PlacementPolicy,
-    config: Option<ScenarioConfig>,
-    registry: AlgorithmRegistry,
-}
-
-impl ScenarioBuilder {
-    /// Starts a builder for one substrate.
-    pub fn new(substrate: SubstrateNetwork) -> Self {
-        Self {
-            substrate,
-            apps: None,
-            policy: PlacementPolicy::default(),
-            config: None,
-            registry: AlgorithmRegistry::builtins(),
-        }
-    }
-
-    /// Sets the application catalogue (default: the paper mix drawn
-    /// from the config seed).
-    pub fn apps(mut self, apps: AppSet) -> Self {
-        self.apps = Some(apps);
-        self
-    }
-
-    /// Sets the placement policy (default: [`PlacementPolicy::default`]).
-    pub fn policy(mut self, policy: PlacementPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the scenario parameters (default:
-    /// [`ScenarioConfig::small`] at 100% utilization).
-    pub fn config(mut self, config: ScenarioConfig) -> Self {
-        self.config = Some(config);
-        self
-    }
-
-    /// Replaces the whole algorithm registry (default: the builtins).
-    pub fn registry(mut self, registry: AlgorithmRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Registers an algorithm factory under `name` — the one-file path
-    /// for third-party algorithms.
-    pub fn algorithm(
-        mut self,
-        name: &str,
-        factory: impl Fn(&BuildContext<'_>) -> crate::registry::BuiltAlgorithm + Send + Sync + 'static,
-    ) -> Self {
-        self.registry.register(name, factory);
-        self
-    }
-
-    /// Finishes the scenario.
-    pub fn build(self) -> Scenario {
-        let config = self.config.unwrap_or_else(|| ScenarioConfig::small(1.0));
-        let apps = self
-            .apps
-            .unwrap_or_else(|| crate::runner::default_apps(config.seed));
-        Scenario {
-            substrate: self.substrate,
-            apps,
-            policy: self.policy,
-            config,
-            registry: self.registry,
-            sweep: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::StopAfter;
     use crate::registry::BuiltAlgorithm;
+    use std::sync::{Arc, Mutex};
     use vne_model::request::Request;
+    use vne_olive::algorithm::OnlineAlgorithm;
     use vne_topology::zoo::citta_studi;
     use vne_workload::appgen::{paper_mix, AppGenConfig};
 
@@ -1136,6 +911,21 @@ mod tests {
             substrate,
             apps,
             ScenarioConfig::small(utilization).with_seed(seed),
+        )
+    }
+
+    /// Every deterministic field of a [`Summary`] as bit patterns (all
+    /// but the wall-clock `online_secs`).
+    fn summary_bits(s: &Summary) -> impl PartialEq + fmt::Debug {
+        (
+            (s.arrivals, s.rejected, s.preempted, s.churn),
+            [
+                s.rejection_rate.to_bits(),
+                s.resource_cost.to_bits(),
+                s.rejection_cost.to_bits(),
+                s.total_cost.to_bits(),
+                s.balance_index.to_bits(),
+            ],
         )
     }
 
@@ -1220,18 +1010,6 @@ mod tests {
         // patterns (all but the wall-clock `online_secs`), churn tallies
         // included — under churn and under preemption (OLIVE at 140%
         // preempts, pinned by the streaming-parity suite).
-        let bits = |s: &Summary| {
-            (
-                (s.arrivals, s.rejected, s.preempted, s.churn),
-                [
-                    s.rejection_rate.to_bits(),
-                    s.resource_cost.to_bits(),
-                    s.rejection_cost.to_bits(),
-                    s.total_cost.to_bits(),
-                    s.balance_index.to_bits(),
-                ],
-            )
-        };
         let preempting = scenario(1.4, 11);
         let mut churned = scenario(1.4, 11);
         churned.config.churn = Some(ChurnProfile::CapacityDrain {
@@ -1243,7 +1021,7 @@ mod tests {
             for sc in [&preempting, &churned] {
                 let full = sc.run(alg).summary;
                 let streaming = sc.run_summary(alg).unwrap();
-                assert_eq!(bits(&full), bits(&streaming), "{alg}");
+                assert_eq!(summary_bits(&full), summary_bits(&streaming), "{alg}");
                 assert_eq!(full.fingerprint(), streaming.fingerprint(), "{alg}");
                 if sc.config.churn.is_some() {
                     assert!(full.churn.events > 0, "{alg}: no churn in the window");
@@ -1283,44 +1061,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_estimator_drives_the_plan() {
-        // A fixed-demand estimator: every observed class gets demand 5.
-        struct Flat {
-            seen: std::collections::BTreeSet<vne_model::ids::ClassId>,
-            observed: Slot,
-        }
-        impl DemandEstimator for Flat {
-            fn observe_slot(&mut self, events: &SlotEvents) {
-                for r in &events.arrivals {
-                    self.seen.insert(r.class());
-                }
-                self.observed += 1;
-            }
-            fn slots_observed(&self) -> Slot {
-                self.observed
-            }
-            fn finalize(
-                &mut self,
-                _rng: &mut dyn vne_workload::estimator::RngCore,
-            ) -> std::collections::BTreeMap<vne_model::ids::ClassId, f64> {
-                self.seen.iter().map(|&c| (c, 5.0)).collect()
-            }
-        }
-        let mut sc = scenario(1.0, 23);
-        sc.config.estimator = EstimatorKind::custom(|_, _| {
-            Box::new(Flat {
-                seen: Default::default(),
-                observed: 0,
-            })
-        });
-        let (plan, _) = sc.build_plan();
-        assert!(!plan.is_empty());
-        for class_plan in plan.iter() {
-            assert!((class_plan.expected_demand - 5.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn phase_streams_yield_one_event_per_slot() {
         for shift in [false, true] {
             let mut sc = scenario(1.0, 31);
@@ -1336,8 +1076,8 @@ mod tests {
 
     #[test]
     fn custom_algorithm_registers_and_runs() {
-        // An "algorithm" that rejects everything, registered through the
-        // builder — the open-registry path end to end.
+        // An "algorithm" that rejects everything, registered in the
+        // scenario's registry — the open-registry path end to end.
         struct RejectAll(vne_model::load::LoadLedger);
         impl OnlineAlgorithm for RejectAll {
             fn name(&self) -> &str {
@@ -1359,14 +1099,11 @@ mod tests {
             }
         }
 
-        let base = scenario(1.0, 5);
-        let sc = Scenario::builder(base.substrate.clone())
-            .apps(base.apps.clone())
-            .config(base.config.clone())
-            .algorithm("rejectall", |ctx| {
-                BuiltAlgorithm::plain(RejectAll(vne_model::load::LoadLedger::new(ctx.substrate())))
-            })
-            .build();
+        let mut registry = AlgorithmRegistry::builtins();
+        registry.register("rejectall", |ctx| {
+            BuiltAlgorithm::plain(RejectAll(vne_model::load::LoadLedger::new(ctx.substrate())))
+        });
+        let sc = scenario(1.0, 5).with_registry(registry);
         let outcome = sc.run("RejectAll");
         assert!(outcome.summary.arrivals > 0);
         assert_eq!(outcome.summary.rejection_rate, 1.0);
@@ -1482,10 +1219,180 @@ mod tests {
         });
         let full = sc.run_summary(Algorithm::Olive).unwrap();
         // Fork inside the second outage window (slot 52 ∈ [50, 56)).
-        let fork = sc.fork_at(Algorithm::Olive, 52).unwrap();
-        let resumed = fork.resume().unwrap();
+        let fork = sc
+            .drive(
+                Algorithm::Olive,
+                None,
+                Some((53, None)),
+                &mut StopAfter::new(53),
+            )
+            .unwrap()
+            .checkpoint
+            .expect("a checkpoint at slot 52");
+        assert_eq!(fork.slot, 52);
+        let resumed = sc
+            .drive(Algorithm::Olive, Some(&fork), None, &mut NullObserver)
+            .unwrap()
+            .summary;
         assert_eq!(full.fingerprint(), resumed.fingerprint());
         assert_eq!(full.churn, resumed.churn);
+    }
+
+    /// Drives `alg` (from `from`, if given) with `observer` beside it,
+    /// checkpointing every 25 slots, and returns the run plus every
+    /// captured checkpoint in capture order.
+    fn drive_collecting(
+        sc: &Scenario,
+        alg: Algorithm,
+        from: Option<&EngineCheckpoint>,
+        observer: &mut impl SimObserver,
+    ) -> (Run, Vec<EngineCheckpoint>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let sink: CheckpointSink = Box::new(move |c: &EngineCheckpoint| {
+            sink_seen.lock().unwrap().push(c.clone());
+        });
+        let run = sc.drive(alg, from, Some((25, Some(sink))), observer);
+        let seen = seen.lock().unwrap().clone();
+        (run.unwrap(), seen)
+    }
+
+    #[test]
+    fn one_driver_composes() {
+        // Resume + checkpointing + a caller's observer in ONE `drive`
+        // call — under preemption (OLIVE at 140%) and under churn
+        // (QUICKG with capacity drains) — must yield the uninterrupted
+        // run's summary, the same tail of the outcome log, and later
+        // checkpoints at the same slots (with the same algorithm and
+        // window state) as an uninterrupted checkpointing run.
+        let preempting = scenario(1.4, 11);
+        let mut churned = scenario(1.4, 11);
+        churned.config.churn = Some(ChurnProfile::CapacityDrain {
+            period: 30,
+            len: 5,
+            factor: 0.2,
+        });
+        for (sc, alg) in [
+            (&preempting, Algorithm::Olive),
+            (&churned, Algorithm::Quickg),
+        ] {
+            let full = sc.run(alg);
+            // 120 slots, every 25: captures at 24, 49, 74, 99.
+            let (_, uninterrupted) = drive_collecting(sc, alg, None, &mut NullObserver);
+            let slots: Vec<Slot> = uninterrupted.iter().map(|c| c.slot).collect();
+            assert_eq!(slots, [24, 49, 74, 99], "{alg}");
+            // Resume from the mid-run capture at slot 49 (inside the
+            // measurement window), checkpointing on, a Recorder beside.
+            let from = &uninterrupted[1];
+            let mut recorder = Recorder::new();
+            let (run, later) = drive_collecting(sc, alg, Some(from), &mut recorder);
+            assert_eq!(later.len(), 2, "{alg}: later checkpoints");
+            for (resumed, expected) in later.iter().zip(&uninterrupted[2..]) {
+                // (The engine blob carries the wall-clock `online_secs`.)
+                assert_eq!(resumed.slot, expected.slot, "{alg}");
+                assert_eq!(resumed.algorithm_state, expected.algorithm_state, "{alg}");
+                assert_eq!(resumed.observer_state, expected.observer_state, "{alg}");
+            }
+            assert_eq!(run.checkpoint.as_ref(), later.last(), "{alg}");
+            assert_eq!(
+                summary_bits(&run.summary),
+                summary_bits(&full.summary),
+                "{alg}"
+            );
+            assert_eq!(run.summary.fingerprint(), full.summary.fingerprint());
+            assert_eq!(run.stats.slots_run, sc.config.test_slots);
+            let tail = recorder.finish(&run.algorithm, &run.stats);
+            let full_tail: Vec<_> = full
+                .result
+                .requests
+                .iter()
+                .filter(|r| r.arrival > from.slot)
+                .cloned()
+                .collect();
+            assert!(!full_tail.is_empty());
+            assert_eq!(tail.requests, full_tail, "{alg}: outcome-log tail");
+            assert_eq!(
+                tail.slots,
+                full.result.slots[50..],
+                "{alg}: slot series tail"
+            );
+            if alg == Algorithm::Olive {
+                assert!(full.summary.preempted > 0, "seed must exercise preemption");
+            } else {
+                assert!(
+                    full.summary.churn.stranded > 0,
+                    "drain must strand requests"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resume_builds_the_callers_spec() {
+        // A registry whose "MY-OLIVE" factory builds an `Olive` that calls
+        // itself "OLIVE" (borrowing off, so it is not the builtin): a
+        // resume with spec "MY-OLIVE" must run *that* factory, not
+        // whatever the name inside the checkpoint resolves to.
+        let built = Arc::new(Mutex::new(0usize));
+        let counter = Arc::clone(&built);
+        let mut registry = AlgorithmRegistry::builtins();
+        registry.register("MY-OLIVE", move |ctx| {
+            *counter.lock().unwrap() += 1;
+            let (plan, plan_secs) = ctx.build_plan();
+            let config = OliveConfig {
+                borrowing: false,
+                ..ctx.config().olive
+            };
+            BuiltAlgorithm::planned(
+                vne_olive::olive::Olive::new(
+                    ctx.substrate().clone(),
+                    ctx.apps().clone(),
+                    ctx.policy().clone(),
+                    plan.clone(),
+                    config,
+                ),
+                plan,
+                plan_secs,
+            )
+        });
+        let sc = scenario(1.4, 11).with_registry(registry);
+        let mine = sc.run_summary("MY-OLIVE").unwrap();
+        let builtin = sc.run_summary(Algorithm::Olive).unwrap();
+        assert_ne!(mine.fingerprint(), builtin.fingerprint());
+        let fork = sc
+            .drive("MY-OLIVE", None, Some((60, None)), &mut StopAfter::new(60))
+            .unwrap()
+            .checkpoint
+            .expect("a checkpoint at slot 59");
+        assert_eq!(fork.algorithm, "OLIVE");
+        let before = *built.lock().unwrap();
+        let resumed = sc
+            .drive("MY-OLIVE", Some(&fork), None, &mut NullObserver)
+            .unwrap()
+            .summary;
+        assert_eq!(
+            *built.lock().unwrap(),
+            before + 1,
+            "the registered factory ran"
+        );
+        assert_eq!(resumed.fingerprint(), mine.fingerprint());
+
+        // The checkpoint's own name only guards against a mix-up: another
+        // algorithm's checkpoint is a mismatch, not a silent rebuild.
+        let quickg = sc
+            .drive(
+                Algorithm::Quickg,
+                None,
+                Some((60, None)),
+                &mut StopAfter::new(60),
+            )
+            .unwrap()
+            .checkpoint
+            .unwrap();
+        match sc.drive(Algorithm::Olive, Some(&quickg), None, &mut NullObserver) {
+            Err(ResumeError::State(StateError::Mismatch { .. })) => {}
+            other => panic!("expected a mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,11 +22,11 @@ use vne_model::request::Slot;
 use vne_model::state::{Snapshot, StateError};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_sim::engine::{
-    run_stream_from_with, run_stream_with, EngineCheckpoint, EngineState, ReembedAll, ReembedKind,
+    restore_engine, run_stream_with, EngineCheckpoint, EngineState, ReembedAll, ReembedKind,
 };
 use vne_sim::metrics::Summary;
 use vne_sim::observe::{Checkpointer, NullObserver, Recorder, StopAfter, Tee, WindowSummary};
-use vne_sim::registry::{AlgorithmRegistry, BuildContext, BuiltAlgorithm};
+use vne_sim::registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, BuiltAlgorithm};
 use vne_sim::runner::{default_apps, run_cells, SweepContext};
 use vne_sim::scenario::{Algorithm, ResumeError, Scenario, ScenarioConfig};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile, ChurnSchedule};
@@ -115,13 +115,34 @@ fn assert_bitwise_equal(alg: &str, straight: &Summary, resumed: &Summary) {
     );
 }
 
+/// Runs `alg` up to and *including* slot `at` and returns the checkpoint
+/// taken there (`None` when `at` lies outside the online phase).
+fn fork(
+    scenario: &Scenario,
+    alg: impl Into<AlgorithmSpec>,
+    at: Slot,
+) -> Result<Option<EngineCheckpoint>, ResumeError> {
+    let run = scenario.drive(alg, None, Some((at + 1, None)), &mut StopAfter::new(at + 1))?;
+    Ok(run.checkpoint)
+}
+
+/// Finishes `checkpoint` with a freshly built `alg`.
+fn resume(
+    scenario: &Scenario,
+    alg: impl Into<AlgorithmSpec>,
+    checkpoint: &EngineCheckpoint,
+) -> Result<Summary, ResumeError> {
+    Ok(scenario
+        .drive(alg, Some(checkpoint), None, &mut NullObserver)?
+        .summary)
+}
+
 /// The core check: straight-through vs fork-at-`k`-then-resume for one
 /// algorithm, including the snapshot → restore → snapshot blob-equality
 /// round-trip of every blob the checkpoint carries.
 fn check_resume(scenario: &Scenario, alg: Algorithm, at: Slot) {
     let straight = scenario.run_summary(alg).unwrap();
-    let fork = scenario.fork_at(alg, at).unwrap();
-    let checkpoint = fork.checkpoint();
+    let checkpoint = &fork(scenario, alg, at).unwrap().expect("a checkpoint");
     assert_eq!(checkpoint.slot, at, "{alg}: checkpoint slot");
     assert_eq!(checkpoint.algorithm, alg.label(), "{alg}: checkpoint name");
 
@@ -161,7 +182,7 @@ fn check_resume(scenario: &Scenario, alg: Algorithm, at: Slot) {
     );
 
     // The headline: the resumed run is byte-identical.
-    let resumed = fork.resume().unwrap();
+    let resumed = resume(scenario, alg, checkpoint).unwrap();
     assert_bitwise_equal(alg.label(), &straight, &resumed);
 }
 
@@ -204,12 +225,12 @@ proptest! {
     ) {
         let scenario = tiny_scenario(1.0, seed);
         let alg = Algorithm::ALL[alg_idx];
-        let checkpoint = scenario.fork_at(alg, at).unwrap().into_checkpoint();
+        let checkpoint = fork(&scenario, alg, at).unwrap().expect("a checkpoint");
         let bytes = checkpoint.to_bytes();
         let parsed = EngineCheckpoint::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&parsed, &checkpoint);
         // Resuming through the parsed copy still works.
-        let resumed = scenario.resume_summary(&parsed).unwrap();
+        let resumed = resume(&scenario, alg, &parsed).unwrap();
         let straight = scenario.run_summary(alg).unwrap();
         prop_assert_eq!(resumed.fingerprint(), straight.fingerprint());
     }
@@ -250,8 +271,8 @@ proptest! {
         prop_assert!(schedule.in_window(at), "slot {at} must be inside a churn window");
         for alg in Algorithm::ALL {
             let straight = scenario.run_summary(alg).unwrap();
-            let fork = scenario.fork_at(alg, at).unwrap();
-            let resumed = fork.resume().unwrap();
+            let checkpoint = fork(&scenario, alg, at).unwrap().expect("a checkpoint");
+            let resumed = resume(&scenario, alg, &checkpoint).unwrap();
             assert_bitwise_equal(alg.label(), &straight, &resumed);
             prop_assert_eq!(straight.churn, resumed.churn, "{} churn counters", alg.label());
         }
@@ -313,7 +334,7 @@ fn stop_after_on_checkpoint_slot_leaves_restorable_checkpoint() {
     assert_eq!(checkpoint.slot, 9);
 
     // And it resumes to the same place an uninterrupted run reaches.
-    let resumed = scenario.resume_summary(&checkpoint).unwrap();
+    let resumed = resume(&scenario, Algorithm::Quickg, &checkpoint).unwrap();
     let straight = scenario.run_summary(Algorithm::Quickg).unwrap();
     assert_bitwise_equal("QUICKG", &straight, &resumed);
 }
@@ -322,9 +343,9 @@ fn stop_after_on_checkpoint_slot_leaves_restorable_checkpoint() {
 fn forks_branch_repeatedly_from_one_checkpoint() {
     // The what-if use case: one frozen prefix, many resumed tails.
     let scenario = tiny_scenario(1.4, 11);
-    let fork = scenario.fork_at(Algorithm::Olive, 12).unwrap();
-    let first = fork.resume().unwrap();
-    let second = fork.resume().unwrap();
+    let checkpoint = fork(&scenario, Algorithm::Olive, 12).unwrap().unwrap();
+    let first = resume(&scenario, Algorithm::Olive, &checkpoint).unwrap();
+    let second = resume(&scenario, Algorithm::Olive, &checkpoint).unwrap();
     assert_eq!(first.fingerprint(), second.fingerprint());
     let straight = scenario.run_summary(Algorithm::Olive).unwrap();
     assert!(straight.preempted > 0, "seed 11 must exercise preemption");
@@ -346,32 +367,34 @@ fn caida_scenario_resumes_byte_identically() {
 #[test]
 fn resume_rejects_a_mismatched_algorithm() {
     let scenario = tiny_scenario(1.0, 3);
-    let mut checkpoint = scenario
-        .fork_at(Algorithm::Quickg, 5)
-        .unwrap()
-        .into_checkpoint();
+    let mut checkpoint = fork(&scenario, Algorithm::Quickg, 5).unwrap().unwrap();
+    // Another algorithm's checkpoint is refused by name…
+    match resume(&scenario, Algorithm::Fullg, &checkpoint) {
+        Err(ResumeError::State(StateError::Mismatch { .. })) => {}
+        other => panic!("expected a mismatch, got {other:?}"),
+    }
+    // …and a relabelled one by its state blob: FULLG resolves, but the
+    // blob is QUICKG's — the restore must fail loudly, not silently mix
+    // states.
     checkpoint.algorithm = "FULLG".to_string();
-    // FULLG resolves, but its state blob is QUICKG's — the restore must
-    // fail loudly, not silently mix states.
-    match scenario.resume_summary(&checkpoint) {
+    match resume(&scenario, Algorithm::Fullg, &checkpoint) {
         Err(ResumeError::State(_)) => {}
         other => panic!("expected a state error, got {other:?}"),
     }
-    checkpoint.algorithm = "NOSUCH".to_string();
     assert!(matches!(
-        scenario.resume_summary(&checkpoint),
+        resume(&scenario, "NOSUCH", &checkpoint),
         Err(ResumeError::UnknownAlgorithm(_))
     ));
 }
 
 #[test]
-fn fork_outside_the_online_phase_errors() {
+fn fork_outside_the_online_phase_returns_no_checkpoint() {
     let scenario = tiny_scenario(1.0, 3);
     let at = scenario.config.test_slots;
-    assert!(matches!(
-        scenario.fork_at(Algorithm::Quickg, at),
-        Err(ResumeError::State(StateError::Corrupt(_)))
-    ));
+    assert_eq!(fork(&scenario, Algorithm::Quickg, at).unwrap(), None);
+    assert!(fork(&scenario, Algorithm::Quickg, at - 1)
+        .unwrap()
+        .is_some());
 }
 
 #[test]
@@ -398,60 +421,56 @@ fn checkpointer_records_error_for_snapshotless_algorithms() {
             &self.0
         }
     }
-    let base = tiny_scenario(1.0, 5);
-    let scenario = Scenario::builder(base.substrate.clone())
-        .apps(base.apps.clone())
-        .config(base.config.clone())
-        .algorithm("opaque", |ctx| {
-            BuiltAlgorithm::plain(Opaque(vne_model::load::LoadLedger::new(ctx.substrate())))
-        })
-        .build();
-    match scenario.fork_at("OPAQUE", 5) {
-        Err(ResumeError::State(StateError::Unsupported(what))) => {
-            assert!(what.contains("OPAQUE"), "{what}");
+    let mut registry = AlgorithmRegistry::builtins();
+    registry.register("opaque", |ctx| {
+        BuiltAlgorithm::plain(Opaque(vne_model::load::LoadLedger::new(ctx.substrate())))
+    });
+    let scenario = tiny_scenario(1.0, 5).with_registry(registry);
+    // A checkpointing run — stopped at a fork point or periodic to the
+    // end — surfaces the failure instead of returning Ok with zero
+    // checkpoints; without checkpoints the algorithm runs fine.
+    for stop in [6, scenario.config.test_slots] {
+        match scenario.drive("OPAQUE", None, Some((5, None)), &mut StopAfter::new(stop)) {
+            Err(ResumeError::State(StateError::Unsupported(what))) => {
+                assert!(what.contains("OPAQUE"), "{what}");
+            }
+            other => panic!("expected unsupported-state error, got {other:?}"),
         }
-        other => panic!("expected unsupported-state error, got {other:?}"),
     }
-    // The periodic-checkpoint runner surfaces the same failure instead
-    // of returning Ok with zero checkpoints.
-    match scenario.run_summary_checkpointed("OPAQUE", 5, None) {
-        Err(ResumeError::State(StateError::Unsupported(what))) => {
-            assert!(what.contains("OPAQUE"), "{what}");
-        }
-        other => panic!("expected unsupported-state error, got {other:?}"),
-    }
+    assert!(scenario.run_summary("OPAQUE").is_ok());
 }
 
 #[test]
-fn run_summary_checkpointed_streams_periodic_checkpoints() {
+fn checkpointing_drive_streams_periodic_checkpoints() {
     use std::sync::Mutex;
     let scenario = tiny_scenario(1.0, 7);
     let seen: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_seen = Arc::clone(&seen);
-    let (summary, latest) = scenario
-        .run_summary_checkpointed(
+    let run = scenario
+        .drive(
             Algorithm::Quickg,
-            8,
-            Some(Box::new(move |cp: &EngineCheckpoint| {
-                sink_seen.lock().unwrap().push(cp.slot);
-            })),
+            None,
+            Some((
+                8,
+                Some(Box::new(move |cp: &EngineCheckpoint| {
+                    sink_seen.lock().unwrap().push(cp.slot);
+                })),
+            )),
+            &mut NullObserver,
         )
         .unwrap();
     // 25 slots, every 8: checkpoints at slots 7, 15 and 23.
     assert_eq!(*seen.lock().unwrap(), vec![7, 15, 23]);
-    let latest = latest.expect("at least one checkpoint");
+    let latest = run.checkpoint.expect("at least one checkpoint");
     assert_eq!(latest.slot, 23);
-    let resumed = scenario.resume_summary(&latest).unwrap();
-    assert_eq!(resumed.fingerprint(), summary.fingerprint());
+    let resumed = resume(&scenario, Algorithm::Quickg, &latest).unwrap();
+    assert_eq!(resumed.fingerprint(), run.summary.fingerprint());
 }
 
 #[test]
 fn corrupt_checkpoint_bytes_are_rejected() {
     let scenario = tiny_scenario(1.0, 9);
-    let checkpoint = scenario
-        .fork_at(Algorithm::Quickg, 3)
-        .unwrap()
-        .into_checkpoint();
+    let checkpoint = fork(&scenario, Algorithm::Quickg, 3).unwrap().unwrap();
     let bytes = checkpoint.to_bytes();
     // Bad magic.
     let mut bad = bytes.clone();
@@ -521,8 +540,8 @@ fn simple_observer_snapshots_roundtrip() {
 #[test]
 fn engine_resume_matches_midstream_state() {
     // Drive the engine manually, checkpoint mid-stream via the observer
-    // API, and resume through run_stream_from_with with a NullObserver — the
-    // low-level API without the Scenario conveniences.
+    // API, and resume through `restore_engine` + `EngineState::run` —
+    // the low-level API without the Scenario conveniences.
     let scenario = tiny_scenario(1.0, 21);
     let registry = AlgorithmRegistry::builtins();
     let mk = || {
@@ -561,15 +580,21 @@ fn engine_resume_matches_midstream_state() {
 
     let mut resume_alg = mk();
     let mut resume_window = WindowSummary::new(scenario.config.measure_window, scenario.penalty());
-    let stats = run_stream_from_with(
+    let mut state = restore_engine(
         &checkpoint,
         resume_alg.algorithm.as_mut(),
         &scenario.substrate,
-        scenario.online_events(),
         &mut resume_window,
-        &mut ReembedAll,
     )
     .unwrap();
+    assert_eq!(state.next_slot(), 6);
+    let stats = state.run(
+        resume_alg.algorithm.as_mut(),
+        &scenario.substrate,
+        scenario.online_events_from(6),
+        &mut resume_window,
+        &mut ReembedAll,
+    );
     assert_eq!(stats.slots_run, straight_stats.slots_run);
     assert_eq!(stats.arrivals, straight_stats.arrivals);
     assert!(!stats.stopped_early);
@@ -581,13 +606,11 @@ fn engine_resume_matches_midstream_state() {
         WindowSummary::new((0, 1), RejectionPenalty::uniform(&scenario.apps, 1.0));
     let mut wrong_alg = mk();
     assert!(matches!(
-        run_stream_from_with(
+        restore_engine(
             &checkpoint,
             wrong_alg.algorithm.as_mut(),
             &scenario.substrate,
-            scenario.online_events(),
             &mut wrong_window,
-            &mut ReembedAll,
         ),
         Err(StateError::Mismatch { .. })
     ));
@@ -641,9 +664,7 @@ fn sweep_context_caches_equal_fresh_derivations() {
 
     let scenario = tiny_scenario(1.0, 9);
     let (fresh_plan, _) = scenario.build_plan();
-    let key = scenario
-        .plan_cache_key()
-        .expect("exact estimator has a key");
+    let key = scenario.plan_cache_key();
     let (first_plan, _) = ctx.plan_for(key, || scenario.build_plan());
     let (cached_plan, _) = ctx.plan_for(key, || panic!("must hit the cache"));
     assert_eq!(first_plan, fresh_plan);
@@ -653,21 +674,19 @@ fn sweep_context_caches_equal_fresh_derivations() {
     // Different plan inputs get different keys (no false sharing).
     let mut distorted = tiny_scenario(1.0, 9);
     distorted.config.plan_utilization = Some(0.6);
-    assert_ne!(distorted.plan_cache_key(), Some(key));
+    assert_ne!(distorted.plan_cache_key(), key);
     let mut other_seed = tiny_scenario(1.0, 10);
     other_seed.config = other_seed.config.with_seed(10);
-    assert_ne!(other_seed.plan_cache_key(), Some(key));
+    assert_ne!(other_seed.plan_cache_key(), key);
     // OLIVE ablation switches do NOT change the plan inputs: variants
     // share one derivation.
     let mut ablated = tiny_scenario(1.0, 9);
     ablated.config.olive.borrowing = false;
-    assert_eq!(ablated.plan_cache_key(), Some(key));
-    // Custom estimators cannot be fingerprinted and bypass the cache.
-    let mut custom = tiny_scenario(1.0, 9);
-    custom.config.estimator = EstimatorKind::custom(|slots, config| {
-        Box::new(vne_workload::estimator::ExactEstimator::new(slots, *config))
-    });
-    assert_eq!(custom.plan_cache_key(), None);
+    assert_eq!(ablated.plan_cache_key(), key);
+    // The estimator is a plan input.
+    let mut sketch = tiny_scenario(1.0, 9);
+    sketch.config.estimator = EstimatorKind::Sketch;
+    assert_ne!(sketch.plan_cache_key(), key);
 
     // End to end on the sweep primitive: cells run through
     // `run_cells` — which attaches its own context to every cell —

@@ -108,7 +108,7 @@ fn sketch_estimator_plans_a_30k_slot_history() {
     config.trace.mean_rate_per_node = 2.0;
     config.trace.duration_mean = 5.0;
     config.trace.arrivals = ArrivalKind::Poisson;
-    let scenario = Scenario::builder(s).apps(apps).config(config).build();
+    let scenario = Scenario::new(s, apps, config);
 
     let (plan, secs) = scenario.build_plan();
     assert!(!plan.is_empty(), "sketch plan must cover observed classes");

@@ -76,11 +76,6 @@ impl AdversaryProfile {
             AdversaryProfile::Diurnal => "diurnal",
         }
     }
-
-    /// Parses a [`AdversaryProfile::label`] back into the profile.
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.label() == label)
-    }
 }
 
 /// The builtin substrate-churn profiles. All windows are deterministic
@@ -450,9 +445,8 @@ pub fn lifetime_cliff(
 /// ones — the worst case for a plan-guided algorithm, which reserved
 /// capacity everywhere else.
 ///
-/// `plan` is a plain per-class share summary (e.g. a
-/// `TimeVaryingPlan`'s mean allocation per class); the adversary only
-/// needs the ranking, not the plan object itself.
+/// `plan` is a plain per-class share summary; the adversary only needs
+/// the ranking, not the plan object itself.
 ///
 /// # Panics
 ///

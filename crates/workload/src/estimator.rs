@@ -15,13 +15,12 @@
 //!   horizon, no bootstrap replay, a percentile approximation suitable
 //!   for long-horizon planning.
 //!
-//! Which estimator a scenario uses is an [`EstimatorKind`] switch, and
-//! [`EstimatorKind::Custom`] accepts user-defined estimators — the
-//! planning input is an open API surface like the algorithm registry.
+//! Which of the two a scenario uses is an [`EstimatorKind`] switch. The
+//! open API surface is the [`DemandEstimator`] trait itself: any
+//! implementation folds a history stream into a plan input through
+//! `vne_olive::aggregate::AggregateDemand::from_stream`.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::Arc;
 
 use vne_model::ids::ClassId;
 use vne_model::request::{Slot, SlotEvents};
@@ -443,51 +442,26 @@ impl Snapshot for SketchEstimator {
     }
 }
 
-/// Builds a [`DemandEstimator`] for one planning window.
-pub type EstimatorFactory =
-    Arc<dyn Fn(Slot, &AggregationConfig) -> Box<dyn DemandEstimator> + Send + Sync>;
-
 /// Which demand estimator a scenario's planning phase uses.
 ///
 /// `Exact` is the default (paper-faithful, bit-identical to the batch
 /// aggregation); `Sketch` trades the bootstrap for `O(classes)`
-/// planning memory; `Custom` plugs in any user estimator — the
-/// planning-input analogue of registering an algorithm.
-#[derive(Clone, Default)]
+/// planning memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimatorKind {
     /// Dense series + bootstrap `P̂_α` (the oracle).
     #[default]
     Exact,
     /// Per-class P² quantile sketches, `O(classes)` memory.
     Sketch,
-    /// A user-provided estimator factory `(slots, config) → estimator`.
-    Custom(EstimatorFactory),
 }
 
 impl EstimatorKind {
-    /// Wraps a factory closure as [`EstimatorKind::Custom`].
-    pub fn custom(
-        factory: impl Fn(Slot, &AggregationConfig) -> Box<dyn DemandEstimator> + Send + Sync + 'static,
-    ) -> Self {
-        Self::Custom(Arc::new(factory))
-    }
-
     /// Instantiates the estimator for a `slots`-slot planning window.
-    pub fn build(&self, slots: Slot, config: &AggregationConfig) -> Box<dyn DemandEstimator> {
+    pub fn build(self, slots: Slot, config: &AggregationConfig) -> Box<dyn DemandEstimator> {
         match self {
             Self::Exact => Box::new(ExactEstimator::new(slots, *config)),
             Self::Sketch => Box::new(SketchEstimator::new(config.alpha)),
-            Self::Custom(factory) => factory(slots, config),
-        }
-    }
-}
-
-impl fmt::Debug for EstimatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Exact => f.write_str("Exact"),
-            Self::Sketch => f.write_str("Sketch"),
-            Self::Custom(_) => f.write_str("Custom(..)"),
         }
     }
 }
@@ -712,19 +686,17 @@ mod tests {
         let config = AggregationConfig::default();
         let mut exact = EstimatorKind::Exact.build(10, &config);
         let mut sketch = EstimatorKind::Sketch.build(10, &config);
-        let custom = EstimatorKind::custom(|slots, c| Box::new(ExactEstimator::new(slots, *c)));
-        let mut custom_built = custom.build(10, &config);
         let ev = SlotEvents {
             slot: 0,
             arrivals: vec![req(0, 0, 3, 1, 0, 2.0)],
             churn: Vec::new(),
         };
-        for est in [&mut exact, &mut sketch, &mut custom_built] {
+        for est in [&mut exact, &mut sketch] {
             est.observe_slot(&ev);
             assert_eq!(est.slots_observed(), 1);
         }
         assert_eq!(format!("{:?}", EstimatorKind::Sketch), "Sketch");
-        assert_eq!(format!("{custom:?}"), "Custom(..)");
+        assert_eq!(format!("{:?}", EstimatorKind::Exact), "Exact");
         assert!(matches!(EstimatorKind::default(), EstimatorKind::Exact));
     }
 }

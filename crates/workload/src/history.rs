@@ -74,32 +74,6 @@ impl ClassDemandSeries {
         folded
     }
 
-    /// The sub-series of the slots belonging to one phase of a cyclic
-    /// schedule: slot `t` belongs to phase `(t / period_length) %
-    /// periods`. The phase's slots are concatenated in time order (the
-    /// slicing behind time-varying plans).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_length == 0` or `periods == 0`.
-    pub fn phase_slice(&self, period_length: Slot, periods: usize, phase: usize) -> Self {
-        assert!(period_length > 0, "period length must be positive");
-        assert!(periods > 0, "need at least one period");
-        let picked: Vec<usize> = (0..self.slots)
-            .filter(|&t| ((t / period_length) as usize) % periods == phase)
-            .map(|t| t as usize)
-            .collect();
-        let series = self
-            .series
-            .iter()
-            .map(|(&c, full)| (c, picked.iter().map(|&t| full[t]).collect()))
-            .collect();
-        Self {
-            slots: picked.len() as Slot,
-            series,
-        }
-    }
-
     /// Number of slots in the window.
     pub fn slots(&self) -> Slot {
         self.slots
@@ -271,22 +245,6 @@ mod tests {
             });
         }
         assert_eq!(fold, batch);
-    }
-
-    #[test]
-    fn phase_slice_picks_cyclic_slots() {
-        // Demand 3 in slots 0..2, demand 9 in slots 2..4.
-        let requests = vec![req(0, 0, 2, 1, 0, 3.0), req(1, 2, 2, 1, 0, 9.0)];
-        let s = ClassDemandSeries::from_requests(&requests, 4);
-        let c = ClassId::new(AppId(0), NodeId(1));
-        let even = s.phase_slice(2, 2, 0);
-        let odd = s.phase_slice(2, 2, 1);
-        assert_eq!(even.slots(), 2);
-        assert_eq!(even.series(c).unwrap(), &[3.0, 3.0]);
-        assert_eq!(odd.series(c).unwrap(), &[9.0, 9.0]);
-        // A phase with no slots in the window is empty.
-        let beyond = s.phase_slice(4, 3, 2);
-        assert_eq!(beyond.slots(), 0);
     }
 
     #[test]

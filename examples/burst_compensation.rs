@@ -9,6 +9,8 @@
 //! Run with: `cargo run --release --example burst_compensation`
 
 use vne::prelude::*;
+use vne::sim::engine::SlotMetrics;
+use vne::sim::observe::Inspect;
 use vne_model::ids::ClassId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run OLIVE, sampling the per-class split at the hot node each slot.
     let mut rows = Vec::new();
-    let outcome = scenario.run_with_inspector(Algorithm::Olive, |t, olive| {
+    let mut inspect = Inspect(|t: Slot, _: &SlotMetrics, alg: &dyn OnlineAlgorithm| {
+        let olive = alg.as_any().and_then(|a| a.downcast_ref::<Olive>());
+        let olive = olive.expect("the OLIVE spec builds an Olive");
         let mut planned = 0.0;
         let mut borrowed = 0.0;
         for &a in &app_ids {
@@ -47,6 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         rows.push((t, planned, borrowed));
     });
+    let outcome = scenario.run_observed(Algorithm::Olive, &mut inspect);
 
     let plan = outcome.plan.as_ref().expect("plan exists");
     let guaranteed: f64 = app_ids

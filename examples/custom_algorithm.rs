@@ -97,17 +97,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.history_slots = 150;
 
     // Register EDGEFIRST by name next to the four builtins.
-    let scenario = Scenario::builder(substrate)
-        .apps(default_apps(seed))
-        .config(config)
-        .algorithm("edgefirst", |ctx| {
-            BuiltAlgorithm::plain(EdgeFirst::new(
-                ctx.substrate().clone(),
-                ctx.apps().clone(),
-                ctx.policy().clone(),
-            ))
-        })
-        .build();
+    let mut registry = AlgorithmRegistry::builtins();
+    registry.register("edgefirst", |ctx| {
+        BuiltAlgorithm::plain(EdgeFirst::new(
+            ctx.substrate().clone(),
+            ctx.apps().clone(),
+            ctx.policy().clone(),
+        ))
+    });
+    let scenario = Scenario::new(substrate, default_apps(seed), config).with_registry(registry);
 
     println!("registered algorithms: {:?}\n", scenario.registry().names());
     println!(
