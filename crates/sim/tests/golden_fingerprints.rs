@@ -13,10 +13,12 @@
 //! GOLDEN_PRINT=1 cargo test -p vne-sim --test golden_fingerprints -- --nocapture
 //! ```
 
+use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::request::Slot;
 use vne_olive::bound::offline_revenue_bound;
 use vne_sim::engine::{RequestOutcome, SimControl, SimObserver, SlotMetrics};
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
+use vne_topology::partition::large_synthetic;
 use vne_topology::zoo::golden_diamond;
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile};
 
@@ -190,4 +192,58 @@ fn window_summaries_match_golden_fingerprints() {
             summary.arrivals, summary.rejected, summary.preempted, summary.total_cost
         );
     }
+}
+
+/// The 300-node world of the greedy-search pin: `large_synthetic(300, 7)`
+/// with the two uniform chain applications of the `online_large`
+/// benchmark workload, loaded until QUICKG rejects. On the 4-node
+/// diamond above every search visits every node; here the least-cost
+/// host is usually a few hops from the ingress, so any change to how
+/// `collocated_embed` orders, bounds or tie-breaks its search moves
+/// this fingerprint. Shared (by copy) with `vne-shard`'s
+/// `golden_parity`, which pins the same world at k = 4.
+fn large_scenario() -> Scenario {
+    let s = large_synthetic(300, 7).unwrap();
+    let mut apps = AppSet::new();
+    for (name, len) in [("chain2", 2), ("chain3", 3)] {
+        let chain = shapes::uniform_chain(len, 10.0, 1.0).unwrap();
+        apps.push(name, AppShape::Chain, chain).unwrap();
+    }
+    let mut config = ScenarioConfig::small(LARGE_UTILIZATION).with_seed(11);
+    config.test_slots = 40;
+    config.measure_window = (4, 36);
+    config.trace.mean_rate_per_node = 0.5;
+    config.trace.duration_mean = 5.0;
+    Scenario::new(s, apps, config)
+}
+
+/// Edge utilization at which the 300-node world saturates.
+const LARGE_UTILIZATION: f64 = 4.0;
+
+/// Captured from the full-Dijkstra-plus-host-scan `collocated_embed`.
+const LARGE_QUICKG_GOLDEN: u64 = 0x5651847dcf613219;
+
+#[test]
+fn quickg_on_the_large_world_matches_golden_fingerprint() {
+    let summary = large_scenario().run_summary(Algorithm::Quickg).unwrap();
+    let got = summary.fingerprint();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!(
+            "const LARGE_QUICKG_GOLDEN: u64 = {got:#018x}; // arrivals {} rejected {} cost {}",
+            summary.arrivals, summary.rejected, summary.total_cost
+        );
+        return;
+    }
+    assert!(
+        0 < summary.rejected && summary.rejected < summary.arrivals,
+        "the load must saturate without starving: {} of {} rejected",
+        summary.rejected,
+        summary.arrivals
+    );
+    assert_eq!(
+        got, LARGE_QUICKG_GOLDEN,
+        "large-world QUICKG summary drifted: {got:#018x} != {LARGE_QUICKG_GOLDEN:#018x} \
+         (arrivals {}, rejected {}, total cost {})",
+        summary.arrivals, summary.rejected, summary.total_cost
+    );
 }
