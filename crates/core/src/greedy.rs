@@ -3,17 +3,40 @@
 //! QUICKG's heuristic restriction: all VNFs of the request are collocated
 //! on a single substrate node, so only the virtual links incident to the
 //! root `θ` consume substrate bandwidth — along one shortest path from
-//! the ingress to the hosting node. The least-cost feasible host is found
-//! with a single capacity-filtered Dijkstra, which is what makes QUICKG
-//! (and OLIVE's fallback path) fast. GPU applications cannot be
+//! the ingress to the hosting node. GPU applications cannot be
 //! collocated (a GPU datacenter rejects their non-GPU VNFs), matching
 //! the paper's note that QUICKG is not applicable to the GPU scenario.
+//!
+//! A host `h` costs `a_h + d_h`: its node term `a_h = node_load · cost_h`
+//! plus the haul `d_h`, the capacity-filtered shortest-path distance from
+//! the ingress. The least-cost feasible host is found by a *bounded*
+//! search, which is what keeps QUICKG (and OLIVE's fallback path) fast
+//! on large substrates: a scan over the hosts yields `m = min a_h` over
+//! the feasible ones, then one Dijkstra from the ingress prices each
+//! node as a host when it is settled and stops at the first popped
+//! distance `d` with `m + d > best`. That bound is admissible, and exact
+//! in floating point:
+//!
+//! 1. every host `h` not yet settled has `a_h ≥ m` and `d_h ≥ d`
+//!    (Dijkstra settles in non-decreasing distance);
+//! 2. rounding is monotone, so `a_h + d_h ≥ m + d` holds for the
+//!    *computed* sums as well;
+//! 3. hence `m + d > best` gives `a_h + d_h > best` bit for bit: no
+//!    pruned host can win or even tie, and host, path and cost are those
+//!    of the full search followed by a scan of every node.
+//!
+//! Ties go to the lowest [`NodeId`] — the first minimum of a scan in id
+//! order. The full search and scan live on as the oracle of the
+//! `bounded_greedy_search_matches_the_full_search` property in
+//! `tests/proptests.rs`.
+
+use std::cell::Cell;
 
 use vne_model::embedding::Embedding;
 use vne_model::ids::NodeId;
 use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
-use vne_model::substrate::SubstrateNetwork;
+use vne_model::substrate::{SearchStats, SubstrateNetwork, SubstrateNode, Tier};
 use vne_model::vnet::VirtualNetwork;
 
 /// Finds the cheapest feasible collocated embedding for a request of the
@@ -31,9 +54,21 @@ pub fn collocated_embed(
     ledger: &LoadLedger,
     demand: f64,
 ) -> Option<(Embedding, f64)> {
-    // Aggregate per-host node demand: Σ_i β_i·η_i(host); root links'
-    // bandwidth: Σ_{(θ,c)} β·η hauled along the ingress→host path.
-    // Collocation requires every VNF placeable on the host.
+    collocated_embed_counted(substrate, vnet, policy, ingress, ledger, demand).0
+}
+
+/// [`collocated_embed`] plus the work its search did (all zero when the
+/// host scan already rules every node out and no search runs).
+pub fn collocated_embed_counted(
+    substrate: &SubstrateNetwork,
+    vnet: &VirtualNetwork,
+    policy: &PlacementPolicy,
+    ingress: NodeId,
+    ledger: &LoadLedger,
+    demand: f64,
+) -> (Option<(Embedding, f64)>, SearchStats) {
+    // Root links' bandwidth: Σ_{(θ,c)} β·η hauled along the ingress→host
+    // path.
     let root_link_beta: f64 = vnet
         .children(VirtualNetwork::ROOT)
         .iter()
@@ -43,60 +78,68 @@ pub fn collocated_embed(
         })
         .sum();
 
-    // Dijkstra from the ingress over links that can carry the root links.
-    let paths = substrate.shortest_paths(ingress, |l| {
-        let slink = substrate.link(l);
-        // All root links share the path; η is uniform per policy.
-        let eta = vnet
-            .children(VirtualNetwork::ROOT)
-            .iter()
-            .map(|&c| {
-                let (_, e) = vnet.parent(c).expect("child has a parent");
-                policy.link_eta(vnet.link(e), slink)
-            })
-            .try_fold(0.0f64, |acc, eta| eta.map(|v| acc.max(v)))?;
-        let need = demand * root_link_beta * eta;
-        if need > 0.0 && ledger.link_residual(l) < need {
+    // Σ_i β_i·η_i(host) depends on the host only through its tier and
+    // GPU flag (all `PlacementPolicy::node_eta` reads of a node), so it
+    // is computed once per class of node rather than per node.
+    let mut class_load: [Option<Option<f64>>; 2 * Tier::ALL.len()] = [None; 2 * Tier::ALL.len()];
+    // The node term `a_h` of a feasible host: every VNF placeable, total
+    // demand fits.
+    let mut node_term = |host: NodeId| -> Option<f64> {
+        let node = substrate.node(host);
+        let class = 2 * node.tier as usize + usize::from(node.gpu);
+        let load = (*class_load[class].get_or_insert_with(|| node_load(vnet, policy, node)))?;
+        if load > 0.0 && ledger.node_residual(host) < demand * load {
             return None;
         }
-        Some(root_link_beta * eta * slink.cost)
-    });
+        Some(load * node.cost)
+    };
+    let Some(floor) = substrate
+        .node_ids()
+        .filter_map(&mut node_term)
+        .min_by(f64::total_cmp)
+    else {
+        return (None, SearchStats::default());
+    };
 
-    let mut best: Option<(NodeId, f64)> = None;
-    for (host, node) in substrate.nodes() {
-        if !paths.reachable(host) {
-            continue;
-        }
-        // Node feasibility: every VNF placeable, total demand fits.
-        let mut node_load = 0.0;
-        let mut ok = true;
-        for (_, vnf) in vnet.vnodes() {
-            if vnf.beta == 0.0 {
-                continue;
+    // Dijkstra from the ingress over links that can carry the root links,
+    // pricing each node as a host when it is settled.
+    let best: Cell<Option<(NodeId, f64)>> = Cell::new(None);
+    let (paths, stats) = substrate.search(
+        ingress,
+        |l| {
+            let slink = substrate.link(l);
+            // All root links share the path; η is uniform per policy.
+            let eta = vnet
+                .children(VirtualNetwork::ROOT)
+                .iter()
+                .map(|&c| {
+                    let (_, e) = vnet.parent(c).expect("child has a parent");
+                    policy.link_eta(vnet.link(e), slink)
+                })
+                .try_fold(0.0f64, |acc, eta| eta.map(|v| acc.max(v)))?;
+            let need = demand * root_link_beta * eta;
+            if need > 0.0 && ledger.link_residual(l) < need {
+                return None;
             }
-            match policy.node_eta(vnf, node) {
-                Some(eta) => node_load += vnf.beta * eta,
-                None => {
-                    ok = false;
-                    break;
-                }
+            Some(root_link_beta * eta * slink.cost)
+        },
+        |host, d| {
+            let Some(term) = node_term(host) else { return };
+            let cost = term + d;
+            match best.get() {
+                Some((b, best_cost)) if cost > best_cost || (cost == best_cost && b < host) => {}
+                _ => best.set(Some((host, cost))),
             }
-        }
-        if !ok {
-            continue;
-        }
-        if node_load > 0.0 && ledger.node_residual(host) < demand * node_load {
-            continue;
-        }
-        let cost = node_load * node.cost + paths.distance(host);
-        match best {
-            Some((_, best_cost)) if cost >= best_cost => {}
-            _ => best = Some((host, cost)),
-        }
-    }
+        },
+        // Written as `floor + d > best`, never `d > best − floor`: only
+        // this form inherits the monotonicity of rounding (module doc).
+        |d| matches!(best.get(), Some((_, best_cost)) if floor + d > best_cost),
+    );
 
-    let (host, cost) = best?;
-    let path = paths.path_to(host).expect("host is reachable");
+    let Some((host, cost)) = best.get() else {
+        return (None, stats);
+    };
+    let path = paths.path_to(host).expect("host is settled");
     let mut node_map = vec![host; vnet.node_count()];
     node_map[VirtualNetwork::ROOT.index()] = ingress;
     let mut link_paths = vec![Vec::new(); vnet.link_count()];
@@ -107,7 +150,20 @@ pub fn collocated_embed(
     }
     let embedding = Embedding::new(node_map, link_paths);
     debug_assert!(embedding.validate(vnet, substrate, policy).is_ok());
-    Some((embedding, cost))
+    (Some((embedding, cost)), stats)
+}
+
+/// `Σ_i β_i·η_i(node)` over the VNFs, or `None` when one of them may not
+/// be placed on `node`.
+fn node_load(vnet: &VirtualNetwork, policy: &PlacementPolicy, node: &SubstrateNode) -> Option<f64> {
+    let mut load = 0.0;
+    for (_, vnf) in vnet.vnodes() {
+        if vnf.beta == 0.0 {
+            continue;
+        }
+        load += vnf.beta * policy.node_eta(vnf, node)?;
+    }
+    Some(load)
 }
 
 #[cfg(test)]
@@ -115,7 +171,6 @@ mod tests {
     use super::*;
     use vne_model::embedding::Footprint;
     use vne_model::ids::{LinkId, VnodeId};
-    use vne_model::substrate::Tier;
     use vne_model::vnet::VnfKind;
 
     fn line() -> SubstrateNetwork {

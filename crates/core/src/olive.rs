@@ -20,6 +20,7 @@
 //! baseline (constructed by [`Olive::quickg`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use vne_model::app::AppSet;
 use vne_model::embedding::Footprint;
@@ -28,10 +29,10 @@ use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot};
 use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
-use vne_model::substrate::SubstrateNetwork;
+use vne_model::substrate::{SearchStats, SubstrateNetwork};
 
 use crate::algorithm::{OnlineAlgorithm, SlotOutcome};
-use crate::greedy::collocated_embed;
+use crate::greedy::collocated_embed_counted;
 use crate::plan::{Plan, PlanLedger};
 
 /// Feature switches for OLIVE (all on by default; ablations turn
@@ -73,7 +74,9 @@ struct ActiveAlloc {
 pub struct Olive {
     name: String,
     substrate: SubstrateNetwork,
-    apps: AppSet,
+    /// Shared so an arrival can hold its application across the
+    /// `&mut self` calls that allocate it.
+    apps: Arc<AppSet>,
     policy: PlacementPolicy,
     plan: Plan,
     plan_ledger: PlanLedger,
@@ -81,6 +84,9 @@ pub struct Olive {
     active: BTreeMap<RequestId, ActiveAlloc>,
     config: OliveConfig,
     stats: OliveStats,
+    /// Work done by the greedy searches so far. Introspection only: not
+    /// part of the snapshot, reset by nothing, read by no decision.
+    search: SearchStats,
 }
 
 /// Counters describing how requests were served (Fig. 12 categories).
@@ -112,7 +118,7 @@ impl Olive {
         Self {
             name: "OLIVE".to_string(),
             substrate,
-            apps,
+            apps: Arc::new(apps),
             policy,
             plan,
             plan_ledger,
@@ -120,6 +126,7 @@ impl Olive {
             active: BTreeMap::new(),
             config,
             stats: OliveStats::default(),
+            search: SearchStats::default(),
         }
     }
 
@@ -145,6 +152,14 @@ impl Olive {
     /// Service-mode counters.
     pub fn stats(&self) -> OliveStats {
         self.stats
+    }
+
+    /// Work done by this instance's greedy searches since construction:
+    /// how many ran and how many nodes they settled, queued and pruned.
+    /// Outside every snapshot and fingerprint — a restored instance
+    /// starts counting from where *it* was, not from the blob.
+    pub fn search_stats(&self) -> SearchStats {
+        self.search
     }
 
     /// The plan this instance runs with.
@@ -306,7 +321,6 @@ impl Olive {
     /// Handles one arrival; returns accepted flag plus any preempted ids.
     fn handle_arrival(&mut self, r: &Request) -> (bool, Vec<RequestId>) {
         let class = r.class();
-        let vnet = self.apps.vnet(r.app).clone();
 
         // QUICKG fast reject: all datacenters full.
         if self.config.quickg_fast_reject && self.loads.all_nodes_loaded_above(1.0) {
@@ -339,7 +353,7 @@ impl Olive {
                         // Deficit estimation fell short (shared elements);
                         // fall through with the preemptions committed —
                         // the freed capacity still helps the paths below.
-                        return self.post_plan_paths(r, &vnet, class, victims);
+                        return self.post_plan_paths(r, victims);
                     }
                 }
             }
@@ -351,7 +365,7 @@ impl Olive {
             }
         }
 
-        self.post_plan_paths(r, &vnet, class, Vec::new())
+        self.post_plan_paths(r, Vec::new())
     }
 
     fn try_borrow(&mut self, r: &Request, class: ClassId) -> Option<(bool, Vec<RequestId>)> {
@@ -372,19 +386,21 @@ impl Olive {
     fn post_plan_paths(
         &mut self,
         r: &Request,
-        vnet: &vne_model::vnet::VirtualNetwork,
-        _class: ClassId,
         preempted: Vec<RequestId>,
     ) -> (bool, Vec<RequestId>) {
         if self.config.greedy_fallback {
-            if let Some((embedding, _)) = collocated_embed(
+            let apps = Arc::clone(&self.apps);
+            let vnet = apps.vnet(r.app);
+            let (found, searched) = collocated_embed_counted(
                 &self.substrate,
                 vnet,
                 &self.policy,
                 r.ingress,
                 &self.loads,
                 r.demand,
-            ) {
+            );
+            self.search += searched;
+            if let Some((embedding, _)) = found {
                 let footprint = embedding.footprint(vnet, &self.substrate, &self.policy);
                 if self.loads.fits(&footprint, r.demand) {
                     self.allocate(r, footprint, false, None);
@@ -747,6 +763,25 @@ mod tests {
         assert_eq!(out.accepted.len(), 1);
         assert!(out.preempted.is_empty());
         assert_eq!(quickg.stats().planned, 0);
+    }
+
+    /// The search counters sit outside the snapshot: an instance that
+    /// searched and one restored from its blob (which never searched)
+    /// snapshot to the same bytes.
+    #[test]
+    fn search_stats_are_not_snapshotted() {
+        let (s, apps) = world();
+        let mut searched = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
+        searched.process_slot(0, &[], &[req(0, 0, 5, 3.0), req(1, 0, 5, 4.0)]);
+        let stats = searched.search_stats();
+        assert_eq!(stats.searches, 2);
+        assert!(stats.settled >= stats.searches);
+        let blob = Snapshot::snapshot(&searched);
+
+        let mut restored = Olive::quickg(s, apps, PlacementPolicy::default());
+        restored.restore(&blob).unwrap();
+        assert_eq!(restored.search_stats(), SearchStats::default());
+        assert_eq!(Snapshot::snapshot(&restored).as_bytes(), blob.as_bytes());
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Property-based tests for the OLIVE core: solver agreement, plan
-//! feasibility, and online-algorithm invariants over random traces.
+//! feasibility, online-algorithm invariants over random traces, and the
+//! bounded greedy search against the full search it replaced.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vne_model::app::{shapes, AppSet, AppShape};
+use vne_model::embedding::{Embedding, Footprint};
 use vne_model::ids::{AppId, ClassId, NodeId, RequestId};
+use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::Request;
 use vne_model::substrate::{SubstrateNetwork, Tier};
+use vne_model::vnet::VirtualNetwork;
 use vne_olive::aggregate::AggregateDemand;
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::colgen::{solve_plan, PlanVneConfig};
+use vne_olive::greedy::collocated_embed;
 use vne_olive::olive::{Olive, OliveConfig};
 use vne_olive::planvne::solve_arc_lp;
 use vne_olive::pricing::{min_cost_embedding, ElementCosts};
@@ -167,10 +172,10 @@ proptest! {
             let fp_cost = emb.unit_cost(&app.vnet, &s, &policy);
             prop_assert!((fp_cost - cost).abs() < 1e-9);
             // DP optimum ≤ best collocated solution.
-            let ledger = vne_model::load::LoadLedger::new(&s);
-            if let Some((_, colo_cost)) = vne_olive::greedy::collocated_embed(
-                &s, &app.vnet, &policy, ingress, &ledger, 1.0,
-            ) {
+            let ledger = LoadLedger::new(&s);
+            if let Some((_, colo_cost)) =
+                collocated_embed(&s, &app.vnet, &policy, ingress, &ledger, 1.0)
+            {
                 prop_assert!(cost <= colo_cost + 1e-9, "dp {cost} > colo {colo_cost}");
             }
         }
@@ -248,5 +253,233 @@ proptest! {
             }
         }
         prop_assert_eq!(accepted + denied, requests.len());
+    }
+}
+
+/// The body of `collocated_embed` before it became a bounded search,
+/// kept verbatim as the oracle: a full capacity-filtered Dijkstra from
+/// the ingress, then a scan of every node in id order keeping the first
+/// minimum of `node_load · cost + distance`.
+fn collocated_embed_reference(
+    substrate: &SubstrateNetwork,
+    vnet: &VirtualNetwork,
+    policy: &PlacementPolicy,
+    ingress: NodeId,
+    ledger: &LoadLedger,
+    demand: f64,
+) -> Option<(Embedding, f64)> {
+    // Aggregate per-host node demand: Σ_i β_i·η_i(host); root links'
+    // bandwidth: Σ_{(θ,c)} β·η hauled along the ingress→host path.
+    // Collocation requires every VNF placeable on the host.
+    let root_link_beta: f64 = vnet
+        .children(VirtualNetwork::ROOT)
+        .iter()
+        .map(|&c| {
+            let (_, e) = vnet.parent(c).expect("child has a parent");
+            vnet.link(e).beta
+        })
+        .sum();
+
+    // Dijkstra from the ingress over links that can carry the root links.
+    let paths = substrate.shortest_paths(ingress, |l| {
+        let slink = substrate.link(l);
+        // All root links share the path; η is uniform per policy.
+        let eta = vnet
+            .children(VirtualNetwork::ROOT)
+            .iter()
+            .map(|&c| {
+                let (_, e) = vnet.parent(c).expect("child has a parent");
+                policy.link_eta(vnet.link(e), slink)
+            })
+            .try_fold(0.0f64, |acc, eta| eta.map(|v| acc.max(v)))?;
+        let need = demand * root_link_beta * eta;
+        if need > 0.0 && ledger.link_residual(l) < need {
+            return None;
+        }
+        Some(root_link_beta * eta * slink.cost)
+    });
+
+    let mut best: Option<(NodeId, f64)> = None;
+    for (host, node) in substrate.nodes() {
+        if !paths.reachable(host) {
+            continue;
+        }
+        // Node feasibility: every VNF placeable, total demand fits.
+        let mut node_load = 0.0;
+        let mut ok = true;
+        for (_, vnf) in vnet.vnodes() {
+            if vnf.beta == 0.0 {
+                continue;
+            }
+            match policy.node_eta(vnf, node) {
+                Some(eta) => node_load += vnf.beta * eta,
+                None => {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        if !ok {
+            continue;
+        }
+        if node_load > 0.0 && ledger.node_residual(host) < demand * node_load {
+            continue;
+        }
+        let cost = node_load * node.cost + paths.distance(host);
+        match best {
+            Some((_, best_cost)) if cost >= best_cost => {}
+            _ => best = Some((host, cost)),
+        }
+    }
+
+    let (host, cost) = best?;
+    let path = paths.path_to(host).expect("host is reachable");
+    let mut node_map = vec![host; vnet.node_count()];
+    node_map[VirtualNetwork::ROOT.index()] = ingress;
+    let mut link_paths = vec![Vec::new(); vnet.link_count()];
+    for (e, vlink) in vnet.vlinks() {
+        if vlink.from == VirtualNetwork::ROOT {
+            link_paths[e.index()] = path.clone();
+        }
+    }
+    Some((Embedding::new(node_map, link_paths), cost))
+}
+
+/// Per node `(tier, cost mode, gpu die, load mode)`, extra links beyond
+/// the path backbone, per link `(cost mode, load mode)`, the cost
+/// jitter, and two dice that (on 0) give every node the flat price and
+/// every link cost zero.
+type SearchWorld = (
+    Vec<(u8, u8, u8, u8)>,
+    Vec<(usize, usize)>,
+    Vec<(u8, u8)>,
+    f64,
+    (u8, u8),
+);
+
+/// A connected substrate built to make the bounded search's job hard,
+/// with a pre-loaded ledger. Cost modes: the tier price with no jitter
+/// (so whole tiers tie), one flat price (so every host ties on the node
+/// term), zero, or a jittered price. Load modes: empty, half, all but a
+/// sliver, or full to the last unit. One world in three is all flat
+/// price, one in three all free links, so that whole worlds tie and the
+/// tie rule and the `>` of the stop test decide the answer.
+fn search_world(
+    (nodes, extras, links, jitter, (flat_nodes, free_links)): SearchWorld,
+) -> (SubstrateNetwork, LoadLedger) {
+    let n = nodes.len();
+    let mut s = SubstrateNetwork::new("search");
+    for (i, &(tier, cost_mode, gpu, _)) in nodes.iter().enumerate() {
+        let (tier, price) = match tier {
+            0 => (Tier::Edge, 50.0),
+            1 => (Tier::Transport, 10.0),
+            _ => (Tier::Core, 1.0),
+        };
+        let cost = match if flat_nodes == 0 { 1 } else { cost_mode } {
+            0 => price,
+            1 => 7.0,
+            2 => 0.0,
+            _ => price * (1.0 + jitter * (i as f64 + 1.0) / n as f64),
+        };
+        let id = s.add_node(format!("n{i}"), tier, 400.0, cost).unwrap();
+        s.node_mut(id).gpu = gpu == 0;
+    }
+    let mut pairs: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+    pairs.extend(extras.into_iter().map(|(a, b)| (a % n, b % n)));
+    for (a, b) in pairs {
+        let (x, y) = (NodeId::from_index(a), NodeId::from_index(b));
+        if a != b && s.link_between(x, y).is_none() {
+            let cost = match if free_links == 0 {
+                0
+            } else {
+                links[s.link_count()].0
+            } {
+                0 => 0.0,
+                1 => 1.0,
+                _ => 1.0 + jitter * (a + b) as f64,
+            };
+            s.add_link(x, y, 100.0, cost).unwrap();
+        }
+    }
+    let fill = |mode: u8, capacity: f64| match mode {
+        0 => 0.0,
+        1 => 0.5 * capacity,
+        2 => capacity - 25.0,
+        _ => capacity,
+    };
+    let footprint = Footprint::from_parts(
+        s.nodes()
+            .map(|(id, node)| (id, fill(nodes[id.index()].3, node.capacity)))
+            .collect(),
+        s.links()
+            .map(|(id, link)| (id, fill(links[id.index()].1, link.capacity)))
+            .collect(),
+    );
+    let mut ledger = LoadLedger::new(&s);
+    ledger.apply(&footprint, 1.0);
+    (s, ledger)
+}
+
+/// Applications that reach every branch of the host test: chains and a
+/// tree, a root link of size zero (every reachable host hauls for
+/// free), a zero-size VNF, a lone GPU VNF (only GPU datacenters host
+/// it) and a mixed GPU chain (nothing hosts it under the exclusive
+/// policy).
+fn search_app(pick: u8) -> VirtualNetwork {
+    match pick {
+        0 => shapes::uniform_chain(2, 10.0, 3.0),
+        1 => shapes::two_branch_tree(3, 8.0, 2.0),
+        2 => shapes::uniform_chain(2, 10.0, 0.0),
+        3 => VirtualNetwork::chain(&[0.0, 12.0], &[2.0, 5.0]),
+        4 => shapes::gpu_chain(1, 10.0, 3.0, 0),
+        _ => shapes::gpu_chain(2, 10.0, 3.0, 1),
+    }
+    .unwrap()
+}
+
+proptest! {
+    /// The bounded search returns what the full search plus a scan of
+    /// every node returns: `None` together, or the same host, the same
+    /// path link for link and the same cost bit for bit — under ties,
+    /// zero costs, GPU datacenters, free hauls and a ledger that
+    /// saturates some nodes and links.
+    #[test]
+    fn bounded_greedy_search_matches_the_full_search(
+        world in (
+            proptest::collection::vec((0u8..3, 0u8..4, 0u8..5, 0u8..4), 4..14),
+            proptest::collection::vec((0usize..14, 0usize..14), 0..12),
+            proptest::collection::vec((0u8..3, 0u8..4), 26),
+            0.0f64..0.5,
+            (0u8..3, 0u8..3),
+        ),
+        app in 0u8..6,
+        policy_pick in 0u8..3,
+        ingress_pick in any::<u16>(),
+        demand in 0.5f64..30.0,
+    ) {
+        let (s, ledger) = search_world(world);
+        let vnet = search_app(app);
+        let policy = match policy_pick {
+            0 => PlacementPolicy::default(),
+            1 => PlacementPolicy { gpu_exclusive: false, ..PlacementPolicy::default() },
+            _ => PlacementPolicy { tier_node_eta: [1.0, 1.5, 0.25], ..PlacementPolicy::default() },
+        };
+        let ingress = NodeId::from_index(ingress_pick as usize % s.node_count());
+        let got = collocated_embed(&s, &vnet, &policy, ingress, &ledger, demand);
+        let want = collocated_embed_reference(&s, &vnet, &policy, ingress, &ledger, demand);
+        match (got, want) {
+            (None, None) => {}
+            (Some((got, got_cost)), Some((want, want_cost))) => {
+                prop_assert_eq!(got.node_map(), want.node_map());
+                prop_assert_eq!(got.link_paths(), want.link_paths());
+                prop_assert_eq!(got_cost.to_bits(), want_cost.to_bits());
+            }
+            (got, want) => prop_assert!(
+                false,
+                "bounded {:?} vs full {:?}",
+                got.map(|(e, c)| (e.node_map().to_vec(), c)),
+                want.map(|(e, c)| (e.node_map().to_vec(), c)),
+            ),
+        }
     }
 }

@@ -385,20 +385,57 @@ impl SubstrateNetwork {
         }
     }
 
-    /// Single-source shortest paths by link weight.
+    /// Single-source shortest paths by link weight: the never-pruning
+    /// instance of [`SubstrateNetwork::search`], which settles every
+    /// node reachable from `source`.
     ///
     /// `weight` maps each link to a non-negative weight, or `None` to make
     /// the link unusable (e.g. insufficient residual capacity). Returns per
     /// node the distance and the `(prev node, via link)` predecessor, or
     /// `None` when unreachable.
-    pub fn shortest_paths<F>(&self, source: NodeId, mut weight: F) -> ShortestPaths
+    pub fn shortest_paths<F>(&self, source: NodeId, weight: F) -> ShortestPaths
     where
         F: FnMut(LinkId) -> Option<f64>,
+    {
+        self.search(source, weight, |_, _| {}, |_| false).0
+    }
+
+    /// Dijkstra from `source` with a settle hook and a prune test — the
+    /// one heap loop of the workspace.
+    ///
+    /// `settle(n, d)` is called once per node, in non-decreasing order of
+    /// `d`, when `n`'s distance `d` and predecessor are final (the pop
+    /// order is total: distance, then `NodeId`). `prune(d)` says that
+    /// nothing at distance `d` or beyond can matter to the caller any
+    /// more: the search ends at the first popped distance it accepts and
+    /// never queues a tentative distance it accepts. It must be monotone
+    /// — once true for `d`, true for every `d' ≥ d` from then on — so that
+    /// every node settled before the end is settled exactly as the
+    /// unpruned search would have, with the same distance and predecessor.
+    ///
+    /// In the returned [`ShortestPaths`] only settled nodes carry final
+    /// values; a node the search never settled may read as unreachable
+    /// or hold a tentative distance.
+    pub fn search<W, S, P>(
+        &self,
+        source: NodeId,
+        mut weight: W,
+        mut settle: S,
+        prune: P,
+    ) -> (ShortestPaths, SearchStats)
+    where
+        W: FnMut(LinkId) -> Option<f64>,
+        S: FnMut(NodeId, f64),
+        P: Fn(f64) -> bool,
     {
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
         let mut heap = std::collections::BinaryHeap::new();
+        let mut stats = SearchStats {
+            searches: 1,
+            ..SearchStats::default()
+        };
         dist[source.index()] = 0.0;
         heap.push(HeapEntry {
             dist: 0.0,
@@ -408,18 +445,28 @@ impl SubstrateNetwork {
             if d > dist[u.index()] {
                 continue;
             }
+            if prune(d) {
+                break;
+            }
+            stats.settled += 1;
+            settle(u, d);
             for &(v, l) in self.neighbors(u) {
                 let Some(w) = weight(l) else { continue };
                 debug_assert!(w >= 0.0, "link weights must be non-negative");
                 let nd = d + w;
                 if nd < dist[v.index()] {
+                    if prune(nd) {
+                        stats.pruned += 1;
+                        continue;
+                    }
+                    stats.relaxed += 1;
                     dist[v.index()] = nd;
                     prev[v.index()] = Some((u, l));
                     heap.push(HeapEntry { dist: nd, node: v });
                 }
             }
         }
-        ShortestPaths { source, dist, prev }
+        (ShortestPaths { source, dist, prev }, stats)
     }
 
     /// Exports the topology in Graphviz DOT format (used for Fig. 5).
@@ -491,6 +538,30 @@ impl ShortestPaths {
         }
         path.reverse();
         Some(path)
+    }
+}
+
+/// Work counters of [`SubstrateNetwork::search`], summable over
+/// searches. Introspection only: they describe how much of the graph a
+/// search touched, never what it found.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Searches run.
+    pub searches: u64,
+    /// Nodes whose distance became final (one `settle` call each).
+    pub settled: u64,
+    /// Tentative distances improved and queued.
+    pub relaxed: u64,
+    /// Improvements not queued because `prune` accepted them.
+    pub pruned: u64,
+}
+
+impl std::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, other: Self) {
+        self.searches += other.searches;
+        self.settled += other.settled;
+        self.relaxed += other.relaxed;
+        self.pruned += other.pruned;
     }
 }
 
@@ -620,6 +691,37 @@ mod tests {
         });
         assert_eq!(sp.path_to(nodes[3]).unwrap(), vec![links[0], links[2]]);
         assert_eq!(sp.distance(nodes[3]), 10.0);
+    }
+
+    #[test]
+    fn pruned_search_settles_a_prefix_of_the_full_search() {
+        let (s, nodes, links) = diamond();
+        let cost = |l| Some(s.link(l).cost);
+        let mut order = Vec::new();
+        let (_, full) = s.search(nodes[0], cost, |n, d| order.push((n, d)), |_| false);
+        assert_eq!(
+            order,
+            vec![
+                (nodes[0], 0.0),
+                (nodes[2], 1.0),
+                (nodes[3], 2.0),
+                (nodes[1], 5.0)
+            ]
+        );
+        assert_eq!((full.settled, full.relaxed, full.pruned), (4, 3, 0));
+
+        // Nothing beyond distance 2 matters: b is never queued, neither
+        // at 5 (from a) nor at 7 (from d).
+        let mut pruned_order = Vec::new();
+        let (sp, pruned) = s.search(
+            nodes[0],
+            cost,
+            |n, d| pruned_order.push((n, d)),
+            |d| d > 2.0,
+        );
+        assert_eq!(pruned_order, order[..3]);
+        assert_eq!((pruned.settled, pruned.relaxed, pruned.pruned), (3, 2, 2));
+        assert_eq!(sp.path_to(nodes[3]).unwrap(), vec![links[1], links[3]]);
     }
 
     #[test]

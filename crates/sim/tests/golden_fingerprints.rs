@@ -15,8 +15,12 @@
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::request::Slot;
+use vne_model::substrate::SearchStats;
+use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::bound::offline_revenue_bound;
+use vne_olive::olive::Olive;
 use vne_sim::engine::{RequestOutcome, SimControl, SimObserver, SlotMetrics};
+use vne_sim::observe::Inspect;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
 use vne_topology::partition::large_synthetic;
 use vne_topology::zoo::golden_diamond;
@@ -209,16 +213,14 @@ fn large_scenario() -> Scenario {
         let chain = shapes::uniform_chain(len, 10.0, 1.0).unwrap();
         apps.push(name, AppShape::Chain, chain).unwrap();
     }
-    let mut config = ScenarioConfig::small(LARGE_UTILIZATION).with_seed(11);
+    // 400 % of edge capacity: the core absorbs the rest until it saturates.
+    let mut config = ScenarioConfig::small(4.0).with_seed(11);
     config.test_slots = 40;
     config.measure_window = (4, 36);
     config.trace.mean_rate_per_node = 0.5;
     config.trace.duration_mean = 5.0;
     Scenario::new(s, apps, config)
 }
-
-/// Edge utilization at which the 300-node world saturates.
-const LARGE_UTILIZATION: f64 = 4.0;
 
 /// Captured from the full-Dijkstra-plus-host-scan `collocated_embed`.
 const LARGE_QUICKG_GOLDEN: u64 = 0x5651847dcf613219;
@@ -246,4 +248,33 @@ fn quickg_on_the_large_world_matches_golden_fingerprint() {
          (arrivals {}, rejected {}, total cost {})",
         summary.arrivals, summary.rejected, summary.total_cost
     );
+}
+
+/// The bounded greedy search ends long before it has seen the whole
+/// world, while the unbounded search underneath it still settles every
+/// node of a connected one.
+#[test]
+fn greedy_search_on_the_large_world_settles_a_fraction_of_it() {
+    let scenario = large_scenario();
+    let nodes = scenario.substrate.node_count() as u64;
+    let mut search = SearchStats::default();
+    let mut inspect = Inspect(|_: Slot, _: &SlotMetrics, alg: &dyn OnlineAlgorithm| {
+        let quickg = alg.as_any().and_then(|a| a.downcast_ref::<Olive>());
+        search = quickg
+            .expect("the QUICKG spec builds an Olive")
+            .search_stats();
+    });
+    scenario.run_observed(Algorithm::Quickg, &mut inspect);
+    assert!(search.searches > 0);
+    assert!(
+        search.settled < search.searches * nodes,
+        "{} searches settled {} nodes of {nodes} each",
+        search.searches,
+        search.settled
+    );
+
+    let s = &scenario.substrate;
+    let cost = |l| Some(s.link(l).cost);
+    let (_, full) = s.search(s.edge_nodes()[0], cost, |_, _| {}, |_| false);
+    assert_eq!(full.settled, nodes);
 }
