@@ -60,6 +60,32 @@ pub trait OnlineAlgorithm: Send {
     ///
     /// Implementations must keep their internal [`LoadLedger`] feasible
     /// at all times.
+    ///
+    /// # What a spanning coordinator relies on
+    ///
+    /// A slot may reach an instance in more than one call with the same
+    /// `t`: `vne-shard`'s coordinator steps a shard's *reserve instance*
+    /// through the shard's slot once and then offers it spanning
+    /// candidates one `process_slot(t, &[], &[candidate])` at a time.
+    /// That answers what the whole slot would have answered for an
+    /// algorithm of which two things are true:
+    ///
+    /// 1. *Arrivals are decided in order.* `process_slot(t, D, A ++ [c])`
+    ///    leaves the same state and returns the same decisions as
+    ///    `process_slot(t, D, A)` followed by `process_slot(t, &[], &[c])`.
+    /// 2. *A plain rejection leaves no trace.* An arrival that is
+    ///    rejected and preempts nothing changes nothing a later decision
+    ///    reads (counters aside), so the slot decides every other
+    ///    arrival, and the next slot, the same with or without it.
+    ///
+    /// OLIVE, QUICKG and FULLG have both properties (pinned by a
+    /// proptest in `crates/core/tests/proptests.rs`). The observable
+    /// exception to (2) — a call that rejects its arrival yet reports
+    /// [`SlotOutcome::preempted`], as OLIVE's preempt-then-fall-through
+    /// can — makes the coordinator rebuild the instance. SLOTOFF has
+    /// neither (it re-solves the slot as a batch, see its module docs);
+    /// for such an algorithm an offer is an approximation and the
+    /// coordinator's commit step stays authoritative.
     fn process_slot(
         &mut self,
         t: Slot,

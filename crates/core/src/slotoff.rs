@@ -19,6 +19,16 @@
 //! rejected requests are never reconsidered. In rare rounding shortfalls
 //! a previously accepted request can fail to re-place and is counted as
 //! preempted.
+//!
+//! A slot is decided as a *batch*: the LP sees all of its arrivals at
+//! once and rounding goes largest demand first, so SLOTOFF does not have
+//! the in-order property spelled out on
+//! [`OnlineAlgorithm::process_slot`]. A second call for the same slot —
+//! a sharded run's span offer, `process_slot(t, &[], &[candidate])` — is
+//! an incremental re-solve in which everything the first call accepted
+//! has priority over the candidate; the coordinator's commit step, which
+//! hands each shard its final arrival list in one call, stays
+//! authoritative.
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,7 @@
 //! Property-based tests for the OLIVE core: solver agreement, plan
-//! feasibility, online-algorithm invariants over random traces, and the
-//! bounded greedy search against the full search it replaced.
+//! feasibility, online-algorithm invariants over random traces, the
+//! bounded greedy search against the full search it replaced, and the
+//! `process_slot` contract a spanning coordinator relies on.
 
 use std::collections::BTreeMap;
 
@@ -11,15 +12,18 @@ use vne_model::ids::{AppId, ClassId, NodeId, RequestId};
 use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::Request;
+use vne_model::state::Snapshot;
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_model::vnet::VirtualNetwork;
 use vne_olive::aggregate::AggregateDemand;
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::colgen::{solve_plan, PlanVneConfig};
+use vne_olive::fullg::FullG;
 use vne_olive::greedy::collocated_embed;
 use vne_olive::olive::{Olive, OliveConfig};
 use vne_olive::planvne::solve_arc_lp;
 use vne_olive::pricing::{min_cost_embedding, ElementCosts};
+use vne_olive::slotoff::SlotOff;
 
 /// A small random tiered substrate (path backbone + extras), always
 /// connected.
@@ -81,6 +85,42 @@ fn small_apps() -> AppSet {
     )
     .unwrap();
     apps
+}
+
+/// OLIVE (default config: borrowing, preemption and the greedy
+/// fallback on) with a plan for `planned` demand per application and
+/// edge node.
+fn planned_olive(s: &SubstrateNetwork, planned: f64) -> Olive {
+    let apps = small_apps();
+    let policy = PlacementPolicy::default();
+    let mut m = BTreeMap::new();
+    for &e in &s.edge_nodes() {
+        m.insert(ClassId::new(AppId(0), e), planned);
+        m.insert(ClassId::new(AppId(1), e), planned);
+    }
+    let aggregate = AggregateDemand::from_demands(&m);
+    let (plan, _) = solve_plan(s, &apps, &policy, &aggregate, &PlanVneConfig::new(1e4));
+    Olive::new(s.clone(), apps, policy, plan, OliveConfig::default())
+}
+
+/// Requests from raw `(arrival, duration, edge-node pick, demand in
+/// `unit`s, application)` draws, ids in draw order, sorted by arrival.
+fn random_trace(s: &SubstrateNetwork, raw: &[(u8, u8, u16, f64, u8)], unit: f64) -> Vec<Request> {
+    let edge = s.edge_nodes();
+    let mut requests: Vec<Request> = raw
+        .iter()
+        .enumerate()
+        .map(|(i, &(t, dur, node_pick, demand, app))| Request {
+            id: RequestId(i as u64),
+            arrival: u32::from(t),
+            duration: u32::from(dur),
+            ingress: edge[node_pick as usize % edge.len()],
+            app: AppId(u32::from(app)),
+            demand: demand * unit,
+        })
+        .collect();
+    requests.sort_by_key(|r| r.arrival);
+    requests
 }
 
 proptest! {
@@ -191,35 +231,9 @@ proptest! {
             1..60,
         ),
     ) {
-        let apps = small_apps();
-        let policy = PlacementPolicy::default();
-        let edge = s.edge_nodes();
-        // Random plan from a moderate aggregate.
-        let mut m = BTreeMap::new();
-        for &e in &edge {
-            m.insert(ClassId::new(AppId(0), e), 40.0);
-            m.insert(ClassId::new(AppId(1), e), 40.0);
-        }
-        let aggregate = AggregateDemand::from_demands(&m);
-        let (plan, _) = solve_plan(&s, &apps, &policy, &aggregate, &PlanVneConfig::new(1e4));
-        let mut olive = Olive::new(
-            s.clone(), apps, policy, plan, OliveConfig::default(),
-        );
-
-        // Random requests sorted into slots.
-        let mut requests: Vec<Request> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, dur, node_pick, demand, app))| Request {
-                id: RequestId(i as u64),
-                arrival: u32::from(t),
-                duration: u32::from(dur),
-                ingress: edge[node_pick as usize % edge.len()],
-                app: AppId(u32::from(app)),
-                demand,
-            })
-            .collect();
-        requests.sort_by_key(|r| r.arrival);
+        // A plan from a moderate aggregate.
+        let mut olive = planned_olive(&s, 40.0);
+        let requests = random_trace(&s, &raw, 1.0);
 
         let mut accepted = 0usize;
         let mut denied = 0usize;
@@ -482,4 +496,172 @@ proptest! {
             ),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// What a spanning coordinator relies on (see `OnlineAlgorithm::process_slot`)
+// ---------------------------------------------------------------------
+
+/// Replays `requests` through `algorithm` slot by slot and checks, at
+/// every slot, the two facts a spanning coordinator rests on:
+///
+/// 1. arrivals are decided in order — a clone fed the slot's arrivals
+///    up to `cut` and then the rest one `process_slot(t, &[], &[c])` at
+///    a time agrees with the whole-slot call on every outcome and on
+///    the snapshot bytes;
+/// 2. a rejection that preempts nothing leaves no trace — a clone fed
+///    the slot without such an arrival agrees on every other outcome,
+///    on the load ledger, and on every outcome of the next slot.
+fn check_offer_contract<A: OnlineAlgorithm + Clone>(
+    mut algorithm: A,
+    requests: &[Request],
+    cut_pick: usize,
+) {
+    let mut active: Vec<Request> = Vec::new();
+    // The clone of the previous slot that never saw one plain rejection.
+    let mut shadow: Option<A> = None;
+    for t in 0..24u32 {
+        let departures: Vec<Request> = active
+            .iter()
+            .filter(|r| r.departure() == t)
+            .cloned()
+            .collect();
+        active.retain(|r| r.departure() != t);
+        let arrivals: Vec<Request> = requests
+            .iter()
+            .filter(|r| r.arrival == t)
+            .cloned()
+            .collect();
+        let before = algorithm.clone();
+        let whole = algorithm.process_slot(t, &departures, &arrivals);
+
+        if let Some(mut shadow) = shadow.take() {
+            let next = shadow.process_slot(t, &departures, &arrivals);
+            assert_eq!(&next, &whole, "slot {} after a dropped rejection", t);
+        }
+
+        // Fact 1: a prefix, then one call per remaining arrival.
+        let cut = cut_pick % (arrivals.len() + 1);
+        let mut split = before.clone();
+        let mut pieces = split.process_slot(t, &departures, &arrivals[..cut]);
+        let mut plain_rejection = None;
+        for c in &arrivals[cut..] {
+            let one = split.process_slot(t, &[], std::slice::from_ref(c));
+            if one.rejected == [c.id] && one.preempted.is_empty() {
+                plain_rejection.get_or_insert(c.id);
+            }
+            pieces.extend(one);
+        }
+        assert_eq!(&pieces, &whole, "slot {} split at {}", t, cut);
+        assert_eq!(
+            split.snapshot_state().map(|b| b.as_bytes().to_vec()),
+            algorithm.snapshot_state().map(|b| b.as_bytes().to_vec()),
+            "slot {} split at {}: snapshots differ",
+            t,
+            cut
+        );
+
+        // Fact 2: the slot without one plainly rejected arrival.
+        if let Some(dropped) = plain_rejection {
+            let mut without = before;
+            let kept: Vec<Request> = arrivals
+                .iter()
+                .filter(|r| r.id != dropped)
+                .cloned()
+                .collect();
+            let outcome = without.process_slot(t, &departures, &kept);
+            let mut expected = whole.clone();
+            expected.rejected.retain(|&id| id != dropped);
+            assert_eq!(&outcome, &expected, "slot {} without {}", t, dropped);
+            assert_eq!(
+                without.loads().snapshot().as_bytes(),
+                algorithm.loads().snapshot().as_bytes(),
+                "slot {} without {}: ledgers differ",
+                t,
+                dropped
+            );
+            shadow = Some(without);
+        }
+
+        for r in &arrivals {
+            if whole.accepted.contains(&r.id) {
+                active.push(r.clone());
+            }
+        }
+        active.retain(|r| !whole.preempted.contains(&r.id));
+    }
+}
+
+proptest! {
+    /// The offer contract of `OnlineAlgorithm::process_slot` holds for
+    /// OLIVE with a plan and preemption, QUICKG and FULLG on random
+    /// small worlds under overload-biased random traces.
+    #[test]
+    fn one_candidate_offers_equal_the_whole_slot(
+        s in arb_substrate(),
+        raw in proptest::collection::vec(
+            (0u8..16, 1u8..8, 0u16..1000, 0.05f64..1.5, 0u8..2),
+            1..60,
+        ),
+        algorithm in 0u8..3,
+        cut_pick in 0usize..64,
+    ) {
+        // Demands in units of "one edge node filled by a two-VNF chain",
+        // so the world saturates whatever its capacity scale.
+        let unit = s.node(s.edge_nodes()[0]).capacity / 20.0;
+        let requests = random_trace(&s, &raw, unit);
+        let policy = PlacementPolicy::default();
+        match algorithm {
+            0 => check_offer_contract(planned_olive(&s, 2.0 * unit), &requests, cut_pick),
+            1 => check_offer_contract(Olive::quickg(s, small_apps(), policy), &requests, cut_pick),
+            _ => check_offer_contract(FullG::new(s, small_apps(), policy), &requests, cut_pick),
+        }
+    }
+}
+
+/// SLOTOFF re-solves one LP over the whole slot and rounds largest
+/// demand first, so it is *not* an in-order algorithm: offered one
+/// candidate on top of a decided slot it keeps what it has, where the
+/// whole-slot call would have taken the bigger newcomer instead.
+#[test]
+fn slotoff_decides_a_slot_as_a_batch_not_in_order() {
+    let mut s = SubstrateNetwork::new("line");
+    let e = s.add_node("e0", Tier::Edge, 100.0, 50.0).unwrap();
+    let t = s.add_node("t1", Tier::Transport, 300.0, 10.0).unwrap();
+    let c = s.add_node("c2", Tier::Core, 900.0, 1.0).unwrap();
+    s.add_link(e, t, 600.0, 1.0).unwrap();
+    s.add_link(t, c, 600.0, 1.0).unwrap();
+    let mut apps = AppSet::new();
+    let chain = shapes::uniform_chain(2, 10.0, 2.0).unwrap();
+    apps.push("chain", AppShape::Chain, chain).unwrap();
+    let req = |id: u64, demand: f64| Request {
+        id: RequestId(id),
+        arrival: 0,
+        duration: 5,
+        ingress: e,
+        app: AppId(0),
+        demand,
+    };
+    // 600 CU and 800 CU of VNFs: the 1300 CU world holds one of them.
+    let (small, big) = (req(0, 30.0), req(1, 40.0));
+    let fresh = SlotOff::new(s, apps, PlacementPolicy::default(), PlanVneConfig::new(1e4));
+
+    let mut whole = fresh.clone();
+    let batch = whole.process_slot(0, &[], &[small.clone(), big.clone()]);
+    let mut split = fresh;
+    let first = split.process_slot(0, &[], std::slice::from_ref(&small));
+    let second = split.process_slot(0, &[], std::slice::from_ref(&big));
+
+    assert_eq!(first.accepted, [small.id]);
+    assert_eq!(
+        second.rejected,
+        [big.id],
+        "the decided slot keeps its request"
+    );
+    assert_eq!(
+        batch.accepted,
+        [big.id],
+        "the batch rounds the bigger one first"
+    );
+    assert_eq!(batch.rejected, [small.id]);
 }

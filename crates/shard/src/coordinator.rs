@@ -11,24 +11,38 @@
 //!    a *cut* link is translated into capacity drains applied
 //!    idempotently to both gateway-endpoint nodes (see
 //!    [Cut-link churn](#cut-link-churn) below).
-//! 2. **Reserve** — shards with arrivals run a *trial* step on a clone
-//!    of their engine state and a scratch copy of their algorithm
-//!    (restored from a state snapshot, so the live algorithm is never
-//!    touched). Arrivals the home shard would reject become *spanning
-//!    candidates*.
+//! 2. **Reserve** — every shard with arrivals builds its *reserve
+//!    instance* for the slot: the scratch copy of its algorithm,
+//!    restored from a snapshot of the live one and stepped, on a clone
+//!    of the engine state, through the shard's arrivals and churn (the
+//!    live engine and algorithm are never touched). Arrivals the home
+//!    shard would reject become *spanning candidates*.
 //! 3. **Span** — candidates are offered to neighboring shards in
 //!    deterministic tie-break order (candidates by ascending request
 //!    id, neighbors by ascending shard id), entering through the
 //!    cheapest *live* cut-link gateway (cuts churned down to factor 0
-//!    are skipped; ties break by global link id). The first neighbor
-//!    whose trial accepts adopts the request; candidates nobody adopts
-//!    stay home and are rejected there for real.
+//!    are skipped; ties break by global link id). An offer asks the
+//!    neighbor's reserve instance to decide that one candidate on top
+//!    of what it has already decided this slot
+//!    (`process_slot(t, &[], &[candidate])` — the contract spelled out
+//!    on [`OnlineAlgorithm::process_slot`]); an idle neighbor's
+//!    instance is built by its first offer. The first neighbor that
+//!    accepts adopts the request, which simply stays in its reserve
+//!    instance, so later offers see earlier adoptions; candidates
+//!    nobody adopts stay home and are rejected there for real. An
+//!    instance that may no longer equal "the live state stepped
+//!    through the shard's final arrival list" — it rejected an offer
+//!    yet preempted for it, or a candidate was adopted away from it
+//!    after it had reported preemptions — is rebuilt from the live
+//!    state by the next offer it receives.
 //! 4. **Commit** — every shard steps its live engine exactly once with
 //!    its final arrival list. Commit is authoritative: the reserve
-//!    phase only *routes*, it reserves no resources, so a non-monotone
-//!    algorithm may in principle decide differently at commit time (the
-//!    builtins are deterministic in (state, slot events), so their
-//!    commit replays the trial exactly).
+//!    and span phases only *route*, they reserve no resources, so an
+//!    algorithm may in principle decide differently at commit time
+//!    (OLIVE, QUICKG and FULLG decide arrivals in order and are
+//!    deterministic in (state, slot events), so their commit replays
+//!    the reserve instance exactly; SLOTOFF decides a slot as a batch,
+//!    so for it an offer is only an estimate of the commit).
 //! 5. **Report** — the coordinator synthesizes the global observer
 //!    dispatch: one `on_slot_start`, merged churn counters, arrival
 //!    outcomes in original stream order with classes mapped back to
@@ -65,8 +79,8 @@
 //! regular churn machinery, and dead cuts (factor 0) are skipped by the
 //! spanning gateway selection until churned back up.
 //!
-//! Trials and commits across shards run on [`cell_map`]'s scoped worker
-//! pool (the shard pool). Stranded-by-churn requests go through the
+//! Reserve steps and commits across shards run on [`cell_map`]'s scoped
+//! worker pool (the shard pool); offers are sequential. Stranded-by-churn requests go through the
 //! configured [`ReembedKind`] policy
 //! ([`ShardCoordinator::with_reembed`]; re-embed-all by default, like
 //! the unsharded engine).
@@ -104,10 +118,10 @@ use crate::checkpoint::CoordinatorCursors;
 /// Counters for the two-phase reserve/commit spanning protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanningStats {
-    /// Arrivals the home shard's reserve trial rejected (spanning
+    /// Arrivals the home shard's reserve step rejected (spanning
     /// candidates).
     pub candidates: usize,
-    /// Neighbor-shard trial steps run for candidates.
+    /// Offers of a candidate to a neighboring shard.
     pub attempts: usize,
     /// Candidates adopted by a neighboring shard.
     pub granted: usize,
@@ -116,14 +130,101 @@ pub struct SpanningStats {
 }
 
 /// One shard's planning/admission island: the engine state plus the
-/// live algorithm, and a scratch algorithm instance for reserve trials.
+/// live algorithm, and a scratch algorithm instance that serves as the
+/// shard's reserve instance during a slot.
 struct ShardEngine {
     state: EngineState,
     primary: Box<dyn OnlineAlgorithm>,
-    /// Same configuration as `primary`; overwritten from a `primary`
-    /// snapshot before every trial. `None` when the algorithm does not
-    /// support snapshots — spanning is then disabled (home-only mode).
+    /// Same configuration as `primary`. `None` when the algorithm does
+    /// not support snapshots — spanning is then disabled (home-only
+    /// mode).
     scratch: Option<Box<dyn OnlineAlgorithm>>,
+    /// Whether `scratch` is this slot's reserve instance: `primary`'s
+    /// state stepped through the shard's current arrival list. Cleared
+    /// by commit and whenever that can no longer be vouched for.
+    reserved: bool,
+}
+
+impl ShardEngine {
+    /// Makes `scratch` the reserve instance for `arrivals`: restores
+    /// the live algorithm's snapshot into it and steps it, on a clone
+    /// of the engine state, through the slot — the live engine is
+    /// untouched. Returns the arrival decisions and every preemption
+    /// the step reported (churn evictions included).
+    fn reserve(
+        &mut self,
+        substrate: &SubstrateNetwork,
+        reembed: ReembedKind,
+        t: Slot,
+        arrivals: Vec<Request>,
+        churn: &[ChurnEvent],
+    ) -> SlotOutcome {
+        let scratch = self
+            .scratch
+            .as_mut()
+            .expect("reserving requires a scratch instance");
+        let blob = self
+            .primary
+            .snapshot_state()
+            .expect("scratch exists only for snapshot-capable algorithms");
+        scratch
+            .restore_state(&blob)
+            .expect("snapshot round-trips into the same configuration");
+        let mut state = self.state.clone();
+        let ev = SlotEvents {
+            slot: t,
+            arrivals,
+            churn: churn.to_vec(),
+        };
+        let (step, _) = state.step(
+            &mut **scratch,
+            substrate,
+            ev,
+            &mut NullObserver,
+            &mut *reembed.policy(),
+        );
+        self.reserved = true;
+        let mut outcome = SlotOutcome::default();
+        for o in &step.arrivals {
+            match o.status {
+                RequestStatus::Accepted => outcome.accepted.push(o.id),
+                _ => outcome.rejected.push(o.id),
+            }
+        }
+        outcome.preempted = step.preemptions.iter().map(|o| o.id).collect();
+        outcome
+    }
+
+    /// Offers `moved` to this shard on top of `arrivals`, its current
+    /// arrival list: the reserve instance decides the one candidate —
+    /// or, when the shard has none right now, is built through
+    /// `arrivals` plus the candidate. Returns the instance's outcome for
+    /// the call.
+    fn offer(
+        &mut self,
+        substrate: &SubstrateNetwork,
+        reembed: ReembedKind,
+        t: Slot,
+        arrivals: &[Request],
+        churn: &[ChurnEvent],
+        moved: &Request,
+    ) -> SlotOutcome {
+        let outcome = if self.reserved {
+            let scratch = self.scratch.as_mut().expect("reserved implies scratch");
+            scratch.process_slot(t, &[], std::slice::from_ref(moved))
+        } else {
+            let mut offer = arrivals.to_vec();
+            offer.push(moved.clone());
+            self.reserve(substrate, reembed, t, offer, churn)
+        };
+        // A rejected candidate is not in the shard's commit list, so
+        // whatever it preempted on the way must not be seen by later
+        // offers (rejection alone leaves nothing behind).
+        if !outcome.accepted.contains(&moved.id) && !outcome.preempted.is_empty() {
+            self.reserved = false;
+        }
+        outcome
+    }
 }
 
 /// Coordinates per-shard engines over a partitioned substrate — see the
@@ -133,12 +234,12 @@ pub struct ShardCoordinator {
     engines: Vec<Mutex<ShardEngine>>,
     stats: StreamStats,
     spanning: SpanningStats,
-    /// Original global ingress of requests adopted by a foreign shard,
-    /// for mapping their outcome classes back to global ids (bounded by
-    /// the number of spanning grants).
+    /// Original global ingress of the active requests adopted by a
+    /// foreign shard, for mapping their outcome classes back to global
+    /// ids.
     rerouted: BTreeMap<RequestId, NodeId>,
     /// The policy deciding the fate of churn-stranded requests, in
-    /// every shard engine and every trial.
+    /// every shard engine and every reserve step.
     reembed: ReembedKind,
     /// Churn factor per cut link (absolute, 1.0 = pristine) — the
     /// coordinator-side fold of cut-link churn events.
@@ -159,8 +260,8 @@ pub struct ShardCoordinator {
 impl ShardCoordinator {
     /// Builds one engine per shard, calling `build` with each shard id
     /// and its local substrate (twice per shard when the algorithm
-    /// supports state snapshots — the second instance is the reserve
-    /// trial scratch).
+    /// supports state snapshots — the second instance is the shard's
+    /// reserve instance).
     pub fn new(
         sharded: ShardedSubstrate,
         mut build: impl FnMut(ShardId, &SubstrateNetwork) -> Box<dyn OnlineAlgorithm>,
@@ -180,6 +281,7 @@ impl ShardCoordinator {
                 state: EngineState::fresh(),
                 primary,
                 scratch,
+                reserved: false,
             }));
         }
         let stub = StubAlgorithm {
@@ -320,7 +422,10 @@ impl ShardCoordinator {
     ///    cut-endpoint nodes (others must pass through untranslated);
     /// 4. the incident-cuts index is exactly the inverse of the
     ///    cut-link endpoint table;
-    /// 5. re-route cursors reference valid global nodes.
+    /// 5. re-route cursors reference valid global nodes, and only
+    ///    requests still active in some shard (a departed request is
+    ///    never reported again, so its cursor would ride in every
+    ///    later checkpoint for nothing).
     ///
     /// Returns the violations instead of panicking so tests can inspect
     /// them; the `strict-invariants` per-step hook feeds the result
@@ -387,6 +492,16 @@ impl ShardCoordinator {
                 out.push(InvariantViolation {
                     invariant: "coordinator-reroute-cursor",
                     detail: format!("rerouted request {id}: global ingress {ingress} out of range"),
+                });
+            }
+            let active = self
+                .engines
+                .iter()
+                .any(|e| e.lock().unwrap().state.is_active(id));
+            if !active {
+                out.push(InvariantViolation {
+                    invariant: "coordinator-reroute-cursor-stale",
+                    detail: format!("rerouted request {id} is active in no shard"),
                 });
             }
         }
@@ -623,21 +738,37 @@ impl ShardCoordinator {
         }
         let churn = self.route_churn(&event.churn);
 
-        // 2. Reserve: trial-step shards that have arrivals; their
-        // rejects become spanning candidates (skipped entirely when the
-        // algorithm cannot snapshot — home-only mode).
+        // 2. Reserve: every shard with arrivals builds its reserve
+        // instance; its rejects become spanning candidates (skipped
+        // entirely when the algorithm cannot snapshot — home-only mode).
+        let reembed = self.reembed;
         let spanning_enabled = self.engines[0].lock().unwrap().scratch.is_some();
         let mut candidates: Vec<(ShardId, Request)> = Vec::new();
+        // Whether a shard's reserve instance has reported a preemption
+        // this slot: until it does, every arrival it rejected was
+        // rejected plainly.
+        let mut preempting = vec![false; k];
         if spanning_enabled {
             let busy: Vec<usize> = (0..k).filter(|&s| !arrivals[s].is_empty()).collect();
-            let rejected: Vec<Vec<RequestId>> = cell_map(&busy, |&s| {
-                self.trial(ShardId::from_index(s), t, &arrivals[s], &churn[s])
-                    .rejected
+            let reserved: Vec<SlotOutcome> = cell_map(&busy, |&s| {
+                let shard = ShardId::from_index(s);
+                self.engines[s].lock().unwrap().reserve(
+                    self.sharded.shard(shard),
+                    reembed,
+                    t,
+                    arrivals[s].clone(),
+                    &churn[s],
+                )
             });
-            for (&s, ids) in busy.iter().zip(rejected) {
-                for id in ids {
-                    let i = arrivals[s].iter().position(|r| r.id == id).unwrap();
-                    candidates.push((ShardId::from_index(s), arrivals[s][i].clone()));
+            for (&s, outcome) in busy.iter().zip(reserved) {
+                preempting[s] = !outcome.preempted.is_empty();
+                // Outcomes come back in arrival order, so the rejected
+                // ids are a subsequence of the arrival list.
+                let mut rejected = outcome.rejected.iter().peekable();
+                for r in &arrivals[s] {
+                    if rejected.next_if(|&&id| id == r.id).is_some() {
+                        candidates.push((ShardId::from_index(s), r.clone()));
+                    }
                 }
             }
             // Deterministic tie-break: candidates by ascending id.
@@ -645,8 +776,9 @@ impl ShardCoordinator {
         }
 
         // 3. Span: offer each candidate to neighbors (ascending shard
-        // id) through the cheapest live cut-link gateway; first
-        // trial-accept adopts. Sequential so each trial sees earlier
+        // id) through the cheapest live cut-link gateway; the first
+        // reserve instance to accept adopts. Sequential, and an adopted
+        // candidate stays in the instance, so each offer sees earlier
         // adoptions.
         for (home, r) in candidates {
             self.spanning.candidates += 1;
@@ -659,9 +791,15 @@ impl ShardCoordinator {
                 let mut moved = r.clone();
                 moved.ingress = gw.local;
                 self.spanning.attempts += 1;
-                let mut offer = arrivals[nb.index()].clone();
-                offer.push(moved.clone());
-                let outcome = self.trial(nb, t, &offer, &churn[nb.index()]);
+                let outcome = self.engines[nb.index()].get_mut().unwrap().offer(
+                    self.sharded.shard(nb),
+                    reembed,
+                    t,
+                    &arrivals[nb.index()],
+                    &churn[nb.index()],
+                    &moved,
+                );
+                preempting[nb.index()] |= !outcome.preempted.is_empty();
                 if outcome.accepted.contains(&r.id) {
                     adopted = Some((nb, moved));
                     break;
@@ -676,29 +814,39 @@ impl ShardCoordinator {
                     arrivals[nb.index()].push(moved);
                     let global = self.sharded.global_node(home, r.ingress);
                     self.rerouted.insert(r.id, global);
+                    // Home's reserve instance rejected `r`. Taking a
+                    // plain rejection back changes nothing; one that
+                    // may have preempted has to be undone.
+                    if preempting[home.index()] {
+                        self.engines[home.index()].get_mut().unwrap().reserved = false;
+                    }
                 }
                 None => self.spanning.denied += 1,
             }
         }
 
-        // 4. Commit: every shard steps its live engine exactly once.
+        // 4. Commit: every shard steps its live engine exactly once
+        // with its final arrival list, which ends the slot of its
+        // reserve instance.
+        let routed: Vec<Mutex<(Vec<Request>, Vec<ChurnEvent>)>> =
+            arrivals.into_iter().zip(churn).map(Mutex::new).collect();
         let all: Vec<usize> = (0..k).collect();
-        let reembed = self.reembed;
         let steps: Vec<SlotStep> = cell_map(&all, |&s| {
             let mut engine = self.engines[s].lock().unwrap();
+            engine.reserved = false;
             let ShardEngine { state, primary, .. } = &mut *engine;
+            let (arrivals, churn) = std::mem::take(&mut *routed[s].lock().unwrap());
             let ev = SlotEvents {
                 slot: t,
-                arrivals: arrivals[s].clone(),
-                churn: churn[s].clone(),
+                arrivals,
+                churn,
             };
-            let mut policy = reembed.policy();
             let (step, _) = state.step(
                 &mut **primary,
                 self.sharded.shard(ShardId::from_index(s)),
                 ev,
                 &mut NullObserver,
-                &mut *policy,
+                &mut *reembed.policy(),
             );
             step
         });
@@ -733,6 +881,13 @@ impl ShardCoordinator {
             metrics.resource_cost += step.metrics.resource_cost;
         }
         let control = observer.on_slot_end(t, &metrics, &self.stub);
+        // A request that is active nowhere is never reported again.
+        let engines = &mut self.engines;
+        self.rerouted.retain(|&id, _| {
+            engines
+                .iter_mut()
+                .any(|e| e.get_mut().unwrap().state.is_active(id))
+        });
 
         // Merge run counters, then emit the commit hook with a deferred
         // view: the multi-shard capture is assembled only if an
@@ -749,53 +904,6 @@ impl ShardCoordinator {
         let view = EngineView::deferred(t, self.stats, active, &self.stub.name, &produce);
         observer.on_slot_committed(&view);
         control
-    }
-
-    /// Runs one reserve trial for `shard`: clones the engine state,
-    /// restores the live algorithm's snapshot into the scratch
-    /// instance, and steps the clone — the live engine is untouched.
-    fn trial(
-        &self,
-        shard: ShardId,
-        t: Slot,
-        arrivals: &[Request],
-        churn: &[ChurnEvent],
-    ) -> SlotOutcome {
-        let mut engine = self.engines[shard.index()].lock().unwrap();
-        let ShardEngine {
-            state,
-            primary,
-            scratch,
-        } = &mut *engine;
-        let scratch = scratch.as_mut().expect("trial requires a scratch instance");
-        let blob = primary
-            .snapshot_state()
-            .expect("scratch exists only for snapshot-capable algorithms");
-        scratch
-            .restore_state(&blob)
-            .expect("snapshot round-trips into the same configuration");
-        let mut trial_state = state.clone();
-        let ev = SlotEvents {
-            slot: t,
-            arrivals: arrivals.to_vec(),
-            churn: churn.to_vec(),
-        };
-        let mut policy = self.reembed.policy();
-        let (step, _) = trial_state.step(
-            &mut **scratch,
-            self.sharded.shard(shard),
-            ev,
-            &mut NullObserver,
-            &mut *policy,
-        );
-        let mut outcome = SlotOutcome::default();
-        for o in &step.arrivals {
-            match o.status {
-                RequestStatus::Accepted => outcome.accepted.push(o.id),
-                _ => outcome.rejected.push(o.id),
-            }
-        }
-        outcome
     }
 
     /// The `to`-side endpoint of the cheapest cut link between `from`
@@ -942,5 +1050,90 @@ impl OnlineAlgorithm for StubAlgorithm {
 
     fn loads(&self) -> &LoadLedger {
         &self.loads
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vne_model::app::{shapes, AppSet, AppShape};
+    use vne_model::ids::AppId;
+    use vne_model::policy::PlacementPolicy;
+    use vne_model::shard::PartitionAssignment;
+    use vne_model::substrate::Tier;
+    use vne_olive::fullg::FullG;
+
+    /// A starved 2-node home shard next to a roomy one: every demand-5
+    /// chain entering at `a0` overflows home and is adopted next door.
+    fn spanning_coordinator() -> (ShardCoordinator, NodeId) {
+        let mut s = SubstrateNetwork::new("span");
+        let a0 = s.add_node("a0", Tier::Edge, 30.0, 1.0).unwrap();
+        let a1 = s.add_node("a1", Tier::Edge, 30.0, 1.0).unwrap();
+        let b0 = s.add_node("b0", Tier::Edge, 1000.0, 1.0).unwrap();
+        let b1 = s.add_node("b1", Tier::Edge, 1000.0, 1.0).unwrap();
+        s.add_link(a0, a1, 500.0, 1.0).unwrap();
+        s.add_link(a1, b0, 500.0, 1.0).unwrap();
+        s.add_link(b0, b1, 500.0, 1.0).unwrap();
+        let assignment = PartitionAssignment::new(vec![0, 0, 1, 1]).unwrap();
+        let sharded = ShardedSubstrate::new(&s, &assignment).unwrap();
+        let mut apps = AppSet::new();
+        let chain = shapes::uniform_chain(2, 10.0, 3.0).unwrap();
+        apps.push("chain", AppShape::Chain, chain).unwrap();
+        let coordinator = ShardCoordinator::new(sharded, move |_, local| {
+            Box::new(FullG::new(
+                local.clone(),
+                apps.clone(),
+                PlacementPolicy::default(),
+            ))
+        });
+        (coordinator, a0)
+    }
+
+    fn run_spanning_slots(coordinator: &mut ShardCoordinator, ingress: NodeId, slots: Slot) {
+        for t in 0..slots {
+            let arrival = Request {
+                id: RequestId(t.into()),
+                arrival: t,
+                duration: 3,
+                ingress,
+                app: AppId(0),
+                demand: 5.0,
+            };
+            let event = SlotEvents {
+                slot: t,
+                arrivals: vec![arrival],
+                churn: vec![],
+            };
+            coordinator.step(event, &mut NullObserver);
+        }
+    }
+
+    #[test]
+    fn reroute_cursors_do_not_outlive_their_requests() {
+        let (mut coordinator, a0) = spanning_coordinator();
+        run_spanning_slots(&mut coordinator, a0, 200);
+        assert_eq!(coordinator.spanning_stats().granted, 200);
+        assert!(!coordinator.rerouted.is_empty());
+        assert!(
+            coordinator.rerouted.len() <= coordinator.active_count(),
+            "{} cursors for {} active requests",
+            coordinator.rerouted.len(),
+            coordinator.active_count()
+        );
+        assert!(coordinator.audit().is_empty(), "{:?}", coordinator.audit());
+    }
+
+    #[test]
+    fn stale_reroute_cursor_is_caught() {
+        let (mut coordinator, a0) = spanning_coordinator();
+        run_spanning_slots(&mut coordinator, a0, 2);
+        coordinator.rerouted.insert(RequestId(999), a0);
+        let violations = coordinator.audit();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.invariant == "coordinator-reroute-cursor-stale"),
+            "{violations:?}"
+        );
     }
 }

@@ -10,8 +10,9 @@
 //! across them.
 //!
 //! * [`coordinator`] — the [`ShardCoordinator`]: routes each arriving
-//!   request to the shard owning its classes, trial-steps shards for
-//!   would-be rejects (reserve), offers them to neighboring shards in
+//!   request to the shard owning its classes, steps a reserve instance
+//!   of each shard to find would-be rejects (reserve), offers them one
+//!   at a time to the neighboring shards' reserve instances in
 //!   deterministic order (span), then commits every shard through the
 //!   engine's public single-slot seam. A `k = 1` run replays the
 //!   unsharded engine byte-identically. Commit hooks fire for every
