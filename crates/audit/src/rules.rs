@@ -82,11 +82,12 @@ or pure membership bookkeeping) — with an `audit:allow` and a reason.",
         summary: "no Instant::now/SystemTime outside allowlisted timing seams",
         explain: "Wall-clock reads in simulation or embedding logic make runs \
 non-reproducible. Instant::now and SystemTime are only allowed in the bench \
-binaries (crates/bench/src/bin/) and at the explicit timing seams that stamp \
-StreamStats::online_secs (the engine loop, ShardCoordinator::run, callers of \
-EngineState::set_online_secs) or pace the serve tick loop — each such seam carries an \
-`audit:allow(D2, ...)` naming itself. Everywhere else, thread timing state \
-through those seams instead of reading the clock.",
+binaries (crates/bench/src/bin/) and at the explicit timing seams: the two \
+loops that stamp StreamStats::online_secs (EngineState::run and \
+ShardCoordinator::run — every driver, the serve actor included, closes its \
+slots through one of them) and the serve actor's interval tick pacing — each \
+such seam carries an `audit:allow(D2, ...)` naming itself. Everywhere else, \
+thread timing state through those seams instead of reading the clock.",
     },
     RuleInfo {
         code: "D3",

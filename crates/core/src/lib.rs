@@ -8,8 +8,6 @@
 //! * [`colgen`] — PLAN-VNE solved by Dantzig-Wolfe column generation with
 //!   rejection quantiles (the production plan solver);
 //! * [`planvne`] — the faithful arc-form LP of Fig. 4 (reference oracle);
-//! * [`decompose`] — flow decomposition of arc plans into integral
-//!   embedding columns;
 //! * [`pricing`] — exact min-cost tree embedding (the pricing problem and
 //!   FULLG's first stage);
 //! * [`plan`] — the plan and its residual ledger (Eqs. 17, 19);
@@ -68,7 +66,6 @@ pub mod aggregate;
 pub mod algorithm;
 pub mod bound;
 pub mod colgen;
-pub mod decompose;
 pub mod fullg;
 pub mod greedy;
 pub mod olive;

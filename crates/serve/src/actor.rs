@@ -1,13 +1,19 @@
 //! The single-writer engine actor.
 //!
-//! One dedicated thread owns the streaming engine — an
-//! [`EngineState`], the `Box<dyn OnlineAlgorithm>` and the observer
-//! stack — and is the *only* writer of that state, exactly like the
-//! serial `run_stream_with` loop it replaces. Everything else talks to it
-//! through a cloneable [`ServeHandle`] over an mpsc command queue;
-//! every command carries a bounded oneshot (`sync_channel(1)`) for the
-//! reply, so callers block only for their own answer and the actor
-//! never blocks sending one.
+//! One dedicated thread owns a [`ShardCoordinator`] — the engines, the
+//! algorithms — and the observer stack, and is the *only* writer of
+//! that state. It is not a driver of its own: closing a slot is
+//! [`ShardCoordinator::run`] over that one slot's events, the loop every
+//! batch run goes through, so the end of a served slot (stamp
+//! `online_secs`, commit hook, checkpoint cadence) is the end of a
+//! batch slot. Over the one-shard view of a substrate the coordinator
+//! *is* the monolithic engine, byte for byte; over any other partition
+//! the same actor serves sharded — [`spawn`] takes the partition and
+//! nothing else changes, the protocol included. Everything else talks
+//! to the actor through a cloneable [`ServeHandle`] over an mpsc command
+//! queue; every command carries a bounded oneshot (`sync_channel(1)`)
+//! for the reply, so callers block only for their own answer and the
+//! actor never blocks sending one.
 //!
 //! ## Slots
 //!
@@ -19,7 +25,9 @@
 //! command ([`TickMode::Manual`] — what the deterministic tests and the
 //! resume battery use). Request ids are assigned at slot close, in
 //! submission order, so the committed engine state never references an
-//! id that a crash could lose.
+//! id that a crash could lose. Each submitter is answered from the
+//! run's `on_arrival` report. The `online_secs` of a served run is the
+//! time spent closing slots, as in a batch run — not the daemon's age.
 //!
 //! ## Durability
 //!
@@ -27,12 +35,13 @@
 //! `Checkpointer<Tee<WindowSummary, ServeMeta>>`: the summary computes
 //! the measurement-window [`Summary`] incrementally, [`ServeMeta`]
 //! carries the serving counters, and the [`Checkpointer`] captures
-//! engine + algorithm + both observers every `checkpoint.every` slots,
-//! writing each capture crash-safely via
-//! [`vne_sim::persist::write_checkpoint_file`]. Restart with the saved
-//! file restores byte-identically ([`vne_sim::engine::restore_engine`]
-//! semantics — the same guarantee the checkpoint/resume battery pins
-//! for batch runs).
+//! engines + algorithms + both observers every `checkpoint.every`
+//! slots, writing each capture crash-safely via
+//! [`vne_sim::persist::write_checkpoint_file`]; `CHECKPOINT` forces one
+//! through [`ShardCoordinator::checkpoint`]. Restart with the saved
+//! file restores byte-identically ([`ShardCoordinator::resume_from`] —
+//! the same guarantee the checkpoint/resume batteries pin for batch
+//! runs; a one-shard file is a monolithic engine checkpoint).
 //!
 //! ## Load shedding
 //!
@@ -50,13 +59,12 @@ use vne_model::cost::RejectionPenalty;
 use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::prelude::Decision;
 use vne_model::request::{Request, Slot, SlotEvents};
+use vne_model::shard::{ShardId, ShardedSubstrate};
 use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::algorithm::OnlineAlgorithm;
-use vne_sim::engine::{
-    restore_engine, EngineCheckpoint, EngineState, ReembedAll, RequestOutcome, RequestStatus,
-    SimObserver,
-};
+use vne_shard::ShardCoordinator;
+use vne_sim::engine::{EngineCheckpoint, RequestOutcome, RequestStatus, SimObserver};
 use vne_sim::metrics::Summary;
 use vne_sim::observe::{Checkpointer, Tee, WindowSummary};
 use vne_sim::persist;
@@ -409,10 +417,32 @@ impl ServeRuntime {
 
 type ServeObserver = Checkpointer<Tee<WindowSummary, ServeMeta>>;
 
+/// The submitters of the slot being closed: rides beside the
+/// [`ServeObserver`] for that one slot and answers each waiter as its
+/// decision is reported.
+struct Waiters {
+    slot: Slot,
+    replies: HashMap<RequestId, SyncSender<SubmitReply>>,
+}
+
+impl SimObserver for Waiters {
+    fn on_arrival(&mut self, outcome: &RequestOutcome) {
+        if let Some(reply) = self.replies.remove(&outcome.id) {
+            let decision = match outcome.status {
+                RequestStatus::Accepted => Decision::Accept,
+                _ => Decision::Reject,
+            };
+            let _ = reply.send(SubmitReply::Decided {
+                id: outcome.id,
+                slot: self.slot,
+                decision,
+            });
+        }
+    }
+}
+
 struct Actor {
-    substrate: SubstrateNetwork,
-    algorithm: Box<dyn OnlineAlgorithm>,
-    state: EngineState,
+    coordinator: ShardCoordinator,
     observer: ServeObserver,
     pending: Vec<(SubmitSpec, SyncSender<SubmitReply>)>,
     watermark: usize,
@@ -420,28 +450,32 @@ struct Actor {
     app_count: usize,
     next_id: u64,
     forced_checkpoints: u64,
-    online_base: f64,
-    started: Instant,
 }
 
-/// Spawns the engine actor thread.
+/// Spawns the engine actor thread over a [`ShardCoordinator`] on
+/// `sharded`.
 ///
-/// `algorithm` must be freshly built for `substrate`; `penalty` and
-/// `window` configure the incremental [`WindowSummary`] (use the
-/// scenario's `penalty()` and `config.measure_window` to stay
-/// comparable with batch runs). `app_count` bounds the application ids
-/// submissions may reference. With `resume`, the engine, algorithm and
-/// observers are restored from the checkpoint first — the daemon's
-/// `--resume-from`.
+/// `build` makes the algorithm for each shard's local substrate, as for
+/// [`ShardCoordinator::new`]. A one-shard view
+/// (`PartitionAssignment::single`) is the monolithic engine — `build`
+/// is asked once, with a copy of the whole substrate — and is what the
+/// `vne-serve` binary passes; any other partition serves sharded, with
+/// nothing else to configure. `penalty` and `window` configure the
+/// incremental [`WindowSummary`] (use the scenario's `penalty()` and
+/// `config.measure_window` to stay comparable with batch runs).
+/// `app_count` bounds the application ids submissions may reference.
+/// With `resume`, the engines, algorithms and observers are restored
+/// from the checkpoint first ([`ShardCoordinator::resume_from`]) — the
+/// daemon's `--resume-from`.
 ///
 /// # Errors
 ///
 /// [`ServeError::Restore`] when `resume` is given and the checkpoint
-/// does not match the algorithm or fails to restore;
+/// does not match the partition or the algorithm, or fails to restore;
 /// [`ServeError::Spawn`] when the OS refuses the actor thread.
 pub fn spawn(
-    substrate: SubstrateNetwork,
-    mut algorithm: Box<dyn OnlineAlgorithm>,
+    sharded: ShardedSubstrate,
+    build: impl FnMut(ShardId, &SubstrateNetwork) -> Box<dyn OnlineAlgorithm>,
     penalty: RejectionPenalty,
     window: (Slot, Slot),
     app_count: usize,
@@ -449,9 +483,9 @@ pub fn spawn(
     resume: Option<&EngineCheckpoint>,
 ) -> Result<ServeRuntime, ServeError> {
     let mut tee = Tee(WindowSummary::new(window, penalty), ServeMeta::default());
-    let state = match resume {
-        Some(checkpoint) => restore_engine(checkpoint, &mut *algorithm, &substrate, &mut tee)?,
-        None => EngineState::fresh(),
+    let coordinator = match resume {
+        Some(checkpoint) => ShardCoordinator::resume_from(sharded, build, checkpoint, &mut tee)?,
+        None => ShardCoordinator::new(sharded, build),
     };
     let every = config.checkpoint.as_ref().map_or(Slot::MAX, |c| c.every);
     let mut observer = Checkpointer::every(every, tee);
@@ -464,27 +498,20 @@ pub fn spawn(
         });
     }
     let (tx, rx) = std::sync::mpsc::channel();
-    let mut actor = Actor {
-        substrate,
-        algorithm,
-        state,
+    // Ids resume from the committed arrival count: ids are assigned at
+    // slot close only, so the checkpointed engines never reference an
+    // id beyond this.
+    let next_id = coordinator.stats().arrivals as u64;
+    let actor = Actor {
+        coordinator,
         observer,
         pending: Vec::new(),
         watermark: config.watermark.max(1),
         checkpoint: config.checkpoint,
         app_count,
-        next_id: 0,
+        next_id,
         forced_checkpoints: 0,
-        online_base: 0.0,
-        // audit:allow(D2, "serve tick seam: actor birth time feeds set_online_secs")
-        started: Instant::now(),
     };
-    // A restored engine already spent online time; keep accumulating.
-    actor.online_base = actor.state.stats().online_secs;
-    // Ids resume from the committed arrival count: ids are assigned at
-    // slot close only, so the checkpointed engine never references an
-    // id beyond this.
-    actor.next_id = actor.state.stats().arrivals as u64;
     let tick = config.tick;
     let thread = std::thread::Builder::new()
         .name("vne-serve-engine".into())
@@ -535,7 +562,7 @@ impl Actor {
             }
         }
         let stats = self.stats();
-        let summary = self.observer.inner().0.finish(&self.state.stats());
+        let summary = self.observer.inner().0.finish(&self.coordinator.stats());
         ServeReport { stats, summary }
     }
 
@@ -554,13 +581,13 @@ impl Actor {
                 }
             }
             Msg::Depart(id, reply) => {
-                let _ = reply.send(self.state.release_early(id));
+                let _ = reply.send(self.coordinator.release_early(id));
             }
             Msg::Advance(slots, reply) => {
                 for _ in 0..slots {
                     self.close_slot();
                 }
-                let _ = reply.send(self.state.next_slot());
+                let _ = reply.send(self.coordinator.next_slot());
             }
             Msg::Stats(reply) => {
                 let _ = reply.send(self.stats());
@@ -574,7 +601,7 @@ impl Actor {
                 if !self.pending.is_empty() {
                     self.close_slot();
                 }
-                if self.checkpoint.is_some() && self.state.next_slot() > 0 {
+                if self.checkpoint.is_some() && self.coordinator.next_slot() > 0 {
                     if let Err(reason) = self.force_checkpoint() {
                         eprintln!("vne-serve: final checkpoint failed: {reason}");
                     }
@@ -587,11 +614,11 @@ impl Actor {
     }
 
     fn validate(&self, spec: &SubmitSpec) -> Result<(), String> {
-        if spec.ingress.index() >= self.substrate.node_count() {
+        let nodes = self.coordinator.sharded().source().node_count();
+        if spec.ingress.index() >= nodes {
             return Err(format!(
-                "unknown ingress node {} (substrate has {} nodes)",
-                spec.ingress.index(),
-                self.substrate.node_count()
+                "unknown ingress node {} (substrate has {nodes} nodes)",
+                spec.ingress.index()
             ));
         }
         if spec.app.index() >= self.app_count {
@@ -613,19 +640,22 @@ impl Actor {
         Ok(())
     }
 
-    /// Closes the current slot: assigns ids in submission order, steps
-    /// the engine once, routes each decision to its waiting submitter,
-    /// and commits (which fires the checkpoint cadence).
+    /// Closes the current slot: assigns ids in submission order and
+    /// runs the coordinator over that one slot — which answers every
+    /// waiting submitter, stamps the time the slot took into
+    /// `online_secs` and commits (firing the checkpoint cadence).
     fn close_slot(&mut self) {
-        let slot64 = self.state.next_slot();
+        let slot64 = self.coordinator.next_slot();
         assert!(
             slot64 < u64::from(Slot::MAX),
             "slot horizon exhausted at {slot64}"
         );
         let slot = slot64 as Slot;
         let mut arrivals = Vec::with_capacity(self.pending.len());
-        let mut waiters: HashMap<RequestId, SyncSender<SubmitReply>> =
-            HashMap::with_capacity(self.pending.len());
+        let mut waiters = Waiters {
+            slot,
+            replies: HashMap::with_capacity(self.pending.len()),
+        };
         for (spec, reply) in self.pending.drain(..) {
             let id = RequestId(self.next_id);
             self.next_id += 1;
@@ -637,48 +667,28 @@ impl Actor {
                 app: spec.app,
                 demand: spec.demand,
             });
-            waiters.insert(id, reply);
+            waiters.replies.insert(id, reply);
         }
         let event = SlotEvents {
             slot,
             arrivals,
             churn: Vec::new(),
         };
-        let (step, _control) = self.state.step(
-            &mut *self.algorithm,
-            &self.substrate,
-            event,
-            &mut self.observer,
-            &mut ReembedAll,
+        self.coordinator.run(
+            std::iter::once(event),
+            &mut Tee(&mut self.observer, waiters),
         );
-        for outcome in &step.arrivals {
-            if let Some(reply) = waiters.remove(&outcome.id) {
-                let decision = match outcome.status {
-                    RequestStatus::Accepted => Decision::Accept,
-                    _ => Decision::Reject,
-                };
-                let _ = reply.send(SubmitReply::Decided {
-                    id: outcome.id,
-                    slot,
-                    decision,
-                });
-            }
-        }
-        self.state
-            .set_online_secs(self.online_base + self.started.elapsed().as_secs_f64());
-        self.observer
-            .on_slot_committed(&self.state.view(&*self.algorithm));
     }
 
     fn force_checkpoint(&mut self) -> Result<Slot, String> {
         let Some(ckpt) = &self.checkpoint else {
             return Err("no checkpoint path configured (--checkpoint)".to_string());
         };
-        if self.state.next_slot() == 0 {
+        if self.coordinator.next_slot() == 0 {
             return Err("no committed slot to checkpoint yet".to_string());
         }
-        let view = self.state.view(&*self.algorithm);
-        let checkpoint = view
+        let checkpoint = self
+            .coordinator
             .checkpoint(self.observer.inner().snapshot())
             .map_err(|e| e.to_string())?;
         persist::write_checkpoint_file(&ckpt.path, &checkpoint).map_err(|e| e.to_string())?;
@@ -688,10 +698,10 @@ impl Actor {
 
     fn stats(&self) -> ServeStats {
         let tee = self.observer.inner();
-        let summary = tee.0.finish(&self.state.stats());
+        let summary = tee.0.finish(&self.coordinator.stats());
         ServeStats {
-            slots_run: self.state.next_slot(),
-            active: self.state.active_count(),
+            slots_run: self.coordinator.next_slot(),
+            active: self.coordinator.active_count(),
             pending: self.pending.len(),
             submitted: tee.1.submitted,
             accepted: tee.1.accepted,

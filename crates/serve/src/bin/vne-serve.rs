@@ -24,6 +24,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use vne_model::shard::{PartitionAssignment, ShardedSubstrate};
 use vne_serve::actor::{CheckpointConfig, ServeConfig, TickMode};
 use vne_serve::server::Server;
 use vne_sim::persist::read_checkpoint_file;
@@ -155,6 +156,14 @@ fn run() -> Result<(), String> {
         .registry()
         .build(&spec, &BuildContext::new(&scenario))
         .map_err(|e| e.to_string())?;
+    // The one-shard view of the substrate is the monolithic engine, and
+    // its coordinator asks for exactly one algorithm instance. (Any
+    // other partition handed to `actor::spawn` serves sharded; see the
+    // README for why the binary has no flag for it.)
+    let whole = PartitionAssignment::single(scenario.substrate.node_count())
+        .and_then(|a| ShardedSubstrate::new(&scenario.substrate, &a))
+        .map_err(|e| e.to_string())?;
+    let mut algorithm = Some(built.algorithm);
     let penalty = scenario.penalty();
     let window = scenario.config.measure_window;
     let app_count = scenario.apps.len();
@@ -172,8 +181,8 @@ fn run() -> Result<(), String> {
         }),
     };
     let runtime = vne_serve::actor::spawn(
-        scenario.substrate.clone(),
-        built.algorithm,
+        whole,
+        |_, _| algorithm.take().expect("one shard asks for one instance"),
         penalty,
         window,
         app_count,

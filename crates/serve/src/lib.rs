@@ -6,10 +6,12 @@
 //! reproduction in exactly that shape — a resident daemon answering
 //! placement requests under live load:
 //!
-//! * [`actor`] — the single-writer engine actor: one thread owns the
-//!   [`vne_sim::engine::EngineState`] and the algorithm, fed by an mpsc
-//!   command queue through a cloneable [`actor::ServeHandle`].
-//!   Submissions batch into slots on a configurable tick
+//! * [`actor`] — the single-writer engine actor: one thread owns a
+//!   [`vne_shard::ShardCoordinator`] (over the one-shard view of the
+//!   substrate: the monolithic engine; over any other partition: a
+//!   sharded one), fed by an mpsc command queue through a cloneable
+//!   [`actor::ServeHandle`]. Closing a slot is the coordinator's `run`
+//!   over that slot. Submissions batch into slots on a configurable tick
 //!   ([`actor::TickMode`]), decisions come back on oneshot replies,
 //!   the pending queue sheds beyond its high-watermark, and a
 //!   [`vne_sim::observe::Checkpointer`] makes the whole serving state

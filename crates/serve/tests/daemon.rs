@@ -1,7 +1,9 @@
 //! End-to-end daemon coverage: concurrent TCP clients with a
 //! `run_stream_with` replay parity check, load shedding at the watermark,
-//! graceful shutdown with a byte-identical final-checkpoint resume, and
-//! SIGKILL-crash recovery from the last durable checkpoint.
+//! graceful shutdown with a byte-identical final-checkpoint resume,
+//! SIGKILL-crash recovery from the last durable checkpoint, and a
+//! four-shard world served over TCP that replays byte-identically
+//! through the offline coordinator.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -12,15 +14,23 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vne_model::app::{shapes, AppSet, AppShape};
-use vne_model::ids::{AppId, NodeId};
+use vne_model::cost::RejectionPenalty;
+use vne_model::ids::{AppId, NodeId, RequestId};
+use vne_model::policy::PlacementPolicy;
 use vne_model::prelude::Decision;
 use vne_model::request::{Request, Slot, SlotEvents};
+use vne_model::shard::{PartitionAssignment, ShardedSubstrate};
+use vne_model::state::{StateBlob, StateReader};
 use vne_model::substrate::{SubstrateNetwork, Tier};
-use vne_serve::actor::{ServeConfig, ServeHandle, TickMode};
+use vne_olive::fullg::FullG;
+use vne_serve::actor::{CheckpointConfig, ServeConfig, ServeHandle, TickMode};
 use vne_serve::protocol::{parse_reply, Command, Reply};
 use vne_serve::{spawn, Server, SubmitReply, SubmitSpec};
-use vne_sim::engine::{run_stream_with, EngineState, ReembedAll};
-use vne_sim::observe::WindowSummary;
+use vne_shard::{shard_checkpoint, ShardCoordinator, SpanningStats};
+use vne_sim::engine::{
+    run_stream_with, EngineCheckpoint, EngineState, ReembedAll, RequestStatus, StreamStats,
+};
+use vne_sim::observe::{Recorder, Tee, WindowSummary};
 use vne_sim::persist::read_checkpoint_file;
 use vne_sim::registry::{AlgorithmSpec, BuildContext};
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
@@ -66,6 +76,13 @@ fn build_algorithm(
         .build(&AlgorithmSpec::from(alg), &BuildContext::new(scenario))
         .unwrap()
         .algorithm
+}
+
+/// The one-shard view of `substrate`: the monolithic engine behind the
+/// coordinator the actor owns.
+fn whole(substrate: &SubstrateNetwork) -> ShardedSubstrate {
+    let single = PartitionAssignment::single(substrate.node_count()).unwrap();
+    ShardedSubstrate::new(substrate, &single).unwrap()
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -163,8 +180,8 @@ fn eight_concurrent_tcp_clients_match_run_stream_replay() {
     let penalty = scenario.penalty();
     let window = scenario.config.measure_window;
     let runtime = spawn(
-        scenario.substrate.clone(),
-        build_algorithm(&scenario, Algorithm::Fullg),
+        whole(&scenario.substrate),
+        |_, _| build_algorithm(&scenario, Algorithm::Fullg),
         penalty.clone(),
         window,
         scenario.apps.len(),
@@ -309,8 +326,8 @@ fn eight_concurrent_tcp_clients_match_run_stream_replay() {
 fn submissions_beyond_the_watermark_are_shed_and_counted() {
     let scenario = tiny_scenario();
     let runtime = spawn(
-        scenario.substrate.clone(),
-        build_algorithm(&scenario, Algorithm::Fullg),
+        whole(&scenario.substrate),
+        |_, _| build_algorithm(&scenario, Algorithm::Fullg),
         scenario.penalty(),
         scenario.config.measure_window,
         scenario.apps.len(),
@@ -384,8 +401,8 @@ fn submissions_beyond_the_watermark_are_shed_and_counted() {
 fn depart_probe_tracks_resource_lifetime() {
     let scenario = tiny_scenario();
     let runtime = spawn(
-        scenario.substrate.clone(),
-        build_algorithm(&scenario, Algorithm::Fullg),
+        whole(&scenario.substrate),
+        |_, _| build_algorithm(&scenario, Algorithm::Fullg),
         scenario.penalty(),
         scenario.config.measure_window,
         scenario.apps.len(),
@@ -446,8 +463,8 @@ fn depart_probe_tracks_resource_lifetime() {
 fn depart_releases_capacity_for_readmission() {
     let scenario = tiny_scenario();
     let runtime = spawn(
-        scenario.substrate.clone(),
-        build_algorithm(&scenario, Algorithm::Fullg),
+        whole(&scenario.substrate),
+        |_, _| build_algorithm(&scenario, Algorithm::Fullg),
         scenario.penalty(),
         scenario.config.measure_window,
         scenario.apps.len(),
@@ -599,12 +616,23 @@ impl Daemon {
 /// on `submitter` while `control` polls `STATS` until it is queued and
 /// then advances — keeping the slot each request lands in exact.
 fn scripted_slot(submitter: &mut Client, control: &mut Client, s: u32) -> (Reply, u64) {
-    submitter.write(&Command::Submit {
+    let submit = Command::Submit {
         ingress: NodeId(s % 3),
         app: AppId(s % 4),
         demand: 4.0 + f64::from(s),
         duration: 2 + (s % 3),
-    });
+    };
+    submit_and_close(submitter, control, s, &submit)
+}
+
+/// Slot `s` of a script: `submit` alone, then the `ADVANCE` closing it.
+fn submit_and_close(
+    submitter: &mut Client,
+    control: &mut Client,
+    s: u32,
+    submit: &Command,
+) -> (Reply, u64) {
+    submitter.write(submit);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = control.stats();
@@ -698,17 +726,10 @@ fn graceful_shutdown_resumes_from_final_checkpoint_byte_identically() {
     resumed.shutdown();
 
     // The resumed daemon's own final checkpoint is byte-identical to
-    // what it restored (no slots ran in between), modulo the engine's
-    // wall-clock field.
+    // what it restored: no slot closed in between, and `online_secs`
+    // counts only the time spent closing slots.
     let again = read_checkpoint_file(&ckpt).unwrap();
-    assert_eq!(again.slot, final_ckpt.slot);
-    assert_eq!(again.algorithm, final_ckpt.algorithm);
-    assert_eq!(again.algorithm_state, final_ckpt.algorithm_state);
-    assert_eq!(again.observer_state, final_ckpt.observer_state);
-    assert_eq!(
-        normalized_engine(&again.engine),
-        normalized_engine(&final_ckpt.engine)
-    );
+    assert_eq!(again, final_ckpt);
     let _ = std::fs::remove_file(&ckpt);
 }
 
@@ -819,8 +840,8 @@ fn kill_and_recover_resumes_from_last_durable_checkpoint() {
 fn interval_tick_decides_without_manual_advance() {
     let scenario = tiny_scenario();
     let runtime = spawn(
-        scenario.substrate.clone(),
-        build_algorithm(&scenario, Algorithm::Quickg),
+        whole(&scenario.substrate),
+        |_, _| build_algorithm(&scenario, Algorithm::Quickg),
         scenario.penalty(),
         scenario.config.measure_window,
         scenario.apps.len(),
@@ -854,4 +875,277 @@ fn interval_tick_decides_without_manual_advance() {
     let report = runtime.join().expect("engine actor");
     assert!(report.stats.slots_run >= 3);
     assert_eq!(report.stats.accepted + report.stats.rejected, 1);
+}
+
+// ---------------------------------------------------------------------
+// Sharded serving: a k = 4 world over TCP against the offline coordinator
+// ---------------------------------------------------------------------
+
+/// The starved/roomy shape of the coordinator's own spanning tests,
+/// widened to four 2-node shards on a line: starved (30 CU per node) —
+/// tight (120 CU: room for two demand-5 chains) — starved — roomy.
+fn four_shard_world() -> (ShardedSubstrate, AppSet) {
+    let mut s = SubstrateNetwork::new("span4");
+    let nodes: Vec<NodeId> = [30.0, 30.0, 120.0, 120.0, 30.0, 30.0, 1000.0, 1000.0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, cap)| s.add_node(format!("n{i}"), Tier::Edge, cap, 1.0).unwrap())
+        .collect();
+    for pair in nodes.windows(2) {
+        s.add_link(pair[0], pair[1], 500.0, 1.0).unwrap();
+    }
+    let assignment = PartitionAssignment::new(vec![0, 0, 1, 1, 2, 2, 3, 3]).unwrap();
+    let mut apps = AppSet::new();
+    let chain = shapes::uniform_chain(2, 10.0, 3.0).unwrap();
+    apps.push("chain", AppShape::Chain, chain).unwrap();
+    (ShardedSubstrate::new(&s, &assignment).unwrap(), apps)
+}
+
+/// One submission per slot, `(ingress, demand, duration)`; request ids
+/// equal slot numbers. A demand-5 chain (50 CU per VNF) overflows a
+/// starved shard and is offered next door.
+const SHARDED_SCRIPT: [(u32, f64, Slot); 8] = [
+    (0, 5.0, 30), // adopted by the tight shard 1
+    (4, 5.0, 30), // adopted by shard 1 as well, which is now full
+    (0, 5.0, 30), // shard 0's only neighbor is full: rejected
+    (0, 1.0, 30), // fits at home
+    (0, 5.0, 30), // request 0 was DEPARTed before this slot: adopted again
+    (4, 5.0, 30), // shard 1 is full again, shard 3 adopts
+    (6, 2.0, 3),
+    (4, 1.0, 2),
+];
+/// `CHECKPOINT` is forced once this slot has closed …
+const FORCED_AFTER: u32 = 3;
+/// … and request 0 — homed in shard 0, held by shard 1 — is released
+/// before the next one closes.
+const ADOPTED: RequestId = RequestId(0);
+
+fn sharded_events() -> Vec<SlotEvents> {
+    (0..)
+        .zip(SHARDED_SCRIPT)
+        .map(|(t, (ingress, demand, duration))| SlotEvents {
+            slot: t,
+            arrivals: vec![Request {
+                id: RequestId(u64::from(t)),
+                arrival: t,
+                duration,
+                ingress: NodeId(ingress),
+                app: AppId(0),
+                demand,
+            }],
+            churn: vec![],
+        })
+        .collect()
+}
+
+/// The spanning counters of a `k > 1` checkpoint: they follow the merged
+/// run counters at the head of the coordinator cursors.
+fn spanning_of(checkpoint: &EngineCheckpoint) -> SpanningStats {
+    let typed = shard_checkpoint(checkpoint).unwrap();
+    let mut r = StateReader::new(&typed.coordinator);
+    r.read::<StreamStats>().unwrap();
+    SpanningStats {
+        candidates: r.read_usize().unwrap(),
+        attempts: r.read_usize().unwrap(),
+        granted: r.read_usize().unwrap(),
+        denied: r.read_usize().unwrap(),
+    }
+}
+
+/// What one served segment of the script leaves behind.
+struct Served {
+    decisions: Vec<Reply>,
+    fingerprint: String,
+    /// The file as the forced `CHECKPOINT` wrote it.
+    forced: Option<EngineCheckpoint>,
+    /// The file as the shutdown left it.
+    last: EngineCheckpoint,
+}
+
+/// Serves `slots` of the script over TCP on a fresh (or resumed) actor,
+/// then shuts it down over the wire.
+fn serve_sharded(
+    tag: &str,
+    resume: Option<&EngineCheckpoint>,
+    slots: std::ops::Range<u32>,
+) -> Served {
+    let (sharded, apps) = four_shard_world();
+    let penalty = RejectionPenalty::conservative(&apps, sharded.source());
+    let path = temp_path(tag);
+    let _ = std::fs::remove_file(&path);
+    let runtime = spawn(
+        sharded,
+        |_, local| {
+            Box::new(FullG::new(
+                local.clone(),
+                apps.clone(),
+                PlacementPolicy::default(),
+            ))
+        },
+        penalty,
+        (0, SHARDED_SCRIPT.len() as Slot),
+        apps.len(),
+        ServeConfig {
+            tick: TickMode::Manual,
+            watermark: 64,
+            checkpoint: Some(CheckpointConfig {
+                path: path.clone(),
+                every: Slot::MAX,
+            }),
+        },
+        resume,
+    )
+    .unwrap();
+    let server = Server::bind("127.0.0.1:0", runtime.handle()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = std::thread::spawn(move || server.serve().unwrap());
+    let mut submitter = Client::connect(&addr);
+    let mut control = Client::connect(&addr);
+
+    let mut decisions = Vec::new();
+    let mut forced = None;
+    for s in slots {
+        if s == FORCED_AFTER + 1 {
+            let departed = Reply::Departure {
+                id: ADOPTED,
+                active: true,
+            };
+            assert_eq!(control.send(&Command::Depart { id: ADOPTED }), departed);
+        }
+        let (ingress, demand, duration) = SHARDED_SCRIPT[s as usize];
+        let submit = Command::Submit {
+            ingress: NodeId(ingress),
+            app: AppId(0),
+            demand,
+            duration,
+        };
+        let (decision, committed) = submit_and_close(&mut submitter, &mut control, s, &submit);
+        assert_eq!(committed, u64::from(s) + 1);
+        decisions.push(decision);
+        if s == FORCED_AFTER {
+            let written = Reply::Checkpointed { slot: s };
+            assert_eq!(control.send(&Command::Checkpoint), written);
+            forced = Some(read_checkpoint_file(&path).unwrap());
+        }
+    }
+    let fingerprint = stat(&control.stats(), "fingerprint").to_string();
+    assert_eq!(control.send(&Command::Shutdown), Reply::Bye);
+    server_thread.join().unwrap();
+    runtime.join().expect("engine actor");
+    let last = read_checkpoint_file(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    Served {
+        decisions,
+        fingerprint,
+        forced,
+        last,
+    }
+}
+
+/// Sharded serving is `spawn` with a partition that has more than one
+/// shard: a four-shard world under a load that spans is served over
+/// TCP, checkpointed by force mid-script and finished by a second actor
+/// resumed from that file — and decisions, fingerprint, spanning
+/// counters and per-shard state all equal one offline
+/// `ShardCoordinator` run over the same slot events. `DEPART` finds a
+/// request in the shard that adopted it, and the room it frees re-admits
+/// the next overflow.
+#[test]
+fn four_shards_served_over_tcp_replay_through_the_offline_coordinator() {
+    let slots = SHARDED_SCRIPT.len() as u32;
+    let whole = serve_sharded("sharded-whole.ckpt", None, 0..slots);
+    let forced = whole.forced.as_ref().expect("CHECKPOINT was forced");
+    assert_eq!(forced.slot, FORCED_AFTER);
+    let resumed = serve_sharded(
+        "sharded-resumed.ckpt",
+        Some(forced),
+        FORCED_AFTER + 1..slots,
+    );
+
+    // Offline: the same events through `run`, the same early release.
+    let (sharded, apps) = four_shard_world();
+    let penalty = RejectionPenalty::conservative(&apps, sharded.source());
+    let offline = |release: bool| {
+        let mut coordinator = ShardCoordinator::new(sharded.clone(), |_, local| {
+            Box::new(FullG::new(
+                local.clone(),
+                apps.clone(),
+                PlacementPolicy::default(),
+            ))
+        });
+        let mut seen = Tee(
+            WindowSummary::new((0, slots), penalty.clone()),
+            Recorder::new(),
+        );
+        let mut head = sharded_events();
+        let tail = head.split_off(FORCED_AFTER as usize + 1);
+        coordinator.run(head, &mut seen);
+        if release {
+            assert!(coordinator.release_early(ADOPTED));
+        }
+        let stats = coordinator.run(tail, &mut seen);
+        let decisions: Vec<Reply> = seen
+            .1
+            .finish("FULLG", &stats)
+            .requests
+            .iter()
+            .map(|o| Reply::Submitted {
+                id: o.id,
+                slot: o.arrival,
+                decision: match o.status {
+                    RequestStatus::Accepted => Decision::Accept,
+                    _ => Decision::Reject,
+                },
+            })
+            .collect();
+        let fingerprint = format!("{:016x}", seen.0.finish(&stats).fingerprint());
+        (coordinator, decisions, fingerprint)
+    };
+    let (coordinator, decisions, fingerprint) = offline(true);
+
+    assert_eq!(whole.decisions, decisions);
+    assert_eq!(resumed.decisions, decisions[FORCED_AFTER as usize + 1..]);
+    assert_eq!(whole.fingerprint, fingerprint);
+    assert_eq!(resumed.fingerprint, fingerprint);
+
+    // Requests 0, 1, 2, 4 and 5 overflow; 5 is turned down by shard 1
+    // before shard 3 takes it.
+    let span = SpanningStats {
+        candidates: 5,
+        attempts: 6,
+        granted: 4,
+        denied: 1,
+    };
+    assert_eq!(coordinator.spanning_stats(), span);
+    assert_eq!(spanning_of(&whole.last), span);
+    assert_eq!(spanning_of(&resumed.last), span);
+
+    // Every shard's engine and algorithm, byte for byte; and the two
+    // served runs agree on the observer stack as well.
+    let state = shard_checkpoint(&coordinator.checkpoint(StateBlob::default()).unwrap()).unwrap();
+    for served in [&whole.last, &resumed.last] {
+        let typed = shard_checkpoint(served).unwrap();
+        assert_eq!(typed.slot, slots - 1);
+        assert_eq!(typed.engines, state.engines);
+        assert_eq!(typed.algorithms, state.algorithms);
+    }
+    assert_eq!(whole.last.observer_state, resumed.last.observer_state);
+
+    // The release is what re-admitted request 4: without it shard 1
+    // stays full and the overflow is rejected like request 2 was.
+    let reject = |reply: &Reply| {
+        matches!(
+            reply,
+            Reply::Submitted {
+                decision: Decision::Reject,
+                ..
+            }
+        )
+    };
+    assert!(
+        reject(&decisions[2]) && !reject(&decisions[4]),
+        "{decisions:?}"
+    );
+    let (_, held, _) = offline(false);
+    assert!(reject(&held[4]), "{held:?}");
 }

@@ -47,20 +47,32 @@
 //!    dispatch: one `on_slot_start`, merged churn counters, arrival
 //!    outcomes in original stream order with classes mapped back to
 //!    global ids, preemptions in (shard, local-order), then one
-//!    `on_slot_end` with summed [`SlotMetrics`], and finally one
-//!    `on_slot_committed` carrying a deferred [`EngineView`]: its
-//!    capture — every shard's engine + algorithm snapshot plus the
-//!    coordinator's cursors, packed as a [`ShardCheckpoint`] — is
-//!    materialized only if an observer actually checkpoints the slot,
-//!    so a [`Checkpointer`] works unmodified at any cadence and
-//!    un-checkpointed slots pay nothing.
+//!    `on_slot_end` with summed [`SlotMetrics`].
+//!
+//! The slot then ends the way the engine loop ends it, for every `k`:
+//! [`ShardCoordinator::run`] stamps `online_secs`, *then* one
+//! `on_slot_committed` goes out, then an observer's stop is honored
+//! ([`ShardCoordinator::step`] is the same body without the stamp, for
+//! callers that keep their own clock). For `k > 1` the commit hook
+//! carries a deferred [`EngineView`]: its capture — every shard's
+//! engine + algorithm snapshot plus the coordinator's cursors, packed
+//! as a [`ShardCheckpoint`] — is materialized only if an observer
+//! actually checkpoints the slot, so a [`Checkpointer`] works
+//! unmodified at any cadence and un-checkpointed slots pay nothing.
 //!
 //! With `k = 1` the coordinator collapses to a pass-through of the
-//! unsharded engine — same state transitions, same observer dispatch,
-//! same (monolithic) checkpoint bytes — so a single-shard run is
-//! fingerprint-identical to [`run_stream_with`] (pinned by the golden parity
-//! suite) and its checkpoints are interchangeable with monolithic
-//! [`EngineCheckpoint`] resumes.
+//! unsharded engine — same state transitions, same observer dispatch
+//! (observers see the real algorithm, not a stub), same (monolithic)
+//! checkpoint bytes — so a single-shard run is fingerprint-identical to
+//! [`run_stream_with`] (pinned by the golden parity suite) and its
+//! checkpoints are interchangeable with monolithic [`EngineCheckpoint`]
+//! resumes. It builds no reserve instance: there is nobody to span to.
+//!
+//! The coordinator is also the live driver: the `vne-serve` actor owns
+//! one and closes each slot with `run(once(event), ..)`;
+//! [`ShardCoordinator::release_early`] and
+//! [`ShardCoordinator::checkpoint`] are what a daemon needs between
+//! slots and a batch run does not.
 //!
 //! # Cut-link churn
 //!
@@ -135,9 +147,9 @@ pub struct SpanningStats {
 struct ShardEngine {
     state: EngineState,
     primary: Box<dyn OnlineAlgorithm>,
-    /// Same configuration as `primary`. `None` when the algorithm does
-    /// not support snapshots — spanning is then disabled (home-only
-    /// mode).
+    /// Same configuration as `primary`. `None` at `k = 1`, and when the
+    /// algorithm does not support snapshots — spanning is then disabled
+    /// (home-only mode).
     scratch: Option<Box<dyn OnlineAlgorithm>>,
     /// Whether `scratch` is this slot's reserve instance: `primary`'s
     /// state stepped through the shard's current arrival list. Cleared
@@ -259,9 +271,10 @@ pub struct ShardCoordinator {
 
 impl ShardCoordinator {
     /// Builds one engine per shard, calling `build` with each shard id
-    /// and its local substrate (twice per shard when the algorithm
-    /// supports state snapshots — the second instance is the shard's
-    /// reserve instance).
+    /// and its local substrate — twice per shard, primary first, when
+    /// `k > 1` and the algorithm supports state snapshots: the second
+    /// instance is the shard's reserve instance. One shard has nobody
+    /// to span to, so `k = 1` asks for exactly one instance.
     pub fn new(
         sharded: ShardedSubstrate,
         mut build: impl FnMut(ShardId, &SubstrateNetwork) -> Box<dyn OnlineAlgorithm>,
@@ -273,9 +286,7 @@ impl ShardCoordinator {
             if name.is_empty() {
                 name = primary.name().to_string();
             }
-            let scratch = primary
-                .snapshot_state()
-                .is_some()
+            let scratch = (sharded.shard_count() > 1 && primary.snapshot_state().is_some())
                 .then(|| build(sid, local));
             engines.push(Mutex::new(ShardEngine {
                 state: EngineState::fresh(),
@@ -359,9 +370,15 @@ impl ShardCoordinator {
             .unwrap_or(0)
     }
 
-    /// Runs the coordinator over a whole event stream, honoring early
-    /// stops, and returns the merged stats. Wall-clock is folded into
-    /// [`StreamStats::online_secs`] like the unsharded engine loop.
+    /// Runs the coordinator over an event stream and returns the merged
+    /// stats. The end of every slot is the engine loop's
+    /// ([`EngineState::run`]): stamp [`StreamStats::online_secs`]
+    /// (accumulating across resumed segments and repeated calls), emit
+    /// [`SimObserver::on_slot_committed`] — so a checkpoint carries the
+    /// seconds spent up to and including its own slot — then honor an
+    /// observer's [`SimControl::Stop`]. A live driver closes one slot at
+    /// a time with `run(once(event), ..)`; the seconds then add up to
+    /// the time spent closing slots.
     pub fn run<O>(
         &mut self,
         events: impl IntoIterator<Item = SlotEvents>,
@@ -370,15 +387,11 @@ impl ShardCoordinator {
     where
         O: SimObserver + ?Sized,
     {
-        // Online seconds accumulate across resumed segments and
-        // repeated `run` calls.
         let base_secs = self.stats.online_secs;
         // audit:allow(D2, "set_online_secs feeder: measures the run to stamp stats.online_secs")
-        let start = Instant::now();
+        let started = Instant::now();
         for event in events {
-            let control = self.step(event, observer);
-            self.stats.online_secs = base_secs + start.elapsed().as_secs_f64();
-            if control == SimControl::Stop {
+            if self.step_clocked(event, observer, Some((base_secs, started))) == SimControl::Stop {
                 self.stats.stopped_early = true;
                 break;
             }
@@ -388,7 +401,9 @@ impl ShardCoordinator {
 
     /// Advances every shard through exactly one slot (the protocol in
     /// the [module docs](self)) and fans the merged result out to
-    /// `observer`.
+    /// `observer`, commit hook included. Wall-clock is the caller's:
+    /// unlike [`run`](Self::run) this leaves
+    /// [`StreamStats::online_secs`] as it was.
     ///
     /// # Panics
     ///
@@ -397,16 +412,96 @@ impl ShardCoordinator {
     where
         O: SimObserver + ?Sized,
     {
+        self.step_clocked(event, observer, None)
+    }
+
+    /// The one step body. `clock` is [`run`](Self::run)'s: the seconds
+    /// accumulated before it was called and when it started, read after
+    /// the slot's work and before the commit hook.
+    fn step_clocked<O>(
+        &mut self,
+        event: SlotEvents,
+        observer: &mut O,
+        clock: Option<(f64, Instant)>,
+    ) -> SimControl
+    where
+        O: SimObserver + ?Sized,
+    {
         let control = if self.engines.len() == 1 {
             self.step_single(event, observer)
         } else {
             self.step_sharded(event, observer)
         };
+        if let Some((base_secs, started)) = clock {
+            self.stats.online_secs = base_secs + started.elapsed().as_secs_f64();
+            if let [single] = self.engines.as_mut_slice() {
+                // A k = 1 checkpoint is the engine state's own bytes.
+                let engine = single.get_mut().unwrap();
+                engine.state.set_online_secs(self.stats.online_secs);
+            }
+        }
+        self.with_view(|view| observer.on_slot_committed(view));
 
         #[cfg(feature = "strict-invariants")]
         vne_model::invariant::enforce("shard coordinator step", &self.audit());
 
         control
+    }
+
+    /// Schedules an active request to depart at the next stepped slot,
+    /// ahead of its natural expiry, in the shard where it is active
+    /// (its home, or the neighbor that adopted it) —
+    /// [`EngineState::release_early`] behind the partition. Returns
+    /// whether the request was active anywhere; an unknown or departed
+    /// id returns `false` and changes nothing.
+    pub fn release_early(&mut self, id: RequestId) -> bool {
+        self.engines
+            .iter_mut()
+            .any(|e| e.get_mut().unwrap().state.release_early(id))
+    }
+
+    /// The checkpoint of the most recently stepped slot, taken now
+    /// rather than on a [`Checkpointer`]'s cadence — the bytes the
+    /// commit hook's view would have produced for the same
+    /// `observer_state`, resumable through
+    /// [`resume_from`](Self::resume_from).
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Unsupported`] when the algorithm does not implement
+    /// [`OnlineAlgorithm::snapshot_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no slot has been stepped yet, like
+    /// [`EngineState::view`].
+    ///
+    /// [`Checkpointer`]: vne_sim::observe::Checkpointer
+    pub fn checkpoint(&self, observer_state: StateBlob) -> Result<EngineCheckpoint, StateError> {
+        self.with_view(|view| view.checkpoint(observer_state))
+    }
+
+    /// Hands `f` the [`EngineView`] of the last stepped slot: the live
+    /// engine and algorithm at `k = 1` (monolithic checkpoint bytes),
+    /// otherwise a deferred view whose multi-shard capture is assembled
+    /// only if `f` checkpoints it.
+    fn with_view<R>(&self, f: impl FnOnce(&EngineView<'_>) -> R) -> R {
+        if let [single] = self.engines.as_slice() {
+            let engine = single.lock().unwrap();
+            return f(&engine.state.view(&*engine.primary));
+        }
+        assert!(
+            self.stats.slots_run > 0,
+            "a coordinator view requires at least one stepped slot"
+        );
+        let produce = || self.capture();
+        f(&EngineView::deferred(
+            self.stats.slots_run - 1,
+            self.stats,
+            self.active_count(),
+            &self.stub.name,
+            &produce,
+        ))
     }
 
     /// Audits the coordinator's derived and churn-folded state:
@@ -705,11 +800,7 @@ impl ShardCoordinator {
             observer,
             &mut *policy,
         );
-        let (online, stopped) = (self.stats.online_secs, self.stats.stopped_early);
         self.stats = state.stats();
-        self.stats.online_secs = online;
-        self.stats.stopped_early = stopped;
-        observer.on_slot_committed(&state.view(&**primary));
         control
     }
 
@@ -889,20 +980,10 @@ impl ShardCoordinator {
                 .any(|e| e.get_mut().unwrap().state.is_active(id))
         });
 
-        // Merge run counters, then emit the commit hook with a deferred
-        // view: the multi-shard capture is assembled only if an
-        // observer actually checkpoints this slot.
+        // Merge run counters.
         self.stats.slots_run = t + 1;
         self.stats.arrivals += event.arrivals.len();
-        let active: usize = self
-            .engines
-            .iter_mut()
-            .map(|e| e.get_mut().unwrap().state.active_count())
-            .sum();
-        self.stats.peak_active = self.stats.peak_active.max(active);
-        let produce = || self.capture();
-        let view = EngineView::deferred(t, self.stats, active, &self.stub.name, &produce);
-        observer.on_slot_committed(&view);
+        self.stats.peak_active = self.stats.peak_active.max(self.active_count());
         control
     }
 

@@ -15,11 +15,15 @@
 //!   at a time to the neighboring shards' reserve instances in
 //!   deterministic order (span), then commits every shard through the
 //!   engine's public single-slot seam. A `k = 1` run replays the
-//!   unsharded engine byte-identically. Commit hooks fire for every
+//!   unsharded engine byte-identically. Every slot ends as the engine
+//!   loop ends it — stamp `online_secs`, commit hook, stop — for every
 //!   `k`, so a [`Checkpointer`] checkpoints sharded runs unmodified,
 //!   and [`ShardCoordinator::resume_from`] continues them
 //!   byte-identically; churn on cut links is applied as idempotent
-//!   endpoint drains on both gateway shards.
+//!   endpoint drains on both gateway shards. It is the one driver
+//!   behind the `vne-serve` daemon as well, which closes a slot with
+//!   `run` over one event ([`ShardCoordinator::release_early`] and
+//!   [`ShardCoordinator::checkpoint`] serve `DEPART` and `CHECKPOINT`).
 //! * [`checkpoint`] — the typed sharded-checkpoint semantics:
 //!   [`shard_checkpoint`] / [`engine_checkpoint`] convert between the
 //!   [`Checkpointer`]'s envelope and the typed

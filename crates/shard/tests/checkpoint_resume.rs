@@ -4,8 +4,9 @@
 //! multi-shard checkpoint is refused by both with a typed error (and
 //! round-trips through the typed [`ShardCheckpoint`] instead). Also
 //! pins that a `k = 4` checkpoint survives the atomic checkpoint-file
-//! path, and that a resumed coordinator keeps the checkpointed
-//! `online_secs` instead of restarting the clock.
+//! path, that a resumed coordinator keeps the checkpointed
+//! `online_secs` instead of restarting the clock, and that the
+//! `online_secs` a checkpoint stores include its own slot.
 //!
 //! [`ShardCheckpoint`]: vne_model::state::ShardCheckpoint
 
@@ -20,7 +21,7 @@ use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::fullg::FullG;
 use vne_shard::{engine_checkpoint, shard_checkpoint, ShardCoordinator};
-use vne_sim::engine::{restore_engine, run_stream_with, EngineState, ReembedAll};
+use vne_sim::engine::{restore_engine, run_stream_with, EngineState, ReembedAll, StreamStats};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file};
 
@@ -394,6 +395,49 @@ fn resumed_runs_keep_the_checkpointed_online_secs() {
             stats.online_secs >= STORED_SECS,
             "k = {k}: resumed online_secs {} dropped the checkpointed {STORED_SECS}",
             stats.online_secs
+        );
+    }
+}
+
+/// The `online_secs` a checkpoint stores: in the engine blob at
+/// `k = 1`, in the merged counters that lead the coordinator cursors
+/// at `k > 1`.
+fn stored_online_secs(checkpoint: &vne_sim::engine::EngineCheckpoint, k: usize) -> f64 {
+    if k == 1 {
+        let mut state = EngineState::fresh();
+        state.restore(&checkpoint.engine).unwrap();
+        return state.stats().online_secs;
+    }
+    let typed = shard_checkpoint(checkpoint).unwrap();
+    let stats: StreamStats = StateReader::new(&typed.coordinator).read().unwrap();
+    stats.online_secs
+}
+
+/// The write-side twin of the test above: `run` stamps `online_secs`
+/// before the commit hook, so the checkpoint of slot `t` stores the
+/// seconds spent up to and including slot `t` — not 0 (a `k = 1`
+/// checkpoint serializes the engine state, so that is what must be
+/// stamped) and not the stamp of slot `t - 1` (stamping after the hook).
+#[test]
+fn checkpoints_store_the_online_secs_of_their_own_slot() {
+    const PAUSE: std::time::Duration = std::time::Duration::from_millis(20);
+    let (s, nodes) = world();
+    let ev = events(&nodes);
+    for k in [1usize, 4] {
+        let mut coordinator = ShardCoordinator::new(sharded_k(&s, k), shard_fullg());
+        let mut cp = Checkpointer::every(CHECKPOINT_SLOT + 1, window(&s));
+        let slow = ev
+            .iter()
+            .take(CHECKPOINT_SLOT as usize + 1)
+            .cloned()
+            .inspect(|_| std::thread::sleep(PAUSE));
+        let returned = coordinator.run(slow, &mut cp).online_secs;
+        assert_eq!(cp.checkpoints_taken(), 1, "{:?}", cp.last_error());
+        let stored = stored_online_secs(&cp.into_latest().unwrap(), k);
+        let slept = PAUSE.as_secs_f64() * f64::from(CHECKPOINT_SLOT + 1);
+        assert!(
+            slept <= stored && stored <= returned,
+            "k = {k}: the checkpoint stores {stored} s after {slept} s of pauses; run returned {returned} s"
         );
     }
 }

@@ -10,6 +10,10 @@
 //!   whose shard had a preempting reject adopted away, is rebuilt from
 //!   the live state before it decides again (a toy algorithm makes both
 //!   cases deterministic).
+//! * **Who gets one** — every shard of a `k > 1` coordinator whose
+//!   algorithm can snapshot; a one-shard coordinator asks its factory
+//!   for the primary alone, and an algorithm that cannot snapshot runs
+//!   home-only: no spanning, no checkpoint, shards independent.
 
 use std::sync::{Arc, Mutex};
 
@@ -21,12 +25,13 @@ use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{PartitionAssignment, ShardId, ShardedSubstrate};
-use vne_model::state::{StateBlob, StateError, StateReader, StateWriter};
+use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::{OnlineAlgorithm, SlotOutcome};
 use vne_olive::olive::Olive;
 use vne_shard::{ShardCoordinator, SpanningStats};
-use vne_sim::engine::{RequestOutcome, RequestStatus, SimObserver};
+use vne_sim::engine::{run_stream_with, ReembedAll, RequestOutcome, RequestStatus, SimObserver};
+use vne_sim::observe::{Checkpointer, Recorder};
 use vne_sim::scenario::{Scenario, ScenarioConfig};
 use vne_sim::NullObserver;
 use vne_topology::partition::{large_synthetic, GreedyEdgeCut, Partitioner};
@@ -364,4 +369,131 @@ fn adopting_a_preempting_reject_away_resets_its_home() {
     assert_eq!(span.attempts, 3, "#3 is turned down by shard 0 first");
     assert_eq!(coordinator.active_count(), 4);
     assert_eq!(seen.0[3], (RequestId(3), RequestStatus::Accepted));
+}
+
+fn quickg(local: &SubstrateNetwork) -> Box<dyn OnlineAlgorithm> {
+    let mut apps = AppSet::new();
+    let chain = shapes::uniform_chain(2, 10.0, 3.0).unwrap();
+    apps.push("chain", AppShape::Chain, chain).unwrap();
+    Box::new(Olive::quickg(
+        local.clone(),
+        apps,
+        PlacementPolicy::default(),
+    ))
+}
+
+/// One shard has nobody to span to and `step_single` never reserves, so
+/// a second instance would be a second plan build for nothing.
+#[test]
+fn the_factory_is_asked_once_at_k1_and_twice_per_shard_beyond() {
+    let (two, _) = span_world();
+    let whole = two.source();
+    for (assignment, calls) in [
+        (PartitionAssignment::single(4).unwrap(), 1),
+        (PartitionAssignment::new(vec![0, 1, 2, 3]).unwrap(), 8),
+    ] {
+        let sharded = ShardedSubstrate::new(whole, &assignment).unwrap();
+        let mut asked = Vec::new();
+        ShardCoordinator::new(sharded, |shard, local| {
+            asked.push(shard);
+            quickg(local)
+        });
+        assert_eq!(asked.len(), calls, "{asked:?}");
+        // Primary, then reserve instance, shard by shard.
+        assert!(asked.windows(2).all(|w| w[0] <= w[1]), "{asked:?}");
+    }
+}
+
+/// QUICKG that cannot snapshot.
+struct NoSnapshot(Box<dyn OnlineAlgorithm>);
+
+impl OnlineAlgorithm for NoSnapshot {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn process_slot(
+        &mut self,
+        t: Slot,
+        departures: &[Request],
+        arrivals: &[Request],
+    ) -> SlotOutcome {
+        self.0.process_slot(t, departures, arrivals)
+    }
+
+    fn loads(&self) -> &LoadLedger {
+        self.0.loads()
+    }
+
+    fn footprint_of(&self, id: RequestId) -> Option<&Footprint> {
+        self.0.footprint_of(id)
+    }
+}
+
+/// Without snapshots there is no reserve instance: nothing spans (the
+/// overflow `an_idle_shard_is_reserved_by_its_first_offer_only` sees
+/// adopted next door is rejected at home), each shard decides as an
+/// engine of its own would, and a checkpoint is refused, not a panic.
+#[test]
+fn an_algorithm_without_snapshots_runs_home_only() {
+    let (sharded, a0) = span_world();
+    let b1 = NodeId(3);
+    let events = vec![
+        slot(0, vec![request(0, 0, a0, 5.0), request(1, 0, b1, 5.0)]),
+        slot(1, vec![request(2, 1, b1, 1.0), request(3, 1, a0, 1.0)]),
+    ];
+    let mut coordinator = ShardCoordinator::new(sharded.clone(), |_, local| {
+        Box::new(NoSnapshot(quickg(local)))
+    });
+    let mut cp = Checkpointer::every(1, Recorder::new());
+    let stats = coordinator.run(events.clone(), &mut cp);
+
+    assert_eq!(coordinator.spanning_stats(), SpanningStats::default());
+    assert_eq!(cp.checkpoints_taken(), 0);
+    assert!(
+        matches!(cp.last_error(), Some(StateError::Unsupported(_))),
+        "{:?}",
+        cp.last_error()
+    );
+    let forced = coordinator.checkpoint(cp.inner().snapshot());
+    assert!(
+        matches!(forced, Err(StateError::Unsupported(_))),
+        "{forced:?}"
+    );
+
+    let served = cp.inner().clone().finish("QUICKG", &stats).requests;
+    assert_eq!(
+        served[0].status,
+        RequestStatus::Rejected,
+        "#0 overflows home"
+    );
+    for (shard, local) in sharded.shards() {
+        let routed = events.iter().map(|e| SlotEvents {
+            slot: e.slot,
+            arrivals: e
+                .arrivals
+                .iter()
+                .filter(|r| sharded.home_of(r.ingress).shard == shard)
+                .map(|r| Request {
+                    ingress: sharded.home_of(r.ingress).local,
+                    ..r.clone()
+                })
+                .collect(),
+            churn: vec![],
+        });
+        let mut alone = Recorder::new();
+        let stats = run_stream_with(
+            &mut *quickg(local),
+            local,
+            routed,
+            &mut alone,
+            &mut ReembedAll,
+        );
+        let alone = alone.finish("QUICKG", &stats).requests;
+        assert_eq!(alone.len(), 2);
+        for o in alone {
+            let same = served.iter().find(|s| s.id == o.id).unwrap();
+            assert_eq!(same.status, o.status, "request {} in shard {shard:?}", o.id);
+        }
+    }
 }

@@ -496,8 +496,8 @@ impl EngineState {
     }
 
     /// Advances the engine through exactly one slot — the public
-    /// single-slot seam used by external drivers such as the
-    /// `vne-serve` actor. This is the *identical* per-slot code path
+    /// single-slot seam used by external drivers such as the shard
+    /// coordinator. This is the *identical* per-slot code path
     /// [`run_stream_with`] executes (slot assertion, departures, churn,
     /// algorithm step, counter fold, observer fan-out up to
     /// [`SimObserver::on_slot_end`]); `N` calls over the same slot
@@ -940,7 +940,7 @@ where
 /// Restores a checkpoint into a live [`EngineState`] without driving
 /// any events — the first half of every resume: follow it with
 /// [`EngineState::run`] over the events from [`EngineState::next_slot`]
-/// on, or (external drivers such as the `vne-serve` daemon) step the
+/// on, or (external drivers such as the shard coordinator) step the
 /// engine yourself via [`EngineState::step`]. `observer` is whatever owns
 /// the checkpoint's observer blob; it need not be the observer the
 /// resumed run is driven with.
@@ -994,9 +994,9 @@ where
 /// Everything one slot produces for the observer side: the decided
 /// arrival outcomes (in processing order), the preemption outcomes (in
 /// the algorithm's eviction order) and the slot metrics. Returned by
-/// [`EngineState::step`] so external drivers (the `vne-serve` actor, the
-/// shard coordinator) can route per-request decisions without a private
-/// copy of the slot loop.
+/// [`EngineState::step`] so external drivers (the shard coordinator)
+/// can route per-request decisions without a private copy of the slot
+/// loop.
 #[derive(Debug, Clone)]
 pub struct SlotStep {
     /// Decided arrival outcomes, in processing order (`Accepted` or

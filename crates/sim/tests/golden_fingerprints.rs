@@ -18,6 +18,7 @@ use vne_model::request::Slot;
 use vne_model::substrate::SearchStats;
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::bound::offline_revenue_bound;
+use vne_olive::fullg::{FullG, FullGStats};
 use vne_olive::olive::Olive;
 use vne_sim::engine::{RequestOutcome, SimControl, SimObserver, SlotMetrics};
 use vne_sim::observe::Inspect;
@@ -194,6 +195,53 @@ fn window_summaries_match_golden_fingerprints() {
             "summary drifted for {alg} at u={utilization}: {got:#018x} != {expected:#018x} \
              (arrivals {}, rejected {}, preempted {}, total cost {})",
             summary.arrivals, summary.rejected, summary.preempted, summary.total_cost
+        );
+    }
+}
+
+/// How FULLG reached its decisions over the whole online run of its two
+/// `GOLDEN` cells. The ILP fallback (`crates/lp/src/branch_bound.rs`)
+/// is taken on both and every one of these 13 calls ends in an accepted
+/// embedding (nothing is rejected): replacing it with LP rounding, or
+/// deleting it, moves these counters and the fingerprints above with
+/// them — a change of results, not a cleanup.
+const FULLG_PATHS: [(f64, FullGStats); 2] = [
+    (
+        1.0,
+        FullGStats {
+            dp_solved: 55,
+            dp_repaired: 0,
+            ilp_fallbacks: 2,
+            rejected: 0,
+        },
+    ),
+    (
+        1.4,
+        FullGStats {
+            dp_solved: 100,
+            dp_repaired: 7,
+            ilp_fallbacks: 11,
+            rejected: 0,
+        },
+    ),
+];
+
+#[test]
+fn fullg_solve_paths_match_golden_counters() {
+    for (utilization, expected) in FULLG_PATHS {
+        let mut paths = FullGStats::default();
+        let mut inspect = Inspect(|_: Slot, _: &SlotMetrics, alg: &dyn OnlineAlgorithm| {
+            let fullg = alg.as_any().and_then(|a| a.downcast_ref::<FullG>());
+            paths = fullg.expect("the FULLG spec builds a FullG").stats();
+        });
+        golden_scenario(utilization, 11).run_observed(Algorithm::Fullg, &mut inspect);
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("    ({utilization:.1}, {paths:?}),");
+            continue;
+        }
+        assert_eq!(
+            paths, expected,
+            "FULLG solve paths drifted at u={utilization}"
         );
     }
 }
