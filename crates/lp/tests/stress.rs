@@ -200,3 +200,115 @@ fn redundancy_stress() {
     // All mass on the cheapest cost class (cost 1): objective 10.
     assert_close(sol.objective, 10.0, 1e-6);
 }
+
+/// One solve of the bound-flip pin: iterations, objective bits, and an
+/// FNV-1a hash over the bits of the dual vector.
+fn solve_pin(sol: &vne_lp::solution::LpSolution) -> (usize, u64, u64) {
+    assert_eq!(sol.status, SolveStatus::Optimal);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in sol.duals.iter().flat_map(|d| d.to_bits().to_le_bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (sol.iterations, sol.objective.to_bits(), hash)
+}
+
+/// A Dantzig–Wolfe master in miniature: capacity rows (two of them
+/// drained to 0, so pivots through them are degenerate), one convexity
+/// row per class carrying ten `ub = 0.1` rejection quantiles, and three
+/// rounds of generated embedding columns. Most iterations are bound
+/// flips of the quantile variables.
+fn bound_flip_heavy_master(opts: SimplexOptions) -> Vec<(usize, u64, u64)> {
+    let (caps, classes, quantiles) = (12usize, 15usize, 10usize);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut rng = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut p = Problem::new();
+    for i in 0..caps {
+        let rhs = if i % 6 == 5 {
+            0.0
+        } else {
+            20.0 + 4.0 * i as f64
+        };
+        p.add_row(format!("cap{i}"), Relation::Le, rhs);
+    }
+    let demands: Vec<f64> = (0..classes).map(|_| 5.0 + 20.0 * rng()).collect();
+    for (k, &demand) in demands.iter().enumerate() {
+        let conv = p.add_row(format!("conv{k}"), Relation::Eq, 1.0);
+        for q in 1..=quantiles {
+            let v = p.add_var(
+                format!("rej{k}q{q}"),
+                3.0 * demand * q as f64,
+                0.0,
+                1.0 / quantiles as f64,
+            );
+            p.set_coeff(conv, v, 1.0);
+        }
+    }
+    let mut s = Simplex::with_options(&p, opts);
+    let mut pins = vec![solve_pin(&s.solve())];
+    for _round in 0..3 {
+        for (k, &demand) in demands.iter().enumerate() {
+            for _ in 0..2 {
+                // Distinct rows: a walk of stride 5 over the 12 capacity rows.
+                let hops = 2 + (rng() * 3.0) as usize;
+                let first = (rng() * caps as f64) as usize;
+                let mut coeffs: Vec<(usize, f64)> = (0..hops)
+                    .map(|h| ((first + 5 * h) % caps, demand * (0.5 + rng())))
+                    .collect();
+                coeffs.push((caps + k, 1.0));
+                s.add_column(demand * (1.0 + 4.0 * rng()), 0.0, f64::INFINITY, &coeffs);
+            }
+        }
+        pins.push(solve_pin(&s.reoptimize()));
+    }
+    pins
+}
+
+/// Per-solve iteration counts, objective bits and dual bits of the
+/// master above, captured before `Simplex::optimize` began to keep the
+/// duals and reduced costs across bound flips: under Dantzig pricing,
+/// under Bland's rule from the first degenerate pivot on, and with a
+/// refactorization every seven pivots.
+#[test]
+fn bound_flip_heavy_master_is_pinned() {
+    let dantzig = bound_flip_heavy_master(SimplexOptions::default());
+    let bland = bound_flip_heavy_master(SimplexOptions {
+        bland_trigger: 0,
+        ..SimplexOptions::default()
+    });
+    let refactoring = bound_flip_heavy_master(SimplexOptions {
+        refactor_every: 7,
+        ..SimplexOptions::default()
+    });
+    assert_eq!(
+        dantzig,
+        [
+            (179, 0x40a7_c824_a5cd_871a, 0xfa06_a1b1_33f8_19f6),
+            (75, 0x409a_1773_1b37_212b, 0xa4a6_86d6_39ca_274b),
+            (59, 0x4092_aac7_a3af_22c8, 0x18b5_45b4_07dd_3faf),
+            (48, 0x408d_b5c6_a403_d19b, 0xe6f1_90d6_0ccd_84ef),
+        ]
+    );
+    assert_eq!(
+        bland,
+        [
+            (291, 0x40a7_c824_a5cd_871a, 0xfa06_a1b1_33f8_19f6),
+            (84, 0x409a_1773_1b37_212c, 0xdf56_9ae2_6536_b3b7),
+            (63, 0x4092_aac7_a3af_22c8, 0x7b73_7004_ba61_ed06),
+            (49, 0x408d_b5c6_a403_d19a, 0xdb40_330c_cb7f_dbf4),
+        ]
+    );
+    assert_eq!(
+        refactoring,
+        [
+            (179, 0x40a7_c824_a5cd_871b, 0xfa06_a1b1_33f8_19f6),
+            (75, 0x409a_1773_1b37_212c, 0x2b2d_69ce_12d3_9e99),
+            (59, 0x4092_aac7_a3af_22c8, 0xb057_c303_5b0b_a950),
+            (48, 0x408d_b5c6_a403_d19b, 0x454d_985b_3f83_5b73),
+        ]
+    );
+}

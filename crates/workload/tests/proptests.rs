@@ -1,17 +1,87 @@
 //! Property-based tests for workload generation and statistics.
 
 use proptest::prelude::*;
+use rand::{Rng, RngCore};
 use vne_workload::dist::{Exponential, Normal, Poisson, Zipf};
 use vne_workload::estimator::{DemandEstimator, ExactEstimator, SketchEstimator};
 use vne_workload::history::ClassDemandSeries;
 use vne_workload::rng::SeededRng;
-use vne_workload::stats::{bootstrap_percentile, Ecdf};
+use vne_workload::stats::{bootstrap_percentile, BootstrapEstimate, Ecdf};
 
 use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::request::{Request, SlotEvents};
 
+/// The sort-per-replicate bootstrap, kept verbatim as the oracle of
+/// `bootstrap_matches_the_sort_per_replicate_reference`: one
+/// `gen_range(0..n)` per resampled element, one full sort per replicate.
+fn reference_bootstrap<R: Rng + ?Sized>(
+    sample: &[f64],
+    alpha: f64,
+    replicates: usize,
+    rng: &mut R,
+) -> BootstrapEstimate {
+    assert!(!sample.is_empty(), "bootstrap needs a non-empty sample");
+    assert!(replicates > 0, "bootstrap needs at least one replicate");
+    let n = sample.len();
+    let mut reps = Vec::with_capacity(replicates);
+    let mut resample = vec![0.0; n];
+    for _ in 0..replicates {
+        for slot in resample.iter_mut() {
+            *slot = sample[rng.gen_range(0..n)];
+        }
+        reps.push(Ecdf::new(resample.clone()).percentile(alpha));
+    }
+    let estimate = reps.iter().sum::<f64>() / reps.len() as f64;
+    let reps_ecdf = Ecdf::new(reps);
+    BootstrapEstimate {
+        estimate,
+        ci_low: reps_ecdf.percentile(2.5),
+        ci_high: reps_ecdf.percentile(97.5),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `bootstrap_percentile` returns the reference's three floats bit
+    /// for bit and leaves the RNG where the reference leaves it, over
+    /// the sample shapes a class series takes: distinct values, heavy
+    /// ties, all-zero, zero-inflated (with both signs of zero), one
+    /// observation.
+    #[test]
+    fn bootstrap_matches_the_sort_per_replicate_reference(
+        raw in proptest::collection::vec(0.0f64..100.0, 1..=300),
+        shape in 0u8..6,
+        alpha_pick in 0u8..8,
+        alpha_inner in 0.0f64..100.0,
+        replicates in 1usize..=20,
+        seed in any::<u64>(),
+    ) {
+        let sample: Vec<f64> = match shape {
+            0 => raw,
+            1 => raw.iter().map(|v| (v / 25.0).floor()).collect(),
+            2 => vec![0.0; raw.len()],
+            3 => raw.iter().map(|&v| if v < 70.0 { 0.0 } else { v }).collect(),
+            4 => raw
+                .iter()
+                .map(|&v| if v < 40.0 { 0.0 } else if v < 80.0 { -0.0 } else { v - 90.0 })
+                .collect(),
+            _ => raw[..1].to_vec(),
+        };
+        let alpha = match alpha_pick {
+            0 => 0.0,
+            1 => 100.0,
+            _ => alpha_inner,
+        };
+        let mut rng = SeededRng::new(seed);
+        let mut reference_rng = rng.clone();
+        let got = bootstrap_percentile(&sample, alpha, replicates, &mut rng);
+        let want = reference_bootstrap(&sample, alpha, replicates, &mut reference_rng);
+        prop_assert_eq!(got.estimate.to_bits(), want.estimate.to_bits());
+        prop_assert_eq!(got.ci_low.to_bits(), want.ci_low.to_bits());
+        prop_assert_eq!(got.ci_high.to_bits(), want.ci_high.to_bits());
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
+    }
 
     /// ECDF percentiles are monotone in alpha and bounded by the sample.
     #[test]
