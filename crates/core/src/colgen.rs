@@ -215,7 +215,7 @@ pub fn solve_plan_with_columns(
 
     for round in 0..config.max_rounds {
         stats.rounds = round + 1;
-        let duals = simplex.duals();
+        let duals = &sol.duals;
         let node_duals = &duals[..n_nodes];
         let link_duals = &duals[n_nodes..n_nodes + n_links];
         let adjusted = ElementCosts::from_duals(substrate, node_duals, link_duals);

@@ -9,7 +9,10 @@
 //!
 //! The implementation targets the problem sizes of PLAN-VNE masters
 //! (hundreds of rows, thousands of columns), where a dense `B⁻¹` is both
-//! simple and fast.
+//! simple and fast. More than half the iterations of such a master are
+//! bound flips of its `1/P`-bounded rejection quantiles; the duals and
+//! reduced costs are computed once per pivot and read again after every
+//! flip (the invariants are on `optimize`).
 
 use crate::problem::{Problem, Relation};
 use crate::solution::{LpSolution, SolveStatus};
@@ -383,19 +386,48 @@ impl Simplex {
     }
 
     /// The primal simplex loop for a given cost vector.
+    ///
+    /// # Reuse across bound flips
+    ///
+    /// The duals `y = c_B B⁻¹` and the reduced costs `d_j = c_j − y·A_j`
+    /// are functions of the basis, `B⁻¹`, `cost` and the columns alone.
+    /// An iteration that ends in a bound flip moves `x` and one
+    /// nonbasic `state` between `AtLower` and `AtUpper`, and touches none
+    /// of those, so the next iteration reads the `y` and `d` it would
+    /// recompute to the same bits. The set of columns pricing skips
+    /// (basic, fixed, artificial in phase 1) is equally unchanged, so a
+    /// `d_j` is cached exactly when it will be read. A pivot — the only
+    /// place `basis` and `binv` change here, `refactor` included — drops
+    /// both. Under Bland's rule pricing stops at the first eligible
+    /// column, so `priced` records how far `d` is filled and a later,
+    /// longer scan extends it. The cache is local to one call: nothing
+    /// outlives `optimize`, so `add_column`, `reoptimize` and `solve`
+    /// always start from a fresh `btran`.
     fn optimize(&mut self, cost: &[f64], phase1: bool) -> SolveStatus {
         let mut consecutive_degenerate = 0usize;
         let mut use_bland = false;
+        let mut y = Vec::new();
+        let mut d = vec![0.0; self.ncols()];
+        // `d[..priced]` holds the reduced costs under `y`; `None` after
+        // a pivot, when `y` itself is stale.
+        let mut priced: Option<usize> = None;
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return SolveStatus::Limit;
             }
             self.iterations += 1;
-            let y = self.btran(cost);
+            let cached = match priced {
+                Some(filled) => filled,
+                None => {
+                    y = self.btran(cost);
+                    0
+                }
+            };
 
             // Pricing.
             let mut entering: Option<(usize, f64, i8)> = None;
-            for j in 0..self.ncols() {
+            let mut scanned = self.ncols();
+            for (j, dj) in d.iter_mut().enumerate() {
                 match self.state[j] {
                     VarState::Basic => continue,
                     _ if self.lb[j] == self.ub[j] => continue, // fixed
@@ -405,16 +437,20 @@ impl Simplex {
                     // Never re-enter an artificial in phase 1.
                     continue;
                 }
-                let d = self.reduced_cost(j, &y, cost);
+                if j >= cached {
+                    *dj = self.reduced_cost(j, &y, cost);
+                }
+                let dj = *dj;
                 let (viol, dir) = match self.state[j] {
-                    VarState::AtLower => (-d, 1i8),
-                    VarState::AtUpper => (d, -1i8),
-                    VarState::FreeZero => (d.abs(), if d < 0.0 { 1 } else { -1 }),
+                    VarState::AtLower => (-dj, 1i8),
+                    VarState::AtUpper => (dj, -1i8),
+                    VarState::FreeZero => (dj.abs(), if dj < 0.0 { 1 } else { -1 }),
                     VarState::Basic => unreachable!(),
                 };
                 if viol > self.opts.opt_tol {
                     if use_bland {
                         entering = Some((j, viol, dir));
+                        scanned = j + 1;
                         break;
                     }
                     match entering {
@@ -498,6 +534,7 @@ impl Simplex {
                         VarState::AtUpper => VarState::AtLower,
                         s => s,
                     };
+                    priced = Some(cached.max(scanned));
                 }
                 Some(r) => {
                     // Update basic values, move j into the basis at row r.
@@ -525,6 +562,7 @@ impl Simplex {
                     if self.pivots_since_refactor >= self.opts.refactor_every {
                         self.refactor();
                     }
+                    priced = None;
                 }
             }
         }

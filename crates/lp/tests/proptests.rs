@@ -22,9 +22,9 @@ fn arb_le_lp() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>, Vec<f64>, Vec<
     })
 }
 
+// Default config (64 cases): `PROPTEST_CASES` scales these in the
+// nightly job; an explicit `with_cases` would pin the count.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn strong_duality_on_le_form_lps((c, a, b, u) in arb_le_lp()) {
         let n = c.len();

@@ -269,10 +269,11 @@ fn bound_flip_heavy_master(opts: SimplexOptions) -> Vec<(usize, u64, u64)> {
 }
 
 /// Per-solve iteration counts, objective bits and dual bits of the
-/// master above, captured before `Simplex::optimize` began to keep the
-/// duals and reduced costs across bound flips: under Dantzig pricing,
-/// under Bland's rule from the first degenerate pivot on, and with a
-/// refactorization every seven pivots.
+/// master above as a fresh `btran` and a full reduced-cost scan in every
+/// iteration produce them — what any reuse of duals or reduced costs
+/// across bound flips has to reproduce: under Dantzig pricing, under
+/// Bland's rule from the first degenerate pivot on (more iterations, so
+/// the rule did engage), and with a refactorization every seven pivots.
 #[test]
 fn bound_flip_heavy_master_is_pinned() {
     let dantzig = bound_flip_heavy_master(SimplexOptions::default());

@@ -637,6 +637,15 @@ impl Actor {
         if spec.duration == 0 {
             return Err("duration must be at least 1 slot".to_string());
         }
+        // The submission is decided in the slot now open, so this is
+        // the `arrival + duration` of `Request::departure`.
+        let departure = self.coordinator.next_slot() + u64::from(spec.duration);
+        if departure > u64::from(Slot::MAX) {
+            return Err(format!(
+                "departure slot {departure} is past the slot horizon {}",
+                Slot::MAX
+            ));
+        }
         Ok(())
     }
 

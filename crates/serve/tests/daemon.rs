@@ -733,6 +733,55 @@ fn graceful_shutdown_resumes_from_final_checkpoint_byte_identically() {
     let _ = std::fs::remove_file(&ckpt);
 }
 
+/// Hostile input: a duration whose departure slot does not fit `Slot`
+/// is refused with `ERR` at the door (unchecked, `arrival + duration`
+/// panics the actor in debug and wraps to a past departure in release).
+/// The refusal consumes no id and queues nothing, so the scripted run
+/// around it decides and fingerprints exactly as the clean one.
+#[test]
+fn a_departure_past_the_slot_horizon_is_refused_and_leaves_the_run_unchanged() {
+    let (clean_decisions, clean_fingerprint, ckpt) = reference_run("horizon-clean");
+    let _ = std::fs::remove_file(&ckpt);
+
+    let daemon = Daemon::start(&[]);
+    let mut submitter = daemon.client();
+    let mut control = daemon.client();
+    let mut hostile = daemon.client();
+    // A submit that is wrongly queued blocks until its slot closes:
+    // fail the read instead of hanging.
+    hostile
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let overflow = |duration: Slot| Command::Submit {
+        ingress: NodeId(0),
+        app: AppId(0),
+        demand: 1.0,
+        duration,
+    };
+    let mut decisions = Vec::new();
+    for s in 0..SCRIPT_SLOTS {
+        // At slot `s` the longest admissible duration is `Slot::MAX - s`.
+        if s >= 1 {
+            for duration in [Slot::MAX, Slot::MAX - s + 1] {
+                match hostile.send(&overflow(duration)) {
+                    Reply::Err(reason) => assert!(reason.contains("slot horizon"), "{reason}"),
+                    other => panic!("slot {s}: expected ERR, got {other:?}"),
+                }
+            }
+        }
+        decisions.push(scripted_slot(&mut submitter, &mut control, s).0);
+    }
+    assert_eq!(decisions, clean_decisions);
+    let stats = control.stats();
+    assert_eq!(stat(&stats, "fingerprint"), clean_fingerprint);
+    assert_eq!(stat(&stats, "submitted"), SCRIPT_SLOTS.to_string());
+    assert_eq!(stat(&stats, "pending"), "0");
+    drop((submitter, control, hostile));
+    daemon.shutdown();
+}
+
 /// The acceptance crash drill: SIGKILL the daemon mid-run, restart from
 /// the last durable checkpoint, replay the lost tail, and end with the
 /// same decisions, fingerprint, and checkpoint bytes as the

@@ -5,6 +5,31 @@
 //! bootstrapping \[25\], and checks whether online demand *conforms* to the
 //! history (the observed percentile falls inside the 95% bootstrap
 //! confidence interval of the estimate).
+//!
+//! # What the bootstrap reuses, and why it may
+//!
+//! [`bootstrap_percentile`] sorts the sample once and never sorts a
+//! resample. It rests on three facts, each pinned bit for bit against
+//! the sort-per-replicate reference in `tests/proptests.rs`:
+//!
+//! * **A resample is a multiset of ranks.** A percentile reads two order
+//!   statistics of the resample; those depend on how often each sample
+//!   element was drawn, not on the order of the draws. Counting the
+//!   draws per rank of the once-sorted sample and walking the counts to
+//!   the `⌊h⌋`-th and `⌈h⌉`-th element yields the two floats the sorted
+//!   resample held at those positions. Tied values are interchangeable:
+//!   `partial_cmp` ties are bit-equal except `0.0` / `-0.0`, and the
+//!   interpolation `lo + (hi − lo)·frac` gives the same bits for either
+//!   sign of a zero operand.
+//! * **The draws are `gen_range(0..n)`'s.** `UniformIndex` takes the
+//!   same two `next_u64` words per index, in the same order, and reduces
+//!   the 128-bit value they form modulo `n` in 64-bit arithmetic:
+//!   `((hi mod n)·(2⁶⁴ mod n) + lo mod n) mod n`, which cannot overflow
+//!   for `n < 2³²`. Longer samples go through `gen_range` itself.
+//! * **One formula.** `Ecdf::percentile` and the bootstrap share
+//!   `percentile_position` and apply the same interpolation expression,
+//!   so a replicate is the float `Ecdf::new(resample).percentile(alpha)`
+//!   would return.
 
 use rand::Rng;
 
@@ -59,16 +84,63 @@ impl Ecdf {
         if n == 1 {
             return self.sorted[0];
         }
-        let h = (alpha / 100.0) * (n - 1) as f64;
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        let frac = h - lo as f64;
+        let (lo, hi, frac) = percentile_position(alpha, n);
         self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac
     }
 
     /// The underlying sorted sample.
     pub fn values(&self) -> &[f64] {
         &self.sorted
+    }
+}
+
+/// Where the type-7 `alpha`-percentile of `n ≥ 2` observations sits:
+/// the order statistics `⌊h⌋` and `⌈h⌉` (0-based) and the weight of the
+/// upper one.
+fn percentile_position(alpha: f64, n: usize) -> (usize, usize, f64) {
+    let h = (alpha / 100.0) * (n - 1) as f64;
+    let lo = h.floor() as usize;
+    (lo, h.ceil() as usize, h - lo as f64)
+}
+
+/// `rng.gen_range(0..n)` without the 128-bit division: the same two
+/// `next_u64` words per draw, the same index.
+enum UniformIndex {
+    /// `n < 2³²`, where the 64-bit reduction is exact; `wrap` is
+    /// `2⁶⁴ mod n`.
+    Narrow { n: u64, wrap: u64 },
+    /// Every draw goes through `gen_range`.
+    Wide { n: usize },
+}
+
+impl UniformIndex {
+    fn new(n: usize) -> Self {
+        assert!(n > 0, "cannot sample empty range");
+        match u32::try_from(n) {
+            Ok(narrow) => {
+                let n = u64::from(narrow);
+                Self::Narrow {
+                    n,
+                    wrap: (u64::MAX % n + 1) % n,
+                }
+            }
+            Err(_) => Self::Wide { n },
+        }
+    }
+
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        match *self {
+            Self::Narrow { n, wrap } => {
+                // `gen_range` draws `(hi << 64 | lo) % n`. All three terms
+                // are below 2³², so the product plus `lo % n` stays below
+                // 2⁶⁴.
+                let hi = rng.next_u64();
+                let lo = rng.next_u64();
+                let index = ((hi % n) * wrap + lo % n) % n;
+                usize::try_from(index).expect("index < n, and n came from a usize")
+            }
+            Self::Wide { n } => rng.gen_range(0..n),
+        }
     }
 }
 
@@ -95,10 +167,14 @@ impl BootstrapEstimate {
 /// `replicates` resamples (the paper's Eq. 6 estimator; it uses the
 /// well-known percentile bootstrap \[25\]).
 ///
+/// Consumes `2 · n · replicates` words of `rng`, the draws of one
+/// `gen_range(0..n)` per resampled element. The sample is sorted once;
+/// a replicate counts its draws per rank (see the module docs).
+///
 /// # Panics
 ///
-/// Panics if the sample is empty, `replicates == 0`, or `alpha` is
-/// outside `[0, 100]`.
+/// Panics if the sample is empty or contains NaN, `replicates == 0`, or
+/// `alpha` is outside `[0, 100]`.
 pub fn bootstrap_percentile<R: Rng + ?Sized>(
     sample: &[f64],
     alpha: f64,
@@ -107,14 +183,50 @@ pub fn bootstrap_percentile<R: Rng + ?Sized>(
 ) -> BootstrapEstimate {
     assert!(!sample.is_empty(), "bootstrap needs a non-empty sample");
     assert!(replicates > 0, "bootstrap needs at least one replicate");
+    assert!((0.0..=100.0).contains(&alpha), "alpha must be in [0, 100]");
+    assert!(
+        sample.iter().all(|x| !x.is_nan()),
+        "bootstrap sample contains NaN"
+    );
     let n = sample.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| sample[a].partial_cmp(&sample[b]).expect("no NaN"));
+    let sorted: Vec<f64> = order.iter().map(|&i| sample[i]).collect();
+    let mut rank_of = vec![0usize; n];
+    for (rank, &i) in order.iter().enumerate() {
+        rank_of[i] = rank;
+    }
+    drop(order);
+
+    let index = UniformIndex::new(n);
+    // `Ecdf::percentile` returns a lone observation as it is.
+    let position = (n > 1).then(|| percentile_position(alpha, n));
+    let mut counts = vec![0usize; n];
     let mut reps = Vec::with_capacity(replicates);
-    let mut resample = vec![0.0; n];
     for _ in 0..replicates {
-        for slot in resample.iter_mut() {
-            *slot = sample[rng.gen_range(0..n)];
+        counts.fill(0);
+        for _ in 0..n {
+            counts[rank_of[index.draw(rng)]] += 1;
         }
-        reps.push(Ecdf::new(resample.clone()).percentile(alpha));
+        reps.push(if let Some((lo, hi, frac)) = position {
+            // Walk the ranks until `lo + 1`, then `hi + 1`, resampled
+            // elements are behind: the rank reached holds that order
+            // statistic. The counts sum to `n > hi`, so the walk ends.
+            let mut rank = 0;
+            let mut seen = counts[0];
+            while seen <= lo {
+                rank += 1;
+                seen += counts[rank];
+            }
+            let at_lo = sorted[rank];
+            while seen <= hi {
+                rank += 1;
+                seen += counts[rank];
+            }
+            at_lo + (sorted[rank] - at_lo) * frac
+        } else {
+            sorted[0]
+        });
     }
     let estimate = reps.iter().sum::<f64>() / reps.len() as f64;
     let reps_ecdf = Ecdf::new(reps);
@@ -200,6 +312,27 @@ mod tests {
         let a = bootstrap_percentile(&sample, 80.0, 100, &mut SeededRng::new(1));
         let b = bootstrap_percentile(&sample, 80.0, 100, &mut SeededRng::new(1));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn uniform_index_is_gen_range() {
+        use rand::RngCore;
+        for n in [1, 2, 3, 1000, 2700, u32::MAX as usize] {
+            let index = UniformIndex::new(n);
+            let mut rng = SeededRng::new(n as u64);
+            let mut reference = rng.clone();
+            for _ in 0..10_000 {
+                assert_eq!(index.draw(&mut rng), reference.gen_range(0..n), "n = {n}");
+            }
+            assert_eq!(rng.next_u64(), reference.next_u64(), "n = {n}");
+        }
+        // One past the 64-bit reduction's range: `gen_range` itself.
+        let n = u32::MAX as usize + 1;
+        assert!(matches!(UniformIndex::new(n), UniformIndex::Wide { .. }));
+        assert_eq!(
+            UniformIndex::new(n).draw(&mut SeededRng::new(3)),
+            SeededRng::new(3).gen_range(0..n)
+        );
     }
 
     #[test]

@@ -40,9 +40,8 @@ fn reference_bootstrap<R: Rng + ?Sized>(
     }
 }
 
+// Default config: `PROPTEST_CASES` scales this block in the nightly job.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     /// `bootstrap_percentile` returns the reference's three floats bit
     /// for bit and leaves the RNG where the reference leaves it, over
     /// the sample shapes a class series takes: distinct values, heavy
@@ -82,6 +81,10 @@ proptest! {
         prop_assert_eq!(got.ci_high.to_bits(), want.ci_high.to_bits());
         prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// ECDF percentiles are monotone in alpha and bounded by the sample.
     #[test]
