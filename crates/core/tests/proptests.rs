@@ -1,20 +1,22 @@
 //! Property-based tests for the OLIVE core: solver agreement, plan
 //! feasibility, online-algorithm invariants over random traces, the
-//! bounded greedy search against the full search it replaced, and the
-//! `process_slot` contract a spanning coordinator relies on.
+//! bounded greedy search against the full search it replaced, the
+//! pricing DP against the per-class DP it was before one table served
+//! every ingress of an application, and the `process_slot` contract a
+//! spanning coordinator relies on.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::embedding::{Embedding, Footprint};
-use vne_model::ids::{AppId, ClassId, NodeId, RequestId};
+use vne_model::ids::{AppId, ClassId, LinkId, NodeId, RequestId, VnodeId};
 use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::Request;
 use vne_model::state::Snapshot;
 use vne_model::substrate::{SubstrateNetwork, Tier};
-use vne_model::vnet::VirtualNetwork;
+use vne_model::vnet::{VirtualNetwork, VnfKind};
 use vne_olive::aggregate::AggregateDemand;
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::colgen::{solve_plan, PlanVneConfig};
@@ -22,7 +24,9 @@ use vne_olive::fullg::FullG;
 use vne_olive::greedy::collocated_embed;
 use vne_olive::olive::{Olive, OliveConfig};
 use vne_olive::planvne::solve_arc_lp;
-use vne_olive::pricing::{min_cost_embedding, ElementCosts};
+use vne_olive::pricing::{
+    min_cost_embedding, min_cost_embedding_with_exclusions, CapacityFilter, ElementCosts,
+};
 use vne_olive::slotoff::SlotOff;
 
 /// A small random tiered substrate (path backbone + extras), always
@@ -494,6 +498,300 @@ proptest! {
                 got.map(|(e, c)| (e.node_map().to_vec(), c)),
                 want.map(|(e, c)| (e.node_map().to_vec(), c)),
             ),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The pricing DP against the per-class DP it was
+// ---------------------------------------------------------------------
+
+const INF: f64 = f64::INFINITY;
+
+/// The body of `min_cost_embedding_with_exclusions` when every call ran
+/// the whole tree DP for its own ingress, kept verbatim as the oracle
+/// (with its private Dijkstra and heap entry below): bottom-up over
+/// every virtual node with the root pinned at `ingress`, one
+/// multi-source Dijkstra per virtual link, then the top-down walk.
+fn reference_min_cost_embedding(
+    substrate: &SubstrateNetwork,
+    vnet: &VirtualNetwork,
+    policy: &PlacementPolicy,
+    ingress: NodeId,
+    costs: &ElementCosts,
+    filter: Option<CapacityFilter<'_>>,
+    exclusions: &[(vne_model::ids::VnodeId, NodeId)],
+) -> Option<(Embedding, f64)> {
+    let n_sub = substrate.node_count();
+    let n_virt = vnet.node_count();
+    debug_assert_eq!(costs.node.len(), n_sub);
+    debug_assert_eq!(costs.link.len(), substrate.link_count());
+
+    // S[j][v], computed bottom-up.
+    let mut subtree = vec![vec![0.0f64; n_sub]; n_virt];
+    // For each virtual link e: the Dijkstra predecessor forest and the
+    // arrival cost M (indexed by substrate node).
+    let mut preds: Vec<Vec<Option<(NodeId, LinkId)>>> = vec![vec![None; n_sub]; vnet.link_count()];
+    let mut transfer = vec![vec![INF; n_sub]; vnet.link_count()];
+
+    let order = vnet.bfs_order();
+    for &v in order.iter().rev() {
+        let vnf = vnet.node(v);
+        // Placement cost of v on each substrate node.
+        let mut cost_here = vec![INF; n_sub];
+        for (u, node) in substrate.nodes() {
+            if v == VirtualNetwork::ROOT && u != ingress {
+                continue; // (11): the root may only sit at the ingress.
+            }
+            if exclusions.iter().any(|&(xv, xu)| xv == v && xu == u) {
+                continue;
+            }
+            let Some(eta) = policy.node_eta(vnf, node) else {
+                continue;
+            };
+            if let Some(f) = &filter {
+                let need = f.demand * vnf.beta * eta;
+                if need > 0.0 && f.ledger.node_residual(u) < need {
+                    continue;
+                }
+            }
+            cost_here[u.index()] = vnf.beta * eta * costs.node[u.index()];
+        }
+        // Children transfers were computed in earlier (deeper) iterations.
+        for &c in vnet.children(v) {
+            let (_, e) = vnet.parent(c).expect("child has a parent");
+            let m = &transfer[e.index()];
+            for u in 0..n_sub {
+                if cost_here[u].is_finite() {
+                    cost_here[u] = if m[u].is_finite() {
+                        cost_here[u] + m[u]
+                    } else {
+                        INF
+                    };
+                }
+            }
+        }
+        subtree[v.index()] = cost_here;
+
+        // Propagate to the parent via a multi-source Dijkstra over the
+        // connecting virtual link, unless v is the root.
+        if let Some((_, e)) = vnet.parent(v) {
+            let vlink = vnet.link(e);
+            let (m, pred) = reference_multi_source_dijkstra(substrate, &subtree[v.index()], |l| {
+                let link = substrate.link(l);
+                let eta = policy.link_eta(vlink, link)?;
+                if let Some(f) = &filter {
+                    let need = f.demand * vlink.beta * eta;
+                    if need > 0.0 && f.ledger.link_residual(l) < need {
+                        return None;
+                    }
+                }
+                Some(vlink.beta * eta * costs.link[l.index()])
+            });
+            transfer[e.index()] = m;
+            preds[e.index()] = pred;
+        }
+    }
+
+    let total = subtree[VirtualNetwork::ROOT.index()][ingress.index()];
+    if !total.is_finite() {
+        return None;
+    }
+
+    // Reconstruction, top-down.
+    let mut node_map = vec![NodeId(0); n_virt];
+    let mut link_paths = vec![Vec::new(); vnet.link_count()];
+    node_map[VirtualNetwork::ROOT.index()] = ingress;
+    let mut stack = vec![VirtualNetwork::ROOT];
+    while let Some(v) = stack.pop() {
+        let host = node_map[v.index()];
+        for &c in vnet.children(v) {
+            let (_, e) = vnet.parent(c).expect("child has a parent");
+            // Walk the predecessor forest from the parent's host back to
+            // the Dijkstra source (the child's host).
+            let mut path = Vec::new();
+            let mut cur = host;
+            while let Some((prev, l)) = preds[e.index()][cur.index()] {
+                path.push(l);
+                cur = prev;
+            }
+            node_map[c.index()] = cur;
+            link_paths[e.index()] = path;
+            stack.push(c);
+        }
+    }
+
+    let embedding = Embedding::new(node_map, link_paths);
+    debug_assert!(embedding.validate(vnet, substrate, policy).is_ok());
+    Some((embedding, total))
+}
+
+/// Multi-source Dijkstra: given initial costs `seed[v]` (∞ = not a
+/// source) and a link-weight function (`None` = unusable), returns per
+/// node the minimum of `seed[v] + pathcost(v→u)` and the predecessor
+/// pointers (`None` at sources).
+fn reference_multi_source_dijkstra<F>(
+    substrate: &SubstrateNetwork,
+    seed: &[f64],
+    mut weight: F,
+) -> (Vec<f64>, Vec<Option<(NodeId, LinkId)>>)
+where
+    F: FnMut(LinkId) -> Option<f64>,
+{
+    let n = substrate.node_count();
+    let mut dist = vec![INF; n];
+    let mut pred: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+    let mut heap = std::collections::BinaryHeap::new();
+    for (i, &s) in seed.iter().enumerate() {
+        if s.is_finite() {
+            dist[i] = s;
+            heap.push(ReferenceEntry {
+                dist: s,
+                node: NodeId::from_index(i),
+            });
+        }
+    }
+    while let Some(ReferenceEntry { dist: d, node: u }) = heap.pop() {
+        if d > dist[u.index()] {
+            continue;
+        }
+        for &(v, l) in substrate.neighbors(u) {
+            let Some(w) = weight(l) else { continue };
+            let nd = d + w;
+            if nd < dist[v.index()] - 1e-15 {
+                dist[v.index()] = nd;
+                pred[v.index()] = Some((u, l));
+                heap.push(ReferenceEntry { dist: nd, node: v });
+            }
+        }
+    }
+    (dist, pred)
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ReferenceEntry {
+    dist: f64,
+    node: NodeId,
+}
+impl PartialEq for ReferenceEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.dist == other.dist && self.node == other.node
+    }
+}
+impl Eq for ReferenceEntry {}
+impl PartialOrd for ReferenceEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for ReferenceEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .dist
+            .partial_cmp(&self.dist)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+/// A tree whose root has two children, so the root's own step of the DP
+/// sums more than one child transfer; sizes that are not dyadic, so the
+/// order of that sum shows in the last bit.
+fn wide_root_tree() -> VirtualNetwork {
+    let mut vn = VirtualNetwork::with_root();
+    let (a, _) = vn
+        .add_vnf(VirtualNetwork::ROOT, VnfKind::Standard, 6.1, 0.3)
+        .unwrap();
+    vn.add_vnf(VirtualNetwork::ROOT, VnfKind::Standard, 9.3, 0.7)
+        .unwrap();
+    vn.add_vnf(a, VnfKind::Standard, 4.7, 1.1).unwrap();
+    vn
+}
+
+proptest! {
+    /// Every edge ingress of an application, priced under one cost
+    /// vector, gets what the per-class DP gave it: `None` together, or
+    /// the same embedding and the same cost bit for bit — under the real
+    /// costs and under dual-like costs (a third exactly zero, a third on
+    /// a coarse grid, so whole paths tie and the tie rule picks the
+    /// predecessor), with and without a capacity filter over a ledger
+    /// whose elements are empty, half full or full, and with and without
+    /// exclusions, one of them on `(ROOT, ingress)`.
+    #[test]
+    fn shared_pricing_equals_per_class_dp(
+        s in arb_substrate(),
+        // Nodes take the first 8 draws, links the other 12 (`arb_substrate`
+        // builds at most 8 nodes and 7 + 5 links).
+        dual_like in proptest::collection::vec((0u8..3, 0.0f64..60.0), 20),
+        fill in proptest::collection::vec(0u8..3, 20),
+        demand in 0.05f64..1.5,
+        (root_pick, vnode_pick, node_pick, second) in (any::<u16>(), any::<u16>(), any::<u16>(), any::<bool>()),
+    ) {
+        let policy = PlacementPolicy::default();
+        let edge = s.edge_nodes();
+        let vnets: Vec<VirtualNetwork> = small_apps()
+            .iter()
+            .map(|app| app.vnet.clone())
+            .chain([wide_root_tree()])
+            .collect();
+
+        let draw = |i: usize| match dual_like[i] {
+            (0, _) => 0.0,
+            (1, x) => (x / 10.0).floor() * 10.0,
+            (_, x) => x,
+        };
+        let cost_vectors = [
+            ElementCosts::from_substrate(&s),
+            ElementCosts {
+                node: (0..s.node_count()).map(draw).collect(),
+                link: (0..s.link_count()).map(|l| draw(8 + l)).collect(),
+            },
+        ];
+
+        let level = |mode: u8, capacity: f64| f64::from(mode) * 0.5 * capacity;
+        let mut ledger = LoadLedger::new(&s);
+        ledger.apply(
+            &Footprint::from_parts(
+                s.nodes().map(|(id, n)| (id, level(fill[id.index()], n.capacity))).collect(),
+                s.links().map(|(id, l)| (id, level(fill[8 + id.index()], l.capacity))).collect(),
+            ),
+            1.0,
+        );
+        // In units of "one edge node filled by a two-VNF chain", as in
+        // `one_candidate_offers_equal_the_whole_slot`.
+        let filter = CapacityFilter {
+            ledger: &ledger,
+            demand: demand * s.node(edge[0]).capacity / 20.0,
+        };
+
+        for vnet in &vnets {
+            let mut excluded = vec![(VirtualNetwork::ROOT, edge[root_pick as usize % edge.len()])];
+            if second {
+                excluded.push((
+                    VnodeId::from_index(1 + vnode_pick as usize % vnet.vnf_count()),
+                    NodeId::from_index(node_pick as usize % s.node_count()),
+                ));
+            }
+            for costs in &cost_vectors {
+                for filter in [None, Some(filter)] {
+                    for exclusions in [&[][..], &excluded[..]] {
+                        for &ingress in &edge {
+                            let got = min_cost_embedding_with_exclusions(
+                                &s, vnet, &policy, ingress, costs, filter, exclusions,
+                            );
+                            let want = reference_min_cost_embedding(
+                                &s, vnet, &policy, ingress, costs, filter, exclusions,
+                            );
+                            prop_assert_eq!(
+                                got.map(|(e, c)| (e, c.to_bits())),
+                                want.map(|(e, c)| (e, c.to_bits())),
+                                "ingress {} of a {}-node tree, filter {}, {} exclusions",
+                                ingress, vnet.node_count(), filter.is_some(), exclusions.len()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

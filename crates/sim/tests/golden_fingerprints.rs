@@ -20,6 +20,7 @@ use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::bound::offline_revenue_bound;
 use vne_olive::fullg::{FullG, FullGStats};
 use vne_olive::olive::Olive;
+use vne_olive::slotoff::SlotOff;
 use vne_sim::engine::{RequestOutcome, SimControl, SimObserver, SlotMetrics};
 use vne_sim::observe::Inspect;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
@@ -242,6 +243,34 @@ fn fullg_solve_paths_match_golden_counters() {
         assert_eq!(
             paths, expected,
             "FULLG solve paths drifted at u={utilization}"
+        );
+    }
+}
+
+/// Column-generation rounds SLOTOFF ran over the whole online run of its
+/// two `GOLDEN` cells. A round is one pass of the pricing DP over every
+/// class; a change to the DP that moved a predecessor tie or a cost bit
+/// without moving a window summary would still add or drop a round here.
+const SLOTOFF_ROUNDS: [(f64, usize); 2] = [(1.0, 31), (1.4, 35)];
+
+#[test]
+fn slotoff_pricing_rounds_match_golden_counters() {
+    for (utilization, expected) in SLOTOFF_ROUNDS {
+        let mut rounds = 0;
+        let mut inspect = Inspect(|_: Slot, _: &SlotMetrics, alg: &dyn OnlineAlgorithm| {
+            let slotoff = alg.as_any().and_then(|a| a.downcast_ref::<SlotOff>());
+            rounds = slotoff
+                .expect("the SLOTOFF spec builds a SlotOff")
+                .total_rounds;
+        });
+        golden_scenario(utilization, 11).run_observed(Algorithm::SlotOff, &mut inspect);
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("    ({utilization:.1}, {rounds}),");
+            continue;
+        }
+        assert_eq!(
+            rounds, expected,
+            "SLOTOFF column-generation rounds drifted at u={utilization}"
         );
     }
 }
