@@ -15,12 +15,14 @@
 //!
 //! The pricing problem — a cheapest embedding under dual-adjusted element
 //! costs `cost(s) − π_s` — is solved exactly by the tree-DP of
-//! [`crate::pricing`]. The solution arrives directly as integral
-//! embedding columns with weights: exactly the [`Plan`] OLIVE consumes.
-//! The rejection quantiles implement the paper's water-filling: each
-//! extra `1/P` of rejected demand costs progressively more (`p·ψ`), so
-//! the optimizer spreads rejection evenly across classes instead of
-//! starving one of them.
+//! [`crate::pricing`]: a round builds one [`AppPricing`] table per
+//! application and asks it for each of that application's ingresses,
+//! because only the root's step of the DP depends on the ingress. The
+//! solution arrives directly as integral embedding columns with weights:
+//! exactly the [`Plan`] OLIVE consumes. The rejection quantiles implement
+//! the paper's water-filling: each extra `1/P` of rejected demand costs
+//! progressively more (`p·ψ`), so the optimizer spreads rejection evenly
+//! across classes instead of starving one of them.
 
 use std::collections::HashMap;
 
@@ -28,14 +30,14 @@ use vne_lp::problem::{Problem, Relation, RowId};
 use vne_lp::simplex::{Simplex, SimplexOptions};
 use vne_lp::solution::SolveStatus;
 use vne_model::app::AppSet;
-use vne_model::embedding::Embedding;
+use vne_model::embedding::{Embedding, Footprint};
 use vne_model::ids::ClassId;
 use vne_model::policy::PlacementPolicy;
 use vne_model::substrate::SubstrateNetwork;
 
 use crate::aggregate::AggregateDemand;
 use crate::plan::{ClassPlan, Plan, PlannedColumn};
-use crate::pricing::{min_cost_embedding, ElementCosts};
+use crate::pricing::{AppPricing, ElementCosts};
 
 /// Parameters of the PLAN-VNE solver.
 #[derive(Debug, Clone)]
@@ -159,10 +161,19 @@ pub fn solve_plan_with_columns(
     struct ColumnInfo {
         class_idx: usize,
         embedding: Embedding,
+        footprint: Footprint,
         unit_cost: f64,
     }
     let mut registry: Vec<ColumnInfo> = Vec::new();
-    let mut seen: HashMap<(usize, Embedding), ()> = HashMap::new();
+    // Per class, the registry indices of its columns: a class holds a
+    // handful, so "already a column?" is a scan over them and the
+    // registry stays the one owner of every embedding.
+    let mut class_columns: Vec<Vec<usize>> = vec![Vec::new(); classes.len()];
+    let is_column = |registry: &[ColumnInfo], of_class: &[usize], embedding: &Embedding| {
+        of_class
+            .iter()
+            .any(|&i| registry[i].embedding == *embedding)
+    };
 
     // Warm-start columns go straight into the master before the first
     // solve (deduplicated, invalid classes skipped).
@@ -175,7 +186,7 @@ pub fn solve_plan_with_columns(
         let Some(&k) = class_index.get(class) else {
             continue;
         };
-        if seen.contains_key(&(k, embedding.clone())) {
+        if is_column(&registry, &class_columns[k], embedding) {
             continue;
         }
         let agg = &classes[k];
@@ -200,10 +211,11 @@ pub fn solve_plan_with_columns(
             f64::INFINITY,
             &coeffs,
         );
-        seen.insert((k, embedding.clone()), ());
+        class_columns[k].push(registry.len());
         registry.push(ColumnInfo {
             class_idx: k,
             embedding: embedding.clone(),
+            footprint,
             unit_cost,
         });
     }
@@ -220,20 +232,26 @@ pub fn solve_plan_with_columns(
         let link_duals = &duals[n_nodes..n_nodes + n_links];
         let adjusted = ElementCosts::from_duals(substrate, node_duals, link_duals);
 
+        // One table per application, built when its first class is
+        // priced and dropped with the round: the next duals change the
+        // costs it was built under.
+        let mut tables: Vec<Option<AppPricing<'_>>> = (0..apps.len()).map(|_| None).collect();
+
         let mut added = 0usize;
         for (k, agg) in classes.iter().enumerate() {
             let mu = duals[n_nodes + n_links + k];
             let vnet = apps.vnet(agg.class.app);
-            let Some((embedding, adj_cost)) =
-                min_cost_embedding(substrate, vnet, policy, agg.class.ingress, &adjusted, None)
-            else {
+            let table = tables[agg.class.app.index()].get_or_insert_with(|| {
+                AppPricing::new(substrate, vnet, policy, &adjusted, None, &[])
+            });
+            let Some((embedding, adj_cost)) = table.embed_from(agg.class.ingress) else {
                 continue;
             };
             let reduced = agg.demand * adj_cost - mu;
             if reduced >= -config.reduced_cost_tol {
                 continue;
             }
-            if seen.contains_key(&(k, embedding.clone())) {
+            if is_column(&registry, &class_columns[k], &embedding) {
                 continue;
             }
             let footprint = embedding.footprint(vnet, substrate, policy);
@@ -249,10 +267,11 @@ pub fn solve_plan_with_columns(
             }
             coeffs.push((conv_rows[k].0, 1.0));
             simplex.add_column(agg.demand * unit_cost, 0.0, f64::INFINITY, &coeffs);
-            seen.insert((k, embedding.clone()), ());
+            class_columns[k].push(registry.len());
             registry.push(ColumnInfo {
                 class_idx: k,
                 embedding,
+                footprint,
                 unit_cost,
             });
             added += 1;
@@ -270,19 +289,16 @@ pub fn solve_plan_with_columns(
     // ---- Extract the plan.
     let values = simplex.values();
     let mut per_class_columns: Vec<Vec<PlannedColumn>> = vec![Vec::new(); classes.len()];
-    for (i, info) in registry.iter().enumerate() {
+    for (i, info) in registry.into_iter().enumerate() {
         let share = values[n_quantile_vars + i];
         if share <= 1e-9 {
             continue;
         }
-        let agg = &classes[info.class_idx];
-        let vnet = apps.vnet(agg.class.app);
-        let footprint = info.embedding.footprint(vnet, substrate, policy);
         per_class_columns[info.class_idx].push(PlannedColumn {
-            embedding: info.embedding.clone(),
-            footprint,
+            embedding: info.embedding,
+            footprint: info.footprint,
             share,
-            budget: share * agg.demand,
+            budget: share * classes[info.class_idx].demand,
             unit_cost: info.unit_cost,
         });
     }

@@ -14,10 +14,36 @@
 //! virtual node `j` given `j` is hosted on substrate node `v`, and the
 //! child transfer `M[c][u] = min_v (pathcost(u→v) + S[c][v])` is computed
 //! for all `u` simultaneously by one multi-source Dijkstra per virtual
-//! link. Complexity: `O(|G_a| · |E_S| log |V_S|)` per embedding.
+//! link.
+//!
+//! # One table per application, one root step per ingress
+//!
+//! The DP has two halves, and only the second knows the ingress:
+//!
+//! * [`AppPricing::new`] runs bottom-up over every *non-root* virtual
+//!   node: placement costs, child transfers, one Dijkstra per virtual
+//!   link and its predecessor forest. `O(|G_a| · |E_S| log |V_S|)`.
+//! * [`AppPricing::embed_from`] is the root's step — θ is pinned at the
+//!   ingress (constraint (11)), so `S[θ]` is needed at that one node: its
+//!   placement cost plus the transfers of `children(θ)`, summed in their
+//!   order — and then the top-down walk of the predecessor forests.
+//!   `O(|G_a| + path lengths)`.
+//!
+//! Sharing invariant: the first half has no ingress to read (`new` takes
+//! none), and the second half evaluates `S[θ]` at no node but its own
+//! ingress — the per-class DP this replaced filled `S[θ][u]` with `∞` at
+//! every `u ≠ ingress` and never read those entries. A table therefore
+//! answers any number of ingresses with the embedding and the `f64` a
+//! table built for that ingress alone returns ([`min_cost_embedding`] is
+//! exactly that: a table used once). A column-generation round over
+//! classes (application × ingress) builds `|apps|` tables and takes
+//! `|classes|` root steps and walks, not `|classes|` whole DPs — the same
+//! columns in the same order, hence the same pivots and plans. A table
+//! borrows its cost vector, so it cannot outlive the round whose duals
+//! made the costs.
 
 use vne_model::embedding::Embedding;
-use vne_model::ids::{LinkId, NodeId};
+use vne_model::ids::{LinkId, NodeId, VnodeId};
 use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::substrate::SubstrateNetwork;
@@ -70,7 +96,162 @@ pub struct CapacityFilter<'a> {
 
 const INF: f64 = f64::INFINITY;
 
-/// Finds a minimum-cost embedding of `vnet` rooted at `ingress`.
+/// The ingress-independent half of the tree DP for one application under
+/// one cost vector, filter and exclusion list (see the module doc): the
+/// child transfers `M` and the predecessor forests of every virtual
+/// link. [`AppPricing::embed_from`] answers one ingress from it.
+#[derive(Debug)]
+pub struct AppPricing<'a> {
+    substrate: &'a SubstrateNetwork,
+    vnet: &'a VirtualNetwork,
+    policy: &'a PlacementPolicy,
+    costs: &'a ElementCosts,
+    filter: Option<CapacityFilter<'a>>,
+    exclusions: &'a [(VnodeId, NodeId)],
+    /// For each virtual link `e = (j, c)`: the arrival cost
+    /// `M[c][u]` (indexed by the substrate node `u` hosting `j`).
+    transfer: Vec<Vec<f64>>,
+    /// For each virtual link: the Dijkstra predecessor forest, rooted at
+    /// the hosts of its child end.
+    preds: Vec<Vec<Option<(NodeId, LinkId)>>>,
+}
+
+impl<'a> AppPricing<'a> {
+    /// Builds the table bottom-up over every non-root virtual node.
+    ///
+    /// With a [`CapacityFilter`], per-element feasibility is enforced for
+    /// each virtual element separately; the caller must re-check the joint
+    /// footprint (several virtual elements may share one substrate
+    /// element). The listed `(virtual node, substrate node)` assignments
+    /// are forbidden.
+    pub fn new(
+        substrate: &'a SubstrateNetwork,
+        vnet: &'a VirtualNetwork,
+        policy: &'a PlacementPolicy,
+        costs: &'a ElementCosts,
+        filter: Option<CapacityFilter<'a>>,
+        exclusions: &'a [(VnodeId, NodeId)],
+    ) -> Self {
+        let n_sub = substrate.node_count();
+        debug_assert_eq!(costs.node.len(), n_sub);
+        debug_assert_eq!(costs.link.len(), substrate.link_count());
+        let mut table = Self {
+            substrate,
+            vnet,
+            policy,
+            costs,
+            filter,
+            exclusions,
+            transfer: vec![vec![INF; n_sub]; vnet.link_count()],
+            preds: vec![vec![None; n_sub]; vnet.link_count()],
+        };
+
+        for &v in vnet.bfs_order().iter().rev() {
+            // The root has no link to propagate over: its step is
+            // `embed_from`'s.
+            let Some((_, e)) = vnet.parent(v) else {
+                continue;
+            };
+            // Children transfers were computed in earlier (deeper)
+            // iterations.
+            let subtree: Vec<f64> = substrate
+                .nodes()
+                .map(|(u, _)| table.subtree_cost(v, u))
+                .collect();
+            // Propagate to the parent via a multi-source Dijkstra over
+            // the connecting virtual link.
+            let vlink = vnet.link(e);
+            let (m, pred) = multi_source_dijkstra(substrate, &subtree, |l| {
+                let link = substrate.link(l);
+                let eta = policy.link_eta(vlink, link)?;
+                if let Some(f) = &filter {
+                    let need = f.demand * vlink.beta * eta;
+                    if need > 0.0 && f.ledger.link_residual(l) < need {
+                        return None;
+                    }
+                }
+                Some(vlink.beta * eta * costs.link[l.index()])
+            });
+            table.transfer[e.index()] = m;
+            table.preds[e.index()] = pred;
+        }
+        table
+    }
+
+    /// `S[v][u]`: the placement cost of `v` on `u` plus the transfers of
+    /// `v`'s children in their order; `∞` when `v` may not sit on `u` or
+    /// a child cannot be reached from there.
+    fn subtree_cost(&self, v: VnodeId, u: NodeId) -> f64 {
+        if self.exclusions.iter().any(|&(xv, xu)| xv == v && xu == u) {
+            return INF;
+        }
+        let vnf = self.vnet.node(v);
+        let Some(eta) = self.policy.node_eta(vnf, self.substrate.node(u)) else {
+            return INF;
+        };
+        if let Some(f) = &self.filter {
+            let need = f.demand * vnf.beta * eta;
+            if need > 0.0 && f.ledger.node_residual(u) < need {
+                return INF;
+            }
+        }
+        let mut cost = vnf.beta * eta * self.costs.node[u.index()];
+        for &c in self.vnet.children(v) {
+            let (_, e) = self.vnet.parent(c).expect("child has a parent");
+            let m = self.transfer[e.index()][u.index()];
+            if !m.is_finite() {
+                return INF;
+            }
+            cost += m;
+        }
+        cost
+    }
+
+    /// The minimum-cost embedding rooted at `ingress` and its cost *under
+    /// the table's element costs*, per unit demand. `None` when no
+    /// feasible embedding exists (placement restrictions, an exclusion on
+    /// `(ROOT, ingress)` or, with a filter, insufficient capacity).
+    pub fn embed_from(&self, ingress: NodeId) -> Option<(Embedding, f64)> {
+        let vnet = self.vnet;
+        // (11): the root may only sit at the ingress.
+        let total = self.subtree_cost(VirtualNetwork::ROOT, ingress);
+        if !total.is_finite() {
+            return None;
+        }
+
+        // Reconstruction, top-down.
+        let mut node_map = vec![NodeId(0); vnet.node_count()];
+        let mut link_paths = vec![Vec::new(); vnet.link_count()];
+        node_map[VirtualNetwork::ROOT.index()] = ingress;
+        let mut stack = vec![VirtualNetwork::ROOT];
+        while let Some(v) = stack.pop() {
+            let host = node_map[v.index()];
+            for &c in vnet.children(v) {
+                let (_, e) = vnet.parent(c).expect("child has a parent");
+                // Walk the predecessor forest from the parent's host back to
+                // the Dijkstra source (the child's host).
+                let mut path = Vec::new();
+                let mut cur = host;
+                while let Some((prev, l)) = self.preds[e.index()][cur.index()] {
+                    path.push(l);
+                    cur = prev;
+                }
+                node_map[c.index()] = cur;
+                link_paths[e.index()] = path;
+                stack.push(c);
+            }
+        }
+
+        let embedding = Embedding::new(node_map, link_paths);
+        debug_assert!(embedding
+            .validate(vnet, self.substrate, self.policy)
+            .is_ok());
+        Some((embedding, total))
+    }
+}
+
+/// Finds a minimum-cost embedding of `vnet` rooted at `ingress`: an
+/// [`AppPricing`] table used for one ingress.
 ///
 /// Returns the embedding and its cost *under the given element costs*,
 /// per unit demand. Returns `None` when no feasible embedding exists
@@ -101,110 +282,9 @@ pub fn min_cost_embedding_with_exclusions(
     ingress: NodeId,
     costs: &ElementCosts,
     filter: Option<CapacityFilter<'_>>,
-    exclusions: &[(vne_model::ids::VnodeId, NodeId)],
+    exclusions: &[(VnodeId, NodeId)],
 ) -> Option<(Embedding, f64)> {
-    let n_sub = substrate.node_count();
-    let n_virt = vnet.node_count();
-    debug_assert_eq!(costs.node.len(), n_sub);
-    debug_assert_eq!(costs.link.len(), substrate.link_count());
-
-    // S[j][v], computed bottom-up.
-    let mut subtree = vec![vec![0.0f64; n_sub]; n_virt];
-    // For each virtual link e: the Dijkstra predecessor forest and the
-    // arrival cost M (indexed by substrate node).
-    let mut preds: Vec<Vec<Option<(NodeId, LinkId)>>> = vec![vec![None; n_sub]; vnet.link_count()];
-    let mut transfer = vec![vec![INF; n_sub]; vnet.link_count()];
-
-    let order = vnet.bfs_order();
-    for &v in order.iter().rev() {
-        let vnf = vnet.node(v);
-        // Placement cost of v on each substrate node.
-        let mut cost_here = vec![INF; n_sub];
-        for (u, node) in substrate.nodes() {
-            if v == VirtualNetwork::ROOT && u != ingress {
-                continue; // (11): the root may only sit at the ingress.
-            }
-            if exclusions.iter().any(|&(xv, xu)| xv == v && xu == u) {
-                continue;
-            }
-            let Some(eta) = policy.node_eta(vnf, node) else {
-                continue;
-            };
-            if let Some(f) = &filter {
-                let need = f.demand * vnf.beta * eta;
-                if need > 0.0 && f.ledger.node_residual(u) < need {
-                    continue;
-                }
-            }
-            cost_here[u.index()] = vnf.beta * eta * costs.node[u.index()];
-        }
-        // Children transfers were computed in earlier (deeper) iterations.
-        for &c in vnet.children(v) {
-            let (_, e) = vnet.parent(c).expect("child has a parent");
-            let m = &transfer[e.index()];
-            for u in 0..n_sub {
-                if cost_here[u].is_finite() {
-                    cost_here[u] = if m[u].is_finite() {
-                        cost_here[u] + m[u]
-                    } else {
-                        INF
-                    };
-                }
-            }
-        }
-        subtree[v.index()] = cost_here;
-
-        // Propagate to the parent via a multi-source Dijkstra over the
-        // connecting virtual link, unless v is the root.
-        if let Some((_, e)) = vnet.parent(v) {
-            let vlink = vnet.link(e);
-            let (m, pred) = multi_source_dijkstra(substrate, &subtree[v.index()], |l| {
-                let link = substrate.link(l);
-                let eta = policy.link_eta(vlink, link)?;
-                if let Some(f) = &filter {
-                    let need = f.demand * vlink.beta * eta;
-                    if need > 0.0 && f.ledger.link_residual(l) < need {
-                        return None;
-                    }
-                }
-                Some(vlink.beta * eta * costs.link[l.index()])
-            });
-            transfer[e.index()] = m;
-            preds[e.index()] = pred;
-        }
-    }
-
-    let total = subtree[VirtualNetwork::ROOT.index()][ingress.index()];
-    if !total.is_finite() {
-        return None;
-    }
-
-    // Reconstruction, top-down.
-    let mut node_map = vec![NodeId(0); n_virt];
-    let mut link_paths = vec![Vec::new(); vnet.link_count()];
-    node_map[VirtualNetwork::ROOT.index()] = ingress;
-    let mut stack = vec![VirtualNetwork::ROOT];
-    while let Some(v) = stack.pop() {
-        let host = node_map[v.index()];
-        for &c in vnet.children(v) {
-            let (_, e) = vnet.parent(c).expect("child has a parent");
-            // Walk the predecessor forest from the parent's host back to
-            // the Dijkstra source (the child's host).
-            let mut path = Vec::new();
-            let mut cur = host;
-            while let Some((prev, l)) = preds[e.index()][cur.index()] {
-                path.push(l);
-                cur = prev;
-            }
-            node_map[c.index()] = cur;
-            link_paths[e.index()] = path;
-            stack.push(c);
-        }
-    }
-
-    let embedding = Embedding::new(node_map, link_paths);
-    debug_assert!(embedding.validate(vnet, substrate, policy).is_ok());
-    Some((embedding, total))
+    AppPricing::new(substrate, vnet, policy, costs, filter, exclusions).embed_from(ingress)
 }
 
 /// Multi-source Dijkstra: given initial costs `seed[v]` (∞ = not a
@@ -278,7 +358,6 @@ impl Ord for Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vne_model::ids::VnodeId;
     use vne_model::substrate::Tier;
     use vne_model::vnet::VnfKind;
 
@@ -505,6 +584,47 @@ mod tests {
         .unwrap();
         assert_eq!(emb.ingress(), NodeId(1));
         assert_eq!(cost, 0.0);
+        // No virtual link, so the table holds nothing and every answer is
+        // the root's own step.
+        let policy = PlacementPolicy::default();
+        let table = AppPricing::new(&s, &vn, &policy, &costs, None, &[]);
+        let (emb, cost) = table.embed_from(NodeId(2)).unwrap();
+        assert_eq!(emb.node_map(), [NodeId(2)]);
+        assert_eq!(cost, 0.0);
+    }
+
+    #[test]
+    fn one_table_answers_every_ingress_like_a_fresh_call() {
+        let s = line();
+        let vn = VirtualNetwork::chain(&[10.0, 10.0], &[5.0, 5.0]).unwrap();
+        let policy = PlacementPolicy::default();
+        let costs = ElementCosts::from_substrate(&s);
+        let table = AppPricing::new(&s, &vn, &policy, &costs, None, &[]);
+        let from_edge = table.embed_from(NodeId(0)).unwrap();
+        let from_core = table.embed_from(NodeId(2)).unwrap();
+        // Both VNFs on c2 either way; only the haul from the ingress differs.
+        assert_eq!(from_edge.1, 30.0);
+        assert_eq!(from_core.1, 20.0);
+        assert_ne!(from_edge.0, from_core.0);
+        for (ingress, got) in [(NodeId(0), from_edge), (NodeId(2), from_core)] {
+            let fresh = min_cost_embedding(&s, &vn, &policy, ingress, &costs, None);
+            assert_eq!(Some(got), fresh);
+        }
+    }
+
+    #[test]
+    fn excluded_ingress_is_refused_by_the_root_step_alone() {
+        let s = line();
+        let vn = VirtualNetwork::chain(&[10.0], &[1.0]).unwrap();
+        let policy = PlacementPolicy::default();
+        let costs = ElementCosts::from_substrate(&s);
+        let exclusions = [(VirtualNetwork::ROOT, NodeId(0))];
+        let table = AppPricing::new(&s, &vn, &policy, &costs, None, &exclusions);
+        assert!(table.embed_from(NodeId(0)).is_none());
+        // The same table still serves the ingresses the exclusion spares.
+        let (emb, cost) = table.embed_from(NodeId(1)).unwrap();
+        assert_eq!(emb.node(VnodeId(1)), NodeId(2));
+        assert_eq!(cost, 11.0);
     }
 
     #[test]

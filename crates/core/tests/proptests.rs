@@ -24,9 +24,7 @@ use vne_olive::fullg::FullG;
 use vne_olive::greedy::collocated_embed;
 use vne_olive::olive::{Olive, OliveConfig};
 use vne_olive::planvne::solve_arc_lp;
-use vne_olive::pricing::{
-    min_cost_embedding, min_cost_embedding_with_exclusions, CapacityFilter, ElementCosts,
-};
+use vne_olive::pricing::{min_cost_embedding, AppPricing, CapacityFilter, ElementCosts};
 use vne_olive::slotoff::SlotOff;
 
 /// A small random tiered substrate (path backbone + extras), always
@@ -509,7 +507,8 @@ proptest! {
 const INF: f64 = f64::INFINITY;
 
 /// The body of `min_cost_embedding_with_exclusions` when every call ran
-/// the whole tree DP for its own ingress, kept verbatim as the oracle
+/// the whole tree DP for its own ingress (before `AppPricing` split the
+/// root's step from the rest), kept verbatim as the oracle
 /// (with its private Dijkstra and heap entry below): bottom-up over
 /// every virtual node with the root pinned at `ingress`, one
 /// multi-source Dijkstra per virtual link, then the top-down walk.
@@ -709,8 +708,8 @@ fn wide_root_tree() -> VirtualNetwork {
 }
 
 proptest! {
-    /// Every edge ingress of an application, priced under one cost
-    /// vector, gets what the per-class DP gave it: `None` together, or
+    /// Every edge ingress of an application, answered from one
+    /// `AppPricing` table, gets what the per-class DP gave it: `None` together, or
     /// the same embedding and the same cost bit for bit — under the real
     /// costs and under dual-like costs (a third exactly zero, a third on
     /// a coarse grid, so whole paths tie and the tie rule picks the
@@ -775,10 +774,9 @@ proptest! {
             for costs in &cost_vectors {
                 for filter in [None, Some(filter)] {
                     for exclusions in [&[][..], &excluded[..]] {
+                        let table = AppPricing::new(&s, vnet, &policy, costs, filter, exclusions);
                         for &ingress in &edge {
-                            let got = min_cost_embedding_with_exclusions(
-                                &s, vnet, &policy, ingress, costs, filter, exclusions,
-                            );
+                            let got = table.embed_from(ingress);
                             let want = reference_min_cost_embedding(
                                 &s, vnet, &policy, ingress, costs, filter, exclusions,
                             );

@@ -274,7 +274,10 @@ impl Simplex {
     ///
     /// # Panics
     ///
-    /// Panics if `lb` is not finite or a row index is out of range.
+    /// Panics if `lb` is not finite, a row index is out of range, or a row
+    /// index appears twice in `coeffs` (`ftran` and the reduced cost would
+    /// sum the two entries while a refactorization keeps the last one, so
+    /// the optimum would move at the first refactor).
     pub fn add_column(&mut self, obj: f64, lb: f64, ub: f64, coeffs: &[(usize, f64)]) -> usize {
         assert!(lb.is_finite(), "new columns must have a finite lower bound");
         for &(r, _) in coeffs {
@@ -283,6 +286,10 @@ impl Simplex {
         let j = self.n_struct;
         let mut col: Vec<(usize, f64)> = coeffs.to_vec();
         col.sort_by_key(|&(r, _)| r);
+        assert!(
+            col.windows(2).all(|w| w[0].0 != w[1].0),
+            "a column lists each row at most once"
+        );
         self.cols.insert(j, col);
         self.obj.insert(j, obj);
         self.lb.insert(j, lb);

@@ -94,9 +94,13 @@ fn repeated_column_generation_cycles() {
     for _round in 0..20 {
         for _ in 0..10 {
             let nnz = 2 + (rng() * 4.0) as usize;
-            let coeffs: Vec<(usize, f64)> = (0..nnz)
+            let mut coeffs: Vec<(usize, f64)> = (0..nnz)
                 .map(|_| ((rng() * m as f64) as usize % m, 0.5 + rng()))
                 .collect();
+            // A column lists each row once: a row drawn twice keeps its
+            // first coefficient.
+            coeffs.sort_by_key(|&(r, _)| r);
+            coeffs.dedup_by_key(|&mut (r, _)| r);
             s.add_column(1.0 + rng() * 5.0, 0.0, f64::INFINITY, &coeffs);
         }
         let sol = s.reoptimize();

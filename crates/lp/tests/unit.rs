@@ -4,7 +4,7 @@
 //! actually branch.
 
 use vne_lp::problem::{Problem, Relation};
-use vne_lp::simplex::solve_lp;
+use vne_lp::simplex::{solve_lp, Simplex};
 use vne_lp::{solve_mip, BranchBoundOptions};
 
 const TOL: f64 = 1e-6;
@@ -117,4 +117,19 @@ fn infeasible_lp_is_detected() {
     p.set_coeff(r, x, 1.0);
     let sol = solve_lp(&p);
     assert!(!sol.status.is_optimal(), "x ≤ 1 cannot satisfy x ≥ 5");
+}
+
+/// A column that names a row twice is refused: the product-form updates
+/// would sum the two coefficients and a refactorization keep only the
+/// last, so the answer would depend on the pivot count.
+#[test]
+#[should_panic(expected = "each row at most once")]
+fn add_column_rejects_a_repeated_row() {
+    let mut p = Problem::new();
+    let x = p.add_var("x", 1.0, 0.0, f64::INFINITY);
+    let r = p.add_row("cover", Relation::Ge, 1.0);
+    p.set_coeff(r, x, 1.0);
+    let mut simplex = Simplex::from_problem(&p);
+    simplex.solve();
+    simplex.add_column(0.5, 0.0, f64::INFINITY, &[(r.0, 1.0), (r.0, 2.0)]);
 }
