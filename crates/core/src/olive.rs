@@ -784,6 +784,85 @@ mod tests {
         assert_eq!(Snapshot::snapshot(&restored).as_bytes(), blob.as_bytes());
     }
 
+    /// One planned (r0, 8 of budget 10), one borrowed (r1, demand 6
+    /// through the same column) and one greedy allocation (r2 enters at
+    /// t1, a class the plan does not have).
+    fn three_kinds() -> (Olive, [Request; 3]) {
+        let (s, apps) = world();
+        let plan = plan_on_core(&s, &apps, 10.0);
+        let mut olive = Olive::new(
+            s,
+            apps,
+            PlacementPolicy::default(),
+            plan,
+            OliveConfig::default(),
+        );
+        let mut at_transport = req(2, 0, 5, 3.0);
+        at_transport.ingress = NodeId(1);
+        let requests = [req(0, 0, 5, 8.0), req(1, 0, 5, 6.0), at_transport];
+        let out = olive.process_slot(0, &[], &requests);
+        assert_eq!(out.accepted.len(), 3);
+        let stats = olive.stats();
+        assert_eq!((stats.planned, stats.borrowed, stats.greedy), (1, 1, 1));
+        (olive, requests)
+    }
+
+    #[test]
+    fn footprint_of_is_the_plan_column_unless_greedy() {
+        let (olive, _) = three_kinds();
+        let class = ClassId::new(AppId(0), NodeId(0));
+        let column = &olive.plan().class(class).unwrap().columns[0].footprint;
+        assert_eq!(olive.footprint_of(RequestId(0)), Some(column));
+        assert_eq!(olive.footprint_of(RequestId(1)), Some(column));
+        let greedy = olive.footprint_of(RequestId(2)).unwrap();
+        assert_ne!(greedy, column);
+        assert!(greedy.nodes().iter().all(|&(n, _)| n != NodeId(0)));
+        assert_eq!(olive.footprint_of(RequestId(3)), None);
+    }
+
+    #[test]
+    fn releasing_a_borrower_leaves_the_plan_ledger_alone() {
+        let (mut olive, [_, borrower, greedy]) = three_kinds();
+        let class = ClassId::new(AppId(0), NodeId(0));
+        let before = olive.plan_ledger().residual(class, 0).to_bits();
+        olive.process_slot(1, &[borrower, greedy], &[]);
+        assert!(!olive.is_active(RequestId(1)) && !olive.is_active(RequestId(2)));
+        assert_eq!(olive.plan_ledger().residual(class, 0).to_bits(), before);
+        // The planned load (8 × β 10) is all that is left on c2.
+        assert_eq!(olive.loads().node_load(NodeId(2)), 80.0);
+    }
+
+    #[test]
+    fn snapshot_is_byte_stable_with_all_three_kinds_active() {
+        let (olive, [planned, borrower, greedy]) = three_kinds();
+        let blob = Snapshot::snapshot(&olive);
+        let (s, apps) = world();
+        let plan = plan_on_core(&s, &apps, 10.0);
+        let mut restored = Olive::new(
+            s,
+            apps,
+            PlacementPolicy::default(),
+            plan,
+            OliveConfig::default(),
+        );
+        restored.restore(&blob).unwrap();
+        assert_eq!(Snapshot::snapshot(&restored).as_bytes(), blob.as_bytes());
+        assert!(restored.is_planned(RequestId(0)) && !restored.is_planned(RequestId(1)));
+        for id in [RequestId(0), RequestId(1), RequestId(2)] {
+            assert_eq!(restored.footprint_of(id), olive.footprint_of(id));
+        }
+        // Both copies wind down to the same empty state.
+        let mut original = olive;
+        for o in [&mut original, &mut restored] {
+            o.process_slot(5, &[planned.clone(), borrower.clone(), greedy.clone()], &[]);
+            assert!(o.loads().check_invariants());
+        }
+        assert_eq!(
+            Snapshot::snapshot(&restored).as_bytes(),
+            Snapshot::snapshot(&original).as_bytes()
+        );
+    }
+
     #[test]
     fn borrowing_disabled_ablation() {
         let (s, apps) = world();

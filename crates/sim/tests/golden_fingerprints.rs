@@ -19,13 +19,14 @@ use vne_model::substrate::SearchStats;
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::bound::offline_revenue_bound;
 use vne_olive::fullg::{FullG, FullGStats};
-use vne_olive::olive::Olive;
+use vne_olive::olive::{Olive, OliveStats};
 use vne_olive::slotoff::SlotOff;
 use vne_sim::engine::{RequestOutcome, SimControl, SimObserver, SlotMetrics};
 use vne_sim::observe::Inspect;
+use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
 use vne_topology::partition::large_synthetic;
-use vne_topology::zoo::golden_diamond;
+use vne_topology::zoo::{citta_studi, golden_diamond};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile};
 
 /// The tiny 4-node golden world ([`golden_diamond`]), tuned so the
@@ -354,4 +355,68 @@ fn greedy_search_on_the_large_world_settles_a_fraction_of_it() {
     let cost = |l| Some(s.link(l).cost);
     let (_, full) = s.search(s.edge_nodes()[0], cost, |_, _| {}, |_| false);
     assert_eq!(full.settled, nodes);
+}
+
+/// The mid-size OLIVE pin: Città Studi (30 nodes) with the paper's
+/// application mix at 140 % edge load under a capacity drain, so plan
+/// following, borrowing and preemption all run on a world where a
+/// deficit spans several elements and a victim set is many requests —
+/// on the 4-node diamond above it is one element and one or two.
+fn midsize_scenario() -> Scenario {
+    let mut config = ScenarioConfig::small(1.4).with_seed(11);
+    config.history_slots = 120;
+    config.test_slots = 60;
+    config.measure_window = (5, 55);
+    config.aggregation.bootstrap_replicates = 10;
+    config.churn = Some(ChurnProfile::CapacityDrain {
+        period: 12,
+        len: 4,
+        factor: 0.5,
+    });
+    Scenario::new(citta_studi().unwrap(), default_apps(11), config)
+}
+
+/// Window fingerprint and whole-run service counters of
+/// [`midsize_scenario`], captured from the whole-map victim scan.
+const MIDSIZE_OLIVE_GOLDEN: (u64, OliveStats) = (
+    0x09770062cf7fefd9,
+    OliveStats {
+        planned: 8692,
+        borrowed: 1244,
+        greedy: 2216,
+        rejected: 2582,
+        preempted: 1517,
+    },
+);
+
+#[test]
+fn olive_on_the_midsize_world_matches_golden_fingerprint_and_stats() {
+    let mut stats = OliveStats::default();
+    let mut inspect = Inspect(|_: Slot, _: &SlotMetrics, alg: &dyn OnlineAlgorithm| {
+        let olive = alg.as_any().and_then(|a| a.downcast_ref::<Olive>());
+        stats = olive.expect("the OLIVE spec builds an Olive").stats();
+    });
+    let scenario = midsize_scenario();
+    assert!(scenario.substrate.node_count() >= 30);
+    let summary = scenario
+        .drive(Algorithm::Olive, None, None, &mut inspect)
+        .unwrap()
+        .summary;
+    let got = summary.fingerprint();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("    {got:#018x},\n    {stats:?},");
+        return;
+    }
+    let served = stats.planned + stats.borrowed + stats.greedy;
+    assert!(stats.preempted >= 300, "{stats:?}");
+    assert!(0 < stats.rejected && stats.rejected < served + stats.rejected);
+    assert!(stats.planned > 0 && stats.borrowed > 0 && stats.greedy > 0);
+    assert_eq!(
+        (got, stats),
+        MIDSIZE_OLIVE_GOLDEN,
+        "mid-size OLIVE run drifted: {got:#018x} (arrivals {}, rejected {}, preempted {})",
+        summary.arrivals,
+        summary.rejected,
+        summary.preempted
+    );
 }
