@@ -18,8 +18,40 @@
 //!
 //! With an empty plan and no preemption this machinery *is* the QUICKG
 //! baseline (constructed by [`Olive::quickg`]).
+//!
+//! # Where a footprint lives
+//!
+//! A planned and a borrowed request follow a plan column, so their
+//! allocation records `(class, column)` and every reader — the load
+//! ledger, [`OnlineAlgorithm::footprint_of`], the victim search — reads
+//! `plan.class(c).columns[i].footprint` in place; only a greedy request
+//! owns a [`Footprint`]. The snapshot writes the same thing: a column
+//! reference or the owned pairs. This rests on the plan being a
+//! construction input that never changes under an instance. A
+//! re-planning OLIVE that swaps plans mid-run must first re-own the
+//! footprints of its active column followers, or map their references
+//! onto the new plan's columns; `restore` refuses a reference its plan
+//! does not have for the same reason.
+//!
+//! # The borrower index
+//!
+//! `PREEMPT` ranges over the non-planned requests that load a deficit
+//! element. With `config.preemption` an instance keeps, per node and
+//! per link, the ids of the non-planned active requests whose footprint
+//! lists that element. Invariant: the lists hold exactly those ids, once
+//! each, in no particular order. `allocate` and `release` — the only
+//! two places `active` changes — maintain it, `restore` rebuilds it from
+//! `active`, no snapshot carries it, and `process_slot` checks it in
+//! debug builds next to the ledger invariants. `select_victims` gathers
+//! its candidates from the lists of the deficit elements and orders
+//! them by a total order that ends in the request id, so the order
+//! inside a list never reaches a decision. Its cost went from
+//! O(active · footprint) per call — the whole `active` map, planned
+//! requests included — to O(borrowers on the deficit elements ·
+//! footprint). Without preemption (QUICKG, ablations) nothing reads the
+//! index and none is kept.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vne_model::app::AppSet;
@@ -33,7 +65,7 @@ use vne_model::substrate::{SearchStats, SubstrateNetwork};
 
 use crate::algorithm::{OnlineAlgorithm, SlotOutcome};
 use crate::greedy::collocated_embed_counted;
-use crate::plan::{Plan, PlanLedger};
+use crate::plan::{Plan, PlanLedger, PlannedColumn};
 
 /// Feature switches for OLIVE (all on by default; ablations turn
 /// individual mechanisms off).
@@ -61,12 +93,89 @@ impl Default for OliveConfig {
     }
 }
 
+/// Where an active request's footprint lives.
+#[derive(Debug, Clone)]
+enum Placement {
+    /// Column `.1` of class `.0`'s plan: planned and borrowed requests
+    /// read the plan's footprint in place.
+    Column(ClassId, usize),
+    /// The greedy fallback's own embedding.
+    Owned(Footprint),
+}
+
+impl Placement {
+    /// The column this placement names, if `plan` has it.
+    fn column<'a>(&self, plan: &'a Plan) -> Option<&'a PlannedColumn> {
+        match self {
+            Placement::Column(class, col) => plan.class(*class)?.columns.get(*col),
+            Placement::Owned(_) => None,
+        }
+    }
+
+    /// The footprint, out of `plan` for a column reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a column `plan` does not have: `handle_arrival` takes
+    /// its references from the plan and `restore` checks a blob's.
+    fn footprint<'a>(&'a self, plan: &'a Plan) -> &'a Footprint {
+        match self {
+            Placement::Owned(footprint) => footprint,
+            Placement::Column(..) => {
+                let column = self.column(plan);
+                &column.expect("active column is in the plan").footprint
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ActiveAlloc {
     request: Request,
-    footprint: Footprint,
+    placement: Placement,
+    /// Inside the guaranteed share: consumes plan budget and is never
+    /// preempted. Always a [`Placement::Column`]; a borrowed request is
+    /// one too and is not planned.
     planned: bool,
-    plan_column: Option<(ClassId, usize)>,
+}
+
+/// The non-planned active requests loading each substrate element —
+/// `PREEMPT`'s candidates (Alg. 2 l. 35–38), in no particular order.
+#[derive(Debug, Clone)]
+struct BorrowerIndex {
+    nodes: Vec<Vec<RequestId>>,
+    links: Vec<Vec<RequestId>>,
+}
+
+impl BorrowerIndex {
+    fn new(substrate: &SubstrateNetwork) -> Self {
+        Self {
+            nodes: vec![Vec::new(); substrate.node_count()],
+            links: vec![Vec::new(); substrate.link_count()],
+        }
+    }
+
+    fn insert(&mut self, id: RequestId, footprint: &Footprint) {
+        for &(n, _) in footprint.nodes() {
+            self.nodes[n.index()].push(id);
+        }
+        for &(l, _) in footprint.links() {
+            self.links[l.index()].push(id);
+        }
+    }
+
+    fn remove(&mut self, id: RequestId, footprint: &Footprint) {
+        fn drop_id(list: &mut Vec<RequestId>, id: RequestId) {
+            let at = list.iter().position(|&other| other == id);
+            list.swap_remove(at.expect("a borrower is listed on every element it loads"));
+        }
+        for &(n, _) in footprint.nodes() {
+            drop_id(&mut self.nodes[n.index()], id);
+        }
+        for &(l, _) in footprint.links() {
+            drop_id(&mut self.links[l.index()], id);
+        }
+    }
 }
 
 /// The OLIVE online algorithm (and, with an empty plan, QUICKG).
@@ -78,10 +187,15 @@ pub struct Olive {
     /// `&mut self` calls that allocate it.
     apps: Arc<AppSet>,
     policy: PlacementPolicy,
-    plan: Plan,
+    /// Shared like `apps`: an arrival reads a column's footprint across
+    /// the `&mut self` calls that preempt for it and allocate it.
+    plan: Arc<Plan>,
     plan_ledger: PlanLedger,
     loads: LoadLedger,
     active: BTreeMap<RequestId, ActiveAlloc>,
+    /// Kept only when `config.preemption` (nothing else reads it);
+    /// never serialized, rebuilt by `restore`.
+    borrowers: Option<BorrowerIndex>,
     config: OliveConfig,
     stats: OliveStats,
     /// Work done by the greedy searches so far. Introspection only: not
@@ -115,15 +229,17 @@ impl Olive {
     ) -> Self {
         let loads = LoadLedger::new(&substrate);
         let plan_ledger = PlanLedger::new(&plan);
+        let borrowers = config.preemption.then(|| BorrowerIndex::new(&substrate));
         Self {
             name: "OLIVE".to_string(),
             substrate,
             apps: Arc::new(apps),
             policy,
-            plan,
+            plan: Arc::new(plan),
             plan_ledger,
             loads,
             active: BTreeMap::new(),
+            borrowers,
             config,
             stats: OliveStats::default(),
             search: SearchStats::default(),
@@ -200,43 +316,77 @@ impl Olive {
     }
 
     fn release(&mut self, id: RequestId) {
-        if let Some(alloc) = self.active.remove(&id) {
-            self.loads.remove(&alloc.footprint, alloc.request.demand);
-            if let Some((class, col)) = alloc.plan_column {
+        let Some(alloc) = self.active.remove(&id) else {
+            return;
+        };
+        let footprint = alloc.placement.footprint(&self.plan);
+        self.loads.remove(footprint, alloc.request.demand);
+        if alloc.planned {
+            if let Placement::Column(class, col) = alloc.placement {
                 self.plan_ledger.release(class, col, alloc.request.demand);
             }
+        } else if let Some(borrowers) = &mut self.borrowers {
+            borrowers.remove(id, footprint);
         }
     }
 
-    fn allocate(
-        &mut self,
-        r: &Request,
-        footprint: Footprint,
-        planned: bool,
-        plan_column: Option<(ClassId, usize)>,
-    ) {
-        self.loads.apply(&footprint, r.demand);
-        if let (true, Some((class, col))) = (planned, plan_column) {
-            self.plan_ledger.consume(class, col, r.demand);
+    fn allocate(&mut self, r: &Request, placement: Placement, planned: bool) {
+        let footprint = placement.footprint(&self.plan);
+        self.loads.apply(footprint, r.demand);
+        if planned {
+            if let Placement::Column(class, col) = placement {
+                self.plan_ledger.consume(class, col, r.demand);
+            }
+        } else if let Some(borrowers) = &mut self.borrowers {
+            borrowers.insert(r.id, footprint);
         }
         self.active.insert(
             r.id,
             ActiveAlloc {
                 request: r.clone(),
-                footprint,
+                placement,
                 planned,
-                plan_column: if planned { plan_column } else { None },
             },
         );
+    }
+
+    /// The index `active` implies: every non-planned request listed, in
+    /// id order, on each element of its footprint.
+    fn borrowers_of_active(&self) -> BorrowerIndex {
+        let mut index = BorrowerIndex::new(&self.substrate);
+        for (&id, alloc) in self.active.iter().filter(|(_, a)| !a.planned) {
+            index.insert(id, alloc.placement.footprint(&self.plan));
+        }
+        index
+    }
+
+    /// Whether the borrower lists hold exactly the non-planned active
+    /// requests of every element (test invariant).
+    fn borrowers_match_active(&self) -> bool {
+        let Some(index) = &self.borrowers else {
+            return true;
+        };
+        let sorted = |lists: &[Vec<RequestId>]| -> Vec<Vec<RequestId>> {
+            let mut lists = lists.to_vec();
+            lists.iter_mut().for_each(|list| list.sort_unstable());
+            lists
+        };
+        let expected = self.borrowers_of_active();
+        sorted(&index.nodes) == expected.nodes && sorted(&index.links) == expected.links
     }
 
     /// Finds non-planned victims whose eviction frees the deficit of
     /// `footprint · demand`. Victims are only committed if they suffice
     /// (`PREEMPT`, Alg. 2 l. 35–38); returns `None` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics without the borrower index, i.e. when `config.preemption`
+    /// is off.
     fn select_victims(&self, footprint: &Footprint, demand: f64) -> Option<Vec<RequestId>> {
         // Per-element deficits.
-        let mut node_deficit: HashMap<usize, f64> = HashMap::new();
-        let mut link_deficit: HashMap<usize, f64> = HashMap::new();
+        let mut node_deficit: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut link_deficit: BTreeMap<usize, f64> = BTreeMap::new();
         for &(n, x) in footprint.nodes() {
             let need = x * demand - self.loads.node_residual(n);
             if need > 1e-9 {
@@ -255,52 +405,64 @@ impl Olive {
 
         // Candidates: non-planned active requests that touch a deficit
         // element, most recently arrived first (undo the borrowing that
-        // displaced the plan), larger overlap first on ties.
-        let mut candidates: Vec<(&RequestId, &ActiveAlloc, f64)> = self
-            .active
-            .iter()
-            .filter(|(_, a)| !a.planned)
-            .filter_map(|(id, a)| {
+        // displaced the plan), larger overlap first on ties. The order
+        // is total (it ends in the id), so the order the index lists
+        // them in never shows.
+        let borrowers = self.borrowers.as_ref();
+        let borrowers = borrowers.expect("preemption keeps the borrower index");
+        let mut ids: Vec<RequestId> = Vec::new();
+        for &n in node_deficit.keys() {
+            ids.extend(&borrowers.nodes[n]);
+        }
+        for &l in link_deficit.keys() {
+            ids.extend(&borrowers.links[l]);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let mut candidates: Vec<(RequestId, &Request, &Footprint, f64)> = ids
+            .into_iter()
+            .filter_map(|id| {
+                let a = &self.active[&id];
+                let footprint = a.placement.footprint(&self.plan);
                 let mut overlap = 0.0;
-                for &(n, x) in a.footprint.nodes() {
+                for &(n, x) in footprint.nodes() {
                     if let Some(d) = node_deficit.get(&n.index()) {
                         overlap += (x * a.request.demand).min(*d);
                     }
                 }
-                for &(l, x) in a.footprint.links() {
+                for &(l, x) in footprint.links() {
                     if let Some(d) = link_deficit.get(&l.index()) {
                         overlap += (x * a.request.demand).min(*d);
                     }
                 }
-                (overlap > 0.0).then_some((id, a, overlap))
+                (overlap > 0.0).then_some((id, &a.request, footprint, overlap))
             })
             .collect();
         candidates.sort_by(|a, b| {
-            b.1.request
-                .arrival
-                .cmp(&a.1.request.arrival)
-                .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| b.0.cmp(a.0))
+            b.1.arrival
+                .cmp(&a.1.arrival)
+                .then_with(|| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal))
+                .then_with(|| b.0.cmp(&a.0))
         });
 
         let mut victims = Vec::new();
-        for (id, alloc, _) in candidates {
+        for (id, request, footprint, _) in candidates {
             if node_deficit.is_empty() && link_deficit.is_empty() {
                 break;
             }
             let mut helped = false;
-            for &(n, x) in alloc.footprint.nodes() {
+            for &(n, x) in footprint.nodes() {
                 if let Some(d) = node_deficit.get_mut(&n.index()) {
-                    *d -= x * alloc.request.demand;
+                    *d -= x * request.demand;
                     helped = true;
                     if *d <= 1e-9 {
                         node_deficit.remove(&n.index());
                     }
                 }
             }
-            for &(l, x) in alloc.footprint.links() {
+            for &(l, x) in footprint.links() {
                 if let Some(d) = link_deficit.get_mut(&l.index()) {
-                    *d -= x * alloc.request.demand;
+                    *d -= x * request.demand;
                     helped = true;
                     if *d <= 1e-9 {
                         link_deficit.remove(&l.index());
@@ -308,7 +470,7 @@ impl Olive {
                 }
             }
             if helped {
-                victims.push(*id);
+                victims.push(id);
             }
         }
         if node_deficit.is_empty() && link_deficit.is_empty() {
@@ -329,24 +491,25 @@ impl Olive {
         }
 
         // --- PLAN EMBED: full fit inside the residual plan.
-        if let Some(class_plan) = self.plan.class(class) {
+        let plan = Arc::clone(&self.plan);
+        if let Some(class_plan) = plan.class(class) {
             if let Some(col) = self.plan_ledger.full_fit(class, r.demand) {
-                let footprint = class_plan.columns[col].footprint.clone();
-                if self.loads.fits(&footprint, r.demand) {
-                    self.allocate(r, footprint, true, Some((class, col)));
+                let footprint = &class_plan.columns[col].footprint;
+                if self.loads.fits(footprint, r.demand) {
+                    self.allocate(r, Placement::Column(class, col), true);
                     self.stats.planned += 1;
                     return (true, Vec::new());
                 }
                 // Planned but the substrate is occupied by borrowers:
                 // preempt them (l. 8–9).
                 if self.config.preemption {
-                    if let Some(victims) = self.select_victims(&footprint, r.demand) {
+                    if let Some(victims) = self.select_victims(footprint, r.demand) {
                         for &v in &victims {
                             self.release(v);
                             self.stats.preempted += 1;
                         }
-                        if self.loads.fits(&footprint, r.demand) {
-                            self.allocate(r, footprint, true, Some((class, col)));
+                        if self.loads.fits(footprint, r.demand) {
+                            self.allocate(r, Placement::Column(class, col), true);
                             self.stats.planned += 1;
                             return (true, victims);
                         }
@@ -359,26 +522,20 @@ impl Olive {
             }
             // --- Partial fit: borrow through a partially available column.
             if self.config.borrowing {
-                if let Some(outcome) = self.try_borrow(r, class) {
-                    return outcome;
+                for col in self.plan_ledger.partial_candidates(class) {
+                    if self
+                        .loads
+                        .fits(&class_plan.columns[col].footprint, r.demand)
+                    {
+                        self.allocate(r, Placement::Column(class, col), false);
+                        self.stats.borrowed += 1;
+                        return (true, Vec::new());
+                    }
                 }
             }
         }
 
         self.post_plan_paths(r, Vec::new())
-    }
-
-    fn try_borrow(&mut self, r: &Request, class: ClassId) -> Option<(bool, Vec<RequestId>)> {
-        let class_plan = self.plan.class(class)?;
-        for col in self.plan_ledger.partial_candidates(class) {
-            let footprint = class_plan.columns[col].footprint.clone();
-            if self.loads.fits(&footprint, r.demand) {
-                self.allocate(r, footprint, false, None);
-                self.stats.borrowed += 1;
-                return Some((true, Vec::new()));
-            }
-        }
-        None
     }
 
     /// Borrowing (if not yet tried via plan) failed or was skipped:
@@ -403,7 +560,7 @@ impl Olive {
             if let Some((embedding, _)) = found {
                 let footprint = embedding.footprint(vnet, &self.substrate, &self.policy);
                 if self.loads.fits(&footprint, r.demand) {
-                    self.allocate(r, footprint, false, None);
+                    self.allocate(r, Placement::Owned(footprint), false);
                     self.stats.greedy += 1;
                     return (true, preempted);
                 }
@@ -420,7 +577,10 @@ impl Olive {
 /// inputs — restore into an instance built with the same ones (the
 /// simulation pipeline rebuilds them deterministically per seed). The
 /// instance name (`OLIVE` vs `QUICKG`) is validated so a QUICKG blob
-/// cannot silently restore into an OLIVE run.
+/// cannot silently restore into an OLIVE run, and so is every active
+/// allocation: a column reference must be in this instance's plan, an
+/// owned footprint on its substrate. The borrower index is derived
+/// state and not part of the blob.
 impl Snapshot for Olive {
     fn snapshot(&self) -> StateBlob {
         let mut w = StateWriter::new();
@@ -431,9 +591,14 @@ impl Snapshot for Olive {
         w.write_usize(self.active.len());
         for alloc in self.active.values() {
             w.write(&alloc.request);
-            w.write(&alloc.footprint);
             w.write_bool(alloc.planned);
-            w.write(&alloc.plan_column);
+            match &alloc.placement {
+                Placement::Column(class, col) => w.write(&Some((*class, *col))),
+                Placement::Owned(footprint) => {
+                    w.write(&None::<(ClassId, usize)>);
+                    w.write(footprint);
+                }
+            }
         }
         for count in [
             self.stats.planned,
@@ -459,19 +624,47 @@ impl Snapshot for Olive {
         let loads_blob = r.read_blob()?;
         let ledger_blob = r.read_blob()?;
         let count = r.read_usize()?;
+        let off_substrate = |footprint: &Footprint| {
+            let nodes = footprint.nodes().iter().map(|&(n, _)| n.index());
+            let links = footprint.links().iter().map(|&(l, _)| l.index());
+            nodes.max() >= Some(self.substrate.node_count())
+                || links.max() >= Some(self.substrate.link_count())
+        };
         let mut active = BTreeMap::new();
         for _ in 0..count {
             let request: Request = r.read()?;
-            let footprint = r.read()?;
             let planned = r.read_bool()?;
-            let plan_column: Option<(ClassId, usize)> = r.read()?;
+            let placement = match r.read::<Option<(ClassId, usize)>>()? {
+                Some((class, col)) => Placement::Column(class, col),
+                None => Placement::Owned(r.read()?),
+            };
+            match &placement {
+                Placement::Column(class, col) if placement.column(&self.plan).is_none() => {
+                    return Err(StateError::Mismatch {
+                        expected: format!("a plan with column {col} of class {class}"),
+                        found: format!("request {} following it", request.id),
+                    });
+                }
+                Placement::Owned(_) if planned => {
+                    return Err(StateError::Corrupt(format!(
+                        "planned request {} owns its footprint",
+                        request.id
+                    )));
+                }
+                Placement::Owned(footprint) if off_substrate(footprint) => {
+                    return Err(StateError::Mismatch {
+                        expected: format!("footprints on {}", self.substrate.name()),
+                        found: format!("request {} off it", request.id),
+                    });
+                }
+                _ => {}
+            }
             active.insert(
                 request.id,
                 ActiveAlloc {
                     request,
-                    footprint,
+                    placement,
                     planned,
-                    plan_column,
                 },
             );
         }
@@ -487,6 +680,9 @@ impl Snapshot for Olive {
         self.plan_ledger.restore(&ledger_blob)?;
         self.active = active;
         self.stats = stats;
+        if self.borrowers.is_some() {
+            self.borrowers = Some(self.borrowers_of_active());
+        }
         Ok(())
     }
 }
@@ -529,6 +725,7 @@ impl OnlineAlgorithm for Olive {
         }
         debug_assert!(self.loads.check_invariants());
         debug_assert!(self.plan_ledger.check_invariants());
+        debug_assert!(self.borrowers_match_active());
         outcome
     }
 
@@ -541,7 +738,8 @@ impl OnlineAlgorithm for Olive {
     }
 
     fn footprint_of(&self, id: RequestId) -> Option<&Footprint> {
-        self.active.get(&id).map(|a| &a.footprint)
+        let alloc = self.active.get(&id)?;
+        Some(alloc.placement.footprint(&self.plan))
     }
 }
 
@@ -549,9 +747,13 @@ impl OnlineAlgorithm for Olive {
 mod tests {
     use super::*;
     use crate::plan::{ClassPlan, PlannedColumn};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
     use vne_model::app::{shapes, AppShape};
+    use vne_model::churn::EffectiveCapacities;
     use vne_model::embedding::Embedding;
     use vne_model::ids::{AppId, LinkId, NodeId};
+    use vne_model::load::CAPACITY_EPS;
     use vne_model::substrate::Tier;
 
     /// e0(100) - t1(300) - c2(900); link caps 600/600.
@@ -573,29 +775,40 @@ mod tests {
         (s, apps)
     }
 
-    /// A hand-built plan: class (app0, e0) with one column hosting the
-    /// VNF on c2, budget `budget` demand units.
-    fn plan_on_core(s: &SubstrateNetwork, apps: &AppSet, budget: f64) -> Plan {
-        let class = ClassId::new(AppId(0), NodeId(0));
+    /// A plan column of application 0 from `ingress` to a VNF on `host`
+    /// over `path`, with `budget` demand units.
+    fn column_to(
+        s: &SubstrateNetwork,
+        apps: &AppSet,
+        (ingress, host): (NodeId, NodeId),
+        path: Vec<LinkId>,
+        budget: f64,
+    ) -> PlannedColumn {
         let vnet = apps.vnet(AppId(0));
-        let embedding =
-            Embedding::new(vec![NodeId(0), NodeId(2)], vec![vec![LinkId(0), LinkId(1)]]);
+        let embedding = Embedding::new(vec![ingress, host], vec![path]);
         let policy = PlacementPolicy::default();
         assert!(embedding.validate(vnet, s, &policy).is_ok());
         let footprint = embedding.footprint(vnet, s, &policy);
         let unit_cost = footprint.cost(s);
+        PlannedColumn {
+            embedding,
+            footprint,
+            share: 1.0,
+            budget,
+            unit_cost,
+        }
+    }
+
+    /// A hand-built plan: class (app0, e0) with one column hosting the
+    /// VNF on c2, budget `budget` demand units.
+    fn plan_on_core(s: &SubstrateNetwork, apps: &AppSet, budget: f64) -> Plan {
+        let path = vec![LinkId(0), LinkId(1)];
         let mut plan = Plan::empty();
         plan.insert(ClassPlan {
-            class,
+            class: ClassId::new(AppId(0), NodeId(0)),
             expected_demand: budget,
             rejected_fraction: 0.0,
-            columns: vec![PlannedColumn {
-                embedding,
-                footprint,
-                share: 1.0,
-                budget,
-                unit_cost,
-            }],
+            columns: vec![column_to(s, apps, (NodeId(0), NodeId(2)), path, budget)],
         });
         plan
     }
@@ -863,6 +1076,65 @@ mod tests {
         );
     }
 
+    /// A blob's column references and owned footprints are checked
+    /// against the instance's plan and substrate before anything is
+    /// replaced: a class the plan lacks, a column index past the class's
+    /// last, an element the substrate lacks.
+    #[test]
+    fn restore_refuses_what_the_instance_cannot_hold() {
+        let (olive, _) = three_kinds();
+        let blob = Snapshot::snapshot(&olive);
+        let (s, apps) = world();
+        let mut no_columns = plan_on_core(&s, &apps, 10.0);
+        let mut class_plan = no_columns.iter().next().unwrap().clone();
+        class_plan.columns.clear();
+        no_columns.insert(class_plan);
+        for plan in [Plan::empty(), no_columns] {
+            let mut other = Olive::new(
+                s.clone(),
+                apps.clone(),
+                PlacementPolicy::default(),
+                plan,
+                OliveConfig::default(),
+            );
+            other.process_slot(0, &[], &[req(7, 0, 5, 3.0)]);
+            let before = Snapshot::snapshot(&other);
+            match other.restore(&blob) {
+                Err(StateError::Mismatch { expected, .. }) => {
+                    assert!(expected.contains("column 0"), "{expected}");
+                }
+                other => panic!("a dangling column reference restored: {other:?}"),
+            }
+            assert_eq!(Snapshot::snapshot(&other).as_bytes(), before.as_bytes());
+            assert!(other.borrowers_match_active());
+        }
+
+        let greedy_only = |s: SubstrateNetwork| {
+            let policy = PlacementPolicy::default();
+            Olive::new(
+                s,
+                apps.clone(),
+                policy,
+                Plan::empty(),
+                OliveConfig::default(),
+            )
+        };
+        let mut on_line = greedy_only(s);
+        on_line.process_slot(0, &[], &[req(0, 0, 5, 3.0)]);
+        let hosts = on_line.footprint_of(RequestId(0)).unwrap().nodes();
+        assert!(hosts.iter().any(|&(n, _)| n == NodeId(2)));
+        let mut small = SubstrateNetwork::new("small");
+        let e = small.add_node("e0", Tier::Edge, 100.0, 50.0).unwrap();
+        let t = small.add_node("t1", Tier::Transport, 300.0, 10.0).unwrap();
+        small.add_link(e, t, 600.0, 1.0).unwrap();
+        match greedy_only(small).restore(&Snapshot::snapshot(&on_line)) {
+            Err(StateError::Mismatch { expected, .. }) => {
+                assert_eq!(expected, "footprints on small");
+            }
+            other => panic!("a footprint off the substrate restored: {other:?}"),
+        }
+    }
+
     #[test]
     fn borrowing_disabled_ablation() {
         let (s, apps) = world();
@@ -901,5 +1173,280 @@ mod tests {
         olive.process_slot(3, &[r], &[]); // double departure: no-op
         assert!(olive.loads().check_invariants());
         assert_eq!(olive.loads().node_load(NodeId(2)), 0.0);
+    }
+
+    impl Olive {
+        /// `select_victims` as it was before the borrower index — the
+        /// whole `active` map filtered down to the non-planned requests
+        /// that touch a deficit element — kept verbatim as the oracle of
+        /// `indexed_victims_equal_the_whole_map_scan`, but for the
+        /// footprint accessor and the names of its two hash maps
+        /// (`vne-audit` binds a name to a type per file).
+        fn select_victims_by_scan(
+            &self,
+            footprint: &Footprint,
+            demand: f64,
+        ) -> Option<Vec<RequestId>> {
+            // Per-element deficits.
+            let mut node_short: HashMap<usize, f64> = HashMap::new();
+            let mut link_short: HashMap<usize, f64> = HashMap::new();
+            for &(n, x) in footprint.nodes() {
+                let need = x * demand - self.loads.node_residual(n);
+                if need > 1e-9 {
+                    node_short.insert(n.index(), need);
+                }
+            }
+            for &(l, x) in footprint.links() {
+                let need = x * demand - self.loads.link_residual(l);
+                if need > 1e-9 {
+                    link_short.insert(l.index(), need);
+                }
+            }
+            if node_short.is_empty() && link_short.is_empty() {
+                return Some(Vec::new());
+            }
+
+            let mut candidates: Vec<(&RequestId, &ActiveAlloc, f64)> = self
+                .active
+                .iter()
+                .filter(|(_, a)| !a.planned)
+                .filter_map(|(id, a)| {
+                    let mut overlap = 0.0;
+                    for &(n, x) in a.placement.footprint(&self.plan).nodes() {
+                        if let Some(d) = node_short.get(&n.index()) {
+                            overlap += (x * a.request.demand).min(*d);
+                        }
+                    }
+                    for &(l, x) in a.placement.footprint(&self.plan).links() {
+                        if let Some(d) = link_short.get(&l.index()) {
+                            overlap += (x * a.request.demand).min(*d);
+                        }
+                    }
+                    (overlap > 0.0).then_some((id, a, overlap))
+                })
+                .collect();
+            candidates.sort_by(|a, b| {
+                b.1.request
+                    .arrival
+                    .cmp(&a.1.request.arrival)
+                    .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
+                    .then_with(|| b.0.cmp(a.0))
+            });
+
+            let mut victims = Vec::new();
+            for (id, alloc, _) in candidates {
+                if node_short.is_empty() && link_short.is_empty() {
+                    break;
+                }
+                let mut helped = false;
+                for &(n, x) in alloc.placement.footprint(&self.plan).nodes() {
+                    if let Some(d) = node_short.get_mut(&n.index()) {
+                        *d -= x * alloc.request.demand;
+                        helped = true;
+                        if *d <= 1e-9 {
+                            node_short.remove(&n.index());
+                        }
+                    }
+                }
+                for &(l, x) in alloc.placement.footprint(&self.plan).links() {
+                    if let Some(d) = link_short.get_mut(&l.index()) {
+                        *d -= x * alloc.request.demand;
+                        helped = true;
+                        if *d <= 1e-9 {
+                            link_short.remove(&l.index());
+                        }
+                    }
+                }
+                if helped {
+                    victims.push(*id);
+                }
+            }
+            if node_short.is_empty() && link_short.is_empty() {
+                Some(victims)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// Two edge nodes behind one transport node, two cores behind that;
+    /// every plan column and every greedy embedding crosses t2 or one of
+    /// its links, so deficits span shared elements:
+    ///
+    /// ```text
+    /// e0(100) ─l0─┐            ┌─l2─ c3(600)
+    ///             t2(300) ─────┤
+    /// e1(100) ─l1─┘            └─l3─ c4(400)
+    /// ```
+    fn shared_world() -> (SubstrateNetwork, AppSet) {
+        let mut s = SubstrateNetwork::new("shared");
+        let e0 = s.add_node("e0", Tier::Edge, 100.0, 50.0).unwrap();
+        let e1 = s.add_node("e1", Tier::Edge, 100.0, 50.0).unwrap();
+        let t2 = s.add_node("t2", Tier::Transport, 300.0, 10.0).unwrap();
+        let c3 = s.add_node("c3", Tier::Core, 600.0, 1.0).unwrap();
+        let c4 = s.add_node("c4", Tier::Core, 400.0, 2.0).unwrap();
+        s.add_link(e0, t2, 120.0, 1.0).unwrap();
+        s.add_link(e1, t2, 120.0, 1.0).unwrap();
+        s.add_link(t2, c3, 100.0, 1.0).unwrap();
+        s.add_link(t2, c4, 100.0, 1.0).unwrap();
+        let mut apps = AppSet::new();
+        let chain = shapes::uniform_chain(1, 10.0, 2.0).unwrap();
+        apps.push("chain", AppShape::Chain, chain).unwrap();
+        (s, apps)
+    }
+
+    /// A plan for the two edge classes of [`shared_world`]: from each
+    /// edge one column hosting the VNF on c3 and one hosting it on t2,
+    /// with the four `budgets` in that order.
+    fn shared_plan(s: &SubstrateNetwork, apps: &AppSet, budgets: [f64; 4]) -> Plan {
+        let mut plan = Plan::empty();
+        for (edge, budgets) in (0u32..).zip(budgets.chunks(2)) {
+            let ingress = NodeId(edge);
+            let mut columns = vec![
+                column_to(
+                    s,
+                    apps,
+                    (ingress, NodeId(3)),
+                    vec![LinkId(edge), LinkId(2)],
+                    budgets[0],
+                ),
+                column_to(
+                    s,
+                    apps,
+                    (ingress, NodeId(2)),
+                    vec![LinkId(edge)],
+                    budgets[1],
+                ),
+            ];
+            columns.sort_by(|a, b| a.unit_cost.total_cmp(&b.unit_cost));
+            plan.insert(ClassPlan {
+                class: ClassId::new(AppId(0), ingress),
+                expected_demand: budgets.iter().sum(),
+                rejected_fraction: 0.0,
+                columns,
+            });
+        }
+        plan
+    }
+
+    /// Whether `footprint` loads an element `loads` holds over capacity.
+    fn touches_overload(loads: &LoadLedger, footprint: &Footprint) -> bool {
+        let over = |capacity: f64, load: f64| load > capacity + CAPACITY_EPS * capacity.max(1.0);
+        let node = |&(n, _): &(NodeId, f64)| over(loads.node_capacity_of(n), loads.node_load(n));
+        let link = |&(l, _): &(LinkId, f64)| over(loads.link_capacity_of(l), loads.link_load(l));
+        footprint.nodes().iter().any(node) || footprint.links().iter().any(link)
+    }
+
+    /// One step of the random drive: an optional state change, then a
+    /// slot of arrivals `(ingress, demand, duration)`.
+    type Step = (u8, usize, f64, Vec<(u32, f64, Slot)>);
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        let arrivals = proptest::collection::vec((0u32..3, 0.5f64..14.0, 1u32..12), 0..8);
+        proptest::collection::vec((0u8..8, 0usize..9, 0.2f64..1.0, arrivals), 1..40)
+    }
+
+    proptest! {
+        /// The borrower index against the whole-map scan it replaced:
+        /// over random arrivals (planned, borrowed and greedy), timed
+        /// departures, capacity churn with the evictions it forces and
+        /// snapshot → restore hand-overs, every column of an arriving
+        /// request's class gets the scan's victims from the index —
+        /// `handle_arrival` asks for one of them — and after every slot
+        /// the lists hold exactly the non-planned active requests.
+        #[test]
+        fn indexed_victims_equal_the_whole_map_scan(
+            budgets in (5.0f64..40.0, 5.0f64..40.0, 5.0f64..40.0, 5.0f64..40.0),
+            steps in arb_steps(),
+        ) {
+            let (s, apps) = shared_world();
+            let plan = shared_plan(&s, &apps, [budgets.0, budgets.1, budgets.2, budgets.3]);
+            let fresh = Olive::new(
+                s.clone(),
+                apps,
+                PlacementPolicy::default(),
+                plan,
+                OliveConfig::default(),
+            );
+            let mut olive = fresh.clone();
+            let pristine = EffectiveCapacities {
+                node: s.nodes().map(|(_, n)| n.capacity).collect(),
+                link: s.links().map(|(_, l)| l.capacity).collect(),
+            };
+            let mut capacities = pristine.clone();
+            let mut live: Vec<Request> = Vec::new();
+            let mut next_id = 0;
+            for (t, (change, element, factor, arrivals)) in steps.into_iter().enumerate() {
+                let t = t as Slot;
+                match change {
+                    // Drain one element, evicting newest-first what no
+                    // longer fits (the engine's stranding rule).
+                    0 | 1 => {
+                        let nodes = capacities.node.len();
+                        if element < nodes {
+                            capacities.node[element] = pristine.node[element] * factor;
+                        } else {
+                            capacities.link[element - nodes] = pristine.link[element - nodes] * factor;
+                        }
+                        olive.apply_churn(&capacities);
+                        let mut loads = olive.loads().clone();
+                        let mut evicted = Vec::new();
+                        while let Some(at) = live.iter().rposition(|r| {
+                            touches_overload(&loads, olive.footprint_of(r.id).unwrap())
+                        }) {
+                            let r = live.remove(at);
+                            loads.remove(olive.footprint_of(r.id).unwrap(), r.demand);
+                            evicted.push(r);
+                        }
+                        olive.process_slot(t, &evicted, &[]);
+                    }
+                    2 => {
+                        capacities = pristine.clone();
+                        olive.apply_churn(&capacities);
+                    }
+                    3 => {
+                        let blob = Snapshot::snapshot(&olive);
+                        olive = fresh.clone();
+                        olive.restore(&blob).unwrap();
+                        olive.apply_churn(&capacities);
+                        prop_assert_eq!(Snapshot::snapshot(&olive).as_bytes(), blob.as_bytes());
+                    }
+                    _ => {}
+                }
+                prop_assert!(olive.borrowers_match_active());
+
+                let (departures, staying) = live
+                    .into_iter()
+                    .partition(|r: &Request| r.arrival + r.duration <= t);
+                live = staying;
+                olive.process_slot(t, &departures, &[]);
+                for (ingress, demand, duration) in arrivals {
+                    let r = Request {
+                        id: RequestId(next_id),
+                        arrival: t,
+                        duration,
+                        ingress: NodeId(ingress),
+                        app: AppId(0),
+                        demand,
+                    };
+                    next_id += 1;
+                    if let Some(class_plan) = olive.plan.class(r.class()) {
+                        for column in &class_plan.columns {
+                            prop_assert_eq!(
+                                olive.select_victims(&column.footprint, r.demand),
+                                olive.select_victims_by_scan(&column.footprint, r.demand)
+                            );
+                        }
+                    }
+                    let out = olive.process_slot(t, &[], std::slice::from_ref(&r));
+                    live.retain(|l| !out.preempted.contains(&l.id));
+                    if !out.accepted.is_empty() {
+                        live.push(r);
+                    }
+                    prop_assert!(olive.borrowers_match_active());
+                }
+                prop_assert_eq!(olive.active.len(), live.len());
+            }
+        }
     }
 }

@@ -161,6 +161,15 @@ impl StateWriter {
         Self::default()
     }
 
+    /// An empty writer whose buffer already holds `bytes`: a caller that
+    /// knows the encoded length allocates once, and the finished blob
+    /// carries no spare capacity.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Finishes into a blob.
     pub fn finish(self) -> StateBlob {
         StateBlob(self.buf)

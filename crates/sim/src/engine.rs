@@ -849,15 +849,29 @@ pub struct EngineCheckpoint {
 
 impl EngineCheckpoint {
     /// Magic + version prefix of the serialized form. V2 added the
-    /// folded churn state to the engine blob.
-    pub const MAGIC: [u8; 8] = *b"VNECKPT2";
+    /// folded churn state to the engine blob; V3 is OLIVE's blob naming
+    /// a plan column per plan-following request where V2 copied the
+    /// column's footprint.
+    pub const MAGIC: [u8; 8] = *b"VNECKPT3";
 
     /// The pre-churn V1 magic, refused with a descriptive error.
     pub const LEGACY_MAGIC_V1: [u8; 8] = *b"VNECKPT1";
 
-    /// Serializes the checkpoint for storage.
+    /// The V2 magic, refused with a descriptive error.
+    pub const LEGACY_MAGIC_V2: [u8; 8] = *b"VNECKPT2";
+
+    /// Serializes the checkpoint for storage, into a buffer of exactly
+    /// the encoded length: holders of the bytes keep no spare capacity.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        // Magic, slot, then four length-prefixed fields.
+        let len = Self::MAGIC.len()
+            + 4
+            + 4 * 8
+            + self.algorithm.len()
+            + self.engine.len()
+            + self.algorithm_state.len()
+            + self.observer_state.len();
+        let mut w = StateWriter::with_capacity(len);
         for b in Self::MAGIC {
             w.write_u8(b);
         }
@@ -884,6 +898,13 @@ impl EngineCheckpoint {
             return Err(StateError::Corrupt(
                 "legacy V1 engine checkpoint: its engine state predates substrate churn \
                  and cannot be resumed by this version; re-run from scratch"
+                    .into(),
+            ));
+        }
+        if magic == Self::LEGACY_MAGIC_V2 {
+            return Err(StateError::Corrupt(
+                "legacy V2 engine checkpoint: its OLIVE state copies plan footprints where \
+                 this version reads plan column references; re-run from scratch"
                     .into(),
             ));
         }

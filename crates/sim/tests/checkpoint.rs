@@ -227,6 +227,8 @@ proptest! {
         let alg = Algorithm::ALL[alg_idx];
         let checkpoint = fork(&scenario, alg, at).unwrap().expect("a checkpoint");
         let bytes = checkpoint.to_bytes();
+        // One allocation of the encoded length: no tail for holders to keep.
+        prop_assert_eq!(bytes.capacity(), bytes.len());
         let parsed = EngineCheckpoint::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&parsed, &checkpoint);
         // Resuming through the parsed copy still works.
@@ -479,6 +481,19 @@ fn corrupt_checkpoint_bytes_are_rejected() {
         EngineCheckpoint::from_bytes(&bad),
         Err(StateError::Corrupt(_))
     ));
+    // Earlier format versions are named, not guessed at.
+    for (magic, version) in [
+        (EngineCheckpoint::LEGACY_MAGIC_V1, "legacy V1"),
+        (EngineCheckpoint::LEGACY_MAGIC_V2, "legacy V2"),
+    ] {
+        let mut old = bytes.clone();
+        old[..8].copy_from_slice(&magic);
+        match EngineCheckpoint::from_bytes(&old) {
+            Err(StateError::Corrupt(why)) => assert!(why.contains(version), "{why}"),
+            other => panic!("{version} checkpoint was not refused: {other:?}"),
+        }
+    }
+    assert_eq!(&bytes[..8], b"VNECKPT3");
     // Truncation.
     assert!(EngineCheckpoint::from_bytes(&bytes[..bytes.len() - 3]).is_err());
     // Trailing garbage.
