@@ -7,9 +7,8 @@
 //! result is the input of PLAN-VNE.
 //!
 //! Aggregation is a *fold*: [`AggregateDemand::from_stream`] consumes a
-//! slot-event stream through any
-//! [`DemandEstimator`], so the planning phase never materializes the
-//! history.
+//! slot-event stream through an [`ExactEstimator`], so the planning
+//! phase never materializes the history.
 
 use std::collections::BTreeMap;
 
@@ -17,7 +16,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use vne_model::ids::ClassId;
 use vne_model::request::SlotEvents;
-use vne_workload::estimator::DemandEstimator;
+use vne_workload::estimator::ExactEstimator;
 
 pub use vne_workload::estimator::AggregationConfig;
 
@@ -37,25 +36,18 @@ pub struct AggregateDemand {
 }
 
 impl AggregateDemand {
-    /// Aggregates a history *stream* through a [`DemandEstimator`]
+    /// Aggregates a history *stream* through an [`ExactEstimator`]
     /// (Eq. 5–6) — the planning input is folded one slot at a time, so
-    /// nothing on this path materializes the trace; with a sketch
-    /// estimator memory is `O(classes)` regardless of the horizon.
+    /// nothing on this path materializes the trace.
     ///
     /// Classes whose expected demand rounds to zero are dropped — they
     /// carry no plan and their requests fall through to the non-planned
     /// mechanisms online.
-    pub fn from_stream<I>(
-        events: I,
-        estimator: &mut dyn DemandEstimator,
-        rng: &mut dyn RngCore,
-    ) -> Self
+    pub fn from_stream<I>(events: I, estimator: &mut ExactEstimator, rng: &mut dyn RngCore) -> Self
     where
         I: IntoIterator<Item = SlotEvents>,
     {
-        for ev in events {
-            estimator.observe_slot(&ev);
-        }
+        estimator.observe_all(events);
         Self::from_demands(&estimator.finalize(rng))
     }
 
@@ -96,22 +88,6 @@ impl AggregateDemand {
     pub fn total_demand(&self) -> f64 {
         self.requests.iter().map(|r| r.demand).sum()
     }
-
-    /// Returns a copy with all demands scaled by `factor` (used by the
-    /// Fig. 13 "unexpected demand" study, where the plan is built for a
-    /// lower utilization than the online trace).
-    pub fn scaled(&self, factor: f64) -> Self {
-        Self {
-            requests: self
-                .requests
-                .iter()
-                .map(|r| AggregateRequest {
-                    class: r.class,
-                    demand: r.demand * factor,
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +95,6 @@ mod tests {
     use super::*;
     use vne_model::ids::{AppId, NodeId, RequestId};
     use vne_model::request::{slot_events, Request, Slot};
-    use vne_workload::estimator::{ExactEstimator, SketchEstimator};
     use vne_workload::rng::SeededRng;
 
     fn req(id: u64, arrival: Slot, duration: Slot, node: u32, app: u32, demand: f64) -> Request {
@@ -188,39 +163,6 @@ mod tests {
         assert_eq!(agg.len(), 1);
         assert!(!agg.is_empty());
         assert_eq!(agg.demand(ClassId::new(AppId(0), NodeId(0))), 0.0);
-    }
-
-    #[test]
-    fn scaling() {
-        let mut demands = BTreeMap::new();
-        demands.insert(ClassId::new(AppId(0), NodeId(1)), 10.0);
-        let agg = AggregateDemand::from_demands(&demands).scaled(0.6);
-        assert!((agg.demand(ClassId::new(AppId(0), NodeId(1))) - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sketch_estimator_lands_near_the_exact_one() {
-        let history = vec![
-            req(0, 0, 10, 1, 0, 3.0),
-            req(1, 2, 5, 1, 1, 4.0),
-            req(2, 0, 10, 2, 0, 5.0),
-        ];
-        let exact = exact(&history, 10, 7);
-        let mut sketch = SketchEstimator::new(AggregationConfig::default().alpha);
-        let approx = AggregateDemand::from_stream(
-            slot_events(&history, 10),
-            &mut sketch,
-            &mut SeededRng::new(7),
-        );
-        for s in approx.requests() {
-            let exact_demand = exact.demand(s.class);
-            assert!(
-                (s.demand - exact_demand).abs() < 1.0,
-                "class {:?}: sketch {} vs exact {exact_demand}",
-                s.class,
-                s.demand
-            );
-        }
     }
 
     #[test]

@@ -271,14 +271,6 @@ impl Footprint {
             .sum();
         n + l
     }
-
-    /// Returns this footprint scaled by a demand factor.
-    pub fn scaled(&self, demand: f64) -> Footprint {
-        Footprint {
-            nodes: self.nodes.iter().map(|&(k, x)| (k, x * demand)).collect(),
-            links: self.links.iter().map(|&(k, x)| (k, x * demand)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn footprint_scaling() {
+    fn footprint_loads_and_cost() {
         let s = line();
         let vn = chain2();
         let p = PlacementPolicy::default();
@@ -430,10 +422,10 @@ mod tests {
             vec![NodeId(0), NodeId(1), NodeId(2)],
             vec![vec![LinkId(0)], vec![LinkId(1)]],
         );
-        let fp = emb.footprint(&vn, &s, &p).scaled(3.0);
-        assert_eq!(fp.node_load(NodeId(1)), 30.0);
-        assert_eq!(fp.link_load(LinkId(1)), 15.0);
-        assert_eq!(fp.cost(&s), 360.0);
+        let fp = emb.footprint(&vn, &s, &p);
+        assert_eq!(fp.node_load(NodeId(1)), 10.0);
+        assert_eq!(fp.link_load(LinkId(1)), 5.0);
+        assert_eq!(fp.cost(&s), 120.0);
     }
 
     #[test]

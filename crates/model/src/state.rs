@@ -3,7 +3,7 @@
 //! Long-horizon streaming runs need to survive interruption and support
 //! warm-started what-if forks mid-stream. Every stateful component of
 //! the pipeline — online algorithms, the engine's active-request state,
-//! summary observers, demand estimators — implements [`Snapshot`]:
+//! summary observers, the demand estimator — implements [`Snapshot`]:
 //! serialize the *mutable* state into a [`StateBlob`], restore it into a
 //! freshly constructed instance later. Immutable construction inputs
 //! (substrate, application catalogue, plan, configuration) are *not*

@@ -29,7 +29,7 @@
 //!   [`Checkpointer`]'s envelope and the typed
 //!   [`ShardCheckpoint`](vne_model::state::ShardCheckpoint).
 //! * [`plan`] — per-shard PLAN-VNE: [`shard_demands`] routes the
-//!   history stream into one [`DemandEstimator`] per shard (planning
+//!   history stream into one [`ExactEstimator`] per shard (planning
 //!   memory `O(classes per shard)`), [`shard_plans`] solves the shard
 //!   LPs in parallel.
 //!
@@ -61,7 +61,7 @@
 //! # }
 //! ```
 //!
-//! [`DemandEstimator`]: vne_workload::estimator::DemandEstimator
+//! [`ExactEstimator`]: vne_workload::estimator::ExactEstimator
 //! [`ShardedSubstrate`]: vne_model::shard::ShardedSubstrate
 //! [`Checkpointer`]: vne_sim::observe::Checkpointer
 

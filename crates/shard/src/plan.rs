@@ -1,4 +1,4 @@
-//! Per-shard plan builds through the [`DemandEstimator`] seam.
+//! Per-shard plan builds, one [`ExactEstimator`] per shard.
 //!
 //! The unsharded planning pipeline observes the whole history stream
 //! into one estimator and solves one PLAN-VNE over the full substrate —
@@ -9,21 +9,19 @@
 //! independent PLAN-VNE per shard-local substrate on the
 //! [`cell_map`](vne_sim::runner::cell_map) worker pool.
 
-use std::collections::BTreeMap;
-
 use rand::RngCore;
 use vne_model::app::AppSet;
-use vne_model::ids::ClassId;
 use vne_model::policy::PlacementPolicy;
-use vne_model::request::SlotEvents;
+use vne_model::request::{Slot, SlotEvents};
 use vne_model::shard::ShardedSubstrate;
 use vne_olive::aggregate::AggregateDemand;
 use vne_olive::colgen::{solve_plan, PlanSolveStats, PlanVneConfig};
 use vne_olive::plan::Plan;
-use vne_workload::estimator::DemandEstimator;
+use vne_workload::estimator::{AggregationConfig, ExactEstimator};
 
-/// Routes a history stream through one [`DemandEstimator`] per shard
-/// and finalizes each into a shard-local [`AggregateDemand`].
+/// Routes a history stream through one [`ExactEstimator`] per shard —
+/// each over a `slots`-slot window with `aggregation` — and finalizes
+/// each into a shard-local [`AggregateDemand`].
 ///
 /// Each arrival is observed only by the estimator of the shard owning
 /// its ingress, with the class ingress remapped to the shard-local node
@@ -31,15 +29,16 @@ use vne_workload::estimator::DemandEstimator;
 /// observes every slot — possibly empty — so per-slot rate windows stay
 /// consistent across shards. Estimators are finalized in ascending
 /// shard order against the single shared `rng`, making the whole
-/// routine deterministic in `(stream, estimators, rng)`.
+/// routine deterministic in `(stream, slots, aggregation, rng)`.
 pub fn shard_demands(
     sharded: &ShardedSubstrate,
     history: impl IntoIterator<Item = SlotEvents>,
-    mut make: impl FnMut() -> Box<dyn DemandEstimator>,
+    slots: Slot,
+    aggregation: AggregationConfig,
     rng: &mut dyn RngCore,
 ) -> Vec<AggregateDemand> {
     let k = sharded.shard_count();
-    let mut estimators: Vec<Box<dyn DemandEstimator>> = (0..k).map(|_| make()).collect();
+    let mut estimators = vec![ExactEstimator::new(slots, aggregation); k];
     for event in history {
         let mut routed: Vec<SlotEvents> = (0..k).map(|_| SlotEvents::empty(event.slot)).collect();
         for r in &event.arrivals {
@@ -53,11 +52,8 @@ pub fn shard_demands(
         }
     }
     estimators
-        .iter_mut()
-        .map(|estimator| {
-            let demands: BTreeMap<ClassId, f64> = estimator.finalize(rng);
-            AggregateDemand::from_demands(&demands)
-        })
+        .iter()
+        .map(|estimator| AggregateDemand::from_demands(&estimator.finalize(rng)))
         .collect()
 }
 

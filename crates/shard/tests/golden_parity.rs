@@ -30,7 +30,6 @@ use vne_topology::params::TierParams;
 use vne_topology::partition::{large_synthetic, GreedyEdgeCut, Partitioner};
 use vne_topology::random::{erdos_renyi_spec, TierFractions};
 use vne_topology::zoo::golden_diamond;
-use vne_workload::estimator::ExactEstimator;
 use vne_workload::rng::SeededRng;
 
 /// The `golden_fingerprints` fixture: the tiny 4-node golden world with
@@ -231,12 +230,8 @@ fn four_shard_planned_olive_under_overload_matches_golden_fingerprint() {
     let demands = shard_demands(
         &sharded,
         scenario.history_events(),
-        || {
-            Box::new(ExactEstimator::new(
-                config.history_slots,
-                config.aggregation,
-            ))
-        },
+        config.history_slots,
+        config.aggregation,
         &mut SeededRng::new(9),
     );
     let policy = PlacementPolicy::default();

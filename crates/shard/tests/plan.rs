@@ -1,8 +1,8 @@
 //! Per-shard planning ([`shard_demands`] / [`shard_plans`]) against the
 //! unsharded planning pipeline: one shard reproduces it bit for bit,
-//! four shards split its classes without losing or changing any.
+//! four shards split its classes without losing or duplicating any.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::ids::ClassId;
@@ -13,9 +13,7 @@ use vne_olive::colgen::{solve_plan, PlanVneConfig};
 use vne_shard::{shard_demands, shard_plans};
 use vne_topology::partition::{large_synthetic, GreedyEdgeCut, Partitioner};
 use vne_topology::zoo::golden_diamond;
-use vne_workload::estimator::{
-    AggregationConfig, DemandEstimator, ExactEstimator, SketchEstimator,
-};
+use vne_workload::estimator::{AggregationConfig, ExactEstimator};
 use vne_workload::rng::SeededRng;
 use vne_workload::tracegen::{self, ArrivalKind, TraceConfig};
 
@@ -57,7 +55,8 @@ fn single_shard_planning_equals_the_unsharded_pipeline() {
     let demands = shard_demands(
         &sharded,
         tracegen::stream(&s, &apps, &tc, SeededRng::new(77)),
-        || Box::new(ExactEstimator::new(HISTORY_SLOTS, aggregation)),
+        HISTORY_SLOTS,
+        aggregation,
         &mut SeededRng::new(9),
     );
     assert_eq!(demands.len(), 1);
@@ -84,10 +83,15 @@ fn four_shards_split_the_unsharded_classes_exactly() {
         .unwrap();
     }
     let tc = trace_config(0.3, 1.0);
-    let alpha = AggregationConfig::default().alpha;
+    // At α = 100 a class's `P̂_α` is positive iff the history touched it
+    // (short of all 100 replicates missing every busy slot), so which
+    // classes carry demand does not depend on the bootstrap draws.
+    let aggregation = AggregationConfig {
+        alpha: 100.0,
+        ..AggregationConfig::default()
+    };
 
-    // The sketch ignores the RNG, so sharding cannot reorder draws.
-    let mut unsharded = SketchEstimator::new(alpha);
+    let mut unsharded = ExactEstimator::new(HISTORY_SLOTS, aggregation);
     let expected = AggregateDemand::from_stream(
         tracegen::stream(&s, &apps, &tc, SeededRng::new(77)),
         &mut unsharded,
@@ -101,27 +105,29 @@ fn four_shards_split_the_unsharded_classes_exactly() {
     let demands = shard_demands(
         &sharded,
         tracegen::stream(&s, &apps, &tc, SeededRng::new(77)),
-        || Box::new(SketchEstimator::new(alpha)),
+        HISTORY_SLOTS,
+        aggregation,
         &mut SeededRng::new(9),
     );
     assert_eq!(demands.len(), 4);
 
-    let mut merged = BTreeMap::new();
+    // The bootstrap draws follow shard order, so the k = 4 values differ
+    // from the unsharded ones; the k = 4 values stay pinned bit for bit
+    // by `PLANNED_K4_OLIVE_GOLDEN` in `golden_parity.rs`. Here: the same
+    // classes, each on exactly one shard, each with positive demand.
+    let mut merged = BTreeSet::new();
     for ((shard, _), demand) in sharded.shards().zip(&demands) {
         for r in demand.requests() {
             let global = ClassId::new(r.class.app, sharded.global_node(shard, r.class.ingress));
             assert!(
-                merged.insert(global, r.demand.to_bits()).is_none(),
+                merged.insert(global),
                 "class {global:?} planned on more than one shard"
             );
+            assert!(r.demand > 0.0, "class {global:?}: demand {}", r.demand);
         }
     }
-    let expected_bits: BTreeMap<ClassId, u64> = expected
-        .requests()
-        .iter()
-        .map(|r| (r.class, r.demand.to_bits()))
-        .collect();
-    assert_eq!(merged, expected_bits);
+    let expected_classes: BTreeSet<ClassId> = expected.requests().iter().map(|r| r.class).collect();
+    assert_eq!(merged, expected_classes);
 
     let plans = shard_plans(
         &sharded,

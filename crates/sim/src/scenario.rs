@@ -34,7 +34,7 @@ use vne_workload::adversary::{
     PlanAdversarialConfig, RevenueBurstConfig,
 };
 use vne_workload::caida::{self, CaidaConfig};
-use vne_workload::estimator::{DemandEstimator, EstimatorKind, ExactEstimator};
+use vne_workload::estimator::ExactEstimator;
 use vne_workload::rng::SeededRng;
 use vne_workload::tracegen::{self, TraceConfig};
 
@@ -141,10 +141,6 @@ pub struct ScenarioConfig {
     pub olive: OliveConfig,
     /// History aggregation (percentile α, bootstrap replicates).
     pub aggregation: AggregationConfig,
-    /// The demand estimator folding the history stream into per-class
-    /// expected demands: exact (dense + bootstrap, the default) or
-    /// `O(classes)` P² sketches.
-    pub estimator: EstimatorKind,
     /// Base synthetic trace parameters.
     pub trace: TraceConfig,
     /// Use the CAIDA-like trace instead of the synthetic one (Fig. 15).
@@ -182,7 +178,6 @@ impl ScenarioConfig {
                 alpha: 80.0,
                 bootstrap_replicates: 30,
             },
-            estimator: EstimatorKind::Exact,
             trace: TraceConfig {
                 slots: 0, // set per phase
                 ..TraceConfig::default()
@@ -540,11 +535,11 @@ impl Scenario {
         PlanVneConfig::new(self.penalty().max_psi()).with_quantiles(self.config.quantiles)
     }
 
-    /// Builds the OLIVE plan by *streaming* the history through the
-    /// configured [`EstimatorKind`] — the trace is folded one slot at a
-    /// time and never materialized (planning memory is the estimator's:
-    /// `O(classes × slots)` exact, `O(classes)` sketch). Returns the
-    /// plan and the wall-clock seconds it took (fold + PLAN-VNE solve).
+    /// Builds the OLIVE plan by *streaming* the history through an
+    /// [`ExactEstimator`] — the trace is folded one slot at a time and
+    /// never materialized (planning memory is the estimator's,
+    /// `O(classes × slots)`). Returns the plan and the wall-clock
+    /// seconds it took (fold + PLAN-VNE solve).
     ///
     /// When a [`crate::runner::SweepContext`] is attached
     /// ([`Scenario::with_sweep_context`]) the derivation is memoized
@@ -561,13 +556,10 @@ impl Scenario {
     fn build_plan_uncached(&self) -> (Plan, f64) {
         // audit:allow(D2, "plan-build cost probe reported in Outcome; never feeds embeddings")
         let started = std::time::Instant::now();
-        let mut estimator = self
-            .config
-            .estimator
-            .build(self.config.history_slots, &self.config.aggregation);
+        let mut estimator = ExactEstimator::new(self.config.history_slots, self.config.aggregation);
         let mut rng = self.rng(3);
         let aggregate =
-            AggregateDemand::from_stream(self.history_events(), estimator.as_mut(), &mut rng);
+            AggregateDemand::from_stream(self.history_events(), &mut estimator, &mut rng);
         let (plan, _) = solve_plan(
             &self.substrate,
             &self.apps,
@@ -583,13 +575,13 @@ impl Scenario {
     /// sharing a name but differing in capacity must not share plans),
     /// application catalogue shape, placement policy, seed and the
     /// planning-relevant configuration (history horizon, plan
-    /// utilization, Fig. 13/14 distortions, aggregation, estimator
-    /// kind, quantiles, trace/CAIDA parameters). Deliberately
+    /// utilization, Fig. 13/14 distortions, aggregation, quantiles,
+    /// trace/CAIDA parameters). Deliberately
     /// *excludes* [`OliveConfig`] and the online phase — two scenarios
     /// with equal keys derive bit-identical plans.
     pub fn plan_cache_key(&self) -> u64 {
         let inputs = format!(
-            "{:?};{:?};{:?};{};{};{:?};{:?};{};{:?};{:?};{:?};{:?};{:?}",
+            "{:?};{:?};{:?};{};{};{:?};{:?};{};{:?};{:?};{:?};{:?}",
             self.substrate,
             self.apps,
             self.policy,
@@ -601,7 +593,6 @@ impl Scenario {
             self.config.quantiles,
             self.config.aggregation,
             self.config.trace,
-            self.config.estimator,
             self.config.caida,
         );
         fnv1a(&inputs)
@@ -1030,34 +1021,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sketch_estimator_scenario_runs_close_to_exact() {
-        let exact = scenario(1.2, 19);
-        let mut sketch = scenario(1.2, 19);
-        sketch.config.estimator = EstimatorKind::Sketch;
-        let exact_out = exact.run(Algorithm::Olive);
-        let sketch_out = sketch.run(Algorithm::Olive);
-        // Same online trace, a plan built from approximated demands:
-        // the sketch plan must be a working plan of a similar size.
-        assert_eq!(exact_out.summary.arrivals, sketch_out.summary.arrivals);
-        let exact_plan = exact_out.plan.unwrap();
-        let sketch_plan = sketch_out.plan.unwrap();
-        assert!(!sketch_plan.is_empty());
-        let ratio = sketch_plan.len() as f64 / exact_plan.len() as f64;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "planned classes: sketch {} vs exact {}",
-            sketch_plan.len(),
-            exact_plan.len()
-        );
-        assert!(
-            (sketch_out.summary.rejection_rate - exact_out.summary.rejection_rate).abs() < 0.15,
-            "rates: sketch {} vs exact {}",
-            sketch_out.summary.rejection_rate,
-            exact_out.summary.rejection_rate
-        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ use vne_sim::runner::{default_apps, run_cells, SweepContext};
 use vne_sim::scenario::{Algorithm, ResumeError, Scenario, ScenarioConfig};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile, ChurnSchedule};
 use vne_workload::caida::CaidaConfig;
-use vne_workload::estimator::EstimatorKind;
 
 use proptest::prelude::*;
 
@@ -190,8 +189,8 @@ proptest! {
     #![proptest_config(cases(8))]
 
     /// Checkpoint at a random slot, resume, and require byte-identical
-    /// summaries — all four builtin algorithms, both estimators driving
-    /// OLIVE's plan, preemption included at the high-load levels.
+    /// summaries — all four builtin algorithms, preemption included at
+    /// the high-load levels.
     #[test]
     fn resumed_runs_are_byte_identical(
         seed in 1u64..1000,
@@ -205,10 +204,6 @@ proptest! {
         for alg in Algorithm::ALL {
             check_resume(&scenario, alg, at);
         }
-        // OLIVE again with the sketch estimator planning the run.
-        let mut sketch = tiny_scenario(utilization, seed);
-        sketch.config.estimator = EstimatorKind::Sketch;
-        check_resume(&sketch, Algorithm::Olive, at);
     }
 }
 
@@ -698,10 +693,6 @@ fn sweep_context_caches_equal_fresh_derivations() {
     let mut ablated = tiny_scenario(1.0, 9);
     ablated.config.olive.borrowing = false;
     assert_eq!(ablated.plan_cache_key(), key);
-    // The estimator is a plan input.
-    let mut sketch = tiny_scenario(1.0, 9);
-    sketch.config.estimator = EstimatorKind::Sketch;
-    assert_ne!(sketch.plan_cache_key(), key);
 
     // End to end on the sweep primitive: cells run through
     // `run_cells` — which attaches its own context to every cell —

@@ -19,27 +19,8 @@ use vne_sim::engine::{run_stream_with, ReembedAll};
 use vne_sim::observe::WindowSummary;
 use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
-use vne_workload::estimator::EstimatorKind;
 use vne_workload::rng::SeededRng;
 use vne_workload::tracegen::{self, ArrivalKind, TraceConfig};
-
-fn small_world() -> (SubstrateNetwork, AppSet) {
-    let mut s = SubstrateNetwork::new("long");
-    let e = s.add_node("e0", Tier::Edge, 10_000.0, 50.0).unwrap();
-    let c = s.add_node("c0", Tier::Core, 50_000.0, 1.0).unwrap();
-    s.add_link(e, c, 100_000.0, 1.0).unwrap();
-    let mut apps = AppSet::new();
-    for name in ["chain2", "chain3", "chain4"] {
-        let len = name.as_bytes()[5] - b'0';
-        apps.push(
-            name,
-            AppShape::Chain,
-            shapes::uniform_chain(usize::from(len), 10.0, 1.0).unwrap(),
-        )
-        .unwrap();
-    }
-    (s, apps)
-}
 
 #[test]
 fn peak_engine_state_is_independent_of_horizon() {
@@ -89,36 +70,6 @@ fn peak_engine_state_is_independent_of_horizon() {
         stats.peak_active,
         stats.arrivals
     );
-}
-
-#[test]
-fn sketch_estimator_plans_a_30k_slot_history() {
-    // The offline counterpart of the engine's O(active) bound: the
-    // planning phase folds a 30 000-slot history (5.5× the paper's
-    // 5400) through the sketch estimator. Nothing materializes the
-    // trace — the generator is lazy and the estimator keeps one P²
-    // sketch per class plus the active-request calendar — and the
-    // resulting plan must still be a working OLIVE input.
-    let (s, apps) = small_world();
-    let mut config = ScenarioConfig::small(1.0).with_seed(7);
-    config.history_slots = 30_000;
-    config.test_slots = 60;
-    config.measure_window = (5, 55);
-    config.estimator = EstimatorKind::Sketch;
-    config.trace.mean_rate_per_node = 2.0;
-    config.trace.duration_mean = 5.0;
-    config.trace.arrivals = ArrivalKind::Poisson;
-    let scenario = Scenario::new(s, apps, config);
-
-    let (plan, secs) = scenario.build_plan();
-    assert!(!plan.is_empty(), "sketch plan must cover observed classes");
-    assert!(plan.iter().all(|c| c.expected_demand > 0.0));
-    assert!(secs > 0.0);
-
-    // The plan drives a full online run end to end.
-    let outcome = scenario.run(Algorithm::Olive);
-    assert!(outcome.summary.arrivals > 0);
-    assert!((0.0..=1.0).contains(&outcome.summary.rejection_rate));
 }
 
 #[test]

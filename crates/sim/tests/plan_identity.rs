@@ -1,7 +1,7 @@
 //! Byte-identity of the exact-estimator planning path.
 //!
 //! `Scenario::build_plan` was refactored from "collect the history,
-//! aggregate it" to "stream the history through a `DemandEstimator`".
+//! aggregate it" to "stream the history through a demand estimator".
 //! The exact estimator must reproduce the pre-refactor plans bit for
 //! bit: the fingerprints below were captured from the batch
 //! implementation (PR 2) and pin every float of the plan — expected

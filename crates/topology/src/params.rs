@@ -73,17 +73,6 @@ impl TierParams {
         }
     }
 
-    /// A proportionally scaled-down parameter set for fast tests
-    /// (capacities divided by `factor`, costs unchanged).
-    pub fn scaled_down(factor: f64) -> Self {
-        let mut p = Self::paper();
-        for spec in [&mut p.edge, &mut p.transport, &mut p.core] {
-            spec.node_capacity /= factor;
-            spec.link_capacity /= factor;
-        }
-        p
-    }
-
     /// The spec for a tier.
     pub fn spec(&self, tier: Tier) -> &TierSpec {
         match tier {
@@ -126,13 +115,6 @@ mod tests {
             Tier::Transport
         );
         assert_eq!(TierParams::link_tier(Tier::Core, Tier::Core), Tier::Core);
-    }
-
-    #[test]
-    fn scaled_down_divides_capacities_only() {
-        let p = TierParams::scaled_down(1000.0);
-        assert_eq!(p.edge.node_capacity, 200.0);
-        assert_eq!(p.edge.mean_node_cost, 50.0);
     }
 
     #[test]

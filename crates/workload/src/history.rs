@@ -57,7 +57,7 @@ impl ClassDemandSeries {
     }
 
     /// Folds one slot's arrivals into the series (the
-    /// [`crate::estimator::DemandEstimator`] feed).
+    /// [`crate::estimator::ExactEstimator`] feed).
     pub fn observe_slot(&mut self, events: &SlotEvents) {
         for r in &events.arrivals {
             self.observe_request(r);
@@ -92,14 +92,6 @@ impl ClassDemandSeries {
     /// The demand series of one class (`None` if unobserved).
     pub fn series(&self, class: ClassId) -> Option<&[f64]> {
         self.series.get(&class).map(|v| v.as_slice())
-    }
-
-    /// The plain `alpha`-percentile of each class's series.
-    pub fn percentile_demands(&self, alpha: f64) -> BTreeMap<ClassId, f64> {
-        self.series
-            .iter()
-            .map(|(&c, s)| (c, Ecdf::new(s.clone()).percentile(alpha)))
-            .collect()
     }
 
     /// The bootstrap-estimated `P̂_α` demand per class (Eq. 6).
@@ -253,17 +245,6 @@ mod tests {
         let s = ClassDemandSeries::from_requests(&requests, 4);
         let c = ClassId::new(AppId(0), NodeId(1));
         assert_eq!(s.series(c).unwrap(), &[0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn percentile_demands_match_ecdf() {
-        let requests = vec![req(0, 0, 2, 1, 0, 4.0)];
-        let s = ClassDemandSeries::from_requests(&requests, 4);
-        let p = s.percentile_demands(100.0);
-        assert_eq!(p[&ClassId::new(AppId(0), NodeId(1))], 4.0);
-        let p50 = s.percentile_demands(50.0);
-        // Series [4, 4, 0, 0] → median 2.
-        assert_eq!(p50[&ClassId::new(AppId(0), NodeId(1))], 2.0);
     }
 
     #[test]

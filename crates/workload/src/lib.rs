@@ -15,12 +15,10 @@
 //!   cliffs, plan-adversarial mixes), arrival modulators and
 //!   substrate-churn schedules for the scenario suite;
 //! * [`stats`] — ECDF, percentiles, bootstrap estimation (Eq. 6);
-//! * [`sketch`] — the P² streaming quantile sketch;
 //! * [`history`] — per-class concurrent-demand series and the demand
 //!   conformance check;
-//! * [`estimator`] — the streaming [`estimator::DemandEstimator`] API
-//!   folding a slot-event stream into per-class expected demands
-//!   (exact dense+bootstrap oracle, or O(classes) P² sketches);
+//! * [`estimator`] — [`estimator::ExactEstimator`], folding a slot-event
+//!   stream into per-class expected demands (dense series + bootstrap);
 //! * [`rng`] — seeded, replayable randomness.
 //!
 //! ## Example
@@ -50,7 +48,6 @@ pub mod dist;
 pub mod estimator;
 pub mod history;
 pub mod rng;
-pub mod sketch;
 pub mod stats;
 pub mod tracegen;
 
@@ -60,12 +57,9 @@ pub mod prelude {
     pub use crate::appgen::{gpu_set, paper_mix, uniform_shape_set, AppGenConfig};
     pub use crate::arrival::{ArrivalProcess, Mmpp, PoissonArrivals};
     pub use crate::caida::CaidaConfig;
-    pub use crate::estimator::{
-        AggregationConfig, DemandEstimator, EstimatorKind, ExactEstimator, SketchEstimator,
-    };
+    pub use crate::estimator::{AggregationConfig, ExactEstimator};
     pub use crate::history::ClassDemandSeries;
     pub use crate::rng::SeededRng;
-    pub use crate::sketch::P2Quantile;
     pub use crate::stats::{bootstrap_percentile, mean_and_ci, Ecdf};
     pub use crate::tracegen::{ArrivalKind, TraceConfig};
 }

@@ -3,13 +3,14 @@
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
 use vne_workload::dist::{Exponential, Normal, Poisson, Zipf};
-use vne_workload::estimator::{DemandEstimator, ExactEstimator, SketchEstimator};
+use vne_workload::estimator::ExactEstimator;
 use vne_workload::history::ClassDemandSeries;
 use vne_workload::rng::SeededRng;
 use vne_workload::stats::{bootstrap_percentile, BootstrapEstimate, Ecdf};
 
 use vne_model::ids::{AppId, NodeId, RequestId};
 use vne_model::request::{Request, SlotEvents};
+use vne_model::state::Snapshot;
 
 /// The sort-per-replicate bootstrap, kept verbatim as the oracle of
 /// `bootstrap_matches_the_sort_per_replicate_reference`: one
@@ -242,48 +243,6 @@ proptest! {
         prop_assert_eq!(folded.len(), direct.len());
         for (class, value) in &folded {
             prop_assert_eq!(value.to_bits(), direct[class].to_bits());
-        }
-    }
-
-    /// The sketch estimator lands inside a tolerance band around the
-    /// exact per-class `P̂_α`: between the exact P65 and P95 (widened by
-    /// a small absolute/relative slack), bounded by the class's peak,
-    /// and exactly absent for classes the history never touches.
-    #[test]
-    fn sketch_estimator_tracks_exact_percentiles(
-        seed in 1u64..500,
-        slots in 120u32..260,
-    ) {
-        let (trace, events) = generated_events(seed, slots);
-        let mut sketch = SketchEstimator::new(80.0);
-        sketch.observe_all(events);
-        let estimates = sketch.finalize(&mut SeededRng::new(1));
-        let series = ClassDemandSeries::from_requests(&trace, slots);
-
-        // No invented classes: every estimate belongs to an observed
-        // class (and unobserved classes are absent — the "empty class"
-        // case).
-        for class in estimates.keys() {
-            prop_assert!(series.series(*class).is_some());
-        }
-        let lo_band = series.percentile_demands(65.0);
-        let hi_band = series.percentile_demands(95.0);
-        for class in series.classes() {
-            let est = estimates.get(&class).copied().unwrap_or(0.0);
-            let max = series
-                .series(class)
-                .unwrap()
-                .iter()
-                .fold(0.0f64, |a, &b| a.max(b));
-            prop_assert!(est <= max + 1e-9, "class {:?}: {} above peak {}", class, est, max);
-            let lo = lo_band[&class];
-            let hi = hi_band[&class];
-            let slack = 0.75 + 0.1 * hi;
-            prop_assert!(
-                est >= lo - slack && est <= hi + slack,
-                "class {:?}: sketch {} outside [{} - {}, {} + {}]",
-                class, est, lo, slack, hi, slack
-            );
         }
     }
 }
@@ -538,17 +497,15 @@ proptest! {
         }
     }
 
-    /// Resume determinism for the estimator fold: checkpoint either
-    /// builtin estimator at a random slot mid-history, restore into a
-    /// fresh instance, finish both — the finalized per-class demands
-    /// are byte-identical, and snapshot → restore → snapshot is
-    /// blob-equal.
+    /// Resume determinism for the estimator fold: checkpoint the exact
+    /// estimator at a random slot mid-history, restore into a fresh
+    /// instance, finish both — the finalized per-class demands are
+    /// byte-identical, and snapshot → restore → snapshot is blob-equal.
     #[test]
     fn estimator_resume_is_byte_identical(
         seed in 1u64..500,
         slots in 80u32..160,
         frac in 0.1f64..0.9,
-        use_sketch in any::<bool>(),
     ) {
         let (_, events) = generated_events(seed, slots);
         let cut = ((frac * f64::from(slots)) as usize).clamp(1, slots as usize - 1);
@@ -556,21 +513,14 @@ proptest! {
             alpha: 80.0,
             bootstrap_replicates: 10,
         };
-        let make = || -> Box<dyn DemandEstimator> {
-            if use_sketch {
-                Box::new(SketchEstimator::new(80.0))
-            } else {
-                Box::new(ExactEstimator::new(slots, config))
-            }
-        };
-        let mut original = make();
+        let mut original = ExactEstimator::new(slots, config);
         for ev in &events[..cut] {
             original.observe_slot(ev);
         }
-        let blob = original.snapshot_state().expect("builtin estimators snapshot");
-        let mut resumed = make();
-        resumed.restore_state(&blob).unwrap();
-        prop_assert_eq!(resumed.snapshot_state().unwrap(), blob);
+        let blob = original.snapshot();
+        let mut resumed = ExactEstimator::new(slots, config);
+        resumed.restore(&blob).unwrap();
+        prop_assert_eq!(resumed.snapshot(), blob);
         for ev in &events[cut..] {
             original.observe_slot(ev);
             resumed.observe_slot(ev);

@@ -11,7 +11,7 @@
 
 use vne::prelude::*;
 use vne_olive::planvne::solve_arc_lp;
-use vne_workload::estimator::{DemandEstimator, ExactEstimator};
+use vne_workload::estimator::ExactEstimator;
 use vne_workload::tracegen;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
