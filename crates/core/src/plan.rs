@@ -242,6 +242,7 @@ impl Snapshot for PlanLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vne_model::ids::{AppId, NodeId};
 
     fn column(budget: f64, cost: f64) -> PlannedColumn {
@@ -363,5 +364,160 @@ mod tests {
         ledger.consume(ghost, 0, 1.0);
         ledger.release(ghost, 0, 1.0);
         assert!(ledger.check_invariants());
+    }
+
+    /// The ledger as two `ClassId`-keyed `BTreeMap`s, the way it was
+    /// before the dense class table — the oracle of
+    /// `ledger_equals_the_class_keyed_maps`.
+    struct MapLedger {
+        residual: BTreeMap<ClassId, Vec<f64>>,
+        budgets: BTreeMap<ClassId, Vec<f64>>,
+    }
+
+    impl MapLedger {
+        fn new(plan: &Plan) -> Self {
+            let budgets: BTreeMap<ClassId, Vec<f64>> = plan
+                .iter()
+                .map(|cp| (cp.class, cp.columns.iter().map(|c| c.budget).collect()))
+                .collect();
+            Self {
+                residual: budgets.clone(),
+                budgets,
+            }
+        }
+
+        fn residual(&self, class: ClassId, column: usize) -> f64 {
+            self.residual
+                .get(&class)
+                .and_then(|v| v.get(column))
+                .copied()
+                .unwrap_or(0.0)
+        }
+
+        fn full_fit(&self, class: ClassId, demand: f64) -> Option<usize> {
+            let residuals = self.residual.get(&class)?;
+            residuals.iter().position(|&r| r + BUDGET_EPS >= demand)
+        }
+
+        fn partial_candidates(&self, class: ClassId) -> Vec<usize> {
+            let Some(residuals) = self.residual.get(&class) else {
+                return Vec::new();
+            };
+            let mut idx: Vec<usize> = (0..residuals.len())
+                .filter(|&i| residuals[i] > BUDGET_EPS)
+                .collect();
+            idx.sort_by(|&a, &b| {
+                residuals[b]
+                    .partial_cmp(&residuals[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            idx
+        }
+
+        fn consume(&mut self, class: ClassId, column: usize, demand: f64) {
+            if let Some(v) = self.residual.get_mut(&class) {
+                if let Some(r) = v.get_mut(column) {
+                    *r = (*r - demand).max(0.0);
+                }
+            }
+        }
+
+        fn release(&mut self, class: ClassId, column: usize, demand: f64) {
+            let cap = self
+                .budgets
+                .get(&class)
+                .and_then(|v| v.get(column))
+                .copied()
+                .unwrap_or(0.0);
+            if let Some(v) = self.residual.get_mut(&class) {
+                if let Some(r) = v.get_mut(column) {
+                    *r = (*r + demand).min(cap);
+                }
+            }
+        }
+
+        fn snapshot(&self) -> StateBlob {
+            let mut w = StateWriter::new();
+            w.write(&self.residual);
+            w.write(&self.budgets);
+            w.finish()
+        }
+    }
+
+    /// Planned classes `(app, ingress, column budgets)`, inserted in the
+    /// generated order: repeats replace, and a class may have no column.
+    fn arb_classes() -> impl Strategy<Value = Vec<(u32, u32, Vec<f64>)>> {
+        let budgets = proptest::collection::vec(0.0f64..10.0, 0..4);
+        proptest::collection::vec((0u32..3, 0u32..6, budgets), 0..10)
+    }
+
+    /// One ledger call `(kind, app, ingress, column, demand)`; the class
+    /// and column ranges reach past every generated plan's.
+    fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32, u32, usize, f64)>> {
+        proptest::collection::vec((0u8..6, 0u32..5, 0u32..8, 0usize..5, 0.0f64..8.0), 0..60)
+    }
+
+    proptest! {
+        /// The plan's class table and the ledger over it against the
+        /// class-keyed maps: over random sparse class sets and random
+        /// call sequences — ghost classes past the table's bounds and
+        /// columns past a class's last included — every answer, every
+        /// residual bit and every snapshot byte are equal, and a blob
+        /// the maps wrote restores to the same bytes.
+        #[test]
+        fn ledger_equals_the_class_keyed_maps(classes in arb_classes(), ops in arb_ops()) {
+            let mut plan = Plan::empty();
+            let mut by_class: BTreeMap<ClassId, ClassPlan> = BTreeMap::new();
+            for (app, ingress, budgets) in classes {
+                let class_plan = ClassPlan {
+                    class: ClassId::new(AppId(app), NodeId(ingress)),
+                    expected_demand: budgets.iter().sum(),
+                    rejected_fraction: 0.0,
+                    columns: budgets.iter().map(|&b| column(b, b)).collect(),
+                };
+                by_class.insert(class_plan.class, class_plan.clone());
+                plan.insert(class_plan);
+            }
+            prop_assert_eq!(plan.len(), by_class.len());
+            prop_assert!(plan.iter().eq(by_class.values()));
+            for app in 0..5 {
+                for ingress in 0..8 {
+                    let class = ClassId::new(AppId(app), NodeId(ingress));
+                    prop_assert_eq!(plan.class(class), by_class.get(&class));
+                }
+            }
+
+            let mut ledger = PlanLedger::new(&plan);
+            let mut oracle = MapLedger::new(&plan);
+            prop_assert_eq!(ledger.snapshot(), oracle.snapshot());
+            for (kind, app, ingress, col, demand) in ops {
+                let class = ClassId::new(AppId(app), NodeId(ingress));
+                match kind {
+                    0 => prop_assert_eq!(ledger.full_fit(class, demand), oracle.full_fit(class, demand)),
+                    1 => prop_assert_eq!(ledger.partial_candidates(class), oracle.partial_candidates(class)),
+                    2 => {
+                        ledger.consume(class, col, demand);
+                        oracle.consume(class, col, demand);
+                    }
+                    3 => {
+                        ledger.release(class, col, demand);
+                        oracle.release(class, col, demand);
+                    }
+                    4 => prop_assert_eq!(
+                        ledger.residual(class, col).to_bits(),
+                        oracle.residual(class, col).to_bits()
+                    ),
+                    _ => {
+                        let blob = oracle.snapshot();
+                        prop_assert_eq!(ledger.snapshot().as_bytes(), blob.as_bytes());
+                        let mut restored = PlanLedger::new(&plan);
+                        restored.restore(&blob).unwrap();
+                        prop_assert_eq!(restored.snapshot().as_bytes(), blob.as_bytes());
+                    }
+                }
+                prop_assert!(ledger.check_invariants());
+            }
+            prop_assert_eq!(ledger.snapshot(), oracle.snapshot());
+        }
     }
 }

@@ -1623,6 +1623,118 @@ mod tests {
         assert_eq!(result.algorithm, "QUICKG");
     }
 
+    /// Forwards everything to `0` and reports each slot's accepted and
+    /// rejected ids in reverse order.
+    struct Reversed(Olive);
+
+    use vne_olive::algorithm::SlotOutcome;
+
+    impl OnlineAlgorithm for Reversed {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn process_slot(
+            &mut self,
+            t: Slot,
+            departures: &[Request],
+            arrivals: &[Request],
+        ) -> SlotOutcome {
+            let mut outcome = self.0.process_slot(t, departures, arrivals);
+            outcome.accepted.reverse();
+            outcome.rejected.reverse();
+            outcome
+        }
+
+        fn loads(&self) -> &vne_model::load::LoadLedger {
+            self.0.loads()
+        }
+
+        fn apply_churn(&mut self, effective: &EffectiveCapacities) {
+            self.0.apply_churn(effective);
+        }
+
+        fn footprint_of(&self, id: RequestId) -> Option<&Footprint> {
+            self.0.footprint_of(id)
+        }
+    }
+
+    /// The order an algorithm reports its decisions in is not part of
+    /// them. Slot 0 fills c1 with r0–r2; slot 1 drains c1 to half, which
+    /// strands r1 and r2: r1 is re-embedded on e0, r2 no longer fits
+    /// anywhere and is evicted, and the new r3 takes c1's last room
+    /// while r4 is rejected; at slot 2 r0 departs and r5, r6 are
+    /// accepted next to the rejected r7.
+    #[test]
+    fn decisions_do_not_depend_on_the_order_they_are_reported_in() {
+        use crate::observe::{Tee, WindowSummary};
+        use vne_model::churn::ChurnEvent;
+        use vne_model::cost::RejectionPenalty;
+
+        let (s, apps) = world();
+        let events = || {
+            let arrivals = |slot: Slot, demands: &[(u64, f64)]| -> Vec<Request> {
+                demands.iter().map(|&(id, d)| req(id, slot, 5, d)).collect()
+            };
+            let mut first = arrivals(0, &[(0, 9.0), (1, 5.0), (2, 6.0)]);
+            first[0].duration = 2;
+            vec![
+                SlotEvents {
+                    slot: 0,
+                    arrivals: first,
+                    churn: Vec::new(),
+                },
+                SlotEvents {
+                    slot: 1,
+                    arrivals: arrivals(1, &[(3, 0.5), (4, 6.0)]),
+                    churn: vec![ChurnEvent::NodeDrain {
+                        node: NodeId(1),
+                        factor: 0.5,
+                    }],
+                },
+                SlotEvents {
+                    slot: 2,
+                    arrivals: arrivals(2, &[(5, 3.0), (6, 3.0), (7, 9.0)]),
+                    churn: Vec::new(),
+                },
+                SlotEvents::empty(3),
+            ]
+        };
+        let penalty = RejectionPenalty::uniform(&apps, 1.0);
+        let mut runs = Vec::new();
+        for reversed in [false, true] {
+            let olive = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
+            let mut alg: Box<dyn OnlineAlgorithm> = if reversed {
+                Box::new(Reversed(olive))
+            } else {
+                Box::new(olive)
+            };
+            let mut observer = Tee(Recorder::new(), WindowSummary::new((0, 4), penalty.clone()));
+            let stats = run_stream_with(alg.as_mut(), &s, events(), &mut observer, &mut ReembedAll);
+            let Tee(recorder, summary) = observer;
+            let summary = summary.finish(&stats);
+            runs.push((recorder.finish(alg.name(), &stats).requests, summary));
+        }
+        let (requests, summary) = &runs[0];
+        let status = |id: u64| {
+            requests
+                .iter()
+                .find(|o| o.id == RequestId(id))
+                .unwrap()
+                .status
+        };
+        assert_eq!(status(2), RequestStatus::Preempted(1));
+        for id in [0, 1, 3, 5, 6] {
+            assert_eq!(status(id), RequestStatus::Accepted, "r{id}");
+        }
+        assert_eq!(status(4), RequestStatus::Rejected);
+        assert_eq!(status(7), RequestStatus::Rejected);
+        let churn = summary.churn;
+        assert_eq!((churn.stranded, churn.reembedded, churn.evicted), (2, 1, 1));
+        assert_eq!(runs[1].0, runs[0].0);
+        assert_eq!(runs[1].1.fingerprint(), runs[0].1.fingerprint());
+    }
+
     #[test]
     fn release_early_frees_capacity_at_the_next_slot() {
         let (s, apps) = world();
