@@ -50,8 +50,22 @@
 //! requests included — to O(borrowers on the deficit elements ·
 //! footprint). Without preemption (QUICKG, ablations) nothing reads the
 //! index and none is kept.
+//!
+//! # Where id order comes from
+//!
+//! An arrival costs O(1) bookkeeping: the plan and its ledger find a
+//! class through one dense table, and `active` is a `HashMap`, so the
+//! insert on accept and the remove on departure do not walk a tree.
+//! A hashed map visits its entries in an order that differs from run to
+//! run, so no reader whose result could show that order iterates it
+//! directly. The three that iterate — the snapshot (its blob lists
+//! allocations in request-id order), `active_demand_by_class` (a float
+//! sum, so its order is part of its bits) and `borrowers_of_active` (the
+//! rebuilt lists the debug check compares sorted) — each take
+//! `active_by_id`, which sorts by id right after collecting. Every other
+//! reader looks a request up by id.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use vne_model::app::AppSet;
@@ -192,7 +206,9 @@ pub struct Olive {
     plan: Arc<Plan>,
     plan_ledger: PlanLedger,
     loads: LoadLedger,
-    active: BTreeMap<RequestId, ActiveAlloc>,
+    /// Hashed: every reader whose result can show the iteration order
+    /// goes through [`Olive::active_by_id`].
+    active: HashMap<RequestId, ActiveAlloc>,
     /// Kept only when `config.preemption` (nothing else reads it);
     /// never serialized, rebuilt by `restore`.
     borrowers: Option<BorrowerIndex>,
@@ -238,7 +254,7 @@ impl Olive {
             plan: Arc::new(plan),
             plan_ledger,
             loads,
-            active: BTreeMap::new(),
+            active: HashMap::new(),
             borrowers,
             config,
             stats: OliveStats::default(),
@@ -303,16 +319,28 @@ impl Olive {
     pub fn active_demand_by_class(&self, class: ClassId) -> (f64, f64) {
         let mut planned = 0.0;
         let mut borrowed = 0.0;
-        for a in self.active.values() {
-            if a.request.class() == class {
-                if a.planned {
-                    planned += a.request.demand;
-                } else {
-                    borrowed += a.request.demand;
-                }
+        for (_, a) in self.active_by_id(|a| a.request.class() == class) {
+            if a.planned {
+                planned += a.request.demand;
+            } else {
+                borrowed += a.request.demand;
             }
         }
         (planned, borrowed)
+    }
+
+    /// The active allocations `keep` selects, in request-id order: the
+    /// order the snapshot writes, the float sums add and the rebuilt
+    /// borrower lists hold, whatever order the hashed map visits in.
+    fn active_by_id(&self, keep: impl Fn(&ActiveAlloc) -> bool) -> Vec<(RequestId, &ActiveAlloc)> {
+        let mut allocs: Vec<(RequestId, &ActiveAlloc)> = self
+            .active
+            .iter()
+            .filter(|(_, a)| keep(a))
+            .map(|(&id, a)| (id, a))
+            .collect();
+        allocs.sort_unstable_by_key(|&(id, _)| id);
+        allocs
     }
 
     fn release(&mut self, id: RequestId) {
@@ -354,7 +382,7 @@ impl Olive {
     /// id order, on each element of its footprint.
     fn borrowers_of_active(&self) -> BorrowerIndex {
         let mut index = BorrowerIndex::new(&self.substrate);
-        for (&id, alloc) in self.active.iter().filter(|(_, a)| !a.planned) {
+        for (id, alloc) in self.active_by_id(|a| !a.planned) {
             index.insert(id, alloc.placement.footprint(&self.plan));
         }
         index
@@ -579,17 +607,19 @@ impl Olive {
 /// instance name (`OLIVE` vs `QUICKG`) is validated so a QUICKG blob
 /// cannot silently restore into an OLIVE run, and so is every active
 /// allocation: a column reference must be in this instance's plan, an
-/// owned footprint on its substrate. The borrower index is derived
-/// state and not part of the blob.
+/// owned footprint on its substrate, and the two ledger blobs are
+/// restored into copies. Only when every part has been decoded and
+/// accepted is anything replaced: a failed restore leaves the instance
+/// as it was. The borrower index is derived state and not part of the
+/// blob.
 impl Snapshot for Olive {
     fn snapshot(&self) -> StateBlob {
         let mut w = StateWriter::new();
         w.write_str(&self.name);
         w.write_blob(&self.loads.snapshot());
         w.write_blob(&self.plan_ledger.snapshot());
-        // Ordered by request id (BTreeMap iteration order).
         w.write_usize(self.active.len());
-        for alloc in self.active.values() {
+        for (_, alloc) in self.active_by_id(|_| true) {
             w.write(&alloc.request);
             w.write_bool(alloc.planned);
             match &alloc.placement {
@@ -630,7 +660,7 @@ impl Snapshot for Olive {
             nodes.max() >= Some(self.substrate.node_count())
                 || links.max() >= Some(self.substrate.link_count())
         };
-        let mut active = BTreeMap::new();
+        let mut active = HashMap::new();
         for _ in 0..count {
             let request: Request = r.read()?;
             let planned = r.read_bool()?;
@@ -676,8 +706,12 @@ impl Snapshot for Olive {
             preempted: r.read_usize()?,
         };
         r.finish()?;
-        self.loads.restore(&loads_blob)?;
-        self.plan_ledger.restore(&ledger_blob)?;
+        let mut loads = self.loads.clone();
+        loads.restore(&loads_blob)?;
+        let mut plan_ledger = self.plan_ledger.clone();
+        plan_ledger.restore(&ledger_blob)?;
+        self.loads = loads;
+        self.plan_ledger = plan_ledger;
         self.active = active;
         self.stats = stats;
         if self.borrowers.is_some() {
@@ -1135,6 +1169,51 @@ mod tests {
         }
     }
 
+    /// A blob whose loads restore but whose plan ledger does not — one
+    /// of another plan's shape, one of the same shape with other budgets
+    /// — changes nothing: every part is checked before any is replaced.
+    #[test]
+    fn a_failed_restore_leaves_the_instance_as_it_was() {
+        let (s, apps) = world();
+        let olive_with = |plan: Plan| {
+            let policy = PlacementPolicy::default();
+            Olive::new(
+                s.clone(),
+                apps.clone(),
+                policy,
+                plan,
+                OliveConfig::default(),
+            )
+        };
+        // A greedy allocation only: its owned footprint restores anywhere.
+        let mut greedy = olive_with(plan_on_core(&s, &apps, 10.0));
+        let mut at_transport = req(0, 0, 5, 3.0);
+        at_transport.ingress = NodeId(1);
+        greedy.process_slot(0, &[], &[at_transport]);
+        let (planned, _) = three_kinds();
+        for (blob, plan, found) in [
+            (
+                Snapshot::snapshot(&greedy),
+                Plan::empty(),
+                "blob with 1 classes",
+            ),
+            (
+                Snapshot::snapshot(&planned),
+                plan_on_core(&s, &apps, 20.0),
+                "other budgets for class a0@n0",
+            ),
+        ] {
+            let mut other = olive_with(plan);
+            other.process_slot(0, &[], &[req(7, 0, 5, 2.0)]);
+            let before = Snapshot::snapshot(&other);
+            match other.restore(&blob) {
+                Err(StateError::Mismatch { found: got, .. }) => assert_eq!(got, found),
+                other => panic!("a foreign plan ledger restored: {other:?}"),
+            }
+            assert_eq!(Snapshot::snapshot(&other).as_bytes(), before.as_bytes());
+        }
+    }
+
     #[test]
     fn borrowing_disabled_ablation() {
         let (s, apps) = world();
@@ -1208,6 +1287,7 @@ mod tests {
 
             let mut candidates: Vec<(&RequestId, &ActiveAlloc, f64)> = self
                 .active
+                // audit:allow(D1, "the oracle's candidate sort is total: it ends in the request id")
                 .iter()
                 .filter(|(_, a)| !a.planned)
                 .filter_map(|(id, a)| {

@@ -8,6 +8,7 @@
 //! tracked by [`PlanLedger`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use vne_model::embedding::{Embedding, Footprint};
 use vne_model::ids::ClassId;
@@ -52,12 +53,68 @@ impl ClassPlan {
     }
 }
 
+/// The dense `(app, ingress) → position` table of a plan's classes.
+///
+/// A [`Plan`] keeps its [`ClassPlan`]s in a `Vec` in class order and
+/// every [`PlanLedger`] built over it keeps its columns by the same
+/// position, so both share one table: a class lookup is two bounds
+/// checks and a load, not a walk down a `ClassId`-keyed tree.
+#[derive(Debug, Clone, Default)]
+struct ClassTable {
+    /// The class at each position, ascending.
+    ids: Vec<ClassId>,
+    /// `rows[app][ingress]`: the class's position, or [`ClassTable::NONE`].
+    rows: Vec<Vec<u32>>,
+}
+
+impl ClassTable {
+    /// The entry of a class the plan does not have.
+    const NONE: u32 = u32::MAX;
+
+    /// The position of `class`; `None` for a class the plan lacks,
+    /// whether or not it falls inside the table.
+    fn position(&self, class: ClassId) -> Option<usize> {
+        let row = self.rows.get(class.app.index())?;
+        let at = *row.get(class.ingress.index())?;
+        (at != Self::NONE).then_some(at as usize)
+    }
+
+    /// Puts `class` at position `at`, moving every later class up one.
+    fn insert(&mut self, at: usize, class: ClassId) {
+        self.ids.insert(at, class);
+        for pos in at..self.ids.len() {
+            let ClassId { app, ingress } = self.ids[pos];
+            let (app, ingress) = (app.index(), ingress.index());
+            if self.rows.len() <= app {
+                self.rows.resize_with(app + 1, Vec::new);
+            }
+            let row = &mut self.rows[app];
+            if row.len() <= ingress {
+                row.resize(ingress + 1, Self::NONE);
+            }
+            row[ingress] = u32::try_from(pos).expect("fewer than u32::MAX classes");
+        }
+    }
+}
+
 /// A full embedding plan `y(R̃)`.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Plan {
-    classes: BTreeMap<ClassId, ClassPlan>,
+    /// Class plans in class order.
+    classes: Vec<ClassPlan>,
+    /// Where each class sits in `classes`; shared with every
+    /// [`PlanLedger`] built over this plan.
+    table: Arc<ClassTable>,
     /// The PLAN-VNE objective value (resource + quantile rejection cost).
     pub objective: f64,
+}
+
+/// Two plans are equal when their class plans and objectives are: the
+/// table is a function of the classes.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.classes == other.classes && self.objective == other.objective
+    }
 }
 
 impl Plan {
@@ -68,17 +125,23 @@ impl Plan {
 
     /// Adds a class plan (replacing any existing one for the class).
     pub fn insert(&mut self, class_plan: ClassPlan) {
-        self.classes.insert(class_plan.class, class_plan);
+        if let Some(at) = self.table.position(class_plan.class) {
+            self.classes[at] = class_plan;
+            return;
+        }
+        let at = self.classes.partition_point(|c| c.class < class_plan.class);
+        Arc::make_mut(&mut self.table).insert(at, class_plan.class);
+        self.classes.insert(at, class_plan);
     }
 
     /// The plan of a class, if any.
     pub fn class(&self, class: ClassId) -> Option<&ClassPlan> {
-        self.classes.get(&class)
+        self.table.position(class).map(|at| &self.classes[at])
     }
 
     /// Iterates over all class plans in class order.
     pub fn iter(&self) -> impl Iterator<Item = &ClassPlan> {
-        self.classes.values()
+        self.classes.iter()
     }
 
     /// Number of planned classes.
@@ -93,17 +156,17 @@ impl Plan {
 
     /// Total number of embedding columns across classes.
     pub fn total_columns(&self) -> usize {
-        self.classes.values().map(|c| c.columns.len()).sum()
+        self.classes.iter().map(|c| c.columns.len()).sum()
     }
 
     /// Demand-weighted mean rejected fraction (plan-level rejection rate).
     pub fn planned_rejection_fraction(&self) -> f64 {
-        let total: f64 = self.classes.values().map(|c| c.expected_demand).sum();
+        let total: f64 = self.classes.iter().map(|c| c.expected_demand).sum();
         if total == 0.0 {
             return 0.0;
         }
         self.classes
-            .values()
+            .iter()
             .map(|c| c.rejected_fraction * c.expected_demand)
             .sum::<f64>()
             / total
@@ -114,30 +177,48 @@ impl Plan {
 ///
 /// Planned allocations consume budget; departures of planned requests
 /// release it (Eq. 17 counts only active `R_PLAN` requests). Non-planned
-/// ("borrowed") allocations never touch the ledger.
-#[derive(Debug, Clone, PartialEq)]
+/// ("borrowed") allocations never touch the ledger. A class the plan
+/// does not have has no columns: nothing fits it, and consuming or
+/// releasing its budget does nothing.
+#[derive(Debug, Clone)]
 pub struct PlanLedger {
-    residual: BTreeMap<ClassId, Vec<f64>>,
-    budgets: BTreeMap<ClassId, Vec<f64>>,
+    /// The plan's class table: `residual` and `budgets` are by its
+    /// positions.
+    table: Arc<ClassTable>,
+    residual: Vec<Vec<f64>>,
+    budgets: Vec<Vec<f64>>,
+}
+
+impl PartialEq for PlanLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.table.ids == other.table.ids
+            && self.residual == other.residual
+            && self.budgets == other.budgets
+    }
 }
 
 impl PlanLedger {
     /// Creates a fresh ledger with full budgets.
     pub fn new(plan: &Plan) -> Self {
-        let budgets: BTreeMap<ClassId, Vec<f64>> = plan
+        let budgets: Vec<Vec<f64>> = plan
             .iter()
-            .map(|cp| (cp.class, cp.columns.iter().map(|c| c.budget).collect()))
+            .map(|cp| cp.columns.iter().map(|c| c.budget).collect())
             .collect();
         Self {
+            table: Arc::clone(&plan.table),
             residual: budgets.clone(),
             budgets,
         }
     }
 
+    /// The residual budgets of a class's columns.
+    fn residuals(&self, class: ClassId) -> Option<&[f64]> {
+        self.table.position(class).map(|at| &self.residual[at][..])
+    }
+
     /// The residual budget of a column.
     pub fn residual(&self, class: ClassId, column: usize) -> f64 {
-        self.residual
-            .get(&class)
+        self.residuals(class)
             .and_then(|v| v.get(column))
             .copied()
             .unwrap_or(0.0)
@@ -147,14 +228,14 @@ impl PlanLedger {
     /// (columns are cost-sorted, so the first fitting index wins) —
     /// the `PLAN EMBED` full-fit test (Eq. 19).
     pub fn full_fit(&self, class: ClassId, demand: f64) -> Option<usize> {
-        let residuals = self.residual.get(&class)?;
+        let residuals = self.residuals(class)?;
         residuals.iter().position(|&r| r + BUDGET_EPS >= demand)
     }
 
     /// Column indices with any positive residual, sorted by descending
     /// residual — the partial-fit ("borrowing") candidates (Alg. 2 l. 27).
     pub fn partial_candidates(&self, class: ClassId) -> Vec<usize> {
-        let Some(residuals) = self.residual.get(&class) else {
+        let Some(residuals) = self.residuals(class) else {
             return Vec::new();
         };
         let mut idx: Vec<usize> = (0..residuals.len())
@@ -170,26 +251,25 @@ impl PlanLedger {
 
     /// Consumes budget for a planned allocation.
     pub fn consume(&mut self, class: ClassId, column: usize, demand: f64) {
-        if let Some(v) = self.residual.get_mut(&class) {
-            if let Some(r) = v.get_mut(column) {
-                *r = (*r - demand).max(0.0);
-            }
+        let Some(at) = self.table.position(class) else {
+            return;
+        };
+        if let Some(r) = self.residual[at].get_mut(column) {
+            *r = (*r - demand).max(0.0);
         }
     }
 
     /// Releases budget when a planned allocation departs (never exceeds
     /// the original budget).
     pub fn release(&mut self, class: ClassId, column: usize, demand: f64) {
-        let cap = self
-            .budgets
-            .get(&class)
-            .and_then(|v| v.get(column))
-            .copied()
-            .unwrap_or(0.0);
-        if let Some(v) = self.residual.get_mut(&class) {
-            if let Some(r) = v.get_mut(column) {
-                *r = (*r + demand).min(cap);
-            }
+        let Some(at) = self.table.position(class) else {
+            return;
+        };
+        if let (Some(r), Some(&cap)) = (
+            self.residual[at].get_mut(column),
+            self.budgets[at].get(column),
+        ) {
+            *r = (*r + demand).min(cap);
         }
     }
 
@@ -200,22 +280,30 @@ impl PlanLedger {
 
     /// Whether all residuals are within `[0, budget]` (test invariant).
     pub fn check_invariants(&self) -> bool {
-        self.residual.iter().all(|(c, v)| {
+        self.residual.iter().zip(&self.budgets).all(|(v, budgets)| {
             v.iter()
-                .zip(&self.budgets[c])
+                .zip(budgets)
                 .all(|(&r, &b)| (-BUDGET_EPS..=b + BUDGET_EPS).contains(&r))
         })
     }
 }
 
-/// Checkpointing: both maps are serialized wholesale (BTreeMaps encode
-/// in canonical key order). Restoring validates the class/column shape
-/// against the ledger's current plan before replacing anything.
+/// Checkpointing: residuals, then budgets, each written as the
+/// `BTreeMap<ClassId, Vec<f64>>` it used to be (positions are in class
+/// order, so the bytes are the map's canonical encoding). Restoring
+/// checks that the blob names this ledger's classes with the same
+/// column counts and bit-equal budgets — the ledger of this plan —
+/// before replacing anything.
 impl Snapshot for PlanLedger {
     fn snapshot(&self) -> StateBlob {
         let mut w = StateWriter::new();
-        w.write(&self.residual);
-        w.write(&self.budgets);
+        for by_position in [&self.residual, &self.budgets] {
+            w.write_usize(by_position.len());
+            for (class, columns) in self.table.ids.iter().zip(by_position) {
+                w.write(class);
+                w.write(columns);
+            }
+        }
         w.finish()
     }
 
@@ -224,17 +312,30 @@ impl Snapshot for PlanLedger {
         let residual: BTreeMap<ClassId, Vec<f64>> = r.read()?;
         let budgets: BTreeMap<ClassId, Vec<f64>> = r.read()?;
         r.finish()?;
-        let shape = |m: &BTreeMap<ClassId, Vec<f64>>| -> Vec<(ClassId, usize)> {
-            m.iter().map(|(&c, v)| (c, v.len())).collect()
+        let same_shape = |m: &BTreeMap<ClassId, Vec<f64>>| {
+            m.len() == self.budgets.len()
+                && m.iter()
+                    .zip(self.table.ids.iter().zip(&self.budgets))
+                    .all(|((c, v), (mine, b))| c == mine && v.len() == b.len())
         };
-        if shape(&budgets) != shape(&self.budgets) || shape(&residual) != shape(&budgets) {
+        if !same_shape(&budgets) || !same_shape(&residual) {
             return Err(StateError::Mismatch {
                 expected: format!("plan ledger with {} classes", self.budgets.len()),
                 found: format!("blob with {} classes", budgets.len()),
             });
         }
-        self.residual = residual;
-        self.budgets = budgets;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let differs = budgets
+            .iter()
+            .zip(&self.budgets)
+            .find(|((_, theirs), mine)| bits(theirs) != bits(mine));
+        if let Some(((class, _), _)) = differs {
+            return Err(StateError::Mismatch {
+                expected: "the budgets of this ledger's plan".into(),
+                found: format!("other budgets for class {class}"),
+            });
+        }
+        self.residual = residual.into_values().collect();
         Ok(())
     }
 }
@@ -353,6 +454,28 @@ mod tests {
             empty.restore(&blob),
             Err(StateError::Mismatch { .. })
         ));
+    }
+
+    /// A blob of the same classes and column counts but other budget
+    /// bits belongs to another plan and is refused.
+    #[test]
+    fn ledger_restore_refuses_other_budgets() {
+        let (plan, class) = plan_one_class();
+        let mut ledger = PlanLedger::new(&plan);
+        ledger.consume(class, 0, 4.0);
+        let mut other_plan = plan.clone();
+        let mut class_plan = other_plan.class(class).unwrap().clone();
+        class_plan.columns[1].budget = f64::from_bits(3.0f64.to_bits() + 1);
+        other_plan.insert(class_plan);
+        let blob = PlanLedger::new(&other_plan).snapshot();
+        let before = ledger.snapshot();
+        match ledger.restore(&blob) {
+            Err(StateError::Mismatch { found, .. }) => {
+                assert_eq!(found, "other budgets for class a0@n1");
+            }
+            other => panic!("another plan's budgets restored: {other:?}"),
+        }
+        assert_eq!(ledger.snapshot(), before);
     }
 
     #[test]

@@ -1111,6 +1111,22 @@ fn find_stranded(
     stranded
 }
 
+/// Whether the ids in `accepted` (sorted) and `rejected` name every
+/// offered request exactly once between them, and nothing else.
+fn decides_each_offer_once(
+    offered: &[Request],
+    accepted: &[RequestId],
+    rejected: &[RequestId],
+) -> bool {
+    let mut rejected = rejected.to_vec();
+    rejected.sort_unstable();
+    // Offered ids are distinct, so once each leaves no room for more.
+    accepted.len() + rejected.len() == offered.len()
+        && offered
+            .iter()
+            .all(|r| accepted.binary_search(&r.id).is_ok() != rejected.binary_search(&r.id).is_ok())
+}
+
 /// Advances the engine state through one slot: releases departures,
 /// runs the algorithm, applies acceptances/preemptions, and updates the
 /// counters (everything except observer dispatch and wall-clock).
@@ -1218,10 +1234,17 @@ fn advance_slot(
     offered.extend(arrivals);
     let outcome = algorithm.process_slot(t, &departures, &offered);
     state.stats.arrivals += new_arrivals;
+    // Looked up by id, so the order an algorithm reports in never shows.
+    let mut accepted_ids = outcome.accepted;
+    accepted_ids.sort_unstable();
+    debug_assert!(
+        decides_each_offer_once(&offered, &accepted_ids, &outcome.rejected),
+        "slot {t}: every offered request must be accepted or rejected, once, and nothing else"
+    );
 
     let mut arrival_outcomes = Vec::with_capacity(new_arrivals);
     for r in offered {
-        let accepted = outcome.accepted.contains(&r.id);
+        let accepted = accepted_ids.binary_search(&r.id).is_ok();
         if let Some(original) = reoffer_originals.remove(&r.id) {
             // A re-offered stranded request: re-accepted keeps its
             // original accounting (no new arrival outcome — the id was
@@ -1623,13 +1646,13 @@ mod tests {
         assert_eq!(result.algorithm, "QUICKG");
     }
 
-    /// Forwards everything to `0` and reports each slot's accepted and
-    /// rejected ids in reverse order.
-    struct Reversed(Olive);
-
     use vne_olive::algorithm::SlotOutcome;
 
-    impl OnlineAlgorithm for Reversed {
+    /// Forwards everything to `0` and passes each slot's outcome through
+    /// `1` before reporting it.
+    struct Rewritten(Olive, fn(&mut SlotOutcome));
+
+    impl OnlineAlgorithm for Rewritten {
         fn name(&self) -> &str {
             self.0.name()
         }
@@ -1641,8 +1664,7 @@ mod tests {
             arrivals: &[Request],
         ) -> SlotOutcome {
             let mut outcome = self.0.process_slot(t, departures, arrivals);
-            outcome.accepted.reverse();
-            outcome.rejected.reverse();
+            (self.1)(&mut outcome);
             outcome
         }
 
@@ -1705,7 +1727,10 @@ mod tests {
         for reversed in [false, true] {
             let olive = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
             let mut alg: Box<dyn OnlineAlgorithm> = if reversed {
-                Box::new(Reversed(olive))
+                Box::new(Rewritten(olive, |o| {
+                    o.accepted.reverse();
+                    o.rejected.reverse();
+                }))
             } else {
                 Box::new(olive)
             };
@@ -1733,6 +1758,19 @@ mod tests {
         assert_eq!((churn.stranded, churn.reembedded, churn.evicted), (2, 1, 1));
         assert_eq!(runs[1].0, runs[0].0);
         assert_eq!(runs[1].1.fingerprint(), runs[0].1.fingerprint());
+    }
+
+    /// An id the slot did not offer, in either list, is caught in debug
+    /// builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every offered request must be accepted or rejected")]
+    fn a_decision_on_an_id_not_offered_panics_in_debug() {
+        let (s, apps) = world();
+        let olive = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
+        let mut alg = Rewritten(olive, |o| o.rejected.push(RequestId(99)));
+        let events = slot_events(&[req(0, 0, 3, 10.0)], 2);
+        run_stream_with(&mut alg, &s, events, &mut NullObserver, &mut ReembedAll);
     }
 
     #[test]
