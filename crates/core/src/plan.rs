@@ -58,8 +58,10 @@ impl ClassPlan {
 /// A [`Plan`] keeps its [`ClassPlan`]s in a `Vec` in class order and
 /// every [`PlanLedger`] built over it keeps its columns by the same
 /// position, so both share one table: a class lookup is two bounds
-/// checks and a load, not a walk down a `ClassId`-keyed tree.
-#[derive(Debug, Clone, Default)]
+/// checks and a load, not a walk down a `ClassId`-keyed tree. Classes
+/// are never removed, so the table is a function of the class set and
+/// two plans with the same classes compare equal with it.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ClassTable {
     /// The class at each position, ascending.
     ids: Vec<ClassId>,
@@ -98,7 +100,7 @@ impl ClassTable {
 }
 
 /// A full embedding plan `y(R̃)`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
     /// Class plans in class order.
     classes: Vec<ClassPlan>,
@@ -107,14 +109,6 @@ pub struct Plan {
     table: Arc<ClassTable>,
     /// The PLAN-VNE objective value (resource + quantile rejection cost).
     pub objective: f64,
-}
-
-/// Two plans are equal when their class plans and objectives are: the
-/// table is a function of the classes.
-impl PartialEq for Plan {
-    fn eq(&self, other: &Self) -> bool {
-        self.classes == other.classes && self.objective == other.objective
-    }
 }
 
 impl Plan {
@@ -180,21 +174,13 @@ impl Plan {
 /// ("borrowed") allocations never touch the ledger. A class the plan
 /// does not have has no columns: nothing fits it, and consuming or
 /// releasing its budget does nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanLedger {
     /// The plan's class table: `residual` and `budgets` are by its
     /// positions.
     table: Arc<ClassTable>,
     residual: Vec<Vec<f64>>,
     budgets: Vec<Vec<f64>>,
-}
-
-impl PartialEq for PlanLedger {
-    fn eq(&self, other: &Self) -> bool {
-        self.table.ids == other.table.ids
-            && self.residual == other.residual
-            && self.budgets == other.budgets
-    }
 }
 
 impl PlanLedger {
@@ -288,9 +274,9 @@ impl PlanLedger {
     }
 }
 
-/// Checkpointing: residuals, then budgets, each written as the
-/// `BTreeMap<ClassId, Vec<f64>>` it used to be (positions are in class
-/// order, so the bytes are the map's canonical encoding). Restoring
+/// Checkpointing: residuals, then budgets, each in the encoding of a
+/// `BTreeMap<ClassId, Vec<f64>>` (a count, then every class with its
+/// columns in class order — the order of the positions). Restoring
 /// checks that the blob names this ledger's classes with the same
 /// column counts and bit-equal budgets — the ledger of this plan —
 /// before replacing anything.
@@ -603,6 +589,9 @@ mod tests {
             }
             prop_assert_eq!(plan.len(), by_class.len());
             prop_assert!(plan.iter().eq(by_class.values()));
+            let mut in_class_order = Plan::empty();
+            by_class.values().for_each(|cp| in_class_order.insert(cp.clone()));
+            prop_assert_eq!(&in_class_order, &plan);
             for app in 0..5 {
                 for ingress in 0..8 {
                     let class = ClassId::new(AppId(app), NodeId(ingress));
