@@ -5,14 +5,15 @@
 //! round-trips through the typed [`ShardCheckpoint`] instead). Also
 //! pins that a `k = 4` checkpoint survives the atomic checkpoint-file
 //! path, that a resumed coordinator keeps the checkpointed
-//! `online_secs` instead of restarting the clock, and that the
-//! `online_secs` a checkpoint stores include its own slot.
+//! `online_secs` instead of restarting the clock, that the
+//! `online_secs` a checkpoint stores include its own slot, and every
+//! byte of one `k = 4` checkpoint.
 //!
 //! [`ShardCheckpoint`]: vne_model::state::ShardCheckpoint
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::churn::ChurnEvent;
-use vne_model::ids::{AppId, NodeId, RequestId};
+use vne_model::ids::{AppId, LinkId, NodeId, RequestId};
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{PartitionAssignment, ShardId, ShardedSubstrate};
@@ -440,4 +441,83 @@ fn checkpoints_store_the_online_secs_of_their_own_slot() {
             "k = {k}: the checkpoint stores {stored} s after {slept} s of pauses; run returned {returned} s"
         );
     }
+}
+
+/// The slot after which [`pinned_k4_checkpoint`] is taken.
+const PINNED_SLOT: Slot = 2;
+
+/// A `k = 4` coordinator (one node per shard, every link a cut) stepped
+/// through slots `0..=PINNED_SLOT` with [`ShardCoordinator::step`] — so
+/// `online_secs` stays 0 and the bytes are deterministic — then
+/// checkpointed. Request 0 overflows `a1` and is adopted by `b0`'s
+/// shard, a cut-link drain (`b0`–`b1`) and an endpoint-node drain (`b1`)
+/// are folded, and all three are active or in force at the checkpoint:
+/// every coordinator cursor is non-trivial.
+fn pinned_k4_checkpoint() -> vne_sim::engine::EngineCheckpoint {
+    let (s, [a0, a1, _, b1]) = world();
+    let mut coordinator = ShardCoordinator::new(sharded_k(&s, 4), shard_fullg());
+    let request = |id: u64, arrival: Slot, ingress: NodeId, demand: f64| Request {
+        id: RequestId(id),
+        arrival,
+        duration: 20,
+        ingress,
+        app: AppId(0),
+        demand,
+    };
+    let events = [
+        SlotEvents {
+            slot: 0,
+            arrivals: vec![request(0, 0, a1, 5.0), request(1, 0, a0, 1.0)],
+            churn: vec![],
+        },
+        SlotEvents {
+            slot: 1,
+            arrivals: vec![],
+            churn: vec![
+                // The b0–b1 link, added third by `world`.
+                ChurnEvent::LinkDrain {
+                    link: LinkId(2),
+                    factor: 0.5,
+                },
+                ChurnEvent::NodeDrain {
+                    node: b1,
+                    factor: 0.75,
+                },
+            ],
+        },
+        SlotEvents {
+            slot: PINNED_SLOT,
+            arrivals: vec![request(2, PINNED_SLOT, b1, 2.0)],
+            churn: vec![],
+        },
+    ];
+    for event in events {
+        coordinator.step(event, &mut vne_sim::NullObserver);
+    }
+    assert_eq!(coordinator.spanning_stats().granted, 1, "request 0 spans");
+    assert_eq!(coordinator.active_count(), 3);
+    coordinator.checkpoint(StateBlob::default()).unwrap()
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Every byte of a `k = 4` checkpoint file — envelope, packed shard
+/// blobs and the coordinator's cursors — pinned against the layout it
+/// was written in, so a refactor of the sharded checkpoint cannot move
+/// one unnoticed.
+#[test]
+fn k4_checkpoint_bytes_are_pinned() {
+    let checkpoint = pinned_k4_checkpoint();
+    assert_eq!(checkpoint.slot, PINNED_SLOT);
+    let bytes = checkpoint.to_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (1326, 0x529b_812a_022f_d896),
+        "the k = 4 checkpoint bytes moved"
+    );
 }
