@@ -20,7 +20,8 @@
 //! * [`decision`] — per-request admission decisions as reported by the
 //!   `vne-serve` daemon (accept / reject / shed);
 //! * [`state`] — the [`state::Snapshot`] checkpoint capability and the
-//!   deterministic binary codec behind checkpoint/resume;
+//!   deterministic binary codec behind checkpoint/resume (the checkpoint
+//!   envelope lives in `vne-sim`, the sharded checkpoint in `vne-shard`);
 //! * [`shard`] — partitioned-substrate views: global ↔ (shard, local)
 //!   id maps and cut-edge bookkeeping for the `vne-shard` coordinator.
 //!

@@ -410,6 +410,18 @@ impl StateDecode for String {
     }
 }
 
+impl StateEncode for StateBlob {
+    fn encode(&self, w: &mut StateWriter) {
+        w.write_blob(self);
+    }
+}
+
+impl StateDecode for StateBlob {
+    fn decode(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+        r.read_blob()
+    }
+}
+
 macro_rules! id_codec {
     ($($t:ty: $repr:ty),* $(,)?) => {$(
         impl StateEncode for $t {
@@ -582,145 +594,6 @@ impl<K: StateDecode + Ord, V: StateDecode> StateDecode for BTreeMap<K, V> {
     }
 }
 
-/// A versioned checkpoint of a *sharded* run: the partition map, one
-/// engine-state blob and one algorithm-state blob per shard, the
-/// coordinator's own cursors (stats, spanning bookkeeping, cut-link
-/// churn factors — opaque here, typed in the coordinator crate), and
-/// the resumable observer state.
-///
-/// It is serialized by **embedding it in an engine checkpoint**
-/// ([`ShardCheckpoint::pack`] / [`ShardCheckpoint::unpack`]): the
-/// per-shard state packed into the two blobs of a monolithic engine
-/// checkpoint, so a `Checkpointer` observing a sharded coordinator
-/// serializes sharded state through the unmodified single-engine
-/// checkpoint path.
-///
-/// This module only defines the container and its wire codec; the
-/// semantics (what the coordinator blob means, how shards restore) live
-/// in the coordinator crate, mirroring how [`Snapshot`] splits wire
-/// format from component semantics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardCheckpoint {
-    /// The last slot the checkpointed run completed; a resume consumes
-    /// events from `slot + 1` on.
-    pub slot: u32,
-    /// Name of the per-shard algorithm (validated on resume; all shards
-    /// run the same algorithm).
-    pub algorithm: String,
-    /// The per-node shard assignment the run was partitioned under
-    /// (index = global node index). A resume validates it against the
-    /// coordinator's own partition — restoring shard-local state under
-    /// a different cut would silently corrupt every id map.
-    pub partition: Vec<u32>,
-    /// One engine-state snapshot per shard, in shard order.
-    pub engines: Vec<StateBlob>,
-    /// One algorithm-state snapshot per shard, in shard order.
-    pub algorithms: Vec<StateBlob>,
-    /// The coordinator's cursors: merged stream stats, spanning
-    /// counters, pending spanning bookkeeping and cut-link churn
-    /// factors. Opaque at this layer.
-    pub coordinator: StateBlob,
-    /// The resumable observer state (owner-defined).
-    pub observer_state: StateBlob,
-}
-
-impl ShardCheckpoint {
-    /// Tag prefixed to the packed engine blob so a resume can tell a
-    /// sharded composite from a monolithic engine snapshot.
-    const ENGINE_TAG: &'static str = "SHRDENG1";
-
-    /// Packs the per-shard state into the `(engine, algorithm_state)`
-    /// blob pair of a monolithic engine checkpoint. The engine blob is
-    /// tagged ([`ShardCheckpoint::is_packed`]) so resume paths can
-    /// reject a monolithic blob with a descriptive error instead of a
-    /// decode failure deep inside the shard loop.
-    pub fn pack(&self) -> (StateBlob, StateBlob) {
-        let mut w = StateWriter::new();
-        w.write_str(Self::ENGINE_TAG);
-        w.write(&self.partition);
-        w.write_usize(self.engines.len());
-        for e in &self.engines {
-            w.write_blob(e);
-        }
-        w.write_blob(&self.coordinator);
-        let engine = w.finish();
-        let mut w = StateWriter::new();
-        w.write_usize(self.algorithms.len());
-        for a in &self.algorithms {
-            w.write_blob(a);
-        }
-        (engine, w.finish())
-    }
-
-    /// Rebuilds a [`ShardCheckpoint`] from the blob pair produced by
-    /// [`ShardCheckpoint::pack`] plus the surrounding checkpoint
-    /// envelope fields.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StateError`] when the engine blob is not a packed
-    /// shard composite (e.g. a monolithic engine snapshot) or the
-    /// per-shard blob counts disagree.
-    pub fn unpack(
-        slot: u32,
-        algorithm: &str,
-        engine: &StateBlob,
-        algorithm_state: &StateBlob,
-        observer_state: StateBlob,
-    ) -> Result<Self, StateError> {
-        if !Self::is_packed(engine) {
-            return Err(StateError::Mismatch {
-                expected: "a packed sharded engine blob".into(),
-                found: "a monolithic (or foreign) engine blob".into(),
-            });
-        }
-        let mut r = StateReader::new(engine);
-        let _tag = r.read_str()?;
-        let partition: Vec<u32> = r.read()?;
-        let shards = r.read_usize()?;
-        let mut engines = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            engines.push(r.read_blob()?);
-        }
-        let coordinator = r.read_blob()?;
-        r.finish()?;
-        let mut r = StateReader::new(algorithm_state);
-        let count = r.read_usize()?;
-        if count != shards {
-            return Err(StateError::Mismatch {
-                expected: format!("{shards} per-shard algorithm blobs"),
-                found: format!("{count}"),
-            });
-        }
-        let mut algorithms = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            algorithms.push(r.read_blob()?);
-        }
-        r.finish()?;
-        Ok(Self {
-            slot,
-            algorithm: algorithm.to_string(),
-            partition,
-            engines,
-            algorithms,
-            coordinator,
-            observer_state,
-        })
-    }
-
-    /// Whether `blob` is a packed sharded engine blob (the
-    /// [`ShardCheckpoint::pack`] tag is present).
-    pub fn is_packed(blob: &StateBlob) -> bool {
-        let mut r = StateReader::new(blob);
-        matches!(r.read_str(), Ok(tag) if tag == Self::ENGINE_TAG)
-    }
-
-    /// Number of shards in the checkpoint.
-    pub fn shard_count(&self) -> usize {
-        self.engines.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -859,37 +732,6 @@ mod tests {
         assert_eq!(r.read_blob().unwrap(), inner);
         assert!(r.read_blob().unwrap().is_empty());
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn shard_checkpoint_pack_roundtrips() {
-        let blob_of = |x: u64| {
-            let mut w = StateWriter::new();
-            w.write_u64(x);
-            w.finish()
-        };
-        let ckpt = ShardCheckpoint {
-            slot: 17,
-            algorithm: "FULLG".into(),
-            partition: vec![0, 1, 1, 0],
-            engines: vec![blob_of(1), blob_of(2)],
-            algorithms: vec![blob_of(3), blob_of(4)],
-            coordinator: blob_of(5),
-            observer_state: blob_of(6),
-        };
-        assert_eq!(ckpt.shard_count(), 2);
-        let (engine, algorithm_state) = ckpt.pack();
-        assert!(ShardCheckpoint::is_packed(&engine));
-        assert!(!ShardCheckpoint::is_packed(&blob_of(9)));
-        let back =
-            ShardCheckpoint::unpack(17, "FULLG", &engine, &algorithm_state, blob_of(6)).unwrap();
-        assert_eq!(back, ckpt);
-        // A monolithic blob is refused with a Mismatch, not a decode
-        // panic.
-        assert!(matches!(
-            ShardCheckpoint::unpack(0, "X", &blob_of(1), &algorithm_state, StateBlob::default()),
-            Err(StateError::Mismatch { .. })
-        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use vne_model::embedding::{Embedding, Footprint};
 use vne_model::ids::{AppId, ClassId, LinkId, NodeId, RequestId};
 use vne_model::prelude::Decision;
 use vne_model::request::{Request, SlotEvents};
-use vne_model::state::{StateDecode, StateEncode, StateReader, StateWriter};
+use vne_model::state::{StateBlob, StateDecode, StateEncode, StateReader, StateWriter};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 
 /// Encodes `value`, decodes it back, and checks the blob is fully
@@ -60,6 +60,19 @@ fn ids_and_class_roundtrip() {
     roundtrip(&AppId::from_index(3));
     roundtrip(&RequestId::from_index(123456));
     roundtrip(&ClassId::new(AppId::from_index(1), NodeId::from_index(4)));
+}
+
+#[test]
+fn state_blob_roundtrip() {
+    let blob = StateBlob::from_bytes(vec![1, 2, 3]);
+    roundtrip(&vec![blob.clone(), StateBlob::default()]);
+    // A nested blob is written as `write_blob` writes it: the length,
+    // then the bytes.
+    let mut w = StateWriter::new();
+    w.write(&blob);
+    let mut nested = 3u64.to_le_bytes().to_vec();
+    nested.extend([1, 2, 3]);
+    assert_eq!(w.finish().into_bytes(), nested);
 }
 
 #[test]

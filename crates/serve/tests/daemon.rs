@@ -20,16 +20,14 @@ use vne_model::policy::PlacementPolicy;
 use vne_model::prelude::Decision;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{PartitionAssignment, ShardedSubstrate};
-use vne_model::state::{StateBlob, StateReader};
+use vne_model::state::StateBlob;
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::fullg::FullG;
 use vne_serve::actor::{CheckpointConfig, ServeConfig, ServeHandle, TickMode};
 use vne_serve::protocol::{parse_reply, Command, Reply};
 use vne_serve::{spawn, Server, SubmitReply, SubmitSpec};
-use vne_shard::{shard_checkpoint, ShardCoordinator, SpanningStats};
-use vne_sim::engine::{
-    run_stream_with, EngineCheckpoint, EngineState, ReembedAll, RequestStatus, StreamStats,
-};
+use vne_shard::{ShardCheckpoint, ShardCoordinator, SpanningStats};
+use vne_sim::engine::{run_stream_with, EngineCheckpoint, EngineState, ReembedAll, RequestStatus};
 use vne_sim::observe::{Recorder, Tee, WindowSummary};
 use vne_sim::persist::read_checkpoint_file;
 use vne_sim::registry::{AlgorithmSpec, BuildContext};
@@ -987,18 +985,9 @@ fn sharded_events() -> Vec<SlotEvents> {
         .collect()
 }
 
-/// The spanning counters of a `k > 1` checkpoint: they follow the merged
-/// run counters at the head of the coordinator cursors.
-fn spanning_of(checkpoint: &EngineCheckpoint) -> SpanningStats {
-    let typed = shard_checkpoint(checkpoint).unwrap();
-    let mut r = StateReader::new(&typed.coordinator);
-    r.read::<StreamStats>().unwrap();
-    SpanningStats {
-        candidates: r.read_usize().unwrap(),
-        attempts: r.read_usize().unwrap(),
-        granted: r.read_usize().unwrap(),
-        denied: r.read_usize().unwrap(),
-    }
+/// The typed sharded state of a `k > 1` checkpoint.
+fn sharded_state(checkpoint: &EngineCheckpoint) -> ShardCheckpoint {
+    ShardCheckpoint::decode(&checkpoint.engine, &checkpoint.algorithm_state).unwrap()
 }
 
 /// What one served segment of the script leaves behind.
@@ -1166,15 +1155,15 @@ fn four_shards_served_over_tcp_replay_through_the_offline_coordinator() {
         denied: 1,
     };
     assert_eq!(coordinator.spanning_stats(), span);
-    assert_eq!(spanning_of(&whole.last), span);
-    assert_eq!(spanning_of(&resumed.last), span);
+    assert_eq!(sharded_state(&whole.last).spanning, span);
+    assert_eq!(sharded_state(&resumed.last).spanning, span);
 
     // Every shard's engine and algorithm, byte for byte; and the two
     // served runs agree on the observer stack as well.
-    let state = shard_checkpoint(&coordinator.checkpoint(StateBlob::default()).unwrap()).unwrap();
+    let state = sharded_state(&coordinator.checkpoint(StateBlob::default()).unwrap());
     for served in [&whole.last, &resumed.last] {
-        let typed = shard_checkpoint(served).unwrap();
-        assert_eq!(typed.slot, slots - 1);
+        let typed = sharded_state(served);
+        assert_eq!(served.slot, slots - 1);
         assert_eq!(typed.engines, state.engines);
         assert_eq!(typed.algorithms, state.algorithms);
     }

@@ -54,11 +54,15 @@
 //! `on_slot_committed` goes out, then an observer's stop is honored
 //! ([`ShardCoordinator::step`] is the same body without the stamp, for
 //! callers that keep their own clock). For `k > 1` the commit hook
-//! carries a deferred [`EngineView`]: its capture — every shard's
-//! engine + algorithm snapshot plus the coordinator's cursors, packed
-//! as a [`ShardCheckpoint`] — is materialized only if an observer
-//! actually checkpoints the slot, so a [`Checkpointer`] works
-//! unmodified at any cadence and un-checkpointed slots pay nothing.
+//! carries a deferred [`EngineView`]: its capture — a
+//! [`ShardCheckpoint`] of every shard's engine + algorithm snapshot and
+//! the coordinator's own state, encoded into the envelope's two state
+//! blobs — is materialized only if an observer actually checkpoints the
+//! slot, so a [`Checkpointer`] works unmodified at any cadence and
+//! un-checkpointed slots pay nothing. [`ShardCoordinator::resume_from`]
+//! is the other half: it refuses a checkpoint whose shards disagree on
+//! the slot or whose restored state fails [`ShardCoordinator::audit`],
+//! since a checkpoint file is outside input.
 //!
 //! With `k = 1` the coordinator collapses to a pass-through of the
 //! unsharded engine — same state transitions, same observer dispatch
@@ -101,7 +105,6 @@
 //! [`cell_map`]: vne_sim::runner::cell_map
 //! [`Checkpointer`]: vne_sim::observe::Checkpointer
 //! [`ChurnEvent::NodeDrain`]: vne_model::churn::ChurnEvent::NodeDrain
-//! [`ShardCheckpoint`]: vne_model::state::ShardCheckpoint
 //! [`EngineCheckpoint`]: vne_sim::engine::EngineCheckpoint
 //! [`ReembedPolicy`]: vne_sim::engine::ReembedPolicy
 
@@ -115,7 +118,7 @@ use vne_model::invariant::InvariantViolation;
 use vne_model::load::LoadLedger;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{LinkHome, ShardId, ShardNodeRef, ShardedSubstrate};
-use vne_model::state::{ShardCheckpoint, Snapshot, StateBlob, StateError};
+use vne_model::state::{Snapshot, StateBlob, StateError};
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::algorithm::{OnlineAlgorithm, SlotOutcome};
 use vne_sim::engine::{
@@ -125,7 +128,7 @@ use vne_sim::engine::{
 use vne_sim::runner::cell_map;
 use vne_sim::{EngineState, NullObserver};
 
-use crate::checkpoint::CoordinatorCursors;
+use crate::checkpoint::ShardCheckpoint;
 
 /// Counters for the two-phase reserve/commit spanning protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -524,7 +527,9 @@ impl ShardCoordinator {
     ///
     /// Returns the violations instead of panicking so tests can inspect
     /// them; the `strict-invariants` per-step hook feeds the result
-    /// through [`vne_model::invariant::enforce`].
+    /// through [`vne_model::invariant::enforce`], and
+    /// [`resume_from`](Self::resume_from) refuses a checkpoint whose
+    /// restored state reports any.
     pub fn audit(&self) -> Vec<InvariantViolation> {
         let mut out = vne_model::invariant::audit_sharded(&self.sharded);
 
@@ -616,7 +621,7 @@ impl ShardCoordinator {
     /// from the same deterministic configuration (`sharded`, `build`,
     /// the caller re-applies [`ShardCoordinator::with_reembed`]), then
     /// restores every shard's engine + algorithm state, the
-    /// coordinator's cursors, and `observer` from `checkpoint`.
+    /// coordinator's own state, and `observer` from `checkpoint`.
     /// Feeding [`run`](Self::run) the original stream with slots below
     /// [`next_slot`](Self::next_slot) filtered out then finishes the
     /// run **byte-identically** to the uninterrupted one — the
@@ -624,18 +629,21 @@ impl ShardCoordinator {
     ///
     /// The checkpoint is the [`EngineCheckpoint`] envelope a
     /// [`Checkpointer`] produced over this coordinator: for `k > 1` its
-    /// blobs carry a packed [`ShardCheckpoint`]; for `k = 1` they carry
+    /// blobs hold an encoded [`ShardCheckpoint`]; for `k = 1` they hold
     /// plain monolithic engine state, so single-shard coordinators and
     /// the monolithic engine ([`restore_engine`], then
     /// [`EngineState::run`]) accept each other's checkpoints
-    /// interchangeably. Use [`crate::checkpoint::engine_checkpoint`] to
-    /// resume from a typed [`ShardCheckpoint`].
+    /// interchangeably.
     ///
     /// # Errors
     ///
     /// Returns a [`StateError`] when the checkpoint's shape does not
     /// match this coordinator (shard count, partition map, algorithm
-    /// name, cut count) or any blob fails to restore.
+    /// name), any blob fails to restore, a shard engine or the run
+    /// counters are not at the envelope's slot, or the restored state
+    /// fails [`audit`](Self::audit) — an out-of-range churn factor, a
+    /// node factor off the cut, a re-route cursor for a request active
+    /// in no shard; the error names the first violation.
     ///
     /// [`Checkpointer`]: vne_sim::observe::Checkpointer
     /// [`EngineState::run`]: vne_sim::engine::EngineState::run
@@ -650,7 +658,7 @@ impl ShardCoordinator {
     {
         let mut this = Self::new(sharded, build);
         if this.engines.len() == 1 {
-            if ShardCheckpoint::is_packed(&checkpoint.engine) {
+            if checkpoint.is_sharded() {
                 return Err(StateError::Mismatch {
                     expected: "a monolithic engine checkpoint for k = 1".into(),
                     found: "a packed multi-shard checkpoint".into(),
@@ -666,32 +674,27 @@ impl ShardCoordinator {
             this.stats = engine.state.stats();
             return Ok(this);
         }
-        let shard = ShardCheckpoint::unpack(
-            checkpoint.slot,
-            &checkpoint.algorithm,
-            &checkpoint.engine,
-            &checkpoint.algorithm_state,
-            checkpoint.observer_state.clone(),
-        )?;
-        this.restore_sharded(&shard)?;
+        this.restore_sharded(checkpoint)?;
         observer.restore(&checkpoint.observer_state)?;
         Ok(this)
     }
 
-    /// Restores per-shard engines, algorithms and coordinator cursors
-    /// from an unpacked `k > 1` checkpoint (everything except the
-    /// observer, which [`resume_from`](Self::resume_from) owns).
-    fn restore_sharded(&mut self, checkpoint: &ShardCheckpoint) -> Result<(), StateError> {
+    /// Restores per-shard engines, algorithms and the coordinator's own
+    /// state from a `k > 1` checkpoint and validates the result
+    /// (everything except the observer, which
+    /// [`resume_from`](Self::resume_from) owns).
+    fn restore_sharded(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), StateError> {
+        let shard = ShardCheckpoint::decode(&checkpoint.engine, &checkpoint.algorithm_state)?;
         let k = self.engines.len();
-        if checkpoint.shard_count() != k {
+        if shard.engines.len() != k {
             return Err(StateError::Mismatch {
                 expected: format!("{k} shards"),
-                found: format!("{}", checkpoint.shard_count()),
+                found: format!("{}", shard.engines.len()),
             });
         }
         let nodes = self.sharded.source().node_count();
-        let same_partition = checkpoint.partition.len() == nodes
-            && checkpoint
+        let same_partition = shard.partition.len() == nodes
+            && shard
                 .partition
                 .iter()
                 .enumerate()
@@ -702,6 +705,13 @@ impl ShardCoordinator {
                 found: "a checkpoint cut under a different partition".into(),
             });
         }
+        // Every shard steps every slot, so all of them, and the merged
+        // counters, are one past the checkpointed slot.
+        let next = u64::from(checkpoint.slot) + 1;
+        let off_slot = |what: String, at: u64| StateError::Mismatch {
+            expected: format!("{what} at next slot {next}"),
+            found: format!("next slot {at}"),
+        };
         for (s, engine) in self.engines.iter_mut().enumerate() {
             let engine = engine.get_mut().unwrap();
             if engine.primary.name() != checkpoint.algorithm {
@@ -710,33 +720,38 @@ impl ShardCoordinator {
                     found: format!("algorithm {}", engine.primary.name()),
                 });
             }
-            engine.primary.restore_state(&checkpoint.algorithms[s])?;
-            engine.state.restore(&checkpoint.engines[s])?;
+            engine.primary.restore_state(&shard.algorithms[s])?;
+            engine.state.restore(&shard.engines[s])?;
+            if engine.state.next_slot() != next {
+                return Err(off_slot(format!("shard {s}"), engine.state.next_slot()));
+            }
             engine.state.reapply_churn(
                 &mut *engine.primary,
                 self.sharded.shard(ShardId::from_index(s)),
             );
         }
-        let cursors = CoordinatorCursors::decode(&checkpoint.coordinator)?;
-        if cursors.cut_factor.len() != self.cut_factor.len() {
-            return Err(StateError::Mismatch {
-                expected: format!("{} cut-link factors", self.cut_factor.len()),
-                found: format!("{}", cursors.cut_factor.len()),
-            });
+        if u64::from(shard.stats.slots_run) != next {
+            let at = u64::from(shard.stats.slots_run);
+            return Err(off_slot("the run counters".into(), at));
         }
-        self.stats = cursors.stats;
+        self.stats = shard.stats;
         // The resumed segment gets its own early-stop verdict.
         self.stats.stopped_early = false;
-        self.spanning = cursors.spanning;
-        self.rerouted = cursors.rerouted.into_iter().collect();
-        self.cut_factor = cursors.cut_factor;
-        self.node_factor = cursors.node_factor.into_iter().collect();
-        Ok(())
+        self.spanning = shard.spanning;
+        self.rerouted = shard.rerouted.into_iter().collect();
+        self.cut_factor = shard.cut_factor;
+        self.node_factor = shard.node_factor.into_iter().collect();
+        // A checkpoint file is outside input: the checker that guards
+        // every strict step guards the resume too.
+        match self.audit().first() {
+            Some(violation) => Err(StateError::Corrupt(violation.to_string())),
+            None => Ok(()),
+        }
     }
 
     /// Materializes the deferred capture: every shard's engine +
-    /// algorithm snapshot plus the coordinator cursors, packed as a
-    /// [`ShardCheckpoint`] into the engine-checkpoint blob pair.
+    /// algorithm snapshot plus the coordinator's own state, as a
+    /// [`ShardCheckpoint`] encoded into the engine-checkpoint blob pair.
     fn capture(&self) -> Result<EngineCapture, StateError> {
         let mut engines = Vec::with_capacity(self.engines.len());
         let mut algorithms = Vec::with_capacity(self.engines.len());
@@ -749,37 +764,24 @@ impl ShardCoordinator {
             algorithms.push(blob);
         }
         let nodes = self.sharded.source().node_count();
-        let partition: Vec<u32> = (0..nodes)
-            .map(|i| self.sharded.home_of(NodeId::from_index(i)).shard.0)
-            .collect();
-        // Both maps are BTreeMaps, so the drains below are already in
-        // ascending key order — the checkpoint layout is unchanged.
-        let rerouted: Vec<(RequestId, NodeId)> =
-            self.rerouted.iter().map(|(&k, &v)| (k, v)).collect();
-        let node_factor: Vec<(NodeId, f64)> =
-            self.node_factor.iter().map(|(&k, &v)| (k, v)).collect();
-        let cursors = CoordinatorCursors {
-            stats: self.stats,
-            spanning: self.spanning,
-            rerouted,
-            cut_factor: self.cut_factor.clone(),
-            node_factor,
-        };
-        let checkpoint = ShardCheckpoint {
-            // Slot and observer state belong to the envelope the
-            // Checkpointer assembles around this capture.
-            slot: 0,
-            algorithm: self.stub.name.clone(),
-            partition,
+        let (engine, algorithm_state) = ShardCheckpoint {
+            partition: (0..nodes)
+                .map(|i| self.sharded.home_of(NodeId::from_index(i)).shard.0)
+                .collect(),
             engines,
             algorithms,
-            coordinator: cursors.encode(),
-            observer_state: StateBlob::default(),
-        };
-        let (engine, algorithm_state) = checkpoint.pack();
+            stats: self.stats,
+            spanning: self.spanning,
+            // Both maps are BTreeMaps, so these are in ascending key
+            // order.
+            rerouted: self.rerouted.iter().map(|(&k, &v)| (k, v)).collect(),
+            cut_factor: self.cut_factor.clone(),
+            node_factor: self.node_factor.iter().map(|(&k, &v)| (k, v)).collect(),
+        }
+        .encode();
         Ok(EngineCapture {
             engine,
-            algorithm_state: Some(algorithm_state),
+            algorithm_state,
         })
     }
 

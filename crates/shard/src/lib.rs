@@ -24,10 +24,13 @@
 //!   behind the `vne-serve` daemon as well, which closes a slot with
 //!   `run` over one event ([`ShardCoordinator::release_early`] and
 //!   [`ShardCoordinator::checkpoint`] serve `DEPART` and `CHECKPOINT`).
-//! * [`checkpoint`] — the typed sharded-checkpoint semantics:
-//!   [`shard_checkpoint`] / [`engine_checkpoint`] convert between the
-//!   [`Checkpointer`]'s envelope and the typed
-//!   [`ShardCheckpoint`](vne_model::state::ShardCheckpoint).
+//! * [`checkpoint`] — the one owner of a `k > 1` checkpoint's bytes:
+//!   [`ShardCheckpoint`] holds the partition, every shard's engine and
+//!   algorithm snapshot and the coordinator's own state, and encodes to
+//!   and decodes from the two state blobs of the [`Checkpointer`]'s
+//!   envelope. [`ShardCoordinator::resume_from`] refuses a decoded
+//!   checkpoint whose shards disagree on the slot or whose coordinator
+//!   state fails [`ShardCoordinator::audit`].
 //! * [`plan`] — per-shard PLAN-VNE: [`shard_demands`] routes the
 //!   history stream into one [`ExactEstimator`] per shard (planning
 //!   memory `O(classes per shard)`), [`shard_plans`] solves the shard
@@ -69,6 +72,6 @@ pub mod checkpoint;
 pub mod coordinator;
 pub mod plan;
 
-pub use checkpoint::{engine_checkpoint, shard_checkpoint};
+pub use checkpoint::ShardCheckpoint;
 pub use coordinator::{ShardCoordinator, SpanningStats};
 pub use plan::{shard_demands, shard_plans};

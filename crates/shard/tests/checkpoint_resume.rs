@@ -8,8 +8,8 @@
 //! `online_secs` instead of restarting the clock, that the
 //! `online_secs` a checkpoint stores include its own slot, and every
 //! byte of one `k = 4` checkpoint.
-//!
-//! [`ShardCheckpoint`]: vne_model::state::ShardCheckpoint
+//! A `k = 4` checkpoint with any one field of its [`ShardCheckpoint`]
+//! tampered with is refused by name.
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::churn::ChurnEvent;
@@ -17,12 +17,12 @@ use vne_model::ids::{AppId, LinkId, NodeId, RequestId};
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{PartitionAssignment, ShardId, ShardedSubstrate};
-use vne_model::state::{Snapshot, StateBlob, StateReader};
+use vne_model::state::{Snapshot, StateBlob};
 use vne_model::substrate::{SubstrateNetwork, Tier};
 use vne_olive::algorithm::OnlineAlgorithm;
 use vne_olive::fullg::FullG;
-use vne_shard::{engine_checkpoint, shard_checkpoint, ShardCoordinator};
-use vne_sim::engine::{restore_engine, run_stream_with, EngineState, ReembedAll, StreamStats};
+use vne_shard::{ShardCheckpoint, ShardCoordinator};
+use vne_sim::engine::{restore_engine, run_stream_with, EngineCheckpoint, EngineState, ReembedAll};
 use vne_sim::observe::{Checkpointer, WindowSummary};
 use vne_sim::persist::{read_checkpoint_file, write_checkpoint_file};
 
@@ -142,6 +142,11 @@ fn sharded_reference(s: &SubstrateNetwork, ev: &[SlotEvents], k: usize) -> u64 {
     let mut w = window(s);
     let stats = coordinator.run(ev.iter().cloned(), &mut w);
     w.finish(&stats).fingerprint()
+}
+
+/// The typed sharded state of a `k > 1` checkpoint.
+fn decoded(checkpoint: &EngineCheckpoint) -> ShardCheckpoint {
+    ShardCheckpoint::decode(&checkpoint.engine, &checkpoint.algorithm_state).unwrap()
 }
 
 /// A checkpoint taken at `CHECKPOINT_SLOT` by a monolithic run.
@@ -275,11 +280,14 @@ fn multi_shard_checkpoint_is_refused_outside_its_shape() {
         "a packed multi-shard checkpoint must not restore into k = 1"
     );
 
-    // It lifts to the typed form, round-trips, and resumes at k = 2.
-    let typed = shard_checkpoint(&checkpoint).unwrap();
-    assert_eq!(typed.shard_count(), 2);
-    assert_eq!(typed.slot, CHECKPOINT_SLOT);
-    let envelope = engine_checkpoint(&typed);
+    // It decodes to the typed form, re-encodes to the same blobs, and
+    // resumes at k = 2.
+    let typed = decoded(&checkpoint);
+    assert_eq!(typed.engines.len(), 2);
+    assert_eq!(checkpoint.slot, CHECKPOINT_SLOT);
+    let mut envelope = checkpoint.clone();
+    (envelope.engine, envelope.algorithm_state) = typed.encode();
+    assert_eq!(envelope, checkpoint);
 
     let reference = sharded_reference(&s, &ev, 2);
 
@@ -312,7 +320,7 @@ fn multi_shard_checkpoint_resumes_from_a_checkpoint_file() {
     let loaded = read_checkpoint_file(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(loaded, checkpoint);
-    assert_eq!(shard_checkpoint(&loaded).unwrap().shard_count(), 4);
+    assert_eq!(decoded(&loaded).engines.len(), 4);
 
     let mut w = window(&s);
     let mut resumed =
@@ -350,23 +358,15 @@ fn resumed_runs_keep_the_checkpointed_online_secs() {
             state.set_online_secs(STORED_SECS);
             checkpoint.engine = state.snapshot();
         } else {
-            // k > 1: the merged counters lead the coordinator cursors —
-            // slots_run (u32), arrivals and peak_active (u64 each), then
-            // online_secs at byte 20.
-            let mut typed = shard_checkpoint(&checkpoint).unwrap();
-            let mut bytes = typed.coordinator.into_bytes();
-            bytes[20..28].copy_from_slice(&STORED_SECS.to_bits().to_le_bytes());
-            typed.coordinator = StateBlob::from_bytes(bytes);
-            let mut r = StateReader::new(&typed.coordinator);
-            r.read_u32().unwrap();
-            r.read_usize().unwrap();
-            r.read_usize().unwrap();
+            // k > 1: the coordinator's merged counters.
+            let mut typed = decoded(&checkpoint);
+            typed.stats.online_secs = STORED_SECS;
+            (checkpoint.engine, checkpoint.algorithm_state) = typed.encode();
             assert_eq!(
-                r.read_f64().unwrap(),
+                decoded(&checkpoint).stats.online_secs,
                 STORED_SECS,
                 "patched the wrong field"
             );
-            checkpoint = engine_checkpoint(&typed);
         }
 
         let apps = apps();
@@ -401,17 +401,14 @@ fn resumed_runs_keep_the_checkpointed_online_secs() {
 }
 
 /// The `online_secs` a checkpoint stores: in the engine blob at
-/// `k = 1`, in the merged counters that lead the coordinator cursors
-/// at `k > 1`.
+/// `k = 1`, in the coordinator's merged counters at `k > 1`.
 fn stored_online_secs(checkpoint: &vne_sim::engine::EngineCheckpoint, k: usize) -> f64 {
     if k == 1 {
         let mut state = EngineState::fresh();
         state.restore(&checkpoint.engine).unwrap();
         return state.stats().online_secs;
     }
-    let typed = shard_checkpoint(checkpoint).unwrap();
-    let stats: StreamStats = StateReader::new(&typed.coordinator).read().unwrap();
-    stats.online_secs
+    decoded(checkpoint).stats.online_secs
 }
 
 /// The write-side twin of the test above: `run` stamps `online_secs`
@@ -519,5 +516,124 @@ fn k4_checkpoint_bytes_are_pinned() {
         (bytes.len(), fnv1a(&bytes)),
         (1326, 0x529b_812a_022f_d896),
         "the k = 4 checkpoint bytes moved"
+    );
+}
+
+/// Resumes `checkpoint` at `k` shards as it is, then with `tamper`
+/// applied to its typed state: the first must succeed, the second must
+/// be refused with an error that mentions `refusal`.
+fn assert_refused(
+    mut checkpoint: EngineCheckpoint,
+    k: usize,
+    tamper: impl FnOnce(&mut ShardCheckpoint),
+    refusal: &str,
+) {
+    let (s, _) = world();
+    checkpoint.observer_state = StateBlob::default();
+    let resume = |checkpoint: &EngineCheckpoint| {
+        ShardCoordinator::resume_from(
+            sharded_k(&s, k),
+            shard_fullg(),
+            checkpoint,
+            &mut vne_sim::NullObserver,
+        )
+    };
+    assert!(resume(&checkpoint).is_ok(), "the untampered checkpoint");
+    let mut typed = decoded(&checkpoint);
+    tamper(&mut typed);
+    (checkpoint.engine, checkpoint.algorithm_state) = typed.encode();
+    match resume(&checkpoint) {
+        Ok(_) => panic!("a checkpoint tampered to fail {refusal:?} was resumed"),
+        Err(err) => assert!(err.to_string().contains(refusal), "{err}"),
+    }
+}
+
+#[test]
+fn a_cut_factor_outside_the_unit_interval_is_refused() {
+    assert_refused(
+        pinned_k4_checkpoint(),
+        4,
+        |typed| {
+            assert_eq!(typed.cut_factor, [1.0, 1.0, 0.5]);
+            typed.cut_factor[2] = 1.5;
+        },
+        "coordinator-cut-factor-range: cut 2",
+    );
+}
+
+#[test]
+fn a_node_factor_outside_the_unit_interval_is_refused() {
+    assert_refused(
+        pinned_k4_checkpoint(),
+        4,
+        |typed| {
+            assert_eq!(typed.node_factor, [(NodeId(3), 0.75)]);
+            typed.node_factor[0].1 = -0.25;
+        },
+        "coordinator-node-factor-range: node n3",
+    );
+}
+
+/// Under the two-shard cut only `a1`–`b0` crosses, so `a0` is no cut
+/// endpoint and its node churn passes through untranslated.
+#[test]
+fn a_node_factor_off_the_cut_is_refused() {
+    let (s, [a0, ..]) = world();
+    let ev = events(&[a0, NodeId(1), NodeId(2), NodeId(3)]);
+    assert_refused(
+        sharded_checkpoint(&s, &ev, 2),
+        2,
+        |typed| typed.node_factor.insert(0, (a0, 0.5)),
+        "coordinator-node-factor-orphan: node n0",
+    );
+}
+
+#[test]
+fn a_reroute_cursor_for_a_request_active_nowhere_is_refused() {
+    assert_refused(
+        pinned_k4_checkpoint(),
+        4,
+        |typed| {
+            assert_eq!(typed.rerouted, [(RequestId(0), NodeId(1))]);
+            typed.rerouted.push((RequestId(99), NodeId(1)));
+        },
+        "coordinator-reroute-cursor-stale: rerouted request r99",
+    );
+}
+
+#[test]
+fn a_reroute_cursor_with_an_out_of_range_ingress_is_refused() {
+    assert_refused(
+        pinned_k4_checkpoint(),
+        4,
+        |typed| typed.rerouted[0].1 = NodeId(4),
+        "coordinator-reroute-cursor: rerouted request r0: global ingress n4",
+    );
+}
+
+/// Shard 1's engine from the pinned run at slot 2, spliced into a
+/// checkpoint of slot 4.
+#[test]
+fn shards_that_disagree_on_the_slot_are_refused() {
+    let (s, nodes) = world();
+    let earlier = decoded(&pinned_k4_checkpoint()).engines[1].clone();
+    assert_refused(
+        sharded_checkpoint(&s, &events(&nodes), 4),
+        4,
+        |typed| typed.engines[1] = earlier,
+        "expected shard 1 at next slot 5, found next slot 3",
+    );
+}
+
+#[test]
+fn run_counters_off_the_slot_are_refused() {
+    assert_refused(
+        pinned_k4_checkpoint(),
+        4,
+        |typed| {
+            assert_eq!(typed.stats.slots_run, PINNED_SLOT + 1);
+            typed.stats.slots_run += 1;
+        },
+        "expected the run counters at next slot 3, found next slot 4",
     );
 }

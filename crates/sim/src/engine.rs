@@ -32,9 +32,7 @@ use vne_model::embedding::Footprint;
 use vne_model::ids::{ClassId, LinkId, NodeId, RequestId};
 use vne_model::invariant::InvariantViolation;
 use vne_model::request::{Request, Slot, SlotEvents};
-use vne_model::state::{
-    ShardCheckpoint, Snapshot, StateBlob, StateError, StateReader, StateWriter,
-};
+use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::algorithm::OnlineAlgorithm;
 
@@ -681,15 +679,15 @@ impl Snapshot for EngineState {
 /// shard coordinator) assembles on demand inside
 /// [`EngineView::deferred`] — what an [`EngineView`] checkpoints when it
 /// cannot borrow one live engine. The blobs are a composite over every
-/// shard's state rather than a single engine snapshot.
+/// shard's state rather than a single engine snapshot; a driver whose
+/// algorithm cannot snapshot reports [`StateError::Unsupported`] instead
+/// of a capture, as the live path would.
 #[derive(Debug, Clone)]
 pub struct EngineCapture {
     /// The driver-defined composite of its engines' state snapshots.
     pub engine: StateBlob,
-    /// `None` when the algorithm does not support snapshots —
-    /// [`EngineView::checkpoint`] then reports the same
-    /// [`StateError::Unsupported`] the live path would.
-    pub algorithm_state: Option<StateBlob>,
+    /// The driver-defined composite of its algorithms' state snapshots.
+    pub algorithm_state: StateBlob,
 }
 
 /// Where an [`EngineView`] gets its state from: a live borrow of the
@@ -810,14 +808,11 @@ impl<'a> EngineView<'a> {
                 produce,
             } => {
                 let capture = produce()?;
-                let algorithm_state = capture.algorithm_state.ok_or_else(|| {
-                    StateError::Unsupported(format!("algorithm {algorithm_name}"))
-                })?;
                 Ok(EngineCheckpoint {
                     slot: self.slot,
                     algorithm: algorithm_name.to_string(),
                     engine: capture.engine,
-                    algorithm_state,
+                    algorithm_state: capture.algorithm_state,
                     observer_state,
                 })
             }
@@ -859,6 +854,20 @@ impl EngineCheckpoint {
 
     /// The V2 magic, refused with a descriptive error.
     pub const LEGACY_MAGIC_V2: [u8; 8] = *b"VNECKPT2";
+
+    /// The string a `k > 1` shard coordinator's engine blob opens with
+    /// (`vne_shard::checkpoint::ShardCheckpoint`), so a resume expecting
+    /// one engine refuses it by name rather than failing mid-decode.
+    pub const SHARDED_TAG: &'static str = "SHRDENG1";
+
+    /// Whether this checkpoint holds a `k > 1` shard coordinator's state
+    /// (its engine blob opens with [`EngineCheckpoint::SHARDED_TAG`])
+    /// rather than one engine's.
+    pub fn is_sharded(&self) -> bool {
+        StateReader::new(&self.engine)
+            .read_str()
+            .is_ok_and(|tag| tag == Self::SHARDED_TAG)
+    }
 
     /// Serializes the checkpoint for storage, into a buffer of exactly
     /// the encoded length: holders of the bytes keep no spare capacity.
@@ -994,7 +1003,7 @@ where
             found: format!("algorithm {}", algorithm.name()),
         });
     }
-    if ShardCheckpoint::is_packed(&checkpoint.engine) {
+    if checkpoint.is_sharded() {
         return Err(StateError::Mismatch {
             expected: "a monolithic engine checkpoint".into(),
             found: "a packed multi-shard checkpoint (resume it with a shard coordinator)".into(),
