@@ -7,9 +7,9 @@
 //! path, that a resumed coordinator keeps the checkpointed
 //! `online_secs` instead of restarting the clock, that the
 //! `online_secs` a checkpoint stores include its own slot, and every
-//! byte of one `k = 4` checkpoint.
-//! A `k = 4` checkpoint with any one field of its [`ShardCheckpoint`]
-//! tampered with is refused by name.
+//! byte of one `k = 4` checkpoint. Last, a checkpoint with one field of
+//! its [`ShardCheckpoint`] tampered with is refused on resume, naming
+//! the check it fails.
 
 use vne_model::app::{shapes, AppSet, AppShape};
 use vne_model::churn::ChurnEvent;
@@ -578,10 +578,10 @@ fn a_node_factor_outside_the_unit_interval_is_refused() {
 /// endpoint and its node churn passes through untranslated.
 #[test]
 fn a_node_factor_off_the_cut_is_refused() {
-    let (s, [a0, ..]) = world();
-    let ev = events(&[a0, NodeId(1), NodeId(2), NodeId(3)]);
+    let (s, nodes) = world();
+    let a0 = nodes[0];
     assert_refused(
-        sharded_checkpoint(&s, &ev, 2),
+        sharded_checkpoint(&s, &events(&nodes), 2),
         2,
         |typed| typed.node_factor.insert(0, (a0, 0.5)),
         "coordinator-node-factor-orphan: node n0",
