@@ -229,10 +229,7 @@ impl FullG {
         let mut arc_vars: Vec<Vec<(LinkId, bool, VarId)>> = vec![Vec::new(); vnet.link_count()];
         for (e, vlink) in vnet.vlinks() {
             for (l, slink) in s.links() {
-                let Some(eta) = self.policy.link_eta(vlink, slink) else {
-                    continue;
-                };
-                let load = r.demand * vlink.beta * eta;
+                let load = r.demand * vlink.beta * self.policy.link_eta;
                 if load > 0.0 && self.loads.link_residual(l) < load {
                     continue;
                 }
@@ -300,15 +297,14 @@ impl FullG {
                 }
             }
         }
-        for (l, slink) in s.links() {
+        for l in s.link_ids() {
             let row = p.add_row(
                 format!("cap-{l}"),
                 Relation::Le,
                 self.loads.link_residual(l),
             );
             for (e, vlink) in vnet.vlinks() {
-                let eta = self.policy.link_eta(vlink, slink).expect("eta exists");
-                let load = r.demand * vlink.beta * eta;
+                let load = r.demand * vlink.beta * self.policy.link_eta;
                 if load == 0.0 {
                     continue;
                 }

@@ -11,11 +11,21 @@
 //! plus the haul `d_h`, the capacity-filtered shortest-path distance from
 //! the ingress. The least-cost feasible host is found by a *bounded*
 //! search, which is what keeps QUICKG (and OLIVE's fallback path) fast
-//! on large substrates: a scan over the hosts yields `m = min a_h` over
-//! the feasible ones, then one Dijkstra from the ingress prices each
-//! node as a host when it is settled and stops at the first popped
-//! distance `d` with `m + d > best`. That bound is admissible, and exact
-//! in floating point:
+//! on large substrates: a floor `m = min a_h` over the feasible hosts,
+//! then one Dijkstra from the ingress prices each node as a host when it
+//! is settled and stops at the first popped distance `d` with
+//! `m + d > best`.
+//!
+//! The floor does not visit every node. `node_load` depends on a host
+//! only through its tier and GPU flag, so within one
+//! [`SubstrateNetwork::host_groups`] group `a_h = load · cost_h` for one
+//! `load`, and the group is sorted by `cost_h`. For a finite `load ≥ 0`
+//! and finite costs, rounding makes `cost ↦ load · cost` monotone, so
+//! the group's first *feasible* host holds the group's least `a_h`; `m`
+//! is the least of those per-group minima — the value, bit for bit, of a
+//! `total_cmp` minimum over a scan of every node (any other group is
+//! walked to its end). The bound is admissible, and exact in floating
+//! point:
 //!
 //! 1. every host `h` not yet settled has `a_h ≥ m` and `d_h ≥ d`
 //!    (Dijkstra settles in non-decreasing distance);
@@ -36,7 +46,7 @@ use vne_model::embedding::Embedding;
 use vne_model::ids::NodeId;
 use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
-use vne_model::substrate::{SearchStats, SubstrateNetwork, SubstrateNode, Tier};
+use vne_model::substrate::{SearchStats, SubstrateNetwork, SubstrateNode, HOST_CLASSES};
 use vne_model::vnet::VirtualNetwork;
 
 /// Finds the cheapest feasible collocated embedding for a request of the
@@ -58,7 +68,7 @@ pub fn collocated_embed(
 }
 
 /// [`collocated_embed`] plus the work its search did (all zero when the
-/// host scan already rules every node out and no search runs).
+/// floor already rules every node out and no search runs).
 pub fn collocated_embed_counted(
     substrate: &SubstrateNetwork,
     vnet: &VirtualNetwork,
@@ -69,36 +79,60 @@ pub fn collocated_embed_counted(
 ) -> (Option<(Embedding, f64)>, SearchStats) {
     // Root links' bandwidth: Σ_{(θ,c)} β·η hauled along the ingress→host
     // path.
-    let root_link_beta: f64 = vnet
-        .children(VirtualNetwork::ROOT)
+    let root_links = vnet.children(VirtualNetwork::ROOT);
+    let root_link_beta: f64 = root_links
         .iter()
         .map(|&c| {
             let (_, e) = vnet.parent(c).expect("child has a parent");
             vnet.link(e).beta
         })
         .sum();
+    // All root links share the path and link η is one number: the max of
+    // it over the root links, from 0.
+    let root_eta = if root_links.is_empty() {
+        0.0
+    } else {
+        0.0f64.max(policy.link_eta)
+    };
+    let need = demand * root_link_beta * root_eta;
+    let unit = root_link_beta * root_eta;
 
-    // Σ_i β_i·η_i(host) depends on the host only through its tier and
-    // GPU flag (all `PlacementPolicy::node_eta` reads of a node), so it
-    // is computed once per class of node rather than per node.
-    let mut class_load: [Option<Option<f64>>; 2 * Tier::ALL.len()] = [None; 2 * Tier::ALL.len()];
+    // Σ_i β_i·η_i(host) per host class, `None` when a VNF may not sit on
+    // the class; a class's load is read off the first node of its group.
+    let mut class_load: [Option<f64>; HOST_CLASSES] = [None; HOST_CLASSES];
+    // Whether a host of load `load` has room for the total demand.
+    let fits =
+        |host: NodeId, load: f64| !(load > 0.0 && ledger.node_residual(host) < demand * load);
+    let group_floors = substrate
+        .host_groups()
+        .enumerate()
+        .filter_map(|(class, group)| {
+            let (&first, &last) = (group.first()?, group.last()?);
+            let load = node_load(vnet, policy, substrate.node(first))?;
+            class_load[class] = Some(load);
+            let mut terms = group
+                .iter()
+                .filter(|&&h| fits(h, load))
+                .map(|&h| load * substrate.node(h).cost);
+            let monotone = load.is_finite()
+                && load.is_sign_positive()
+                && substrate.node(first).cost.is_finite()
+                && substrate.node(last).cost.is_finite();
+            if monotone {
+                terms.next()
+            } else {
+                terms.min_by(f64::total_cmp)
+            }
+        });
+    let Some(floor) = group_floors.min_by(f64::total_cmp) else {
+        return (None, SearchStats::default());
+    };
     // The node term `a_h` of a feasible host: every VNF placeable, total
     // demand fits.
-    let mut node_term = |host: NodeId| -> Option<f64> {
+    let node_term = |host: NodeId| -> Option<f64> {
         let node = substrate.node(host);
-        let class = 2 * node.tier as usize + usize::from(node.gpu);
-        let load = (*class_load[class].get_or_insert_with(|| node_load(vnet, policy, node)))?;
-        if load > 0.0 && ledger.node_residual(host) < demand * load {
-            return None;
-        }
-        Some(load * node.cost)
-    };
-    let Some(floor) = substrate
-        .node_ids()
-        .filter_map(&mut node_term)
-        .min_by(f64::total_cmp)
-    else {
-        return (None, SearchStats::default());
+        let load = class_load[node.host_class()]?;
+        fits(host, load).then_some(load * node.cost)
     };
 
     // Dijkstra from the ingress over links that can carry the root links,
@@ -107,21 +141,10 @@ pub fn collocated_embed_counted(
     let (paths, stats) = substrate.search(
         ingress,
         |l| {
-            let slink = substrate.link(l);
-            // All root links share the path; η is uniform per policy.
-            let eta = vnet
-                .children(VirtualNetwork::ROOT)
-                .iter()
-                .map(|&c| {
-                    let (_, e) = vnet.parent(c).expect("child has a parent");
-                    policy.link_eta(vnet.link(e), slink)
-                })
-                .try_fold(0.0f64, |acc, eta| eta.map(|v| acc.max(v)))?;
-            let need = demand * root_link_beta * eta;
             if need > 0.0 && ledger.link_residual(l) < need {
                 return None;
             }
-            Some(root_link_beta * eta * slink.cost)
+            Some(unit * substrate.link(l).cost)
         },
         |host, d| {
             let Some(term) = node_term(host) else { return };
@@ -171,6 +194,7 @@ mod tests {
     use super::*;
     use vne_model::embedding::Footprint;
     use vne_model::ids::{LinkId, VnodeId};
+    use vne_model::substrate::Tier;
     use vne_model::vnet::VnfKind;
 
     fn line() -> SubstrateNetwork {

@@ -112,10 +112,7 @@ pub fn solve_arc_lp(
         let mut arc_vars: Vec<Vec<(LinkId, bool, VarId)>> = vec![Vec::new(); vnet.link_count()];
         for (e, vlink) in vnet.vlinks() {
             for (l, slink) in substrate.links() {
-                let Some(eta) = policy.link_eta(vlink, slink) else {
-                    continue;
-                };
-                let load = d * vlink.beta * eta;
+                let load = d * vlink.beta * policy.link_eta;
                 for forward in [true, false] {
                     let var = p.add_var(
                         format!("f-{cname}-{e}-{l}-{}", if forward { "f" } else { "b" }),

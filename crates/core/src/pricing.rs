@@ -162,8 +162,7 @@ impl<'a> AppPricing<'a> {
             // the connecting virtual link.
             let vlink = vnet.link(e);
             let (m, pred) = multi_source_dijkstra(substrate, &subtree, |l| {
-                let link = substrate.link(l);
-                let eta = policy.link_eta(vlink, link)?;
+                let eta = policy.link_eta;
                 if let Some(f) = &filter {
                     let need = f.demand * vlink.beta * eta;
                     if need > 0.0 && f.ledger.link_residual(l) < need {

@@ -303,10 +303,7 @@ fn collocated_embed_reference(
         let eta = vnet
             .children(VirtualNetwork::ROOT)
             .iter()
-            .map(|&c| {
-                let (_, e) = vnet.parent(c).expect("child has a parent");
-                policy.link_eta(vnet.link(e), slink)
-            })
+            .map(|_| Some(policy.link_eta))
             .try_fold(0.0f64, |acc, eta| eta.map(|v| acc.max(v)))?;
         let need = demand * root_link_beta * eta;
         if need > 0.0 && ledger.link_residual(l) < need {
@@ -453,12 +450,44 @@ fn search_app(pick: u8) -> VirtualNetwork {
     .unwrap()
 }
 
+/// Node map, link paths and cost bits of a greedy embedding.
+type GreedyAnswer = Option<(Vec<NodeId>, Vec<Vec<LinkId>>, u64)>;
+
+/// Asserts that the bounded search on `s` returns what the full search
+/// plus a scan of every node returns, and returns that answer.
+fn bounded_equals_full(
+    s: &SubstrateNetwork,
+    vnet: &VirtualNetwork,
+    policy: &PlacementPolicy,
+    ingress: NodeId,
+    ledger: &LoadLedger,
+    demand: f64,
+) -> GreedyAnswer {
+    let answer = |found: Option<(Embedding, f64)>| {
+        found.map(|(e, cost)| {
+            (
+                e.node_map().to_vec(),
+                e.link_paths().to_vec(),
+                cost.to_bits(),
+            )
+        })
+    };
+    let got = answer(collocated_embed(s, vnet, policy, ingress, ledger, demand));
+    let want = answer(collocated_embed_reference(
+        s, vnet, policy, ingress, ledger, demand,
+    ));
+    prop_assert_eq!(&got, &want, "bounded vs full");
+    got
+}
+
 proptest! {
     /// The bounded search returns what the full search plus a scan of
     /// every node returns: `None` together, or the same host, the same
     /// path link for link and the same cost bit for bit — under ties,
-    /// zero costs, GPU datacenters, free hauls and a ledger that
-    /// saturates some nodes and links.
+    /// zero costs, GPU datacenters, free hauls, link η other than 1 (zero
+    /// included) and a ledger that saturates some nodes and links. Also
+    /// after a node's cost or GPU flag changes on a substrate whose host
+    /// order was already built, and on a clone taken before that change.
     #[test]
     fn bounded_greedy_search_matches_the_full_search(
         world in (
@@ -470,33 +499,34 @@ proptest! {
         ),
         app in 0u8..6,
         policy_pick in 0u8..3,
+        eta_pick in 0usize..4,
         ingress_pick in any::<u16>(),
         demand in 0.5f64..30.0,
+        (mutated_pick, mutation) in (any::<u16>(), 0u8..4),
     ) {
-        let (s, ledger) = search_world(world);
+        let (mut s, ledger) = search_world(world);
         let vnet = search_app(app);
-        let policy = match policy_pick {
+        let mut policy = match policy_pick {
             0 => PlacementPolicy::default(),
             1 => PlacementPolicy { gpu_exclusive: false, ..PlacementPolicy::default() },
             _ => PlacementPolicy { tier_node_eta: [1.0, 1.5, 0.25], ..PlacementPolicy::default() },
         };
+        policy.link_eta = [1.0, 0.0, 0.5, 2.5][eta_pick];
         let ingress = NodeId::from_index(ingress_pick as usize % s.node_count());
-        let got = collocated_embed(&s, &vnet, &policy, ingress, &ledger, demand);
-        let want = collocated_embed_reference(&s, &vnet, &policy, ingress, &ledger, demand);
-        match (got, want) {
-            (None, None) => {}
-            (Some((got, got_cost)), Some((want, want_cost))) => {
-                prop_assert_eq!(got.node_map(), want.node_map());
-                prop_assert_eq!(got.link_paths(), want.link_paths());
-                prop_assert_eq!(got_cost.to_bits(), want_cost.to_bits());
-            }
-            (got, want) => prop_assert!(
-                false,
-                "bounded {:?} vs full {:?}",
-                got.map(|(e, c)| (e.node_map().to_vec(), c)),
-                want.map(|(e, c)| (e.node_map().to_vec(), c)),
-            ),
+        let before = bounded_equals_full(&s, &vnet, &policy, ingress, &ledger, demand);
+
+        // `s` has built its host order; the clone carries it over.
+        let copy = s.clone();
+        prop_assert_eq!(&bounded_equals_full(&copy, &vnet, &policy, ingress, &ledger, demand), &before);
+        let node = s.node_mut(NodeId::from_index(mutated_pick as usize % s.node_count()));
+        match mutation {
+            0 => node.gpu = !node.gpu,
+            1 => node.cost = 0.0,
+            2 => node.cost *= 3.0,
+            _ => node.cost = 7.0,
         }
+        bounded_equals_full(&s, &vnet, &policy, ingress, &ledger, demand);
+        prop_assert_eq!(&bounded_equals_full(&copy, &vnet, &policy, ingress, &ledger, demand), &before);
     }
 }
 
@@ -577,8 +607,7 @@ fn reference_min_cost_embedding(
         if let Some((_, e)) = vnet.parent(v) {
             let vlink = vnet.link(e);
             let (m, pred) = reference_multi_source_dijkstra(substrate, &subtree[v.index()], |l| {
-                let link = substrate.link(l);
-                let eta = policy.link_eta(vlink, link)?;
+                let eta = policy.link_eta;
                 if let Some(f) = &filter {
                     let need = f.demand * vlink.beta * eta;
                     if need > 0.0 && f.ledger.link_residual(l) < need {

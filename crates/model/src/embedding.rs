@@ -166,10 +166,7 @@ impl Embedding {
                 continue;
             }
             for &l in &self.link_paths[e.index()] {
-                let eta = policy
-                    .link_eta(vlink, substrate.link(l))
-                    .expect("forbidden link routing in footprint");
-                links.push((l, vlink.beta * eta));
+                links.push((l, vlink.beta * policy.link_eta));
             }
         }
         Footprint::from_parts(nodes, links)

@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::substrate::{SubstrateLink, SubstrateNode, Tier};
-use crate::vnet::{VirtualLink, Vnf, VnfKind};
+use crate::substrate::{SubstrateNode, Tier};
+use crate::vnet::{Vnf, VnfKind};
 
 /// The inefficiency coefficients `η` as a policy object.
 ///
@@ -24,7 +24,11 @@ use crate::vnet::{VirtualLink, Vnf, VnfKind};
 /// * virtual links have `η = 1` on every substrate link.
 ///
 /// Per-tier multipliers allow modeling energy or hardware-affinity
-/// extensions (§VI "future work").
+/// extensions (§VI "future work"). Link `η` is one number, the
+/// [`link_eta`](PlacementPolicy::link_eta) field: the same for every
+/// virtual link on every substrate link, and never forbidding a link.
+/// Readers rely on that — QUICKG's search prices a link once per
+/// request, not once per root link.
 ///
 /// # Examples
 ///
@@ -84,11 +88,6 @@ impl PlacementPolicy {
             (_, true) if self.gpu_exclusive && vnf.beta > 0.0 => None,
             _ => Some(self.tier_node_eta[Self::tier_index(node.tier)]),
         }
-    }
-
-    /// `η_s^q` for routing virtual link `vlink` over substrate link `link`.
-    pub fn link_eta(&self, _vlink: &VirtualLink, _link: &SubstrateLink) -> Option<f64> {
-        Some(self.link_eta)
     }
 
     /// Whether VNF `vnf` may be placed on `node` at all.
@@ -193,18 +192,6 @@ mod tests {
 
     #[test]
     fn link_eta_default_is_one() {
-        let p = PlacementPolicy::default();
-        let vl = VirtualLink {
-            from: crate::ids::VnodeId(0),
-            to: crate::ids::VnodeId(1),
-            beta: 5.0,
-        };
-        let sl = SubstrateLink {
-            a: crate::ids::NodeId(0),
-            b: crate::ids::NodeId(1),
-            capacity: 10.0,
-            cost: 1.0,
-        };
-        assert_eq!(p.link_eta(&vl, &sl), Some(1.0));
+        assert_eq!(PlacementPolicy::default().link_eta, 1.0);
     }
 }

@@ -6,6 +6,10 @@
 //! mobile access network hierarchy (edge / transport / core) and may be
 //! flagged as GPU datacenters for the GPU placement scenario (Fig. 10).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{check_quantity, ModelError, ModelResult};
@@ -58,6 +62,18 @@ pub struct SubstrateNode {
     pub cost: f64,
     /// Whether this datacenter provides GPU acceleration (Fig. 10 scenario).
     pub gpu: bool,
+}
+
+/// The number of [`SubstrateNode::host_class`] values.
+pub const HOST_CLASSES: usize = 2 * Tier::ALL.len();
+
+impl SubstrateNode {
+    /// `2·tier + gpu`: the node's tier and GPU flag, which are all that
+    /// [`PlacementPolicy::node_eta`](crate::policy::PlacementPolicy::node_eta)
+    /// reads of a node, as one index below [`HOST_CLASSES`].
+    pub fn host_class(&self) -> usize {
+        2 * self.tier as usize + usize::from(self.gpu)
+    }
 }
 
 /// A substrate link between two datacenters (undirected).
@@ -113,13 +129,46 @@ impl SubstrateLink {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct SubstrateNetwork {
     name: String,
     nodes: Vec<SubstrateNode>,
     links: Vec<SubstrateLink>,
     /// Adjacency: for each node, the incident `(neighbor, link)` pairs.
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
+    /// [`SubstrateNetwork::host_groups`], built on first use and dropped
+    /// by every node mutation. A cache, not data: equality and `Debug`
+    /// ignore it.
+    host_order: OnceLock<HostOrder>,
+}
+
+/// Node ids grouped by [`SubstrateNode::host_class`], each group in
+/// ascending `cost` (`f64::total_cmp`), ties by id.
+#[derive(Clone)]
+struct HostOrder {
+    ids: Vec<NodeId>,
+    /// Group `c` is `ids[starts[c]..starts[c + 1]]`.
+    starts: [usize; HOST_CLASSES + 1],
+}
+
+impl PartialEq for SubstrateNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.nodes == other.nodes
+            && self.links == other.links
+            && self.adjacency == other.adjacency
+    }
+}
+
+impl std::fmt::Debug for SubstrateNetwork {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubstrateNetwork")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("links", &self.links)
+            .field("adjacency", &self.adjacency)
+            .finish()
+    }
 }
 
 impl SubstrateNetwork {
@@ -130,6 +179,7 @@ impl SubstrateNetwork {
             nodes: Vec::new(),
             links: Vec::new(),
             adjacency: Vec::new(),
+            host_order: OnceLock::new(),
         }
     }
 
@@ -162,6 +212,7 @@ impl SubstrateNetwork {
             gpu: false,
         });
         self.adjacency.push(Vec::new());
+        self.host_order.take();
         Ok(id)
     }
 
@@ -230,6 +281,7 @@ impl SubstrateNetwork {
     /// Mutable access to a node (used by topology transforms such as the
     /// GPU scenario).
     pub fn node_mut(&mut self, n: NodeId) -> &mut SubstrateNode {
+        self.host_order.take();
         &mut self.nodes[n.index()]
     }
 
@@ -298,6 +350,33 @@ impl SubstrateNetwork {
             .iter()
             .position(|n| n.name == name)
             .map(NodeId::from_index)
+    }
+
+    /// The nodes grouped by [`SubstrateNode::host_class`], in class order
+    /// (all [`HOST_CLASSES`] groups, empty ones included), each group in
+    /// ascending `cost` by `f64::total_cmp`, ties by id.
+    ///
+    /// Built on the first call after a node was added or mutably
+    /// borrowed, then shared by every later call.
+    pub fn host_groups(&self) -> impl Iterator<Item = &[NodeId]> {
+        let order = self.host_order.get_or_init(|| {
+            let mut ids: Vec<NodeId> = self.node_ids().collect();
+            ids.sort_by(|&a, &b| {
+                let (x, y) = (self.node(a), self.node(b));
+                (x.host_class().cmp(&y.host_class()))
+                    .then(x.cost.total_cmp(&y.cost))
+                    .then(a.cmp(&b))
+            });
+            let mut starts = [0; HOST_CLASSES + 1];
+            for node in &self.nodes {
+                starts[node.host_class() + 1] += 1;
+            }
+            for class in 0..HOST_CLASSES {
+                starts[class + 1] += starts[class];
+            }
+            HostOrder { ids, starts }
+        });
+        order.starts.windows(2).map(|w| &order.ids[w[0]..w[1]])
     }
 
     /// Ids of all nodes in the given tier.
@@ -416,6 +495,18 @@ impl SubstrateNetwork {
     /// In the returned [`ShortestPaths`] only settled nodes carry final
     /// values; a node the search never settled may read as unreachable
     /// or hold a tentative distance.
+    ///
+    /// The heap key is `(d.to_bits(), node)`, smallest first. Distances
+    /// start at `+0.0` and only ever add weights `≥ 0` (`+0.0 + -0.0` is
+    /// `+0.0`), so every queued `d` is `+0.0`, a positive finite or `+∞`,
+    /// and on those the IEEE-754 bit pattern read as an unsigned integer
+    /// is in numeric order: the pop order is distance, then id, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` returns a negative or NaN weight (link and node
+    /// mutators do not check costs, and such a weight would misorder the
+    /// heap).
     pub fn search<W, S, P>(
         &self,
         source: NodeId,
@@ -431,17 +522,15 @@ impl SubstrateNetwork {
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut heap = std::collections::BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
         let mut stats = SearchStats {
             searches: 1,
             ..SearchStats::default()
         };
         dist[source.index()] = 0.0;
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: source,
-        });
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+        heap.push(Reverse((0.0f64.to_bits(), source.0)));
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            let (d, u) = (f64::from_bits(bits), NodeId(u));
             if d > dist[u.index()] {
                 continue;
             }
@@ -452,7 +541,10 @@ impl SubstrateNetwork {
             settle(u, d);
             for &(v, l) in self.neighbors(u) {
                 let Some(w) = weight(l) else { continue };
-                debug_assert!(w >= 0.0, "link weights must be non-negative");
+                assert!(
+                    w >= 0.0,
+                    "link {l} has weight {w}: weights must be non-negative"
+                );
                 let nd = d + w;
                 if nd < dist[v.index()] {
                     if prune(nd) {
@@ -462,7 +554,7 @@ impl SubstrateNetwork {
                     stats.relaxed += 1;
                     dist[v.index()] = nd;
                     prev[v.index()] = Some((u, l));
-                    heap.push(HeapEntry { dist: nd, node: v });
+                    heap.push(Reverse((nd.to_bits(), v.0)));
                 }
             }
         }
@@ -562,35 +654,6 @@ impl std::ops::AddAssign for SearchStats {
         self.settled += other.settled;
         self.relaxed += other.relaxed;
         self.pruned += other.pruned;
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.node == other.node
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse on distance for a min-heap; tie-break on node id for
-        // deterministic behavior.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
     }
 }
 
@@ -722,6 +785,51 @@ mod tests {
         assert_eq!(pruned_order, order[..3]);
         assert_eq!((pruned.settled, pruned.relaxed, pruned.pruned), (3, 2, 2));
         assert_eq!(sp.path_to(nodes[3]).unwrap(), vec![links[1], links[3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link l1 has weight -1")]
+    fn search_refuses_a_negative_weight() {
+        let (mut s, nodes, links) = diamond();
+        s.link_mut(links[1]).cost = -1.0;
+        s.shortest_paths(nodes[0], |l| Some(s.link(l).cost));
+    }
+
+    #[test]
+    #[should_panic(expected = "has weight NaN")]
+    fn search_refuses_a_nan_weight() {
+        let (s, nodes, _) = diamond();
+        s.shortest_paths(nodes[0], |_| Some(f64::NAN));
+    }
+
+    #[test]
+    fn host_groups_follow_class_then_cost_then_id() {
+        let (mut s, nodes, _) = diamond();
+        let groups = |s: &SubstrateNetwork| -> Vec<Vec<NodeId>> {
+            s.host_groups().map(<[NodeId]>::to_vec).collect()
+        };
+        // Classes: edge, edge+GPU, transport, transport+GPU, core, core+GPU;
+        // b and c tie on cost, so the lower id goes first.
+        let want = |t: Vec<NodeId>| vec![vec![nodes[0]], vec![], t, vec![], vec![nodes[3]], vec![]];
+        assert_eq!(groups(&s), want(vec![nodes[1], nodes[2]]));
+        // A node mutation drops the built order.
+        s.node_mut(nodes[1]).cost = 20.0;
+        assert_eq!(groups(&s), want(vec![nodes[2], nodes[1]]));
+        s.node_mut(nodes[3]).gpu = true;
+        assert_eq!(groups(&s)[4..], [vec![], vec![nodes[3]]]);
+        let e = s.add_node("e", Tier::Edge, 100.0, 0.5).unwrap();
+        assert_eq!(groups(&s)[0], vec![e, nodes[0]]);
+    }
+
+    #[test]
+    fn equality_ignores_the_host_order() {
+        let (s, _, _) = diamond();
+        let (t, _, _) = diamond();
+        assert_eq!(s.host_groups().count(), HOST_CLASSES);
+        assert_eq!(s, t);
+        assert_eq!(t, s);
+        assert_eq!(format!("{s:?}"), format!("{t:?}"));
+        assert_eq!(s.clone(), t);
     }
 
     #[test]
