@@ -317,3 +317,197 @@ fn bound_flip_heavy_master_is_pinned() {
         ]
     );
 }
+
+/// One solve of the sparse-master pin: iterations, status, objective
+/// bits, and an FNV-1a hash over the bits of `x` and then the duals.
+fn full_pin(sol: &vne_lp::solution::LpSolution) -> (usize, SolveStatus, u64, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let bits = sol.x.iter().chain(&sol.duals).map(|v| v.to_bits());
+    for byte in bits.flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (sol.iterations, sol.status, sol.objective.to_bits(), hash)
+}
+
+/// A column-generation master with `m` rows, shaped like PLAN-VNE's:
+/// `≤` capacity rows (every sixth drained to 0), one `=` convexity row
+/// per class over four `1/4`-bounded rejection quantiles, three `≥`
+/// minimum-rejection rows over groups of classes, and one `≥` row with
+/// a negative right-hand side over a free variable that also relieves
+/// the first capacity row. The convexity rows and the negative row put
+/// artificials in the starting basis, so phase 1 and the eviction of
+/// artificials both run. Then three rounds of two generated embedding
+/// columns per class, each a walk over distinct capacity rows plus its
+/// convexity row, are added and re-optimized.
+fn sparse_master(m: usize, opts: SimplexOptions) -> Vec<(usize, SolveStatus, u64, u64)> {
+    let caps = 2 * m / 3;
+    let groups = 3;
+    let classes = m - caps - groups - 1;
+    let quantiles = 4;
+    let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ m as u64;
+    let mut rng = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut p = Problem::new();
+    let cap_rows: Vec<_> = (0..caps)
+        .map(|i| {
+            let rhs = if i % 6 == 5 { 0.0 } else { 10.0 + 30.0 * rng() };
+            p.add_row(format!("cap{i}"), Relation::Le, rhs)
+        })
+        .collect();
+    let conv_rows: Vec<_> = (0..classes)
+        .map(|k| p.add_row(format!("conv{k}"), Relation::Eq, 1.0))
+        .collect();
+    let group_rows: Vec<_> = (0..groups)
+        .map(|g| {
+            let members = (0..classes).filter(|k| k % groups == g).count();
+            p.add_row(format!("minrej{g}"), Relation::Ge, 0.1 * members as f64)
+        })
+        .collect();
+    let floor = p.add_row("floor", Relation::Ge, -5.0);
+    let demands: Vec<f64> = (0..classes).map(|_| 1.0 + 9.0 * rng()).collect();
+    for (k, &demand) in demands.iter().enumerate() {
+        for q in 1..=quantiles {
+            let v = p.add_var(
+                format!("rej{k}q{q}"),
+                3.0 * demand * q as f64,
+                0.0,
+                1.0 / quantiles as f64,
+            );
+            p.set_coeff(conv_rows[k], v, 1.0);
+            p.set_coeff(group_rows[k % groups], v, 1.0);
+        }
+    }
+    let free = p.add_var("relief", 1.0, f64::NEG_INFINITY, f64::INFINITY);
+    p.set_coeff(floor, free, 1.0);
+    p.set_coeff(cap_rows[0], free, 1.0);
+
+    let mut s = Simplex::with_options(&p, opts);
+    let mut pins = vec![full_pin(&s.solve())];
+    for _round in 0..3 {
+        for (k, &demand) in demands.iter().enumerate() {
+            for _ in 0..2 {
+                // Distinct rows: at most four hops of stride 7, and every
+                // `caps` below exceeds 21.
+                let hops = 2 + (rng() * 3.0) as usize;
+                let first = (rng() * caps as f64) as usize;
+                let mut coeffs: Vec<(usize, f64)> = (0..hops)
+                    .map(|h| ((first + 7 * h) % caps, demand * (0.5 + rng())))
+                    .collect();
+                coeffs.push((caps + k, 1.0));
+                s.add_column(demand * (1.0 + 4.0 * rng()), 0.0, f64::INFINITY, &coeffs);
+            }
+        }
+        pins.push(full_pin(&s.reoptimize()));
+    }
+    pins
+}
+
+/// Per-solve iteration counts, statuses, objective bits and `x` / dual
+/// digests of the master above at three sizes whose `m` spans two, three
+/// and five 64-bit words and is never a multiple of 64, under the
+/// default refactorization cadence, one every seven pivots, and one
+/// after every pivot — what any change to how `B⁻¹` is stored, updated
+/// or rebuilt has to reproduce bit for bit.
+#[test]
+fn sparse_master_solves_are_pinned() {
+    let pin = |m, refactor_every| {
+        sparse_master(
+            m,
+            SimplexOptions {
+                refactor_every,
+                ..SimplexOptions::default()
+            },
+        )
+    };
+    let opt = SolveStatus::Optimal;
+    // Before the first round every column holds only ±1 entries, so each
+    // `B⁻¹` is exact and the three cadences agree on the first solve.
+    let first_70 = (152, opt, 0x408a_6cf2_97aa_878f, 0xfc5c_189b_9b41_7ba3);
+    assert_eq!(
+        pin(70, 100),
+        [
+            first_70,
+            (59, opt, 0x407e_3020_34bd_5555, 0xfeef_5196_7042_7871),
+            (39, opt, 0x4071_aa96_1553_fafe, 0x8543_2896_e376_09d3),
+            (21, opt, 0x406d_040b_3413_2256, 0x34e8_9dfb_de47_1c08),
+        ]
+    );
+    assert_eq!(
+        pin(70, 7),
+        [
+            first_70,
+            (59, opt, 0x407e_3020_34bd_5555, 0x5498_7e5b_6575_9dcd),
+            (39, opt, 0x4071_aa96_1553_fafe, 0xd8e6_608c_0f74_b357),
+            (21, opt, 0x406d_040b_3413_2256, 0xb749_2732_03ae_7bfe),
+        ]
+    );
+    assert_eq!(
+        pin(70, 1),
+        [
+            first_70,
+            (59, opt, 0x407e_3020_34bd_5555, 0x5498_7e5b_6575_9dcd),
+            (39, opt, 0x4071_aa96_1553_fafe, 0x6015_dda3_6df3_cf46),
+            (21, opt, 0x406d_040b_3413_2256, 0x2454_f04b_52bb_df34),
+        ]
+    );
+    let first_150 = (336, opt, 0x409d_6601_e00b_b54d, 0xaad4_6ecf_c978_4f2e);
+    assert_eq!(
+        pin(150, 100),
+        [
+            first_150,
+            (151, opt, 0x408d_161a_a072_85b6, 0x2608_672e_2323_3d2a),
+            (85, opt, 0x4082_efc8_eaed_4d77, 0x5c58_5728_cb41_5557),
+            (59, opt, 0x4080_2086_a724_d2c0, 0x52a2_67c0_8f3e_9def),
+        ]
+    );
+    assert_eq!(
+        pin(150, 7),
+        [
+            first_150,
+            (151, opt, 0x408d_161a_a072_85b6, 0xcd25_ff1d_e8e9_e77f),
+            (85, opt, 0x4082_efc8_eaed_4d77, 0x3e00_2671_2522_5671),
+            (56, opt, 0x4080_2086_a724_d2be, 0xadef_e674_9665_8707),
+        ]
+    );
+    assert_eq!(
+        pin(150, 1),
+        [
+            first_150,
+            (151, opt, 0x408d_161a_a072_85b6, 0xcd25_ff1d_e8e9_e77f),
+            (85, opt, 0x4082_efc8_eaed_4d77, 0x3e00_2671_2522_5671),
+            (56, opt, 0x4080_2086_a724_d2be, 0x31b0_326b_5443_2cac),
+        ]
+    );
+    let first_260 = (592, opt, 0x40a9_c005_d4fe_6cbe, 0xf9a2_5592_1dfe_5f84);
+    assert_eq!(
+        pin(260, 100),
+        [
+            first_260,
+            (276, opt, 0x4099_7d39_90f2_a9dd, 0x043b_f56b_99d9_dc35),
+            (139, opt, 0x4093_091f_0c82_6560, 0x8f04_565c_d7b7_db32),
+            (104, opt, 0x4090_3594_dd06_3a42, 0x8e9d_9187_7f59_0525),
+        ]
+    );
+    assert_eq!(
+        pin(260, 7),
+        [
+            first_260,
+            (276, opt, 0x4099_7d39_90f2_a9dd, 0x5617_265d_22c6_6730),
+            (139, opt, 0x4093_091f_0c82_6560, 0x0f1b_ee44_5842_1dea),
+            (104, opt, 0x4090_3594_dd06_3a41, 0x3ef6_c26b_1dd9_5c34),
+        ]
+    );
+    assert_eq!(
+        pin(260, 1),
+        [
+            first_260,
+            (276, opt, 0x4099_7d39_90f2_a9dd, 0x5617_265d_22c6_6730),
+            (139, opt, 0x4093_091f_0c82_6560, 0x3ef8_1c32_67d8_42ed),
+            (104, opt, 0x4090_3594_dd06_3a41, 0x0c79_5b24_ccf6_61ab),
+        ]
+    );
+}
