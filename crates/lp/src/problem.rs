@@ -79,13 +79,18 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if `lb > ub` or a bound is NaN.
+    /// Panics if `lb > ub`, a bound is NaN, or `obj` is NaN or infinite
+    /// (the simplex needs finite data, see [`crate::simplex`]).
     pub fn add_var(&mut self, name: impl Into<String>, obj: f64, lb: f64, ub: f64) -> VarId {
         assert!(
             !lb.is_nan() && !ub.is_nan(),
             "variable bounds must not be NaN"
         );
         assert!(lb <= ub, "variable lower bound exceeds upper bound");
+        assert!(
+            obj.is_finite(),
+            "objective coefficient must be finite, got {obj}"
+        );
         let id = VarId(self.obj.len());
         self.obj.push(obj);
         self.lb.push(lb);
@@ -100,7 +105,7 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if `lb > ub` or a bound is NaN.
+    /// Panics if `lb > ub`, a bound is NaN, or `obj` is not finite.
     pub fn add_int_var(&mut self, name: impl Into<String>, obj: f64, lb: f64, ub: f64) -> VarId {
         let id = self.add_var(name, obj, lb, ub);
         self.integer[id.0] = true;
@@ -113,7 +118,12 @@ impl Problem {
     }
 
     /// Adds a constraint row `… {relation} rhs` with no coefficients yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs` is NaN or infinite.
     pub fn add_row(&mut self, name: impl Into<String>, relation: Relation, rhs: f64) -> RowId {
+        assert!(rhs.is_finite(), "right-hand side must be finite, got {rhs}");
         let id = RowId(self.rows.len());
         self.rows.push(Row { relation, rhs });
         self.row_names.push(name.into());
@@ -127,10 +137,17 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if `row` or `var` is out of range.
+    /// Panics if `row` or `var` is out of range, or `coeff` is NaN or
+    /// infinite.
     pub fn set_coeff(&mut self, row: RowId, var: VarId, coeff: f64) {
         assert!(row.0 < self.rows.len(), "row out of range");
         assert!(var.0 < self.cols.len(), "variable out of range");
+        assert!(
+            coeff.is_finite(),
+            "coefficient of variable {} in row {} must be finite, got {coeff}",
+            var.0,
+            row.0
+        );
         if coeff != 0.0 {
             self.cols[var.0].push((row.0, coeff));
         }
@@ -138,6 +155,10 @@ impl Problem {
 
     /// Adds a variable together with its full column of coefficients
     /// (the column-generation entry point).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Problem::add_var`] or [`Problem::set_coeff`] would.
     pub fn add_var_with_column(
         &mut self,
         name: impl Into<String>,
@@ -329,5 +350,42 @@ mod tests {
     fn rejects_crossed_bounds() {
         let mut p = Problem::new();
         p.add_var("x", 0.0, 1.0, 0.0);
+    }
+
+    #[test]
+    fn infinite_bounds_stay_legal() {
+        let mut p = Problem::new();
+        let x = p.add_var("x", 1.0, f64::NEG_INFINITY, f64::INFINITY);
+        assert_eq!(p.bounds(x), (f64::NEG_INFINITY, f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "objective coefficient must be finite, got NaN")]
+    fn rejects_a_nan_objective() {
+        Problem::new().add_var("x", f64::NAN, 0.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "right-hand side must be finite, got inf")]
+    fn rejects_an_infinite_rhs() {
+        Problem::new().add_row("r", Relation::Le, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient of variable 0 in row 0 must be finite, got -inf")]
+    fn rejects_an_infinite_coefficient() {
+        let mut p = Problem::new();
+        let x = p.add_var("x", 0.0, 0.0, 1.0);
+        let r = p.add_row("r", Relation::Le, 1.0);
+        p.set_coeff(r, x, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient of variable 0 in row 0 must be finite, got NaN")]
+    fn rejects_a_nan_coefficient() {
+        let mut p = Problem::new();
+        let x = p.add_var("x", 0.0, 0.0, 1.0);
+        let r = p.add_row("r", Relation::Le, 1.0);
+        p.set_coeff(r, x, f64::NAN);
     }
 }

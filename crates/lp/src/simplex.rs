@@ -8,11 +8,45 @@
 //! re-optimizing — the operation Dantzig-Wolfe column generation needs.
 //!
 //! The implementation targets the problem sizes of PLAN-VNE masters
-//! (hundreds of rows, thousands of columns), where a dense `B⁻¹` is both
-//! simple and fast. More than half the iterations of such a master are
-//! bound flips of its `1/P`-bounded rejection quantiles; the duals and
-//! reduced costs are computed once per pivot and read again after every
-//! flip (the invariants are on `optimize`).
+//! (hundreds of rows, thousands of columns). More than half the
+//! iterations of such a master are bound flips of its `1/P`-bounded
+//! rejection quantiles; the duals and reduced costs are computed once per
+//! pivot and read again after every flip (the invariants are on
+//! `optimize`).
+//!
+//! # A dense `B⁻¹` with row patterns
+//!
+//! `B⁻¹` is one dense row-major `m × m` store, but a master's is only a
+//! few percent nonzero (2.6 % on a SLOTOFF master of ≈ 240 rows). Each
+//! row carries a bitset of `⌈m/64⌉` words, a superset of its nonzeros:
+//! every entry outside it is ±0. `solve` starts the patterns at the
+//! diagonal. The eta update scales and subtracts only the pivot row's
+//! pattern and ORs it into every row it subtracts from. `btran` and the
+//! basic-value recomputation walk the set bits. `refactor` takes the
+//! patterns that `invert` keeps while its Gauss–Jordan pivot search and
+//! elimination visit only the rows of a column's pattern. Debug builds
+//! check the invariant before every refactor. This is not a sparse LU:
+//! the factorization, the pivot sequence, the pricing order and every
+//! value outside `B⁻¹` are the dense code's, and so is every bit the
+//! solver returns:
+//!
+//! - **The readers of `B⁻¹` cannot see the skipped terms.** Each sums
+//!   with `+=` into an accumulator that starts at `+0.0`: `y` in `btran`,
+//!   `w` in `ftran`, `v` in `recompute_basic_values`, `piv` in
+//!   `evict_artificials`. Under round-to-nearest such a sum is never
+//!   `−0.0`, because `x + (−x) = +0.0` and `+0.0 + −0.0 = +0.0`, so adding
+//!   a ±0 term leaves it bit-identical. A term whose `B⁻¹` factor is ±0
+//!   is itself ±0 when the other factor is finite.
+//! - **Inside `B⁻¹` and `invert`'s work matrix, only the sign of a zero
+//!   can change.** Skipping `x −= f·(±0)`, or the scaling of a ±0 entry,
+//!   can only flip the sign of an entry that is already zero. Such an
+//!   entry is only ever read by those accumulators, by `.abs()` in the
+//!   pivot search, or by a `!= 0.0` test.
+//! - **Finiteness is required**, because `∞·0 = NaN`. [`Problem`] and
+//!   [`Simplex::add_column`] refuse a NaN or infinite coefficient,
+//!   objective or right-hand side. Infinite bounds stay legal: a nonbasic
+//!   variable rests at a finite bound or at 0, so no bound multiplies
+//!   `B⁻¹`.
 
 use crate::problem::{Problem, Relation};
 use crate::solution::{LpSolution, SolveStatus};
@@ -106,6 +140,9 @@ pub struct Simplex {
     x: Vec<f64>,
     /// Dense basis inverse, row-major `m × m`.
     binv: Vec<f64>,
+    /// One bitset of `⌈m/64⌉` words per row of `binv`: a superset of
+    /// that row's nonzeros, so every entry outside it is ±0.
+    pattern: Vec<u64>,
     pivots_since_refactor: usize,
     iterations: usize,
     solved_once: bool,
@@ -167,6 +204,7 @@ impl Simplex {
             state: vec![VarState::AtLower; ncols],
             x: vec![0.0; ncols],
             binv: vec![0.0; m * m],
+            pattern: vec![0; m * m.div_ceil(64)],
             pivots_since_refactor: 0,
             iterations: 0,
             solved_once: false,
@@ -183,6 +221,12 @@ impl Simplex {
 
     fn is_artificial(&self, j: usize) -> bool {
         j >= self.ncols() - self.m
+    }
+
+    /// The pattern of row `i` of `binv`.
+    fn pattern_row(&self, i: usize) -> &[u64] {
+        let words = self.m.div_ceil(64);
+        &self.pattern[i * words..(i + 1) * words]
     }
 
     /// Initial nonbasic resting value for variable `j`.
@@ -226,9 +270,12 @@ impl Simplex {
             self.x[j] = bt.abs();
         }
         self.binv = vec![0.0; self.m * self.m];
+        self.pattern.fill(0);
+        let words = self.m.div_ceil(64);
         for i in 0..self.m {
             let sigma = self.cols[self.art_index(i)][0].1;
             self.binv[i * self.m + i] = sigma;
+            set_bit(&mut self.pattern[i * words..], i);
         }
         self.pivots_since_refactor = 0;
 
@@ -274,14 +321,24 @@ impl Simplex {
     ///
     /// # Panics
     ///
-    /// Panics if `lb` is not finite, a row index is out of range, or a row
-    /// index appears twice in `coeffs` (`ftran` and the reduced cost would
-    /// sum the two entries while a refactorization keeps the last one, so
-    /// the optimum would move at the first refactor).
+    /// Panics if `lb` is not finite, `obj` or a coefficient is NaN or
+    /// infinite (the module doc says why the solver needs finite data), a
+    /// row index is out of range, or a row index appears twice in `coeffs`
+    /// (`ftran` and the reduced cost would sum the two entries while a
+    /// refactorization keeps the last one, so the optimum would move at the
+    /// first refactor).
     pub fn add_column(&mut self, obj: f64, lb: f64, ub: f64, coeffs: &[(usize, f64)]) -> usize {
         assert!(lb.is_finite(), "new columns must have a finite lower bound");
-        for &(r, _) in coeffs {
+        assert!(
+            obj.is_finite(),
+            "objective of a new column must be finite, got {obj}"
+        );
+        for &(r, a) in coeffs {
             assert!(r < self.m, "row index out of range");
+            assert!(
+                a.is_finite(),
+                "coefficient in row {r} must be finite, got {a}"
+            );
         }
         let j = self.n_struct;
         let mut col: Vec<(usize, f64)> = coeffs.to_vec();
@@ -354,7 +411,9 @@ impl Simplex {
         }
     }
 
-    /// y = c_B^T · B⁻¹ restricted to basic costs of `cost`.
+    /// y = c_B^T · B⁻¹ restricted to basic costs of `cost`. Each `y[i]`
+    /// still takes its terms in basis-position order; the ones skipped
+    /// are ±0.
     fn btran(&self, cost: &[f64]) -> Vec<f64> {
         let m = self.m;
         let mut y = vec![0.0; m];
@@ -362,9 +421,7 @@ impl Simplex {
             let cb = cost[bj];
             if cb != 0.0 {
                 let row = &self.binv[pos * m..(pos + 1) * m];
-                for i in 0..m {
-                    y[i] += cb * row[i];
-                }
+                for_each_bit(self.pattern_row(pos), |i| y[i] += cb * row[i]);
             }
         }
         y
@@ -382,14 +439,6 @@ impl Simplex {
             }
         }
         w
-    }
-
-    fn reduced_cost(&self, j: usize, y: &[f64], cost: &[f64]) -> f64 {
-        let mut d = cost[j];
-        for &(r, a) in &self.cols[j] {
-            d -= y[r] * a;
-        }
-        d
     }
 
     /// The primal simplex loop for a given cost vector.
@@ -431,24 +480,32 @@ impl Simplex {
                 }
             };
 
-            // Pricing.
+            // Pricing. Artificials are the last `m` columns and never
+            // re-enter in phase 1, so its scan stops short of them.
+            let end = if phase1 {
+                self.ncols() - self.m
+            } else {
+                self.ncols()
+            };
+            let (state, lb, ub) = (&self.state[..end], &self.lb[..end], &self.ub[..end]);
+            let cols = &self.cols[..end];
             let mut entering: Option<(usize, f64, i8)> = None;
-            let mut scanned = self.ncols();
-            for (j, dj) in d.iter_mut().enumerate() {
-                match self.state[j] {
+            let mut scanned = end;
+            for (j, dj) in d[..end].iter_mut().enumerate() {
+                match state[j] {
                     VarState::Basic => continue,
-                    _ if self.lb[j] == self.ub[j] => continue, // fixed
+                    _ if lb[j] == ub[j] => continue, // fixed
                     _ => {}
                 }
-                if phase1 && self.is_artificial(j) {
-                    // Never re-enter an artificial in phase 1.
-                    continue;
-                }
                 if j >= cached {
-                    *dj = self.reduced_cost(j, &y, cost);
+                    let mut red = cost[j];
+                    for &(r, a) in &cols[j] {
+                        red -= y[r] * a;
+                    }
+                    *dj = red;
                 }
                 let dj = *dj;
-                let (viol, dir) = match self.state[j] {
+                let (viol, dir) = match state[j] {
                     VarState::AtLower => (-dj, 1i8),
                     VarState::AtUpper => (dj, -1i8),
                     VarState::FreeZero => (dj.abs(), if dj < 0.0 { 1 } else { -1 }),
@@ -576,22 +633,41 @@ impl Simplex {
     }
 
     /// Product-form update of `B⁻¹` after `basis[r]` was replaced; `w` is
-    /// the FTRAN of the entering column.
+    /// the FTRAN of the entering column. Only row `r`'s pattern is
+    /// scaled and subtracted; every row it is subtracted from takes that
+    /// pattern into its own.
     fn update_binv(&mut self, r: usize, w: &[f64]) {
-        let m = self.m;
+        let (m, words) = (self.m, self.m.div_ceil(64));
         let pivot = w[r];
         debug_assert!(pivot.abs() > PIVOT_ZERO, "singular pivot");
         let inv = 1.0 / pivot;
-        for k in 0..m {
+        let pattern_r = self.pattern_row(r).to_vec();
+        let mut row_r = Vec::new();
+        for_each_bit(&pattern_r, |k| {
             self.binv[r * m + k] *= inv;
-        }
+            row_r.push((k, self.binv[r * m + k]));
+        });
         for (i, &f) in w.iter().enumerate() {
             if i != r && f != 0.0 {
-                for k in 0..m {
-                    self.binv[i * m + k] -= f * self.binv[r * m + k];
+                let row = &mut self.binv[i * m..(i + 1) * m];
+                for &(k, v) in &row_r {
+                    row[k] -= f * v;
+                }
+                let pattern_i = &mut self.pattern[i * words..(i + 1) * words];
+                for (dst, &src) in pattern_i.iter_mut().zip(&pattern_r) {
+                    *dst |= src;
                 }
             }
         }
+    }
+
+    /// Whether every entry of `binv` outside its row patterns is ±0.
+    fn patterns_cover_binv(&self) -> bool {
+        let m = self.m;
+        (0..m).all(|i| {
+            let pattern = self.pattern_row(i);
+            (0..m).all(|k| has_bit(pattern, k) || self.binv[i * m + k] == 0.0)
+        })
     }
 
     /// Rebuilds `B⁻¹` from the basis by Gauss-Jordan elimination with
@@ -600,17 +676,16 @@ impl Simplex {
     /// artificial of that row.
     fn refactor(&mut self) {
         let m = self.m;
+        debug_assert!(
+            self.patterns_cover_binv(),
+            "an entry of B⁻¹ outside its row pattern is nonzero"
+        );
         loop {
-            // Dense B from basis columns.
-            let mut bmat = vec![0.0; m * m];
-            for (pos, &j) in self.basis.iter().enumerate() {
-                for &(r, a) in &self.cols[j] {
-                    bmat[r * m + pos] = a;
-                }
-            }
-            match invert(&mut bmat, m) {
-                Some(inv) => {
-                    self.binv = inv;
+            self.binv.fill(0.0);
+            let basis_cols = self.basis.iter().map(|&j| self.cols[j].as_slice());
+            match invert(m, basis_cols, &mut self.binv) {
+                Some(pattern) => {
+                    self.pattern = pattern;
                     break;
                 }
                 None => {
@@ -657,9 +732,7 @@ impl Simplex {
         for (pos, &j) in self.basis.iter().enumerate() {
             let mut v = 0.0;
             let row = &self.binv[pos * m..(pos + 1) * m];
-            for i in 0..m {
-                v += row[i] * btilde[i];
-            }
+            for_each_bit(self.pattern_row(pos), |i| v += row[i] * btilde[i]);
             self.x[j] = v;
         }
     }
@@ -714,52 +787,135 @@ impl Simplex {
     }
 }
 
-/// Inverts a dense row-major `m × m` matrix by Gauss-Jordan with partial
-/// pivoting. Returns `None` if a pivot smaller than `PIVOT_ZERO` is met.
-fn invert(a: &mut [f64], m: usize) -> Option<Vec<f64>> {
-    let mut inv = vec![0.0; m * m];
+fn set_bit(pattern: &mut [u64], k: usize) {
+    pattern[k / 64] |= 1 << (k % 64);
+}
+
+fn has_bit(pattern: &[u64], k: usize) -> bool {
+    pattern[k / 64] >> (k % 64) & 1 == 1
+}
+
+/// Calls `f(k)` for every set bit `k` of `pattern`, in ascending order.
+#[inline]
+fn for_each_bit(pattern: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in pattern.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Inverts the `m × m` matrix whose column `pos` is the `pos`-th of
+/// `columns` by Gauss-Jordan with partial pivoting, into `inv` (row-major,
+/// all zero on entry), and returns `inv`'s row patterns. Returns `None`
+/// if a pivot smaller than `PIVOT_ZERO` is met.
+///
+/// The work matrix carries row and column patterns and the inverse row
+/// patterns, each a superset of the nonzeros, so the pivot search and
+/// the elimination visit only the rows of column `col`'s pattern, in
+/// ascending order, and a row update only the pivot row's pattern. The
+/// rows skipped hold ±0 in column `col`: the strict `>` of the pivot
+/// search never takes them and the dense elimination skipped them too,
+/// so the pivot sequence and every nonzero are the dense elimination's.
+fn invert<'c>(
+    m: usize,
+    columns: impl Iterator<Item = &'c [(usize, f64)]>,
+    inv: &mut [f64],
+) -> Option<Vec<u64>> {
+    let words = m.div_ceil(64);
+    let mut a = vec![0.0; m * m];
+    let mut a_rows = vec![0u64; m * words];
+    let mut a_cols = vec![0u64; m * words];
+    let mut inv_rows = vec![0u64; m * words];
+    for (pos, col) in columns.enumerate() {
+        for &(r, v) in col {
+            a[r * m + pos] = v;
+            set_bit(&mut a_rows[r * words..], pos);
+            set_bit(&mut a_cols[pos * words..], r);
+        }
+    }
     for i in 0..m {
         inv[i * m + i] = 1.0;
+        set_bit(&mut inv_rows[i * words..], i);
     }
+    let mut col_pattern = vec![0u64; words];
+    let mut pivot_row = Vec::with_capacity(m);
+    let mut pivot_inv_row = Vec::with_capacity(m);
     for col in 0..m {
+        col_pattern.copy_from_slice(&a_cols[col * words..(col + 1) * words]);
         // Partial pivot.
         let mut best = col;
         let mut best_abs = a[col * m + col].abs();
-        for r in col + 1..m {
-            let v = a[r * m + col].abs();
-            if v > best_abs {
-                best = r;
-                best_abs = v;
+        for_each_bit(&col_pattern, |r| {
+            if r > col {
+                let v = a[r * m + col].abs();
+                if v > best_abs {
+                    best = r;
+                    best_abs = v;
+                }
             }
-        }
+        });
         if best_abs <= PIVOT_ZERO {
             return None;
         }
         if best != col {
-            for k in 0..m {
+            // Entries outside both rows' patterns are ±0 in both and stay.
+            let union = |rows: &[u64]| -> Vec<u64> {
+                (0..words)
+                    .map(|w| rows[col * words + w] | rows[best * words + w])
+                    .collect()
+            };
+            for_each_bit(&union(&a_rows), |k| {
                 a.swap(col * m + k, best * m + k);
-                inv.swap(col * m + k, best * m + k);
-            }
-        }
-        let piv = a[col * m + col];
-        let inv_piv = 1.0 / piv;
-        for k in 0..m {
-            a[col * m + k] *= inv_piv;
-            inv[col * m + k] *= inv_piv;
-        }
-        for r in 0..m {
-            if r != col {
-                let f = a[r * m + col];
-                if f != 0.0 {
-                    for k in 0..m {
-                        a[r * m + k] -= f * a[col * m + k];
-                        inv[r * m + k] -= f * inv[col * m + k];
-                    }
+                let column = &mut a_cols[k * words..(k + 1) * words];
+                if has_bit(column, col) != has_bit(column, best) {
+                    column[col / 64] ^= 1 << (col % 64);
+                    column[best / 64] ^= 1 << (best % 64);
                 }
+            });
+            for_each_bit(&union(&inv_rows), |k| inv.swap(col * m + k, best * m + k));
+            for w in 0..words {
+                a_rows.swap(col * words + w, best * words + w);
+                inv_rows.swap(col * words + w, best * words + w);
             }
+            col_pattern.copy_from_slice(&a_cols[col * words..(col + 1) * words]);
         }
+        let inv_piv = 1.0 / a[col * m + col];
+        pivot_row.clear();
+        for_each_bit(&a_rows[col * words..(col + 1) * words], |k| {
+            a[col * m + k] *= inv_piv;
+            pivot_row.push((k, a[col * m + k]));
+        });
+        pivot_inv_row.clear();
+        for_each_bit(&inv_rows[col * words..(col + 1) * words], |k| {
+            inv[col * m + k] *= inv_piv;
+            pivot_inv_row.push((k, inv[col * m + k]));
+        });
+        for_each_bit(&col_pattern, |r| {
+            if r == col {
+                return;
+            }
+            let f = a[r * m + col];
+            if f == 0.0 {
+                return;
+            }
+            for &(k, v) in &pivot_row {
+                a[r * m + k] -= f * v;
+            }
+            for &(k, v) in &pivot_inv_row {
+                inv[r * m + k] -= f * v;
+            }
+            for w in 0..words {
+                let fill = a_rows[col * words + w] & !a_rows[r * words + w];
+                a_rows[r * words + w] |= fill;
+                for_each_bit(&[fill], |b| set_bit(&mut a_cols[(w * 64 + b) * words..], r));
+                inv_rows[r * words + w] |= inv_rows[col * words + w];
+            }
+        });
     }
-    Some(inv)
+    Some(inv_rows)
 }
 
 /// Convenience one-shot LP solve.
@@ -1030,5 +1186,230 @@ mod tests {
         for &d in &sol.duals {
             assert!(d <= 1e-7);
         }
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The dense Gauss-Jordan the pattern-driven `invert` replaced.
+    fn dense_invert(a: &mut [f64], m: usize) -> Option<Vec<f64>> {
+        let mut inv = vec![0.0; m * m];
+        for i in 0..m {
+            inv[i * m + i] = 1.0;
+        }
+        for col in 0..m {
+            let mut best = col;
+            let mut best_abs = a[col * m + col].abs();
+            for r in col + 1..m {
+                let v = a[r * m + col].abs();
+                if v > best_abs {
+                    best = r;
+                    best_abs = v;
+                }
+            }
+            if best_abs <= PIVOT_ZERO {
+                return None;
+            }
+            if best != col {
+                for k in 0..m {
+                    a.swap(col * m + k, best * m + k);
+                    inv.swap(col * m + k, best * m + k);
+                }
+            }
+            let inv_piv = 1.0 / a[col * m + col];
+            for k in 0..m {
+                a[col * m + k] *= inv_piv;
+                inv[col * m + k] *= inv_piv;
+            }
+            for r in 0..m {
+                if r != col {
+                    let f = a[r * m + col];
+                    if f != 0.0 {
+                        for k in 0..m {
+                            a[r * m + k] -= f * a[col * m + k];
+                            inv[r * m + k] -= f * inv[col * m + k];
+                        }
+                    }
+                }
+            }
+        }
+        Some(inv)
+    }
+
+    /// Random sparse bases: a scrambled diagonal (dropped for some
+    /// positions, so some bases are singular) plus ≈ 5 % fill, at sizes on
+    /// both sides of the 64-bit word boundaries. The pattern-driven
+    /// `invert` must fail exactly when the dense one does and otherwise
+    /// return the same values — `==` forgives only the sign of a zero —
+    /// with row patterns covering every nonzero.
+    #[test]
+    fn pattern_invert_matches_the_dense_gauss_jordan() {
+        let mut rng = xorshift(0x5851_f42d_4c95_7f2d);
+        let mut singular = 0;
+        for m in [1, 2, 5, 63, 64, 65, 127, 130] {
+            for _ in 0..6 {
+                let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+                for (pos, col) in columns.iter_mut().enumerate() {
+                    let diag = (pos * 7 + 3) % m;
+                    for r in 0..m {
+                        let keep = if r == diag {
+                            rng() < 0.97
+                        } else {
+                            rng() < 0.05
+                        };
+                        if keep {
+                            let v = if rng() < 0.3 { 1.0 } else { 4.0 * rng() - 2.0 };
+                            col.push((r, v));
+                        }
+                    }
+                }
+                let mut dense = vec![0.0; m * m];
+                for (pos, col) in columns.iter().enumerate() {
+                    for &(r, v) in col {
+                        dense[r * m + pos] = v;
+                    }
+                }
+                let expected = dense_invert(&mut dense, m);
+                let mut inv = vec![0.0; m * m];
+                let got = invert(m, columns.iter().map(Vec::as_slice), &mut inv);
+                assert_eq!(got.is_some(), expected.is_some(), "m = {m}");
+                let (Some(pattern), Some(expected)) = (got, expected) else {
+                    singular += 1;
+                    continue;
+                };
+                assert!(inv.iter().zip(&expected).all(|(a, b)| a == b), "m = {m}");
+                let words = m.div_ceil(64);
+                for i in 0..m {
+                    for k in 0..m {
+                        let row = &pattern[i * words..(i + 1) * words];
+                        assert!(has_bit(row, k) || inv[i * m + k] == 0.0);
+                    }
+                }
+            }
+        }
+        assert!(singular > 0, "no singular basis drawn");
+    }
+
+    /// A column-generation master: `≤` capacity rows, one `=` convexity
+    /// row per class over two `1/2`-bounded rejection quantiles.
+    fn small_master(caps: usize, classes: usize, drained: usize) -> Problem {
+        let mut rng = xorshift(0x2545_f491_4f6c_dd1d);
+        let mut p = Problem::new();
+        for i in 0..caps {
+            let rhs = if i % drained == 0 {
+                0.0
+            } else {
+                5.0 + 10.0 * rng()
+            };
+            p.add_row(format!("cap{i}"), Relation::Le, rhs);
+        }
+        for k in 0..classes {
+            let conv = p.add_row(format!("conv{k}"), Relation::Eq, 1.0);
+            for q in 1..=2 {
+                let v = p.add_var(format!("rej{k}q{q}"), 20.0 * q as f64, 0.0, 0.5);
+                p.set_coeff(conv, v, 1.0);
+            }
+        }
+        p
+    }
+
+    /// Adds one embedding column per class — a few capacity rows plus
+    /// its convexity row — and re-optimizes, three times, checking after
+    /// every solve that the patterns still cover `B⁻¹`.
+    fn generate_columns(s: &mut Simplex, caps: usize, classes: usize) -> Vec<LpSolution> {
+        let mut rng = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut sols = vec![s.solve()];
+        assert!(s.patterns_cover_binv());
+        for _round in 0..3 {
+            for k in 0..classes {
+                let first = (rng() * caps as f64) as usize;
+                let mut coeffs: Vec<(usize, f64)> = (0..3)
+                    .map(|h| ((first + 2 * h) % caps, 0.5 + 2.0 * rng()))
+                    .collect();
+                coeffs.push((caps + k, 1.0));
+                s.add_column(1.0 + 5.0 * rng(), 0.0, f64::INFINITY, &coeffs);
+            }
+            sols.push(s.reoptimize());
+            assert!(s.patterns_cover_binv());
+        }
+        sols
+    }
+
+    /// `refactor_every: 1` rebuilds `B⁻¹` with the pattern-driven
+    /// `invert` after every pivot, and debug builds check before each
+    /// rebuild that the eta updates kept the patterns a superset of the
+    /// nonzeros. The optima agree with the default cadence's.
+    #[test]
+    fn refactoring_after_every_pivot_keeps_the_optimum() {
+        let (caps, classes) = (70, 40);
+        let p = small_master(caps, classes, 1000);
+        let every = SimplexOptions {
+            refactor_every: 1,
+            ..SimplexOptions::default()
+        };
+        let mut eager = Simplex::with_options(&p, every);
+        let mut lazy = Simplex::from_problem(&p);
+        let eager = generate_columns(&mut eager, caps, classes);
+        let lazy = generate_columns(&mut lazy, caps, classes);
+        for (a, b) in eager.iter().zip(&lazy) {
+            assert!(a.status.is_optimal() && b.status.is_optimal());
+            assert!((a.objective - b.objective).abs() < 1e-6 * (1.0 + b.objective.abs()));
+        }
+        assert!(
+            lazy[3].objective < lazy[0].objective,
+            "columns should have helped"
+        );
+    }
+
+    /// Every capacity row drained to 0 and every convexity row doubled:
+    /// the generated columns can only enter at value 0, so phase 2 is a
+    /// run of degenerate pivots and the doubled rows keep artificials
+    /// basic. With `refactor_every: 1` the pattern check and the
+    /// pattern-driven `invert` run on every one of those pivots.
+    #[test]
+    fn degenerate_master_with_refactor_after_every_pivot() {
+        let (caps, classes) = (66, 30);
+        let mut p = small_master(caps, classes, 1);
+        for k in 0..classes {
+            let dup = p.add_row(format!("dup{k}"), Relation::Eq, 1.0);
+            for q in 0..2 {
+                p.set_coeff(dup, crate::problem::VarId(2 * k + q), 1.0);
+            }
+        }
+        let opts = SimplexOptions {
+            refactor_every: 1,
+            ..SimplexOptions::default()
+        };
+        let mut s = Simplex::with_options(&p, opts);
+        let sols = generate_columns(&mut s, caps, classes);
+        for sol in &sols {
+            assert!(sol.status.is_optimal());
+            // Only rejections carry mass: every class rejects at the
+            // cheaper quantile first, 20·0.5 + 40·0.5 per class.
+            assert!((sol.objective - 30.0 * classes as f64).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "objective of a new column must be finite, got inf")]
+    fn add_column_rejects_an_infinite_objective() {
+        let mut s = Simplex::from_problem(&small_master(3, 1, 1000));
+        s.solve();
+        s.add_column(f64::INFINITY, 0.0, 1.0, &[(0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient in row 1 must be finite, got NaN")]
+    fn add_column_rejects_a_nan_coefficient() {
+        let mut s = Simplex::from_problem(&small_master(3, 1, 1000));
+        s.solve();
+        s.add_column(1.0, 0.0, 1.0, &[(0, 1.0), (1, f64::NAN)]);
     }
 }

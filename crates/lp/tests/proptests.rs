@@ -1,6 +1,7 @@
 //! Property-based correctness tests for the simplex and branch-and-bound.
 //!
-//! * Strong duality on random always-feasible `≤`-form LPs;
+//! * Strong duality on random always-feasible `≤`-form LPs, dense at 5 × 5
+//!   and sparse at master size (up to 150 × 300);
 //! * dual sign and reduced-cost optimality conditions;
 //! * branch-and-bound vs exhaustive enumeration on random binary MILPs.
 
@@ -66,6 +67,62 @@ proptest! {
             }
         }
         prop_assert!((sol.objective - dual_obj).abs() < 1e-5,
+            "primal {} vs dual {}", sol.objective, dual_obj);
+    }
+
+    /// The same certificate at master size: up to 150 rows (three bitset
+    /// words of a `B⁻¹` row pattern) and 300 columns at ≈ 5 % density,
+    /// with some negative coefficients. Feasibility and the dual bound are
+    /// computed from the problem data alone, so nothing in it reads `B⁻¹`.
+    #[test]
+    fn strong_duality_on_sparse_le_form_lps_at_size(
+        m in 1usize..=150,
+        n in 1usize..=300,
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed | 1;
+        let mut rng = move || {
+            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let c: Vec<f64> = (0..n).map(|_| 10.0 * rng() - 5.0).collect();
+        let u: Vec<f64> = (0..n).map(|_| 0.5 + 3.5 * rng()).collect();
+        let b: Vec<f64> = (0..m).map(|_| 0.5 + 9.5 * rng()).collect();
+        // Column-major A: row indices ascending within each column.
+        let mut a: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        for col in &mut a {
+            for i in 0..m {
+                if rng() < 0.05 {
+                    let aij = if rng() < 0.2 { -rng() } else { 3.0 * rng() };
+                    col.push((i, aij));
+                }
+            }
+        }
+        let mut p = Problem::new();
+        let rows: Vec<_> = (0..m)
+            .map(|i| p.add_row(format!("r{i}"), Relation::Le, b[i]))
+            .collect();
+        for j in 0..n {
+            let v = p.add_var(format!("x{j}"), c[j], 0.0, u[j]);
+            for &(i, aij) in &a[j] {
+                p.set_coeff(rows[i], v, aij);
+            }
+        }
+        let sol = solve_lp(&p);
+        // x = 0 is feasible and every variable is bounded.
+        prop_assert_eq!(sol.status, SolveStatus::Optimal);
+        prop_assert!(p.is_feasible(&sol.x, 1e-6));
+        for &d in &sol.duals {
+            prop_assert!(d <= 1e-6);
+        }
+        let mut dual_obj: f64 = sol.duals.iter().zip(&b).map(|(y, bi)| y * bi).sum();
+        for j in 0..n {
+            let red = c[j] - a[j].iter().map(|&(i, aij)| sol.duals[i] * aij).sum::<f64>();
+            if red < 0.0 {
+                dual_obj += red * u[j];
+            }
+        }
+        prop_assert!((sol.objective - dual_obj).abs() < 1e-6 * (1.0 + sol.objective.abs()),
             "primal {} vs dual {}", sol.objective, dual_obj);
     }
 
