@@ -745,3 +745,117 @@ fn sweep_context_caches_equal_fresh_derivations() {
         assert_eq!(again.summary.fingerprint(), plain[i].summary.fingerprint());
     }
 }
+
+/// FNV-1a over a byte string: the digest the byte pins compare.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The slots whose checkpoints [`k1_checkpoint_bytes_are_pinned`] pins:
+/// the first right after the drain, the second after the early release
+/// and the repair.
+const PINNED_K1_SLOTS: [Slot; 2] = [16, 23];
+
+/// What the pinned `k = 1` run went through, so the pin is known to
+/// cover it.
+#[derive(Debug, Default)]
+struct K1Coverage {
+    stranded: usize,
+    reembedded: usize,
+    evicted: usize,
+    preempted: usize,
+}
+
+/// An OLIVE run with preemption on the tiny world at 140 % load (seed
+/// 11, whose OLIVE preempts from slot 15 on), stepped slot by slot with
+/// [`EngineState::step`] so `online_secs` stays 0 and every byte is
+/// reproducible. Slot 16 drains the core node to 30 %, which strands
+/// requests; `ReembedAll` re-offers them, and the ones OLIVE takes back
+/// are re-inserted under their old ids, after newer ones. Slot 20
+/// releases the oldest active request early; slot 22 repairs the node.
+/// Returns the checkpoints taken after [`PINNED_K1_SLOTS`].
+fn pinned_k1_checkpoints() -> (Vec<EngineCheckpoint>, K1Coverage) {
+    use vne_model::churn::ChurnEvent;
+    use vne_model::ids::{NodeId, RequestId};
+    use vne_model::state::StateBlob;
+
+    let scenario = tiny_scenario(1.4, 11);
+    let registry = AlgorithmRegistry::builtins();
+    let mut built = registry
+        .build(&Algorithm::Olive.into(), &BuildContext::new(&scenario))
+        .unwrap();
+    let algorithm = built.algorithm.as_mut();
+    let core = NodeId(3);
+    let mut state = EngineState::fresh();
+    let mut coverage = K1Coverage::default();
+    let mut accepted: Vec<RequestId> = Vec::new();
+    let mut checkpoints = Vec::new();
+    for mut event in scenario.online_events() {
+        let t = event.slot;
+        match t {
+            16 => event.churn.push(ChurnEvent::NodeDrain {
+                node: core,
+                factor: 0.3,
+            }),
+            20 => {
+                let oldest = accepted.iter().copied().find(|&id| state.is_active(id));
+                assert!(state.release_early(oldest.expect("an active request")));
+            }
+            22 => event.churn.push(ChurnEvent::NodeUp(core)),
+            _ => {}
+        }
+        let (step, _) = state.step(
+            algorithm,
+            &scenario.substrate,
+            event,
+            &mut NullObserver,
+            &mut ReembedAll,
+        );
+        accepted.extend(
+            step.arrivals
+                .iter()
+                .filter(|o| !o.status.is_denied())
+                .map(|o| o.id),
+        );
+        coverage.stranded += step.churn.stranded;
+        coverage.reembedded += step.churn.reembedded;
+        coverage.evicted += step.churn.evicted;
+        coverage.preempted += step.preemptions.len() - step.churn.evicted;
+        if PINNED_K1_SLOTS.contains(&t) {
+            let view = state.view(algorithm);
+            checkpoints.push(view.checkpoint(StateBlob::default()).unwrap());
+        }
+    }
+    (checkpoints, coverage)
+}
+
+/// Every byte of a `k = 1` OLIVE checkpoint — the engine's alive set
+/// and calendars, OLIVE's active map and ledgers — pinned at two slots,
+/// so a change to how either map is stored cannot move the order its
+/// snapshot lists requests in unnoticed. A restore rebuilds the map
+/// whatever order the bytes list it in, so no resume battery can see
+/// such a change; only the bytes can.
+#[test]
+fn k1_checkpoint_bytes_are_pinned() {
+    let (checkpoints, coverage) = pinned_k1_checkpoints();
+    assert!(coverage.preempted > 0, "{coverage:?}");
+    assert!(coverage.reembedded > 0, "{coverage:?}");
+    assert!(coverage.evicted > 0, "{coverage:?}");
+    let pins: Vec<(Slot, usize, u64)> = checkpoints
+        .iter()
+        .map(|c| {
+            let bytes = c.to_bytes();
+            (c.slot, bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        vec![
+            (16, 32_314, 0x17ec_5bb3_164d_02f6),
+            (23, 30_808, 0x20aa_be3e_bdf2_c3ca),
+        ],
+        "the k = 1 checkpoint bytes moved"
+    );
+}
