@@ -38,6 +38,8 @@ fn bad_tree_trips_every_rule() {
         vec!["D5", "D2", "D6"]
     );
     assert_eq!(rules_hit(&report, "crates/serve/src/server.rs"), vec!["D4"]);
+    // A custom-hasher map is still a hash collection.
+    assert_eq!(rules_hit(&report, "crates/sim/src/roster.rs"), vec!["D1"]);
     assert_eq!(
         rules_hit(&report, "crates/sim/src/allows.rs"),
         vec!["A1", "A1", "A2"]
@@ -80,6 +82,13 @@ fn bad_findings_line_numbers_are_exact() {
     assert_eq!(at("D2"), ("crates/sim/src/engine.rs", 13));
     assert_eq!(at("D6"), ("crates/sim/src/engine.rs", 14));
     assert_eq!(at("D4"), ("crates/serve/src/server.rs", 4));
+    let roster_d1: Vec<u32> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "D1" && f.file == "crates/sim/src/roster.rs")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(roster_d1, vec![16]);
 }
 
 /// The real tree stays clean: the same invocation CI gates on. Kept as

@@ -54,12 +54,15 @@
 //! # Where id order comes from
 //!
 //! An arrival costs O(1) bookkeeping: the plan and its ledger find a
-//! class through one dense table, and `active` is a `HashMap`, so the
+//! class through one dense table, and `active` is a `HashMap` keyed
+//! through [`IdHasher`](vne_model::ids::IdHasher) (one multiply per id,
+//! the hasher the engine's alive set and the recorder use too), so the
 //! insert on accept and the remove on departure do not walk a tree.
-//! A hashed map visits its entries in an order that differs from run to
-//! run, so no reader whose result could show that order iterates it
-//! directly. The three that iterate — the snapshot (its blob lists
-//! allocations in request-id order), `active_demand_by_class` (a float
+//! A hashed map visits its entries in an order that is not id order
+//! (and would change with the hasher), so no reader whose result could
+//! show that order iterates it directly. The three that iterate — the
+//! snapshot (its blob lists allocations in request-id order, and a
+//! restore refuses any other order), `active_demand_by_class` (a float
 //! sum, so its order is part of its bits) and `borrowers_of_active` (the
 //! rebuilt lists the debug check compares sorted) — each take
 //! `active_by_id`, which sorts by id right after collecting. Every other
@@ -70,7 +73,7 @@ use std::sync::Arc;
 
 use vne_model::app::AppSet;
 use vne_model::embedding::Footprint;
-use vne_model::ids::{ClassId, RequestId};
+use vne_model::ids::{ClassId, IdHashing, RequestId};
 use vne_model::load::LoadLedger;
 use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Request, Slot};
@@ -208,7 +211,7 @@ pub struct Olive {
     loads: LoadLedger,
     /// Hashed: every reader whose result can show the iteration order
     /// goes through [`Olive::active_by_id`].
-    active: HashMap<RequestId, ActiveAlloc>,
+    active: HashMap<RequestId, ActiveAlloc, IdHashing>,
     /// Kept only when `config.preemption` (nothing else reads it);
     /// never serialized, rebuilt by `restore`.
     borrowers: Option<BorrowerIndex>,
@@ -254,7 +257,7 @@ impl Olive {
             plan: Arc::new(plan),
             plan_ledger,
             loads,
-            active: HashMap::new(),
+            active: HashMap::<RequestId, ActiveAlloc, IdHashing>::default(),
             borrowers,
             config,
             stats: OliveStats::default(),
@@ -606,7 +609,9 @@ impl Olive {
 /// simulation pipeline rebuilds them deterministically per seed). The
 /// instance name (`OLIVE` vs `QUICKG`) is validated so a QUICKG blob
 /// cannot silently restore into an OLIVE run, and so is every active
-/// allocation: a column reference must be in this instance's plan, an
+/// allocation: the list must be strictly ascending by request id (the
+/// order the snapshot writes; a duplicate would count one request's
+/// load twice), a column reference must be in this instance's plan, an
 /// owned footprint on its substrate, and the two ledger blobs are
 /// restored into copies. Only when every part has been decoded and
 /// accepted is anything replaced: a failed restore leaves the instance
@@ -660,9 +665,17 @@ impl Snapshot for Olive {
             nodes.max() >= Some(self.substrate.node_count())
                 || links.max() >= Some(self.substrate.link_count())
         };
-        let mut active = HashMap::new();
+        let mut active = HashMap::<RequestId, ActiveAlloc, IdHashing>::default();
+        let mut last: Option<RequestId> = None;
         for _ in 0..count {
             let request: Request = r.read()?;
+            if let Some(prev) = last.filter(|&prev| prev >= request.id) {
+                return Err(StateError::Corrupt(format!(
+                    "active allocations not strictly ascending by id: {prev} then {}",
+                    request.id
+                )));
+            }
+            last = Some(request.id);
             let planned = r.read_bool()?;
             let placement = match r.read::<Option<(ClassId, usize)>>()? {
                 Some((class, col)) => Placement::Column(class, col),
@@ -1108,6 +1121,78 @@ mod tests {
             Snapshot::snapshot(&restored).as_bytes(),
             Snapshot::snapshot(&original).as_bytes()
         );
+    }
+
+    /// `blob` (an OLIVE snapshot) with its active entries listed in
+    /// `order` — indexes into the honest list, repeats allowed — and
+    /// every other byte kept.
+    fn relisted(blob: &StateBlob, order: &[usize]) -> StateBlob {
+        let mut r = StateReader::new(blob);
+        let name = r.read_str().unwrap();
+        let loads = r.read_blob().unwrap();
+        let ledger = r.read_blob().unwrap();
+        let count = r.read_usize().unwrap();
+        let entries: Vec<StateBlob> = (0..count)
+            .map(|_| {
+                let mut w = StateWriter::new();
+                w.write(&r.read::<Request>().unwrap());
+                w.write_bool(r.read_bool().unwrap());
+                let column = r.read::<Option<(ClassId, usize)>>().unwrap();
+                w.write(&column);
+                if column.is_none() {
+                    w.write(&r.read::<Footprint>().unwrap());
+                }
+                w.finish()
+            })
+            .collect();
+        let tail = &blob.as_bytes()[blob.len() - r.remaining()..];
+        let mut w = StateWriter::new();
+        w.write_str(&name);
+        w.write_blob(&loads);
+        w.write_blob(&ledger);
+        w.write_usize(order.len());
+        let mut bytes = w.finish().into_bytes();
+        for &i in order {
+            bytes.extend_from_slice(entries[i].as_bytes());
+        }
+        bytes.extend_from_slice(tail);
+        StateBlob::from_bytes(bytes)
+    }
+
+    /// A checkpoint is outside input: an active list that is not
+    /// strictly ascending by id — out of order, or naming a request
+    /// twice, which would leave one request's load counted twice — is
+    /// refused by name, and the instance is left as it was.
+    #[test]
+    fn restore_refuses_an_active_list_out_of_id_order() {
+        let (olive, _) = three_kinds();
+        let blob = Snapshot::snapshot(&olive);
+        assert_eq!(relisted(&blob, &[0, 1, 2]).as_bytes(), blob.as_bytes());
+        let (s, apps) = world();
+        let plan = plan_on_core(&s, &apps, 10.0);
+        let mut other = Olive::new(
+            s,
+            apps,
+            PlacementPolicy::default(),
+            plan,
+            OliveConfig::default(),
+        );
+        other.process_slot(0, &[], &[req(7, 0, 5, 3.0)]);
+        let before = Snapshot::snapshot(&other);
+        for (order, named) in [
+            (&[1, 0, 2][..], "r1 then r0"),
+            (&[0, 2, 1][..], "r2 then r1"),
+            (&[0, 1, 1, 2][..], "r1 then r1"),
+        ] {
+            match other.restore(&relisted(&blob, order)) {
+                Err(StateError::Corrupt(why)) => assert!(why.contains(named), "{why}"),
+                res => panic!("active list {order:?} was restored: {res:?}"),
+            }
+            assert_eq!(Snapshot::snapshot(&other).as_bytes(), before.as_bytes());
+            assert!(other.borrowers_match_active());
+        }
+        other.restore(&blob).unwrap();
+        assert_eq!(Snapshot::snapshot(&other).as_bytes(), blob.as_bytes());
     }
 
     /// A blob's column references and owned footprints are checked

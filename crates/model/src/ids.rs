@@ -4,8 +4,12 @@
 //! ([`NodeId`], [`LinkId`], [`VnodeId`], [`VlinkId`], [`AppId`],
 //! [`RequestId`]) rather than by raw integers, so that e.g. a virtual node
 //! index can never be confused with a substrate node index at compile time.
+//!
+//! [`IdHasher`] is the one hasher the workspace keys request-id maps with
+//! (`HashMap<RequestId, _, IdHashing>`).
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -133,6 +137,65 @@ impl fmt::Display for ClassId {
     }
 }
 
+/// The multiplier of [`IdHasher`]: an odd 64-bit constant with
+/// well-spread bits.
+const ID_HASH_K: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// A deterministic one-multiply hasher for small integer keys — request
+/// ids above all.
+///
+/// `write_u64` adds the word and multiplies by an odd constant (the one
+/// rustc-hash 2 uses); `finish` rotates left by 16, moving the product's
+/// best-mixed high bits into the low bits a hash table takes its bucket
+/// index from. The rotation is where this departs from rustc-hash 2,
+/// which rotates by 26 and so takes the low bits from product bits
+/// 38..47: those are all zero for ids strided by `1 << 48`, which would
+/// then share one bucket. Rotating by 16 takes them from bits 48..57,
+/// which every stride up to `1 << 48` still mixes (the hasher tests
+/// pin the spread for sequential, `i << 32` and `i << 48` ids).
+///
+/// It is not HashDoS-resistant, and needs not be: request ids are
+/// assigned by the trace generators and by the daemon's own counter,
+/// never chosen by a client. It hashes the same in every process, but a
+/// hashed map's iteration order is still not id order, so every reader
+/// whose result could show that order sorts by id first.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(ID_HASH_K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(16)
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`IdHasher`]: the third parameter
+/// of every request-id map, `HashMap<RequestId, _, IdHashing>`.
+pub type IdHashing = BuildHasherDefault<IdHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,5 +248,47 @@ mod tests {
         b.insert(ElementId::Link(LinkId(1)));
         b.insert(ElementId::Node(NodeId(1)));
         assert_eq!(b.len(), 2);
+    }
+
+    fn id_hash(id: RequestId) -> u64 {
+        use std::hash::BuildHasher;
+        IdHashing::default().hash_one(id)
+    }
+
+    #[test]
+    fn id_hashes_are_fixed() {
+        // The same in every process: no per-process random state.
+        assert_eq!(id_hash(RequestId(0)), 0);
+        assert_eq!(id_hash(RequestId(1)), ID_HASH_K.rotate_left(16));
+        let pinned: Vec<u64> = [1u64, 2, 12_345, 1 << 32, u64::MAX]
+            .into_iter()
+            .map(|i| id_hash(RequestId(i)))
+            .collect();
+        assert_eq!(
+            pinned,
+            vec![
+                0x7aea_2e62_a9c5_f135,
+                0xf5d4_5cc5_538a_e26a,
+                0x46d6_d3cc_bcdd_bbf4,
+                0xa9c5_0000_0000_2e62,
+                0x8515_d19d_563b_0eca,
+            ]
+        );
+    }
+
+    #[test]
+    fn strided_ids_spread_over_the_low_bits() {
+        // hashbrown takes the bucket index from the low bits: 1024
+        // sequential or strided ids must not collapse into few buckets.
+        for shift in [0u32, 32, 48] {
+            let buckets: std::collections::BTreeSet<u64> = (0..1024u64)
+                .map(|i| id_hash(RequestId(i << shift)) & 0x3ff)
+                .collect();
+            assert!(
+                buckets.len() >= 512,
+                "ids i << {shift}: {} distinct low-10-bit values",
+                buckets.len()
+            );
+        }
     }
 }

@@ -23,13 +23,13 @@
 //!
 //! [`Recorder`]: crate::observe::Recorder
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::time::Instant;
 
 use vne_model::churn::{ChurnState, EffectiveCapacities};
 use vne_model::embedding::Footprint;
-use vne_model::ids::{ClassId, LinkId, NodeId, RequestId};
+use vne_model::ids::{ClassId, IdHashing, LinkId, NodeId, RequestId};
 use vne_model::invariant::InvariantViolation;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
@@ -396,8 +396,11 @@ impl<O: SimObserver + ?Sized> SimObserver for &mut O {
 /// what checkpoints serialize and [`restore_engine`] rebuilds.
 #[derive(Debug, Clone, Default)]
 pub struct EngineState {
-    /// Active accepted requests (the O(active) working set).
-    alive: BTreeMap<RequestId, Request>,
+    /// Active accepted requests (the O(active) working set). Hashed, so
+    /// an accept and a departure cost O(1): read by key on the decision
+    /// path, and every reader whose result could show the iteration
+    /// order sorts by id first ([`EngineState::alive_by_id`]).
+    alive: HashMap<RequestId, Request, IdHashing>,
     /// Departure calendar: slot -> accepted request ids departing then
     /// (in acceptance order — the order departures are released in).
     departures_at: BTreeMap<Slot, Vec<RequestId>>,
@@ -419,6 +422,15 @@ impl EngineState {
     /// The state of a run that has not processed any slot.
     pub fn fresh() -> Self {
         Self::default()
+    }
+
+    /// The active requests in ascending id order — the order the
+    /// snapshot writes and the audit sums in, whatever order the hashed
+    /// map visits its entries in.
+    fn alive_by_id(&self) -> Vec<&Request> {
+        let mut alive: Vec<&Request> = self.alive.values().collect();
+        alive.sort_unstable_by_key(|r| r.id);
+        alive
     }
 
     /// The engine counters accumulated so far.
@@ -634,14 +646,16 @@ impl EngineState {
 }
 
 /// Checkpointing: everything [`run_stream_with`] keeps between slots. The
-/// `alive` map is ordered by request id (its natural `BTreeMap`
-/// order); the departure calendar's per-slot vectors keep their order
-/// (it is the release order, and release order feeds the algorithm's
-/// departure slice).
+/// `alive` map is hashed, so the snapshot sorts it and lists the active
+/// requests in ascending id order; a restore refuses a list that is not
+/// strictly ascending (a duplicate would leave the allocated-demand
+/// counter disagreeing with the map). The departure calendar's per-slot
+/// vectors keep their order (it is the release order, and release order
+/// feeds the algorithm's departure slice).
 impl Snapshot for EngineState {
     fn snapshot(&self) -> StateBlob {
         let mut w = StateWriter::new();
-        w.write_seq(self.alive.values());
+        w.write_seq(self.alive_by_id().into_iter());
         w.write(&self.departures_at);
         w.write(&self.requested_drop);
         w.write_f64(self.requested_active);
@@ -663,6 +677,12 @@ impl Snapshot for EngineState {
         let next_min_slot = r.read_u64()?;
         let churn: Option<ChurnState> = r.read()?;
         r.finish()?;
+        if let Some(pair) = alive_list.windows(2).find(|pair| pair[0].id >= pair[1].id) {
+            return Err(StateError::Corrupt(format!(
+                "engine alive list not strictly ascending by id: {} then {}",
+                pair[0].id, pair[1].id
+            )));
+        }
         self.alive = alive_list.into_iter().map(|r| (r.id, r)).collect();
         self.departures_at = departures_at;
         self.requested_drop = requested_drop;
@@ -1087,9 +1107,7 @@ fn find_stranded(
     }
     // Newest-first (descending id): later acceptances yield to earlier
     // ones, mirroring the seniority order of the arrival sequence.
-    let mut candidates: Vec<&Request> = state.alive.values().collect();
-    candidates.sort_unstable_by_key(|r| std::cmp::Reverse(r.id));
-    for r in candidates {
+    for r in state.alive_by_id().into_iter().rev() {
         if !any_over(&node_load, &link_load) {
             break;
         }
@@ -1340,8 +1358,11 @@ pub fn audit_engine(
     use std::collections::BTreeSet;
 
     let mut out = Vec::new();
+    // In id order: the float sums below add in it, and the violations
+    // list in it.
+    let by_id = state.alive_by_id();
 
-    let alive_demand: f64 = state.alive.values().map(|r| r.demand).sum();
+    let alive_demand: f64 = by_id.iter().map(|r| r.demand).sum();
     let tol = 1e-6 * alive_demand.abs().max(1.0);
     if (state.allocated_active - alive_demand).abs() > tol {
         out.push(InvariantViolation {
@@ -1360,8 +1381,8 @@ pub fn audit_engine(
         .values()
         .flat_map(|ids| ids.iter().copied())
         .collect();
-    for id in state.alive.keys() {
-        if !scheduled.contains(id) {
+    for id in by_id.iter().map(|r| r.id) {
+        if !scheduled.contains(&id) {
             out.push(InvariantViolation {
                 invariant: "engine-departure-calendar",
                 detail: format!("alive request {id} has no departure scheduled"),
@@ -1374,10 +1395,9 @@ pub fn audit_engine(
         out.extend(vne_model::invariant::audit_ledger(ledger));
     }
 
-    let footprints: Option<Vec<(&Request, &Footprint)>> = state
-        .alive
-        .values()
-        .map(|r| algorithm.footprint_of(r.id).map(|f| (r, f)))
+    let footprints: Option<Vec<(&Request, &Footprint)>> = by_id
+        .iter()
+        .map(|&r| algorithm.footprint_of(r.id).map(|f| (r, f)))
         .collect();
     if let Some(pairs) = footprints {
         let mut node_acc = vec![0.0f64; ledger.node_count()];
@@ -1827,5 +1847,85 @@ mod tests {
         let (step, _) = state.step(&mut alg, &s, ev, &mut obs, &mut ReembedAll);
         assert!(step.arrivals.is_empty());
         assert_eq!(state.active_count(), 0);
+    }
+
+    /// One slot of `arrivals`, offered in the order given, through
+    /// QUICKG on a world with room for all of them.
+    fn filled(arrivals: Vec<Request>) -> EngineState {
+        let (s, apps) = world();
+        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
+        let mut state = EngineState::fresh();
+        let count = arrivals.len();
+        let ev = SlotEvents {
+            slot: 0,
+            arrivals,
+            churn: vec![],
+        };
+        state.step(&mut alg, &s, ev, &mut NullObserver, &mut ReembedAll);
+        assert_eq!(state.active_count(), count);
+        state
+    }
+
+    /// The hashed alive set never shows its order: two states holding
+    /// the same requests, admitted in opposite orders, snapshot to the
+    /// same bytes — for sequential ids and for ids strided into the
+    /// high bits. Demands are exact binary fractions and departures
+    /// fall in distinct slots, so nothing else in the blob depends on
+    /// the admission order.
+    #[test]
+    fn snapshot_bytes_do_not_depend_on_admission_order() {
+        for shift in [0u32, 32, 48] {
+            let ascending: Vec<Request> = (0..40u64)
+                .map(|i| req(i << shift, 0, 1 + i as Slot, 0.25))
+                .collect();
+            let descending: Vec<Request> = ascending.iter().rev().cloned().collect();
+            assert_eq!(
+                filled(ascending).snapshot(),
+                filled(descending).snapshot(),
+                "ids i << {shift}"
+            );
+        }
+    }
+
+    /// `blob` (an engine snapshot) with its alive list replaced by
+    /// `listed` and every other byte kept.
+    fn relisted(blob: &StateBlob, listed: &[Request]) -> StateBlob {
+        let mut r = StateReader::new(blob);
+        let _: Vec<Request> = r.read_seq().unwrap();
+        let tail = &blob.as_bytes()[blob.len() - r.remaining()..];
+        let mut w = StateWriter::new();
+        w.write_seq(listed.iter());
+        let mut bytes = w.finish().into_bytes();
+        bytes.extend_from_slice(tail);
+        StateBlob::from_bytes(bytes)
+    }
+
+    /// A checkpoint is outside input: an alive list that is not
+    /// strictly ascending by id — out of order, or naming a request
+    /// twice, which would leave the allocated-demand counter short of
+    /// the map's demand — is refused by name, and the state is left as
+    /// it was.
+    #[test]
+    fn restore_refuses_an_alive_list_out_of_id_order() {
+        let honest: Vec<Request> = (0..3).map(|i| req(i, 0, 5 + i as Slot, 1.0)).collect();
+        let blob = filled(honest.clone()).snapshot();
+        assert_eq!(relisted(&blob, &honest).as_bytes(), blob.as_bytes());
+        let mut state = filled(vec![req(9, 0, 2, 1.0)]);
+        let before = state.snapshot();
+        for (order, named) in [
+            (&[1, 0, 2][..], "r1 then r0"),
+            (&[0, 2, 1][..], "r2 then r1"),
+            (&[0, 1, 1, 2][..], "r1 then r1"),
+        ] {
+            let listed: Vec<Request> = order.iter().map(|&i| honest[i].clone()).collect();
+            match state.restore(&relisted(&blob, &listed)) {
+                Err(StateError::Corrupt(why)) => assert!(why.contains(named), "{why}"),
+                res => panic!("alive list {order:?} was restored: {res:?}"),
+            }
+            assert_eq!(state.snapshot(), before);
+        }
+        state.restore(&blob).unwrap();
+        assert_eq!(state.snapshot(), blob);
+        assert!(state.is_active(RequestId(2)) && !state.is_active(RequestId(9)));
     }
 }

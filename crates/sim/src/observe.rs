@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use vne_model::cost::RejectionPenalty;
-use vne_model::ids::{AppId, NodeId, RequestId};
+use vne_model::ids::{AppId, IdHashing, NodeId, RequestId};
 use vne_model::request::Slot;
 use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
 use vne_olive::algorithm::OnlineAlgorithm;
@@ -74,7 +74,8 @@ impl Snapshot for NullObserver {
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     requests: Vec<RequestOutcome>,
-    index: HashMap<RequestId, usize>,
+    /// Read by key only (a preemption finds its arrival's outcome).
+    index: HashMap<RequestId, usize, IdHashing>,
     slots: Vec<SlotMetrics>,
 }
 
