@@ -12,11 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use vne_model::ids::ClassId;
 use vne_model::request::SlotEvents;
 use vne_workload::estimator::ExactEstimator;
+use vne_workload::rng::SeededRng;
 
 pub use vne_workload::estimator::AggregationConfig;
 
@@ -43,7 +43,7 @@ impl AggregateDemand {
     /// Classes whose expected demand rounds to zero are dropped — they
     /// carry no plan and their requests fall through to the non-planned
     /// mechanisms online.
-    pub fn from_stream<I>(events: I, estimator: &mut ExactEstimator, rng: &mut dyn RngCore) -> Self
+    pub fn from_stream<I>(events: I, estimator: &mut ExactEstimator, rng: &mut SeededRng) -> Self
     where
         I: IntoIterator<Item = SlotEvents>,
     {

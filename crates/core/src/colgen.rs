@@ -85,6 +85,48 @@ pub struct PlanSolveStats {
     pub objective: f64,
     /// Total simplex iterations across master solves.
     pub simplex_iterations: usize,
+    /// The worst status any master solve ended with: `Optimal` unless
+    /// some solve stopped short (see [`PlanSolveStats::ensure_optimal`]).
+    pub status: SolveStatus,
+    /// The round whose master solve first ended with `status` (0 is the
+    /// solve before the first pricing round).
+    pub status_round: usize,
+}
+
+impl PlanSolveStats {
+    /// Records the status of the master solve that closed `round`,
+    /// keeping the worst seen so far (the first on ties).
+    fn record(&mut self, status: SolveStatus, round: usize) {
+        let rank = |s: SolveStatus| match s {
+            SolveStatus::Optimal => 0,
+            SolveStatus::Limit => 1,
+            SolveStatus::Unbounded => 2,
+            SolveStatus::Infeasible => 3,
+        };
+        if rank(status) > rank(self.status) {
+            self.status = status;
+            self.status_round = round;
+        }
+    }
+
+    /// `Ok` when every master solve ended `Optimal`; otherwise a message
+    /// naming the round and the status. A master that stops short yields
+    /// duals and shares that certify nothing, so a plan built from it
+    /// must be refused, not used.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message when [`PlanSolveStats::status`] is not
+    /// `Optimal`.
+    pub fn ensure_optimal(&self) -> Result<(), String> {
+        if self.status.is_optimal() {
+            return Ok(());
+        }
+        Err(format!(
+            "PLAN-VNE master solve of round {} ended {}; refusing the plan",
+            self.status_round, self.status
+        ))
+    }
 }
 
 /// Solves PLAN-VNE and returns the plan.
@@ -121,6 +163,8 @@ pub fn solve_plan_with_columns(
         columns: 0,
         objective: 0.0,
         simplex_iterations: 0,
+        status: SolveStatus::Optimal,
+        status_round: 0,
     };
     if classes.is_empty() {
         return (Plan::empty(), stats);
@@ -223,7 +267,7 @@ pub fn solve_plan_with_columns(
     let mut simplex = Simplex::with_options(&master, config.simplex.clone());
     let mut sol = simplex.solve();
     stats.simplex_iterations += sol.iterations;
-    debug_assert_eq!(sol.status, SolveStatus::Optimal);
+    stats.record(sol.status, 0);
 
     for round in 0..config.max_rounds {
         stats.rounds = round + 1;
@@ -281,7 +325,7 @@ pub fn solve_plan_with_columns(
         }
         sol = simplex.reoptimize();
         stats.simplex_iterations += sol.iterations;
-        debug_assert_eq!(sol.status, SolveStatus::Optimal);
+        stats.record(sol.status, round + 1);
     }
     stats.columns = registry.len();
     stats.objective = sol.objective;
@@ -569,5 +613,25 @@ mod tests {
         );
         assert!(plan.is_empty());
         assert_eq!(stats.columns, 0);
+    }
+
+    #[test]
+    fn a_master_that_stops_short_is_recorded_and_refused() {
+        let (s, apps) = small_world();
+        let policy = PlacementPolicy::default();
+        let config = PlanVneConfig::new(1e4);
+        let (_, stats) = solve_plan(&s, &apps, &policy, &aggregate_of(5.0), &config);
+        assert_eq!(stats.status, SolveStatus::Optimal);
+        assert_eq!(stats.ensure_optimal(), Ok(()));
+
+        let mut short = config.clone();
+        short.simplex.max_iterations = 0;
+        let (_, stats) = solve_plan(&s, &apps, &policy, &aggregate_of(5.0), &short);
+        assert_eq!((stats.status, stats.status_round), (SolveStatus::Limit, 0));
+        let message = stats.ensure_optimal().unwrap_err();
+        assert!(
+            message.contains("round 0") && message.contains("limit reached"),
+            "{message}"
+        );
     }
 }

@@ -23,7 +23,9 @@
 //!   deterministic binary codec behind checkpoint/resume (the checkpoint
 //!   envelope lives in `vne-sim`, the sharded checkpoint in `vne-shard`);
 //! * [`shard`] — partitioned-substrate views: global ↔ (shard, local)
-//!   id maps and cut-edge bookkeeping for the `vne-shard` coordinator.
+//!   id maps and cut-edge bookkeeping for the `vne-shard` coordinator;
+//! * [`pool`] — [`pool::cell_map`], the one worker pool every parallel
+//!   loop of the workspace runs on.
 //!
 //! Higher layers build on this crate: `vne-topology` constructs substrate
 //! instances, `vne-workload` generates requests, `vne-olive` implements
@@ -63,6 +65,7 @@ pub mod ids;
 pub mod invariant;
 pub mod load;
 pub mod policy;
+pub mod pool;
 pub mod request;
 pub mod shard;
 pub mod state;

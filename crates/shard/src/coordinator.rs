@@ -102,7 +102,7 @@
 //! the unsharded engine).
 //!
 //! [`run_stream_with`]: vne_sim::engine::run_stream_with
-//! [`cell_map`]: vne_sim::runner::cell_map
+//! [`cell_map`]: vne_model::pool::cell_map
 //! [`Checkpointer`]: vne_sim::observe::Checkpointer
 //! [`ChurnEvent::NodeDrain`]: vne_model::churn::ChurnEvent::NodeDrain
 //! [`EngineCheckpoint`]: vne_sim::engine::EngineCheckpoint
@@ -116,6 +116,7 @@ use vne_model::churn::ChurnEvent;
 use vne_model::ids::{ClassId, NodeId, RequestId};
 use vne_model::invariant::InvariantViolation;
 use vne_model::load::LoadLedger;
+use vne_model::pool::cell_map;
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::shard::{LinkHome, ShardId, ShardNodeRef, ShardedSubstrate};
 use vne_model::state::{Snapshot, StateBlob, StateError};
@@ -125,7 +126,6 @@ use vne_sim::engine::{
     restore_engine, EngineCapture, EngineCheckpoint, EngineView, ReembedKind, RequestOutcome,
     RequestStatus, SimControl, SimObserver, SlotMetrics, SlotStep, StreamStats,
 };
-use vne_sim::runner::cell_map;
 use vne_sim::{EngineState, NullObserver};
 
 use crate::checkpoint::ShardCheckpoint;

@@ -7,17 +7,18 @@
 //! shard's estimator only ever sees the classes homed on it (planning
 //! memory stays `O(classes per shard)`), and [`shard_plans`] solves one
 //! independent PLAN-VNE per shard-local substrate on the
-//! [`cell_map`](vne_sim::runner::cell_map) worker pool.
+//! [`cell_map`] worker pool.
 
-use rand::RngCore;
 use vne_model::app::AppSet;
 use vne_model::policy::PlacementPolicy;
+use vne_model::pool::cell_map;
 use vne_model::request::{Slot, SlotEvents};
 use vne_model::shard::ShardedSubstrate;
 use vne_olive::aggregate::AggregateDemand;
 use vne_olive::colgen::{solve_plan, PlanSolveStats, PlanVneConfig};
 use vne_olive::plan::Plan;
 use vne_workload::estimator::{AggregationConfig, ExactEstimator};
+use vne_workload::rng::SeededRng;
 
 /// Routes a history stream through one [`ExactEstimator`] per shard —
 /// each over a `slots`-slot window with `aggregation` — and finalizes
@@ -35,7 +36,7 @@ pub fn shard_demands(
     history: impl IntoIterator<Item = SlotEvents>,
     slots: Slot,
     aggregation: AggregationConfig,
-    rng: &mut dyn RngCore,
+    rng: &mut SeededRng,
 ) -> Vec<AggregateDemand> {
     let k = sharded.shard_count();
     let mut estimators = vec![ExactEstimator::new(slots, aggregation); k];
@@ -59,6 +60,13 @@ pub fn shard_demands(
 
 /// Solves one PLAN-VNE per shard over its local substrate and demand,
 /// in parallel on the shard pool. Results are in shard order.
+///
+/// # Panics
+///
+/// Panics if `demands` does not hold one demand per shard, or if a
+/// shard's master LP ends anywhere but `Optimal` (the message names the
+/// shard, the round and the status; see
+/// [`PlanSolveStats::ensure_optimal`]).
 pub fn shard_plans(
     sharded: &ShardedSubstrate,
     apps: &AppSet,
@@ -72,8 +80,14 @@ pub fn shard_plans(
         "one demand per shard required"
     );
     let cells: Vec<usize> = (0..sharded.shard_count()).collect();
-    vne_sim::runner::cell_map(&cells, |&s| {
+    let plans = cell_map(&cells, |&s| {
         let local = sharded.shard(vne_model::shard::ShardId::from_index(s));
         solve_plan(local, apps, policy, &demands[s], config)
-    })
+    });
+    for (s, (_, stats)) in plans.iter().enumerate() {
+        if let Err(refusal) = stats.ensure_optimal() {
+            panic!("shard {s}: {refusal}");
+        }
+    }
+    plans
 }

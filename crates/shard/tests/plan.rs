@@ -157,3 +157,25 @@ fn shard_plans_rejects_a_demand_list_of_the_wrong_length() {
         &PlanVneConfig::new(50.0),
     );
 }
+
+#[test]
+#[should_panic(expected = "shard 0: PLAN-VNE master solve of round 0 ended limit reached")]
+fn a_shard_plan_whose_master_stops_short_is_refused() {
+    let (s, apps) = golden_diamond().unwrap();
+    let demand = AggregateDemand::from_stream(
+        tracegen::stream(&s, &apps, &trace_config(2.0, 10.0), SeededRng::new(77)),
+        &mut ExactEstimator::new(HISTORY_SLOTS, AggregationConfig::default()),
+        &mut SeededRng::new(9),
+    );
+    let assignment = PartitionAssignment::single(s.node_count()).unwrap();
+    let sharded = ShardedSubstrate::new(&s, &assignment).unwrap();
+    let mut config = PlanVneConfig::new(50.0);
+    config.simplex.max_iterations = 0;
+    shard_plans(
+        &sharded,
+        &apps,
+        &PlacementPolicy::default(),
+        &[demand],
+        &config,
+    );
+}

@@ -28,12 +28,14 @@
 //!
 //! Workers collect into per-worker buffers (no shared result mutex); a
 //! panicking cell propagates its original panic payload after the
-//! surviving workers finish.
+//! surviving workers finish. A cell's own parallel loops (a plan
+//! build's bootstrap) run on its worker's thread.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use vne_model::app::AppSet;
+use vne_model::pool::cell_map;
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::plan::Plan;
 use vne_workload::appgen::{paper_mix, AppGenConfig};
@@ -189,107 +191,11 @@ impl std::fmt::Debug for SweepContext {
     }
 }
 
-/// Maps `f` over arbitrary sweep cells on a worker pool (one task per
-/// cell, up to `available_parallelism` threads) and returns the results
-/// **in cell order**. This is the shared sweep pool: *all* cells of a
-/// sweep feed one pool, so workers pull the next cell the moment they
-/// finish one — no idle tail between cell groups — and shared artifacts
-/// ([`SweepContext`] plans) become available to later cells as earlier
-/// ones derive them.
-///
-/// Each worker collects into its own buffer; there is no shared result
-/// mutex to poison. If a cell panics, the surviving workers finish
-/// their cells, and the map then re-raises the **original** panic
-/// payload (not a poisoned-mutex secondary panic).
-pub fn cell_map<T, R, F>(cells: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cells.len().max(1));
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-    let worker_results: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= cells.len() {
-                            break;
-                        }
-                        local.push((idx, f(&cells[idx])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Join every worker before leaving the scope: a second panic
-        // must not surface while the first is already unwinding (that
-        // would abort), and survivors get to finish their cells.
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let mut collected = Vec::with_capacity(cells.len());
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for result in worker_results {
-        match result {
-            Ok(local) => collected.extend(local),
-            Err(payload) => panic = panic.or(Some(payload)),
-        }
-    }
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
-    }
-    collected.sort_by_key(|(idx, _)| *idx);
-    collected.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::Algorithm;
     use vne_topology::zoo::citta_studi;
-
-    #[test]
-    fn cell_map_propagates_the_real_panic_message() {
-        // The regression: a panicking worker used to poison the shared
-        // results mutex, so the surviving workers died on a secondary
-        // "runner mutex poisoned" panic that masked the original one.
-        // With per-worker buffers the original payload must surface.
-        let result = std::panic::catch_unwind(|| {
-            cell_map(&[1u64, 2, 3, 4, 5], |&seed| {
-                if seed == 3 {
-                    panic!("seed 3 exploded with code 42");
-                }
-                seed * 2
-            })
-        });
-        let payload = result.expect_err("the panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("<non-string payload>");
-        assert!(
-            message.contains("seed 3 exploded with code 42"),
-            "the original panic was masked: {message:?}"
-        );
-    }
-
-    #[test]
-    fn cell_map_returns_results_in_cell_order() {
-        let cells: Vec<u32> = (0..37).collect();
-        let doubled = cell_map(&cells, |&c| c * 2);
-        assert_eq!(doubled, cells.iter().map(|c| c * 2).collect::<Vec<_>>());
-        let empty: Vec<u32> = cell_map(&[] as &[u32], |&c| c);
-        assert!(empty.is_empty());
-    }
 
     /// One QUICKG cell per seed at the small scale.
     fn quickg_cells(utilization: f64, seeds: &[u64]) -> Vec<(AlgorithmSpec, ScenarioConfig)> {

@@ -546,6 +546,12 @@ impl Scenario {
     /// under [`Scenario::plan_cache_key`]: cells sharing identical plan
     /// inputs (e.g. OLIVE ablation variants on one seed) reuse the
     /// first derivation — same `Plan` value, original build time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a PLAN-VNE master solve ends anywhere but `Optimal`,
+    /// naming the round and the status
+    /// ([`vne_olive::colgen::PlanSolveStats::ensure_optimal`]).
     pub fn build_plan(&self) -> (Plan, f64) {
         match &self.sweep {
             Some(sweep) => sweep.plan_for(self.plan_cache_key(), || self.build_plan_uncached()),
@@ -560,13 +566,16 @@ impl Scenario {
         let mut rng = self.rng(3);
         let aggregate =
             AggregateDemand::from_stream(self.history_events(), &mut estimator, &mut rng);
-        let (plan, _) = solve_plan(
+        let (plan, stats) = solve_plan(
             &self.substrate,
             &self.apps,
             &self.policy,
             &aggregate,
             &self.plan_config(),
         );
+        if let Err(refusal) = stats.ensure_optimal() {
+            panic!("{refusal}");
+        }
         (plan, started.elapsed().as_secs_f64())
     }
 

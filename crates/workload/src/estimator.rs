@@ -13,12 +13,12 @@
 
 use std::collections::BTreeMap;
 
-use rand::Rng;
 use vne_model::ids::ClassId;
 use vne_model::request::{Slot, SlotEvents};
 use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
 
 use crate::history::ClassDemandSeries;
+use crate::rng::SeededRng;
 
 /// Parameters of the aggregation step (Eq. 6).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,7 +88,7 @@ impl ExactEstimator {
 
     /// Finalizes the fold into the per-class expected demands `d(r̃)`:
     /// the bootstrap `P̂_α` of each class's series, drawn from `rng`.
-    pub fn finalize<R: Rng + ?Sized>(&self, rng: &mut R) -> BTreeMap<ClassId, f64> {
+    pub fn finalize(&self, rng: &mut SeededRng) -> BTreeMap<ClassId, f64> {
         self.series
             .expected_demands(self.config.alpha, self.config.bootstrap_replicates, rng)
     }
@@ -102,7 +102,7 @@ impl ExactEstimator {
     /// window, using this estimator's α and bootstrap replicates: the
     /// fraction of classes whose online `P_α` falls inside the 95%
     /// bootstrap CI of this history estimate.
-    pub fn conformance<R: Rng + ?Sized>(&self, online: &ClassDemandSeries, rng: &mut R) -> f64 {
+    pub fn conformance(&self, online: &ClassDemandSeries, rng: &mut SeededRng) -> f64 {
         self.series.conformance(
             online,
             self.config.alpha,
@@ -136,7 +136,6 @@ impl Snapshot for ExactEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SeededRng;
     use vne_model::ids::{AppId, NodeId, RequestId};
     use vne_model::request::{slot_events, Request};
 

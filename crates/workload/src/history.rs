@@ -5,14 +5,31 @@
 //! over the history window, from which the expected demand `d(r̃)` is the
 //! bootstrap-estimated `P̂_α` (Eq. 6; the paper uses α = 80 to avoid
 //! over-provisioning).
+//!
+//! # The bootstrap on every core, with the sequential bits
+//!
+//! [`ClassDemandSeries::bootstrap_demands`] is defined as one loop:
+//! classes in `ClassId` order, each [`bootstrap_percentile`] drawing
+//! from the caller's one [`SeededRng`]. Every class series has `slots`
+//! elements and every resampled element takes two words, so class `c`
+//! starts exactly `c · 2 · slots · replicates` words into the stream.
+//! The classes therefore run on the
+//! [`cell_map`](vne_model::pool::cell_map) pool, each from its own copy
+//! of the generator jumped to that offset (one jump operator per call,
+//! stepped class by class; see [`crate::rng`]). Each class draws the
+//! words the loop would have handed it, the per-class floats are
+//! computed by the same code, and the caller's generator is left one
+//! stride past the last class, where the loop leaves it. The bits do
+//! not depend on the worker count.
 
 use std::collections::BTreeMap;
 
-use rand::Rng;
 use vne_model::ids::ClassId;
+use vne_model::pool::{self, cell_map_on};
 use vne_model::request::{Request, Slot, SlotEvents};
 use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter};
 
+use crate::rng::{Jump, SeededRng};
 use crate::stats::{bootstrap_percentile, BootstrapEstimate, Ecdf};
 
 /// Per-class, per-slot concurrent demand series over a history window.
@@ -95,11 +112,11 @@ impl ClassDemandSeries {
     }
 
     /// The bootstrap-estimated `P̂_α` demand per class (Eq. 6).
-    pub fn expected_demands<R: Rng + ?Sized>(
+    pub fn expected_demands(
         &self,
         alpha: f64,
         replicates: usize,
-        rng: &mut R,
+        rng: &mut SeededRng,
     ) -> BTreeMap<ClassId, f64> {
         self.bootstrap_demands(alpha, replicates, rng)
             .into_iter()
@@ -107,28 +124,72 @@ impl ClassDemandSeries {
             .collect()
     }
 
-    /// Full bootstrap estimates (with confidence intervals) per class.
-    pub fn bootstrap_demands<R: Rng + ?Sized>(
+    /// Full bootstrap estimates (with confidence intervals) per class:
+    /// [`bootstrap_percentile`] of each class in `ClassId` order, all
+    /// drawn from `rng` one after the other. The classes run in parallel
+    /// with those bits (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`bootstrap_percentile`] does, with its message, if a
+    /// class's bootstrap panics (a NaN in a series, `replicates == 0`).
+    pub fn bootstrap_demands(
         &self,
         alpha: f64,
         replicates: usize,
-        rng: &mut R,
+        rng: &mut SeededRng,
     ) -> BTreeMap<ClassId, BootstrapEstimate> {
-        self.series
+        self.bootstrap_demands_on(pool::workers(), alpha, replicates, rng)
+    }
+
+    /// [`ClassDemandSeries::bootstrap_demands`] on at most `workers`
+    /// threads.
+    pub(crate) fn bootstrap_demands_on(
+        &self,
+        workers: usize,
+        alpha: f64,
+        replicates: usize,
+        rng: &mut SeededRng,
+    ) -> BTreeMap<ClassId, BootstrapEstimate> {
+        if workers <= 1 || self.series.len() <= 1 {
+            return self
+                .series
+                .iter()
+                .map(|(&c, s)| (c, bootstrap_percentile(s, alpha, replicates, rng)))
+                .collect();
+        }
+        // Two words per resampled element, `slots` elements per series.
+        let stride = u64::try_from(replicates)
+            .ok()
+            .and_then(|r| r.checked_mul(2 * u64::from(self.slots)))
+            .expect("a class's bootstrap draws fewer than 2⁶⁴ words");
+        let jump = Jump::new(stride);
+        let cells: Vec<(ClassId, &[f64], SeededRng)> = self
+            .series
             .iter()
-            .map(|(&c, s)| (c, bootstrap_percentile(s, alpha, replicates, rng)))
-            .collect()
+            .map(|(&c, s)| {
+                let start = rng.clone();
+                jump.apply(rng);
+                (c, s.as_slice(), start)
+            })
+            .collect();
+        cell_map_on(workers, &cells, |(c, s, start)| {
+            let estimate = bootstrap_percentile(s, alpha, replicates, &mut start.clone());
+            (*c, estimate)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// The paper's conformance check: for each class present in both
     /// windows, whether the online `P_α` falls within the 95% bootstrap
     /// CI of the history estimate. Returns the conforming fraction.
-    pub fn conformance<R: Rng + ?Sized>(
+    pub fn conformance(
         &self,
         online: &ClassDemandSeries,
         alpha: f64,
         replicates: usize,
-        rng: &mut R,
+        rng: &mut SeededRng,
     ) -> f64 {
         let estimates = self.bootstrap_demands(alpha, replicates, rng);
         let mut checked = 0usize;
@@ -186,7 +247,6 @@ impl Snapshot for ClassDemandSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SeededRng;
     use vne_model::ids::{AppId, NodeId, RequestId};
 
     fn req(id: u64, arrival: Slot, duration: Slot, node: u32, app: u32, demand: f64) -> Request {
@@ -284,5 +344,93 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let conf = hist.conformance(&online, 80.0, 100, &mut rng);
         assert_eq!(conf, 0.0);
+    }
+
+    /// The per-class loop `bootstrap_demands` is defined as.
+    fn sequential_bootstrap(
+        series: &ClassDemandSeries,
+        alpha: f64,
+        replicates: usize,
+        rng: &mut SeededRng,
+    ) -> Vec<(ClassId, BootstrapEstimate)> {
+        series
+            .classes()
+            .map(|c| {
+                let estimate =
+                    bootstrap_percentile(series.series(c).unwrap(), alpha, replicates, rng);
+                (c, estimate)
+            })
+            .collect()
+    }
+
+    fn estimate_bits(e: &BootstrapEstimate) -> [u64; 3] {
+        [
+            e.estimate.to_bits(),
+            e.ci_low.to_bits(),
+            e.ci_high.to_bits(),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Every worker count returns the sequential loop's floats bit
+        /// for bit and leaves the generator at the loop's next word.
+        #[test]
+        fn bootstrap_demands_on_any_worker_count_is_the_sequential_loop(
+            raw in proptest::collection::vec(
+                (0u32..60, 1u32..20, 0u32..4, 0u32..4, 0.0f64..10.0),
+                0..80,
+            ),
+            slots in 1u32..60,
+            replicates in 1usize..=20,
+            alpha in 0.0f64..=100.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let requests: Vec<Request> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(arrival, duration, app, node, demand))| {
+                    req(i as u64, arrival, duration, node, app, demand)
+                })
+                .collect();
+            let series = ClassDemandSeries::from_requests(&requests, slots);
+            let mut reference = SeededRng::new(seed);
+            let want = sequential_bootstrap(&series, alpha, replicates, &mut reference);
+            for workers in 1..=5 {
+                let mut rng = SeededRng::new(seed);
+                let got = series.bootstrap_demands_on(workers, alpha, replicates, &mut rng);
+                proptest::prop_assert_eq!(got.len(), want.len());
+                for ((class, estimate), (want_class, want_estimate)) in got.iter().zip(&want) {
+                    proptest::prop_assert_eq!(class, want_class);
+                    proptest::prop_assert_eq!(estimate_bits(estimate), estimate_bits(want_estimate));
+                }
+                proptest::prop_assert_eq!(&rng, &reference, "{} workers", workers);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_class_surfaces_its_own_message() {
+        let requests: Vec<Request> = (0..12)
+            .map(|i| {
+                let demand = if i == 7 { f64::NAN } else { 1.0 + i as f64 };
+                req(i, 0, 10, i as u32, 0, demand)
+            })
+            .collect();
+        let series = ClassDemandSeries::from_requests(&requests, 10);
+        for workers in 1..=5 {
+            let result = std::panic::catch_unwind(|| {
+                series.bootstrap_demands_on(workers, 80.0, 10, &mut SeededRng::new(1))
+            });
+            let payload = result.expect_err("a NaN sample must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("<non-string payload>");
+            assert_eq!(
+                message, "bootstrap sample contains NaN",
+                "{workers} workers"
+            );
+        }
     }
 }

@@ -25,11 +25,22 @@
 //!   same two `next_u64` words per index, in the same order, and reduces
 //!   the 128-bit value they form modulo `n` in 64-bit arithmetic:
 //!   `((hi mod n)·(2⁶⁴ mod n) + lo mod n) mod n`, which cannot overflow
-//!   for `n < 2³²`. Longer samples go through `gen_range` itself.
+//!   for `n < 2³²`. Each of the three remainders is a multiply-shift
+//!   (Lemire–Kaser–Kurz) with a constant computed once per sample, exact
+//!   for every 64-bit operand, so no draw executes a division and every
+//!   index is the one `gen_range` returns. Longer samples go through
+//!   `gen_range` itself.
 //! * **One formula.** `Ecdf::percentile` and the bootstrap share
 //!   `percentile_position` and apply the same interpolation expression,
 //!   so a replicate is the float `Ecdf::new(resample).percentile(alpha)`
 //!   would return.
+//!
+//! [`bootstrap_percentile`] reads whatever generator it is handed and
+//! takes exactly `2 · n · replicates` words from it. That count is what
+//! lets [`crate::history::ClassDemandSeries::bootstrap_demands`] run the
+//! classes of a plan in parallel: it hands each class a
+//! [`crate::rng::SeededRng`] jumped to the word the class's draws start
+//! at in the one sequential stream.
 
 use rand::Rng;
 
@@ -103,12 +114,12 @@ fn percentile_position(alpha: f64, n: usize) -> (usize, usize, f64) {
     (lo, h.ceil() as usize, h - lo as f64)
 }
 
-/// `rng.gen_range(0..n)` without the 128-bit division: the same two
-/// `next_u64` words per draw, the same index.
+/// `rng.gen_range(0..n)` without a division: the same two `next_u64`
+/// words per draw, the same index.
 enum UniformIndex {
-    /// `n < 2³²`, where the 64-bit reduction is exact; `wrap` is
-    /// `2⁶⁴ mod n`.
-    Narrow { n: u64, wrap: u64 },
+    /// `n < 2³²`: `wrap` is `2⁶⁴ mod n`, and `m = ⌈2¹²⁸ / n⌉` is the
+    /// multiply-shift constant every remainder is taken with.
+    Narrow { n: u64, m: u128, wrap: u64 },
     /// Every draw goes through `gen_range`.
     Wide { n: usize },
 }
@@ -121,6 +132,9 @@ impl UniformIndex {
                 let n = u64::from(narrow);
                 Self::Narrow {
                     n,
+                    // `2¹²⁸` itself for `n = 1`, which wraps to 0 and
+                    // so yields the remainder 0, as it must.
+                    m: (u128::MAX / u128::from(n)).wrapping_add(1),
                     wrap: (u64::MAX % n + 1) % n,
                 }
             }
@@ -130,18 +144,32 @@ impl UniformIndex {
 
     fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         match *self {
-            Self::Narrow { n, wrap } => {
+            Self::Narrow { n, m, wrap } => {
                 // `gen_range` draws `(hi << 64 | lo) % n`. All three terms
-                // are below 2³², so the product plus `lo % n` stays below
+                // are below 2³², so the product plus `lo mod n` stays below
                 // 2⁶⁴.
                 let hi = rng.next_u64();
                 let lo = rng.next_u64();
-                let index = ((hi % n) * wrap + lo % n) % n;
+                let index = rem(rem(hi, n, m) * wrap + rem(lo, n, m), n, m);
                 usize::try_from(index).expect("index < n, and n came from a usize")
             }
             Self::Wide { n } => rng.gen_range(0..n),
         }
     }
+}
+
+/// `a mod n` for `n < 2³²` by Lemire, Kaser and Kurz's direct
+/// remainder ("Faster remainder by direct computation", 2019): with
+/// `m = ⌈2¹²⁸ / n⌉`, the fraction `m·a mod 2¹²⁸` scaled by `n` has the
+/// remainder as its integer part, exactly for every 64-bit `a` because
+/// 128 ≥ 64 + 32 bits of precision. No division is executed.
+fn rem(a: u64, n: u64, m: u128) -> u64 {
+    let fraction = m.wrapping_mul(u128::from(a));
+    let n = u128::from(n);
+    // `⌊fraction · n / 2¹²⁸⌋` in two 64-bit halves; with `n < 2³²`
+    // neither partial product overflows.
+    let high = (fraction >> 64) * n + (((fraction & u128::from(u64::MAX)) * n) >> 64);
+    u64::try_from(high >> 64).expect("the remainder is below n < 2³²")
 }
 
 /// Result of a bootstrap percentile estimation.
@@ -317,11 +345,18 @@ mod tests {
     #[test]
     fn uniform_index_is_gen_range() {
         use rand::RngCore;
-        for n in [1, 2, 3, 1000, 2700, u32::MAX as usize] {
+        let mut sizes = vec![1, 2, 3, 1000, 2700, u32::MAX as usize];
+        for k in 1..32 {
+            let p = 1usize << k;
+            sizes.extend([p - 1, p, p + 1]);
+        }
+        let mut pick = SeededRng::new(0x5eed);
+        sizes.extend((0..40).map(|_| pick.gen_range(1..=u32::MAX as usize)));
+        for n in sizes {
             let index = UniformIndex::new(n);
             let mut rng = SeededRng::new(n as u64);
             let mut reference = rng.clone();
-            for _ in 0..10_000 {
+            for _ in 0..2000 {
                 assert_eq!(index.draw(&mut rng), reference.gen_range(0..n), "n = {n}");
             }
             assert_eq!(rng.next_u64(), reference.next_u64(), "n = {n}");
@@ -333,6 +368,19 @@ mod tests {
             UniformIndex::new(n).draw(&mut SeededRng::new(3)),
             SeededRng::new(3).gen_range(0..n)
         );
+    }
+
+    #[test]
+    fn multiply_shift_remainders_are_exact_at_the_extremes() {
+        let operands = [0, 1, u64::from(u32::MAX), 1 << 63, u64::MAX - 1, u64::MAX];
+        for n in [1, 2, 3, 7, 1 << 31, (1 << 31) + 1, u64::from(u32::MAX)] {
+            let UniformIndex::Narrow { m, .. } = UniformIndex::new(n as usize) else {
+                unreachable!("n < 2³²")
+            };
+            for a in operands {
+                assert_eq!(rem(a, n, m), a % n, "{a} mod {n}");
+            }
+        }
     }
 
     #[test]
