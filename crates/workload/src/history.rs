@@ -151,13 +151,6 @@ impl ClassDemandSeries {
         replicates: usize,
         rng: &mut SeededRng,
     ) -> BTreeMap<ClassId, BootstrapEstimate> {
-        if workers <= 1 || self.series.len() <= 1 {
-            return self
-                .series
-                .iter()
-                .map(|(&c, s)| (c, bootstrap_percentile(s, alpha, replicates, rng)))
-                .collect();
-        }
         // Two words per resampled element, `slots` elements per series.
         let stride = u64::try_from(replicates)
             .ok()
