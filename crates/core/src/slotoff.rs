@@ -20,6 +20,11 @@
 //! a previously accepted request can fail to re-place and is counted as
 //! preempted.
 //!
+//! A per-slot master LP that ends anywhere but `Optimal` yields shares
+//! that certify nothing, so the slot panics with its number, the round
+//! and the status ([`crate::colgen::PlanSolveStats::ensure_optimal`])
+//! instead of rounding them.
+//!
 //! A slot is decided as a *batch*: the LP sees all of its arrivals at
 //! once and rounding goes largest demand first, so SLOTOFF does not have
 //! the in-order property spelled out on
@@ -149,7 +154,7 @@ impl OnlineAlgorithm for SlotOff {
 
     fn process_slot(
         &mut self,
-        _t: Slot,
+        t: Slot,
         departures: &[Request],
         arrivals: &[Request],
     ) -> SlotOutcome {
@@ -193,6 +198,9 @@ impl OnlineAlgorithm for SlotOff {
             &self.config,
             &self.pool,
         );
+        if let Err(refusal) = stats.ensure_optimal() {
+            panic!("SLOTOFF slot {t}: {refusal}");
+        }
         self.total_rounds += stats.rounds;
         self.pool = plan
             .iter()
@@ -339,6 +347,18 @@ mod tests {
         assert!(out1.rejected.contains(&RequestId(1)));
         assert!(out1.preempted.is_empty());
         assert_eq!(so.active_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "SLOTOFF slot 7: PLAN-VNE master solve of round 0 ended limit reached"
+    )]
+    fn a_slot_master_that_stops_short_is_refused() {
+        let (s, apps) = world();
+        let mut config = PlanVneConfig::new(1e4);
+        config.simplex.max_iterations = 0;
+        let mut so = SlotOff::new(s, apps, PlacementPolicy::default(), config);
+        so.process_slot(7, &[], &[req(0, 7, 5, 3.0)]);
     }
 
     #[test]

@@ -26,6 +26,10 @@ thread_local! {
 
 /// The pool's worker count: `available_parallelism`, or 4 where the
 /// platform cannot tell.
+///
+/// Hidden: not an option. Only callers that must pass the default to
+/// [`cell_map_on`] use it.
+#[doc(hidden)]
 pub fn workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
@@ -44,6 +48,11 @@ where
 /// [`cell_map`] on at most `workers` threads (at least one). With one
 /// worker, or inside a worker of another map, the cells run in order on
 /// the calling thread.
+///
+/// Hidden: the worker count is not an option. This is the seam through
+/// which oracle tests vary it (a parallel map must give the sequential
+/// loop's result for every count); everything else calls [`cell_map`].
+#[doc(hidden)]
 pub fn cell_map_on<T, R, F>(workers: usize, cells: &[T], f: F) -> Vec<R>
 where
     T: Sync,

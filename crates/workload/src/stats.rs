@@ -356,7 +356,7 @@ mod tests {
             let index = UniformIndex::new(n);
             let mut rng = SeededRng::new(n as u64);
             let mut reference = rng.clone();
-            for _ in 0..2000 {
+            for _ in 0..10_000 {
                 assert_eq!(index.draw(&mut rng), reference.gen_range(0..n), "n = {n}");
             }
             assert_eq!(rng.next_u64(), reference.next_u64(), "n = {n}");
