@@ -410,8 +410,10 @@ fn sparse_master(m: usize, opts: SimplexOptions) -> Vec<(usize, SolveStatus, u64
 /// digests of the master above at three sizes whose `m` spans two, three
 /// and five 64-bit words and is never a multiple of 64, under the
 /// default refactorization cadence, one every seven pivots, and one
-/// after every pivot — what any change to how `B⁻¹` is stored, updated
-/// or rebuilt has to reproduce bit for bit.
+/// after every pivot, and at the largest size under Bland's rule with
+/// the first and the last of those — what any change to how `B⁻¹` is
+/// stored, updated or rebuilt, or to how pricing finds its column, has
+/// to reproduce bit for bit.
 #[test]
 fn sparse_master_solves_are_pinned() {
     let pin = |m, refactor_every| {
@@ -508,6 +510,38 @@ fn sparse_master_solves_are_pinned() {
             (276, opt, 0x4099_7d39_90f2_a9dd, 0x5617_265d_22c6_6730),
             (139, opt, 0x4093_091f_0c82_6560, 0x3ef8_1c32_67d8_42ed),
             (104, opt, 0x4090_3594_dd06_3a41, 0x0c79_5b24_ccf6_61ab),
+        ]
+    );
+    // Bland's rule from the first degenerate pivot on, over a master
+    // that spans many 64-column blocks and carries a free variable:
+    // pricing stops at the first eligible column instead of taking the
+    // largest violation.
+    let bland = |refactor_every| {
+        sparse_master(
+            260,
+            SimplexOptions {
+                bland_trigger: 0,
+                refactor_every,
+                ..SimplexOptions::default()
+            },
+        )
+    };
+    assert_eq!(
+        bland(100),
+        [
+            (752, opt, 0x40a9_c005_d4fe_6cbe, 0xf9a2_5592_1dfe_5f84),
+            (285, opt, 0x4099_7d39_90f2_a9de, 0x6ddc_8c97_42da_1fb5),
+            (143, opt, 0x4093_091f_0c82_6560, 0xb04c_3ad6_9674_62a6),
+            (124, opt, 0x4090_3594_dd06_3a41, 0x1c9f_72d4_eff9_279e),
+        ]
+    );
+    assert_eq!(
+        bland(1),
+        [
+            (752, opt, 0x40a9_c005_d4fe_6cbe, 0xf9a2_5592_1dfe_5f84),
+            (285, opt, 0x4099_7d39_90f2_a9dd, 0x6f9c_f6ce_6ece_83e7),
+            (143, opt, 0x4093_091f_0c82_6560, 0xf38c_a3f4_aa32_ed62),
+            (124, opt, 0x4090_3594_dd06_3a42, 0xb1ba_55bb_8276_12b0),
         ]
     );
 }
