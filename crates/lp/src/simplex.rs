@@ -8,11 +8,10 @@
 //! re-optimizing — the operation Dantzig-Wolfe column generation needs.
 //!
 //! The implementation targets the problem sizes of PLAN-VNE masters
-//! (hundreds of rows, thousands of columns). More than half the
-//! iterations of such a master are bound flips of its `1/P`-bounded
-//! rejection quantiles; the duals and reduced costs are computed once per
-//! pivot and read again after every flip (the invariants are on
-//! `optimize`).
+//! (hundreds of rows, thousands of columns). Neither the duals nor the
+//! reduced costs are recomputed whole in every iteration: a pivot moves
+//! few of them, and a bound flip — more than half the iterations of such
+//! a master — none (see the last section and `optimize`).
 //!
 //! # A dense `B⁻¹` with row patterns
 //!
@@ -47,6 +46,55 @@
 //!   objective or right-hand side. Infinite bounds stay legal: a nonbasic
 //!   variable rests at a finite bound or at 0, so no bound multiplies
 //!   `B⁻¹`.
+//!
+//! `colpat` holds the same bits transposed: one bitset per column `k`
+//! of `B⁻¹`, the rows whose pattern has `k`. `solve` starts it at the
+//! diagonal, the eta update ORs the rows it touched into the column of
+//! every bit of the pivot row's pattern, and `refactor` transposes
+//! `invert`'s patterns. `ftran` walks `colpat[r]` for each entry `(r, a)`
+//! of its column instead of all `m` rows; the rows it skips hold ±0 in
+//! column `r`, so by the first point above every `w[i]` keeps its bits.
+//!
+//! # Pricing without a full scan
+//!
+//! A pivot of a SLOTOFF master moves the bits of ≈ 11 of its ≈ 240
+//! duals, and a bound flip moves none, yet Dantzig's rule reads the
+//! reduced cost of every nonbasic column. `optimize` therefore keeps
+//! three things for the whole call, and every one of them holds exactly
+//! the bits a fresh `btran` and a full scan would produce:
+//!
+//! - **`y` moves only on the pivot row's pattern.** `y[k]` sums
+//!   `c_B(pos) · B⁻¹[pos][k]` over the positions whose row pattern has
+//!   `k`, in position order. A pivot on row `r` changes `c_B(r)`, the
+//!   entries of `B⁻¹` in the columns of `r`'s pattern, and the patterns
+//!   of other rows only by ORing in `r`'s; outside `r`'s pattern, row
+//!   `r` itself holds ±0. So every `y[k]` with `k` outside it has the same
+//!   terms and the same bits, and each `y[k]` inside it is recomputed
+//!   down `colpat[k]` — `btran`'s terms in `btran`'s order. The first
+//!   iteration, and the first after a refactor, run a full `btran`.
+//! - **A cached `d_j = c_j − y·A_j` is valid until a dual it reads
+//!   changes a bit.** `cost` and the columns are fixed for the call, so
+//!   `d_j` is a function of the `y[r]` of its rows. Each column carries a
+//!   validity bit; a `y[k]` whose bits changed clears the bit of every
+//!   column with an entry in row `k` (a row → columns index built once
+//!   per call, listing explicit zeros too). An invalid `d_j` is
+//!   recomputed, with the same expression in the same term order, only
+//!   when pricing reads it.
+//! - **Dantzig's column is the best of 64-column block winners.** Each
+//!   block keeps its largest violation, ties to the lowest index. A block
+//!   is rescanned only when one of its columns lost its `d_j` or changed
+//!   state (a flip, entering, leaving, or a refactor's repair); the pick
+//!   then takes the largest winner, ties to the lowest block. The maximum
+//!   of a sequence is the maximum of its blocks' maxima and the first
+//!   index to attain it lies in the first block to attain it, so this is
+//!   the full scan's pick. Bland's rule keeps its ordered scan for the
+//!   first eligible column, reading the same cache.
+//!
+//! Debug builds check each of these against its definition in every
+//! iteration: `y` against a fresh `btran`, every valid `d_j` against
+//! `c_j − y·A_j`, the pick against a full scan, and the sparse `ftran`
+//! against the dense loop; and `colpat` against the transpose of the
+//! patterns at every refactor.
 
 use crate::problem::{Problem, Relation};
 use crate::solution::{LpSolution, SolveStatus};
@@ -143,6 +191,9 @@ pub struct Simplex {
     /// One bitset of `⌈m/64⌉` words per row of `binv`: a superset of
     /// that row's nonzeros, so every entry outside it is ±0.
     pattern: Vec<u64>,
+    /// The transpose of `pattern`: per column `k` of `binv`, the rows
+    /// whose pattern has `k`.
+    colpat: Vec<u64>,
     pivots_since_refactor: usize,
     iterations: usize,
     solved_once: bool,
@@ -205,6 +256,7 @@ impl Simplex {
             x: vec![0.0; ncols],
             binv: vec![0.0; m * m],
             pattern: vec![0; m * m.div_ceil(64)],
+            colpat: vec![0; m * m.div_ceil(64)],
             pivots_since_refactor: 0,
             iterations: 0,
             solved_once: false,
@@ -227,6 +279,12 @@ impl Simplex {
     fn pattern_row(&self, i: usize) -> &[u64] {
         let words = self.m.div_ceil(64);
         &self.pattern[i * words..(i + 1) * words]
+    }
+
+    /// The rows of `binv` whose pattern has column `k`.
+    fn colpat_col(&self, k: usize) -> &[u64] {
+        let words = self.m.div_ceil(64);
+        &self.colpat[k * words..(k + 1) * words]
     }
 
     /// Initial nonbasic resting value for variable `j`.
@@ -271,11 +329,13 @@ impl Simplex {
         }
         self.binv = vec![0.0; self.m * self.m];
         self.pattern.fill(0);
+        self.colpat.fill(0);
         let words = self.m.div_ceil(64);
         for i in 0..self.m {
             let sigma = self.cols[self.art_index(i)][0].1;
             self.binv[i * self.m + i] = sigma;
             set_bit(&mut self.pattern[i * words..], i);
+            set_bit(&mut self.colpat[i * words..], i);
         }
         self.pivots_since_refactor = 0;
 
@@ -427,8 +487,25 @@ impl Simplex {
         y
     }
 
-    /// w = B⁻¹ · A_j.
+    /// w = B⁻¹ · A_j. Each `w[i]` takes its terms in column order; the
+    /// rows skipped in column `r` of `B⁻¹` hold ±0 there.
     fn ftran(&self, j: usize) -> Vec<f64> {
+        let m = self.m;
+        let mut w = vec![0.0; m];
+        for &(r, a) in &self.cols[j] {
+            if a != 0.0 {
+                for_each_bit(self.colpat_col(r), |i| w[i] += self.binv[i * m + r] * a);
+            }
+        }
+        debug_assert!(
+            same_bits(&w, &self.ftran_dense(j)),
+            "the sparse ftran differs from the dense loop"
+        );
+        w
+    }
+
+    /// The dense loop `ftran` replaced, kept as its debug oracle.
+    fn ftran_dense(&self, j: usize) -> Vec<f64> {
         let m = self.m;
         let mut w = vec![0.0; m];
         for &(r, a) in &self.cols[j] {
@@ -441,87 +518,190 @@ impl Simplex {
         w
     }
 
-    /// The primal simplex loop for a given cost vector.
-    ///
-    /// # Reuse across bound flips
-    ///
-    /// The duals `y = c_B B⁻¹` and the reduced costs `d_j = c_j − y·A_j`
-    /// are functions of the basis, `B⁻¹`, `cost` and the columns alone.
-    /// An iteration that ends in a bound flip moves `x` and one
-    /// nonbasic `state` between `AtLower` and `AtUpper`, and touches none
-    /// of those, so the next iteration reads the `y` and `d` it would
-    /// recompute to the same bits. The set of columns pricing skips
-    /// (basic, fixed, artificial in phase 1) is equally unchanged, so a
-    /// `d_j` is cached exactly when it will be read. A pivot — the only
-    /// place `basis` and `binv` change here, `refactor` included — drops
-    /// both. Under Bland's rule pricing stops at the first eligible
-    /// column, so `priced` records how far `d` is filled and a later,
-    /// longer scan extends it. The cache is local to one call: nothing
-    /// outlives `optimize`, so `add_column`, `reoptimize` and `solve`
-    /// always start from a fresh `btran`.
-    fn optimize(&mut self, cost: &[f64], phase1: bool) -> SolveStatus {
-        let mut consecutive_degenerate = 0usize;
-        let mut use_bland = false;
-        let mut y = Vec::new();
-        let mut d = vec![0.0; self.ncols()];
-        // `d[..priced]` holds the reduced costs under `y`; `None` after
-        // a pivot, when `y` itself is stale.
-        let mut priced: Option<usize> = None;
-        loop {
-            if self.iterations >= self.opts.max_iterations {
-                return SolveStatus::Limit;
-            }
-            self.iterations += 1;
-            let cached = match priced {
-                Some(filled) => filled,
-                None => {
-                    y = self.btran(cost);
-                    0
-                }
-            };
+    /// `c_j − y·A_j`, its terms in column order.
+    fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
+        let mut red = cost[j];
+        for &(r, a) in &self.cols[j] {
+            red -= y[r] * a;
+        }
+        red
+    }
 
-            // Pricing. Artificials are the last `m` columns and never
-            // re-enter in phase 1, so its scan stops short of them.
-            let end = if phase1 {
-                self.ncols() - self.m
-            } else {
-                self.ncols()
-            };
-            let (state, lb, ub) = (&self.state[..end], &self.lb[..end], &self.ub[..end]);
-            let cols = &self.cols[..end];
-            let mut entering: Option<(usize, f64, i8)> = None;
-            let mut scanned = end;
-            for (j, dj) in d[..end].iter_mut().enumerate() {
-                match state[j] {
-                    VarState::Basic => continue,
-                    _ if lb[j] == ub[j] => continue, // fixed
-                    _ => {}
-                }
-                if j >= cached {
-                    let mut red = cost[j];
-                    for &(r, a) in &cols[j] {
-                        red -= y[r] * a;
+    /// Column `j`'s pricing violation and direction under reduced cost
+    /// `dj`, or `None` if it is basic or fixed and so never priced.
+    fn violation(&self, j: usize, dj: impl FnOnce() -> f64) -> Option<(f64, i8)> {
+        match self.state[j] {
+            VarState::Basic => None,
+            _ if self.lb[j] == self.ub[j] => None,
+            VarState::AtLower => Some((-dj(), 1)),
+            VarState::AtUpper => Some((dj(), -1)),
+            VarState::FreeZero => {
+                let dj = dj();
+                Some((dj.abs(), if dj < 0.0 { 1 } else { -1 }))
+            }
+        }
+    }
+
+    /// The entering column, its violation and its direction: the first
+    /// eligible column under Bland's rule, else Dantzig's largest
+    /// violation with ties to the lowest index. Reads and fills the
+    /// cached reduced costs and rescans only the stale blocks.
+    fn pick(
+        &self,
+        pricing: &mut Pricing,
+        cost: &[f64],
+        y: &[f64],
+        bland: bool,
+    ) -> Option<(usize, f64, i8)> {
+        let tol = self.opts.opt_tol;
+        let end = pricing.d.len();
+        if bland {
+            return (0..end).find_map(|j| {
+                self.violation(j, || {
+                    pricing.reduced_cost(j, || self.reduced_cost(cost, y, j))
+                })
+                .filter(|&(viol, _)| viol > tol)
+                .map(|(viol, dir)| (j, viol, dir))
+            });
+        }
+        let mut entering = None;
+        for b in 0..pricing.best.len() {
+            if pricing.stale[b] {
+                let mut best = None;
+                for j in b * BLOCK..end.min((b + 1) * BLOCK) {
+                    let dj = || pricing.reduced_cost(j, || self.reduced_cost(cost, y, j));
+                    if let Some((viol, dir)) = self.violation(j, dj) {
+                        if viol > tol {
+                            offer(&mut best, (j, viol, dir));
+                        }
                     }
-                    *dj = red;
                 }
-                let dj = *dj;
-                let (viol, dir) = match state[j] {
-                    VarState::AtLower => (-dj, 1i8),
-                    VarState::AtUpper => (dj, -1i8),
-                    VarState::FreeZero => (dj.abs(), if dj < 0.0 { 1 } else { -1 }),
-                    VarState::Basic => unreachable!(),
-                };
+                pricing.best[b] = best;
+                pricing.stale[b] = false;
+            }
+            if let Some(winner) = pricing.best[b] {
+                offer(&mut entering, winner);
+            }
+        }
+        entering
+    }
+
+    /// The debug oracle of the cache and of `pick`, in one pass that
+    /// recomputes every reduced cost from its definition: panics if a
+    /// valid cached `d_j` differs from `c_j − y·A_j` in any bit, and
+    /// returns the pick of a plain full scan.
+    fn full_scan_pick(
+        &self,
+        pricing: &Pricing,
+        cost: &[f64],
+        y: &[f64],
+        bland: bool,
+    ) -> Option<(usize, f64, i8)> {
+        let mut entering = None;
+        let mut first = None;
+        for j in 0..pricing.d.len() {
+            let dj = self.reduced_cost(cost, y, j);
+            assert!(
+                !has_bit(&pricing.valid, j) || pricing.d[j].to_bits() == dj.to_bits(),
+                "the cached reduced cost of column {j} differs from c_j − y·A_j"
+            );
+            if let Some((viol, dir)) = self.violation(j, || dj) {
                 if viol > self.opts.opt_tol {
-                    if use_bland {
-                        entering = Some((j, viol, dir));
-                        scanned = j + 1;
-                        break;
-                    }
+                    first = first.or(Some((j, viol, dir)));
                     match entering {
                         Some((_, best, _)) if viol <= best => {}
                         _ => entering = Some((j, viol, dir)),
                     }
                 }
+            }
+        }
+        if bland {
+            first
+        } else {
+            entering
+        }
+    }
+
+    /// Replaces `y` by `btran(cost)`, invalidating the reduced costs of
+    /// every row whose dual changed a bit.
+    fn refresh_duals(&self, cost: &[f64], y: &mut [f64], pricing: &mut Pricing) {
+        for (k, fresh) in self.btran(cost).into_iter().enumerate() {
+            if fresh.to_bits() != y[k].to_bits() {
+                y[k] = fresh;
+                pricing.invalidate_row(k);
+            }
+        }
+    }
+
+    /// Brings `y` up to date after a pivot on row `r` without a refactor:
+    /// only the duals of `r`'s pattern can move, and each is recomputed
+    /// down its column pattern in basis-position order, as `btran` sums it.
+    fn update_duals(&self, cost: &[f64], y: &mut [f64], r: usize, pricing: &mut Pricing) {
+        let m = self.m;
+        for_each_bit(self.pattern_row(r), |k| {
+            let mut yk = 0.0;
+            for_each_bit(self.colpat_col(k), |pos| {
+                let cb = cost[self.basis[pos]];
+                if cb != 0.0 {
+                    yk += cb * self.binv[pos * m + k];
+                }
+            });
+            if yk.to_bits() != y[k].to_bits() {
+                y[k] = yk;
+                pricing.invalidate_row(k);
+            }
+        });
+        debug_assert!(
+            same_bits(y, &self.btran(cost)),
+            "the duals differ from a fresh btran"
+        );
+    }
+
+    /// The primal simplex loop for a given cost vector.
+    ///
+    /// # Duals and reduced costs across iterations
+    ///
+    /// `y`, the reduced costs and the block winners live for the whole
+    /// call (the module doc says why each keeps the bits a fresh `btran`
+    /// and a full scan would give). A bound flip moves `x` and one
+    /// nonbasic `state` between `AtLower` and `AtUpper`: it leaves `y`
+    /// and every `d_j` alone and marks the flipped column's block stale.
+    /// A pivot marks the blocks of the entering and the leaving column
+    /// stale and updates `y` on the pivot row's pattern; a refactor
+    /// rebuilds `B⁻¹` and may repair the basis, so after one `y` comes
+    /// from a full `btran` and every block is stale. Whether `d_j` is
+    /// valid depends on `y` alone, not on the column's state, so a column
+    /// that leaves the basis prices from the cache if its rows' duals
+    /// kept their bits. The set of columns priced (basic, fixed,
+    /// artificial in phase 1 excluded) is read afresh at every rescan.
+    /// Nothing outlives the call, so `add_column`, `reoptimize` and
+    /// `solve` always start from a fresh `btran` and an empty cache.
+    fn optimize(&mut self, cost: &[f64], phase1: bool) -> SolveStatus {
+        let mut consecutive_degenerate = 0usize;
+        let mut use_bland = false;
+        // Artificials are the last `m` columns and never re-enter in
+        // phase 1, so its pricing stops short of them.
+        let end = if phase1 {
+            self.ncols() - self.m
+        } else {
+            self.ncols()
+        };
+        let mut pricing = Pricing::new(&self.cols[..end], self.m);
+        // Every `d_j` starts invalid, so the rows whose dual stays `+0`
+        // have nothing to invalidate.
+        let mut y = vec![0.0; self.m];
+        self.refresh_duals(cost, &mut y, &mut pricing);
+        loop {
+            if self.iterations >= self.opts.max_iterations {
+                return SolveStatus::Limit;
+            }
+            self.iterations += 1;
+
+            let oracle =
+                cfg!(debug_assertions).then(|| self.full_scan_pick(&pricing, cost, &y, use_bland));
+            let entering = self.pick(&mut pricing, cost, &y, use_bland);
+            if let Some(oracle) = oracle {
+                assert_eq!(entering, oracle, "the block pick differs from a full scan");
             }
             let Some((j, _, dir)) = entering else {
                 return SolveStatus::Optimal;
@@ -598,7 +778,7 @@ impl Simplex {
                         VarState::AtUpper => VarState::AtLower,
                         s => s,
                     };
-                    priced = Some(cached.max(scanned));
+                    pricing.touch(j);
                 }
                 Some(r) => {
                     // Update basic values, move j into the basis at row r.
@@ -622,11 +802,16 @@ impl Simplex {
                     self.state[j] = VarState::Basic;
                     self.basis[r] = j;
                     self.update_binv(r, &w);
+                    pricing.touch(j);
+                    pricing.touch(out);
                     self.pivots_since_refactor += 1;
                     if self.pivots_since_refactor >= self.opts.refactor_every {
                         self.refactor();
+                        pricing.touch_all();
+                        self.refresh_duals(cost, &mut y, &mut pricing);
+                    } else {
+                        self.update_duals(cost, &mut y, r, &mut pricing);
                     }
-                    priced = None;
                 }
             }
         }
@@ -647,6 +832,9 @@ impl Simplex {
             self.binv[r * m + k] *= inv;
             row_r.push((k, self.binv[r * m + k]));
         });
+        // Row `r` and every row it is subtracted from.
+        let mut touched = vec![0u64; words];
+        set_bit(&mut touched, r);
         for (i, &f) in w.iter().enumerate() {
             if i != r && f != 0.0 {
                 let row = &mut self.binv[i * m..(i + 1) * m];
@@ -657,17 +845,27 @@ impl Simplex {
                 for (dst, &src) in pattern_i.iter_mut().zip(&pattern_r) {
                     *dst |= src;
                 }
+                set_bit(&mut touched, i);
             }
         }
+        // Every touched row's pattern now has each bit of row `r`'s.
+        for_each_bit(&pattern_r, |k| {
+            let column = &mut self.colpat[k * words..(k + 1) * words];
+            for (dst, &src) in column.iter_mut().zip(&touched) {
+                *dst |= src;
+            }
+        });
     }
 
-    /// Whether every entry of `binv` outside its row patterns is ±0.
+    /// Whether every entry of `binv` outside its row patterns is ±0, and
+    /// `colpat` is exactly the transpose of the row patterns.
     fn patterns_cover_binv(&self) -> bool {
         let m = self.m;
-        (0..m).all(|i| {
+        let covered = (0..m).all(|i| {
             let pattern = self.pattern_row(i);
             (0..m).all(|k| has_bit(pattern, k) || self.binv[i * m + k] == 0.0)
-        })
+        });
+        covered && self.colpat == transpose(m, &self.pattern)
     }
 
     /// Rebuilds `B⁻¹` from the basis by Gauss-Jordan elimination with
@@ -678,13 +876,15 @@ impl Simplex {
         let m = self.m;
         debug_assert!(
             self.patterns_cover_binv(),
-            "an entry of B⁻¹ outside its row pattern is nonzero"
+            "an entry of B⁻¹ outside its row pattern is nonzero, or the \
+             column patterns are not the rows' transposed"
         );
         loop {
             self.binv.fill(0.0);
             let basis_cols = self.basis.iter().map(|&j| self.cols[j].as_slice());
             match invert(m, basis_cols, &mut self.binv) {
                 Some(pattern) => {
+                    self.colpat = transpose(m, &pattern);
                     self.pattern = pattern;
                     break;
                 }
@@ -699,12 +899,10 @@ impl Simplex {
                         if !self.basis.contains(&j) {
                             let old = self.basis[i];
                             self.basis[i] = j;
-                            self.state[old] = VarState::AtLower;
-                            self.x[old] = if self.lb[old].is_finite() {
-                                self.lb[old]
-                            } else {
-                                0.0
-                            };
+                            // At a bound pricing can move it away from:
+                            // a `≥` slack rests at its upper bound 0, a
+                            // free column at `FreeZero`.
+                            (self.x[old], self.state[old]) = self.resting(old);
                             self.state[j] = VarState::Basic;
                             replaced = true;
                             break;
@@ -785,6 +983,110 @@ impl Simplex {
             self.refactor();
         }
     }
+}
+
+/// Columns per block of the Dantzig pick: one word of `Pricing::valid`.
+const BLOCK: usize = 64;
+
+/// The reduced costs and block winners one `optimize` call keeps across
+/// its iterations (the module doc says why they stay exact).
+struct Pricing {
+    /// `row_cols[row_start[r]..row_start[r + 1]]`: the priced columns
+    /// with an entry in row `r`, in ascending order.
+    row_start: Vec<usize>,
+    row_cols: Vec<usize>,
+    /// `d[j]` is `c_j − y·A_j` under the current `y` if `valid` has bit `j`.
+    d: Vec<f64>,
+    valid: Vec<u64>,
+    /// Per block of `BLOCK` columns: whether its winner must be rescanned,
+    /// and the winner — largest violation, ties to the lowest index.
+    stale: Vec<bool>,
+    best: Vec<Option<(usize, f64, i8)>>,
+}
+
+impl Pricing {
+    /// An empty cache over `cols`, every block stale.
+    fn new(cols: &[Vec<(usize, f64)>], m: usize) -> Self {
+        let mut row_start = vec![0; m + 1];
+        for &(r, _) in cols.iter().flatten() {
+            row_start[r + 1] += 1;
+        }
+        for r in 0..m {
+            row_start[r + 1] += row_start[r];
+        }
+        let mut fill = row_start.clone();
+        let mut row_cols = vec![0; row_start[m]];
+        for (j, col) in cols.iter().enumerate() {
+            for &(r, _) in col {
+                row_cols[fill[r]] = j;
+                fill[r] += 1;
+            }
+        }
+        let blocks = cols.len().div_ceil(BLOCK);
+        Self {
+            row_start,
+            row_cols,
+            d: vec![0.0; cols.len()],
+            valid: vec![0; blocks],
+            stale: vec![true; blocks],
+            best: vec![None; blocks],
+        }
+    }
+
+    /// The cached `d_j`, computed by `fresh` first if it is not valid.
+    fn reduced_cost(&mut self, j: usize, fresh: impl FnOnce() -> f64) -> f64 {
+        if !has_bit(&self.valid, j) {
+            self.d[j] = fresh();
+            set_bit(&mut self.valid, j);
+        }
+        self.d[j]
+    }
+
+    /// Drops the reduced cost of every column with an entry in row `r`.
+    fn invalidate_row(&mut self, r: usize) {
+        for &j in &self.row_cols[self.row_start[r]..self.row_start[r + 1]] {
+            self.valid[j / BLOCK] &= !(1 << (j % BLOCK));
+            self.stale[j / BLOCK] = true;
+        }
+    }
+
+    /// Marks the block of column `j` stale after its state changed; a
+    /// column outside the priced range has no block.
+    fn touch(&mut self, j: usize) {
+        if j < self.d.len() {
+            self.stale[j / BLOCK] = true;
+        }
+    }
+
+    fn touch_all(&mut self) {
+        self.stale.fill(true);
+    }
+}
+
+/// Offers `candidate` to a running Dantzig pick: a strictly larger
+/// violation replaces the best, so ties stay with the earlier column.
+fn offer(best: &mut Option<(usize, f64, i8)>, candidate: (usize, f64, i8)) {
+    match best {
+        Some((_, viol, _)) if candidate.1 <= *viol => {}
+        _ => *best = Some(candidate),
+    }
+}
+
+/// Whether `a` and `b` hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The column patterns of the `m` row patterns in `pattern`.
+fn transpose(m: usize, pattern: &[u64]) -> Vec<u64> {
+    let words = m.div_ceil(64);
+    let mut colpat = vec![0; m * words];
+    for i in 0..m {
+        for_each_bit(&pattern[i * words..(i + 1) * words], |k| {
+            set_bit(&mut colpat[k * words..], i);
+        });
+    }
+    colpat
 }
 
 fn set_bit(pattern: &mut [u64], k: usize) {
@@ -1395,6 +1697,46 @@ mod tests {
             // cheaper quantile first, 20·0.5 + 40·0.5 per class.
             assert!((sol.objective - 30.0 * classes as f64).abs() < 1e-6);
         }
+    }
+
+    /// A basis made singular by a column parallel to a `≥` row's slack:
+    /// the repair swaps the slack for the first row's artificial, and the
+    /// slack must rest at its upper bound 0 (its lower bound is −∞). At
+    /// `AtLower` its reduced cost of −1 would let it enter upwards, past
+    /// that bound with an infinite range, and leave `u ≥ 2` violated.
+    #[test]
+    fn singular_basis_repair_rests_a_ge_slack_at_its_upper_bound() {
+        // min x + y + u  s.t.  x − y ≤ 0,  u ≥ 2.
+        let mut p = Problem::new();
+        let x = p.add_var("x", 1.0, 0.0, f64::INFINITY);
+        let y = p.add_var("y", 1.0, 0.0, f64::INFINITY);
+        let u = p.add_var("u", 1.0, 0.0, f64::INFINITY);
+        let r0 = p.add_row("order", Relation::Le, 0.0);
+        let r1 = p.add_row("floor", Relation::Ge, 2.0);
+        p.set_coeff(r0, x, 1.0);
+        p.set_coeff(r0, y, -1.0);
+        p.set_coeff(r1, u, 1.0);
+        let mut s = Simplex::from_problem(&p);
+        assert!(s.solve().status.is_optimal());
+
+        // Force the basis [slack of `floor`, u]: both columns are e₁.
+        let slack = s.n_struct + 1;
+        for b in s.basis.clone() {
+            (s.x[b], s.state[b]) = s.resting(b);
+        }
+        s.basis = vec![slack, u.0];
+        s.state[slack] = VarState::Basic;
+        s.state[u.0] = VarState::Basic;
+        s.refactor();
+        assert_eq!(s.basis, [s.art_index(0), u.0]);
+        assert_eq!(s.state[slack], VarState::AtUpper);
+        assert_eq!(s.x[slack], 0.0);
+        assert!(s.patterns_cover_binv());
+
+        let sol = s.reoptimize();
+        assert!(sol.status.is_optimal());
+        assert!(p.is_feasible(&sol.x, 1e-9), "{:?}", sol.x);
+        assert_close(sol.objective, 2.0);
     }
 
     #[test]

@@ -2,14 +2,96 @@
 //!
 //! * Strong duality on random always-feasible `≤`-form LPs, dense at 5 × 5
 //!   and sparse at master size (up to 150 × 300);
+//! * an optimality certificate for column generation's path: PLAN-VNE
+//!   masters with `=` convexity rows (so phase 1 runs), re-optimized
+//!   after three rounds of appended columns;
 //! * dual sign and reduced-cost optimality conditions;
 //! * branch-and-bound vs exhaustive enumeration on random binary MILPs.
 
 use proptest::prelude::*;
 use vne_lp::problem::{Problem, Relation};
-use vne_lp::simplex::solve_lp;
+use vne_lp::simplex::{solve_lp, Simplex};
 use vne_lp::solution::SolveStatus;
 use vne_lp::{solve_mip, BranchBoundOptions};
+
+/// A structural column as the certificate sees it: cost, bounds, and its
+/// `(row, coefficient)` entries.
+struct Column {
+    cost: f64,
+    lb: f64,
+    ub: f64,
+    entries: Vec<(usize, f64)>,
+}
+
+/// Checks an optimal solution of `min cᵀx, rows, lb ≤ x ≤ ub` from the
+/// data alone: primal feasibility, the sign of every reduced cost
+/// against the bounds its variable sits at (row duals are the reduced
+/// costs of the slacks, so `≤` rows need `y ≤ 0`, and `y = 0` when
+/// slack), and a primal–dual gap within `1e-6 · (1 + |obj|)`.
+fn certify(
+    rows: &[(Relation, f64)],
+    columns: &[Column],
+    sol: &vne_lp::solution::LpSolution,
+) -> Result<(), String> {
+    let tol = 1e-6;
+    if sol.status != SolveStatus::Optimal {
+        return Err(format!("status {:?}", sol.status));
+    }
+    if sol.x.len() != columns.len() || sol.duals.len() != rows.len() {
+        return Err("solution has the wrong shape".into());
+    }
+    let mut activity = vec![0.0; rows.len()];
+    let mut primal = 0.0;
+    let mut dual = 0.0;
+    for (j, (col, &x)) in columns.iter().zip(&sol.x).enumerate() {
+        if x < col.lb - tol || x > col.ub + tol {
+            return Err(format!("x{j} = {x} outside [{}, {}]", col.lb, col.ub));
+        }
+        primal += col.cost * x;
+        let mut d = col.cost;
+        for &(i, a) in &col.entries {
+            activity[i] += a * x;
+            d -= sol.duals[i] * a;
+        }
+        if x < col.ub - tol && d < -tol {
+            return Err(format!("x{j} = {x} below its upper bound with d = {d}"));
+        }
+        if x > col.lb + tol && d > tol {
+            return Err(format!("x{j} = {x} above its lower bound with d = {d}"));
+        }
+        // The bound dual: a positive d_j prices lb_j, a negative one
+        // ub_j; an infinite bound admits only the tolerance above.
+        let bound = if d > 0.0 { col.lb } else { col.ub };
+        if bound.is_finite() {
+            dual += d * bound;
+        }
+    }
+    for (i, (&(relation, b), &y)) in rows.iter().zip(&sol.duals).enumerate() {
+        let slack = b - activity[i];
+        let scale = tol * (1.0 + b.abs());
+        match relation {
+            Relation::Le if slack < -scale => {
+                return Err(format!("row {i}: {} > {b}", activity[i]));
+            }
+            Relation::Le if y > tol || (slack > scale && y < -tol) => {
+                return Err(format!("row {i}: dual {y} with slack {slack}"));
+            }
+            Relation::Eq if slack.abs() > scale => {
+                return Err(format!("row {i}: {} ≠ {b}", activity[i]));
+            }
+            Relation::Ge => unreachable!("the masters have no ≥ rows"),
+            _ => {}
+        }
+        dual += y * b;
+    }
+    if (primal - sol.objective).abs() > tol * (1.0 + primal.abs()) {
+        return Err(format!("objective {} vs Σ c·x = {primal}", sol.objective));
+    }
+    if (primal - dual).abs() > tol * (1.0 + primal.abs()) {
+        return Err(format!("primal {primal} vs dual {dual}"));
+    }
+    Ok(())
+}
 
 /// Random LP: min c x, A x ≤ b, 0 ≤ x ≤ u with b ≥ 0 (x = 0 feasible).
 fn arb_le_lp() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>, Vec<f64>, Vec<f64>)> {
@@ -124,6 +206,73 @@ proptest! {
         }
         prop_assert!((sol.objective - dual_obj).abs() < 1e-6 * (1.0 + sol.objective.abs()),
             "primal {} vs dual {}", sol.objective, dual_obj);
+    }
+
+    /// The certificate on the path SLOTOFF and `colgen` take: a
+    /// PLAN-VNE-shaped master of up to 150 `≤` capacity rows (about one
+    /// in six drained to 0) and 60 `=` convexity rows, each over `P ≤ 10`
+    /// rejection quantiles bounded by `1/P`, solved from the artificial
+    /// basis (phase 1, then evicting artificials), then three rounds of
+    /// up to two embedding columns per class — distinct capacity rows
+    /// plus the class's convexity row — each followed by `reoptimize`.
+    /// Every solve is certified from the rows and the columns as the test
+    /// built them, appended ones included.
+    #[test]
+    fn certificate_on_column_generation_masters_at_size(
+        caps in 1usize..=150,
+        classes in 1usize..=60,
+        quantiles in 1usize..=10,
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed | 1;
+        let mut rng = move || {
+            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut p = Problem::new();
+        let mut rows = Vec::new();
+        for i in 0..caps {
+            let rhs = if rng() < 0.15 { 0.0 } else { 10.0 + 30.0 * rng() };
+            p.add_row(format!("cap{i}"), Relation::Le, rhs);
+            rows.push((Relation::Le, rhs));
+        }
+        let conv: Vec<_> = (0..classes)
+            .map(|k| {
+                rows.push((Relation::Eq, 1.0));
+                p.add_row(format!("conv{k}"), Relation::Eq, 1.0)
+            })
+            .collect();
+        let demands: Vec<f64> = (0..classes).map(|_| 1.0 + 9.0 * rng()).collect();
+        let mut columns = Vec::new();
+        for (k, &demand) in demands.iter().enumerate() {
+            for q in 1..=quantiles {
+                let (cost, ub) = (3.0 * demand * q as f64, 1.0 / quantiles as f64);
+                let v = p.add_var(format!("rej{k}q{q}"), cost, 0.0, ub);
+                p.set_coeff(conv[k], v, 1.0);
+                columns.push(Column { cost, lb: 0.0, ub, entries: vec![(caps + k, 1.0)] });
+            }
+        }
+        let mut simplex = Simplex::from_problem(&p);
+        let sol = simplex.solve();
+        prop_assert!(certify(&rows, &columns, &sol).is_ok(), "{:?}", certify(&rows, &columns, &sol));
+        for round in 0..3 {
+            for (k, &demand) in demands.iter().enumerate() {
+                for _ in 0..(rng() * 3.0) as usize {
+                    let mut entries: Vec<(usize, f64)> = (0..1 + (rng() * 4.0) as usize)
+                        .map(|_| ((rng() * caps as f64) as usize, demand * (0.5 + rng())))
+                        .collect();
+                    entries.sort_by_key(|&(r, _)| r);
+                    entries.dedup_by_key(|&mut (r, _)| r);
+                    entries.push((caps + k, 1.0));
+                    let cost = demand * (1.0 + 4.0 * rng());
+                    simplex.add_column(cost, 0.0, f64::INFINITY, &entries);
+                    columns.push(Column { cost, lb: 0.0, ub: f64::INFINITY, entries });
+                }
+            }
+            let sol = simplex.reoptimize();
+            let verdict = certify(&rows, &columns, &sol);
+            prop_assert!(verdict.is_ok(), "round {}: {:?}", round, verdict);
+        }
     }
 
     #[test]
