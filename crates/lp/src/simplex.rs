@@ -70,8 +70,12 @@
 //!   of other rows only by ORing in `r`'s; outside `r`'s pattern, row
 //!   `r` itself holds ±0. So every `y[k]` with `k` outside it has the same
 //!   terms and the same bits, and each `y[k]` inside it is recomputed
-//!   down `colpat[k]` — `btran`'s terms in `btran`'s order. The first
-//!   iteration, and the first after a refactor, run a full `btran`.
+//!   with `btran`'s terms in `btran`'s order: down `colpat[k]` when the
+//!   pattern is sparse, or across the rows of `B⁻¹` restricted to the
+//!   pattern when it is dense (a `plan_build` master's often are), where
+//!   scattered reads down the columns cost more than the full `btran`
+//!   they replace. The first iteration, and the first after a refactor,
+//!   run a full `btran`.
 //! - **A cached `d_j = c_j − y·A_j` is valid until a dual it reads
 //!   changes a bit.** `cost` and the columns are fixed for the call, so
 //!   `d_j` is a function of the `y[r]` of its rows. Each column carries a
@@ -634,20 +638,49 @@ impl Simplex {
     }
 
     /// Brings `y` up to date after a pivot on row `r` without a refactor:
-    /// only the duals of `r`'s pattern can move, and each is recomputed
-    /// down its column pattern in basis-position order, as `btran` sums it.
+    /// only the duals of `r`'s pattern can move. Each is recomputed from
+    /// `btran`'s terms in `btran`'s order, ascending basis position, by
+    /// whichever walk costs less: down `colpat[k]` for every `k` of the
+    /// pattern, one scattered read of `B⁻¹` per term, or across every
+    /// row of `B⁻¹` restricted to the pattern, which scans all `m` row
+    /// patterns but reads the terms in storage order.
     fn update_duals(&self, cost: &[f64], y: &mut [f64], r: usize, pricing: &mut Pricing) {
-        let m = self.m;
-        for_each_bit(self.pattern_row(r), |k| {
-            let mut yk = 0.0;
-            for_each_bit(self.colpat_col(k), |pos| {
-                let cb = cost[self.basis[pos]];
-                if cb != 0.0 {
-                    yk += cb * self.binv[pos * m + k];
-                }
+        let (m, words) = (self.m, self.m.div_ceil(64));
+        let pattern_r = self.pattern_row(r);
+        let mut scattered = 0;
+        for_each_bit(pattern_r, |k| {
+            scattered += self
+                .colpat_col(k)
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
+        });
+        let mut fresh = vec![0.0; m];
+        if SCATTERED_READ * scattered <= m * words {
+            for_each_bit(pattern_r, |k| {
+                for_each_bit(self.colpat_col(k), |pos| {
+                    let cb = cost[self.basis[pos]];
+                    if cb != 0.0 {
+                        fresh[k] += cb * self.binv[pos * m + k];
+                    }
+                });
             });
-            if yk.to_bits() != y[k].to_bits() {
-                y[k] = yk;
+        } else {
+            for (pos, &bj) in self.basis.iter().enumerate() {
+                let cb = cost[bj];
+                if cb != 0.0 {
+                    let row = &self.binv[pos * m..(pos + 1) * m];
+                    for (w, (&a, &b)) in self.pattern_row(pos).iter().zip(pattern_r).enumerate() {
+                        for_each_bit(&[a & b], |bit| {
+                            fresh[w * 64 + bit] += cb * row[w * 64 + bit]
+                        });
+                    }
+                }
+            }
+        }
+        for_each_bit(pattern_r, |k| {
+            if fresh[k].to_bits() != y[k].to_bits() {
+                y[k] = fresh[k];
                 pricing.invalidate_row(k);
             }
         });
@@ -987,6 +1020,13 @@ impl Simplex {
 
 /// Columns per block of the Dantzig pick: one word of `Pricing::valid`.
 const BLOCK: usize = 64;
+
+/// What one scattered read of `B⁻¹` costs, in pattern words scanned in
+/// order: `update_duals` walks the column patterns while they read at
+/// most `m·⌈m/64⌉ / SCATTERED_READ` entries. Measured on the SLOTOFF
+/// (≈ 240 rows, sparse pivot rows) and `plan_build` (≈ 420 rows, dense
+/// ones) masters; either walk returns the same bits.
+const SCATTERED_READ: usize = 3;
 
 /// The reduced costs and block winners one `optimize` call keeps across
 /// its iterations (the module doc says why they stay exact).
