@@ -647,16 +647,15 @@ impl Simplex {
     fn update_duals(&self, cost: &[f64], y: &mut [f64], r: usize, pricing: &mut Pricing) {
         let (m, words) = (self.m, self.m.div_ceil(64));
         let pattern_r = self.pattern_row(r);
+        // The column walk's reads, counted only until the row walk wins.
+        let limit = m * words / SCATTERED_READ;
         let mut scattered = 0;
-        for_each_bit(pattern_r, |k| {
-            scattered += self
-                .colpat_col(k)
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum::<usize>();
+        let sparse = ones(pattern_r).all(|k| {
+            scattered += count_ones(self.colpat_col(k));
+            scattered <= limit
         });
         let mut fresh = vec![0.0; m];
-        if SCATTERED_READ * scattered <= m * words {
+        if sparse {
             for_each_bit(pattern_r, |k| {
                 for_each_bit(self.colpat_col(k), |pos| {
                     let cb = cost[self.basis[pos]];
@@ -1135,6 +1134,21 @@ fn set_bit(pattern: &mut [u64], k: usize) {
 
 fn has_bit(pattern: &[u64], k: usize) -> bool {
     pattern[k / 64] >> (k % 64) & 1 == 1
+}
+
+/// The set bits of `pattern`, in ascending order.
+fn ones(pattern: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    pattern.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&bits| {
+            let rest = bits & (bits - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
+fn count_ones(pattern: &[u64]) -> usize {
+    pattern.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Calls `f(k)` for every set bit `k` of `pattern`, in ascending order.
