@@ -556,7 +556,7 @@ impl Simplex {
         cost: &[f64],
         y: &[f64],
         bland: bool,
-    ) -> Option<(usize, f64, i8)> {
+    ) -> Option<Candidate> {
         let tol = self.opts.opt_tol;
         let end = pricing.d.len();
         if bland {
@@ -600,7 +600,7 @@ impl Simplex {
         cost: &[f64],
         y: &[f64],
         bland: bool,
-    ) -> Option<(usize, f64, i8)> {
+    ) -> Option<Candidate> {
         let mut entering = None;
         let mut first = None;
         for j in 0..pricing.d.len() {
@@ -1027,6 +1027,9 @@ const BLOCK: usize = 64;
 /// ones) masters; either walk returns the same bits.
 const SCATTERED_READ: usize = 3;
 
+/// A column pricing would enter: its index, violation and direction.
+type Candidate = (usize, f64, i8);
+
 /// The reduced costs and block winners one `optimize` call keeps across
 /// its iterations (the module doc says why they stay exact).
 struct Pricing {
@@ -1040,7 +1043,7 @@ struct Pricing {
     /// Per block of `BLOCK` columns: whether its winner must be rescanned,
     /// and the winner — largest violation, ties to the lowest index.
     stale: Vec<bool>,
-    best: Vec<Option<(usize, f64, i8)>>,
+    best: Vec<Option<Candidate>>,
 }
 
 impl Pricing {
@@ -1104,7 +1107,7 @@ impl Pricing {
 
 /// Offers `candidate` to a running Dantzig pick: a strictly larger
 /// violation replaces the best, so ties stay with the earlier column.
-fn offer(best: &mut Option<(usize, f64, i8)>, candidate: (usize, f64, i8)) {
+fn offer(best: &mut Option<Candidate>, candidate: Candidate) {
     match best {
         Some((_, viol, _)) if candidate.1 <= *viol => {}
         _ => *best = Some(candidate),
