@@ -80,8 +80,9 @@
 //!   changes a bit.** `cost` and the columns are fixed for the call, so
 //!   `d_j` is a function of the `y[r]` of its rows. Each column carries a
 //!   validity bit; a `y[k]` whose bits changed clears the bit of every
-//!   column with an entry in row `k` (a row → columns index built once
-//!   per call, listing explicit zeros too). An invalid `d_j` is
+//!   column with an entry in row `k`. An index built once per call maps
+//!   each row to a mask of those columns per 64-column block, explicit
+//!   zeros included, so one AND clears a block's. An invalid `d_j` is
 //!   recomputed, with the same expression in the same term order, only
 //!   when pricing reads it.
 //! - **Dantzig's column is the best of 64-column block winners.** Each
@@ -1022,9 +1023,13 @@ const BLOCK: usize = 64;
 
 /// What one scattered read of `B⁻¹` costs, in pattern words scanned in
 /// order: `update_duals` walks the column patterns while they read at
-/// most `m·⌈m/64⌉ / SCATTERED_READ` entries. Measured on the SLOTOFF
-/// (≈ 240 rows, sparse pivot rows) and `plan_build` (≈ 420 rows, dense
-/// ones) masters; either walk returns the same bits.
+/// most `m·⌈m/64⌉ / SCATTERED_READ` entries. Either walk returns the
+/// same bits. Timing both walks on every update of the SLOTOFF
+/// (241 rows) and `plan_build` (418 rows) masters on a 2-core x86-64
+/// host, seeds 1 and 2: the summed update time is flat for ratios from
+/// 2 to 8 and lowest at 3–4. On SLOTOFF it is less than half of either
+/// walk alone, because its pivot rows are sparse in some pivots and
+/// dense in others. On `plan_build` the column walk alone costs 3×.
 const SCATTERED_READ: usize = 3;
 
 /// A column pricing would enter: its index, violation and direction.
@@ -1033,10 +1038,9 @@ type Candidate = (usize, f64, i8);
 /// The reduced costs and block winners one `optimize` call keeps across
 /// its iterations (the module doc says why they stay exact).
 struct Pricing {
-    /// `row_cols[row_start[r]..row_start[r + 1]]`: the priced columns
-    /// with an entry in row `r`, in ascending order.
-    row_start: Vec<usize>,
-    row_cols: Vec<usize>,
+    /// Per row, the priced columns with an entry in it: `(block, mask)`
+    /// pairs in ascending block order, one mask bit per column.
+    row_masks: Vec<Vec<(usize, u64)>>,
     /// `d[j]` is `c_j − y·A_j` under the current `y` if `valid` has bit `j`.
     d: Vec<f64>,
     valid: Vec<u64>,
@@ -1049,25 +1053,19 @@ struct Pricing {
 impl Pricing {
     /// An empty cache over `cols`, every block stale.
     fn new(cols: &[Vec<(usize, f64)>], m: usize) -> Self {
-        let mut row_start = vec![0; m + 1];
-        for &(r, _) in cols.iter().flatten() {
-            row_start[r + 1] += 1;
-        }
-        for r in 0..m {
-            row_start[r + 1] += row_start[r];
-        }
-        let mut fill = row_start.clone();
-        let mut row_cols = vec![0; row_start[m]];
+        let mut row_masks = vec![Vec::new(); m];
         for (j, col) in cols.iter().enumerate() {
+            let (block, bit) = (j / BLOCK, 1 << (j % BLOCK));
             for &(r, _) in col {
-                row_cols[fill[r]] = j;
-                fill[r] += 1;
+                match row_masks[r].last_mut() {
+                    Some((last, mask)) if *last == block => *mask |= bit,
+                    _ => row_masks[r].push((block, bit)),
+                }
             }
         }
         let blocks = cols.len().div_ceil(BLOCK);
         Self {
-            row_start,
-            row_cols,
+            row_masks,
             d: vec![0.0; cols.len()],
             valid: vec![0; blocks],
             stale: vec![true; blocks],
@@ -1086,9 +1084,9 @@ impl Pricing {
 
     /// Drops the reduced cost of every column with an entry in row `r`.
     fn invalidate_row(&mut self, r: usize) {
-        for &j in &self.row_cols[self.row_start[r]..self.row_start[r + 1]] {
-            self.valid[j / BLOCK] &= !(1 << (j % BLOCK));
-            self.stale[j / BLOCK] = true;
+        for &(block, mask) in &self.row_masks[r] {
+            self.valid[block] &= !mask;
+            self.stale[block] = true;
         }
     }
 
