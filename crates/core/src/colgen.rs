@@ -172,30 +172,27 @@ pub fn solve_plan_with_columns(
     assert!(config.quantiles >= 1, "need at least one quantile");
 
     // ---- Master problem skeleton: capacity rows + convexity rows +
-    // quantile variables.
+    // quantile variables. Rows and variables go unnamed: the master is
+    // rebuilt on every call (every slot, under SLOTOFF) and nothing reads
+    // a name.
     let mut master = Problem::new();
     let node_rows: Vec<RowId> = substrate
         .nodes()
-        .map(|(id, n)| master.add_row(format!("cap-{id}"), Relation::Le, n.capacity))
+        .map(|(_, n)| master.add_row("", Relation::Le, n.capacity))
         .collect();
     let link_rows: Vec<RowId> = substrate
         .links()
-        .map(|(id, l)| master.add_row(format!("cap-{id}"), Relation::Le, l.capacity))
+        .map(|(_, l)| master.add_row("", Relation::Le, l.capacity))
         .collect();
     let conv_rows: Vec<RowId> = classes
         .iter()
-        .map(|r| master.add_row(format!("conv-{}", r.class), Relation::Eq, 1.0))
+        .map(|_| master.add_row("", Relation::Eq, 1.0))
         .collect();
     let p = config.quantiles;
     for (k, agg) in classes.iter().enumerate() {
         for q in 1..=p {
             let obj = config.psi * agg.demand * q as f64;
-            let v = master.add_var(
-                format!("rej-{}-q{}", agg.class, q),
-                obj,
-                0.0,
-                1.0 / p as f64,
-            );
+            let v = master.add_var("", obj, 0.0, 1.0 / p as f64);
             master.set_coeff(conv_rows[k], v, 1.0);
         }
     }
@@ -248,13 +245,7 @@ pub fn solve_plan_with_columns(
             coeffs.push((link_rows[link.index()], agg.demand * x));
         }
         coeffs.push((conv_rows[k], 1.0));
-        master.add_var_with_column(
-            format!("warm-{class}"),
-            agg.demand * unit_cost,
-            0.0,
-            f64::INFINITY,
-            &coeffs,
-        );
+        master.add_var_with_column("", agg.demand * unit_cost, 0.0, f64::INFINITY, &coeffs);
         class_columns[k].push(registry.len());
         registry.push(ColumnInfo {
             class_idx: k,

@@ -45,7 +45,10 @@
 //!   [`Simplex::add_column`] refuse a NaN or infinite coefficient,
 //!   objective or right-hand side. Infinite bounds stay legal: a nonbasic
 //!   variable rests at a finite bound or at 0, so no bound multiplies
-//!   `B⁻¹`.
+//!   `B⁻¹`. Both also refuse a NaN bound and an upper bound below the
+//!   lower one: the ratio test reads `ub − lb` as the distance a column
+//!   may travel, so a negative one moves it out of its range and a NaN
+//!   one reads as unbounded.
 //!
 //! `colpat` holds the same bits transposed: one bitset per column `k`
 //! of `B⁻¹`, the rows whose pattern has `k`. `solve` starts it at the
@@ -54,6 +57,15 @@
 //! `invert`'s patterns. `ftran` walks `colpat[r]` for each entry `(r, a)`
 //! of its column instead of all `m` rows; the rows it skips hold ±0 in
 //! column `r`, so by the first point above every `w[i]` keeps its bits.
+//!
+//! The two `m × m` stores, `B⁻¹` and `invert`'s work matrix, are
+//! allocated once, when the solver is built, and never zero-filled
+//! whole again. `solve` and `refactor` clear `B⁻¹` along its row
+//! patterns, which leaves it all ±0 because the patterns cover its
+//! nonzeros. `invert` clears its work matrix along the work matrix's own
+//! row patterns before it returns, and on its singular path the inverse
+//! it wrote too. A zero left as `−0.0` where a fresh store held `+0.0`
+//! changes no bit the solver returns, by the second point above.
 //!
 //! # Pricing without a full scan
 //!
@@ -86,14 +98,20 @@
 //!   recomputed, with the same expression in the same term order, only
 //!   when pricing reads it.
 //! - **Dantzig's column is the best of 64-column block winners.** Each
-//!   block keeps its largest violation, ties to the lowest index. A block
-//!   is rescanned only when one of its columns lost its `d_j` or changed
-//!   state (a flip, entering, leaving, or a refactor's repair); the pick
-//!   then takes the largest winner, ties to the lowest block. The maximum
-//!   of a sequence is the maximum of its blocks' maxima and the first
-//!   index to attain it lies in the first block to attain it, so this is
-//!   the full scan's pick. Bland's rule keeps its ordered scan for the
-//!   first eligible column, reading the same cache.
+//!   block keeps its largest violation, ties to the lowest index, and a
+//!   mask of its dirty columns: those that lost their `d_j` or changed
+//!   state (a flip, entering, leaving) since its last scan. A clean
+//!   column's violation is the one that scan saw, so if the old winner is
+//!   clean it still beats every other clean column, and the new winner is
+//!   the best of the old one and the dirty columns, scanned together in
+//!   index order so that ties still go to the lowest index. Only a block
+//!   whose winner is itself dirty is rescanned whole, and after a refactor
+//!   (which may repair the basis) every column is dirty. The pick then
+//!   takes the largest winner, ties to the lowest block. The maximum of a
+//!   sequence is the maximum of its blocks' maxima and the first index to
+//!   attain it lies in the first block to attain it, so this is the full
+//!   scan's pick. Bland's rule keeps its ordered scan for the first
+//!   eligible column, reading the same cache.
 //!
 //! Debug builds check each of these against its definition in every
 //! iteration: `y` against a fresh `btran`, every valid `d_j` against
@@ -199,6 +217,8 @@ pub struct Simplex {
     /// The transpose of `pattern`: per column `k` of `binv`, the rows
     /// whose pattern has `k`.
     colpat: Vec<u64>,
+    /// `invert`'s work matrix, row-major `m × m`, all ±0 between calls.
+    work: Vec<f64>,
     pivots_since_refactor: usize,
     iterations: usize,
     solved_once: bool,
@@ -262,6 +282,7 @@ impl Simplex {
             binv: vec![0.0; m * m],
             pattern: vec![0; m * m.div_ceil(64)],
             colpat: vec![0; m * m.div_ceil(64)],
+            work: vec![0.0; m * m],
             pivots_since_refactor: 0,
             iterations: 0,
             solved_once: false,
@@ -332,7 +353,7 @@ impl Simplex {
             self.state[j] = VarState::Basic;
             self.x[j] = bt.abs();
         }
-        self.binv = vec![0.0; self.m * self.m];
+        clear_along(&mut self.binv, self.m, &self.pattern);
         self.pattern.fill(0);
         self.colpat.fill(0);
         let words = self.m.div_ceil(64);
@@ -375,7 +396,7 @@ impl Simplex {
         }
         let status = self.optimize(&self.obj.clone(), false);
         self.solved_once = true;
-        self.make_solution(status)
+        self.finish(status)
     }
 
     /// Appends a structural column (entering nonbasic at its lower bound)
@@ -386,14 +407,19 @@ impl Simplex {
     ///
     /// # Panics
     ///
-    /// Panics if `lb` is not finite, `obj` or a coefficient is NaN or
-    /// infinite (the module doc says why the solver needs finite data), a
-    /// row index is out of range, or a row index appears twice in `coeffs`
+    /// Panics if `lb` is not finite, `ub` is NaN or below `lb`, `obj` or a
+    /// coefficient is NaN or infinite (the module doc says why the solver
+    /// needs finite data), a row index is out of range, or a row index
+    /// appears twice in `coeffs`
     /// (`ftran` and the reduced cost would sum the two entries while a
     /// refactorization keeps the last one, so the optimum would move at the
     /// first refactor).
     pub fn add_column(&mut self, obj: f64, lb: f64, ub: f64, coeffs: &[(usize, f64)]) -> usize {
         assert!(lb.is_finite(), "new columns must have a finite lower bound");
+        assert!(
+            lb <= ub,
+            "upper bound {ub} of a new column must not be NaN or below its lower bound {lb}"
+        );
         assert!(
             obj.is_finite(),
             "objective of a new column must be finite, got {obj}"
@@ -443,7 +469,7 @@ impl Simplex {
         assert!(self.solved_once, "call solve() before reoptimize()");
         self.iterations = 0;
         let status = self.optimize(&self.obj.clone(), false);
-        self.make_solution(status)
+        self.finish(status)
     }
 
     /// The dual vector `y = c_B B⁻¹` of the last solve.
@@ -464,6 +490,85 @@ impl Simplex {
     /// Objective value `cᵀx` over structural variables.
     pub fn objective_value(&self) -> f64 {
         (0..self.n_struct).map(|j| self.obj[j] * self.x[j]).sum()
+    }
+
+    /// Certifies that the current point is optimal, from the solver's own
+    /// copy of the columns, costs, bounds and right-hand sides and the
+    /// duals [`Simplex::duals`] reports; nothing in it reads `B⁻¹`. The
+    /// problem is read in the solver's form `A x + s = b`, where each
+    /// row's logical column `s` carries the row's relation in its bounds
+    /// (`≤`: `s ≥ 0`, `≥`: `s ≤ 0`, `=`: `s = 0`) and the artificials
+    /// are fixed at 0. With `tol = 1e-6` it checks:
+    ///
+    /// - every column within its bounds up to `tol`, and every row's
+    ///   activity within `tol · (1 + |b_i|)` of `b_i`;
+    /// - every reduced cost `d_j = c_j − y·A_j` against the bounds its
+    ///   variable sits at: `d_j ≥ −tol` unless `x_j` is at its upper
+    ///   bound, `d_j ≤ tol` unless it is at its lower one (for a logical
+    ///   column `d_j = −y_i`, so these are the dual sign conditions);
+    /// - the duality gap: `Σ c_j x_j` against `y·b + Σ d_j · bound_j`,
+    ///   where a positive `d_j` prices `lb_j` and a negative one `ub_j`
+    ///   (an infinite bound adds nothing), within `tol · (1 + |cᵀx|)`.
+    ///
+    /// Meaningful after a solve that returned
+    /// [`SolveStatus::Optimal`]; under the `strict-invariants` feature
+    /// [`Simplex::solve`] and [`Simplex::reoptimize`] panic when it fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first condition that fails.
+    pub fn certify(&self) -> Result<(), String> {
+        const TOL: f64 = 1e-6;
+        let y = self.duals();
+        let mut activity = vec![0.0; self.m];
+        let (mut primal, mut dual) = (0.0_f64, 0.0);
+        for (j, col) in self.cols.iter().enumerate() {
+            let (x, lb, ub) = (self.x[j], self.lb[j], self.ub[j]);
+            if x < lb - TOL || x > ub + TOL {
+                return Err(format!("column {j} = {x} outside [{lb}, {ub}]"));
+            }
+            primal += self.obj[j] * x;
+            let mut d = self.obj[j];
+            for &(i, a) in col {
+                activity[i] += a * x;
+                d -= y[i] * a;
+            }
+            if x < ub - TOL && d < -TOL {
+                return Err(format!(
+                    "column {j} = {x} below its upper bound with d = {d}"
+                ));
+            }
+            if x > lb + TOL && d > TOL {
+                return Err(format!(
+                    "column {j} = {x} above its lower bound with d = {d}"
+                ));
+            }
+            let bound = if d > 0.0 { lb } else { ub };
+            if bound.is_finite() {
+                dual += d * bound;
+            }
+        }
+        for (i, (&b, &yi)) in self.rhs.iter().zip(&y).enumerate() {
+            if (activity[i] - b).abs() > TOL * (1.0 + b.abs()) {
+                return Err(format!("row {i}: activity {} ≠ {b}", activity[i]));
+            }
+            dual += yi * b;
+        }
+        if (primal - dual).abs() > TOL * (1.0 + primal.abs()) {
+            return Err(format!("primal {primal} vs dual {dual}"));
+        }
+        Ok(())
+    }
+
+    /// The solution a finished phase 2 returns; under `strict-invariants`
+    /// an optimum must first pass [`Simplex::certify`].
+    fn finish(&self, status: SolveStatus) -> LpSolution {
+        if cfg!(feature = "strict-invariants") && status.is_optimal() {
+            if let Err(failure) = self.certify() {
+                panic!("strict-invariants: the simplex optimum fails its certificate: {failure}");
+            }
+        }
+        self.make_solution(status)
     }
 
     fn make_solution(&self, status: SolveStatus) -> LpSolution {
@@ -550,7 +655,8 @@ impl Simplex {
     /// The entering column, its violation and its direction: the first
     /// eligible column under Bland's rule, else Dantzig's largest
     /// violation with ties to the lowest index. Reads and fills the
-    /// cached reduced costs and rescans only the stale blocks.
+    /// cached reduced costs; a block with dirty columns rescans only
+    /// those and its old winner, unless the winner itself is dirty.
     fn pick(
         &self,
         pricing: &mut Pricing,
@@ -571,18 +677,27 @@ impl Simplex {
         }
         let mut entering = None;
         for b in 0..pricing.best.len() {
-            if pricing.stale[b] {
+            let dirty = pricing.dirty[b];
+            if dirty != 0 {
+                // The clean columns kept their violations, so the old
+                // winner still beats every other one of them.
+                let scan = match pricing.best[b] {
+                    Some((j, ..)) if dirty >> (j % BLOCK) & 1 == 0 => dirty | 1 << (j % BLOCK),
+                    Some(_) => pricing.block_mask(b),
+                    None => dirty,
+                };
                 let mut best = None;
-                for j in b * BLOCK..end.min((b + 1) * BLOCK) {
+                for_each_bit(&[scan], |bit| {
+                    let j = b * BLOCK + bit;
                     let dj = || pricing.reduced_cost(j, || self.reduced_cost(cost, y, j));
                     if let Some((viol, dir)) = self.violation(j, dj) {
                         if viol > tol {
                             offer(&mut best, (j, viol, dir));
                         }
                     }
-                }
+                });
                 pricing.best[b] = best;
-                pricing.stale[b] = false;
+                pricing.dirty[b] = 0;
             }
             if let Some(winner) = pricing.best[b] {
                 offer(&mut entering, winner);
@@ -698,11 +813,12 @@ impl Simplex {
     /// call (the module doc says why each keeps the bits a fresh `btran`
     /// and a full scan would give). A bound flip moves `x` and one
     /// nonbasic `state` between `AtLower` and `AtUpper`: it leaves `y`
-    /// and every `d_j` alone and marks the flipped column's block stale.
-    /// A pivot marks the blocks of the entering and the leaving column
-    /// stale and updates `y` on the pivot row's pattern; a refactor
-    /// rebuilds `B⁻¹` and may repair the basis, so after one `y` comes
-    /// from a full `btran` and every block is stale. Whether `d_j` is
+    /// and every `d_j` alone and marks the flipped column dirty. A pivot
+    /// marks the entering and the leaving column dirty and updates `y` on
+    /// the pivot row's pattern, which marks dirty every column whose
+    /// `d_j` it drops; a refactor rebuilds `B⁻¹` and may repair the
+    /// basis, so after one `y` comes from a full `btran` and every
+    /// column is dirty. Whether `d_j` is
     /// valid depends on `y` alone, not on the column's state, so a column
     /// that leaves the basis prices from the cache if its rows' duals
     /// kept their bits. The set of columns priced (basic, fixed,
@@ -912,10 +1028,10 @@ impl Simplex {
             "an entry of B⁻¹ outside its row pattern is nonzero, or the \
              column patterns are not the rows' transposed"
         );
+        clear_along(&mut self.binv, m, &self.pattern);
         loop {
-            self.binv.fill(0.0);
             let basis_cols = self.basis.iter().map(|&j| self.cols[j].as_slice());
-            match invert(m, basis_cols, &mut self.binv) {
+            match invert(m, basis_cols, &mut self.binv, &mut self.work) {
                 Some(pattern) => {
                     self.colpat = transpose(m, &pattern);
                     self.pattern = pattern;
@@ -1044,14 +1160,15 @@ struct Pricing {
     /// `d[j]` is `c_j − y·A_j` under the current `y` if `valid` has bit `j`.
     d: Vec<f64>,
     valid: Vec<u64>,
-    /// Per block of `BLOCK` columns: whether its winner must be rescanned,
-    /// and the winner — largest violation, ties to the lowest index.
-    stale: Vec<bool>,
+    /// Per block of `BLOCK` columns: the columns whose `d_j` was dropped
+    /// or whose state changed since the block was last scanned, and the
+    /// winner of that scan — largest violation, ties to the lowest index.
+    dirty: Vec<u64>,
     best: Vec<Option<Candidate>>,
 }
 
 impl Pricing {
-    /// An empty cache over `cols`, every block stale.
+    /// An empty cache over `cols`, every column dirty.
     fn new(cols: &[Vec<(usize, f64)>], m: usize) -> Self {
         let mut row_masks = vec![Vec::new(); m];
         for (j, col) in cols.iter().enumerate() {
@@ -1064,12 +1181,22 @@ impl Pricing {
             }
         }
         let blocks = cols.len().div_ceil(BLOCK);
-        Self {
+        let mut pricing = Self {
             row_masks,
             d: vec![0.0; cols.len()],
             valid: vec![0; blocks],
-            stale: vec![true; blocks],
+            dirty: vec![0; blocks],
             best: vec![None; blocks],
+        };
+        pricing.touch_all();
+        pricing
+    }
+
+    /// The mask of every priced column of block `b`.
+    fn block_mask(&self, b: usize) -> u64 {
+        match self.d.len() - b * BLOCK {
+            len if len >= BLOCK => !0,
+            len => (1 << len) - 1,
         }
     }
 
@@ -1086,20 +1213,23 @@ impl Pricing {
     fn invalidate_row(&mut self, r: usize) {
         for &(block, mask) in &self.row_masks[r] {
             self.valid[block] &= !mask;
-            self.stale[block] = true;
+            self.dirty[block] |= mask;
         }
     }
 
-    /// Marks the block of column `j` stale after its state changed; a
-    /// column outside the priced range has no block.
+    /// Marks column `j` dirty after its state changed; a column outside
+    /// the priced range has no block.
     fn touch(&mut self, j: usize) {
         if j < self.d.len() {
-            self.stale[j / BLOCK] = true;
+            self.dirty[j / BLOCK] |= 1 << (j % BLOCK);
         }
     }
 
+    /// Marks every column dirty, so every block is rescanned whole.
     fn touch_all(&mut self) {
-        self.stale.fill(true);
+        for b in 0..self.dirty.len() {
+            self.dirty[b] = self.block_mask(b);
+        }
     }
 }
 
@@ -1166,8 +1296,11 @@ fn for_each_bit(pattern: &[u64], mut f: impl FnMut(usize)) {
 
 /// Inverts the `m × m` matrix whose column `pos` is the `pos`-th of
 /// `columns` by Gauss-Jordan with partial pivoting, into `inv` (row-major,
-/// all zero on entry), and returns `inv`'s row patterns. Returns `None`
-/// if a pivot smaller than `PIVOT_ZERO` is met.
+/// all ±0 on entry), and returns `inv`'s row patterns. Returns `None`,
+/// with `inv` all ±0 again, if a pivot smaller than `PIVOT_ZERO` is met.
+/// `a` is the work matrix the elimination runs in; it must be all ±0 on
+/// entry and is handed back so on either path, cleared along its row
+/// patterns.
 ///
 /// The work matrix carries row and column patterns and the inverse row
 /// patterns, each a superset of the nonzeros, so the pivot search and
@@ -1180,9 +1313,9 @@ fn invert<'c>(
     m: usize,
     columns: impl Iterator<Item = &'c [(usize, f64)]>,
     inv: &mut [f64],
+    a: &mut [f64],
 ) -> Option<Vec<u64>> {
     let words = m.div_ceil(64);
-    let mut a = vec![0.0; m * m];
     let mut a_rows = vec![0u64; m * words];
     let mut a_cols = vec![0u64; m * words];
     let mut inv_rows = vec![0u64; m * words];
@@ -1200,6 +1333,7 @@ fn invert<'c>(
     let mut col_pattern = vec![0u64; words];
     let mut pivot_row = Vec::with_capacity(m);
     let mut pivot_inv_row = Vec::with_capacity(m);
+    let mut singular = false;
     for col in 0..m {
         col_pattern.copy_from_slice(&a_cols[col * words..(col + 1) * words]);
         // Partial pivot.
@@ -1215,7 +1349,8 @@ fn invert<'c>(
             }
         });
         if best_abs <= PIVOT_ZERO {
-            return None;
+            singular = true;
+            break;
         }
         if best != col {
             // Entries outside both rows' patterns are ±0 in both and stay.
@@ -1272,7 +1407,27 @@ fn invert<'c>(
             }
         });
     }
+    clear_along(a, m, &a_rows);
+    debug_assert!(
+        a.iter().all(|&v| v == 0.0),
+        "invert hands back a nonzero work matrix"
+    );
+    if singular {
+        clear_along(inv, m, &inv_rows);
+        return None;
+    }
     Some(inv_rows)
+}
+
+/// Zeroes every entry of the row-major `m × m` `store` under its row
+/// patterns `pattern`; a store whose other entries are ±0 is all ±0
+/// afterwards.
+fn clear_along(store: &mut [f64], m: usize, pattern: &[u64]) {
+    let words = m.div_ceil(64);
+    for i in 0..m {
+        let row = &mut store[i * m..(i + 1) * m];
+        for_each_bit(&pattern[i * words..(i + 1) * words], |k| row[k] = 0.0);
+    }
 }
 
 /// Convenience one-shot LP solve.
@@ -1603,14 +1758,18 @@ mod tests {
     /// Random sparse bases: a scrambled diagonal (dropped for some
     /// positions, so some bases are singular) plus ≈ 5 % fill, at sizes on
     /// both sides of the 64-bit word boundaries. The pattern-driven
-    /// `invert` must fail exactly when the dense one does and otherwise
-    /// return the same values — `==` forgives only the sign of a zero —
-    /// with row patterns covering every nonzero.
+    /// `invert` must fail exactly when the dense one does, leaving the
+    /// inverse all ±0, and otherwise return the same values — `==`
+    /// forgives only the sign of a zero — with row patterns covering
+    /// every nonzero. One work matrix serves every basis of a size, as
+    /// in the solver, so each call also relies on the last handing it
+    /// back cleared.
     #[test]
     fn pattern_invert_matches_the_dense_gauss_jordan() {
         let mut rng = xorshift(0x5851_f42d_4c95_7f2d);
         let mut singular = 0;
         for m in [1, 2, 5, 63, 64, 65, 127, 130] {
+            let mut work = vec![0.0; m * m];
             for _ in 0..6 {
                 let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
                 for (pos, col) in columns.iter_mut().enumerate() {
@@ -1635,9 +1794,10 @@ mod tests {
                 }
                 let expected = dense_invert(&mut dense, m);
                 let mut inv = vec![0.0; m * m];
-                let got = invert(m, columns.iter().map(Vec::as_slice), &mut inv);
+                let got = invert(m, columns.iter().map(Vec::as_slice), &mut inv, &mut work);
                 assert_eq!(got.is_some(), expected.is_some(), "m = {m}");
                 let (Some(pattern), Some(expected)) = (got, expected) else {
+                    assert!(inv.iter().all(|&v| v == 0.0), "m = {m}");
                     singular += 1;
                     continue;
                 };
@@ -1808,5 +1968,80 @@ mod tests {
         let mut s = Simplex::from_problem(&small_master(3, 1, 1000));
         s.solve();
         s.add_column(1.0, 0.0, 1.0, &[(0, 1.0), (1, f64::NAN)]);
+    }
+
+    /// min 5x  s.t.  x ≥ 1,  0 ≤ x ≤ 10, solved (x = 1, objective 5).
+    fn one_row_lp() -> Simplex {
+        let mut p = Problem::new();
+        let x = p.add_var("x", 5.0, 0.0, 10.0);
+        let r = p.add_row("floor", Relation::Ge, 1.0);
+        p.set_coeff(r, x, 1.0);
+        let mut s = Simplex::from_problem(&p);
+        assert!(s.solve().status.is_optimal());
+        s
+    }
+
+    /// Accepted, this column would enter at −1, below its lower bound,
+    /// and `reoptimize` would report that point `Optimal` at objective 11.
+    #[test]
+    #[should_panic(
+        expected = "upper bound -1 of a new column must not be NaN or below its lower bound 0"
+    )]
+    fn add_column_rejects_an_upper_bound_below_the_lower() {
+        one_row_lp().add_column(-1.0, 0.0, -1.0, &[(0, 1.0)]);
+    }
+
+    /// Accepted, this column's NaN range would read as infinite and the
+    /// bounded LP would report `Unbounded`.
+    #[test]
+    #[should_panic(
+        expected = "upper bound NaN of a new column must not be NaN or below its lower bound 0"
+    )]
+    fn add_column_rejects_a_nan_upper_bound() {
+        one_row_lp().add_column(-1.0, 0.0, f64::NAN, &[(0, 1.0)]);
+    }
+
+    /// The bits of a solution: status, objective, `x`, duals, iterations.
+    fn bits(sol: &LpSolution) -> (SolveStatus, u64, Vec<u64>, Vec<u64>, usize) {
+        let words = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            sol.status,
+            sol.objective.to_bits(),
+            words(&sol.x),
+            words(&sol.duals),
+            sol.iterations,
+        )
+    }
+
+    /// One solver through `solve`, `add_column`, `reoptimize` and `solve`
+    /// again returns the bits of a fresh solver built over the same
+    /// columns: the second `solve` clears `B⁻¹` along the patterns the
+    /// first left, and every refactor hands `invert`'s work matrix back
+    /// cleared, so nothing of the earlier solves leaks into it. A seven-
+    /// pivot refactor cadence makes both solves refactor several times.
+    #[test]
+    fn a_reused_solver_solves_again_with_a_fresh_ones_bits() {
+        let (caps, classes) = (70, 40);
+        let opts = SimplexOptions {
+            refactor_every: 7,
+            ..SimplexOptions::default()
+        };
+        let mut p = small_master(caps, classes, 5);
+        let mut reused = Simplex::with_options(&p, opts.clone());
+        let added = generate_columns(&mut reused, caps, classes);
+        assert!(added.iter().all(|sol| sol.status.is_optimal()));
+        let again = reused.solve();
+
+        // The same structural columns, appended ones last in their order.
+        for j in p.num_vars()..reused.n_struct {
+            let v = p.add_var("", reused.obj[j], reused.lb[j], reused.ub[j]);
+            for &(r, a) in &reused.cols[j] {
+                p.set_coeff(crate::problem::RowId(r), v, a);
+            }
+        }
+        let fresh = Simplex::with_options(&p, opts).solve();
+        assert!(fresh.status.is_optimal());
+        assert!(fresh.iterations > 0);
+        assert_eq!(bits(&again), bits(&fresh));
     }
 }
