@@ -58,9 +58,10 @@
 //! of its column instead of all `m` rows; the rows it skips hold ±0 in
 //! column `r`, so by the first point above every `w[i]` keeps its bits.
 //!
-//! The two `m × m` stores, `B⁻¹` and `invert`'s work matrix, are
-//! allocated once, when the solver is built, and never zero-filled
-//! whole again. `solve` and `refactor` clear `B⁻¹` along its row
+//! The two `m × m` stores are allocated once per solver, `B⁻¹` when it
+//! is built and `invert`'s work matrix at its first refactor (a solver
+//! that never refactors never needs it), and never zero-filled whole
+//! again. `solve` and `refactor` clear `B⁻¹` along its row
 //! patterns, which leaves it all ±0 because the patterns cover its
 //! nonzeros. `invert` clears its work matrix along the work matrix's own
 //! row patterns before it returns, and on its singular path the inverse
@@ -217,7 +218,8 @@ pub struct Simplex {
     /// The transpose of `pattern`: per column `k` of `binv`, the rows
     /// whose pattern has `k`.
     colpat: Vec<u64>,
-    /// `invert`'s work matrix, row-major `m × m`, all ±0 between calls.
+    /// `invert`'s work matrix, row-major `m × m` from the first
+    /// refactor on (empty before it), all ±0 between calls.
     work: Vec<f64>,
     pivots_since_refactor: usize,
     iterations: usize,
@@ -282,7 +284,7 @@ impl Simplex {
             binv: vec![0.0; m * m],
             pattern: vec![0; m * m.div_ceil(64)],
             colpat: vec![0; m * m.div_ceil(64)],
-            work: vec![0.0; m * m],
+            work: Vec::new(),
             pivots_since_refactor: 0,
             iterations: 0,
             solved_once: false,
@@ -396,7 +398,7 @@ impl Simplex {
         }
         let status = self.optimize(&self.obj.clone(), false);
         self.solved_once = true;
-        self.finish(status)
+        self.make_solution(status)
     }
 
     /// Appends a structural column (entering nonbasic at its lower bound)
@@ -469,7 +471,7 @@ impl Simplex {
         assert!(self.solved_once, "call solve() before reoptimize()");
         self.iterations = 0;
         let status = self.optimize(&self.obj.clone(), false);
-        self.finish(status)
+        self.make_solution(status)
     }
 
     /// The dual vector `y = c_B B⁻¹` of the last solve.
@@ -560,18 +562,14 @@ impl Simplex {
         Ok(())
     }
 
-    /// The solution a finished phase 2 returns; under `strict-invariants`
-    /// an optimum must first pass [`Simplex::certify`].
-    fn finish(&self, status: SolveStatus) -> LpSolution {
+    /// The solution a solve returns; under `strict-invariants` an optimum
+    /// must first pass [`Simplex::certify`].
+    fn make_solution(&self, status: SolveStatus) -> LpSolution {
         if cfg!(feature = "strict-invariants") && status.is_optimal() {
             if let Err(failure) = self.certify() {
                 panic!("strict-invariants: the simplex optimum fails its certificate: {failure}");
             }
         }
-        self.make_solution(status)
-    }
-
-    fn make_solution(&self, status: SolveStatus) -> LpSolution {
         LpSolution {
             status,
             objective: self.objective_value(),
@@ -1029,6 +1027,9 @@ impl Simplex {
              column patterns are not the rows' transposed"
         );
         clear_along(&mut self.binv, m, &self.pattern);
+        if self.work.len() != m * m {
+            self.work = vec![0.0; m * m];
+        }
         loop {
             let basis_cols = self.basis.iter().map(|&j| self.cols[j].as_slice());
             match invert(m, basis_cols, &mut self.binv, &mut self.work) {
@@ -1999,6 +2000,55 @@ mod tests {
     )]
     fn add_column_rejects_a_nan_upper_bound() {
         one_row_lp().add_column(-1.0, 0.0, f64::NAN, &[(0, 1.0)]);
+    }
+
+    /// The optimum of the one-row LP passes; a column appended without
+    /// `reoptimize` leaves a feasible basis that is no longer optimal: the
+    /// new column rests at 0 below its upper bound with `d = −1 − 5`.
+    #[test]
+    fn certify_rejects_a_feasible_point_that_is_not_optimal() {
+        let mut s = one_row_lp();
+        assert_eq!(s.certify(), Ok(()));
+        s.add_column(-1.0, 0.0, 10.0, &[(0, 1.0)]);
+        assert_eq!(
+            s.certify(),
+            Err("column 1 = 0 below its upper bound with d = -6".into())
+        );
+    }
+
+    /// With `x`'s cost flipped to −5 the `≥` row's dual is −5, and its
+    /// logical column (bounds `[−∞, 0]`, resting at 0) prices at `d = 5`:
+    /// a point that could lower the objective by moving the slack down.
+    #[test]
+    fn certify_rejects_a_negative_dual_on_a_ge_row() {
+        let mut s = one_row_lp();
+        s.obj[0] = -5.0;
+        assert_eq!(
+            s.certify(),
+            Err("column 1 = 0 above its lower bound with d = 5".into())
+        );
+    }
+
+    /// A right-hand side moved under a solved basis leaves `x = 1` off
+    /// the row `x ≥ 2` as the solver now reads it (an `=` row in its
+    /// `A x + s = b` form, with the slack at 0).
+    #[test]
+    fn certify_rejects_a_row_off_its_right_hand_side() {
+        let mut s = one_row_lp();
+        s.rhs[0] = 2.0;
+        assert_eq!(s.certify(), Err("row 0: activity 1 ≠ 2".into()));
+    }
+
+    /// Under `strict-invariants`, `reoptimize` certifies the optimum it
+    /// returns: the moved right-hand side leaves the basis optimal to the
+    /// pricing, which reads no right-hand side, and the certificate fails.
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "strict-invariants: the simplex optimum fails its certificate")]
+    fn reoptimize_panics_on_an_optimum_that_fails_its_certificate() {
+        let mut s = one_row_lp();
+        s.rhs[0] = 2.0;
+        s.reoptimize();
     }
 
     /// The bits of a solution: status, objective, `x`, duals, iterations.

@@ -4,7 +4,9 @@
 //!   and sparse at master size (up to 150 × 300);
 //! * `Simplex::certify` on column generation's path: PLAN-VNE masters
 //!   with `=` convexity rows (so phase 1 runs), re-optimized after three
-//!   rounds of appended columns;
+//!   rounds of appended columns, each solution also checked for
+//!   feasibility and its objective against the test's own copy of the
+//!   rows and columns;
 //! * dual sign and reduced-cost optimality conditions;
 //! * branch-and-bound vs exhaustive enumeration on random binary MILPs.
 
@@ -13,6 +15,57 @@ use vne_lp::problem::{Problem, Relation};
 use vne_lp::simplex::{solve_lp, Simplex};
 use vne_lp::solution::SolveStatus;
 use vne_lp::{solve_mip, BranchBoundOptions};
+
+/// A structural column as the test built it: cost, bounds, and its
+/// `(row, coefficient)` entries.
+struct Column {
+    cost: f64,
+    lb: f64,
+    ub: f64,
+    entries: Vec<(usize, f64)>,
+}
+
+/// Checks a solution against the rows and columns as the test built
+/// them, apart from the solver's own copy of the data: one value per
+/// column and one dual per row, every column within its bounds, every
+/// row's activity on its side of `b` up to `1e-6 · (1 + |b|)`, and the
+/// reported objective equal to `Σ c·x` up to `1e-6 · (1 + |Σ c·x|)`.
+fn check_on_the_data(
+    rows: &[(Relation, f64)],
+    columns: &[Column],
+    sol: &vne_lp::solution::LpSolution,
+) -> Result<(), String> {
+    let tol = 1e-6;
+    if sol.x.len() != columns.len() || sol.duals.len() != rows.len() {
+        return Err("solution has the wrong shape".into());
+    }
+    let mut activity = vec![0.0; rows.len()];
+    let mut primal = 0.0;
+    for (j, (col, &x)) in columns.iter().zip(&sol.x).enumerate() {
+        if x < col.lb - tol || x > col.ub + tol {
+            return Err(format!("x{j} = {x} outside [{}, {}]", col.lb, col.ub));
+        }
+        primal += col.cost * x;
+        for &(i, a) in &col.entries {
+            activity[i] += a * x;
+        }
+    }
+    for (i, (&(relation, b), &act)) in rows.iter().zip(&activity).enumerate() {
+        let (slack, scale) = (b - act, tol * (1.0 + b.abs()));
+        let off = match relation {
+            Relation::Le => slack < -scale,
+            Relation::Ge => slack > scale,
+            Relation::Eq => slack.abs() > scale,
+        };
+        if off {
+            return Err(format!("row {i}: activity {act} against {b}"));
+        }
+    }
+    if (primal - sol.objective).abs() > tol * (1.0 + primal.abs()) {
+        return Err(format!("objective {} vs Σ c·x = {primal}", sol.objective));
+    }
+    Ok(())
+}
 
 /// Random LP: min c x, A x ≤ b, 0 ≤ x ≤ u with b ≥ 0 (x = 0 feasible).
 fn arb_le_lp() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>, Vec<f64>, Vec<f64>)> {
@@ -137,8 +190,12 @@ proptest! {
     /// up to two embedding columns per class — distinct capacity rows
     /// plus the class's convexity row — each followed by `reoptimize`.
     /// Every solve must be `Optimal` and pass `Simplex::certify`, which
-    /// checks the optimum against the rows and columns, appended ones
-    /// included, without reading `B⁻¹`.
+    /// checks the optimum against the solver's own rows and columns,
+    /// appended ones included, without reading `B⁻¹`; and the solution
+    /// must be feasible, with its reported objective, for the problem as
+    /// the test built it (`check_on_the_data`), so a row or column that
+    /// `from_problem` or `add_column` stored wrongly cannot certify a
+    /// different LP.
     #[test]
     fn certificate_on_column_generation_masters_at_size(
         caps in 1usize..=150,
@@ -152,25 +209,34 @@ proptest! {
             (s >> 11) as f64 / (1u64 << 53) as f64
         };
         let mut p = Problem::new();
+        let mut rows = Vec::new();
         for i in 0..caps {
             let rhs = if rng() < 0.15 { 0.0 } else { 10.0 + 30.0 * rng() };
             p.add_row(format!("cap{i}"), Relation::Le, rhs);
+            rows.push((Relation::Le, rhs));
         }
         let conv: Vec<_> = (0..classes)
-            .map(|k| p.add_row(format!("conv{k}"), Relation::Eq, 1.0))
+            .map(|k| {
+                rows.push((Relation::Eq, 1.0));
+                p.add_row(format!("conv{k}"), Relation::Eq, 1.0)
+            })
             .collect();
+        let mut columns = Vec::new();
         let demands: Vec<f64> = (0..classes).map(|_| 1.0 + 9.0 * rng()).collect();
         for (k, &demand) in demands.iter().enumerate() {
             for q in 1..=quantiles {
                 let (cost, ub) = (3.0 * demand * q as f64, 1.0 / quantiles as f64);
                 let v = p.add_var(format!("rej{k}q{q}"), cost, 0.0, ub);
                 p.set_coeff(conv[k], v, 1.0);
+                columns.push(Column { cost, lb: 0.0, ub, entries: vec![(caps + k, 1.0)] });
             }
         }
         let mut simplex = Simplex::from_problem(&p);
         let sol = simplex.solve();
         prop_assert_eq!(sol.status, SolveStatus::Optimal);
         prop_assert!(simplex.certify().is_ok(), "{:?}", simplex.certify());
+        let verdict = check_on_the_data(&rows, &columns, &sol);
+        prop_assert!(verdict.is_ok(), "{:?}", verdict);
         for round in 0..3 {
             for (k, &demand) in demands.iter().enumerate() {
                 for _ in 0..(rng() * 3.0) as usize {
@@ -182,11 +248,14 @@ proptest! {
                     entries.push((caps + k, 1.0));
                     let cost = demand * (1.0 + 4.0 * rng());
                     simplex.add_column(cost, 0.0, f64::INFINITY, &entries);
+                    columns.push(Column { cost, lb: 0.0, ub: f64::INFINITY, entries });
                 }
             }
             let sol = simplex.reoptimize();
             prop_assert_eq!(sol.status, SolveStatus::Optimal);
             let verdict = simplex.certify();
+            prop_assert!(verdict.is_ok(), "round {}: {:?}", round, verdict);
+            let verdict = check_on_the_data(&rows, &columns, &sol);
             prop_assert!(verdict.is_ok(), "round {}: {:?}", round, verdict);
         }
     }
