@@ -53,11 +53,21 @@ impl AggregateDemand {
 
     /// Builds the aggregate from explicit per-class demands.
     pub fn from_demands(demands: &BTreeMap<ClassId, f64>) -> Self {
-        let requests = demands
-            .iter()
-            .filter(|(_, &d)| d > 1e-9)
-            .map(|(&class, &demand)| AggregateRequest { class, demand })
+        Self::from_class_order(demands.iter().map(|(&class, &demand)| (class, demand)))
+    }
+
+    /// [`AggregateDemand::from_demands`] of per-class demands given in
+    /// strictly ascending class order.
+    pub fn from_class_order(demands: impl IntoIterator<Item = (ClassId, f64)>) -> Self {
+        let requests: Vec<AggregateRequest> = demands
+            .into_iter()
+            .filter(|&(_, d)| d > 1e-9)
+            .map(|(class, demand)| AggregateRequest { class, demand })
             .collect();
+        debug_assert!(
+            requests.windows(2).all(|w| w[0].class < w[1].class),
+            "classes must come in strictly ascending order"
+        );
         Self { requests }
     }
 

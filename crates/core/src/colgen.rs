@@ -17,14 +17,14 @@
 //! costs `cost(s) − π_s` — is solved exactly by the tree-DP of
 //! [`crate::pricing`]: a round builds one [`AppPricing`] table per
 //! application and asks it for each of that application's ingresses,
-//! because only the root's step of the DP depends on the ingress. The
+//! because only the root's step of the DP depends on the ingress. That
+//! step alone prices a class ([`AppPricing::root_cost`]); the embedding
+//! is built only for a column whose reduced cost is negative. The
 //! solution arrives directly as integral embedding columns with weights:
 //! exactly the [`Plan`] OLIVE consumes. The rejection quantiles implement
 //! the paper's water-filling: each extra `1/P` of rejected demand costs
 //! progressively more (`p·ψ`), so the optimizer spreads rejection evenly
 //! across classes instead of starving one of them.
-
-use std::collections::HashMap;
 
 use vne_lp::problem::{Problem, Relation, RowId};
 use vne_lp::simplex::{Simplex, SimplexOptions};
@@ -129,6 +129,30 @@ impl PlanSolveStats {
     }
 }
 
+/// The master problem and its solver, kept by a caller that solves one
+/// master after another (SLOTOFF, every slot). Each
+/// [`solve_plan_with_columns`] refills both through [`Problem::clear`]
+/// and [`Simplex::reload`], so a workspace allocates its stores once and
+/// returns a fresh one's bits: nothing of one solve reaches the next but
+/// capacity. It holds no state, so a clone is an empty workspace.
+#[derive(Default)]
+pub struct MasterWorkspace {
+    master: Problem,
+    simplex: Simplex,
+}
+
+impl Clone for MasterWorkspace {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for MasterWorkspace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MasterWorkspace").finish_non_exhaustive()
+    }
+}
+
 /// Solves PLAN-VNE and returns the plan.
 ///
 /// Classes for which no feasible embedding exists (e.g. GPU applications
@@ -141,19 +165,30 @@ pub fn solve_plan(
     aggregate: &AggregateDemand,
     config: &PlanVneConfig,
 ) -> (Plan, PlanSolveStats) {
-    solve_plan_with_columns(substrate, apps, policy, aggregate, config, &[])
+    let mut workspace = MasterWorkspace::default();
+    solve_plan_with_columns(
+        substrate,
+        apps,
+        policy,
+        aggregate,
+        config,
+        Vec::new(),
+        &mut workspace,
+    )
 }
 
-/// [`solve_plan`] with warm-start columns (used by SLOTOFF, which
-/// re-optimizes every slot and reuses the previous slot's embeddings to
-/// cut pricing rounds).
+/// [`solve_plan`] with warm-start columns, in a workspace kept across
+/// calls (used by SLOTOFF, which re-optimizes every slot and reuses the
+/// previous slot's embeddings to cut pricing rounds). The warm columns
+/// are taken by value: a valid one's embedding moves into the plan.
 pub fn solve_plan_with_columns(
     substrate: &SubstrateNetwork,
     apps: &AppSet,
     policy: &PlacementPolicy,
     aggregate: &AggregateDemand,
     config: &PlanVneConfig,
-    warm: &[(ClassId, Embedding)],
+    warm: Vec<(ClassId, Embedding)>,
+    workspace: &mut MasterWorkspace,
 ) -> (Plan, PlanSolveStats) {
     let n_nodes = substrate.node_count();
     let n_links = substrate.link_count();
@@ -171,29 +206,27 @@ pub fn solve_plan_with_columns(
     }
     assert!(config.quantiles >= 1, "need at least one quantile");
 
-    // ---- Master problem skeleton: capacity rows + convexity rows +
-    // quantile variables. Rows and variables go unnamed: the master is
-    // rebuilt on every call (every slot, under SLOTOFF) and nothing reads
-    // a name.
-    let mut master = Problem::new();
-    let node_rows: Vec<RowId> = substrate
-        .nodes()
-        .map(|(_, n)| master.add_row("", Relation::Le, n.capacity))
-        .collect();
-    let link_rows: Vec<RowId> = substrate
-        .links()
-        .map(|(_, l)| master.add_row("", Relation::Le, l.capacity))
-        .collect();
-    let conv_rows: Vec<RowId> = classes
-        .iter()
-        .map(|_| master.add_row("", Relation::Eq, 1.0))
-        .collect();
+    // ---- Master problem skeleton: capacity rows (nodes, then links),
+    // convexity rows, quantile variables. Rows and variables go unnamed:
+    // nothing reads a name.
+    let MasterWorkspace { master, simplex } = workspace;
+    master.clear();
+    for (_, n) in substrate.nodes() {
+        master.add_row("", Relation::Le, n.capacity);
+    }
+    for (_, l) in substrate.links() {
+        master.add_row("", Relation::Le, l.capacity);
+    }
+    let conv_row = |k: usize| n_nodes + n_links + k;
+    for _ in classes {
+        master.add_row("", Relation::Eq, 1.0);
+    }
     let p = config.quantiles;
     for (k, agg) in classes.iter().enumerate() {
         for q in 1..=p {
             let obj = config.psi * agg.demand * q as f64;
             let v = master.add_var("", obj, 0.0, 1.0 / p as f64);
-            master.set_coeff(conv_rows[k], v, 1.0);
+            master.set_coeff(RowId(conv_row(k)), v, 1.0);
         }
     }
     let n_quantile_vars = classes.len() * p;
@@ -204,30 +237,41 @@ pub fn solve_plan_with_columns(
         embedding: Embedding,
         footprint: Footprint,
         unit_cost: f64,
+        /// The class's previous column in the registry.
+        prev_of_class: Option<usize>,
     }
     let mut registry: Vec<ColumnInfo> = Vec::new();
-    // Per class, the registry indices of its columns: a class holds a
-    // handful, so "already a column?" is a scan over them and the
-    // registry stays the one owner of every embedding.
-    let mut class_columns: Vec<Vec<usize>> = vec![Vec::new(); classes.len()];
-    let is_column = |registry: &[ColumnInfo], of_class: &[usize], embedding: &Embedding| {
-        of_class
-            .iter()
-            .any(|&i| registry[i].embedding == *embedding)
+    // Per class, its last column in the registry: a class holds a
+    // handful, so "already a column?" walks them back through
+    // `prev_of_class`, and the registry stays the one owner of every
+    // embedding.
+    let mut last_of_class: Vec<Option<usize>> = vec![None; classes.len()];
+    let is_column = |registry: &[ColumnInfo], last: Option<usize>, embedding: &Embedding| {
+        std::iter::successors(last, |&i| registry[i].prev_of_class)
+            .any(|i| registry[i].embedding == *embedding)
+    };
+    // A column's coefficients: d_k · usage on capacity rows, 1 on the
+    // class convexity row.
+    let mut coeffs: Vec<(usize, f64)> = Vec::new();
+    let fill_coeffs = |coeffs: &mut Vec<(usize, f64)>, footprint: &Footprint, k: usize| {
+        let demand = classes[k].demand;
+        coeffs.clear();
+        for &(node, x) in footprint.nodes() {
+            coeffs.push((node.index(), demand * x));
+        }
+        for &(link, x) in footprint.links() {
+            coeffs.push((n_nodes + link.index(), demand * x));
+        }
+        coeffs.push((conv_row(k), 1.0));
     };
 
     // Warm-start columns go straight into the master before the first
     // solve (deduplicated, invalid classes skipped).
-    let class_index: HashMap<ClassId, usize> = classes
-        .iter()
-        .enumerate()
-        .map(|(k, r)| (r.class, k))
-        .collect();
     for (class, embedding) in warm {
-        let Some(&k) = class_index.get(class) else {
+        let Ok(k) = classes.binary_search_by_key(&class, |r| r.class) else {
             continue;
         };
-        if is_column(&registry, &class_columns[k], embedding) {
+        if is_column(&registry, last_of_class[k], &embedding) {
             continue;
         }
         let agg = &classes[k];
@@ -237,25 +281,21 @@ pub fn solve_plan_with_columns(
         }
         let footprint = embedding.footprint(vnet, substrate, policy);
         let unit_cost = footprint.cost(substrate);
-        let mut coeffs: Vec<(RowId, f64)> = Vec::new();
-        for &(node, x) in footprint.nodes() {
-            coeffs.push((node_rows[node.index()], agg.demand * x));
+        fill_coeffs(&mut coeffs, &footprint, k);
+        let v = master.add_var("", agg.demand * unit_cost, 0.0, f64::INFINITY);
+        for &(row, a) in &coeffs {
+            master.set_coeff(RowId(row), v, a);
         }
-        for &(link, x) in footprint.links() {
-            coeffs.push((link_rows[link.index()], agg.demand * x));
-        }
-        coeffs.push((conv_rows[k], 1.0));
-        master.add_var_with_column("", agg.demand * unit_cost, 0.0, f64::INFINITY, &coeffs);
-        class_columns[k].push(registry.len());
         registry.push(ColumnInfo {
             class_idx: k,
-            embedding: embedding.clone(),
+            embedding,
             footprint,
             unit_cost,
+            prev_of_class: last_of_class[k].replace(registry.len()),
         });
     }
 
-    let mut simplex = Simplex::with_options(&master, config.simplex.clone());
+    simplex.reload(master, config.simplex.clone());
     let mut sol = simplex.solve();
     stats.simplex_iterations += sol.iterations;
     stats.record(sol.status, 0);
@@ -274,40 +314,34 @@ pub fn solve_plan_with_columns(
 
         let mut added = 0usize;
         for (k, agg) in classes.iter().enumerate() {
-            let mu = duals[n_nodes + n_links + k];
+            let mu = duals[conv_row(k)];
             let vnet = apps.vnet(agg.class.app);
             let table = tables[agg.class.app.index()].get_or_insert_with(|| {
                 AppPricing::new(substrate, vnet, policy, &adjusted, None, &[])
             });
-            let Some((embedding, adj_cost)) = table.embed_from(agg.class.ingress) else {
+            // The root's step prices the class; only a column that
+            // prices out is built.
+            let Some(adj_cost) = table.root_cost(agg.class.ingress) else {
                 continue;
             };
             let reduced = agg.demand * adj_cost - mu;
             if reduced >= -config.reduced_cost_tol {
                 continue;
             }
-            if is_column(&registry, &class_columns[k], &embedding) {
+            let embedding = table.embedding_from(agg.class.ingress);
+            if is_column(&registry, last_of_class[k], &embedding) {
                 continue;
             }
             let footprint = embedding.footprint(vnet, substrate, policy);
             let unit_cost = footprint.cost(substrate);
-            // Column coefficients: d_k · usage on capacity rows, 1 on the
-            // class convexity row.
-            let mut coeffs: Vec<(usize, f64)> = Vec::new();
-            for &(node, x) in footprint.nodes() {
-                coeffs.push((node_rows[node.index()].0, agg.demand * x));
-            }
-            for &(link, x) in footprint.links() {
-                coeffs.push((link_rows[link.index()].0, agg.demand * x));
-            }
-            coeffs.push((conv_rows[k].0, 1.0));
+            fill_coeffs(&mut coeffs, &footprint, k);
             simplex.add_column(agg.demand * unit_cost, 0.0, f64::INFINITY, &coeffs);
-            class_columns[k].push(registry.len());
             registry.push(ColumnInfo {
                 class_idx: k,
                 embedding,
                 footprint,
                 unit_cost,
+                prev_of_class: last_of_class[k].replace(registry.len()),
             });
             added += 1;
         }
@@ -322,10 +356,9 @@ pub fn solve_plan_with_columns(
     stats.objective = sol.objective;
 
     // ---- Extract the plan.
-    let values = simplex.values();
     let mut per_class_columns: Vec<Vec<PlannedColumn>> = vec![Vec::new(); classes.len()];
     for (i, info) in registry.into_iter().enumerate() {
-        let share = values[n_quantile_vars + i];
+        let share = sol.x[n_quantile_vars + i];
         if share <= 1e-9 {
             continue;
         }
@@ -341,7 +374,7 @@ pub fn solve_plan_with_columns(
     let mut plan = Plan::empty();
     plan.objective = sol.objective;
     for (k, agg) in classes.iter().enumerate() {
-        let rejected: f64 = (0..p).map(|q| values[k * p + q]).sum();
+        let rejected: f64 = sol.x[k * p..(k + 1) * p].iter().sum();
         let mut columns = std::mem::take(&mut per_class_columns[k]);
         columns.sort_by(|a, b| {
             a.unit_cost

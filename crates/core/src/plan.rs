@@ -130,7 +130,22 @@ impl Plan {
 
     /// The plan of a class, if any.
     pub fn class(&self, class: ClassId) -> Option<&ClassPlan> {
-        self.table.position(class).map(|at| &self.classes[at])
+        self.position(class).map(|at| &self.classes[at])
+    }
+
+    /// Where a class's plan sits in class order, the order of
+    /// [`Plan::iter`], if the plan has the class.
+    pub fn position(&self, class: ClassId) -> Option<usize> {
+        self.table.position(class)
+    }
+
+    /// The class plan at `position` in class order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not below [`Plan::len`].
+    pub fn class_at(&self, position: usize) -> &ClassPlan {
+        &self.classes[position]
     }
 
     /// Iterates over all class plans in class order.
@@ -164,6 +179,16 @@ impl Plan {
             .map(|c| c.rejected_fraction * c.expected_demand)
             .sum::<f64>()
             / total
+    }
+}
+
+/// The class plans, in class order.
+impl IntoIterator for Plan {
+    type Item = ClassPlan;
+    type IntoIter = std::vec::IntoIter<ClassPlan>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.classes.into_iter()
     }
 }
 

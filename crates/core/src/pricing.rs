@@ -27,7 +27,10 @@
 //!   ingress (constraint (11)), so `S[θ]` is needed at that one node: its
 //!   placement cost plus the transfers of `children(θ)`, summed in their
 //!   order — and then the top-down walk of the predecessor forests.
-//!   `O(|G_a| + path lengths)`.
+//!   `O(|G_a| + path lengths)`. The two halves are also
+//!   [`AppPricing::root_cost`] and [`AppPricing::embedding_from`], so
+//!   column generation prices a class by the root's step alone and walks
+//!   the forests only for a column that enters.
 //!
 //! Sharing invariant: the first half has no ingress to read (`new` takes
 //! none), and the second half evaluates `S[θ]` at no node but its own
@@ -211,14 +214,24 @@ impl<'a> AppPricing<'a> {
     /// feasible embedding exists (placement restrictions, an exclusion on
     /// `(ROOT, ingress)` or, with a filter, insufficient capacity).
     pub fn embed_from(&self, ingress: NodeId) -> Option<(Embedding, f64)> {
-        let vnet = self.vnet;
+        let total = self.root_cost(ingress)?;
+        Some((self.embedding_from(ingress), total))
+    }
+
+    /// The cost [`AppPricing::embed_from`] returns for `ingress`, the same
+    /// `f64`, without building the embedding: the root's step alone.
+    /// `None` exactly when `embed_from` returns `None`.
+    pub fn root_cost(&self, ingress: NodeId) -> Option<f64> {
         // (11): the root may only sit at the ingress.
         let total = self.subtree_cost(VirtualNetwork::ROOT, ingress);
-        if !total.is_finite() {
-            return None;
-        }
+        total.is_finite().then_some(total)
+    }
 
-        // Reconstruction, top-down.
+    /// The embedding [`AppPricing::embed_from`] returns for an `ingress`
+    /// whose [`AppPricing::root_cost`] is `Some`: the top-down walk of the
+    /// predecessor forests. For any other ingress it is meaningless.
+    pub fn embedding_from(&self, ingress: NodeId) -> Embedding {
+        let vnet = self.vnet;
         let mut node_map = vec![NodeId(0); vnet.node_count()];
         let mut link_paths = vec![Vec::new(); vnet.link_count()];
         node_map[VirtualNetwork::ROOT.index()] = ingress;
@@ -245,7 +258,7 @@ impl<'a> AppPricing<'a> {
         debug_assert!(embedding
             .validate(vnet, self.substrate, self.policy)
             .is_ok());
-        Some((embedding, total))
+        embedding
     }
 }
 

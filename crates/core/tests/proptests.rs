@@ -744,7 +744,8 @@ proptest! {
     /// a coarse grid, so whole paths tie and the tie rule picks the
     /// predecessor), with and without a capacity filter over a ledger
     /// whose elements are empty, half full or full, and with and without
-    /// exclusions, one of them on `(ROOT, ingress)`.
+    /// exclusions, one of them on `(ROOT, ingress)`. The root's step
+    /// alone, `root_cost`, gives the same cost bits.
     #[test]
     fn shared_pricing_equals_per_class_dp(
         s in arb_substrate(),
@@ -808,6 +809,12 @@ proptest! {
                             let got = table.embed_from(ingress);
                             let want = reference_min_cost_embedding(
                                 &s, vnet, &policy, ingress, costs, filter, exclusions,
+                            );
+                            // Column generation prices by the root's step
+                            // alone before it builds a column.
+                            prop_assert_eq!(
+                                table.root_cost(ingress).map(f64::to_bits),
+                                want.as_ref().map(|(_, c)| c.to_bits())
                             );
                             prop_assert_eq!(
                                 got.map(|(e, c)| (e, c.to_bits())),

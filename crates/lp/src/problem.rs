@@ -60,7 +60,9 @@ pub struct Problem {
     pub(crate) lb: Vec<f64>,
     pub(crate) ub: Vec<f64>,
     pub(crate) integer: Vec<bool>,
-    /// Column-major coefficients: `cols[j] = [(row, coeff), …]`.
+    /// Column-major coefficients: `cols[j] = [(row, coeff), …]` for each
+    /// variable `j`; entries past the last variable are empty buffers a
+    /// [`Problem::clear`] kept.
     pub(crate) cols: Vec<Vec<(usize, f64)>>,
     pub(crate) rows: Vec<Row>,
     pub(crate) var_names: Vec<String>,
@@ -71,6 +73,21 @@ impl Problem {
     /// Creates an empty program.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the program but keeps its buffers, so that refilling it
+    /// allocates only where it outgrows what it held before.
+    pub fn clear(&mut self) {
+        self.obj.clear();
+        self.lb.clear();
+        self.ub.clear();
+        self.integer.clear();
+        for col in &mut self.cols {
+            col.clear();
+        }
+        self.rows.clear();
+        self.var_names.clear();
+        self.row_names.clear();
     }
 
     /// Adds a continuous variable with objective coefficient `obj` and
@@ -96,7 +113,9 @@ impl Problem {
         self.lb.push(lb);
         self.ub.push(ub);
         self.integer.push(false);
-        self.cols.push(Vec::new());
+        if self.cols.len() == id.0 {
+            self.cols.push(Vec::new());
+        }
         self.var_names.push(name.into());
         id
     }
@@ -141,7 +160,7 @@ impl Problem {
     /// infinite.
     pub fn set_coeff(&mut self, row: RowId, var: VarId, coeff: f64) {
         assert!(row.0 < self.rows.len(), "row out of range");
-        assert!(var.0 < self.cols.len(), "variable out of range");
+        assert!(var.0 < self.num_vars(), "variable out of range");
         assert!(
             coeff.is_finite(),
             "coefficient of variable {} in row {} must be finite, got {coeff}",
@@ -219,25 +238,33 @@ impl Problem {
         &self.row_names[row.0]
     }
 
-    /// Consolidates duplicate `(row, var)` entries within each column
-    /// (summing them) and drops exact zeros. Called by solvers before use.
-    pub(crate) fn consolidated_cols(&self) -> Vec<Vec<(usize, f64)>> {
-        self.cols
-            .iter()
-            .map(|col| {
-                let mut c = col.clone();
-                c.sort_by_key(|&(r, _)| r);
-                let mut out: Vec<(usize, f64)> = Vec::with_capacity(c.len());
-                for (r, v) in c {
-                    match out.last_mut() {
-                        Some((lr, lv)) if *lr == r => *lv += v,
-                        _ => out.push((r, v)),
-                    }
+    /// Appends the column of `var` to `out` consolidated: sorted by row,
+    /// the entries of one row summed in the order they were set, exact
+    /// zeros dropped. Called by solvers before use.
+    pub(crate) fn consolidate_col_into(&self, var: usize, out: &mut Vec<(usize, f64)>) {
+        let start = out.len();
+        out.extend_from_slice(&self.cols[var]);
+        out[start..].sort_by_key(|&(r, _)| r);
+        let mut end = start;
+        for i in start..out.len() {
+            let (r, v) = out[i];
+            match out[start..end].last_mut() {
+                Some((lr, lv)) if *lr == r => *lv += v,
+                _ => {
+                    out[end] = (r, v);
+                    end += 1;
                 }
-                out.retain(|&(_, v)| v != 0.0);
-                out
-            })
-            .collect()
+            }
+        }
+        out.truncate(end);
+        let mut kept = start;
+        for i in start..end {
+            if out[i].1 != 0.0 {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     /// Evaluates `cᵀ x` for a candidate solution.
@@ -257,7 +284,7 @@ impl Problem {
             }
         }
         let mut activity = vec![0.0; self.num_rows()];
-        for (j, col) in self.cols.iter().enumerate() {
+        for (j, col) in self.cols[..self.num_vars()].iter().enumerate() {
             for &(r, a) in col {
                 activity[r] += a * x[j];
             }
@@ -279,6 +306,17 @@ impl Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every column of `p`, consolidated.
+    fn consolidated_cols(p: &Problem) -> Vec<Vec<(usize, f64)>> {
+        (0..p.num_vars())
+            .map(|j| {
+                let mut col = Vec::new();
+                p.consolidate_col_into(j, &mut col);
+                col
+            })
+            .collect()
+    }
 
     #[test]
     fn build_small_problem() {
@@ -305,7 +343,7 @@ mod tests {
         let r = p.add_row("r", Relation::Eq, 2.0);
         p.set_coeff(r, x, 1.0);
         p.set_coeff(r, x, 2.0);
-        let cols = p.consolidated_cols();
+        let cols = consolidated_cols(&p);
         assert_eq!(cols[0], vec![(0, 3.0)]);
     }
 
@@ -316,7 +354,7 @@ mod tests {
         let r = p.add_row("r", Relation::Eq, 0.0);
         p.set_coeff(r, x, 1.0);
         p.set_coeff(r, x, -1.0);
-        let cols = p.consolidated_cols();
+        let cols = consolidated_cols(&p);
         assert!(cols[0].is_empty());
     }
 
@@ -341,7 +379,7 @@ mod tests {
         let r1 = p.add_row("r1", Relation::Le, 1.0);
         let r2 = p.add_row("r2", Relation::Eq, 2.0);
         let v = p.add_var_with_column("v", 3.0, 0.0, 1.0, &[(r1, 1.5), (r2, -1.0)]);
-        let cols = p.consolidated_cols();
+        let cols = consolidated_cols(&p);
         assert_eq!(cols[v.0], vec![(0, 1.5), (1, -1.0)]);
     }
 

@@ -68,6 +68,36 @@
 //! it wrote too. A zero left as `−0.0` where a fresh store held `+0.0`
 //! changes no bit the solver returns, by the second point above.
 //!
+//! # Reloading a solver
+//!
+//! [`Simplex::reload`] rebuilds a solver over a new [`Problem`] without
+//! giving back any store: `B⁻¹` and the work matrix, the row and column
+//! patterns, the columns (one run of entries per column in one store),
+//! costs, bounds, `state` and `x`, and the scratch of the iterations
+//! (`ftran`'s column, the recomputed duals, the eta update's copy of the
+//! pivot row and its mask of touched rows, `invert`'s bitsets, and the
+//! pricing cache with its row index). [`Simplex::with_options`] is a
+//! reload of an empty solver, so there is one construction path. A
+//! reloaded solver returns a fresh one's bits:
+//!
+//! - `B⁻¹` is cleared along the patterns that cover it before it takes
+//!   the new size, so it is all ±0, as the work matrix always is between
+//!   calls (debug builds check both); every other store is refilled to
+//!   exactly what a fresh solver holds, by `clear` then `resize` or
+//!   `extend`, never read first;
+//! - a store whose length changes keeps only ±0 entries, so the
+//!   row-major layout of the old size never reaches the new one;
+//! - each iteration's scratch is overwritten before it is read: the
+//!   accumulators restart at `+0.0` as in a fresh buffer, and `Pricing`
+//!   starts every `optimize` call with every reduced cost invalid and
+//!   every column dirty, as before.
+//!
+//! `crates/lp/tests/proptests.rs` holds one solver to this over masters
+//! that grow and shrink, one infeasible and one that needs the
+//! singular-basis repair. A caller that solves one master after another
+//! (SLOTOFF, every slot) therefore allocates none of these stores after
+//! the largest master it has seen.
+//!
 //! # Pricing without a full scan
 //!
 //! A pivot of a SLOTOFF master moves the bits of ≈ 11 of its ≈ 240
@@ -168,7 +198,8 @@ enum VarState {
 /// then one logical (slack) column per row, then one artificial column
 /// per row. It can be queried for duals after solving and accepts new
 /// columns via [`Simplex::add_column`] followed by
-/// [`Simplex::reoptimize`].
+/// [`Simplex::reoptimize`]. [`Simplex::default`] is an empty solver, to
+/// be given a problem by [`Simplex::reload`].
 ///
 /// # Examples
 ///
@@ -194,18 +225,22 @@ enum VarState {
 /// assert!((sol.objective - (-36.0)).abs() < 1e-6);
 /// assert!((sol.x[0] - 2.0).abs() < 1e-6 && (sol.x[1] - 6.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Simplex {
     opts: SimplexOptions,
     m: usize,
     n_struct: usize,
     /// Expanded columns: structural | logical | artificial.
-    cols: Vec<Vec<(usize, f64)>>,
+    cols: Columns,
     /// Phase-2 objective (artificials have 0).
     obj: Vec<f64>,
+    /// Phase-1 objective: 1 on the artificials, 0 elsewhere.
+    phase1_cost: Vec<f64>,
     lb: Vec<f64>,
     ub: Vec<f64>,
     rhs: Vec<f64>,
+    /// The right-hand side less the nonbasic columns at their values.
+    btilde: Vec<f64>,
     basis: Vec<usize>,
     state: Vec<VarState>,
     /// Current value of every variable.
@@ -221,6 +256,12 @@ pub struct Simplex {
     /// `invert`'s work matrix, row-major `m × m` from the first
     /// refactor on (empty before it), all ±0 between calls.
     work: Vec<f64>,
+    /// `invert`'s bitsets and pivot rows.
+    invert_scratch: InvertScratch,
+    /// The reduced-cost cache one `optimize` call keeps.
+    pricing: Pricing,
+    /// The buffers the iterations fill.
+    scratch: Scratch,
     pivots_since_refactor: usize,
     iterations: usize,
     solved_once: bool,
@@ -233,62 +274,78 @@ impl Simplex {
         Self::with_options(problem, SimplexOptions::default())
     }
 
-    /// Builds a solver with explicit options.
+    /// Builds a solver with explicit options: [`Simplex::reload`] of an
+    /// empty solver.
     pub fn with_options(problem: &Problem, opts: SimplexOptions) -> Self {
-        let m = problem.num_rows();
-        let n = problem.num_vars();
-        let mut cols = problem.consolidated_cols();
-        let mut obj = problem.obj.clone();
-        let mut lb = problem.lb.clone();
-        let mut ub = problem.ub.clone();
+        let mut simplex = Self::default();
+        simplex.reload(problem, opts);
+        simplex
+    }
+
+    /// Rebuilds the solver over `problem` with `opts`, as
+    /// [`Simplex::with_options`] would, but into the stores this solver
+    /// already holds (the module doc says why a reloaded solver returns
+    /// a fresh one's bits). Nothing of the previous problem survives but
+    /// capacity, so a caller that solves one master after another — a
+    /// SLOTOFF slot after a slot — allocates them once.
+    pub fn reload(&mut self, problem: &Problem, opts: SimplexOptions) {
+        let (m, n) = (problem.num_rows(), problem.num_vars());
+        // Leave `B⁻¹` all ±0 before its rows change length.
+        clear_along(&mut self.binv, self.m, &self.pattern);
+        debug_assert!(
+            self.binv.iter().chain(&self.work).all(|&v| v == 0.0),
+            "a reload finds B⁻¹ or the work matrix nonzero"
+        );
+        self.binv.resize(m * m, 0.0);
+        let words = m.div_ceil(64);
+        for pattern in [&mut self.pattern, &mut self.colpat] {
+            pattern.clear();
+            pattern.resize(m * words, 0);
+        }
+        self.opts = opts;
+        self.m = m;
+        self.n_struct = n;
+        self.cols.clear();
+        for j in 0..n {
+            self.cols
+                .push_with(|entries| problem.consolidate_col_into(j, entries));
+        }
+        self.obj.clear();
+        self.obj.extend_from_slice(&problem.obj);
+        self.lb.clear();
+        self.lb.extend_from_slice(&problem.lb);
+        self.ub.clear();
+        self.ub.extend_from_slice(&problem.ub);
+        self.rhs.clear();
         // Logical columns: A x + s = b.
         for (i, row) in problem.rows.iter().enumerate() {
-            cols.push(vec![(i, 1.0)]);
-            obj.push(0.0);
-            match row.relation {
-                Relation::Le => {
-                    lb.push(0.0);
-                    ub.push(f64::INFINITY);
-                }
-                Relation::Ge => {
-                    lb.push(f64::NEG_INFINITY);
-                    ub.push(0.0);
-                }
-                Relation::Eq => {
-                    lb.push(0.0);
-                    ub.push(0.0);
-                }
-            }
+            self.cols.push(&[(i, 1.0)]);
+            self.obj.push(0.0);
+            let (lb, ub) = match row.relation {
+                Relation::Le => (0.0, f64::INFINITY),
+                Relation::Ge => (f64::NEG_INFINITY, 0.0),
+                Relation::Eq => (0.0, 0.0),
+            };
+            self.lb.push(lb);
+            self.ub.push(ub);
+            self.rhs.push(row.rhs);
         }
         // Artificial columns (coefficient signs set at solve time).
         for i in 0..m {
-            cols.push(vec![(i, 1.0)]);
-            obj.push(0.0);
-            lb.push(0.0);
-            ub.push(f64::INFINITY);
+            self.cols.push(&[(i, 1.0)]);
+            self.obj.push(0.0);
+            self.lb.push(0.0);
+            self.ub.push(f64::INFINITY);
         }
-        let rhs = problem.rows.iter().map(|r| r.rhs).collect();
         let ncols = n + 2 * m;
-        Self {
-            opts,
-            m,
-            n_struct: n,
-            cols,
-            obj,
-            lb,
-            ub,
-            rhs,
-            basis: Vec::new(),
-            state: vec![VarState::AtLower; ncols],
-            x: vec![0.0; ncols],
-            binv: vec![0.0; m * m],
-            pattern: vec![0; m * m.div_ceil(64)],
-            colpat: vec![0; m * m.div_ceil(64)],
-            work: Vec::new(),
-            pivots_since_refactor: 0,
-            iterations: 0,
-            solved_once: false,
-        }
+        self.basis.clear();
+        self.state.clear();
+        self.state.resize(ncols, VarState::AtLower);
+        self.x.clear();
+        self.x.resize(ncols, 0.0);
+        self.pivots_since_refactor = 0;
+        self.iterations = 0;
+        self.solved_once = false;
     }
 
     fn ncols(&self) -> usize {
@@ -336,24 +393,27 @@ impl Simplex {
             self.state[j] = s;
         }
         // Residual rhs given the resting point.
-        let mut btilde = self.rhs.clone();
+        self.btilde.clear();
+        self.btilde.extend_from_slice(&self.rhs);
         for j in 0..self.ncols() - self.m {
             if self.x[j] != 0.0 {
                 for &(r, a) in &self.cols[j] {
-                    btilde[r] -= a * self.x[j];
+                    self.btilde[r] -= a * self.x[j];
                 }
             }
         }
         // Artificial basis: coefficient sign(b̃ᵢ) so values are |b̃ᵢ| ≥ 0.
-        self.basis = (0..self.m).map(|i| self.art_index(i)).collect();
-        for (i, &bt) in btilde.iter().enumerate() {
+        self.basis.clear();
+        for i in 0..self.m {
             let j = self.art_index(i);
+            let bt = self.btilde[i];
             let sigma = if bt >= 0.0 { 1.0 } else { -1.0 };
-            self.cols[j] = vec![(i, sigma)];
+            self.cols.get_mut(j)[0] = (i, sigma);
             self.lb[j] = 0.0;
             self.ub[j] = f64::INFINITY;
             self.state[j] = VarState::Basic;
             self.x[j] = bt.abs();
+            self.basis.push(j);
         }
         clear_along(&mut self.binv, self.m, &self.pattern);
         self.pattern.fill(0);
@@ -370,10 +430,17 @@ impl Simplex {
         // Phase 1: minimize the sum of artificials, unless they are all 0.
         let needs_phase1 = (0..self.m).any(|i| self.x[self.art_index(i)] > self.opts.feas_tol);
         if needs_phase1 {
-            let phase1_cost: Vec<f64> = (0..self.ncols())
-                .map(|j| if self.is_artificial(j) { 1.0 } else { 0.0 })
-                .collect();
+            let mut phase1_cost = std::mem::take(&mut self.phase1_cost);
+            phase1_cost.clear();
+            phase1_cost.extend((0..self.ncols()).map(|j| {
+                if self.is_artificial(j) {
+                    1.0
+                } else {
+                    0.0
+                }
+            }));
             let status = self.optimize(&phase1_cost, true);
+            self.phase1_cost = phase1_cost;
             if status == SolveStatus::Limit {
                 return self.make_solution(SolveStatus::Limit);
             }
@@ -396,7 +463,7 @@ impl Simplex {
                 self.x[j] = 0.0;
             }
         }
-        let status = self.optimize(&self.obj.clone(), false);
+        let status = self.optimize_phase2();
         self.solved_once = true;
         self.make_solution(status)
     }
@@ -434,13 +501,12 @@ impl Simplex {
             );
         }
         let j = self.n_struct;
-        let mut col: Vec<(usize, f64)> = coeffs.to_vec();
+        let col = self.cols.insert(j, coeffs);
         col.sort_by_key(|&(r, _)| r);
         assert!(
             col.windows(2).all(|w| w[0].0 != w[1].0),
             "a column lists each row at most once"
         );
-        self.cols.insert(j, col);
         self.obj.insert(j, obj);
         self.lb.insert(j, lb);
         self.ub.insert(j, ub);
@@ -470,7 +536,7 @@ impl Simplex {
     pub fn reoptimize(&mut self) -> LpSolution {
         assert!(self.solved_once, "call solve() before reoptimize()");
         self.iterations = 0;
-        let status = self.optimize(&self.obj.clone(), false);
+        let status = self.optimize_phase2();
         self.make_solution(status)
     }
 
@@ -583,8 +649,16 @@ impl Simplex {
     /// still takes its terms in basis-position order; the ones skipped
     /// are ±0.
     fn btran(&self, cost: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.btran_into(cost, &mut y);
+        y
+    }
+
+    /// [`Simplex::btran`] into `y`'s buffer.
+    fn btran_into(&self, cost: &[f64], y: &mut Vec<f64>) {
         let m = self.m;
-        let mut y = vec![0.0; m];
+        y.clear();
+        y.resize(m, 0.0);
         for (pos, &bj) in self.basis.iter().enumerate() {
             let cb = cost[bj];
             if cb != 0.0 {
@@ -592,24 +666,24 @@ impl Simplex {
                 for_each_bit(self.pattern_row(pos), |i| y[i] += cb * row[i]);
             }
         }
-        y
     }
 
-    /// w = B⁻¹ · A_j. Each `w[i]` takes its terms in column order; the
-    /// rows skipped in column `r` of `B⁻¹` hold ±0 there.
-    fn ftran(&self, j: usize) -> Vec<f64> {
+    /// w = B⁻¹ · A_j, into `w`'s buffer. Each `w[i]` takes its terms in
+    /// column order; the rows skipped in column `r` of `B⁻¹` hold ±0
+    /// there.
+    fn ftran(&self, j: usize, w: &mut Vec<f64>) {
         let m = self.m;
-        let mut w = vec![0.0; m];
+        w.clear();
+        w.resize(m, 0.0);
         for &(r, a) in &self.cols[j] {
             if a != 0.0 {
                 for_each_bit(self.colpat_col(r), |i| w[i] += self.binv[i * m + r] * a);
             }
         }
         debug_assert!(
-            same_bits(&w, &self.ftran_dense(j)),
+            same_bits(w, &self.ftran_dense(j)),
             "the sparse ftran differs from the dense loop"
         );
-        w
     }
 
     /// The dense loop `ftran` replaced, kept as its debug oracle.
@@ -740,10 +814,17 @@ impl Simplex {
         }
     }
 
-    /// Replaces `y` by `btran(cost)`, invalidating the reduced costs of
-    /// every row whose dual changed a bit.
-    fn refresh_duals(&self, cost: &[f64], y: &mut [f64], pricing: &mut Pricing) {
-        for (k, fresh) in self.btran(cost).into_iter().enumerate() {
+    /// Replaces `y` by `btran(cost)`, computed into `fresh`, invalidating
+    /// the reduced costs of every row whose dual changed a bit.
+    fn refresh_duals(
+        &self,
+        cost: &[f64],
+        y: &mut [f64],
+        fresh: &mut Vec<f64>,
+        pricing: &mut Pricing,
+    ) {
+        self.btran_into(cost, fresh);
+        for (k, &fresh) in fresh.iter().enumerate() {
             if fresh.to_bits() != y[k].to_bits() {
                 y[k] = fresh;
                 pricing.invalidate_row(k);
@@ -752,13 +833,21 @@ impl Simplex {
     }
 
     /// Brings `y` up to date after a pivot on row `r` without a refactor:
-    /// only the duals of `r`'s pattern can move. Each is recomputed from
-    /// `btran`'s terms in `btran`'s order, ascending basis position, by
-    /// whichever walk costs less: down `colpat[k]` for every `k` of the
-    /// pattern, one scattered read of `B⁻¹` per term, or across every
-    /// row of `B⁻¹` restricted to the pattern, which scans all `m` row
-    /// patterns but reads the terms in storage order.
-    fn update_duals(&self, cost: &[f64], y: &mut [f64], r: usize, pricing: &mut Pricing) {
+    /// only the duals of `r`'s pattern can move. Each is recomputed into
+    /// `fresh` from `btran`'s terms in `btran`'s order, ascending basis
+    /// position, by whichever walk costs less: down `colpat[k]` for every
+    /// `k` of the pattern, one scattered read of `B⁻¹` per term, or across
+    /// every row of `B⁻¹` restricted to the pattern, which scans all `m`
+    /// row patterns but reads the terms in storage order. Only the entries
+    /// of `fresh` on the pattern are written or read.
+    fn update_duals(
+        &self,
+        cost: &[f64],
+        y: &mut [f64],
+        fresh: &mut [f64],
+        r: usize,
+        pricing: &mut Pricing,
+    ) {
         let (m, words) = (self.m, self.m.div_ceil(64));
         let pattern_r = self.pattern_row(r);
         // The column walk's reads, counted only until the row walk wins.
@@ -768,7 +857,7 @@ impl Simplex {
             scattered += count_ones(self.colpat_col(k));
             scattered <= limit
         });
-        let mut fresh = vec![0.0; m];
+        for_each_bit(pattern_r, |k| fresh[k] = 0.0);
         if sparse {
             for_each_bit(pattern_r, |k| {
                 for_each_bit(self.colpat_col(k), |pos| {
@@ -821,9 +910,36 @@ impl Simplex {
     /// that leaves the basis prices from the cache if its rows' duals
     /// kept their bits. The set of columns priced (basic, fixed,
     /// artificial in phase 1 excluded) is read afresh at every rescan.
-    /// Nothing outlives the call, so `add_column`, `reoptimize` and
-    /// `solve` always start from a fresh `btran` and an empty cache.
+    /// Nothing but buffers outlives the call: `add_column`, `reoptimize`
+    /// and `solve` always start from a fresh `btran` and an empty cache,
+    /// in the buffers the solver keeps.
     fn optimize(&mut self, cost: &[f64], phase1: bool) -> SolveStatus {
+        let mut pricing = std::mem::take(&mut self.pricing);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let status = self.iterate(cost, phase1, &mut pricing, &mut scratch);
+        self.pricing = pricing;
+        self.scratch = scratch;
+        status
+    }
+
+    /// [`Simplex::optimize`] under the phase-2 objective, which stays out
+    /// of `self` for the call so that it can be read beside `&mut self`.
+    fn optimize_phase2(&mut self) -> SolveStatus {
+        let obj = std::mem::take(&mut self.obj);
+        let status = self.optimize(&obj, false);
+        self.obj = obj;
+        status
+    }
+
+    /// The loop of [`Simplex::optimize`], in the buffers it took out of
+    /// the solver.
+    fn iterate(
+        &mut self,
+        cost: &[f64],
+        phase1: bool,
+        pricing: &mut Pricing,
+        scratch: &mut Scratch,
+    ) -> SolveStatus {
         let mut consecutive_degenerate = 0usize;
         let mut use_bland = false;
         // Artificials are the last `m` columns and never re-enter in
@@ -833,11 +949,13 @@ impl Simplex {
         } else {
             self.ncols()
         };
-        let mut pricing = Pricing::new(&self.cols[..end], self.m);
+        pricing.reset(&self.cols, end, self.m);
+        let Scratch { y, w, fresh, pivot } = scratch;
         // Every `d_j` starts invalid, so the rows whose dual stays `+0`
         // have nothing to invalidate.
-        let mut y = vec![0.0; self.m];
-        self.refresh_duals(cost, &mut y, &mut pricing);
+        y.clear();
+        y.resize(self.m, 0.0);
+        self.refresh_duals(cost, y, fresh, pricing);
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return SolveStatus::Limit;
@@ -845,8 +963,8 @@ impl Simplex {
             self.iterations += 1;
 
             let oracle =
-                cfg!(debug_assertions).then(|| self.full_scan_pick(&pricing, cost, &y, use_bland));
-            let entering = self.pick(&mut pricing, cost, &y, use_bland);
+                cfg!(debug_assertions).then(|| self.full_scan_pick(pricing, cost, y, use_bland));
+            let entering = self.pick(pricing, cost, y, use_bland);
             if let Some(oracle) = oracle {
                 assert_eq!(entering, oracle, "the block pick differs from a full scan");
             }
@@ -856,7 +974,7 @@ impl Simplex {
             let dir = f64::from(dir);
 
             // Ratio test.
-            let w = self.ftran(j);
+            self.ftran(j, w);
             let range = self.ub[j] - self.lb[j];
             let mut t_star = if range.is_finite() {
                 range
@@ -948,16 +1066,16 @@ impl Simplex {
                     self.x[j] += dir * t_star;
                     self.state[j] = VarState::Basic;
                     self.basis[r] = j;
-                    self.update_binv(r, &w);
+                    self.update_binv(r, w, pivot);
                     pricing.touch(j);
                     pricing.touch(out);
                     self.pivots_since_refactor += 1;
                     if self.pivots_since_refactor >= self.opts.refactor_every {
                         self.refactor();
                         pricing.touch_all();
-                        self.refresh_duals(cost, &mut y, &mut pricing);
+                        self.refresh_duals(cost, y, fresh, pricing);
                     } else {
-                        self.update_duals(cost, &mut y, r, &mut pricing);
+                        self.update_duals(cost, y, fresh, r, pricing);
                     }
                 }
             }
@@ -968,37 +1086,44 @@ impl Simplex {
     /// the FTRAN of the entering column. Only row `r`'s pattern is
     /// scaled and subtracted; every row it is subtracted from takes that
     /// pattern into its own.
-    fn update_binv(&mut self, r: usize, w: &[f64]) {
+    fn update_binv(&mut self, r: usize, w: &[f64], scratch: &mut PivotRow) {
         let (m, words) = (self.m, self.m.div_ceil(64));
         let pivot = w[r];
         debug_assert!(pivot.abs() > PIVOT_ZERO, "singular pivot");
         let inv = 1.0 / pivot;
-        let pattern_r = self.pattern_row(r).to_vec();
-        let mut row_r = Vec::new();
-        for_each_bit(&pattern_r, |k| {
+        let PivotRow {
+            pattern: pattern_r,
+            entries: row_r,
+            touched,
+        } = scratch;
+        pattern_r.clear();
+        pattern_r.extend_from_slice(self.pattern_row(r));
+        row_r.clear();
+        for_each_bit(pattern_r, |k| {
             self.binv[r * m + k] *= inv;
             row_r.push((k, self.binv[r * m + k]));
         });
         // Row `r` and every row it is subtracted from.
-        let mut touched = vec![0u64; words];
-        set_bit(&mut touched, r);
+        touched.clear();
+        touched.resize(words, 0);
+        set_bit(touched, r);
         for (i, &f) in w.iter().enumerate() {
             if i != r && f != 0.0 {
                 let row = &mut self.binv[i * m..(i + 1) * m];
-                for &(k, v) in &row_r {
+                for &(k, v) in row_r.iter() {
                     row[k] -= f * v;
                 }
                 let pattern_i = &mut self.pattern[i * words..(i + 1) * words];
-                for (dst, &src) in pattern_i.iter_mut().zip(&pattern_r) {
+                for (dst, &src) in pattern_i.iter_mut().zip(pattern_r.iter()) {
                     *dst |= src;
                 }
-                set_bit(&mut touched, i);
+                set_bit(touched, i);
             }
         }
         // Every touched row's pattern now has each bit of row `r`'s.
-        for_each_bit(&pattern_r, |k| {
+        for_each_bit(pattern_r, |k| {
             let column = &mut self.colpat[k * words..(k + 1) * words];
-            for (dst, &src) in column.iter_mut().zip(&touched) {
+            for (dst, &src) in column.iter_mut().zip(touched.iter()) {
                 *dst |= src;
             }
         });
@@ -1027,40 +1152,36 @@ impl Simplex {
              column patterns are not the rows' transposed"
         );
         clear_along(&mut self.binv, m, &self.pattern);
-        if self.work.len() != m * m {
-            self.work = vec![0.0; m * m];
-        }
+        // All ±0, so a store left by a solve of another size serves.
+        self.work.resize(m * m, 0.0);
         loop {
-            let basis_cols = self.basis.iter().map(|&j| self.cols[j].as_slice());
-            match invert(m, basis_cols, &mut self.binv, &mut self.work) {
-                Some(pattern) => {
-                    self.colpat = transpose(m, &pattern);
-                    self.pattern = pattern;
+            let basis_cols = self.basis.iter().map(|&j| &self.cols[j]);
+            let scratch = &mut self.invert_scratch;
+            if invert(m, basis_cols, &mut self.binv, &mut self.work, scratch) {
+                std::mem::swap(&mut self.pattern, &mut scratch.inv_rows);
+                transpose_into(m, &self.pattern, &mut self.colpat);
+                break;
+            }
+            // Basis repair: find a row whose basic column made B
+            // singular by testing rank incrementally is costly;
+            // instead swap every near-dependent position for its
+            // artificial. Rare in practice.
+            let mut replaced = false;
+            for i in 0..m {
+                let j = self.art_index(i);
+                if !self.basis.contains(&j) {
+                    let old = self.basis[i];
+                    self.basis[i] = j;
+                    // At a bound pricing can move it away from:
+                    // a `≥` slack rests at its upper bound 0, a
+                    // free column at `FreeZero`.
+                    (self.x[old], self.state[old]) = self.resting(old);
+                    self.state[j] = VarState::Basic;
+                    replaced = true;
                     break;
                 }
-                None => {
-                    // Basis repair: find a row whose basic column made B
-                    // singular by testing rank incrementally is costly;
-                    // instead swap every near-dependent position for its
-                    // artificial. Rare in practice.
-                    let mut replaced = false;
-                    for i in 0..m {
-                        let j = self.art_index(i);
-                        if !self.basis.contains(&j) {
-                            let old = self.basis[i];
-                            self.basis[i] = j;
-                            // At a bound pricing can move it away from:
-                            // a `≥` slack rests at its upper bound 0, a
-                            // free column at `FreeZero`.
-                            (self.x[old], self.state[old]) = self.resting(old);
-                            self.state[j] = VarState::Basic;
-                            replaced = true;
-                            break;
-                        }
-                    }
-                    assert!(replaced, "unable to repair singular basis");
-                }
             }
+            assert!(replaced, "unable to repair singular basis");
         }
         self.pivots_since_refactor = 0;
         self.recompute_basic_values();
@@ -1069,19 +1190,20 @@ impl Simplex {
     /// x_B = B⁻¹ (b − N x_N).
     fn recompute_basic_values(&mut self) {
         let m = self.m;
-        let mut btilde = self.rhs.clone();
+        self.btilde.clear();
+        self.btilde.extend_from_slice(&self.rhs);
         for j in 0..self.ncols() {
             if self.state[j] != VarState::Basic && self.x[j] != 0.0 {
                 for &(r, a) in &self.cols[j] {
-                    btilde[r] -= a * self.x[j];
+                    self.btilde[r] -= a * self.x[j];
                 }
             }
         }
-        for (pos, &j) in self.basis.iter().enumerate() {
+        for pos in 0..m {
             let mut v = 0.0;
             let row = &self.binv[pos * m..(pos + 1) * m];
-            for_each_bit(self.pattern_row(pos), |i| v += row[i] * btilde[i]);
-            self.x[j] = v;
+            for_each_bit(self.pattern_row(pos), |i| v += row[i] * self.btilde[i]);
+            self.x[self.basis[pos]] = v;
         }
     }
 
@@ -1089,13 +1211,14 @@ impl Simplex {
     /// non-artificial column with nonzero pivot exists.
     fn evict_artificials(&mut self) {
         let m = self.m;
+        let mut scratch = std::mem::take(&mut self.scratch);
         for pos in 0..m {
             let bj = self.basis[pos];
             if !self.is_artificial(bj) {
                 continue;
             }
             // ρ = row `pos` of B⁻¹; candidate pivot element is ρ·A_j.
-            let rho: Vec<f64> = self.binv[pos * m..(pos + 1) * m].to_vec();
+            let rho = &self.binv[pos * m..(pos + 1) * m];
             let mut found = None;
             for j in 0..self.ncols() - self.m {
                 if self.state[j] == VarState::Basic || self.lb[j] == self.ub[j] {
@@ -1112,7 +1235,7 @@ impl Simplex {
             }
             if let Some(j) = found {
                 // Degenerate pivot: artificial leaves at value 0.
-                let w = self.ftran(j);
+                self.ftran(j, &mut scratch.w);
                 let out = self.basis[pos];
                 self.x[j] = match self.state[j] {
                     VarState::AtLower => self.lb[j],
@@ -1123,12 +1246,13 @@ impl Simplex {
                 self.x[out] = 0.0;
                 self.state[j] = VarState::Basic;
                 self.basis[pos] = j;
-                self.update_binv(pos, &w);
+                self.update_binv(pos, &scratch.w, &mut scratch.pivot);
                 self.pivots_since_refactor += 1;
             }
             // Otherwise the row is linearly dependent: the artificial
             // stays basic, fixed to zero by phase-2 bounds.
         }
+        self.scratch = scratch;
         if self.pivots_since_refactor >= self.opts.refactor_every {
             self.refactor();
         }
@@ -1153,10 +1277,13 @@ const SCATTERED_READ: usize = 3;
 type Candidate = (usize, f64, i8);
 
 /// The reduced costs and block winners one `optimize` call keeps across
-/// its iterations (the module doc says why they stay exact).
+/// its iterations (the module doc says why they stay exact). The solver
+/// keeps the buffers from call to call; [`Pricing::reset`] empties them.
+#[derive(Debug, Clone, Default)]
 struct Pricing {
     /// Per row, the priced columns with an entry in it: `(block, mask)`
-    /// pairs in ascending block order, one mask bit per column.
+    /// pairs in ascending block order, one mask bit per column. Rows past
+    /// the current problem's hold whatever a larger one left.
     row_masks: Vec<Vec<(usize, u64)>>,
     /// `d[j]` is `c_j − y·A_j` under the current `y` if `valid` has bit `j`.
     d: Vec<f64>,
@@ -1169,28 +1296,35 @@ struct Pricing {
 }
 
 impl Pricing {
-    /// An empty cache over `cols`, every column dirty.
-    fn new(cols: &[Vec<(usize, f64)>], m: usize) -> Self {
-        let mut row_masks = vec![Vec::new(); m];
-        for (j, col) in cols.iter().enumerate() {
+    /// Empties the cache over the first `end` of `cols` on `m` rows,
+    /// every column dirty.
+    fn reset(&mut self, cols: &Columns, end: usize, m: usize) {
+        if self.row_masks.len() < m {
+            self.row_masks.resize_with(m, Vec::new);
+        }
+        for masks in &mut self.row_masks[..m] {
+            masks.clear();
+        }
+        for j in 0..end {
             let (block, bit) = (j / BLOCK, 1 << (j % BLOCK));
-            for &(r, _) in col {
-                match row_masks[r].last_mut() {
+            for &(r, _) in &cols[j] {
+                let masks = &mut self.row_masks[r];
+                match masks.last_mut() {
                     Some((last, mask)) if *last == block => *mask |= bit,
-                    _ => row_masks[r].push((block, bit)),
+                    _ => masks.push((block, bit)),
                 }
             }
         }
-        let blocks = cols.len().div_ceil(BLOCK);
-        let mut pricing = Self {
-            row_masks,
-            d: vec![0.0; cols.len()],
-            valid: vec![0; blocks],
-            dirty: vec![0; blocks],
-            best: vec![None; blocks],
-        };
-        pricing.touch_all();
-        pricing
+        let blocks = end.div_ceil(BLOCK);
+        self.d.clear();
+        self.d.resize(end, 0.0);
+        for words in [&mut self.valid, &mut self.dirty] {
+            words.clear();
+            words.resize(blocks, 0);
+        }
+        self.best.clear();
+        self.best.resize(blocks, None);
+        self.touch_all();
     }
 
     /// The mask of every priced column of block `b`.
@@ -1234,6 +1368,100 @@ impl Pricing {
     }
 }
 
+/// The solver's columns, each a run of `(row, coefficient)` entries in
+/// one store, so that a reload refills it without allocating.
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    entries: Vec<(usize, f64)>,
+    /// Per column, its run `start..end` of `entries`.
+    spans: Vec<(usize, usize)>,
+}
+
+impl Columns {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.spans.clear();
+    }
+
+    /// Appends a column of the entries `fill` appends.
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<(usize, f64)>)) {
+        let start = self.entries.len();
+        fill(&mut self.entries);
+        self.spans.push((start, self.entries.len()));
+    }
+
+    fn push(&mut self, col: &[(usize, f64)]) {
+        self.push_with(|entries| entries.extend_from_slice(col));
+    }
+
+    /// Inserts `col` as column `j` and returns its stored entries.
+    fn insert(&mut self, j: usize, col: &[(usize, f64)]) -> &mut [(usize, f64)] {
+        let start = self.entries.len();
+        self.entries.extend_from_slice(col);
+        self.spans.insert(j, (start, self.entries.len()));
+        &mut self.entries[start..]
+    }
+
+    fn get_mut(&mut self, j: usize) -> &mut [(usize, f64)] {
+        let (start, end) = self.spans[j];
+        &mut self.entries[start..end]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        self.spans
+            .iter()
+            .map(|&(start, end)| &self.entries[start..end])
+    }
+}
+
+impl std::ops::Index<usize> for Columns {
+    type Output = [(usize, f64)];
+
+    fn index(&self, j: usize) -> &[(usize, f64)] {
+        let (start, end) = self.spans[j];
+        &self.entries[start..end]
+    }
+}
+
+/// The buffers an `optimize` call fills, kept by the solver so that no
+/// iteration allocates them.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The duals the call keeps.
+    y: Vec<f64>,
+    /// `ftran`'s column `B⁻¹ A_j`.
+    w: Vec<f64>,
+    /// The duals `refresh_duals` and `update_duals` recompute.
+    fresh: Vec<f64>,
+    pivot: PivotRow,
+}
+
+/// `update_binv`'s copy of the pivot row's pattern and entries, and the
+/// rows it is subtracted from.
+#[derive(Debug, Clone, Default)]
+struct PivotRow {
+    pattern: Vec<u64>,
+    entries: Vec<(usize, f64)>,
+    touched: Vec<u64>,
+}
+
+/// `invert`'s bitsets and pivot rows. After an `invert` that succeeds,
+/// `inv_rows` holds the inverse's row patterns.
+#[derive(Debug, Clone, Default)]
+struct InvertScratch {
+    a_rows: Vec<u64>,
+    a_cols: Vec<u64>,
+    inv_rows: Vec<u64>,
+    col_pattern: Vec<u64>,
+    union: Vec<u64>,
+    pivot_row: Vec<(usize, f64)>,
+    pivot_inv_row: Vec<(usize, f64)>,
+}
+
 /// Offers `candidate` to a running Dantzig pick: a strictly larger
 /// violation replaces the best, so ties stay with the earlier column.
 fn offer(best: &mut Option<Candidate>, candidate: Candidate) {
@@ -1250,14 +1478,21 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 
 /// The column patterns of the `m` row patterns in `pattern`.
 fn transpose(m: usize, pattern: &[u64]) -> Vec<u64> {
+    let mut colpat = Vec::new();
+    transpose_into(m, pattern, &mut colpat);
+    colpat
+}
+
+/// [`transpose`] into `colpat`'s buffer.
+fn transpose_into(m: usize, pattern: &[u64], colpat: &mut Vec<u64>) {
     let words = m.div_ceil(64);
-    let mut colpat = vec![0; m * words];
+    colpat.clear();
+    colpat.resize(m * words, 0);
     for i in 0..m {
         for_each_bit(&pattern[i * words..(i + 1) * words], |k| {
             set_bit(&mut colpat[k * words..], i);
         });
     }
-    colpat
 }
 
 fn set_bit(pattern: &mut [u64], k: usize) {
@@ -1297,11 +1532,11 @@ fn for_each_bit(pattern: &[u64], mut f: impl FnMut(usize)) {
 
 /// Inverts the `m × m` matrix whose column `pos` is the `pos`-th of
 /// `columns` by Gauss-Jordan with partial pivoting, into `inv` (row-major,
-/// all ±0 on entry), and returns `inv`'s row patterns. Returns `None`,
-/// with `inv` all ±0 again, if a pivot smaller than `PIVOT_ZERO` is met.
-/// `a` is the work matrix the elimination runs in; it must be all ±0 on
-/// entry and is handed back so on either path, cleared along its row
-/// patterns.
+/// all ±0 on entry), and returns whether it succeeded, with `inv`'s row
+/// patterns in `scratch.inv_rows`. Fails, with `inv` all ±0 again, if a
+/// pivot smaller than `PIVOT_ZERO` is met. `a` is the work matrix the
+/// elimination runs in; it must be all ±0 on entry and is handed back so
+/// on either path, cleared along its row patterns.
 ///
 /// The work matrix carries row and column patterns and the inverse row
 /// patterns, each a superset of the nonzeros, so the pivot search and
@@ -1315,11 +1550,24 @@ fn invert<'c>(
     columns: impl Iterator<Item = &'c [(usize, f64)]>,
     inv: &mut [f64],
     a: &mut [f64],
-) -> Option<Vec<u64>> {
+    scratch: &mut InvertScratch,
+) -> bool {
     let words = m.div_ceil(64);
-    let mut a_rows = vec![0u64; m * words];
-    let mut a_cols = vec![0u64; m * words];
-    let mut inv_rows = vec![0u64; m * words];
+    let InvertScratch {
+        a_rows,
+        a_cols,
+        inv_rows,
+        col_pattern,
+        union,
+        pivot_row,
+        pivot_inv_row,
+    } = scratch;
+    for bits in [&mut *a_rows, &mut *a_cols, &mut *inv_rows] {
+        bits.clear();
+        bits.resize(m * words, 0);
+    }
+    col_pattern.clear();
+    col_pattern.resize(words, 0);
     for (pos, col) in columns.enumerate() {
         for &(r, v) in col {
             a[r * m + pos] = v;
@@ -1331,16 +1579,13 @@ fn invert<'c>(
         inv[i * m + i] = 1.0;
         set_bit(&mut inv_rows[i * words..], i);
     }
-    let mut col_pattern = vec![0u64; words];
-    let mut pivot_row = Vec::with_capacity(m);
-    let mut pivot_inv_row = Vec::with_capacity(m);
     let mut singular = false;
     for col in 0..m {
         col_pattern.copy_from_slice(&a_cols[col * words..(col + 1) * words]);
         // Partial pivot.
         let mut best = col;
         let mut best_abs = a[col * m + col].abs();
-        for_each_bit(&col_pattern, |r| {
+        for_each_bit(col_pattern, |r| {
             if r > col {
                 let v = a[r * m + col].abs();
                 if v > best_abs {
@@ -1355,12 +1600,12 @@ fn invert<'c>(
         }
         if best != col {
             // Entries outside both rows' patterns are ±0 in both and stay.
-            let union = |rows: &[u64]| -> Vec<u64> {
-                (0..words)
-                    .map(|w| rows[col * words + w] | rows[best * words + w])
-                    .collect()
+            let union_of = |union: &mut Vec<u64>, rows: &[u64]| {
+                union.clear();
+                union.extend((0..words).map(|w| rows[col * words + w] | rows[best * words + w]));
             };
-            for_each_bit(&union(&a_rows), |k| {
+            union_of(union, a_rows);
+            for_each_bit(union, |k| {
                 a.swap(col * m + k, best * m + k);
                 let column = &mut a_cols[k * words..(k + 1) * words];
                 if has_bit(column, col) != has_bit(column, best) {
@@ -1368,7 +1613,8 @@ fn invert<'c>(
                     column[best / 64] ^= 1 << (best % 64);
                 }
             });
-            for_each_bit(&union(&inv_rows), |k| inv.swap(col * m + k, best * m + k));
+            union_of(union, inv_rows);
+            for_each_bit(union, |k| inv.swap(col * m + k, best * m + k));
             for w in 0..words {
                 a_rows.swap(col * words + w, best * words + w);
                 inv_rows.swap(col * words + w, best * words + w);
@@ -1386,7 +1632,7 @@ fn invert<'c>(
             inv[col * m + k] *= inv_piv;
             pivot_inv_row.push((k, inv[col * m + k]));
         });
-        for_each_bit(&col_pattern, |r| {
+        for_each_bit(col_pattern, |r| {
             if r == col {
                 return;
             }
@@ -1394,10 +1640,10 @@ fn invert<'c>(
             if f == 0.0 {
                 return;
             }
-            for &(k, v) in &pivot_row {
+            for &(k, v) in pivot_row.iter() {
                 a[r * m + k] -= f * v;
             }
-            for &(k, v) in &pivot_inv_row {
+            for &(k, v) in pivot_inv_row.iter() {
                 inv[r * m + k] -= f * v;
             }
             for w in 0..words {
@@ -1408,16 +1654,15 @@ fn invert<'c>(
             }
         });
     }
-    clear_along(a, m, &a_rows);
+    clear_along(a, m, a_rows);
     debug_assert!(
         a.iter().all(|&v| v == 0.0),
         "invert hands back a nonzero work matrix"
     );
     if singular {
-        clear_along(inv, m, &inv_rows);
-        return None;
+        clear_along(inv, m, inv_rows);
     }
-    Some(inv_rows)
+    !singular
 }
 
 /// Zeroes every entry of the row-major `m × m` `store` under its row
@@ -1762,15 +2007,16 @@ mod tests {
     /// `invert` must fail exactly when the dense one does, leaving the
     /// inverse all ±0, and otherwise return the same values — `==`
     /// forgives only the sign of a zero — with row patterns covering
-    /// every nonzero. One work matrix serves every basis of a size, as
-    /// in the solver, so each call also relies on the last handing it
-    /// back cleared.
+    /// every nonzero. One work matrix and one scratch serve every basis
+    /// of a size, as in the solver, so each call also relies on the last
+    /// handing the work matrix back cleared.
     #[test]
     fn pattern_invert_matches_the_dense_gauss_jordan() {
         let mut rng = xorshift(0x5851_f42d_4c95_7f2d);
         let mut singular = 0;
         for m in [1, 2, 5, 63, 64, 65, 127, 130] {
             let mut work = vec![0.0; m * m];
+            let mut scratch = InvertScratch::default();
             for _ in 0..6 {
                 let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
                 for (pos, col) in columns.iter_mut().enumerate() {
@@ -1795,14 +2041,21 @@ mod tests {
                 }
                 let expected = dense_invert(&mut dense, m);
                 let mut inv = vec![0.0; m * m];
-                let got = invert(m, columns.iter().map(Vec::as_slice), &mut inv, &mut work);
-                assert_eq!(got.is_some(), expected.is_some(), "m = {m}");
-                let (Some(pattern), Some(expected)) = (got, expected) else {
+                let got = invert(
+                    m,
+                    columns.iter().map(Vec::as_slice),
+                    &mut inv,
+                    &mut work,
+                    &mut scratch,
+                );
+                assert_eq!(got, expected.is_some(), "m = {m}");
+                let (true, Some(expected)) = (got, expected) else {
                     assert!(inv.iter().all(|&v| v == 0.0), "m = {m}");
                     singular += 1;
                     continue;
                 };
                 assert!(inv.iter().zip(&expected).all(|(a, b)| a == b), "m = {m}");
+                let pattern = &scratch.inv_rows;
                 let words = m.div_ceil(64);
                 for i in 0..m {
                     for k in 0..m {

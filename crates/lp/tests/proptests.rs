@@ -7,12 +7,15 @@
 //!   rounds of appended columns, each solution also checked for
 //!   feasibility and its objective against the test's own copy of the
 //!   rows and columns;
+//! * `Simplex::reload` against a fresh solver, bit for bit, over
+//!   PLAN-VNE-shaped masters that grow and shrink, one of them infeasible
+//!   and one that needs the singular-basis repair;
 //! * dual sign and reduced-cost optimality conditions;
 //! * branch-and-bound vs exhaustive enumeration on random binary MILPs.
 
 use proptest::prelude::*;
 use vne_lp::problem::{Problem, Relation};
-use vne_lp::simplex::{solve_lp, Simplex};
+use vne_lp::simplex::{solve_lp, Simplex, SimplexOptions};
 use vne_lp::solution::SolveStatus;
 use vne_lp::{solve_mip, BranchBoundOptions};
 
@@ -65,6 +68,115 @@ fn check_on_the_data(
         return Err(format!("objective {} vs Σ c·x = {primal}", sol.objective));
     }
     Ok(())
+}
+
+fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A PLAN-VNE-shaped master drawn from `seed`: `caps` `≤` capacity rows
+/// (about one in six drained to 0), one `=` convexity row per class over
+/// `quantiles` rejection columns bounded by `1/P`, and one to three
+/// embedding columns per class, `demand · usage` on up to three capacity
+/// rows and 1 on the class's convexity row. With `tiny`, half the classes
+/// have demands down to 1e-12, so their columns are nearly zero on the
+/// capacity rows; with `infeasible`, one more `=` row that no column has,
+/// so phase 1 ends `Infeasible`. Also returns one round of columns to
+/// append, in the same shape.
+fn drawn_master(
+    seed: u64,
+    (caps, classes, quantiles): (usize, usize, usize),
+    tiny: bool,
+    infeasible: bool,
+) -> (Problem, Vec<Column>) {
+    let mut rng = xorshift(seed);
+    let mut p = Problem::new();
+    for _ in 0..caps {
+        let rhs = if rng() < 0.15 {
+            0.0
+        } else {
+            1.0 + 30.0 * rng()
+        };
+        p.add_row("", Relation::Le, rhs);
+    }
+    for _ in 0..classes {
+        p.add_row("", Relation::Eq, 1.0);
+    }
+    if infeasible {
+        p.add_row("", Relation::Eq, 1.0);
+    }
+    let demands: Vec<f64> = (0..classes)
+        .map(|_| {
+            if tiny && rng() < 0.5 {
+                10f64.powf(-12.0 + 12.0 * rng())
+            } else {
+                1.0 + 9.0 * rng()
+            }
+        })
+        .collect();
+    let embedding = |k: usize, rng: &mut dyn FnMut() -> f64| {
+        let mut entries: Vec<(usize, f64)> = (0..1 + (rng() * 3.0) as usize)
+            .map(|_| ((rng() * caps as f64) as usize, demands[k] * (0.25 + rng())))
+            .collect();
+        entries.sort_by_key(|&(r, _)| r);
+        entries.dedup_by_key(|&mut (r, _)| r);
+        entries.push((caps + k, 1.0));
+        let cost = 1.0 + 4.0 * rng();
+        Column {
+            cost,
+            lb: 0.0,
+            ub: f64::INFINITY,
+            entries,
+        }
+    };
+    let mut columns = Vec::new();
+    for k in 0..classes {
+        for q in 1..=quantiles {
+            let ub = 1.0 / quantiles as f64;
+            columns.push(Column {
+                cost: 3.0 * q as f64,
+                lb: 0.0,
+                ub,
+                entries: vec![(caps + k, 1.0)],
+            });
+        }
+        for _ in 0..1 + (rng() * 3.0) as usize {
+            columns.push(embedding(k, &mut rng));
+        }
+    }
+    for col in &columns {
+        let v = p.add_var("", col.cost, col.lb, col.ub);
+        for &(r, a) in &col.entries {
+            p.set_coeff(vne_lp::RowId(r), v, a);
+        }
+    }
+    let round = (0..classes).map(|k| embedding(k, &mut rng)).collect();
+    (p, round)
+}
+
+/// A master [`drawn_master`] draws with `tiny` demands whose solve at a
+/// seven-pivot refactor cadence meets a numerically singular basis at a
+/// refactor and repairs it, six times (found by counting the repairs in
+/// an instrumented copy of the solver): 20 capacity rows, 8 classes, 3
+/// quantiles.
+const REPAIR_MASTER: (u64, (usize, usize, usize)) = (39, (20, 8, 3));
+
+/// The bits of a solution: status, objective, `x`, duals, iterations.
+fn bits(sol: &vne_lp::solution::LpSolution) -> (SolveStatus, u64, Vec<u64>, Vec<u64>, usize) {
+    let words = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (
+        sol.status,
+        sol.objective.to_bits(),
+        words(&sol.x),
+        words(&sol.duals),
+        sol.iterations,
+    )
 }
 
 /// Random LP: min c x, A x ≤ b, 0 ≤ x ≤ u with b ≥ 0 (x = 0 feasible).
@@ -257,6 +369,55 @@ proptest! {
             prop_assert!(verdict.is_ok(), "round {}: {:?}", round, verdict);
             let verdict = check_on_the_data(&rows, &columns, &sol);
             prop_assert!(verdict.is_ok(), "round {}: {:?}", round, verdict);
+        }
+    }
+
+    /// `Simplex::reload` keeps the stores of the solver it reloads: `B⁻¹`
+    /// and `invert`'s work matrix, the row and column patterns, the
+    /// columns, costs, bounds, `state`, `x` and the iterations' scratch.
+    /// One solver is reloaded over `steps` masters whose row count grows
+    /// and shrinks in turn (up to 150 capacity rows and 60 classes, then
+    /// up to 20 and 8), at a refactor cadence of 100, 7 or 1 pivots. One
+    /// master of the sequence is infeasible and one is `REPAIR_MASTER`,
+    /// which needs the singular-basis repair. After each reload, its
+    /// `solve` and, when that is optimal, one round of `add_column` and
+    /// `reoptimize` must return a fresh solver's bits: status, objective,
+    /// `x`, duals and iterations.
+    #[test]
+    fn a_reloaded_solver_returns_a_fresh_solvers_bits(
+        seed in any::<u64>(),
+        steps in 3usize..=6,
+    ) {
+        let mut rng = xorshift(seed);
+        let infeasible_at = (rng() * steps as f64) as usize;
+        let repair_at = (infeasible_at + 1 + (rng() * (steps - 1) as f64) as usize) % steps;
+        let mut reloaded = Simplex::default();
+        for step in 0..steps {
+            let (master_seed, shape) = if step == repair_at {
+                REPAIR_MASTER
+            } else if step % 2 == 0 {
+                let caps = 1 + (rng() * 150.0) as usize;
+                (rng().to_bits(), (caps, 1 + (rng() * 60.0) as usize, 1 + (rng() * 10.0) as usize))
+            } else {
+                let caps = 1 + (rng() * 20.0) as usize;
+                (rng().to_bits(), (caps, 1 + (rng() * 8.0) as usize, 1 + (rng() * 3.0) as usize))
+            };
+            let refactor_every = if step == repair_at { 7 } else { [100, 7, 1][step % 3] };
+            let opts = SimplexOptions { refactor_every, ..SimplexOptions::default() };
+            let (p, round) =
+                drawn_master(master_seed, shape, step == repair_at, step == infeasible_at);
+            reloaded.reload(&p, opts.clone());
+            let mut fresh = Simplex::with_options(&p, opts);
+            let sol = reloaded.solve();
+            prop_assert_eq!(bits(&sol), bits(&fresh.solve()), "step {}", step);
+            prop_assert_eq!(sol.status == SolveStatus::Infeasible, step == infeasible_at);
+            if sol.status.is_optimal() {
+                for col in &round {
+                    reloaded.add_column(col.cost, col.lb, col.ub, &col.entries);
+                    fresh.add_column(col.cost, col.lb, col.ub, &col.entries);
+                }
+                prop_assert_eq!(bits(&reloaded.reoptimize()), bits(&fresh.reoptimize()), "step {}", step);
+            }
         }
     }
 
