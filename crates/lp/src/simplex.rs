@@ -1142,8 +1142,9 @@ impl Simplex {
 
     /// Rebuilds `B⁻¹` from the basis by Gauss-Jordan elimination with
     /// partial pivoting, then recomputes basic values. If the basis is
-    /// numerically singular the offending column is replaced by the
-    /// artificial of that row.
+    /// numerically singular, the column the elimination failed at is
+    /// replaced by the artificial of a row it had not pivoted on yet,
+    /// and the elimination runs again.
     fn refactor(&mut self) {
         let m = self.m;
         debug_assert!(
@@ -1157,31 +1158,31 @@ impl Simplex {
         loop {
             let basis_cols = self.basis.iter().map(|&j| &self.cols[j]);
             let scratch = &mut self.invert_scratch;
-            if invert(m, basis_cols, &mut self.binv, &mut self.work, scratch) {
+            let Err(col) = invert(m, basis_cols, &mut self.binv, &mut self.work, scratch) else {
                 std::mem::swap(&mut self.pattern, &mut scratch.inv_rows);
                 transpose_into(m, &self.pattern, &mut self.colpat);
                 break;
-            }
-            // Basis repair: find a row whose basic column made B
-            // singular by testing rank incrementally is costly;
-            // instead swap every near-dependent position for its
-            // artificial. Rare in practice.
-            let mut replaced = false;
-            for i in 0..m {
-                let j = self.art_index(i);
-                if !self.basis.contains(&j) {
-                    let old = self.basis[i];
-                    self.basis[i] = j;
-                    // At a bound pricing can move it away from:
-                    // a `≥` slack rests at its upper bound 0, a
-                    // free column at `FreeZero`.
-                    (self.x[old], self.state[old]) = self.resting(old);
-                    self.state[j] = VarState::Basic;
-                    replaced = true;
-                    break;
-                }
-            }
-            assert!(replaced, "unable to repair singular basis");
+            };
+            // Basis repair: the columns before `col` pivoted on the rows
+            // `row_order[..col]`, and the artificial of any other row,
+            // a unit column, pivots on its own row at step `col`. So the
+            // next elimination gets at least one step further and the
+            // repairs end within `m`. One such artificial is nonbasic:
+            // one at an earlier position would have pivoted its row,
+            // the failed column is none of them, and the positions after
+            // `col` are one fewer than the rows not pivoted on.
+            let j = self.invert_scratch.row_order[col..]
+                .iter()
+                .map(|&i| self.art_index(i))
+                .filter(|j| !self.basis.contains(j))
+                .min()
+                .expect("a row not pivoted on has a nonbasic artificial");
+            let old = self.basis[col];
+            self.basis[col] = j;
+            // At a bound pricing can move it away from: a `≥` slack
+            // rests at its upper bound 0, a free column at `FreeZero`.
+            (self.x[old], self.state[old]) = self.resting(old);
+            self.state[j] = VarState::Basic;
         }
         self.pivots_since_refactor = 0;
         self.recompute_basic_values();
@@ -1456,6 +1457,10 @@ struct InvertScratch {
     a_rows: Vec<u64>,
     a_cols: Vec<u64>,
     inv_rows: Vec<u64>,
+    /// `row_order[k]`: the row of the basis matrix now at row `k` of the
+    /// work matrix. After a failure at step `col`, `row_order[col..]`
+    /// are the rows not pivoted on.
+    row_order: Vec<usize>,
     col_pattern: Vec<u64>,
     union: Vec<u64>,
     pivot_row: Vec<(usize, f64)>,
@@ -1532,11 +1537,12 @@ fn for_each_bit(pattern: &[u64], mut f: impl FnMut(usize)) {
 
 /// Inverts the `m × m` matrix whose column `pos` is the `pos`-th of
 /// `columns` by Gauss-Jordan with partial pivoting, into `inv` (row-major,
-/// all ±0 on entry), and returns whether it succeeded, with `inv`'s row
-/// patterns in `scratch.inv_rows`. Fails, with `inv` all ±0 again, if a
-/// pivot smaller than `PIVOT_ZERO` is met. `a` is the work matrix the
-/// elimination runs in; it must be all ±0 on entry and is handed back so
-/// on either path, cleared along its row patterns.
+/// all ±0 on entry), with `inv`'s row patterns in `scratch.inv_rows`.
+/// Fails, with `inv` all ±0 again, if a pivot smaller than `PIVOT_ZERO`
+/// is met: the error is the step (column) it was met at, and
+/// `scratch.row_order[step..]` are the rows not pivoted on. `a` is the
+/// work matrix the elimination runs in; it must be all ±0 on entry and
+/// is handed back so on either path, cleared along its row patterns.
 ///
 /// The work matrix carries row and column patterns and the inverse row
 /// patterns, each a superset of the nonzeros, so the pivot search and
@@ -1551,12 +1557,13 @@ fn invert<'c>(
     inv: &mut [f64],
     a: &mut [f64],
     scratch: &mut InvertScratch,
-) -> bool {
+) -> Result<(), usize> {
     let words = m.div_ceil(64);
     let InvertScratch {
         a_rows,
         a_cols,
         inv_rows,
+        row_order,
         col_pattern,
         union,
         pivot_row,
@@ -1568,6 +1575,8 @@ fn invert<'c>(
     }
     col_pattern.clear();
     col_pattern.resize(words, 0);
+    row_order.clear();
+    row_order.extend(0..m);
     for (pos, col) in columns.enumerate() {
         for &(r, v) in col {
             a[r * m + pos] = v;
@@ -1579,7 +1588,7 @@ fn invert<'c>(
         inv[i * m + i] = 1.0;
         set_bit(&mut inv_rows[i * words..], i);
     }
-    let mut singular = false;
+    let mut singular = None;
     for col in 0..m {
         col_pattern.copy_from_slice(&a_cols[col * words..(col + 1) * words]);
         // Partial pivot.
@@ -1595,10 +1604,11 @@ fn invert<'c>(
             }
         });
         if best_abs <= PIVOT_ZERO {
-            singular = true;
+            singular = Some(col);
             break;
         }
         if best != col {
+            row_order.swap(col, best);
             // Entries outside both rows' patterns are ±0 in both and stay.
             let union_of = |union: &mut Vec<u64>, rows: &[u64]| {
                 union.clear();
@@ -1659,10 +1669,13 @@ fn invert<'c>(
         a.iter().all(|&v| v == 0.0),
         "invert hands back a nonzero work matrix"
     );
-    if singular {
-        clear_along(inv, m, inv_rows);
+    match singular {
+        Some(col) => {
+            clear_along(inv, m, inv_rows);
+            Err(col)
+        }
+        None => Ok(()),
     }
-    !singular
 }
 
 /// Zeroes every entry of the row-major `m × m` `store` under its row
@@ -1956,8 +1969,9 @@ mod tests {
         }
     }
 
-    /// The dense Gauss-Jordan the pattern-driven `invert` replaced.
-    fn dense_invert(a: &mut [f64], m: usize) -> Option<Vec<f64>> {
+    /// The dense Gauss-Jordan the pattern-driven `invert` replaced; on a
+    /// singular matrix, the step it failed at.
+    fn dense_invert(a: &mut [f64], m: usize) -> Result<Vec<f64>, usize> {
         let mut inv = vec![0.0; m * m];
         for i in 0..m {
             inv[i * m + i] = 1.0;
@@ -1973,7 +1987,7 @@ mod tests {
                 }
             }
             if best_abs <= PIVOT_ZERO {
-                return None;
+                return Err(col);
             }
             if best != col {
                 for k in 0..m {
@@ -1998,7 +2012,7 @@ mod tests {
                 }
             }
         }
-        Some(inv)
+        Ok(inv)
     }
 
     /// Random sparse bases: a scrambled diagonal (dropped for some
@@ -2048,11 +2062,15 @@ mod tests {
                     &mut work,
                     &mut scratch,
                 );
-                assert_eq!(got, expected.is_some(), "m = {m}");
-                let (true, Some(expected)) = (got, expected) else {
-                    assert!(inv.iter().all(|&v| v == 0.0), "m = {m}");
-                    singular += 1;
-                    continue;
+                let expected = match (got, expected) {
+                    (Ok(()), Ok(expected)) => expected,
+                    (Err(step), Err(dense_step)) => {
+                        assert_eq!(step, dense_step, "m = {m}");
+                        assert!(inv.iter().all(|&v| v == 0.0), "m = {m}");
+                        singular += 1;
+                        continue;
+                    }
+                    (got, expected) => panic!("m = {m}: {got:?} against {:?}", expected.err()),
                 };
                 assert!(inv.iter().zip(&expected).all(|(a, b)| a == b), "m = {m}");
                 let pattern = &scratch.inv_rows;
@@ -2168,9 +2186,11 @@ mod tests {
         }
     }
 
-    /// A basis made singular by a column parallel to a `≥` row's slack:
-    /// the repair swaps the slack for the first row's artificial, and the
-    /// slack must rest at its upper bound 0 (its lower bound is −∞). At
+    /// A basis made singular by a `≥` row's slack parallel to a column
+    /// before it: the elimination fails at the slack's position, the
+    /// repair swaps the slack for the artificial of the row not pivoted
+    /// on (the first), and the slack must rest at its upper bound 0 (its
+    /// lower bound is −∞). At
     /// `AtLower` its reduced cost of −1 would let it enter upwards, past
     /// that bound with an infinite range, and leave `u ≥ 2` violated.
     #[test]
@@ -2188,16 +2208,16 @@ mod tests {
         let mut s = Simplex::from_problem(&p);
         assert!(s.solve().status.is_optimal());
 
-        // Force the basis [slack of `floor`, u]: both columns are e₁.
+        // Force the basis [u, slack of `floor`]: both columns are e₁.
         let slack = s.n_struct + 1;
         for b in s.basis.clone() {
             (s.x[b], s.state[b]) = s.resting(b);
         }
-        s.basis = vec![slack, u.0];
+        s.basis = vec![u.0, slack];
         s.state[slack] = VarState::Basic;
         s.state[u.0] = VarState::Basic;
         s.refactor();
-        assert_eq!(s.basis, [s.art_index(0), u.0]);
+        assert_eq!(s.basis, [u.0, s.art_index(0)]);
         assert_eq!(s.state[slack], VarState::AtUpper);
         assert_eq!(s.x[slack], 0.0);
         assert!(s.patterns_cover_binv());

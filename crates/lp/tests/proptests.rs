@@ -167,6 +167,38 @@ fn drawn_master(
 /// quantiles.
 const REPAIR_MASTER: (u64, (usize, usize, usize)) = (39, (20, 8, 3));
 
+/// A master [`drawn_master`] draws with `tiny` demands that, at a
+/// refactor after every pivot, meets singular bases whose failing column
+/// is not the first position with a nonbasic artificial: 20 capacity
+/// rows, 8 classes, 3 quantiles. Repairing the first such position
+/// swapped out an independent column and left the dependent one in, so
+/// the solve repaired at every refactor and ended `Limit` after 200 000
+/// iterations. Repairing the position the elimination failed at, with
+/// the artificial of a row it had not pivoted on, ends `Optimal`.
+#[test]
+fn a_repair_at_the_failed_column_ends_optimal() {
+    let (p, round) = drawn_master(134, (20, 8, 3), true, false);
+    let opts = SimplexOptions {
+        refactor_every: 1,
+        ..SimplexOptions::default()
+    };
+    let mut simplex = Simplex::with_options(&p, opts);
+    let sol = simplex.solve();
+    assert_eq!(
+        sol.status,
+        SolveStatus::Optimal,
+        "after {} iterations",
+        sol.iterations
+    );
+    simplex.certify().unwrap();
+    assert!(p.is_feasible(&sol.x, 1e-6));
+    for col in &round {
+        simplex.add_column(col.cost, col.lb, col.ub, &col.entries);
+    }
+    assert_eq!(simplex.reoptimize().status, SolveStatus::Optimal);
+    simplex.certify().unwrap();
+}
+
 /// The bits of a solution: status, objective, `x`, duals, iterations.
 fn bits(sol: &vne_lp::solution::LpSolution) -> (SolveStatus, u64, Vec<u64>, Vec<u64>, usize) {
     let words = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();

@@ -780,6 +780,60 @@ fn a_departure_past_the_slot_horizon_is_refused_and_leaves_the_run_unchanged() {
     daemon.shutdown();
 }
 
+/// The largest duration the daemon accepts departs at `Slot::MAX`: the
+/// request is accepted, stepped, checkpointed at shutdown and restored
+/// by a second daemon, and stays alive through another slot. The
+/// engine books it as one calendar entry, so both legs, process start
+/// and checkpoint file included, finish in well under a second; a
+/// calendar dense over the horizon would need ≈ 4·10⁹ slots.
+#[test]
+fn a_departure_at_the_slot_horizon_is_booked_checkpointed_and_restored() {
+    let ckpt = temp_path("horizon-far.ckpt");
+    let _ = std::fs::remove_file(&ckpt);
+    let started = Instant::now();
+    let daemon = Daemon::start(&["--checkpoint", ckpt.to_str().unwrap()]);
+    let mut submitter = daemon.client();
+    let mut control = daemon.client();
+    let far = Command::Submit {
+        ingress: NodeId(0),
+        app: AppId(0),
+        demand: 1.0,
+        duration: Slot::MAX,
+    };
+    let (decision, _) = submit_and_close(&mut submitter, &mut control, 0, &far);
+    assert!(
+        matches!(
+            decision,
+            Reply::Submitted {
+                decision: Decision::Accept,
+                ..
+            }
+        ),
+        "{decision:?}"
+    );
+    assert_eq!(
+        control.send(&Command::Advance { slots: 2 }),
+        Reply::Advanced { slot: 3 }
+    );
+    assert_eq!(stat(&control.stats(), "active"), "1");
+    drop((submitter, control));
+    daemon.shutdown();
+
+    let resumed = Daemon::start(&["--resume-from", ckpt.to_str().unwrap()]);
+    let mut client = resumed.client();
+    assert_eq!(stat(&client.stats(), "active"), "1");
+    assert_eq!(
+        client.send(&Command::Advance { slots: 1 }),
+        Reply::Advanced { slot: 4 }
+    );
+    assert_eq!(stat(&client.stats(), "active"), "1");
+    drop(client);
+    resumed.shutdown();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+    let _ = std::fs::remove_file(&ckpt);
+}
+
 /// The acceptance crash drill: SIGKILL the daemon mid-run, restart from
 /// the last durable checkpoint, replay the lost tail, and end with the
 /// same decisions, fingerprint, and checkpoint bytes as the

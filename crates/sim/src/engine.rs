@@ -36,6 +36,8 @@ use vne_model::state::{Snapshot, StateBlob, StateError, StateReader, StateWriter
 use vne_model::substrate::SubstrateNetwork;
 use vne_olive::algorithm::OnlineAlgorithm;
 
+use crate::calendar::Calendar;
+
 /// Final status of a request after the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestStatus {
@@ -401,12 +403,15 @@ pub struct EngineState {
     /// path, and every reader whose result could show the iteration
     /// order sorts by id first ([`EngineState::alive_by_id`]).
     alive: HashMap<RequestId, Request, IdHashing>,
-    /// Departure calendar: slot -> accepted request ids departing then
-    /// (in acceptance order — the order departures are released in).
-    departures_at: BTreeMap<Slot, Vec<RequestId>>,
-    /// Requested-demand decrements: slot -> total demand departing then
-    /// (all arrivals, accepted or not — the "requested" curve of Fig. 8).
-    requested_drop: BTreeMap<Slot, f64>,
+    /// Departure calendar: per slot, the accepted request ids departing
+    /// then (in acceptance order — the order departures are released
+    /// in) and the requested demand departing then (all arrivals,
+    /// accepted or not — the "requested" curve of Fig. 8). One record
+    /// per slot in a dense window over the near slots, far slots in an
+    /// ordered overflow: a booking and a release cost O(1) amortised,
+    /// and memory stays bounded for departures up to `Slot::MAX`. A
+    /// checkpoint writes it as two maps (see the `Snapshot` impl).
+    calendar: Calendar,
     requested_active: f64,
     allocated_active: f64,
     stats: StreamStats,
@@ -480,7 +485,7 @@ impl EngineState {
     /// auditor; never called by the engine.
     #[doc(hidden)]
     pub fn debug_clear_departures(&mut self) {
-        self.departures_at.clear();
+        self.calendar.clear_departures();
     }
 
     /// Schedules an active request to depart at the next stepped slot,
@@ -501,7 +506,7 @@ impl EngineState {
             return false;
         }
         let slot = Slot::try_from(self.next_min_slot).unwrap_or(Slot::MAX);
-        self.departures_at.entry(slot).or_default().push(id);
+        self.calendar.book_departure(slot, id);
         true
     }
 
@@ -649,15 +654,16 @@ impl EngineState {
 /// `alive` map is hashed, so the snapshot sorts it and lists the active
 /// requests in ascending id order; a restore refuses a list that is not
 /// strictly ascending (a duplicate would leave the allocated-demand
-/// counter disagreeing with the map). The departure calendar's per-slot
-/// vectors keep their order (it is the release order, and release order
-/// feeds the algorithm's departure slice).
+/// counter disagreeing with the map). The departure calendar is one
+/// structure in memory and two maps in the checkpoint, `slot → departing
+/// ids` then `slot → requested drop`, each in ascending slot order; the
+/// per-slot id lists keep their order (it is the release order, and
+/// release order feeds the algorithm's departure slice).
 impl Snapshot for EngineState {
     fn snapshot(&self) -> StateBlob {
         let mut w = StateWriter::new();
         w.write_seq(self.alive_by_id().into_iter());
-        w.write(&self.departures_at);
-        w.write(&self.requested_drop);
+        self.calendar.encode(&mut w);
         w.write_f64(self.requested_active);
         w.write_f64(self.allocated_active);
         w.write(&self.stats);
@@ -684,8 +690,7 @@ impl Snapshot for EngineState {
             )));
         }
         self.alive = alive_list.into_iter().map(|r| (r.id, r)).collect();
-        self.departures_at = departures_at;
-        self.requested_drop = requested_drop;
+        self.calendar = Calendar::from_maps(next_min_slot, departures_at, requested_drop);
         self.requested_active = requested_active;
         self.allocated_active = allocated_active;
         self.stats = stats;
@@ -1096,19 +1101,22 @@ fn find_stranded(
     let tol = |cap: f64| vne_model::load::CAPACITY_EPS * cap.max(1.0);
     let over_node = |load: &[f64], n: usize| load[n] > effective.node[n] + tol(effective.node[n]);
     let over_link = |load: &[f64], l: usize| load[l] > effective.link[l] + tol(effective.link[l]);
-    let any_over = |node_load: &[f64], link_load: &[f64]| {
-        (0..node_load.len()).any(|n| over_node(node_load, n))
-            || (0..link_load.len()).any(|l| over_link(link_load, l))
-    };
+    // Elements over capacity, kept as the walk subtracts loads.
+    let mut over = (0..node_load.len())
+        .filter(|&n| over_node(&node_load, n))
+        .count()
+        + (0..link_load.len())
+            .filter(|&l| over_link(&link_load, l))
+            .count();
 
     let mut stranded = Vec::new();
-    if !any_over(&node_load, &link_load) {
+    if over == 0 {
         return stranded;
     }
     // Newest-first (descending id): later acceptances yield to earlier
     // ones, mirroring the seniority order of the arrival sequence.
     for r in state.alive_by_id().into_iter().rev() {
-        if !any_over(&node_load, &link_load) {
+        if over == 0 {
             break;
         }
         let Some(fp) = algorithm.footprint_of(r.id) else {
@@ -1127,10 +1135,14 @@ fn find_stranded(
             continue;
         }
         for &(n, x) in fp.nodes() {
+            let was = over_node(&node_load, n.index());
             node_load[n.index()] -= x * r.demand;
+            over = over + usize::from(over_node(&node_load, n.index())) - usize::from(was);
         }
         for &(l, x) in fp.links() {
+            let was = over_link(&link_load, l.index());
             link_load[l.index()] -= x * r.demand;
+            over = over + usize::from(over_link(&link_load, l.index())) - usize::from(was);
         }
         stranded.push(r.clone());
     }
@@ -1176,23 +1188,17 @@ fn advance_slot(
     // including this slot (a sparse stream may skip quiet slots;
     // departures falling into the gap are released now).
     let mut departures: Vec<Request> = Vec::new();
-    while let Some(entry) = state.departures_at.first_entry() {
-        if *entry.key() > t {
-            break;
-        }
-        for id in entry.remove() {
+    state.calendar.release_through(t, |due| {
+        for id in due.departing.into_iter().flatten() {
             if let Some(r) = state.alive.remove(&id) {
                 state.allocated_active -= r.demand;
                 departures.push(r);
             }
         }
-    }
-    while let Some(entry) = state.requested_drop.first_entry() {
-        if *entry.key() > t {
-            break;
+        if let Some(drop) = due.drop {
+            state.requested_active -= drop;
         }
-        state.requested_active -= entry.remove();
-    }
+    });
 
     // Substrate churn takes effect before this slot's arrivals: fold
     // the events, hand the algorithm its new effective capacities,
@@ -1220,7 +1226,8 @@ fn advance_slot(
         let stranded = find_stranded(state, algorithm, &departures, &effective);
         churn_stats.stranded = stranded.len();
         if !stranded.is_empty() {
-            let chosen = policy.reembed(t, &stranded);
+            let mut chosen = policy.reembed(t, &stranded);
+            chosen.sort_unstable();
             for original in stranded {
                 let original = state
                     .alive
@@ -1230,7 +1237,7 @@ fn advance_slot(
                 // The stale departure-calendar entry at the original
                 // departure slot stays; release checks `alive` first.
                 departures.push(original.clone());
-                if chosen.contains(&original.id) {
+                if chosen.binary_search(&original.id).is_ok() {
                     // Remaining duration ≥ 1: alive means departure > t.
                     offered.push(Request {
                         id: original.id,
@@ -1256,7 +1263,7 @@ fn advance_slot(
     // already counted, and their departure slot is unchanged.
     for r in &arrivals {
         state.requested_active += r.demand;
-        *state.requested_drop.entry(r.departure()).or_insert(0.0) += r.demand;
+        state.calendar.book_drop(r.departure(), r.demand);
     }
     offered.extend(arrivals);
     let outcome = algorithm.process_slot(t, &departures, &offered);
@@ -1295,11 +1302,7 @@ fn advance_slot(
         arrival_outcomes.push(RequestOutcome::of(&r, status));
         if accepted {
             state.allocated_active += r.demand;
-            state
-                .departures_at
-                .entry(r.departure())
-                .or_default()
-                .push(r.id);
+            state.calendar.book_departure(r.departure(), r.id);
             state.alive.insert(r.id, r);
         }
     }
@@ -1376,11 +1379,7 @@ pub fn audit_engine(
         });
     }
 
-    let scheduled: BTreeSet<RequestId> = state
-        .departures_at
-        .values()
-        .flat_map(|ids| ids.iter().copied())
-        .collect();
+    let scheduled: BTreeSet<RequestId> = state.calendar.scheduled().collect();
     for id in by_id.iter().map(|r| r.id) {
         if !scheduled.contains(&id) {
             out.push(InvariantViolation {
@@ -1847,6 +1846,47 @@ mod tests {
         let (step, _) = state.step(&mut alg, &s, ev, &mut obs, &mut ReembedAll);
         assert!(step.arrivals.is_empty());
         assert_eq!(state.active_count(), 0);
+    }
+
+    /// A departure at `Slot::MAX` costs the calendar one entry, not a
+    /// slot per slot of the horizon: the request is accepted, stepped,
+    /// checkpointed and restored, and the restored run jumps to the
+    /// last slot before it (the last a run can step, as the daemon
+    /// does) with the request still alive — in well under a second. A
+    /// calendar dense over the whole horizon would need ≈ 4·10⁹ slots
+    /// here.
+    #[test]
+    fn a_departure_at_the_last_slot_costs_one_entry() {
+        // audit:allow(D2, "test bound: a far departure must not cost a slot per slot of the horizon")
+        let started = std::time::Instant::now();
+        let (s, apps) = world();
+        let mut alg = Olive::quickg(s.clone(), apps.clone(), PlacementPolicy::default());
+        let mut state = EngineState::fresh();
+        let mut obs = NullObserver;
+        let ev = SlotEvents {
+            slot: 0,
+            arrivals: vec![req(0, 0, Slot::MAX, 10.0)],
+            churn: vec![],
+        };
+        let (step, _) = state.step(&mut alg, &s, ev, &mut obs, &mut ReembedAll);
+        assert_eq!(step.arrivals[0].status, RequestStatus::Accepted);
+        let ev = SlotEvents::empty(1);
+        state.step(&mut alg, &s, ev, &mut obs, &mut ReembedAll);
+        let blob = state.snapshot();
+        let mut restored = EngineState::fresh();
+        restored.restore(&blob).unwrap();
+        assert_eq!(restored.snapshot(), blob);
+        let mut resumed = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
+        let olive_blob = alg.snapshot_state().unwrap();
+        resumed.restore_state(&olive_blob).unwrap();
+        let ev = SlotEvents::empty(Slot::MAX - 1);
+        restored.step(&mut resumed, &s, ev, &mut obs, &mut ReembedAll);
+        assert!(restored.is_active(RequestId(0)));
+        let blob = restored.snapshot();
+        restored.restore(&blob).unwrap();
+        assert_eq!(restored.snapshot(), blob);
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     /// One slot of `arrivals`, offered in the order given, through

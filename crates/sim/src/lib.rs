@@ -52,6 +52,7 @@
 //! # }
 //! ```
 
+mod calendar;
 pub mod engine;
 pub mod metrics;
 pub mod observe;
