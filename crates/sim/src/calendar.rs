@@ -121,8 +121,7 @@ impl Calendar {
             }
             release(entry.remove());
         }
-        let due = usize::try_from(t - self.base + 1)
-            .map_or(self.window.len(), |n| n.min(self.window.len()));
+        let due = (t - self.base + 1).min(self.window.len() as u64) as usize;
         for record in self.window.drain(..due) {
             release(record);
         }
