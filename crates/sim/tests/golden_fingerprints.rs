@@ -26,7 +26,7 @@ use vne_sim::observe::Inspect;
 use vne_sim::runner::default_apps;
 use vne_sim::scenario::{Algorithm, Scenario, ScenarioConfig};
 use vne_topology::partition::large_synthetic;
-use vne_topology::zoo::{citta_studi, golden_diamond};
+use vne_topology::zoo::{citta_studi, golden_diamond, iris};
 use vne_workload::adversary::{AdversaryProfile, ChurnProfile};
 
 /// The tiny 4-node golden world ([`golden_diamond`]), tuned so the
@@ -432,4 +432,236 @@ fn olive_on_the_midsize_world_matches_golden_fingerprint_and_stats() {
         summary.rejected,
         summary.preempted
     );
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut hash: u64) -> u64 {
+    for b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// A digest of every field of every event of `events`: slot, then per
+/// arrival its id, arrival slot, duration, ingress, application and
+/// demand bits, then the churn events' `Debug` text.
+fn stream_digest(events: impl Iterator<Item = vne_model::request::SlotEvents>) -> u64 {
+    events.fold(0xcbf2_9ce4_8422_2325, |mut h, ev| {
+        h = fnv1a(ev.slot.to_le_bytes(), h);
+        h = fnv1a((ev.arrivals.len() as u64).to_le_bytes(), h);
+        for r in &ev.arrivals {
+            h = fnv1a(r.id.0.to_le_bytes(), h);
+            h = fnv1a(r.arrival.to_le_bytes(), h);
+            h = fnv1a(r.duration.to_le_bytes(), h);
+            h = fnv1a((r.ingress.index() as u64).to_le_bytes(), h);
+            h = fnv1a((r.app.index() as u64).to_le_bytes(), h);
+            h = fnv1a(r.demand.to_bits().to_le_bytes(), h);
+        }
+        fnv1a(format!("{:?}", ev.churn).into_bytes(), h)
+    })
+}
+
+/// The online phase of `world` under `profile`, 130 slots long so
+/// every profile crosses at least two of its burst, cliff or
+/// modulation periods (50, 40, 40 and 60 slots).
+fn profile_scenario(world: &str, seed: u64, profile: AdversaryProfile) -> Scenario {
+    let mut scenario = match world {
+        "golden" => golden_scenario(1.0, seed),
+        _ => {
+            let mut config = ScenarioConfig::small(1.0).with_seed(seed);
+            config.history_slots = 120;
+            config.aggregation.bootstrap_replicates = 10;
+            Scenario::new(iris().unwrap(), default_apps(seed), config)
+        }
+    };
+    scenario.config.test_slots = 130;
+    scenario.config.adversary = Some(profile);
+    scenario
+}
+
+/// The slot a resumed online phase starts from in [`ADVERSARY_STREAMS`]:
+/// inside a flash-crowd window, past the first burst and cliff.
+const RESUME_SLOT: Slot = 83;
+
+/// (world, seed, profile, digest of `online_events()`, digest of
+/// `online_events_from(RESUME_SLOT)`), captured from the generators as
+/// `Scenario::online_events` assembled them with per-profile config
+/// structs. Every profile's online stream, bit for bit.
+const ADVERSARY_STREAMS: [(&str, u64, AdversaryProfile, u64, u64); 20] = [
+    (
+        "golden",
+        11,
+        AdversaryProfile::RevenueBurst,
+        0xa6aa77fe42a1f8e2,
+        0xb5b1e2921382b7c8,
+    ),
+    (
+        "golden",
+        11,
+        AdversaryProfile::LifetimeCliff,
+        0x3bc35cf43558b998,
+        0x776536b4d0898a34,
+    ),
+    (
+        "golden",
+        11,
+        AdversaryProfile::PlanAdversarial,
+        0x78e498df42d843c8,
+        0x6832eef53b87a9a9,
+    ),
+    (
+        "golden",
+        11,
+        AdversaryProfile::FlashCrowd,
+        0x599a1a8b9cd2d9dd,
+        0xe017bcd46c4981e0,
+    ),
+    (
+        "golden",
+        11,
+        AdversaryProfile::Diurnal,
+        0x2230184dd7a6a955,
+        0x49d7b62906679f40,
+    ),
+    (
+        "golden",
+        12,
+        AdversaryProfile::RevenueBurst,
+        0x2da5b1cb2a8d7d9c,
+        0xa5c1a27eb3de82d1,
+    ),
+    (
+        "golden",
+        12,
+        AdversaryProfile::LifetimeCliff,
+        0xaac33f39961774cf,
+        0x44045539500145a1,
+    ),
+    (
+        "golden",
+        12,
+        AdversaryProfile::PlanAdversarial,
+        0xd50db75c242b9d49,
+        0x18a97d3b257cc465,
+    ),
+    (
+        "golden",
+        12,
+        AdversaryProfile::FlashCrowd,
+        0xeb682bf35bbf98b7,
+        0xde8b98eaf19dc328,
+    ),
+    (
+        "golden",
+        12,
+        AdversaryProfile::Diurnal,
+        0xcbe3fbf3fab8020e,
+        0xaeab35116974758e,
+    ),
+    (
+        "iris",
+        1,
+        AdversaryProfile::RevenueBurst,
+        0xd3cf2f4cd3bae4a8,
+        0xd7ce867a04ed4535,
+    ),
+    (
+        "iris",
+        1,
+        AdversaryProfile::LifetimeCliff,
+        0x880b5a0e52c3e86f,
+        0x957ccd90e10c6cd8,
+    ),
+    (
+        "iris",
+        1,
+        AdversaryProfile::PlanAdversarial,
+        0x23402a321c9f9b41,
+        0x2b7cc8ec13fe46d8,
+    ),
+    (
+        "iris",
+        1,
+        AdversaryProfile::FlashCrowd,
+        0x2dc17761d31dd430,
+        0xea9f65a305f00e2c,
+    ),
+    (
+        "iris",
+        1,
+        AdversaryProfile::Diurnal,
+        0x00b32cf5dbc29aac,
+        0xfe8a869fd032db5f,
+    ),
+    (
+        "iris",
+        2,
+        AdversaryProfile::RevenueBurst,
+        0xdbd817fff6e56ee2,
+        0x729365a5bfade8da,
+    ),
+    (
+        "iris",
+        2,
+        AdversaryProfile::LifetimeCliff,
+        0x8a684d845dc241ff,
+        0x27f59cfd847cad72,
+    ),
+    (
+        "iris",
+        2,
+        AdversaryProfile::PlanAdversarial,
+        0x0ee01c36497b089d,
+        0xb58892e66535cf53,
+    ),
+    (
+        "iris",
+        2,
+        AdversaryProfile::FlashCrowd,
+        0x948cbbb2b5972190,
+        0x36ca90f84c22e329,
+    ),
+    (
+        "iris",
+        2,
+        AdversaryProfile::Diurnal,
+        0x1b3ea93479d45ce9,
+        0x82db2c01d2ce6f97,
+    ),
+];
+
+#[test]
+fn every_adversary_profile_stream_matches_its_pin() {
+    let print = std::env::var("GOLDEN_PRINT").is_ok();
+    for (world, seed, profile, full, suffix) in ADVERSARY_STREAMS {
+        let scenario = profile_scenario(world, seed, profile);
+        let events: Vec<_> = scenario.online_events().collect();
+        assert_eq!(events.len(), 130);
+        assert!(events.iter().any(|ev| !ev.arrivals.is_empty()));
+        let suffix_of_full = stream_digest(events[RESUME_SLOT as usize..].iter().cloned());
+        let got = (
+            stream_digest(events.into_iter()),
+            stream_digest(scenario.online_events_from(RESUME_SLOT)),
+        );
+        assert_eq!(
+            got.1,
+            suffix_of_full,
+            "a resumed {} stream",
+            profile.label()
+        );
+        if print {
+            println!(
+                "    ({world:?}, {seed}, AdversaryProfile::{profile:?}, {:#018x}, {:#018x}),",
+                got.0, got.1
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            (full, suffix),
+            "{} stream drifted on {world} seed {seed}",
+            profile.label()
+        );
+    }
 }
