@@ -1177,6 +1177,8 @@ fn advance_slot(
     policy: &mut dyn ReembedPolicy,
 ) -> SlotStep {
     let t = event.slot;
+    // `slots_run = t + 1` must fit a `Slot`; refused before anything moves.
+    assert!(t < Slot::MAX, "slot horizon exhausted at {t}");
     assert!(
         u64::from(t) >= state.next_min_slot,
         "slot events must be strictly increasing (got slot {t} after {})",
@@ -1887,6 +1889,18 @@ mod tests {
         assert_eq!(restored.snapshot(), blob);
         let elapsed = started.elapsed();
         assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
+
+    /// `Slot::MAX` is past the last slot a run can step: its
+    /// `slots_run` would not fit a `Slot`.
+    #[test]
+    #[should_panic(expected = "slot horizon exhausted")]
+    fn stepping_slot_max_is_refused() {
+        let (s, apps) = world();
+        let mut alg = Olive::quickg(s.clone(), apps, PlacementPolicy::default());
+        let mut state = EngineState::fresh();
+        let ev = SlotEvents::empty(Slot::MAX);
+        state.step(&mut alg, &s, ev, &mut NullObserver, &mut ReembedAll);
     }
 
     /// One slot of `arrivals`, offered in the order given, through
