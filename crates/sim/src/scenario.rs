@@ -29,10 +29,7 @@ use vne_olive::aggregate::{AggregateDemand, AggregationConfig};
 use vne_olive::colgen::{solve_plan, PlanVneConfig};
 use vne_olive::olive::OliveConfig;
 use vne_olive::plan::Plan;
-use vne_workload::adversary::{
-    self, AdversaryProfile, ChurnProfile, ChurnSchedule, LifetimeCliffConfig, Modulation,
-    PlanAdversarialConfig, RevenueBurstConfig,
-};
+use vne_workload::adversary::{self, AdversaryProfile, ChurnProfile, ChurnSchedule};
 use vne_workload::caida::{self, CaidaConfig};
 use vne_workload::estimator::ExactEstimator;
 use vne_workload::rng::SeededRng;
@@ -394,76 +391,29 @@ impl Scenario {
         }
     }
 
-    /// One derived sub-seed per adversary component, mixed from the
-    /// scenario seed so adversarial scenarios still vary across seeds.
-    fn derived_seed(&self, salt: u64) -> u64 {
-        self.config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt
-    }
-
     /// The single assembly point for every online stream (fresh and
-    /// resumed): base trace or adversarial generator, fast-forwarded to
-    /// `from`, optionally modulated, optionally churned, and — in debug
-    /// builds — validated by [`CheckedStream`].
+    /// resumed): the benign trace or the adversary profile's stream
+    /// ([`adversary::stream`]) from `from` on, optionally churned, and —
+    /// in debug builds — validated by [`CheckedStream`].
     fn online_stream(&self, from: Slot) -> Box<dyn Iterator<Item = SlotEvents> + Send + '_> {
-        let slots = self.config.test_slots;
-        let base: Box<dyn Iterator<Item = SlotEvents> + Send + '_> = match self.config.adversary {
+        let base = match self.config.adversary {
             None => self.base_online_events(from),
-            Some(AdversaryProfile::RevenueBurst) => {
-                let config = RevenueBurstConfig {
-                    slots,
-                    seed: self.derived_seed(0xADF5),
-                    ..RevenueBurstConfig::default()
-                };
-                let mut stream = adversary::revenue_burst(&self.substrate, &self.apps, &config);
-                stream.skip_to(from);
-                Box::new(stream)
-            }
-            Some(AdversaryProfile::LifetimeCliff) => {
-                let config = LifetimeCliffConfig {
-                    slots,
-                    seed: self.derived_seed(0xC11F),
-                    ..LifetimeCliffConfig::default()
-                };
-                let mut stream = adversary::lifetime_cliff(&self.substrate, &self.apps, &config);
-                stream.skip_to(from);
-                Box::new(stream)
-            }
-            Some(AdversaryProfile::PlanAdversarial) => {
+            Some(profile) => adversary::stream(
+                profile,
+                &self.substrate,
+                &self.apps,
+                from..self.config.test_slots,
+                self.config.seed,
+                |from| self.base_online_events(from),
                 // Rank classes by the scenario's own (deterministic)
                 // plan, so every algorithm faces the identical stream.
-                let (plan, _) = self.build_plan();
-                let shares = plan
-                    .iter()
-                    .map(|cp| (cp.class, cp.guaranteed_demand()))
-                    .collect();
-                let config = PlanAdversarialConfig {
-                    slots,
-                    seed: self.derived_seed(0x91A7),
-                    ..PlanAdversarialConfig::default()
-                };
-                let mut stream =
-                    adversary::plan_adversarial(&self.substrate, &self.apps, &shares, &config);
-                stream.skip_to(from);
-                Box::new(stream)
-            }
-            Some(AdversaryProfile::FlashCrowd) => Box::new(adversary::modulate(
-                self.base_online_events(from),
-                Modulation::FlashCrowd {
-                    period: 40,
-                    len: 8,
-                    base_keep: 0.25,
+                || {
+                    let (plan, _) = self.build_plan();
+                    plan.iter()
+                        .map(|cp| (cp.class, cp.guaranteed_demand()))
+                        .collect()
                 },
-                self.derived_seed(0xF1A5),
-            )),
-            Some(AdversaryProfile::Diurnal) => Box::new(adversary::modulate(
-                self.base_online_events(from),
-                Modulation::Diurnal {
-                    period: 60,
-                    low: 0.2,
-                    high: 1.0,
-                },
-                self.derived_seed(0xD1CE),
-            )),
+            ),
         };
         let stream: Box<dyn Iterator<Item = SlotEvents> + Send + '_> = match self.config.churn {
             Some(profile) => Box::new(adversary::with_churn(

@@ -1,34 +1,43 @@
 //! Adversarial workloads and substrate-churn schedules.
 //!
 //! The scenario suite stresses the online algorithms with inputs crafted
-//! against their assumptions instead of the benign Table III mixes:
+//! against their assumptions instead of the benign Table III mixes.
+//! [`stream`] is the one entry point: it returns an
+//! [`AdversaryProfile`]'s online stream, and this module is the one
+//! place a profile is defined — its parameters are the private
+//! constants beside its generator below, and its seed salt is in
+//! `AdversaryProfile::salt`, so a new profile is a change to this
+//! module only. Three profiles replace the benign trace:
 //!
-//! * [`revenue_burst`] — revenue-concentrated bursts: a calm background
+//! * `revenue_burst` — revenue-concentrated bursts: a calm background
 //!   punctuated by periodic high-demand bursts aimed at one hot edge
 //!   node, the worst case for threshold-style admission;
-//! * [`lifetime_cliff`] — every request departs on the next lifetime
+//! * `lifetime_cliff` — every request departs on the next lifetime
 //!   *cliff* boundary, synchronizing mass departures (capacity swings
 //!   from full to empty in one slot);
-//! * [`plan_adversarial`] — all demand lands on the classes a given
+//! * `plan_adversarial` — all demand lands on the classes a given
 //!   time-varying plan allocated *least* for, the worst case for
-//!   plan-guided algorithms;
-//! * [`Modulated`] — stateless arrival-rate modulators (flash crowds,
-//!   diurnal swings) layered over any slot-event stream by id-hash
-//!   thinning;
-//! * [`ChurnSchedule`] / [`with_churn`] — deterministic substrate-churn
-//!   schedules (link outages, node maintenance windows, capacity
-//!   drains) injected into any slot-event stream.
+//!   plan-guided algorithms.
 //!
-//! Everything here is lazy, deterministic and resumable. The standalone
+//! Two thin the benign trace by an arrival-rate modulation (id-hash
+//! thinning): `flash_crowd` (quiet background, full-rate crowd
+//! windows) and `diurnal` (sinusoidal swings).
+//!
+//! [`ChurnSchedule`] / [`with_churn`] inject deterministic
+//! substrate-churn schedules (link outages, node maintenance windows,
+//! capacity drains) into any slot-event stream.
+//!
+//! Everything here is lazy, deterministic and resumable. The replacing
 //! generators derive one independent sub-RNG *per slot*
 //! ([`crate::rng::SeededRng::derive`]) and use arithmetic per-slot
-//! request counts, so [`AdversaryStream::skip_to`] is pure arithmetic —
+//! request counts, so starting one at a later slot is pure arithmetic —
 //! no RNG replay — and a resumed stream is byte-identical to the suffix
-//! of a full run. The modulators and churn schedules are stateless
-//! per-slot maps, so they commute with `skip_to` on the stream below
+//! of a full run. The modulations and churn schedules are stateless
+//! per-slot maps, so they commute with a skip on the stream below
 //! them.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use vne_model::app::AppSet;
 use vne_model::churn::ChurnEvent;
@@ -74,6 +83,18 @@ impl AdversaryProfile {
             AdversaryProfile::PlanAdversarial => "plan_adversarial",
             AdversaryProfile::FlashCrowd => "flash_crowd",
             AdversaryProfile::Diurnal => "diurnal",
+        }
+    }
+
+    /// Mixed into the scenario seed, so every profile draws from its
+    /// own stream.
+    fn salt(self) -> u64 {
+        match self {
+            AdversaryProfile::RevenueBurst => 0xADF5,
+            AdversaryProfile::LifetimeCliff => 0xC11F,
+            AdversaryProfile::PlanAdversarial => 0x91A7,
+            AdversaryProfile::FlashCrowd => 0xF1A5,
+            AdversaryProfile::Diurnal => 0xD1CE,
         }
     }
 }
@@ -124,140 +145,150 @@ impl ChurnProfile {
     }
 }
 
-/// Parameters of the [`revenue_burst`] adversary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RevenueBurstConfig {
-    /// Number of time slots.
-    pub slots: Slot,
-    /// Background arrivals per slot (spread over all edge nodes).
-    pub background_per_slot: usize,
-    /// A burst starts every `burst_period` slots.
-    pub burst_period: Slot,
-    /// Burst length in slots (`< burst_period`).
-    pub burst_len: Slot,
-    /// Extra arrivals per burst slot, all at the hot edge node.
-    pub burst_per_slot: usize,
-    /// Burst demand multiplier over the background mean.
-    pub burst_demand_factor: f64,
-    /// Mean background demand.
-    pub demand_mean: f64,
-    /// Demand standard deviation.
-    pub demand_std: f64,
-    /// Mean duration in slots.
-    pub duration_mean: f64,
-    /// Stream seed.
-    pub seed: u64,
-}
-
-impl Default for RevenueBurstConfig {
-    fn default() -> Self {
-        Self {
-            slots: 600,
-            background_per_slot: 4,
-            burst_period: 50,
-            burst_len: 10,
-            burst_per_slot: 20,
-            burst_demand_factor: 3.0,
-            demand_mean: 10.0,
-            demand_std: 2.0,
-            duration_mean: 10.0,
-            seed: 0xADF5,
-        }
+/// The online stream of `profile` over the slots `slots.start..slots.end`
+/// — `slots.end` is the online phase's length, `slots.start` the slot a
+/// fresh (0) or resumed run starts from.
+///
+/// `seed` is the scenario seed; each profile mixes its own salt into
+/// it. `base(from)` must return the benign online stream from slot
+/// `from` on: only `flash_crowd` and `diurnal` call it, and thin what
+/// it yields. `plan_shares()` must return each class's planned share
+/// (missing classes count as zero): only `plan_adversarial` calls it,
+/// and aims all demand at the least-planned classes.
+///
+/// # Panics
+///
+/// For the three replacing profiles: panics if the substrate has no
+/// edge nodes or `apps` is empty.
+pub fn stream<'a, B>(
+    profile: AdversaryProfile,
+    substrate: &SubstrateNetwork,
+    apps: &AppSet,
+    slots: Range<Slot>,
+    seed: u64,
+    base: impl FnOnce(Slot) -> B,
+    plan_shares: impl FnOnce() -> BTreeMap<ClassId, f64>,
+) -> Box<dyn Iterator<Item = SlotEvents> + Send + 'a>
+where
+    B: Iterator<Item = SlotEvents> + Send + 'a,
+{
+    let seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ profile.salt();
+    let modulation = match profile {
+        AdversaryProfile::FlashCrowd => Some(FLASH_CROWD),
+        AdversaryProfile::Diurnal => Some(DIURNAL),
+        _ => None,
+    };
+    if let Some(modulation) = modulation {
+        return Box::new(Modulated {
+            inner: base(slots.start),
+            modulation,
+            salt: seed,
+        });
     }
+    let edge_nodes = substrate.edge_nodes();
+    assert!(!edge_nodes.is_empty(), "substrate has no edge nodes");
+    assert!(!apps.is_empty(), "application set is empty");
+    let mode = match profile {
+        AdversaryProfile::RevenueBurst => AdversaryMode::RevenueBurst { hot: edge_nodes[0] },
+        AdversaryProfile::LifetimeCliff => AdversaryMode::LifetimeCliff,
+        _ => AdversaryMode::PlanTargets {
+            targets: least_planned(&edge_nodes, apps.len(), &plan_shares()),
+        },
+    };
+    Box::new(AdversaryStream::new(
+        mode,
+        edge_nodes,
+        apps.len(),
+        slots,
+        seed,
+    ))
 }
 
-/// Parameters of the [`lifetime_cliff`] adversary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LifetimeCliffConfig {
-    /// Number of time slots.
-    pub slots: Slot,
-    /// Arrivals per slot.
-    pub per_slot: usize,
-    /// Cliff period: every request departs on the next multiple of this.
-    pub cliff: Slot,
-    /// Mean demand.
-    pub demand_mean: f64,
-    /// Demand standard deviation.
-    pub demand_std: f64,
-    /// Stream seed.
-    pub seed: u64,
-}
+/// Demand of every generated arrival: `Normal(mean, std)` truncated at
+/// 0.5 (`revenue_burst` multiplies its burst arrivals' demand).
+const DEMAND_MEAN: f64 = 10.0;
+const DEMAND_STD: f64 = 2.0;
+/// Mean `Exponential` duration in slots (`lifetime_cliff` overrides it).
+const DURATION_MEAN: f64 = 10.0;
 
-impl Default for LifetimeCliffConfig {
-    fn default() -> Self {
-        Self {
-            slots: 600,
-            per_slot: 10,
-            cliff: 40,
-            demand_mean: 10.0,
-            demand_std: 2.0,
-            seed: 0xC11F,
-        }
-    }
-}
+/// `revenue_burst`: 4 background arrivals per slot over every edge node
+/// and, for the first 10 slots of every 50, 20 more at the hottest
+/// (first) edge node with 3× the demand.
+const BURST_BACKGROUND: usize = 4;
+const BURST_PERIOD: Slot = 50;
+const BURST_LEN: Slot = 10;
+const BURST_EXTRA: usize = 20;
+const BURST_DEMAND_FACTOR: f64 = 3.0;
 
-/// Parameters of the [`plan_adversarial`] adversary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanAdversarialConfig {
-    /// Number of time slots.
-    pub slots: Slot,
-    /// Arrivals per slot.
-    pub per_slot: usize,
-    /// Number of least-planned classes the demand concentrates on.
-    pub target_classes: usize,
-    /// Mean demand.
-    pub demand_mean: f64,
-    /// Demand standard deviation.
-    pub demand_std: f64,
-    /// Mean duration in slots.
-    pub duration_mean: f64,
-    /// Stream seed.
-    pub seed: u64,
-}
+/// `lifetime_cliff` and `plan_adversarial`: arrivals per slot.
+const PER_SLOT: usize = 10;
 
-impl Default for PlanAdversarialConfig {
-    fn default() -> Self {
-        Self {
-            slots: 600,
-            per_slot: 10,
-            target_classes: 3,
-            demand_mean: 10.0,
-            demand_std: 2.0,
-            duration_mean: 10.0,
-            seed: 0x91A7,
-        }
-    }
+/// `lifetime_cliff`: every request departs on the next multiple of 40.
+const CLIFF_PERIOD: Slot = 40;
+
+/// `plan_adversarial`: the number of least-planned classes all demand
+/// lands on.
+const PLAN_TARGETS: usize = 3;
+
+/// `flash_crowd`: keep a quarter of the arrivals, all of them in the
+/// first 8 slots of every 40.
+const FLASH_CROWD: Modulation = Modulation::FlashCrowd {
+    period: 40,
+    len: 8,
+    base_keep: 0.25,
+};
+
+/// `diurnal`: a keep probability swinging between 0.2 and 1 over 60
+/// slots.
+const DIURNAL: Modulation = Modulation::Diurnal {
+    period: 60,
+    low: 0.2,
+    high: 1.0,
+};
+
+/// The [`PLAN_TARGETS`] `(edge node, app)` classes with the least
+/// planned share, ranked ascending; ties break on the class id so the
+/// ranking is deterministic.
+fn least_planned(
+    edge_nodes: &[NodeId],
+    app_count: usize,
+    shares: &BTreeMap<ClassId, f64>,
+) -> Vec<ClassId> {
+    let mut ranked: Vec<(f64, ClassId)> = edge_nodes
+        .iter()
+        .flat_map(|&v| {
+            (0..app_count).map(move |a| {
+                let class = ClassId::new(AppId::from_index(a), v);
+                (shares.get(&class).copied().unwrap_or(0.0), class)
+            })
+        })
+        .collect();
+    ranked.sort_by(|(pa, ca), (pb, cb)| pa.partial_cmp(pb).unwrap().then(ca.cmp(cb)));
+    ranked
+        .into_iter()
+        .take(PLAN_TARGETS)
+        .map(|(_, c)| c)
+        .collect()
 }
 
 /// How one arrival of an [`AdversaryStream`] is shaped.
 #[derive(Debug, Clone)]
 enum AdversaryMode {
-    RevenueBurst {
-        period: Slot,
-        len: Slot,
-        extra: usize,
-        factor: f64,
-        hot: NodeId,
-    },
-    LifetimeCliff {
-        cliff: Slot,
-    },
-    PlanTargets {
-        targets: Vec<ClassId>,
-    },
+    RevenueBurst { hot: NodeId },
+    LifetimeCliff,
+    PlanTargets { targets: Vec<ClassId> },
 }
 
-/// A lazy adversarial slot-event stream (see the module docs).
+/// The lazy generator of the three replacing profiles.
 ///
 /// Per-slot request counts are arithmetic in the slot number and every
 /// slot samples from an independent derived sub-RNG, so
 /// [`AdversaryStream::skip_to`] never replays random draws.
 #[derive(Debug, Clone)]
-pub struct AdversaryStream {
+struct AdversaryStream {
     slots: Slot,
     next_slot: Slot,
     next_id: u64,
-    per_slot: usize,
     edge_nodes: Vec<NodeId>,
     app_count: usize,
     demand: Normal,
@@ -267,27 +298,58 @@ pub struct AdversaryStream {
 }
 
 impl AdversaryStream {
+    /// The generator of `mode` seeded with `seed`, positioned at
+    /// `slots.start` (clamped to `slots.end`).
+    fn new(
+        mode: AdversaryMode,
+        edge_nodes: Vec<NodeId>,
+        app_count: usize,
+        slots: Range<Slot>,
+        seed: u64,
+    ) -> Self {
+        // The cliff draws a duration per arrival, then overrides it.
+        let duration_mean = match mode {
+            AdversaryMode::LifetimeCliff => 1.0,
+            _ => DURATION_MEAN,
+        };
+        let mut stream = Self {
+            slots: slots.end,
+            next_slot: 0,
+            next_id: 0,
+            edge_nodes,
+            app_count,
+            demand: Normal::new(DEMAND_MEAN, DEMAND_STD),
+            duration: Exponential::new(duration_mean),
+            base: SeededRng::new(seed),
+            mode,
+        };
+        stream.skip_to(slots.start);
+        stream
+    }
+
+    /// Arrivals per slot outside a burst.
+    fn per_slot(&self) -> usize {
+        match self.mode {
+            AdversaryMode::RevenueBurst { .. } => BURST_BACKGROUND,
+            _ => PER_SLOT,
+        }
+    }
+
     /// Requests emitted on slot `t` (arithmetic, no RNG).
     fn count_at(&self, t: Slot) -> usize {
-        match &self.mode {
-            AdversaryMode::RevenueBurst {
-                period, len, extra, ..
-            } => {
-                if t % period < *len {
-                    self.per_slot + extra
-                } else {
-                    self.per_slot
-                }
+        match self.mode {
+            AdversaryMode::RevenueBurst { .. } if t % BURST_PERIOD < BURST_LEN => {
+                BURST_BACKGROUND + BURST_EXTRA
             }
-            _ => self.per_slot,
+            _ => self.per_slot(),
         }
     }
 
     /// Fast-forwards the stream so the next yielded event is `slot`
-    /// (clamped to the horizon) — the resume path of checkpointed runs.
-    /// Pure arithmetic: per-slot counts are deterministic and each slot
-    /// draws from its own derived sub-RNG, so nothing is replayed.
-    pub fn skip_to(&mut self, slot: Slot) {
+    /// (clamped to the horizon). Pure arithmetic: per-slot counts are
+    /// deterministic and each slot draws from its own derived sub-RNG,
+    /// so nothing is replayed.
+    fn skip_to(&mut self, slot: Slot) {
         let to = slot.min(self.slots);
         while self.next_slot < to {
             self.next_id += self.count_at(self.next_slot) as u64;
@@ -315,19 +377,18 @@ impl Iterator for AdversaryStream {
             let mut duration = self.duration.sample(&mut rng).round().max(1.0) as Slot;
             use rand::Rng;
             let (ingress, app) = match &self.mode {
-                AdversaryMode::RevenueBurst { factor, hot, .. } => {
-                    let burst = i >= self.per_slot;
-                    if burst {
-                        demand *= factor;
+                AdversaryMode::RevenueBurst { hot } => {
+                    if i >= BURST_BACKGROUND {
+                        demand *= BURST_DEMAND_FACTOR;
                         (*hot, AppId::from_index(rng.gen_range(0..self.app_count)))
                     } else {
                         let node = self.edge_nodes[rng.gen_range(0..self.edge_nodes.len())];
                         (node, AppId::from_index(rng.gen_range(0..self.app_count)))
                     }
                 }
-                AdversaryMode::LifetimeCliff { cliff } => {
+                AdversaryMode::LifetimeCliff => {
                     // Depart exactly on the next cliff boundary.
-                    duration = cliff - (t % cliff);
+                    duration = CLIFF_PERIOD - (t % CLIFF_PERIOD);
                     let node = self.edge_nodes[rng.gen_range(0..self.edge_nodes.len())];
                     (node, AppId::from_index(rng.gen_range(0..self.app_count)))
                 }
@@ -358,167 +419,24 @@ impl Iterator for AdversaryStream {
     }
 }
 
-impl ExactSizeIterator for AdversaryStream {}
-
-fn edge_nodes_checked(substrate: &SubstrateNetwork, apps: &AppSet) -> Vec<NodeId> {
-    let edge_nodes = substrate.edge_nodes();
-    assert!(!edge_nodes.is_empty(), "substrate has no edge nodes");
-    assert!(!apps.is_empty(), "application set is empty");
-    edge_nodes
-}
-
-/// Creates the revenue-concentrated burst adversary: a calm background
-/// over all edge nodes plus, every `burst_period` slots, `burst_len`
-/// slots of high-demand arrivals aimed at the first (hottest) edge node.
-///
-/// # Panics
-///
-/// Panics if the substrate has no edge nodes, `apps` is empty, or
-/// `burst_len >= burst_period`.
-pub fn revenue_burst(
-    substrate: &SubstrateNetwork,
-    apps: &AppSet,
-    config: &RevenueBurstConfig,
-) -> AdversaryStream {
-    let edge_nodes = edge_nodes_checked(substrate, apps);
-    assert!(
-        config.burst_len < config.burst_period,
-        "burst length {} must be shorter than the period {}",
-        config.burst_len,
-        config.burst_period
-    );
-    let hot = edge_nodes[0];
-    AdversaryStream {
-        slots: config.slots,
-        next_slot: 0,
-        next_id: 0,
-        per_slot: config.background_per_slot,
-        edge_nodes,
-        app_count: apps.len(),
-        demand: Normal::new(config.demand_mean, config.demand_std),
-        duration: Exponential::new(config.duration_mean),
-        base: SeededRng::new(config.seed),
-        mode: AdversaryMode::RevenueBurst {
-            period: config.burst_period,
-            len: config.burst_len,
-            extra: config.burst_per_slot,
-            factor: config.burst_demand_factor,
-            hot,
-        },
-    }
-}
-
-/// Creates the lifetime-cliff adversary: every request's departure is
-/// aligned to the next multiple of `cliff`, synchronizing mass
-/// departures.
-///
-/// # Panics
-///
-/// Panics if the substrate has no edge nodes, `apps` is empty, or
-/// `cliff == 0`.
-pub fn lifetime_cliff(
-    substrate: &SubstrateNetwork,
-    apps: &AppSet,
-    config: &LifetimeCliffConfig,
-) -> AdversaryStream {
-    let edge_nodes = edge_nodes_checked(substrate, apps);
-    assert!(config.cliff > 0, "cliff period must be positive");
-    AdversaryStream {
-        slots: config.slots,
-        next_slot: 0,
-        next_id: 0,
-        per_slot: config.per_slot,
-        edge_nodes,
-        app_count: apps.len(),
-        demand: Normal::new(config.demand_mean, config.demand_std),
-        duration: Exponential::new(1.0), // unused: cliff overrides
-        base: SeededRng::new(config.seed),
-        mode: AdversaryMode::LifetimeCliff {
-            cliff: config.cliff,
-        },
-    }
-}
-
-/// Creates the plan-adversarial workload: ranks the `(edge node, app)`
-/// classes by their share in `plan` (missing classes count as zero) and
-/// concentrates all demand on the `target_classes` *least-planned*
-/// ones — the worst case for a plan-guided algorithm, which reserved
-/// capacity everywhere else.
-///
-/// `plan` is a plain per-class share summary; the adversary only needs
-/// the ranking, not the plan object itself.
-///
-/// # Panics
-///
-/// Panics if the substrate has no edge nodes, `apps` is empty, or
-/// `target_classes == 0`.
-pub fn plan_adversarial(
-    substrate: &SubstrateNetwork,
-    apps: &AppSet,
-    plan: &BTreeMap<ClassId, f64>,
-    config: &PlanAdversarialConfig,
-) -> AdversaryStream {
-    let edge_nodes = edge_nodes_checked(substrate, apps);
-    assert!(config.target_classes > 0, "need at least one target class");
-    // Rank the full class universe by planned share, ascending; ties
-    // break on the class id so the ranking is deterministic.
-    let mut ranked: Vec<(f64, ClassId)> = edge_nodes
-        .iter()
-        .flat_map(|&v| {
-            (0..apps.len()).map(move |a| {
-                let class = ClassId::new(AppId::from_index(a), v);
-                (plan.get(&class).copied().unwrap_or(0.0), class)
-            })
-        })
-        .collect();
-    ranked.sort_by(|(pa, ca), (pb, cb)| pa.partial_cmp(pb).unwrap().then(ca.cmp(cb)));
-    let targets: Vec<ClassId> = ranked
-        .into_iter()
-        .take(config.target_classes)
-        .map(|(_, c)| c)
-        .collect();
-    AdversaryStream {
-        slots: config.slots,
-        next_slot: 0,
-        next_id: 0,
-        per_slot: config.per_slot,
-        edge_nodes,
-        app_count: apps.len(),
-        demand: Normal::new(config.demand_mean, config.demand_std),
-        duration: Exponential::new(config.duration_mean),
-        base: SeededRng::new(config.seed),
-        mode: AdversaryMode::PlanTargets { targets },
-    }
-}
-
 /// A stateless arrival-rate modulation over a slot-event stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Modulation {
+enum Modulation {
     /// Keep probability `base_keep` outside crowd windows, 1 inside
     /// (every `period` slots, for `len` slots).
     FlashCrowd {
-        /// Window period in slots.
         period: Slot,
-        /// Crowd length in slots (`< period`).
         len: Slot,
-        /// Keep probability outside crowd windows, in `[0, 1]`.
         base_keep: f64,
     },
     /// Keep probability swings sinusoidally between `low` and `high`
     /// with the given period.
-    Diurnal {
-        /// Cycle period in slots.
-        period: Slot,
-        /// Minimum keep probability.
-        low: f64,
-        /// Maximum keep probability.
-        high: f64,
-    },
+    Diurnal { period: Slot, low: f64, high: f64 },
 }
 
 impl Modulation {
     /// The keep probability at slot `t`.
-    pub fn keep_probability(&self, t: Slot) -> f64 {
+    fn keep_probability(&self, t: Slot) -> f64 {
         match *self {
             Modulation::FlashCrowd {
                 period,
@@ -554,11 +472,11 @@ fn id_coin(id: RequestId, salt: u64) -> f64 {
 ///
 /// Thinning keeps request `r` iff `hash(r.id ^ salt) < p(slot)`: a
 /// pure per-request map with no RNG state, so the modulated stream
-/// commutes with `skip_to` on the stream below it (resume wraps the
+/// commutes with a skip on the stream below it (resume wraps the
 /// skipped inner stream and gets the identical suffix). Surviving ids
 /// are a subset of the inner ids, so they stay ascending.
 #[derive(Debug, Clone)]
-pub struct Modulated<I> {
+struct Modulated<I> {
     inner: I,
     modulation: Modulation,
     salt: u64,
@@ -576,20 +494,6 @@ impl<I: Iterator<Item = SlotEvents>> Iterator for Modulated<I> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.inner.size_hint()
-    }
-}
-
-impl<I: ExactSizeIterator<Item = SlotEvents>> ExactSizeIterator for Modulated<I> {}
-
-/// Wraps a slot-event stream with an arrival-rate [`Modulation`].
-pub fn modulate<I>(inner: I, modulation: Modulation, salt: u64) -> Modulated<I>
-where
-    I: Iterator<Item = SlotEvents>,
-{
-    Modulated {
-        inner,
-        modulation,
-        salt,
     }
 }
 

@@ -53,7 +53,7 @@ pub mod tracegen;
 
 /// Commonly used types, re-exported for one-line imports.
 pub mod prelude {
-    pub use crate::adversary::{AdversaryProfile, ChurnProfile, ChurnSchedule, Modulation};
+    pub use crate::adversary::{AdversaryProfile, ChurnProfile, ChurnSchedule};
     pub use crate::appgen::{gpu_set, paper_mix, uniform_shape_set, AppGenConfig};
     pub use crate::arrival::{ArrivalProcess, Mmpp, PoissonArrivals};
     pub use crate::caida::CaidaConfig;

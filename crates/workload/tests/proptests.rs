@@ -260,67 +260,65 @@ fn adversary_world() -> (
     (substrate, apps)
 }
 
-/// One of the three standalone adversarial generators, seeded.
-fn adversary_stream(
-    profile_idx: usize,
-    seed: u64,
-    slots: u32,
+/// A synthetic plan-share summary: a handful of planned classes,
+/// everything else implicitly zero.
+fn plan_shares(
     substrate: &vne_model::substrate::SubstrateNetwork,
     apps: &vne_model::app::AppSet,
-) -> vne_workload::adversary::AdversaryStream {
-    use vne_workload::adversary::{
-        lifetime_cliff, plan_adversarial, revenue_burst, LifetimeCliffConfig,
-        PlanAdversarialConfig, RevenueBurstConfig,
-    };
-    match profile_idx {
-        0 => revenue_burst(
-            substrate,
-            apps,
-            &RevenueBurstConfig {
-                slots,
-                seed,
-                burst_period: 20,
-                burst_len: 5,
-                ..RevenueBurstConfig::default()
-            },
-        ),
-        1 => lifetime_cliff(
-            substrate,
-            apps,
-            &LifetimeCliffConfig {
-                slots,
-                seed,
-                cliff: 15,
-                ..LifetimeCliffConfig::default()
-            },
-        ),
-        _ => {
-            // A synthetic plan-share summary: a handful of planned
-            // classes, everything else implicitly zero.
-            let plan: std::collections::BTreeMap<vne_model::ids::ClassId, f64> = substrate
-                .edge_nodes()
-                .into_iter()
-                .take(5)
-                .enumerate()
-                .map(|(i, v)| {
-                    (
-                        vne_model::ids::ClassId::new(AppId::from_index(i % apps.len()), v),
-                        (i + 1) as f64,
-                    )
-                })
-                .collect();
-            plan_adversarial(
-                substrate,
-                apps,
-                &plan,
-                &PlanAdversarialConfig {
-                    slots,
-                    seed,
-                    ..PlanAdversarialConfig::default()
-                },
+) -> std::collections::BTreeMap<vne_model::ids::ClassId, f64> {
+    substrate
+        .edge_nodes()
+        .into_iter()
+        .take(5)
+        .enumerate()
+        .map(|(i, v)| {
+            (
+                vne_model::ids::ClassId::new(AppId::from_index(i % apps.len()), v),
+                (i + 1) as f64,
             )
-        }
-    }
+        })
+        .collect()
+}
+
+/// The benign trace the modulating profiles thin: `slots` slots from
+/// `from` on.
+fn base_stream(
+    seed: u64,
+    slots: u32,
+    from: u32,
+    substrate: &vne_model::substrate::SubstrateNetwork,
+    apps: &vne_model::app::AppSet,
+) -> vne_workload::tracegen::TraceStream<SeededRng> {
+    let config = vne_workload::tracegen::TraceConfig {
+        slots,
+        ..vne_workload::tracegen::TraceConfig::default()
+    };
+    let rng = SeededRng::new(seed ^ 0xB45E);
+    let mut stream = vne_workload::tracegen::stream(substrate, apps, &config, rng);
+    stream.skip_to(from);
+    stream
+}
+
+/// Profile `profile_idx` of [`AdversaryProfile::ALL`] over `slots`,
+/// through the one entry point, over [`base_stream`] and
+/// [`plan_shares`].
+fn profile_stream(
+    profile_idx: usize,
+    seed: u64,
+    slots: std::ops::Range<u32>,
+    substrate: &vne_model::substrate::SubstrateNetwork,
+    apps: &vne_model::app::AppSet,
+) -> Box<dyn Iterator<Item = SlotEvents> + Send> {
+    let end = slots.end;
+    vne_workload::adversary::stream(
+        vne_workload::adversary::AdversaryProfile::ALL[profile_idx],
+        substrate,
+        apps,
+        slots,
+        seed,
+        |from| base_stream(seed, end, from, substrate, apps),
+        || plan_shares(substrate, apps),
+    )
 }
 
 /// One of the three builtin churn profiles, with window < period.
@@ -345,110 +343,105 @@ proptest! {
     // Default config: `PROPTEST_CASES` scales this block (the nightly
     // CI property job runs it at 1024 cases).
 
-    /// Generator well-formedness: every adversarial stream yields
-    /// exactly `slots` contiguous slots from 0, arrivals stamped with
-    /// their slot, dense strictly-ascending request ids, positive
-    /// demands, durations ≥ 1, edge-node ingresses and catalogued apps.
+    /// Well-formedness of every profile's stream: exactly `slots`
+    /// contiguous slots from 0, arrivals stamped with their slot,
+    /// positive demands, durations ≥ 1, edge-node ingresses and
+    /// catalogued apps. The replacing profiles number their arrivals
+    /// densely from 0; the modulating ones keep an ordered subset of
+    /// the base stream's arrivals, untouched. `slots` crosses at least
+    /// one period of every profile (50, 40, 40 and 60 slots).
     #[test]
     fn adversary_streams_are_well_formed(
-        profile_idx in 0usize..3,
+        profile_idx in 0usize..5,
         seed in any::<u64>(),
-        slots in 30u32..120,
+        slots in 61u32..180,
     ) {
         let (substrate, apps) = adversary_world();
         let edge: std::collections::BTreeSet<NodeId> =
             substrate.edge_nodes().into_iter().collect();
         let events: Vec<SlotEvents> =
-            adversary_stream(profile_idx, seed, slots, &substrate, &apps).collect();
+            profile_stream(profile_idx, seed, 0..slots, &substrate, &apps).collect();
+        let base: Vec<SlotEvents> = base_stream(seed, slots, 0, &substrate, &apps).collect();
+        let modulated = profile_idx >= 3;
         prop_assert_eq!(events.len(), slots as usize);
         let mut next_id = 0u64;
+        let mut count = 0usize;
         for (i, ev) in events.iter().enumerate() {
             prop_assert_eq!(ev.slot, i as u32, "slots must be contiguous from 0");
-            prop_assert!(ev.churn.is_empty(), "bare generators carry no churn");
+            prop_assert!(ev.churn.is_empty(), "bare profiles carry no churn");
+            let mut walk = base[i].arrivals.iter();
             for r in &ev.arrivals {
                 prop_assert_eq!(r.arrival, ev.slot, "arrival stamped with its slot");
-                prop_assert_eq!(r.id.0, next_id, "ids must be dense and ascending");
-                next_id += 1;
+                if modulated {
+                    prop_assert!(
+                        walk.any(|b| b == r),
+                        "modulated arrival {} not an ordered subset of the base stream",
+                        r.id.0
+                    );
+                } else {
+                    prop_assert_eq!(r.id.0, next_id, "ids must be dense and ascending");
+                    next_id += 1;
+                }
                 prop_assert!(r.demand > 0.0);
                 prop_assert!(r.duration >= 1);
                 prop_assert!(edge.contains(&r.ingress), "ingress {:?} not an edge node", r.ingress);
                 prop_assert!(r.app.index() < apps.len());
+                count += 1;
             }
         }
-        prop_assert!(next_id > 0, "the stream must produce arrivals");
+        prop_assert!(count > 0, "the stream must produce arrivals");
     }
 
-    /// Resume determinism of the generators: a stream restarted via
-    /// `skip_to(cut)` is byte-identical to the suffix of a stream
-    /// consumed from slot 0.
+    /// Resume determinism of every profile: its stream started at
+    /// `cut` is byte-identical to the suffix of its stream from slot 0.
     #[test]
     fn adversary_skip_to_yields_identical_suffix(
-        profile_idx in 0usize..3,
+        profile_idx in 0usize..5,
         seed in any::<u64>(),
-        slots in 30u32..120,
+        slots in 61u32..180,
         frac in 0.0f64..1.0,
     ) {
         let (substrate, apps) = adversary_world();
         let full: Vec<SlotEvents> =
-            adversary_stream(profile_idx, seed, slots, &substrate, &apps).collect();
+            profile_stream(profile_idx, seed, 0..slots, &substrate, &apps).collect();
         let cut = ((frac * f64::from(slots)) as u32).min(slots);
-        let mut skipped = adversary_stream(profile_idx, seed, slots, &substrate, &apps);
-        skipped.skip_to(cut);
-        let suffix: Vec<SlotEvents> = skipped.collect();
+        let suffix: Vec<SlotEvents> =
+            profile_stream(profile_idx, seed, cut..slots, &substrate, &apps).collect();
         prop_assert_eq!(&suffix[..], &full[cut as usize..]);
     }
 
-    /// Modulators and churn wrappers are stateless per-slot maps: they
-    /// commute with `skip_to` on the stream below them (wrapping an
-    /// already-skipped stream equals the suffix of wrapping the full
-    /// stream), modulated arrivals are an ordered subset of the inner
-    /// ones, and churn events always reference live substrate elements
-    /// (folding them through a pristine [`ChurnState`] never panics).
+    /// Churn wrappers are stateless per-slot maps: over every profile's
+    /// stream they commute with a resume (wrapping the stream started
+    /// at `cut` equals the suffix of wrapping the full stream), and
+    /// churn events always reference live substrate elements (folding
+    /// them through a pristine [`ChurnState`] never panics).
     #[test]
     fn wrapped_streams_commute_with_skip_to(
-        mod_idx in 0usize..2,
+        profile_idx in 0usize..5,
         churn_idx in 0usize..3,
         seed in any::<u64>(),
-        slots in 30u32..100,
+        slots in 61u32..160,
         frac in 0.0f64..1.0,
     ) {
-        use vne_workload::adversary::{modulate, with_churn, ChurnSchedule, Modulation};
+        use vne_workload::adversary::{with_churn, ChurnSchedule};
         let (substrate, apps) = adversary_world();
-        let modulation = [
-            Modulation::FlashCrowd { period: 20, len: 4, base_keep: 0.3 },
-            Modulation::Diurnal { period: 25, low: 0.1, high: 0.9 },
-        ][mod_idx];
         let schedule = ChurnSchedule::new(churn_profile(churn_idx), &substrate);
-        let wrap = |inner: vne_workload::adversary::AdversaryStream| {
-            with_churn(modulate(inner, modulation, seed ^ 0x5A17), schedule.clone())
+        let wrapped = |from: u32| -> Vec<SlotEvents> {
+            with_churn(
+                profile_stream(profile_idx, seed, from..slots, &substrate, &apps),
+                schedule.clone(),
+            )
+            .collect()
         };
-
-        let full: Vec<SlotEvents> =
-            wrap(adversary_stream(0, seed, slots, &substrate, &apps)).collect();
+        let full = wrapped(0);
         let cut = ((frac * f64::from(slots)) as u32).min(slots);
-        let mut skipped = adversary_stream(0, seed, slots, &substrate, &apps);
-        skipped.skip_to(cut);
-        let suffix: Vec<SlotEvents> = wrap(skipped).collect();
-        prop_assert_eq!(&suffix[..], &full[cut as usize..]);
+        prop_assert_eq!(&wrapped(cut)[..], &full[cut as usize..]);
 
-        // Modulated arrivals ⊆ inner arrivals, order preserved; churn
-        // events reference live elements on every slot.
-        let inner: Vec<SlotEvents> =
-            adversary_stream(0, seed, slots, &substrate, &apps).collect();
         let mut churn_state = vne_model::churn::ChurnState::pristine(&substrate);
-        for (wrapped, raw) in full.iter().zip(&inner) {
-            let inner_ids: Vec<u64> = raw.arrivals.iter().map(|r| r.id.0).collect();
-            let mut walk = inner_ids.iter();
-            for r in &wrapped.arrivals {
-                prop_assert!(
-                    walk.any(|&id| id == r.id.0),
-                    "modulated id {} not an ordered subset of the inner stream",
-                    r.id.0
-                );
-            }
-            prop_assert_eq!(&wrapped.churn, &schedule.events_at(wrapped.slot));
-            for ev in &wrapped.churn {
-                churn_state.apply(ev); // panics on out-of-range elements
+        for ev in &full {
+            prop_assert_eq!(&ev.churn, &schedule.events_at(ev.slot));
+            for churn in &ev.churn {
+                churn_state.apply(churn); // panics on out-of-range elements
             }
         }
     }
