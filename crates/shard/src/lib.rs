@@ -36,8 +36,8 @@
 //!   memory `O(classes per shard)`), [`shard_plans`] solves the shard
 //!   LPs in parallel.
 //!
-//! The partitioners that feed this crate live in `vne-topology`
-//! (`Partitioner`, `RegionGrow`, `GreedyEdgeCut`, `large_synthetic`);
+//! The partitioner that feeds this crate lives in `vne-topology`
+//! (`Partitioner`, `GreedyEdgeCut`, `large_synthetic`);
 //! the partitioned-substrate view ([`ShardedSubstrate`]) lives in
 //! `vne-model`.
 //!

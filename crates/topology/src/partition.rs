@@ -1,4 +1,4 @@
-//! Substrate partitioners and the large synthetic substrate builder.
+//! The substrate partitioner and the large synthetic substrate builder.
 //!
 //! The sharded execution path (`vne-shard`) needs two things from the
 //! topology layer: a way to split a substrate into `k` connected
@@ -6,18 +6,17 @@
 //!
 //! * [`Partitioner`] — the open partitioning seam, returning a
 //!   [`PartitionAssignment`] consumed by
-//!   [`vne_model::shard::ShardedSubstrate`]. Two built-in strategies:
-//!   [`RegionGrow`] (balanced multi-source BFS regions — fast, shapes
-//!   shards by hop distance) and [`GreedyEdgeCut`] (grows the smallest
-//!   shard by the boundary node with the most neighbors already inside
-//!   it, greedily minimizing the k-way edge cut).
+//!   [`vne_model::shard::ShardedSubstrate`]. The built-in strategy is
+//!   [`GreedyEdgeCut`] (grows the smallest shard by the boundary node
+//!   with the most neighbors already inside it, greedily minimizing
+//!   the k-way edge cut).
 //! * [`large_synthetic`] — an `O(n + m)` generator for substrates of
 //!   10⁵–10⁶ nodes: a random spanning tree plus random chords under a
 //!   hard degree cap ([`LARGE_SYNTHETIC_MAX_DEGREE`]), degree-sorted
 //!   tiering, Table II pricing. Nothing is precomputed or cached — the
 //!   substrate is generated on demand from `(nodes, seed)`.
 //!
-//! Both partitioners grow regions along substrate edges only, so every
+//! The partitioner grows regions along substrate edges only, so every
 //! shard's local substrate is connected — the invariant
 //! `ShardedSubstrate::new` validates. Everything here is deterministic
 //! in `(substrate, shards, seed)`.
@@ -41,7 +40,7 @@ use crate::params::TierParams;
 /// dense shard ids, and must keep every region connected (so each
 /// shard-local substrate is a valid [`SubstrateNetwork`]).
 pub trait Partitioner {
-    /// A short display name (e.g. `"region-grow"`).
+    /// A short display name (e.g. `"greedy-edge-cut"`).
     fn name(&self) -> &'static str;
 
     /// Assigns every node of `substrate` to one of `shards` shards.
@@ -59,84 +58,17 @@ pub trait Partitioner {
     ) -> ModelResult<PartitionAssignment>;
 }
 
-/// Balanced multi-source BFS partitioning.
-///
-/// Seeds are spread by farthest-point hop distance (first seed from
-/// `seed`), then regions grow breadth-first, always extending the
-/// currently smallest region — shards come out balanced and compact in
-/// hop distance, but the edge cut is whatever BFS frontiers collide on.
-#[derive(Debug, Clone, Copy)]
-pub struct RegionGrow {
-    /// Selects the first BFS seed node (`seed % node_count`).
-    pub seed: u64,
-}
-
 /// Greedy k-way edge-cut partitioning.
 ///
-/// Same farthest-point seeds as [`RegionGrow`], but the smallest region
-/// grows by the *boundary node with the most neighbors already inside
-/// it* (ties: lowest node id) — each step adds the node that converts
+/// Seeds are spread by farthest-point hop distance (first seed from
+/// `seed`); then the smallest region grows by the *boundary node with
+/// the most neighbors already inside it* (ties: lowest node id) — each step adds the node that converts
 /// the most would-be cut edges into internal edges, greedily minimizing
 /// the k-way cut while keeping regions connected and balanced.
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyEdgeCut {
     /// Selects the first seed node (`seed % node_count`).
     pub seed: u64,
-}
-
-impl Partitioner for RegionGrow {
-    fn name(&self) -> &'static str {
-        "region-grow"
-    }
-
-    fn partition(
-        &self,
-        substrate: &SubstrateNetwork,
-        shards: usize,
-    ) -> ModelResult<PartitionAssignment> {
-        let seeds = spread_seeds(substrate, shards, self.seed)?;
-        let n = substrate.node_count();
-        let mut shard_of = vec![u32::MAX; n];
-        let mut frontier: Vec<VecDeque<NodeId>> = vec![VecDeque::new(); shards];
-        let mut size = vec![0usize; shards];
-        let mut alive: BTreeSet<usize> = (0..shards).collect();
-        let mut assigned = 0usize;
-        for (s, &node) in seeds.iter().enumerate() {
-            shard_of[node.index()] = s as u32;
-            size[s] += 1;
-            assigned += 1;
-            for &(nb, _) in substrate.neighbors(node) {
-                frontier[s].push_back(nb);
-            }
-        }
-        while assigned < n {
-            // The smallest still-growing region extends first (ties:
-            // lowest shard id) — keeps shards balanced.
-            let Some(&s) = alive.iter().min_by_key(|&&s| (size[s], s)) else {
-                return Err(ModelError::DisconnectedSubstrate);
-            };
-            let mut grew = false;
-            while let Some(v) = frontier[s].pop_front() {
-                if shard_of[v.index()] != u32::MAX {
-                    continue;
-                }
-                shard_of[v.index()] = s as u32;
-                size[s] += 1;
-                assigned += 1;
-                for &(nb, _) in substrate.neighbors(v) {
-                    if shard_of[nb.index()] == u32::MAX {
-                        frontier[s].push_back(nb);
-                    }
-                }
-                grew = true;
-                break;
-            }
-            if !grew {
-                alive.remove(&s);
-            }
-        }
-        PartitionAssignment::new(shard_of)
-    }
 }
 
 impl Partitioner for GreedyEdgeCut {
@@ -413,21 +345,14 @@ mod tests {
     }
 
     #[test]
-    fn both_partitioners_produce_valid_sharded_views() {
+    fn partitions_are_valid_sharded_views() {
         let s = world(40, 80, 9);
         for k in [1usize, 2, 3, 5, 8] {
-            for (name, assignment) in [
-                ("region", RegionGrow { seed: 5 }.partition(&s, k).unwrap()),
-                (
-                    "greedy",
-                    GreedyEdgeCut { seed: 5 }.partition(&s, k).unwrap(),
-                ),
-            ] {
-                assert_eq!(assignment.shard_count(), k, "{name} k={k}");
-                let sharded = ShardedSubstrate::new(&s, &assignment).unwrap();
-                let total: usize = sharded.shards().map(|(_, s)| s.node_count()).sum();
-                assert_eq!(total, s.node_count(), "{name} k={k}");
-            }
+            let assignment = GreedyEdgeCut { seed: 5 }.partition(&s, k).unwrap();
+            assert_eq!(assignment.shard_count(), k, "k={k}");
+            let sharded = ShardedSubstrate::new(&s, &assignment).unwrap();
+            let total: usize = sharded.shards().map(|(_, s)| s.node_count()).sum();
+            assert_eq!(total, s.node_count(), "k={k}");
         }
     }
 
@@ -437,62 +362,29 @@ mod tests {
         let a = GreedyEdgeCut { seed: 7 }.partition(&s, 4).unwrap();
         let b = GreedyEdgeCut { seed: 7 }.partition(&s, 4).unwrap();
         assert_eq!(a, b);
-        let c = RegionGrow { seed: 7 }.partition(&s, 4).unwrap();
-        let d = RegionGrow { seed: 7 }.partition(&s, 4).unwrap();
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn greedy_cut_is_no_worse_than_region_grow_on_average() {
-        // Not a guarantee per instance, but across a few worlds the
-        // greedy cut should not lose to plain BFS overall — it exists
-        // to shrink the cut.
-        let mut region = 0usize;
-        let mut greedy = 0usize;
-        for seed in 0..6u64 {
-            let s = world(48, 110, seed);
-            let a = RegionGrow { seed }.partition(&s, 4).unwrap();
-            let b = GreedyEdgeCut { seed }.partition(&s, 4).unwrap();
-            region += ShardedSubstrate::new(&s, &a).unwrap().cut_count();
-            greedy += ShardedSubstrate::new(&s, &b).unwrap().cut_count();
-        }
-        assert!(
-            greedy <= region,
-            "greedy cut {greedy} worse than region-grow {region}"
-        );
     }
 
     #[test]
     fn shard_count_bounds_are_enforced() {
         let s = world(10, 15, 1);
-        for p in [
-            &RegionGrow { seed: 0 } as &dyn Partitioner,
-            &GreedyEdgeCut { seed: 0 },
-        ] {
-            assert!(p.partition(&s, 0).is_err(), "{}", p.name());
-            assert!(p.partition(&s, 11).is_err(), "{}", p.name());
-        }
+        let p = GreedyEdgeCut { seed: 0 };
+        assert!(p.partition(&s, 0).is_err());
+        assert!(p.partition(&s, 11).is_err());
     }
 
     #[test]
     fn regions_stay_balanced() {
         let s = world(60, 120, 4);
-        for p in [
-            &RegionGrow { seed: 1 } as &dyn Partitioner,
-            &GreedyEdgeCut { seed: 1 },
-        ] {
-            let a = p.partition(&s, 4).unwrap();
-            let sharded = ShardedSubstrate::new(&s, &a).unwrap();
-            for (_, local) in sharded.shards() {
-                // 60 nodes over 4 shards: every shard within 2× of even.
-                assert!(
-                    local.node_count() >= 7 && local.node_count() <= 30,
-                    "{} ({}) sized {}",
-                    p.name(),
-                    local.name(),
-                    local.node_count()
-                );
-            }
+        let a = GreedyEdgeCut { seed: 1 }.partition(&s, 4).unwrap();
+        let sharded = ShardedSubstrate::new(&s, &a).unwrap();
+        for (_, local) in sharded.shards() {
+            // 60 nodes over 4 shards: every shard within 2× of even.
+            assert!(
+                local.node_count() >= 7 && local.node_count() <= 30,
+                "{} sized {}",
+                local.name(),
+                local.node_count()
+            );
         }
     }
 

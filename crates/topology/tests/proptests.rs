@@ -1,4 +1,4 @@
-//! Property battery for the partitioners and the large synthetic
+//! Property battery for the partitioner and the large synthetic
 //! builder (nightly CI runs this at `PROPTEST_CASES=1024`):
 //!
 //! * every node lands in exactly one shard, with dense ordered local
@@ -14,7 +14,7 @@ use vne_model::shard::{LinkHome, ShardedSubstrate};
 use vne_model::substrate::SubstrateNetwork;
 use vne_topology::params::TierParams;
 use vne_topology::partition::{
-    large_synthetic, GreedyEdgeCut, Partitioner, RegionGrow, LARGE_SYNTHETIC_MAX_DEGREE,
+    large_synthetic, GreedyEdgeCut, Partitioner, LARGE_SYNTHETIC_MAX_DEGREE,
 };
 use vne_topology::random::{erdos_renyi_spec, TierFractions};
 
@@ -88,11 +88,6 @@ fn check_partition(s: &SubstrateNetwork, partitioner: &dyn Partitioner, k: usize
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn region_grow_partitions_are_structurally_sound((s, k, seed) in arb_world()) {
-        check_partition(&s, &RegionGrow { seed }, k);
-    }
 
     #[test]
     fn greedy_edge_cut_partitions_are_structurally_sound((s, k, seed) in arb_world()) {

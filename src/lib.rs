@@ -67,7 +67,7 @@ pub mod prelude {
     pub use vne_sim::registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, BuiltAlgorithm};
     pub use vne_sim::runner::{default_apps, run_cells, SweepContext};
     pub use vne_sim::scenario::{Algorithm, Outcome, Scenario, ScenarioConfig};
-    pub use vne_topology::partition::{GreedyEdgeCut, Partitioner, RegionGrow};
+    pub use vne_topology::partition::{GreedyEdgeCut, Partitioner};
     pub use vne_workload::appgen::{paper_mix, AppGenConfig};
     pub use vne_workload::rng::SeededRng;
     pub use vne_workload::tracegen::TraceConfig;
