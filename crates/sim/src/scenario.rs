@@ -16,7 +16,6 @@
 //! are configuration switches here.
 
 use std::fmt;
-use std::str::FromStr;
 
 use vne_model::app::AppSet;
 use vne_model::cost::RejectionPenalty;
@@ -47,8 +46,9 @@ use crate::registry::{AlgorithmRegistry, AlgorithmSpec, BuildContext, UnknownAlg
 ///
 /// The simulator itself is open: any name registered in a scenario's
 /// registry runs the same way. `Display` writes the canonical label
-/// (`"OLIVE"`), [`FromStr`] parses it case-insensitively — the single
-/// source of truth for CLI parsing and result labeling.
+/// (`"OLIVE"`) that results are labeled with; a name given on a command
+/// line is parsed as an [`AlgorithmSpec`] instead, which resolves
+/// case-insensitively against the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// The paper's contribution: plan-based online embedding.
@@ -84,34 +84,6 @@ impl Algorithm {
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// The error returned when a string names none of the paper algorithms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseAlgorithmError(String);
-
-impl fmt::Display for ParseAlgorithmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown algorithm {:?}; expected one of OLIVE, QUICKG, FULLG, SLOTOFF",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseAlgorithmError {}
-
-impl FromStr for Algorithm {
-    type Err = ParseAlgorithmError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim();
-        Self::ALL
-            .into_iter()
-            .find(|a| a.label().eq_ignore_ascii_case(trimmed))
-            .ok_or_else(|| ParseAlgorithmError(s.to_string()))
     }
 }
 
@@ -877,23 +849,6 @@ mod tests {
                 s.balance_index.to_bits(),
             ],
         )
-    }
-
-    #[test]
-    fn algorithm_names_roundtrip_through_display_and_fromstr() {
-        for alg in Algorithm::ALL {
-            assert_eq!(alg.to_string().parse::<Algorithm>().unwrap(), alg);
-            assert_eq!(
-                alg.label().to_lowercase().parse::<Algorithm>().unwrap(),
-                alg
-            );
-        }
-        assert_eq!(
-            " slotoff ".parse::<Algorithm>().unwrap(),
-            Algorithm::SlotOff
-        );
-        let err = "nope".parse::<Algorithm>().unwrap_err();
-        assert!(err.to_string().contains("nope"));
     }
 
     #[test]
