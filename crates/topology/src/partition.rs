@@ -28,10 +28,11 @@ use rand::{Rng, SeedableRng};
 use vne_model::error::{ModelError, ModelResult};
 use vne_model::ids::NodeId;
 use vne_model::shard::PartitionAssignment;
-use vne_model::substrate::{SubstrateNetwork, Tier};
+use vne_model::substrate::SubstrateNetwork;
 
 use crate::builder::TopologySpec;
 use crate::params::TierParams;
+use crate::random::{tiered_by_degree, TierFractions};
 
 /// Splits a substrate into `k` connected regions.
 ///
@@ -244,7 +245,7 @@ pub const LARGE_SYNTHETIC_MAX_DEGREE: usize = 16;
 /// # Panics
 ///
 /// Panics when `nodes < 4` (the tier split needs all three tiers).
-pub fn large_synthetic_spec(nodes: usize, seed: u64) -> TopologySpec {
+fn large_synthetic_spec(nodes: usize, seed: u64) -> TopologySpec {
     assert!(nodes >= 4, "large_synthetic needs at least 4 nodes");
     let mut rng = StdRng::seed_from_u64(seed);
     let n = nodes;
@@ -290,30 +291,7 @@ pub fn large_synthetic_spec(nodes: usize, seed: u64) -> TopologySpec {
         }
     }
 
-    // Degree-sorted tiering, as in `erdos_renyi_spec`.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(degree[v]), v));
-    let n_core = ((n as f64 * 0.10).round() as usize).max(1);
-    let n_transport = ((n as f64 * 0.30).round() as usize).max(1);
-    let mut tier = vec![Tier::Edge; n];
-    for (rank, &v) in order.iter().enumerate() {
-        tier[v] = if rank < n_core {
-            Tier::Core
-        } else if rank < n_core + n_transport {
-            Tier::Transport
-        } else {
-            Tier::Edge
-        };
-    }
-
-    let mut spec = TopologySpec::new(format!("LS{n}"));
-    for (v, &t) in tier.iter().enumerate() {
-        spec.add_node(format!("L{v}"), t);
-    }
-    for (a, b) in edges {
-        spec.add_edge(a, b);
-    }
-    spec
+    tiered_by_degree(format!("LS{n}"), "L", n, edges, TierFractions::default())
 }
 
 /// Builds a large synthetic substrate (Table II pricing, paper tier

@@ -67,7 +67,21 @@ pub fn erdos_renyi_spec(n: usize, m: usize, seed: u64, fractions: TierFractions)
         }
     }
 
-    // Degree-based tier assignment.
+    tiered_by_degree(format!("{n}N{m}E"), "R", n, edges, fractions)
+}
+
+/// The spec of the `n`-node graph on `edges`, nodes named `{prefix}{v}`
+/// and tiered by descending degree (ties: lowest node id): the first
+/// `fractions.core` of them core, the next `fractions.transport`
+/// transport (at least one node each), the rest edge. Shared by
+/// [`erdos_renyi_spec`] and `partition::large_synthetic`.
+pub(crate) fn tiered_by_degree(
+    name: String,
+    prefix: &str,
+    n: usize,
+    edges: Vec<(usize, usize)>,
+    fractions: TierFractions,
+) -> TopologySpec {
     let mut degree = vec![0usize; n];
     for &(a, b) in &edges {
         degree[a] += 1;
@@ -88,9 +102,9 @@ pub fn erdos_renyi_spec(n: usize, m: usize, seed: u64, fractions: TierFractions)
         };
     }
 
-    let mut spec = TopologySpec::new(format!("{n}N{m}E"));
+    let mut spec = TopologySpec::new(name);
     for (v, &t) in tier.iter().enumerate() {
-        spec.add_node(format!("R{v}"), t);
+        spec.add_node(format!("{prefix}{v}"), t);
     }
     for (a, b) in edges {
         spec.add_edge(a, b);
