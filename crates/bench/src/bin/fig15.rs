@@ -2,7 +2,8 @@
 //! total cost vs utilization for OLIVE, QUICKG and SLOTOFF.
 //!
 //! The trace substitutes the access-restricted CAIDA Equinix-NewYork
-//! dataset with a synthetic heavy-tailed equivalent (see DESIGN.md §6):
+//! dataset with a synthetic heavy-tailed equivalent
+//! (`vne_workload::caida`):
 //! per-source lognormal demand scales, Zipf source-to-DC mapping and a
 //! fixed ~495 requests/slot aggregate rate.
 //!

@@ -2,8 +2,8 @@
 //! # vne-bench — figure and table binaries for the paper's evaluation
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section (see `DESIGN.md` §7 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured results). All binaries accept:
+//! paper's evaluation section (README, "Regenerating paper artifacts").
+//! All binaries accept:
 //!
 //! * `--seeds N` — number of executions (paper: 30; default: 3);
 //! * `--paper` — full paper scale (5400 history + 600 test slots;

@@ -5,7 +5,7 @@
 //! — the paper uses PRANOS for this, a near-optimal scalable offline
 //! solver built on LP relaxation of aggregated demand plus rounding.
 //! PRANOS is closed source; this implementation follows its published
-//! structure using our column-generation LP (§DESIGN.md §6):
+//! structure using our column-generation LP:
 //!
 //! 1. aggregate the active requests per class with their *actual* total
 //!    demands;

@@ -4,7 +4,7 @@
 //! deployment in Madrid produced by the 5GEN tool: many gNB-site edge
 //! datacenters aggregated over transport rings into a small meshed core.
 //! This generator reproduces that hierarchical shape deterministically at
-//! the published size (see DESIGN.md §6).
+//! the published size.
 
 use vne_model::error::ModelResult;
 use vne_model::substrate::{SubstrateNetwork, Tier};

@@ -6,7 +6,7 @@
 //! reproduce the published node/link counts and the three-tier mobile
 //! access structure (edge/transport/core) the paper imposes on them; the
 //! algorithms only see sizes, tiers and the capacity/cost tables, so ISP
-//! geometry is immaterial (see DESIGN.md §6). The Iris replica includes
+//! geometry is immaterial. The Iris replica includes
 //! the `Franklin` edge node referenced by Fig. 12.
 
 use vne_model::error::ModelResult;

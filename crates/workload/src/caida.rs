@@ -4,7 +4,7 @@
 //! CAIDA monitor: flows are aggregated per IP source and the grouped
 //! requests are randomly assigned to datacenters. The raw dataset is
 //! access-restricted, so this module synthesizes a trace with the
-//! operative properties of that derivation (see DESIGN.md §6):
+//! operative properties of that derivation:
 //!
 //! * a fixed population of *sources* with lognormal (heavy-tailed)
 //!   per-source demand scales — a few heavy hitters, many mice;
