@@ -173,35 +173,23 @@ where
     B: Iterator<Item = SlotEvents> + Send + 'a,
 {
     let seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ profile.salt();
-    let modulation = match profile {
-        AdversaryProfile::FlashCrowd => Some(FLASH_CROWD),
-        AdversaryProfile::Diurnal => Some(DIURNAL),
-        _ => None,
-    };
-    if let Some(modulation) = modulation {
-        return Box::new(Modulated {
+    let thin = |modulation| -> Box<dyn Iterator<Item = SlotEvents> + Send + 'a> {
+        Box::new(Modulated {
             inner: base(slots.start),
             modulation,
             salt: seed,
-        });
-    }
-    let edge_nodes = substrate.edge_nodes();
-    assert!(!edge_nodes.is_empty(), "substrate has no edge nodes");
-    assert!(!apps.is_empty(), "application set is empty");
-    let mode = match profile {
-        AdversaryProfile::RevenueBurst => AdversaryMode::RevenueBurst { hot: edge_nodes[0] },
-        AdversaryProfile::LifetimeCliff => AdversaryMode::LifetimeCliff,
-        _ => AdversaryMode::PlanTargets {
-            targets: least_planned(&edge_nodes, apps.len(), &plan_shares()),
-        },
+        })
     };
-    Box::new(AdversaryStream::new(
-        mode,
-        edge_nodes,
-        apps.len(),
-        slots,
-        seed,
-    ))
+    let mode = match profile {
+        AdversaryProfile::RevenueBurst => AdversaryMode::RevenueBurst,
+        AdversaryProfile::LifetimeCliff => AdversaryMode::LifetimeCliff,
+        AdversaryProfile::PlanAdversarial => AdversaryMode::PlanTargets {
+            targets: least_planned(&substrate.edge_nodes(), apps.len(), &plan_shares()),
+        },
+        AdversaryProfile::FlashCrowd => return thin(FLASH_CROWD),
+        AdversaryProfile::Diurnal => return thin(DIURNAL),
+    };
+    Box::new(AdversaryStream::new(mode, substrate, apps, slots, seed))
 }
 
 /// Demand of every generated arrival: `Normal(mean, std)` truncated at
@@ -274,7 +262,7 @@ fn least_planned(
 /// How one arrival of an [`AdversaryStream`] is shaped.
 #[derive(Debug, Clone)]
 enum AdversaryMode {
-    RevenueBurst { hot: NodeId },
+    RevenueBurst,
     LifetimeCliff,
     PlanTargets { targets: Vec<ClassId> },
 }
@@ -302,11 +290,14 @@ impl AdversaryStream {
     /// `slots.start` (clamped to `slots.end`).
     fn new(
         mode: AdversaryMode,
-        edge_nodes: Vec<NodeId>,
-        app_count: usize,
+        substrate: &SubstrateNetwork,
+        apps: &AppSet,
         slots: Range<Slot>,
         seed: u64,
     ) -> Self {
+        let edge_nodes = substrate.edge_nodes();
+        assert!(!edge_nodes.is_empty(), "substrate has no edge nodes");
+        assert!(!apps.is_empty(), "application set is empty");
         // The cliff draws a duration per arrival, then overrides it.
         let duration_mean = match mode {
             AdversaryMode::LifetimeCliff => 1.0,
@@ -317,7 +308,7 @@ impl AdversaryStream {
             next_slot: 0,
             next_id: 0,
             edge_nodes,
-            app_count,
+            app_count: apps.len(),
             demand: Normal::new(DEMAND_MEAN, DEMAND_STD),
             duration: Exponential::new(duration_mean),
             base: SeededRng::new(seed),
@@ -330,7 +321,7 @@ impl AdversaryStream {
     /// Arrivals per slot outside a burst.
     fn per_slot(&self) -> usize {
         match self.mode {
-            AdversaryMode::RevenueBurst { .. } => BURST_BACKGROUND,
+            AdversaryMode::RevenueBurst => BURST_BACKGROUND,
             _ => PER_SLOT,
         }
     }
@@ -338,7 +329,7 @@ impl AdversaryStream {
     /// Requests emitted on slot `t` (arithmetic, no RNG).
     fn count_at(&self, t: Slot) -> usize {
         match self.mode {
-            AdversaryMode::RevenueBurst { .. } if t % BURST_PERIOD < BURST_LEN => {
+            AdversaryMode::RevenueBurst if t % BURST_PERIOD < BURST_LEN => {
                 BURST_BACKGROUND + BURST_EXTRA
             }
             _ => self.per_slot(),
@@ -377,10 +368,11 @@ impl Iterator for AdversaryStream {
             let mut duration = self.duration.sample(&mut rng).round().max(1.0) as Slot;
             use rand::Rng;
             let (ingress, app) = match &self.mode {
-                AdversaryMode::RevenueBurst { hot } => {
+                AdversaryMode::RevenueBurst => {
                     if i >= BURST_BACKGROUND {
                         demand *= BURST_DEMAND_FACTOR;
-                        (*hot, AppId::from_index(rng.gen_range(0..self.app_count)))
+                        let hot = self.edge_nodes[0];
+                        (hot, AppId::from_index(rng.gen_range(0..self.app_count)))
                     } else {
                         let node = self.edge_nodes[rng.gen_range(0..self.edge_nodes.len())];
                         (node, AppId::from_index(rng.gen_range(0..self.app_count)))
