@@ -318,21 +318,14 @@ impl AdversaryStream {
         stream
     }
 
-    /// Arrivals per slot outside a burst.
-    fn per_slot(&self) -> usize {
-        match self.mode {
-            AdversaryMode::RevenueBurst => BURST_BACKGROUND,
-            _ => PER_SLOT,
-        }
-    }
-
     /// Requests emitted on slot `t` (arithmetic, no RNG).
     fn count_at(&self, t: Slot) -> usize {
         match self.mode {
             AdversaryMode::RevenueBurst if t % BURST_PERIOD < BURST_LEN => {
                 BURST_BACKGROUND + BURST_EXTRA
             }
-            _ => self.per_slot(),
+            AdversaryMode::RevenueBurst => BURST_BACKGROUND,
+            _ => PER_SLOT,
         }
     }
 
