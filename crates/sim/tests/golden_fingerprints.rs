@@ -665,3 +665,35 @@ fn every_adversary_profile_stream_matches_its_pin() {
         );
     }
 }
+
+/// `Scenario::demand_conformance` bits on Città Studi at two seeds, with
+/// the history as drawn and with its ingresses shifted (Fig. 14): the
+/// conforming fraction reads the bootstrap's confidence bounds of every
+/// class, so a change to the fold, the bootstrap or its generator moves
+/// a bit here.
+const CONFORMANCE_GOLDEN: [(u64, bool, u64); 4] = [
+    (11, false, 0x3fc7_45d1_745d_1746), // 16 of 88 classes conform
+    (11, true, 0x3fa1_745d_1745_d174),  // 3 of 88
+    (3, false, 0x3fcd_1745_d174_5d17),  // 20 of 88
+    (3, true, 0x3fa1_745d_1745_d174),   // 3 of 88
+];
+
+#[test]
+fn demand_conformance_matches_golden_bits() {
+    let print = std::env::var("GOLDEN_PRINT").is_ok();
+    for (seed, shift, expected) in CONFORMANCE_GOLDEN {
+        let mut config = ScenarioConfig::small(1.0).with_seed(seed);
+        config.shift_plan_ingress = shift;
+        let scenario = Scenario::new(citta_studi().unwrap(), default_apps(seed), config);
+        let got = scenario.demand_conformance();
+        if print {
+            println!("    ({seed}, {shift}, {:#018x}), // {got}", got.to_bits());
+            continue;
+        }
+        assert_eq!(
+            got.to_bits(),
+            expected,
+            "demand conformance drifted at seed {seed}, shift {shift}: {got}"
+        );
+    }
+}

@@ -3,15 +3,19 @@
 //! Every plan rests on two streams staying what they are: the words
 //! `SeededRng::new(seed)` and `SeededRng::derive(stream)` produce, and
 //! the per-class `P̂_α` that `ExactEstimator::finalize` draws from them,
-//! class after class in `ClassId` order. These constants were taken from
-//! the sequential single-generator implementation; any rewrite of the
+//! class after class in `ClassId` order, with the 95% confidence bounds
+//! the conformance check reads. These constants were taken from the
+//! sequential single-generator implementation; any rewrite of the
 //! generator or of the bootstrap must reproduce them unedited.
 
+use std::collections::BTreeMap;
+
 use rand::{Rng, RngCore};
-use vne_model::ids::{AppId, NodeId, RequestId};
+use vne_model::ids::{AppId, ClassId, NodeId, RequestId};
 use vne_model::request::{slot_events, Request, Slot};
 use vne_workload::estimator::{AggregationConfig, ExactEstimator};
 use vne_workload::rng::SeededRng;
+use vne_workload::stats::bootstrap_percentile;
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut hash: u64) -> u64 {
     for b in bytes {
@@ -102,4 +106,65 @@ fn multi_class_bootstrap_is_pinned() {
         0x3d72_4232_4066_1aa4,
         "the generator's next word afterwards"
     );
+}
+
+/// The per-class concurrent demand `d(r̃, t)` of `requests` over a
+/// `slots`-slot window, summed in request order: each request adds its
+/// demand to every slot it is active in, clipped to the window.
+fn class_series(requests: &[Request], slots: Slot) -> BTreeMap<ClassId, Vec<f64>> {
+    let mut series: BTreeMap<ClassId, Vec<f64>> = BTreeMap::new();
+    for r in requests {
+        let (start, end) = (r.arrival.min(slots), r.departure().min(slots));
+        if start < end {
+            let s = series
+                .entry(r.class())
+                .or_insert_with(|| vec![0.0; slots as usize]);
+            for t in start..end {
+                s[t as usize] += r.demand;
+            }
+        }
+    }
+    series
+}
+
+/// The whole bootstrap, confidence bounds included, on the history of
+/// [`multi_class_bootstrap_is_pinned`]: one [`bootstrap_percentile`] per
+/// class in `ClassId` order, all from one generator. The estimator is
+/// held to the same draws: `finalize` must return every estimate bit for
+/// bit and leave its generator where this loop leaves it.
+#[test]
+fn multi_class_bootstrap_bounds_are_pinned() {
+    let slots = 500;
+    let mut requests = seeded_history(31, slots);
+    requests.sort_by_key(|r| (r.arrival, r.id));
+    let config = AggregationConfig::default();
+
+    let mut rng = SeededRng::new(7).derive(3);
+    let estimates: Vec<_> = class_series(&requests, slots)
+        .into_iter()
+        .map(|(class, s)| {
+            let e = bootstrap_percentile(&s, config.alpha, config.bootstrap_replicates, &mut rng);
+            (class, e)
+        })
+        .collect();
+    let digest = estimates.iter().fold(FNV_OFFSET, |h, (class, e)| {
+        let h = fnv1a(class.app.0.to_le_bytes(), h);
+        let h = fnv1a(class.ingress.0.to_le_bytes(), h);
+        [e.estimate, e.ci_low, e.ci_high]
+            .iter()
+            .fold(h, |h, x| fnv1a(x.to_bits().to_le_bytes(), h))
+    });
+    assert_eq!(estimates.len(), 80);
+    assert_eq!(digest, 0xce38_788a_202b_e578, "(estimate, lo, hi) digest");
+
+    let mut estimator = ExactEstimator::new(slots, config);
+    estimator.observe_all(slot_events(&requests, slots));
+    let mut finalized = SeededRng::new(7).derive(3);
+    let demands = estimator.finalize(&mut finalized);
+    assert_eq!(demands.len(), estimates.len());
+    for ((class, demand), (want_class, e)) in demands.iter().zip(&estimates) {
+        assert_eq!(class, want_class);
+        assert_eq!(demand.to_bits(), e.estimate.to_bits(), "{class}");
+    }
+    assert_eq!(finalized, rng, "the generator after the last class");
 }
