@@ -8,7 +8,10 @@
 //!
 //! Aggregation is a *fold*: [`AggregateDemand::from_stream`] consumes a
 //! slot-event stream through an [`ExactEstimator`], so the planning
-//! phase never materializes the history.
+//! phase never materializes the history. The estimator owns the series,
+//! the bootstrap and its `AggregationConfig` (all in
+//! [`vne_workload::estimator`]); this module only turns the finalized
+//! per-class demands into PLAN-VNE's input.
 
 use std::collections::BTreeMap;
 
@@ -17,8 +20,6 @@ use vne_model::ids::ClassId;
 use vne_model::request::SlotEvents;
 use vne_workload::estimator::ExactEstimator;
 use vne_workload::rng::SeededRng;
-
-pub use vne_workload::estimator::AggregationConfig;
 
 /// One aggregated request `r̃_{a,v}` with its expected demand `d(r̃)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,6 +106,7 @@ mod tests {
     use super::*;
     use vne_model::ids::{AppId, NodeId, RequestId};
     use vne_model::request::{slot_events, Request, Slot};
+    use vne_workload::estimator::AggregationConfig;
     use vne_workload::rng::SeededRng;
 
     fn req(id: u64, arrival: Slot, duration: Slot, node: u32, app: u32, demand: f64) -> Request {

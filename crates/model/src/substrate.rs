@@ -480,7 +480,18 @@ impl SubstrateNetwork {
     }
 
     /// Dijkstra from `source` with a settle hook and a prune test — the
-    /// one heap loop of the workspace.
+    /// one single-source shortest-path loop of the workspace: the greedy
+    /// placement search and [`SubstrateNetwork::shortest_paths`] both run
+    /// it.
+    ///
+    /// It is not the workspace's only heap. The pricing DP keeps its own
+    /// multi-source Dijkstra (`vne_olive::pricing`), which starts from
+    /// every node with a finite seed cost, relaxes only when a distance
+    /// improves by more than `1e-15` and orders its heap by its own
+    /// entry type; folding it in here would have to keep both relax rules
+    /// and both pop orders bit for bit under the plan pins and the
+    /// settle-order pins. The `vne_lp` branch and bound's best-first node
+    /// queue is a third heap, over LP bounds rather than distances.
     ///
     /// `settle(n, d)` is called once per node, in non-decreasing order of
     /// `d`, when `n`'s distance `d` and predecessor are final (the pop

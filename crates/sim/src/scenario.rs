@@ -24,13 +24,13 @@ use vne_model::policy::PlacementPolicy;
 use vne_model::request::{Slot, SlotEvents};
 use vne_model::state::StateError;
 use vne_model::substrate::SubstrateNetwork;
-use vne_olive::aggregate::{AggregateDemand, AggregationConfig};
+use vne_olive::aggregate::AggregateDemand;
 use vne_olive::colgen::{solve_plan, PlanVneConfig};
 use vne_olive::olive::OliveConfig;
 use vne_olive::plan::Plan;
 use vne_workload::adversary::{self, AdversaryProfile, ChurnProfile, ChurnSchedule};
 use vne_workload::caida::{self, CaidaConfig};
-use vne_workload::estimator::ExactEstimator;
+use vne_workload::estimator::{AggregationConfig, ExactEstimator};
 use vne_workload::rng::SeededRng;
 use vne_workload::tracegen::{self, TraceConfig};
 
@@ -448,7 +448,7 @@ impl Scenario {
         let mut online = ExactEstimator::new(self.config.test_slots, self.config.aggregation);
         online.observe_all(self.online_events());
         let mut rng = self.rng(4);
-        history.conformance(online.series(), &mut rng)
+        history.conformance(&online, &mut rng)
     }
 
     /// The PLAN-VNE solver configuration of this scenario (ψ from the
@@ -1020,7 +1020,7 @@ mod tests {
         assert!(base > 0.05, "base conformance {base}");
         assert!(low < base, "shifted {low} vs base {base}");
         // 15 of 88 classes conform; pinned so a change to the bootstrap
-        // under `ClassDemandSeries::conformance` cannot move a CI.
+        // under `ExactEstimator::conformance` cannot move a CI.
         assert_eq!(base.to_bits(), 0x3fc5_d174_5d17_45d1, "base {base}");
     }
 

@@ -15,10 +15,9 @@
 //!   cliffs, plan-adversarial mixes), arrival modulators and
 //!   substrate-churn schedules for the scenario suite;
 //! * [`stats`] — ECDF, percentiles, bootstrap estimation (Eq. 6);
-//! * [`history`] — per-class concurrent-demand series and the demand
-//!   conformance check;
 //! * [`estimator`] — [`estimator::ExactEstimator`], folding a slot-event
-//!   stream into per-class expected demands (dense series + bootstrap);
+//!   stream into per-class concurrent-demand series, their bootstrap
+//!   expected demands `P̂_α` (Eq. 6) and the demand conformance check;
 //! * [`rng`] — seeded, replayable randomness.
 //!
 //! ## Example
@@ -46,7 +45,6 @@ pub mod arrival;
 pub mod caida;
 pub mod dist;
 pub mod estimator;
-pub mod history;
 pub mod rng;
 pub mod stats;
 pub mod tracegen;
@@ -58,7 +56,6 @@ pub mod prelude {
     pub use crate::arrival::{ArrivalProcess, Mmpp, PoissonArrivals};
     pub use crate::caida::CaidaConfig;
     pub use crate::estimator::{AggregationConfig, ExactEstimator};
-    pub use crate::history::ClassDemandSeries;
     pub use crate::rng::SeededRng;
     pub use crate::stats::{bootstrap_percentile, mean_and_ci, Ecdf};
     pub use crate::tracegen::{ArrivalKind, TraceConfig};

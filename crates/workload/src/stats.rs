@@ -37,7 +37,7 @@
 //!
 //! [`bootstrap_percentile`] reads whatever generator it is handed and
 //! takes exactly `2 · n · replicates` words from it. That count is what
-//! lets [`crate::history::ClassDemandSeries::bootstrap_demands`] run the
+//! lets the bootstrap of [`crate::estimator::ExactEstimator`] run the
 //! classes of a plan in parallel: it hands each class a
 //! [`crate::rng::SeededRng`] jumped to the word the class's draws start
 //! at in the one sequential stream.

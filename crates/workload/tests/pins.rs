@@ -89,7 +89,7 @@ fn multi_class_bootstrap_is_pinned() {
     requests.sort_by_key(|r| (r.arrival, r.id));
     let mut estimator = ExactEstimator::new(slots, AggregationConfig::default());
     estimator.observe_all(slot_events(&requests, slots));
-    assert_eq!(estimator.series().class_count(), 80);
+    assert_eq!(estimator.class_count(), 80);
     assert_eq!(AggregationConfig::default().bootstrap_replicates, 100);
 
     let mut rng = SeededRng::new(7).derive(3);

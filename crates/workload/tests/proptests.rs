@@ -3,13 +3,14 @@
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
 use vne_workload::dist::{Exponential, Normal, Poisson, Zipf};
-use vne_workload::estimator::ExactEstimator;
-use vne_workload::history::ClassDemandSeries;
+use vne_workload::estimator::{AggregationConfig, ExactEstimator};
 use vne_workload::rng::SeededRng;
 use vne_workload::stats::{bootstrap_percentile, BootstrapEstimate, Ecdf};
 
-use vne_model::ids::{AppId, NodeId, RequestId};
-use vne_model::request::{Request, SlotEvents};
+use std::collections::BTreeMap;
+
+use vne_model::ids::{AppId, ClassId, NodeId, RequestId};
+use vne_model::request::{slot_events, Request, SlotEvents};
 use vne_model::state::Snapshot;
 
 /// The sort-per-replicate bootstrap, kept verbatim as the oracle of
@@ -180,10 +181,12 @@ proptest! {
                 demand,
             })
             .collect();
-        let series = ClassDemandSeries::from_requests(&requests, slots);
-        let total_series: f64 = series
-            .classes()
-            .map(|c| series.series(c).unwrap().iter().sum::<f64>())
+        let mut estimator = ExactEstimator::new(slots, AggregationConfig::default());
+        estimator.observe_all(slot_events(&requests, slots));
+        let total_series: f64 = (0..2)
+            .flat_map(|app| (0..4).map(move |node| ClassId::new(AppId(app), NodeId(node))))
+            .filter_map(|c| estimator.series(c))
+            .map(|s| s.iter().sum::<f64>())
             .sum();
         let total_expected: f64 = requests
             .iter()
@@ -214,35 +217,59 @@ fn generated_events(seed: u64, slots: u32) -> (Vec<Request>, Vec<SlotEvents>) {
     (trace, events)
 }
 
+/// The per-class concurrent demand of `trace` over a `slots`-slot
+/// window, summed in trace order and clipped to the window: the oracle
+/// of the estimator's fold.
+fn class_series(trace: &[Request], slots: u32) -> BTreeMap<ClassId, Vec<f64>> {
+    let mut series: BTreeMap<ClassId, Vec<f64>> = BTreeMap::new();
+    for r in trace {
+        let (start, end) = (r.arrival.min(slots), r.departure().min(slots));
+        if start < end {
+            let s = series
+                .entry(r.class())
+                .or_insert_with(|| vec![0.0; slots as usize]);
+            for t in start..end {
+                s[t as usize] += r.demand;
+            }
+        }
+    }
+    series
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The exact estimator folded slot-by-slot is byte-identical to the
-    /// batch `ClassDemandSeries::from_requests` path: the same dense
-    /// series, and the same finalized `P̂_α` bit for bit under the same
-    /// bootstrap RNG.
+    /// The exact estimator folded slot by slot on a generated trace is
+    /// byte-identical to summing the collected trace per class: the same
+    /// dense series, and the finalized `P̂_α` bit for bit what one
+    /// `bootstrap_percentile` per class in `ClassId` order draws from the
+    /// same generator.
     #[test]
-    fn exact_estimator_fold_is_byte_identical_to_batch(
+    fn exact_estimator_fold_is_byte_identical_to_the_per_class_sum(
         seed in 1u64..500,
         slots in 80u32..220,
     ) {
         let (trace, events) = generated_events(seed, slots);
         let mut estimator = ExactEstimator::new(
             slots,
-            vne_workload::estimator::AggregationConfig {
+            AggregationConfig {
                 alpha: 80.0,
                 bootstrap_replicates: 10,
             },
         );
         estimator.observe_all(events);
-        prop_assert_eq!(estimator.slots_observed(), slots);
-        let batch = ClassDemandSeries::from_requests(&trace, slots);
-        prop_assert_eq!(estimator.series(), &batch);
+        let direct = class_series(&trace, slots);
+        prop_assert_eq!(estimator.class_count(), direct.len());
+        for (&class, series) in &direct {
+            prop_assert_eq!(estimator.series(class), Some(series.as_slice()));
+        }
         let folded = estimator.finalize(&mut SeededRng::new(seed ^ 0xF00D));
-        let direct = batch.expected_demands(80.0, 10, &mut SeededRng::new(seed ^ 0xF00D));
+        let mut rng = SeededRng::new(seed ^ 0xF00D);
         prop_assert_eq!(folded.len(), direct.len());
-        for (class, value) in &folded {
-            prop_assert_eq!(value.to_bits(), direct[class].to_bits());
+        for ((class, value), (want_class, series)) in folded.iter().zip(&direct) {
+            prop_assert_eq!(class, want_class);
+            let want = bootstrap_percentile(series, 80.0, 10, &mut rng).estimate;
+            prop_assert_eq!(value.to_bits(), want.to_bits());
         }
     }
 }
@@ -502,7 +529,7 @@ proptest! {
     ) {
         let (_, events) = generated_events(seed, slots);
         let cut = ((frac * f64::from(slots)) as usize).clamp(1, slots as usize - 1);
-        let config = vne_workload::estimator::AggregationConfig {
+        let config = AggregationConfig {
             alpha: 80.0,
             bootstrap_replicates: 10,
         };
@@ -518,8 +545,6 @@ proptest! {
             original.observe_slot(ev);
             resumed.observe_slot(ev);
         }
-        prop_assert_eq!(original.slots_observed(), slots);
-        prop_assert_eq!(resumed.slots_observed(), slots);
         let a = original.finalize(&mut SeededRng::new(seed ^ 0xBEEF));
         let b = resumed.finalize(&mut SeededRng::new(seed ^ 0xBEEF));
         prop_assert_eq!(a.len(), b.len());

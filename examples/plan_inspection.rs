@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "history: {requests} requests, {} classes",
-        estimator.series().class_count()
+        estimator.class_count()
     );
     let aggregate = AggregateDemand::from_demands(&estimator.finalize(&mut rng));
 

@@ -56,7 +56,7 @@ pub use vne_workload as workload;
 /// Commonly used types, re-exported for one-line imports.
 pub mod prelude {
     pub use vne_model::prelude::*;
-    pub use vne_olive::aggregate::{AggregateDemand, AggregationConfig};
+    pub use vne_olive::aggregate::AggregateDemand;
     pub use vne_olive::algorithm::{OnlineAlgorithm, SlotOutcome};
     pub use vne_olive::colgen::{solve_plan, PlanVneConfig};
     pub use vne_olive::olive::{Olive, OliveConfig};
@@ -69,6 +69,7 @@ pub mod prelude {
     pub use vne_sim::scenario::{Algorithm, Outcome, Scenario, ScenarioConfig};
     pub use vne_topology::partition::{GreedyEdgeCut, Partitioner};
     pub use vne_workload::appgen::{paper_mix, AppGenConfig};
+    pub use vne_workload::estimator::AggregationConfig;
     pub use vne_workload::rng::SeededRng;
     pub use vne_workload::tracegen::TraceConfig;
 }
