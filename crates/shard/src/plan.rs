@@ -28,10 +28,11 @@ use vne_workload::rng::SeededRng;
 /// its ingress, with the class ingress remapped to the shard-local node
 /// id (so the demands feed [`shard_plans`] directly). Every estimator
 /// is built over the same `slots`-slot window and a slot with no
-/// arrivals for a shard folds nothing, so each shard's series are its
-/// classes' series in the unsharded fold. Estimators are finalized in
-/// ascending shard order against the single shared `rng`, making the
-/// whole routine deterministic in `(stream, slots, aggregation, rng)`.
+/// arrivals for a shard folds nothing, so a shard's series are the
+/// unsharded fold's series of the classes homed on it, under local
+/// ingress ids. Estimators are finalized in ascending shard order
+/// against the single shared `rng`, making the whole routine
+/// deterministic in `(stream, slots, aggregation, rng)`.
 pub fn shard_demands(
     sharded: &ShardedSubstrate,
     history: impl IntoIterator<Item = SlotEvents>,
